@@ -177,6 +177,10 @@ class PipelinesCoordinator:
         )
 
         self._pipelines: Dict[str, Pipeline] = {}
+        #: Latest composite per pipeline with metrics; metrics change only at
+        #: a completed cycle (``_decision_step``) or at spawn, so those two
+        #: places keep this in step with ``Pipeline.latest_metrics``.
+        self._composites: Dict[str, float] = {}
         self._root_of: Dict[str, str] = {}
         self._spawned_per_root: Dict[str, int] = {}
         self._total_spawned = 0
@@ -351,26 +355,22 @@ class PipelinesCoordinator:
 
     # -- the decision-making step --------------------------------------------------------- #
 
-    def _cohort_composites(self) -> Dict[str, float]:
-        """Latest composite score of every pipeline that has one."""
-        composites: Dict[str, float] = {}
-        for uid, pipeline in self._pipelines.items():
-            metrics = pipeline.latest_metrics
-            if metrics is not None:
-                composites[uid] = composite_score(metrics)
-        return composites
+    def _record_composite(self, pipeline: Pipeline) -> None:
+        metrics = pipeline.latest_metrics
+        if metrics is not None:
+            self._composites[pipeline.uid] = composite_score(metrics)
 
     def _decision_step(self, pipeline: Pipeline, cycle_result: CycleResult) -> None:
         """Global decision-making after one completed cycle (paper step 6/7)."""
         root_uid = self._root_of[pipeline.uid]
         policy = self._config.spawn_policy
-        cohort = self._cohort_composites()
+        self._record_composite(pipeline)
         spec = policy.should_spawn(
             pipeline_uid=pipeline.uid,
             target_name=pipeline.target.name,
             latest_metrics=cycle_result.best_metrics,
             cycle_accepted=cycle_result.accepted,
-            cohort_median_composite=SubPipelinePolicy.cohort_median(cohort),
+            cohort_median_composite=SubPipelinePolicy.cohort_median(self._composites),
             spawned_for_pipeline=self._spawned_per_root.get(root_uid, 0),
             spawned_total=self._total_spawned,
         )
@@ -403,6 +403,7 @@ class PipelinesCoordinator:
             starting_metrics=parent.latest_metrics,
         )
         self._pipelines[uid] = subpipeline
+        self._record_composite(subpipeline)
         self._root_of[uid] = root_uid
         self._spawned_per_root[root_uid] = self._spawned_per_root.get(root_uid, 0) + 1
         self._total_spawned += 1

@@ -45,7 +45,7 @@ class QualityMetrics:
             raise ProteinError(f"pLDDT out of range: {self.plddt}")
         if not 0.0 <= self.ptm <= 1.0:
             raise ProteinError(f"pTM out of range: {self.ptm}")
-        if self.interchain_pae < 0.0:
+        if not self.interchain_pae >= 0.0:
             raise ProteinError(f"inter-chain pAE must be non-negative: {self.interchain_pae}")
 
     def as_dict(self) -> Dict[str, float]:
@@ -63,7 +63,7 @@ class QualityMetrics:
 def _normalise(value: float, bounds: tuple[float, float], invert: bool = False) -> float:
     low, high = bounds
     scaled = (value - low) / (high - low)
-    scaled = float(np.clip(scaled, 0.0, 1.0))
+    scaled = min(max(scaled, 0.0), 1.0)
     return 1.0 - scaled if invert else scaled
 
 

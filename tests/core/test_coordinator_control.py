@@ -4,11 +4,40 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import coordinator as coordinator_module
+from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.control import ControlConfig, ControlProtocol
-from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
+from repro.core.coordinator import AUTO_IN_FLIGHT, CoordinatorConfig, PipelinesCoordinator
 from repro.core.decision import SubPipelinePolicy
 from repro.core.pipeline import PipelineConfig, PipelineStatus
 from repro.exceptions import CampaignError, CoordinatorError
+from repro.protein.datasets import expanded_pdz_set
+from repro.protein.metrics import composite_score
+
+FIG3_SEED = 2025
+
+
+def _fig3_config(**overrides):
+    """The paper's Fig 3 campaign: IM-RP, 4 cycles, last one non-adaptive."""
+    return CampaignConfig(
+        protocol="im-rp",
+        seed=FIG3_SEED,
+        n_cycles=4,
+        adaptivity_schedule=(True, True, True, False),
+        spawn_policy=SubPipelinePolicy(quality_margin=0.03, max_per_pipeline=2),
+        **overrides,
+    )
+
+
+def _wrap_decision_step(monkeypatch, after):
+    """Patch ``_decision_step`` to call ``after(coordinator)`` once it returns."""
+    original = PipelinesCoordinator._decision_step
+
+    def wrapped(self, pipeline, cycle_result):
+        original(self, pipeline, cycle_result)
+        after(self)
+
+    monkeypatch.setattr(PipelinesCoordinator, "_decision_step", wrapped)
 
 
 @pytest.fixture()
@@ -114,6 +143,57 @@ class TestCoordinator:
         coordinator.run()
         total_tasks = len(coordinator.session.pilot.agent.tasks())
         assert coordinator.completed_channel.put_count == total_tasks
+
+
+class TestDecisionStepCost:
+    """The decision step scores one pipeline per completed cycle, not the cohort."""
+
+    @pytest.mark.parametrize("cap", [None, AUTO_IN_FLIGHT])
+    def test_incremental_composites_match_full_recompute(self, monkeypatch, cap):
+        checked = []
+
+        def check(coordinator):
+            expected = {
+                pipeline.uid: composite_score(pipeline.latest_metrics)
+                for pipeline in coordinator.pipelines()
+                if pipeline.latest_metrics is not None
+            }
+            assert coordinator._composites == expected
+            checked.append(len(expected))
+
+        _wrap_decision_step(monkeypatch, check)
+        targets = expanded_pdz_set(n_targets=12, seed=FIG3_SEED)
+        result = DesignCampaign(
+            targets, _fig3_config(max_in_flight_pipelines=cap)
+        ).run()
+        assert result.n_subpipelines >= 1
+        assert len(checked) >= 4 * len(targets)
+
+    def test_composite_calls_linear_in_decisions(self, monkeypatch):
+        counts = {"composite": 0, "decisions": 0}
+        original_score = coordinator_module.composite_score
+
+        def counting_score(metrics):
+            counts["composite"] += 1
+            return original_score(metrics)
+
+        def count_decision(coordinator):
+            counts["decisions"] += 1
+
+        monkeypatch.setattr(coordinator_module, "composite_score", counting_score)
+        _wrap_decision_step(monkeypatch, count_decision)
+
+        per_target = []
+        for n_targets in (10, 35, 70, 140):
+            counts.update(composite=0, decisions=0)
+            targets = expanded_pdz_set(n_targets=n_targets, seed=FIG3_SEED)
+            result = DesignCampaign(targets, _fig3_config()).run()
+            # One score per decision (the completed pipeline) and one per
+            # spawned sub-pipeline (its inherited metrics): O(1) per cycle.
+            assert counts["composite"] == counts["decisions"] + result.n_subpipelines
+            per_target.append(counts["decisions"] / n_targets)
+        mean = sum(per_target) / len(per_target)
+        assert all(abs(ratio - mean) <= 0.10 * mean for ratio in per_target), per_target
 
 
 class TestControlProtocol:

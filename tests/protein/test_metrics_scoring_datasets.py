@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +20,11 @@ from repro.protein.datasets import (
     named_pdz_targets,
 )
 from repro.protein.metrics import (
+    _PAE_RANGE,
+    _PLDDT_RANGE,
+    _PTM_RANGE,
     QualityMetrics,
+    _normalise,
     aggregate_metrics,
     composite_score,
     is_improvement,
@@ -42,6 +50,35 @@ class TestQualityMetrics:
             QualityMetrics(plddt=50.0, ptm=1.5, interchain_pae=10.0)
         with pytest.raises(ProteinError):
             QualityMetrics(plddt=50.0, ptm=0.5, interchain_pae=-1.0)
+
+    @pytest.mark.parametrize("field", ["plddt", "ptm", "interchain_pae"])
+    def test_nan_rejected(self, field):
+        values = {"plddt": 50.0, "ptm": 0.5, "interchain_pae": 10.0, field: float("nan")}
+        with pytest.raises(ProteinError):
+            QualityMetrics(**values)
+
+    @pytest.mark.parametrize("bounds", [_PLDDT_RANGE, _PTM_RANGE, _PAE_RANGE])
+    @pytest.mark.parametrize("invert", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_normalise_matches_numpy_clip(self, bounds, invert, data):
+        low, high = bounds
+        span = high - low
+        value = data.draw(
+            st.one_of(
+                st.floats(),
+                st.floats(min_value=low - span, max_value=high + span),
+                st.sampled_from(
+                    [low, high, -0.0, 0.0, math.inf, -math.inf,
+                     math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
+                ),
+            )
+        )
+        scaled = float(np.clip((value - low) / span, 0.0, 1.0))
+        expected = 1.0 - scaled if invert else scaled
+        actual = _normalise(value, bounds, invert=invert)
+        assert type(actual) is float
+        assert struct.pack("<d", actual) == struct.pack("<d", expected)
 
     def test_as_dict(self):
         metrics = QualityMetrics(plddt=80.0, ptm=0.7, interchain_pae=9.0)
