@@ -286,7 +286,12 @@ class DesignCampaign:
                 f"{state.seed}, this campaign runs {self._config.protocol!r} "
                 f"seed {self._config.seed}"
             )
-        if not state.done and not (state.restorable and state.payload is not None):
+        if state.done:
+            # Finalizing needs the live execution or a payload to rebuild it.
+            resumable = state.runtime is not None or state.payload is not None
+        else:
+            resumable = state.restorable and state.payload is not None
+        if not resumable:
             raise CampaignError(
                 "campaign state is a progress report, not a restorable "
                 "checkpoint; re-run from the start instead"

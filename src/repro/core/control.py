@@ -35,7 +35,11 @@ from repro.core.decision import AcceptancePolicy
 from repro.core.instrumentation import record_cycle_metrics, record_stage_metrics
 from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
 from repro.core.results import PipelineRecord
-from repro.core.snapshot import encode_profiler, restore_profiler
+from repro.core.snapshot import (
+    encode_phase_interval,
+    encode_resource_interval,
+    restore_profiler,
+)
 from repro.core.stages import StageFactory
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import CampaignError
@@ -94,6 +98,11 @@ class ControlProtocol:
         self._per_target_pipelines: Dict[str, Pipeline] = {}
         self._started = False
         self._finished = False
+        # Snapshot encodings that can never change again: finished pipelines
+        # (by target name) and the append-only profiler traces, encoded once.
+        self._finished_snapshots: Dict[str, dict] = {}
+        self._resource_encodings: List[dict] = []
+        self._phase_encodings: List[dict] = []
 
     @property
     def config(self) -> ControlConfig:
@@ -250,15 +259,42 @@ class ControlProtocol:
         Captures the simulated clock, the profiler traces and every started
         pipeline's cross-cycle state; :meth:`restore` rebuilds an execution
         that continues bit-identically to one that was never suspended.
+
+        The cost is the work since the previous snapshot: a finished
+        pipeline never changes again and the profiler traces are
+        append-only, so both are encoded once and their encodings reused;
+        only the unfinished pipeline is encoded afresh.  Each payload owns
+        its top-level dicts and interval lists, so a later step never grows
+        or edits an earlier payload.  The leaf encodings are shared between
+        payloads, which is safe only while nothing mutates a returned
+        payload — callers (checkpoint saves, state observers) only read and
+        serialise it.
         """
+        profiler = self._platform.profiler
+        self._resource_encodings.extend(
+            encode_resource_interval(interval)
+            for interval in profiler.resource_intervals[len(self._resource_encodings):]
+        )
+        self._phase_encodings.extend(
+            encode_phase_interval(interval)
+            for interval in profiler.phase_intervals[len(self._phase_encodings):]
+        )
+        pipelines = {}
+        for name, pipeline in self._per_target_pipelines.items():
+            encoded = self._finished_snapshots.get(name)
+            if encoded is None:
+                encoded = pipeline.snapshot()
+                if pipeline.is_finished:
+                    self._finished_snapshots[name] = encoded
+            pipelines[name] = encoded
         return {
             "now": self._platform.now,
-            "profiler": encode_profiler(self._platform.profiler),
-            "finished": self._finished,
-            "pipelines": {
-                name: pipeline.snapshot()
-                for name, pipeline in self._per_target_pipelines.items()
+            "profiler": {
+                "resource_intervals": list(self._resource_encodings),
+                "phase_intervals": list(self._phase_encodings),
             },
+            "finished": self._finished,
+            "pipelines": pipelines,
         }
 
     @classmethod

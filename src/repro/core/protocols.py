@@ -195,9 +195,10 @@ class ProtocolContext:
     on_progress: Optional[Callable[[int, Optional[int]], None]] = None
     #: Whether stepping protocols should serialise a restorable snapshot
     #: into every post-step state.  Snapshots are what checkpointing
-    #: consumes, but they cost an O(campaign-so-far) encode per cycle — an
-    #: unobserved run-to-completion loop leaves this off and pays nothing
-    #: the pre-state-machine ``execute`` didn't.
+    #: consumes, but they cost a per-cycle encode of the current pipeline
+    #: and keep a cache of the run's encodings in memory — an unobserved
+    #: run-to-completion loop leaves this off and pays nothing the
+    #: pre-state-machine ``execute`` didn't.
     capture_snapshots: bool = False
 
     @property

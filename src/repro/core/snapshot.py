@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import CampaignError
-from repro.hpc.profiling import ExecutionProfiler, ResourceInterval
+from repro.hpc.profiling import ExecutionProfiler, PhaseInterval, ResourceInterval
 from repro.protein.metrics import QualityMetrics
 from repro.protein.sequence import ProteinSequence
 from repro.protein.structure import Chain, ComplexStructure
@@ -39,7 +39,8 @@ __all__ = [
     "decode_trajectory",
     "encode_cycle_result",
     "decode_cycle_result",
-    "encode_profiler",
+    "encode_resource_interval",
+    "encode_phase_interval",
     "restore_profiler",
 ]
 
@@ -182,33 +183,31 @@ def decode_cycle_result(payload: Dict[str, Any]) -> CycleResult:
 
 
 # -- profiler traces ------------------------------------------------------------ #
+#
+# A profiler payload is ``{"resource_intervals": [...], "phase_intervals":
+# [...]}`` with each list in recording order — utilization sums iterate in
+# recording order, and float summation order is part of the byte-identity
+# contract.  The traces are append-only, so callers encode each interval once
+# and keep extending their encoded lists.
 
 
-def encode_profiler(profiler: ExecutionProfiler) -> Dict[str, List[Dict[str, Any]]]:
-    """Serialise the recorded traces (interval order is preserved exactly —
-    utilization sums iterate in recording order, and float summation order
-    is part of the byte-identity contract)."""
+def encode_resource_interval(interval: ResourceInterval) -> Dict[str, Any]:
     return {
-        "resource_intervals": [
-            {
-                "task_id": interval.task_id,
-                "node": interval.node,
-                "cpu_core_ids": list(interval.cpu_core_ids),
-                "gpu_ids": list(interval.gpu_ids),
-                "start": interval.start,
-                "end": interval.end,
-            }
-            for interval in profiler.resource_intervals
-        ],
-        "phase_intervals": [
-            {
-                "entity_id": interval.entity_id,
-                "phase": interval.phase,
-                "start": interval.start,
-                "end": interval.end,
-            }
-            for interval in profiler.phase_intervals
-        ],
+        "task_id": interval.task_id,
+        "node": interval.node,
+        "cpu_core_ids": list(interval.cpu_core_ids),
+        "gpu_ids": list(interval.gpu_ids),
+        "start": interval.start,
+        "end": interval.end,
+    }
+
+
+def encode_phase_interval(interval: PhaseInterval) -> Dict[str, Any]:
+    return {
+        "entity_id": interval.entity_id,
+        "phase": interval.phase,
+        "start": interval.start,
+        "end": interval.end,
     }
 
 

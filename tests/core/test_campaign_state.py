@@ -12,10 +12,13 @@ import json
 
 import pytest
 
+from repro.core import control as control_module
+from repro.core import pipeline as pipeline_module
 from repro.core.campaign import CampaignConfig, CampaignState, DesignCampaign
 from repro.core.protocols import get_protocol
+from repro.core.snapshot import encode_phase_interval, encode_resource_interval
 from repro.exceptions import CampaignError
-from repro.protein.datasets import named_pdz_targets
+from repro.protein.datasets import expanded_pdz_set, named_pdz_targets
 
 CONFIG = CampaignConfig(protocol="cont-v", seed=7, n_cycles=3, n_sequences=5)
 
@@ -142,6 +145,112 @@ class TestResumeDeterminism:
         )
         with pytest.raises(CampaignError, match="not a restorable"):
             _campaign().run_stepwise(resume_from=progress)
+
+    @pytest.mark.parametrize("protocol", ["cont-v", "im-rp"])
+    def test_resume_rejects_done_state_with_nothing_to_finalize(self, protocol):
+        config = CampaignConfig(protocol=protocol, seed=7, n_cycles=3, n_sequences=5)
+        done = CampaignState(
+            protocol=protocol, seed=7, cycle=12, cycles_total=12, done=True
+        )
+        with pytest.raises(CampaignError, match="not a restorable"):
+            _campaign(config).run_stepwise(resume_from=done)
+
+
+def _full_snapshot(control):
+    """Reference payload: every started pipeline and every profiler interval
+    encoded afresh, as a snapshot without reuse would build it."""
+    profiler = control.platform.profiler
+    return {
+        "now": control.platform.now,
+        "profiler": {
+            "resource_intervals": [
+                encode_resource_interval(interval)
+                for interval in profiler.resource_intervals
+            ],
+            "phase_intervals": [
+                encode_phase_interval(interval)
+                for interval in profiler.phase_intervals
+            ],
+        },
+        "finished": control.finished,
+        "pipelines": {
+            name: pipeline.snapshot()
+            for name, pipeline in control._per_target_pipelines.items()
+        },
+    }
+
+
+class TestIncrementalSnapshots:
+    """Reused encodings give the same payloads, and no payload changes later."""
+
+    @pytest.mark.parametrize("resume_after", [None, 5])
+    @pytest.mark.parametrize("protocol", ["cont-v", "cont-v-ranked"])
+    def test_payload_equals_full_encode_and_is_never_altered(
+        self, protocol, resume_after, reference
+    ):
+        config = CampaignConfig(protocol=protocol, seed=7, n_cycles=3, n_sequences=5)
+        resume_from = None
+        if resume_after is not None:
+            campaign = _campaign(config)
+            state = campaign.init_state()
+            for _ in range(resume_after):
+                state = campaign.step(state)
+            resume_from = CampaignState.from_dict(
+                json.loads(json.dumps(state.as_dict()))
+            )
+        observed = []
+
+        def check(state):
+            text = json.dumps(state.payload)
+            assert text == json.dumps(_full_snapshot(state.runtime))
+            observed.append((state.payload, text))
+
+        result = _campaign(config).run_stepwise(
+            resume_from=resume_from, on_state=check
+        )
+        assert _result_bytes(result) == reference(config)
+        assert len(observed) == 12 - (resume_after or 0)
+        for payload, text in observed:
+            assert json.dumps(payload) == text
+
+
+class TestSnapshotCost:
+    """A snapshot encodes the work since the previous one, not the campaign."""
+
+    @pytest.mark.parametrize("n_targets", [4, 12, 35])
+    def test_each_pipeline_and_interval_encoded_once(self, monkeypatch, n_targets):
+        counts = {}
+
+        def count_calls(module, name):
+            original = getattr(module, name)
+
+            def counting(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count_calls(pipeline_module, "encode_complex")
+        count_calls(control_module, "encode_resource_interval")
+        count_calls(control_module, "encode_phase_interval")
+
+        targets = expanded_pdz_set(n_targets=n_targets, seed=2025)
+        config = CampaignConfig(protocol="cont-v", seed=7, n_cycles=4)
+        states = []
+        DesignCampaign(targets, config).run_stepwise(on_state=states.append)
+
+        steps = len(states)
+        assert steps == 4 * n_targets
+        # One complex per step: the pipeline that just ran a cycle.  A full
+        # re-encode would take one per started pipeline per step.
+        assert counts["encode_complex"] == steps
+        # Seven stage tasks per cycle (cont-v never retries), each recording
+        # one resource and one phase interval, encoded once per run.
+        profiler = states[-1].runtime.platform.profiler
+        assert len(profiler.resource_intervals) == 7 * steps
+        assert len(profiler.phase_intervals) == 7 * steps
+        assert counts["encode_resource_interval"] == 7 * steps
+        assert counts["encode_phase_interval"] == 7 * steps
 
 
 class TestCampaignStateCodec:
