@@ -156,11 +156,11 @@ def test_single_pipeline_inline_execution(benchmark, micro_target):
         while queue:
             description = queue.pop(0)
             task = Task(description)
-            task.advance(TaskState.TMGR_SCHEDULING, 0.0)
-            task.advance(TaskState.AGENT_SCHEDULING, 0.0)
-            task.advance(TaskState.EXECUTING, 0.0)
+            task.advance(TaskState.TMGR_SCHEDULING)
+            task.advance(TaskState.AGENT_SCHEDULING)
+            task.advance(TaskState.EXECUTING)
             task.result = description.payload() if description.payload else None
-            task.advance(TaskState.DONE, 0.0)
+            task.advance(TaskState.DONE)
             queue.extend(pipeline.advance(task).new_tasks)
         return pipeline
 

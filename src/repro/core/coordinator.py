@@ -5,7 +5,7 @@ The coordinator is the component marked 1/3/6/7 in the paper's Fig 1: it
 * constructs pipelines (one per starting structure, as in the paper's
   implementation section),
 * submits their tasks concurrently to the pilot runtime and monitors their
-  states through the completed-task channel,
+  states through the task manager's completion callback,
 * maintains a global view of every pipeline's latest design quality, and
 * performs the decision-making step after every completed cycle, dynamically
   generating sub-pipelines for designs that need further refinement or
@@ -189,10 +189,11 @@ class PipelinesCoordinator:
 
         #: Channel 1 of the paper: new pipeline instances awaiting submission.
         self.submission_channel: Channel[Pipeline] = Channel("pipeline-submissions")
-        #: Channel 2 of the paper: completed tasks flowing back from the runtime.
-        self.completed_channel: Channel[Task] = self._session.task_manager.completed_channel
 
         self._in_flight_roots = 0
+        # Channel 2 of the paper: completed tasks flow back from the runtime
+        # through this callback, which is the only reference the coordinator
+        # gets to a finished task.
         self._session.task_manager.register_callback(self._on_task_state)
 
     # -- pipeline construction --------------------------------------------------- #
@@ -296,15 +297,7 @@ class PipelinesCoordinator:
                 self._in_flight_roots += 1
 
     def _submit_pipeline(self, pipeline: Pipeline) -> None:
-        tasks = pipeline.start()
-        self._session.task_manager.submit_tasks(tasks)
-        self._session.platform.log(
-            "coordinator",
-            "pipeline_submitted",
-            uid=pipeline.uid,
-            target=pipeline.target.name,
-            subpipeline=pipeline.is_subpipeline,
-        )
+        self._session.task_manager.submit_tasks(pipeline.start())
 
     # -- task routing ------------------------------------------------------------------ #
 
@@ -342,13 +335,6 @@ class PipelinesCoordinator:
             self._on_pipeline_finished(pipeline)
 
     def _on_pipeline_finished(self, pipeline: Pipeline) -> None:
-        self._session.platform.log(
-            "coordinator",
-            "pipeline_finished",
-            uid=pipeline.uid,
-            status=pipeline.status.value,
-            trajectories=pipeline.n_trajectories,
-        )
         if not pipeline.is_subpipeline and self._in_flight_roots > 0:
             self._in_flight_roots -= 1
         self._launch_pending_roots()
@@ -407,13 +393,6 @@ class PipelinesCoordinator:
         self._root_of[uid] = root_uid
         self._spawned_per_root[root_uid] = self._spawned_per_root.get(root_uid, 0) + 1
         self._total_spawned += 1
-        self._session.platform.log(
-            "coordinator",
-            "subpipeline_spawned",
-            uid=uid,
-            parent=parent.uid,
-            reason=spec.reason,
-        )
         # Sub-pipelines start immediately: they exist to exploit idle resources.
         self._submit_pipeline(subpipeline)
         return subpipeline

@@ -19,7 +19,7 @@ The pilot runtime in :mod:`repro.runtime` drives this platform; nothing in
 here knows about pipelines or proteins.
 """
 
-from repro.hpc.events import EventLoop, SimEvent
+from repro.hpc.events import EventLoop
 from repro.hpc.resources import (
     AMAREL_NODE,
     NodeSpec,
@@ -40,7 +40,6 @@ from repro.hpc.profiling import ExecutionProfiler, ResourceInterval, PhaseInterv
 
 __all__ = [
     "EventLoop",
-    "SimEvent",
     "NodeSpec",
     "PlatformSpec",
     "ResourceRequest",

@@ -1,45 +1,28 @@
 """Discrete-event simulation core.
 
-A minimal but complete event loop: events are ``(time, priority, sequence)``
-ordered callbacks.  The loop advances a virtual clock to each event's
-timestamp and invokes its callback; callbacks may schedule further events.
+A minimal but complete event loop: the heap holds plain
+``(time, priority, sequence, callback, args, kwargs)`` tuples.  The loop
+advances a virtual clock to each event's timestamp and invokes its callback;
+callbacks may schedule further events.
 
 The design deliberately mirrors the structure of SimPy-like engines while
 staying dependency-free and fully deterministic: ties in time are broken by
-priority and then by insertion order, so replays are bitwise identical.
+priority and then by insertion order, so replays are bitwise identical.  The
+sequence number is unique, so tuple comparison never reaches the callback.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
-__all__ = ["SimEvent", "EventLoop"]
+__all__ = ["EventLoop"]
 
-
-@dataclass(order=True)
-class SimEvent:
-    """A scheduled callback.
-
-    Ordering fields are ``(time, priority, sequence)``; the callback and its
-    arguments do not participate in comparisons.
-    """
-
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the loop skips it when its time comes."""
-        self.cancelled = True
+#: A scheduled callback: ``(time, priority, sequence, callback, args, kwargs)``.
+_Event = Tuple[float, int, int, Callable[..., None], tuple, dict]
 
 
 class EventLoop:
@@ -55,7 +38,7 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[SimEvent] = []
+        self._queue: List[_Event] = []
         self._counter = itertools.count()
         self._processed = 0
 
@@ -66,8 +49,8 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        """Number of scheduled, not-yet-fired events."""
+        return len(self._queue)
 
     @property
     def processed(self) -> int:
@@ -81,23 +64,17 @@ class EventLoop:
         *args: Any,
         priority: int = 0,
         **kwargs: Any,
-    ) -> SimEvent:
+    ) -> None:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f} before current time "
                 f"t={self._now:.6f}"
             )
-        event = SimEvent(
-            time=float(time),
-            priority=int(priority),
-            sequence=next(self._counter),
-            callback=callback,
-            args=args,
-            kwargs=kwargs,
+        heapq.heappush(
+            self._queue,
+            (float(time), int(priority), next(self._counter), callback, args, kwargs),
         )
-        heapq.heappush(self._queue, event)
-        return event
 
     def schedule(
         self,
@@ -106,33 +83,27 @@ class EventLoop:
         *args: Any,
         priority: int = 0,
         **kwargs: Any,
-    ) -> SimEvent:
+    ) -> None:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(
+        self.schedule_at(
             self._now + float(delay), callback, *args, priority=priority, **kwargs
         )
 
     def peek(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        """Timestamp of the next event, or ``None`` if the queue is empty."""
+        return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when nothing is pending."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback(*event.args, **event.kwargs)
-            self._processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _, _, callback, args, kwargs = heapq.heappop(self._queue)
+        self._now = time
+        callback(*args, **kwargs)
+        self._processed += 1
+        return True
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fired).
@@ -156,10 +127,7 @@ class EventLoop:
                 f"cannot run until t={time:.6f}, clock already at t={self._now:.6f}"
             )
         executed = 0
-        while True:
-            upcoming = self.peek()
-            if upcoming is None or upcoming > time:
-                break
+        while self._queue and self._queue[0][0] <= time:
             self.step()
             executed += 1
         self._now = float(time)

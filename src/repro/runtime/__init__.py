@@ -14,7 +14,7 @@ platform in :mod:`repro.hpc`:
 * :mod:`repro.runtime.agent` — the agent: placement scheduler + executor.
 * :mod:`repro.runtime.task_manager` / :mod:`repro.runtime.pilot_manager` —
   RP-style client-side managers.
-* :mod:`repro.runtime.queues` — the coordinator's two communication channels.
+* :mod:`repro.runtime.queues` — the coordinator's submission channel.
 * :mod:`repro.runtime.sequential` — the no-middleware sequential runner used
   by the CONT-V baseline.
 * :mod:`repro.runtime.session` — the :class:`Session` facade.

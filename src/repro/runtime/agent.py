@@ -63,7 +63,12 @@ class AgentConfig:
 
 
 class Agent:
-    """Schedules and executes tasks on a :class:`ComputePlatform`."""
+    """Schedules and executes tasks on a :class:`ComputePlatform`.
+
+    The agent holds a task only while it waits for placement; a running task
+    is held by its pending completion event.  Completion callbacks are the
+    only way to observe a finished task, which the agent then forgets.
+    """
 
     def __init__(
         self,
@@ -80,8 +85,8 @@ class Agent:
         self._scheduler = make_scheduler(
             self._config.scheduler_policy, platform.allocator, **kwargs
         )
-        self._tasks: Dict[str, Task] = {}
-        self._running: Dict[str, Allocation] = {}
+        self._waiting: Dict[str, Task] = {}
+        self._n_running = 0
         self._completion_callbacks: List[Callable[[Task], None]] = []
         self._placement_scheduled = False
 
@@ -98,20 +103,12 @@ class Agent:
     @property
     def running_count(self) -> int:
         """Number of tasks currently executing."""
-        return len(self._running)
+        return self._n_running
 
     @property
     def waiting_count(self) -> int:
         """Number of tasks waiting for placement."""
         return self._scheduler.queue_length
-
-    def task(self, uid: str) -> Task:
-        """Look up a submitted task by uid."""
-        return self._tasks[uid]
-
-    def tasks(self) -> List[Task]:
-        """All tasks ever submitted to this agent."""
-        return list(self._tasks.values())
 
     def on_completion(self, callback: Callable[[Task], None]) -> None:
         """Register a callback invoked whenever a task reaches a final state."""
@@ -123,12 +120,12 @@ class Agent:
         """Accept a task for scheduling and (eventually) execution."""
         now = self._platform.now
         if task.state is TaskState.NEW:
-            task.advance(TaskState.TMGR_SCHEDULING, now)
-        task.advance(TaskState.AGENT_SCHEDULING, now)
+            task.advance(TaskState.TMGR_SCHEDULING)
+        task.advance(TaskState.AGENT_SCHEDULING)
         task.schedule_time = now
         if task.submit_time is None:
             task.submit_time = now
-        self._tasks[task.uid] = task
+        self._waiting[task.uid] = task
         self._scheduler.submit(
             QueuedRequest(
                 request_id=task.uid,
@@ -136,7 +133,6 @@ class Agent:
                 enqueue_time=now,
             )
         )
-        self._platform.log("agent", "task_submitted", uid=task.uid, kind=task.kind)
         self._request_placement()
 
     def cancel(self, task: Task) -> bool:
@@ -146,15 +142,13 @@ class Agent:
         committed their completion event); returns whether the cancellation
         took effect.
         """
-        if task.uid in self._running or task.is_final:
+        if self._waiting.pop(task.uid, None) is None:
             return False
-        removed = self._scheduler.cancel(task.uid)
-        if removed:
-            task.advance(TaskState.CANCELED, self._platform.now)
-            task.end_time = self._platform.now
-            self._platform.log("agent", "task_canceled", uid=task.uid)
-            self._notify(task)
-        return removed
+        self._scheduler.cancel(task.uid)
+        task.advance(TaskState.CANCELED)
+        task.end_time = self._platform.now
+        self._notify(task)
+        return True
 
     # -- internal machinery ------------------------------------------------ #
 
@@ -171,11 +165,11 @@ class Agent:
         self._placement_scheduled = False
         limit: Optional[int] = None
         if self._config.max_concurrent_tasks is not None:
-            limit = max(0, self._config.max_concurrent_tasks - len(self._running))
+            limit = max(0, self._config.max_concurrent_tasks - self._n_running)
             if limit == 0:
                 return
         for item, allocation in self._scheduler.try_place(limit=limit):
-            self._start_task(self._tasks[item.request_id], allocation)
+            self._start_task(self._waiting.pop(item.request_id), allocation)
 
     def _start_task(self, task: Task, allocation: Allocation) -> None:
         now = self._platform.now
@@ -186,22 +180,13 @@ class Agent:
 
         task.allocation = allocation
         task.start_time = now
-        task.advance(TaskState.EXECUTING, now)
-        self._running[task.uid] = allocation
+        task.advance(TaskState.EXECUTING)
+        self._n_running += 1
 
         profiler = self._platform.profiler
         profiler.record_phase(task.uid, "exec_setup", now, now + setup_seconds)
         profiler.record_phase(
             task.uid, "running", now + setup_seconds, now + setup_seconds + run_seconds
-        )
-        self._platform.log(
-            "agent",
-            "task_started",
-            uid=task.uid,
-            kind=task.kind,
-            node=allocation.node,
-            cores=allocation.cpu_cores,
-            gpus=allocation.gpus,
         )
         self._platform.loop.schedule(
             setup_seconds + run_seconds,
@@ -212,7 +197,8 @@ class Agent:
 
     def _complete_task(self, task: Task) -> None:
         now = self._platform.now
-        allocation = self._running.pop(task.uid)
+        allocation = task.allocation
+        self._n_running -= 1
 
         final_state = TaskState.DONE
         if task.description.payload is not None:
@@ -229,19 +215,13 @@ class Agent:
                 node=allocation.node,
                 cpu_core_ids=allocation.cpu_core_ids,
                 gpu_ids=allocation.gpu_ids,
-                start=task.start_time if task.start_time is not None else now,
+                start=task.start_time,
                 end=now,
             )
         )
         self._platform.allocator.release(allocation)
         task.end_time = now
-        task.advance(final_state, now)
-        self._platform.log(
-            "agent",
-            "task_completed" if final_state is TaskState.DONE else "task_failed",
-            uid=task.uid,
-            kind=task.kind,
-        )
+        task.advance(final_state)
         self._notify(task)
         self._request_placement()
 

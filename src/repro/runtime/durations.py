@@ -183,9 +183,12 @@ class DurationModel:
         return self._speedup
 
     def profile(self, kind: TaskKind | str) -> KindProfile:
-        """Return the profile for ``kind`` (falling back to GENERIC)."""
-        kind = TaskKind(kind) if not isinstance(kind, TaskKind) else kind
-        return self._profiles.get(kind, self._profiles[TaskKind.GENERIC])
+        """Return the profile for ``kind``; an unknown kind gets GENERIC's."""
+        try:
+            kind = TaskKind(kind)
+        except ValueError:
+            kind = TaskKind.GENERIC
+        return self._profiles[kind]
 
     def request_for(self, kind: TaskKind | str) -> ResourceRequest:
         """Default resource request for a task of ``kind``."""
@@ -203,11 +206,7 @@ class DurationModel:
         (``metadata["n_residues"]``), filesystem read time for I/O-heavy
         kinds, and deterministic per-task jitter.
         """
-        try:
-            kind = TaskKind(description.kind)
-        except ValueError:
-            kind = TaskKind.GENERIC
-        profile = self.profile(kind)
+        profile = self.profile(description.kind)
 
         n_sequences = int(description.metadata.get("n_sequences", _REFERENCE_SEQUENCES))
         n_residues = int(description.metadata.get("n_residues", _REFERENCE_RESIDUES))

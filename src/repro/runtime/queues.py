@@ -2,9 +2,11 @@
 
 The paper's coordinator uses two channels: one carrying new pipeline
 instances toward the runtime and one carrying completed tasks back from it.
-:class:`Channel` is a minimal FIFO with optional subscriber callbacks — it is
-intentionally synchronous because the discrete-event loop provides all the
-asynchrony the simulation needs.
+The first is a :class:`Channel`, the coordinator's submission queue.  The
+second is the task manager's completion callback, so a finished task is
+handed over once and never queued.  :class:`Channel` is a minimal FIFO with
+optional subscriber callbacks — it is intentionally synchronous because the
+discrete-event loop provides all the asynchrony the simulation needs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ class Channel(Generic[T]):
 
     Items are appended with :meth:`put` and consumed with :meth:`get` /
     :meth:`drain`.  Subscribers registered with :meth:`subscribe` are invoked
-    synchronously on every :meth:`put`; this is how the coordinator reacts to
-    completed tasks without polling.
+    synchronously on every :meth:`put`.
     """
 
     def __init__(self, name: str) -> None:

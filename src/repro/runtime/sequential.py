@@ -33,16 +33,11 @@ class SequentialRunner:
     ) -> None:
         self._platform = platform
         self._durations = durations
-        self._tasks: List[Task] = []
         self._callbacks: List[Callable[[Task], None]] = []
 
     @property
     def platform(self) -> ComputePlatform:
         return self._platform
-
-    def tasks(self) -> List[Task]:
-        """All tasks executed so far, in execution order."""
-        return list(self._tasks)
 
     def on_completion(self, callback: Callable[[Task], None]) -> None:
         """Register a callback invoked after each task finishes."""
@@ -59,14 +54,14 @@ class SequentialRunner:
         task = Task(description)
         now = self._platform.now
         task.submit_time = now
-        task.advance(TaskState.TMGR_SCHEDULING, now)
-        task.advance(TaskState.AGENT_SCHEDULING, now)
+        task.advance(TaskState.TMGR_SCHEDULING)
+        task.advance(TaskState.AGENT_SCHEDULING)
         task.schedule_time = now
 
         allocation = self._platform.allocator.allocate(description.request)
         task.allocation = allocation
         task.start_time = now
-        task.advance(TaskState.EXECUTING, now)
+        task.advance(TaskState.EXECUTING)
 
         duration = self._durations.duration(description, self._platform.filesystem)
         self._platform.profiler.record_phase(task.uid, "running", now, now + duration)
@@ -95,14 +90,7 @@ class SequentialRunner:
         )
         self._platform.allocator.release(allocation)
         task.end_time = end
-        task.advance(final_state, end)
-        self._tasks.append(task)
-        self._platform.log(
-            "sequential",
-            "task_completed" if final_state is TaskState.DONE else "task_failed",
-            uid=task.uid,
-            kind=task.kind,
-        )
+        task.advance(final_state)
         for callback in list(self._callbacks):
             callback(task)
         return task

@@ -79,7 +79,6 @@ class Task:
     def __init__(self, description: TaskDescription) -> None:
         self._description = description
         self._state = TaskState.NEW
-        self._state_history: list[tuple[float, TaskState]] = []
         self.submit_time: Optional[float] = None
         self.schedule_time: Optional[float] = None
         self.start_time: Optional[float] = None
@@ -118,11 +117,6 @@ class Task:
         return self._state
 
     @property
-    def state_history(self) -> list[tuple[float, TaskState]]:
-        """List of ``(sim_time, state)`` pairs in transition order."""
-        return list(self._state_history)
-
-    @property
     def is_final(self) -> bool:
         return self._state in FINAL_TASK_STATES
 
@@ -134,11 +128,10 @@ class Task:
     def failed(self) -> bool:
         return self._state is TaskState.FAILED
 
-    def advance(self, target: TaskState, time: float) -> None:
+    def advance(self, target: TaskState) -> None:
         """Move the task to ``target``, validating the transition."""
         validate_task_transition(self.uid, self._state, target)
         self._state = target
-        self._state_history.append((float(time), target))
 
     # -- derived timings -------------------------------------------------- #
 

@@ -1,20 +1,20 @@
 """The client-side task manager.
 
 Mirrors RADICAL-Pilot's ``TaskManager``: accepts task descriptions, binds
-them to a pilot's agent, exposes completion callbacks and a ``wait_tasks``
-call.  Because execution is simulated, ``wait_tasks`` simply drives the
-platform's event loop until the requested tasks reach a final state — the
-calling code (the IMPRESS coordinator) is structured exactly as it would be
-against the real middleware.
+them to a pilot's agent and reports every task that reaches a final state to
+its registered callbacks.  Execution is simulated, so callers drive the
+platform's event loop (``platform.run()``) and observe completions through
+those callbacks — the calling code (the IMPRESS coordinator) is structured
+exactly as it would be against the real middleware.  The manager keeps no
+record of the tasks it submitted.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.exceptions import ConfigurationError, TaskError
+from repro.exceptions import ConfigurationError
 from repro.runtime.pilot import Pilot
-from repro.runtime.queues import Channel
 from repro.runtime.states import TaskState
 from repro.runtime.task import Task, TaskDescription
 
@@ -22,13 +22,11 @@ __all__ = ["TaskManager"]
 
 
 class TaskManager:
-    """Submits tasks to a pilot and tracks their completion."""
+    """Submits tasks to a pilot and reports their completion."""
 
     def __init__(self, pilot: Optional[Pilot] = None) -> None:
         self._pilot: Optional[Pilot] = None
-        self._tasks: Dict[str, Task] = {}
         self._callbacks: List[Callable[[Task, TaskState], None]] = []
-        self.completed_channel: Channel[Task] = Channel("completed-tasks")
         if pilot is not None:
             self.add_pilot(pilot)
 
@@ -61,18 +59,9 @@ class TaskManager:
         for description in descriptions:
             task = Task(description)
             task.submit_time = now
-            self._tasks[task.uid] = task
             pilot.agent.submit(task)
             tasks.append(task)
         return tasks
-
-    def get(self, uid: str) -> Task:
-        """Look up a task by uid."""
-        return self._tasks[uid]
-
-    def list_tasks(self) -> List[Task]:
-        """All tasks ever submitted through this manager."""
-        return list(self._tasks.values())
 
     # -- callbacks ----------------------------------------------------------- #
 
@@ -81,58 +70,5 @@ class TaskManager:
         self._callbacks.append(callback)
 
     def _on_agent_completion(self, task: Task) -> None:
-        self.completed_channel.put(task)
         for callback in list(self._callbacks):
             callback(task, task.state)
-
-    # -- waiting -------------------------------------------------------------- #
-
-    def wait_tasks(
-        self,
-        tasks: Optional[Iterable[Task]] = None,
-        raise_on_failure: bool = False,
-        max_events: int = 10_000_000,
-    ) -> List[TaskState]:
-        """Run the simulation until the given tasks (default: all) are final.
-
-        Parameters
-        ----------
-        tasks:
-            Tasks to wait for; defaults to every task submitted so far.
-        raise_on_failure:
-            If true, raise :class:`TaskError` when any awaited task FAILED.
-        max_events:
-            Safety bound on the number of simulation events processed.
-
-        Returns
-        -------
-        list of TaskState
-            Final states in the order of the awaited tasks.
-        """
-        awaited = list(tasks) if tasks is not None else list(self._tasks.values())
-        loop = self.pilot.platform.loop
-        processed = 0
-        while any(not task.is_final for task in awaited):
-            if not loop.step():
-                pending = [task.uid for task in awaited if not task.is_final]
-                raise TaskError(
-                    f"simulation drained with tasks still pending: {pending}"
-                )
-            processed += 1
-            if processed > max_events:
-                raise TaskError("wait_tasks exceeded the maximum event budget")
-        if raise_on_failure:
-            failures = [task for task in awaited if task.failed]
-            if failures:
-                raise TaskError(
-                    "tasks failed: "
-                    + ", ".join(f"{task.uid} ({task.stderr})" for task in failures)
-                )
-        return [task.state for task in awaited]
-
-    def counts(self) -> Dict[str, int]:
-        """Histogram of current task states."""
-        histogram: Dict[str, int] = {}
-        for task in self._tasks.values():
-            histogram[task.state.value] = histogram.get(task.state.value, 0) + 1
-        return histogram

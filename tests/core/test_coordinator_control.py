@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import coordinator as coordinator_module
@@ -27,6 +30,15 @@ def _fig3_config(**overrides):
         spawn_policy=SubPipelinePolicy(quality_margin=0.03, max_per_pipeline=2),
         **overrides,
     )
+
+
+def _collect_finished(coordinator):
+    """Every task the coordinator's completion callback is handed, in order."""
+    finished = []
+    coordinator.session.task_manager.register_callback(
+        lambda task, state: finished.append(task)
+    )
+    return finished
 
 
 def _wrap_decision_step(monkeypatch, after):
@@ -62,9 +74,9 @@ class TestCoordinator:
             coordinator.run()
 
     def test_tasks_from_different_pipelines_overlap(self, coordinator, four_targets):
+        tasks = _collect_finished(coordinator)
         coordinator.add_targets(four_targets)
         coordinator.run()
-        tasks = coordinator.session.pilot.agent.tasks()
         by_pipeline = {}
         for task in tasks:
             by_pipeline.setdefault(task.metadata["pipeline_uid"], []).append(task)
@@ -122,27 +134,70 @@ class TestCoordinator:
                 max_in_flight_pipelines=1,
             ),
         )
+        tasks = _collect_finished(coordinator)
         coordinator.add_targets(four_targets)
         records = coordinator.run()
         assert len(records) == 4
         assert all(record.status is PipelineStatus.COMPLETED for record in records)
         # With the cap at one, roots execute one after another: their task
         # spans must not interleave.
-        tasks = coordinator.session.pilot.agent.tasks()
         spans = {}
         for task in tasks:
             uid = task.metadata["pipeline_uid"]
             start, end = spans.get(uid, (float("inf"), 0.0))
             spans[uid] = (min(start, task.start_time), max(end, task.end_time))
+        assert len(spans) == 4
         ordered = sorted(spans.values())
         for (_, earlier_end), (later_start, _) in zip(ordered, ordered[1:]):
             assert later_start >= earlier_end - 1e-6
 
-    def test_completed_channel_saw_every_task(self, coordinator, four_targets):
+    def test_completed_channel_saw_every_task(self, monkeypatch, coordinator, four_targets):
+        """Channel 2 of the paper, the completion callback, hands back every
+        submitted task exactly once."""
+        manager = coordinator.session.task_manager
+        submit_tasks = manager.submit_tasks
+        submitted = []
+
+        def recording_submit(descriptions):
+            tasks = submit_tasks(descriptions)
+            submitted.extend(task.uid for task in tasks)
+            return tasks
+
+        monkeypatch.setattr(manager, "submit_tasks", recording_submit)
+        finished = _collect_finished(coordinator)
         coordinator.add_targets(four_targets[:2])
         coordinator.run()
-        total_tasks = len(coordinator.session.pilot.agent.tasks())
-        assert coordinator.completed_channel.put_count == total_tasks
+        assert submitted
+        assert sorted(task.uid for task in finished) == sorted(submitted)
+
+
+class TestOnlyInFlightTasksAreHeld:
+    """Completion callbacks are the only way to reach a finished task."""
+
+    def test_coordinator_run_frees_every_finished_task(self, coordinator, four_targets):
+        refs = []
+        coordinator.session.task_manager.register_callback(
+            lambda task, state: refs.append(weakref.ref(task))
+        )
+        coordinator.add_targets(four_targets)
+        coordinator.run()
+        agent = coordinator.session.pilot.agent
+        assert agent.waiting_count == 0
+        assert agent.running_count == 0
+        gc.collect()
+        assert refs
+        assert [ref() for ref in refs if ref() is not None] == []
+
+    def test_control_run_frees_every_finished_task(
+        self, platform, factory, durations, four_targets
+    ):
+        control = ControlProtocol(platform, factory, durations, ControlConfig(n_cycles=2))
+        refs = []
+        control.runner.on_completion(lambda task: refs.append(weakref.ref(task)))
+        control.run(four_targets)
+        gc.collect()
+        assert refs
+        assert [ref() for ref in refs if ref() is not None] == []
 
 
 class TestDecisionStepCost:
@@ -213,8 +268,10 @@ class TestControlProtocol:
 
     def test_sequential_execution_never_overlaps(self, platform, factory, durations, four_targets):
         control = ControlProtocol(platform, factory, durations, ControlConfig(n_cycles=1))
+        tasks = []
+        control.runner.on_completion(tasks.append)
         control.run(four_targets[:2])
-        tasks = control.runner.tasks()
+        assert tasks
         for earlier, later in zip(tasks, tasks[1:]):
             assert later.start_time >= earlier.end_time - 1e-9
 

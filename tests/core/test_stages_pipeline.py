@@ -16,15 +16,15 @@ from repro.runtime.task import Task, TaskDescription
 def run_task_inline(description: TaskDescription) -> Task:
     """Execute a task description synchronously (no platform needed)."""
     task = Task(description)
-    task.advance(TaskState.TMGR_SCHEDULING, 0.0)
-    task.advance(TaskState.AGENT_SCHEDULING, 0.0)
-    task.advance(TaskState.EXECUTING, 0.0)
+    task.advance(TaskState.TMGR_SCHEDULING)
+    task.advance(TaskState.AGENT_SCHEDULING)
+    task.advance(TaskState.EXECUTING)
     try:
         task.result = description.payload() if description.payload else None
-        task.advance(TaskState.DONE, 1.0)
+        task.advance(TaskState.DONE)
     except Exception as exc:  # pragma: no cover - exercised via failure tests
         task.exception = exc
-        task.advance(TaskState.FAILED, 1.0)
+        task.advance(TaskState.FAILED)
     return task
 
 
@@ -37,12 +37,12 @@ def drive(pipeline: Pipeline, fail_stage: str | None = None, max_steps: int = 10
         description = queue.pop(0)
         if fail_stage is not None and description.metadata.get("stage") == fail_stage:
             task = Task(description)
-            task.advance(TaskState.TMGR_SCHEDULING, 0.0)
-            task.advance(TaskState.AGENT_SCHEDULING, 0.0)
-            task.advance(TaskState.EXECUTING, 0.0)
+            task.advance(TaskState.TMGR_SCHEDULING)
+            task.advance(TaskState.AGENT_SCHEDULING)
+            task.advance(TaskState.EXECUTING)
             task.exception = RuntimeError("injected failure")
             task.stderr = "injected failure"
-            task.advance(TaskState.FAILED, 1.0)
+            task.advance(TaskState.FAILED)
         else:
             task = run_task_inline(description)
         executed.append(task)

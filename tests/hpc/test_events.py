@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.hpc.events import EventLoop
@@ -73,22 +75,60 @@ class TestScheduling:
         assert seen == {"tag": "x"}
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
+#: ``(time, priority, priority of a child scheduled at the same time or None)``.
+_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        st.integers(min_value=-2, max_value=2),
+        st.none() | st.integers(min_value=-2, max_value=2),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestHeapOrder:
+    @given(_EVENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_fires_in_time_priority_insertion_order(self, events):
         loop = EventLoop()
         fired = []
-        event = loop.schedule(1.0, lambda: fired.append(1))
-        event.cancel()
-        loop.run()
-        assert fired == []
+        #: ``(time, priority)`` of every scheduled event, by insertion index.
+        scheduled = []
 
-    def test_pending_ignores_cancelled(self):
-        loop = EventLoop()
-        event = loop.schedule(1.0, lambda: None)
-        loop.schedule(2.0, lambda: None)
-        assert loop.pending == 2
-        event.cancel()
-        assert loop.pending == 1
+        def schedule(time, priority):
+            scheduled.append((time, priority))
+            loop.schedule_at(time, fire, len(scheduled) - 1, priority=priority)
+
+        def fire(label):
+            fired.append(label)
+            assert loop.now == scheduled[label][0]
+            assert loop.pending == len(scheduled) - len(fired)
+            if loop.now > 0:
+                with pytest.raises(SimulationError):
+                    loop.schedule_at(loop.now - 0.25, fire, -1)
+            if label < len(events) and events[label][2] is not None:
+                schedule(loop.now, events[label][2])
+
+        for time, priority, _ in events:
+            schedule(time, priority)
+        assert loop.pending == len(events)
+        assert loop.run() == len(scheduled)
+        assert loop.pending == 0
+
+        # Reference: always fire the smallest pending (time, priority, label).
+        expected = []
+        pending = [(time, priority, label) for label, (time, priority, _) in enumerate(events)]
+        next_label = len(events)
+        while pending:
+            key = min(pending)
+            pending.remove(key)
+            time, _, label = key
+            expected.append(label)
+            if label < len(events) and events[label][2] is not None:
+                pending.append((time, events[label][2], next_label))
+                next_label += 1
+        assert fired == expected
 
 
 class TestRunUntil:

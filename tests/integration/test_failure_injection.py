@@ -83,9 +83,11 @@ class TestPayloadFailureIsolation:
                 spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
             ),
         )
+        finished = []
+        session.pilot.agent.on_completion(finished.append)
         coordinator.add_targets(four_targets)
         coordinator.run()
-        failed = [task for task in session.pilot.agent.tasks() if task.failed]
+        failed = [task for task in finished if task.failed]
         assert failed
         assert all("GPU OOM" in task.stderr for task in failed)
 

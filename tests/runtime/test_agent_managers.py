@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ConfigurationError, TaskError
+from repro.exceptions import ConfigurationError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import ResourceRequest, amarel_platform
 from repro.runtime.agent import Agent, AgentConfig
@@ -206,34 +206,29 @@ class TestPilotAndManagers:
     def test_task_manager_submit_and_wait(self, fast_durations):
         session = Session(amarel_platform(1), durations=fast_durations)
         manager = session.task_manager
+        finished = []
+        manager.register_callback(lambda task, state: finished.append(task))
         tasks = manager.submit_tasks(
             [_description(name=f"t{i}", payload=lambda i=i: i) for i in range(4)]
         )
-        states = manager.wait_tasks(tasks)
-        assert all(state is TaskState.DONE for state in states)
+        session.platform.run()
+        assert sorted(finished, key=lambda task: task.name) == tasks
+        assert all(task.state is TaskState.DONE for task in tasks)
         assert [task.result for task in tasks] == [0, 1, 2, 3]
-        assert manager.counts() == {"DONE": 4}
 
-    def test_task_manager_completed_channel_and_callbacks(self, fast_durations):
-        session = Session(amarel_platform(1), durations=fast_durations)
-        manager = session.task_manager
-        callback_states = []
-        manager.register_callback(lambda task, state: callback_states.append(state))
-        tasks = manager.submit_tasks(_description(name="single"))
-        manager.wait_tasks(tasks)
-        assert callback_states == [TaskState.DONE]
-        assert len(manager.completed_channel) == 1
-
-    def test_wait_raise_on_failure(self, fast_durations):
+    def test_task_manager_callbacks_get_final_states(self, fast_durations):
         session = Session(amarel_platform(1), durations=fast_durations)
         manager = session.task_manager
 
         def broken():
             raise ValueError("bad input")
 
-        tasks = manager.submit_tasks(_description(name="broken", payload=broken))
-        with pytest.raises(TaskError):
-            manager.wait_tasks(tasks, raise_on_failure=True)
+        seen = []
+        manager.register_callback(lambda task, state: seen.append((task.name, state)))
+        manager.submit_tasks(_description(name="single"))
+        manager.submit_tasks(_description(name="broken", payload=broken))
+        session.platform.run()
+        assert sorted(seen) == [("broken", TaskState.FAILED), ("single", TaskState.DONE)]
 
     def test_task_manager_single_pilot_only(self, fast_durations):
         session = Session(amarel_platform(1), durations=fast_durations)

@@ -40,6 +40,16 @@ class TestDefaultProfiles:
         )
         assert model.duration(description) > 0
 
+    def test_custom_kind_gets_the_generic_profile(self):
+        model = DurationModel(seed=3)
+        assert model.request_for("custom") == model.request_for(TaskKind.GENERIC)
+        assert default_request("custom") == default_request(TaskKind.GENERIC)
+        custom = TaskDescription(
+            name="same-name", kind="custom", request=ResourceRequest(cpu_cores=1)
+        )
+        generic = _description(TaskKind.GENERIC, "same-name")
+        assert model.duration(custom) == model.duration(generic)
+
 
 class TestScaling:
     def test_more_sequences_cost_more(self):

@@ -58,11 +58,10 @@ class TestSequentialRunner:
 
     def test_completion_callbacks(self, runner):
         seen = []
-        runner.on_completion(lambda task: seen.append(task.name))
-        runner.run_task(_description("one"))
-        runner.run_task(_description("two"))
-        assert seen == ["one", "two"]
-        assert [task.name for task in runner.tasks()] == ["one", "two"]
+        runner.on_completion(seen.append)
+        one = runner.run_task(_description("one"))
+        two = runner.run_task(_description("two"))
+        assert seen == [one, two]
 
     def test_profiler_gets_one_interval_per_task(self, runner):
         runner.run_tasks([_description(f"t{i}") for i in range(4)])

@@ -107,19 +107,17 @@ class TestTask:
         assert not task.is_final
         assert not task.succeeded
 
-    def test_advance_records_history(self):
+    def test_advance_moves_state(self):
         task = self._task()
-        task.advance(TaskState.TMGR_SCHEDULING, 1.0)
-        task.advance(TaskState.AGENT_SCHEDULING, 2.0)
-        assert [state for _, state in task.state_history] == [
-            TaskState.TMGR_SCHEDULING,
-            TaskState.AGENT_SCHEDULING,
-        ]
+        task.advance(TaskState.TMGR_SCHEDULING)
+        assert task.state is TaskState.TMGR_SCHEDULING
+        task.advance(TaskState.AGENT_SCHEDULING)
+        assert task.state is TaskState.AGENT_SCHEDULING
 
     def test_illegal_advance_raises(self):
         task = self._task()
         with pytest.raises(StateTransitionError):
-            task.advance(TaskState.DONE, 0.0)
+            task.advance(TaskState.DONE)
 
     def test_derived_timings(self):
         task = self._task()
