@@ -216,7 +216,19 @@ class TestPilotAndManagers:
         assert all(task.state is TaskState.DONE for task in tasks)
         assert [task.result for task in tasks] == [0, 1, 2, 3]
 
-    def test_task_manager_callbacks_get_final_states(self, fast_durations):
+    def test_task_manager_completed_channel_and_callbacks(self, fast_durations):
+        # Completions reach the caller through callbacks only; no channel keeps them.
+        session = Session(amarel_platform(1), durations=fast_durations)
+        manager = session.task_manager
+        seen = []
+        manager.register_callback(lambda task, state: seen.append((task, state)))
+        (task,) = manager.submit_tasks(_description(name="single"))
+        session.platform.run()
+        assert seen == [(task, TaskState.DONE)]
+        assert not hasattr(manager, "completed_channel")
+
+    def test_wait_raise_on_failure(self, fast_durations):
+        # A failing payload is reported to the callbacks as FAILED, not raised.
         session = Session(amarel_platform(1), durations=fast_durations)
         manager = session.task_manager
 
@@ -224,11 +236,11 @@ class TestPilotAndManagers:
             raise ValueError("bad input")
 
         seen = []
-        manager.register_callback(lambda task, state: seen.append((task.name, state)))
-        manager.submit_tasks(_description(name="single"))
-        manager.submit_tasks(_description(name="broken", payload=broken))
+        manager.register_callback(lambda task, state: seen.append((task, state)))
+        (task,) = manager.submit_tasks(_description(name="broken", payload=broken))
         session.platform.run()
-        assert sorted(seen) == [("broken", TaskState.FAILED), ("single", TaskState.DONE)]
+        assert seen == [(task, TaskState.FAILED)]
+        assert "bad input" in task.stderr
 
     def test_task_manager_single_pilot_only(self, fast_durations):
         session = Session(amarel_platform(1), durations=fast_durations)
