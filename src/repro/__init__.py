@@ -20,7 +20,7 @@ Sub-packages
     The paper's contribution: pipelines, coordinator, adaptive decisions,
     control baseline, campaigns and results.
 ``repro.runtime``
-    The pilot-job middleware substrate (pilot/task managers, agent, states).
+    The pilot-job middleware substrate (task manager, agent, task states).
 ``repro.hpc``
     The discrete-event HPC platform (resources, scheduler, filesystem,
     profiler).

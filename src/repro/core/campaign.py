@@ -46,7 +46,6 @@ from repro.protein.metrics import QualityMetrics
 from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.runtime.durations import DurationModel
-from repro.runtime.session import Session
 from repro.utils.rng import derive_seed
 
 __all__ = ["CampaignConfig", "CampaignState", "DesignCampaign"]
@@ -156,7 +155,6 @@ class DesignCampaign:
         self._targets = list(targets)
         self._config = config or CampaignConfig()
         self._platform: Optional[ComputePlatform] = None
-        self._session: Optional[Session] = None
         self._result: Optional[CampaignResult] = None
         self._protocol_instance: Optional[ExecutionProtocol] = None
 
@@ -270,7 +268,6 @@ class DesignCampaign:
         protocol = self._protocol()
         outcome = protocol.finalize(self._protocol_context(), state)
         self._platform = outcome.platform
-        self._session = outcome.session
         self._result = self._build_result(protocol, outcome, baseline)
         return self._result
 

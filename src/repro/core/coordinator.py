@@ -21,8 +21,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.decision import SubPipelinePolicy, SubPipelineSpec
 from repro.core.instrumentation import record_cycle_metrics
@@ -34,10 +35,8 @@ from repro.exceptions import CoordinatorError
 from repro.hpc.platform import ComputePlatform
 from repro.protein.datasets import DesignTarget
 from repro.protein.metrics import composite_score
-from repro.runtime.queues import Channel
-from repro.runtime.session import Session
-from repro.runtime.states import TaskState
 from repro.runtime.task import Task
+from repro.runtime.task_manager import TaskManager
 from repro.telemetry import metrics
 
 __all__ = [
@@ -64,7 +63,7 @@ class CoordinatorConfig:
         When and how to generate sub-pipelines.
     max_in_flight_pipelines:
         Optional cap on concurrently executing *root* pipelines; additional
-        root pipelines wait in the submission channel until a slot frees up.
+        root pipelines wait in the submission queue until a slot frees up.
         Sub-pipelines always start immediately (they are the mechanism that
         soaks up idle resources).  The string ``"auto"`` replaces the static
         cap with an :class:`AdaptiveInFlightController`: the cap starts at 1
@@ -145,16 +144,16 @@ class AdaptiveInFlightController:
 
 
 class PipelinesCoordinator:
-    """Coordinates concurrent, adaptive pipelines on a pilot session."""
+    """Coordinates concurrent, adaptive pipelines through a task manager."""
 
     def __init__(
         self,
-        session: Session,
+        task_manager: TaskManager,
         factory: StageFactory,
         config: Optional[CoordinatorConfig] = None,
         on_cycle: Optional[Callable[[int], None]] = None,
     ) -> None:
-        self._session = session
+        self._task_manager = task_manager
         self._factory = factory
         self._config = config or CoordinatorConfig()
         #: Progress hook invoked with the total completed-cycle count after
@@ -171,7 +170,7 @@ class PipelinesCoordinator:
                 f"{AUTO_IN_FLIGHT!r}, got {limit!r}"
             )
         self._adaptive: Optional[AdaptiveInFlightController] = (
-            AdaptiveInFlightController(session.platform)
+            AdaptiveInFlightController(task_manager.platform)
             if limit == AUTO_IN_FLIGHT
             else None
         )
@@ -187,14 +186,13 @@ class PipelinesCoordinator:
         self._uid_counter = itertools.count(1)
         self._sub_uid_counter = itertools.count(1)
 
-        #: Channel 1 of the paper: new pipeline instances awaiting submission.
-        self.submission_channel: Channel[Pipeline] = Channel("pipeline-submissions")
+        #: New pipeline instances awaiting submission, oldest first.
+        self._submissions: Deque[Pipeline] = deque()
 
         self._in_flight_roots = 0
-        # Channel 2 of the paper: completed tasks flow back from the runtime
-        # through this callback, which is the only reference the coordinator
-        # gets to a finished task.
-        self._session.task_manager.register_callback(self._on_task_state)
+        # Completed tasks flow back from the runtime through this callback,
+        # which is the only reference the coordinator gets to a finished task.
+        task_manager.register_callback(self._on_task_state)
 
     # -- pipeline construction --------------------------------------------------- #
 
@@ -203,8 +201,8 @@ class PipelinesCoordinator:
         return self._config
 
     @property
-    def session(self) -> Session:
-        return self._session
+    def task_manager(self) -> TaskManager:
+        return self._task_manager
 
     def pipelines(self) -> List[Pipeline]:
         return list(self._pipelines.values())
@@ -243,7 +241,7 @@ class PipelinesCoordinator:
         )
         self._pipelines[uid] = pipeline
         self._root_of[uid] = uid
-        self.submission_channel.put(pipeline)
+        self._submissions.append(pipeline)
         return pipeline
 
     def add_targets(
@@ -256,13 +254,13 @@ class PipelinesCoordinator:
 
     def run(self) -> List[PipelineRecord]:
         """Execute every queued pipeline to completion and return records."""
-        if not self.submission_channel:
+        if not self._submissions:
             raise CoordinatorError("no pipelines were added to the coordinator")
         self._launch_pending_roots()
         # Drive the simulation until no further events are pending.  Task
         # completion callbacks keep feeding new tasks in, so a drained loop
         # means every pipeline has finished (or failed).
-        self._session.platform.run()
+        self._task_manager.platform.run()
         unfinished = [
             pipeline.uid
             for pipeline in self._pipelines.values()
@@ -287,32 +285,31 @@ class PipelinesCoordinator:
 
     def _launch_pending_roots(self) -> None:
         limit = self._current_limit()
-        while self.submission_channel:
+        while self._submissions:
             if limit is not None and self._in_flight_roots >= limit:
                 break
-            pipeline = self.submission_channel.get()
-            assert pipeline is not None
+            pipeline = self._submissions.popleft()
             self._submit_pipeline(pipeline)
             if not pipeline.is_subpipeline:
                 self._in_flight_roots += 1
 
     def _submit_pipeline(self, pipeline: Pipeline) -> None:
-        self._session.task_manager.submit_tasks(pipeline.start())
+        self._task_manager.submit_tasks(pipeline.start())
 
     # -- task routing ------------------------------------------------------------------ #
 
-    def _on_task_state(self, task: Task, state: TaskState) -> None:
+    def _on_task_state(self, task: Task) -> None:
         pipeline_uid = task.metadata.get("pipeline_uid")
         pipeline = self._pipelines.get(pipeline_uid)
         if pipeline is None:
             # Tasks not created by this coordinator (e.g. user tasks on the
-            # same session) are ignored.
+            # same task manager) are ignored.
             return
         if pipeline.is_finished:
             return
         step = pipeline.advance(task)
         if step.new_tasks:
-            self._session.task_manager.submit_tasks(step.new_tasks)
+            self._task_manager.submit_tasks(step.new_tasks)
         if step.completed_cycle is not None:
             self._decision_step(pipeline, step.completed_cycle)
             self._cycles_completed += 1
@@ -324,7 +321,7 @@ class PipelinesCoordinator:
             )
             self._last_cycle_wall = now
             if self._adaptive is not None and self._adaptive.retune(
-                len(self.submission_channel)
+                len(self._submissions)
             ):
                 # A raised cap frees slots immediately — launch into them
                 # instead of waiting for the next pipeline to finish.

@@ -81,8 +81,7 @@ from repro.exceptions import CampaignError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec, amarel_platform
 from repro.runtime.agent import AgentConfig
-from repro.runtime.pilot import PilotDescription
-from repro.runtime.session import Session
+from repro.runtime.task_manager import TaskManager
 from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -218,7 +217,6 @@ class ProtocolOutcome:
 
     records: List[PipelineRecord]
     platform: ComputePlatform
-    session: Optional[Session] = None
 
 
 class ExecutionProtocol(abc.ABC):
@@ -373,7 +371,7 @@ class PilotRuntimeProtocol(ExecutionProtocol):
     """Shared machinery for protocols running on the asynchronous pilot runtime.
 
     Subclasses pick the selection/adaptivity flavour; execution always goes
-    through a :class:`Session` and the :class:`PipelinesCoordinator`, with
+    through a :class:`TaskManager` and the :class:`PipelinesCoordinator`, with
     sub-pipeline spawning governed by the campaign's spawn policy.
 
     Checkpoint granularity is the **whole run**: the discrete-event
@@ -393,14 +391,14 @@ class PilotRuntimeProtocol(ExecutionProtocol):
 
     def step(self, context: ProtocolContext, state: CampaignState) -> CampaignState:
         config = context.config
-        agent_config = AgentConfig(
-            scheduler_policy=config.scheduler_policy,
-            backfill_window=config.backfill_window,
-        )
-        session = Session(
-            platform_spec=context.platform_spec,
-            pilot_description=PilotDescription(agent_config=agent_config),
-            durations=context.durations,
+        platform = ComputePlatform(context.platform_spec)
+        task_manager = TaskManager(
+            platform,
+            context.durations,
+            AgentConfig(
+                scheduler_policy=config.scheduler_policy,
+                backfill_window=config.backfill_window,
+            ),
         )
         on_cycle = None
         if context.on_progress is not None:
@@ -409,33 +407,29 @@ class PilotRuntimeProtocol(ExecutionProtocol):
             def on_cycle(completed: int) -> None:
                 progress(completed, None)
 
-        with session:
-            coordinator = PipelinesCoordinator(
-                session,
-                context.factory,
-                CoordinatorConfig(
-                    pipeline=self.pipeline_config(
-                        context,
-                        adaptive=self.adaptive,
-                        random_selection=self.random_selection,
-                    ),
-                    spawn_policy=config.spawn_policy,
-                    max_in_flight_pipelines=config.max_in_flight_pipelines,
+        coordinator = PipelinesCoordinator(
+            task_manager,
+            context.factory,
+            CoordinatorConfig(
+                pipeline=self.pipeline_config(
+                    context,
+                    adaptive=self.adaptive,
+                    random_selection=self.random_selection,
                 ),
-                on_cycle=on_cycle,
-            )
-            coordinator.add_targets(context.targets)
-            records = coordinator.run()
-        outcome = ProtocolOutcome(
-            records=records, platform=session.platform, session=session
+                spawn_policy=config.spawn_policy,
+                max_in_flight_pipelines=config.max_in_flight_pipelines,
+            ),
+            on_cycle=on_cycle,
         )
+        coordinator.add_targets(context.targets)
+        records = coordinator.run()
         return dataclasses.replace(
             state,
             cycle=coordinator.n_cycles_completed,
             done=True,
             restorable=False,
             payload=None,
-            runtime=outcome,
+            runtime=ProtocolOutcome(records=records, platform=platform),
         )
 
 

@@ -37,7 +37,7 @@ class SimulationError(ReproError):
 
 
 class StateTransitionError(ReproError):
-    """An illegal task or pilot state transition was attempted."""
+    """An illegal task state transition was attempted."""
 
     def __init__(self, entity: str, current: str, target: str) -> None:
         super().__init__(
@@ -46,10 +46,6 @@ class StateTransitionError(ReproError):
         self.entity = entity
         self.current = current
         self.target = target
-
-
-class TaskError(ReproError):
-    """A task failed during (simulated) execution."""
 
 
 class PipelineError(ReproError):

@@ -82,39 +82,21 @@ class PlacementScheduler(ABC):
             )
         self._queue.append(item)
 
-    def cancel(self, request_id: str) -> bool:
-        """Remove a waiting request; returns whether it was found."""
-        for index, item in enumerate(self._queue):
-            if item.request_id == request_id:
-                del self._queue[index]
-                return True
-        return False
-
-    def try_place(
-        self, limit: Optional[int] = None
-    ) -> List[Tuple[QueuedRequest, Allocation]]:
+    def try_place(self) -> List[Tuple[QueuedRequest, Allocation]]:
         """Place as many waiting requests as the policy allows right now.
-
-        Parameters
-        ----------
-        limit:
-            Maximum number of placements performed by this call (``None``
-            means "as many as fit").  The agent uses this to enforce an
-            optional concurrency cap.
 
         Returns the list of ``(queued_request, allocation)`` pairs placed by
         this call, in placement order.  The caller (the agent) is responsible
         for starting execution and for eventually releasing the allocations.
         """
         placed: List[Tuple[QueuedRequest, Allocation]] = []
-        while limit is None or len(placed) < limit:
+        while True:
             choice = self._select_next()
             if choice is None:
-                break
+                return placed
             item = self._pop(choice)
             allocation = self._allocator.allocate(item.request)
             placed.append((item, allocation))
-        return placed
 
     def _pop(self, item: QueuedRequest) -> QueuedRequest:
         try:

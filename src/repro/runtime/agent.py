@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.exceptions import ConfigurationError
 from repro.hpc.allocation import Allocation
 from repro.hpc.platform import ComputePlatform
-from repro.hpc.profiling import ResourceInterval
 from repro.hpc.scheduler import QueuedRequest, make_scheduler
 from repro.runtime.durations import DurationModel
 from repro.runtime.states import TaskState
@@ -42,24 +40,10 @@ class AgentConfig:
         ``"fifo"`` or ``"backfill"`` (see :mod:`repro.hpc.scheduler`).
     backfill_window:
         Lookahead depth when ``scheduler_policy == "backfill"``.
-    sandbox_files:
-        Number of files created per task sandbox; multiplied by the shared
-        filesystem's metadata latency to obtain the "Exec setup" overhead.
-    max_concurrent_tasks:
-        Optional cap on simultaneously executing tasks (``None`` = bounded
-        only by resources).  Used by the concurrency ablation benchmark.
     """
 
     scheduler_policy: str = "fifo"
     backfill_window: int = 16
-    sandbox_files: int = 6
-    max_concurrent_tasks: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.sandbox_files < 0:
-            raise ConfigurationError("sandbox_files must be non-negative")
-        if self.max_concurrent_tasks is not None and self.max_concurrent_tasks < 1:
-            raise ConfigurationError("max_concurrent_tasks must be >= 1 or None")
 
 
 class Agent:
@@ -117,15 +101,15 @@ class Agent:
     # -- submission -------------------------------------------------------- #
 
     def submit(self, task: Task) -> None:
-        """Accept a task for scheduling and (eventually) execution."""
+        """Accept a task for scheduling and (eventually) execution.
+
+        Raises
+        ------
+        SchedulingError
+            If the task's request could never fit on the platform; the task
+            is then left untouched and not kept.
+        """
         now = self._platform.now
-        if task.state is TaskState.NEW:
-            task.advance(TaskState.TMGR_SCHEDULING)
-        task.advance(TaskState.AGENT_SCHEDULING)
-        task.schedule_time = now
-        if task.submit_time is None:
-            task.submit_time = now
-        self._waiting[task.uid] = task
         self._scheduler.submit(
             QueuedRequest(
                 request_id=task.uid,
@@ -133,22 +117,13 @@ class Agent:
                 enqueue_time=now,
             )
         )
+        if task.state is TaskState.NEW:
+            task.advance(TaskState.TMGR_SCHEDULING)
+        task.advance(TaskState.AGENT_SCHEDULING)
+        if task.submit_time is None:
+            task.submit_time = now
+        self._waiting[task.uid] = task
         self._request_placement()
-
-    def cancel(self, task: Task) -> bool:
-        """Cancel a task that is still waiting for placement.
-
-        Running tasks cannot be cancelled (the simulation has already
-        committed their completion event); returns whether the cancellation
-        took effect.
-        """
-        if self._waiting.pop(task.uid, None) is None:
-            return False
-        self._scheduler.cancel(task.uid)
-        task.advance(TaskState.CANCELED)
-        task.end_time = self._platform.now
-        self._notify(task)
-        return True
 
     # -- internal machinery ------------------------------------------------ #
 
@@ -163,18 +138,14 @@ class Agent:
 
     def _placement_pass(self) -> None:
         self._placement_scheduled = False
-        limit: Optional[int] = None
-        if self._config.max_concurrent_tasks is not None:
-            limit = max(0, self._config.max_concurrent_tasks - self._n_running)
-            if limit == 0:
-                return
-        for item, allocation in self._scheduler.try_place(limit=limit):
+        for item, allocation in self._scheduler.try_place():
             self._start_task(self._waiting.pop(item.request_id), allocation)
 
     def _start_task(self, task: Task, allocation: Allocation) -> None:
         now = self._platform.now
         filesystem = self._platform.filesystem
-        setup_seconds = filesystem.sandbox_setup_time(self._config.sandbox_files)
+        # "Exec setup" (Fig 5): the sandbox's few small files on the shared FS.
+        setup_seconds = filesystem.sandbox_setup_time()
         setup_seconds /= max(1.0, self._durations.speedup)
         run_seconds = self._durations.duration(task.description, filesystem)
 
@@ -196,35 +167,8 @@ class Agent:
         )
 
     def _complete_task(self, task: Task) -> None:
-        now = self._platform.now
-        allocation = task.allocation
         self._n_running -= 1
-
-        final_state = TaskState.DONE
-        if task.description.payload is not None:
-            try:
-                task.result = task.description.payload()
-            except Exception as exc:  # payload failures become task failures
-                task.exception = exc
-                task.stderr = f"{type(exc).__name__}: {exc}"
-                final_state = TaskState.FAILED
-
-        self._platform.profiler.record_resource_interval(
-            ResourceInterval(
-                task_id=task.uid,
-                node=allocation.node,
-                cpu_core_ids=allocation.cpu_core_ids,
-                gpu_ids=allocation.gpu_ids,
-                start=task.start_time,
-                end=now,
-            )
-        )
-        self._platform.allocator.release(allocation)
-        task.end_time = now
-        task.advance(final_state)
-        self._notify(task)
-        self._request_placement()
-
-    def _notify(self, task: Task) -> None:
+        task.finish(self._platform)
         for callback in list(self._completion_callbacks):
             callback(task)
+        self._request_placement()

@@ -156,8 +156,9 @@ class DurationModel:
         Per-kind cost profiles; omitted kinds fall back to
         :attr:`TaskKind.GENERIC`.
     seed:
-        Root seed for the per-task jitter streams (jitter is derived from the
-        task uid so it does not depend on execution order).
+        Root seed for the per-task jitter streams.  Jitter is keyed by the
+        task *name*, so it depends neither on execution order nor on the
+        process-global task uids.
     speedup:
         Global divisor applied to all durations.  Benchmarks use large
         speedups so that simulating a multi-hour campaign costs milliseconds

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from repro.exceptions import TaskError
 from repro.hpc.platform import ComputePlatform
-from repro.hpc.profiling import ResourceInterval
 from repro.runtime.durations import DurationModel
 from repro.runtime.states import TaskState
 from repro.runtime.task import Task, TaskDescription
@@ -56,10 +54,7 @@ class SequentialRunner:
         task.submit_time = now
         task.advance(TaskState.TMGR_SCHEDULING)
         task.advance(TaskState.AGENT_SCHEDULING)
-        task.schedule_time = now
-
-        allocation = self._platform.allocator.allocate(description.request)
-        task.allocation = allocation
+        task.allocation = self._platform.allocator.allocate(description.request)
         task.start_time = now
         task.advance(TaskState.EXECUTING)
 
@@ -67,44 +62,7 @@ class SequentialRunner:
         self._platform.profiler.record_phase(task.uid, "running", now, now + duration)
         # Advance virtual time past the task's execution window.
         self._platform.loop.run_until(now + duration)
-        end = self._platform.now
-
-        final_state = TaskState.DONE
-        if description.payload is not None:
-            try:
-                task.result = description.payload()
-            except Exception as exc:
-                task.exception = exc
-                task.stderr = f"{type(exc).__name__}: {exc}"
-                final_state = TaskState.FAILED
-
-        self._platform.profiler.record_resource_interval(
-            ResourceInterval(
-                task_id=task.uid,
-                node=allocation.node,
-                cpu_core_ids=allocation.cpu_core_ids,
-                gpu_ids=allocation.gpu_ids,
-                start=task.start_time,
-                end=end,
-            )
-        )
-        self._platform.allocator.release(allocation)
-        task.end_time = end
-        task.advance(final_state)
+        task.finish(self._platform)
         for callback in list(self._callbacks):
             callback(task)
         return task
-
-    def run_tasks(
-        self, descriptions: List[TaskDescription], raise_on_failure: bool = False
-    ) -> List[Task]:
-        """Execute a list of tasks back-to-back."""
-        tasks = [self.run_task(description) for description in descriptions]
-        if raise_on_failure:
-            failures = [task for task in tasks if task.failed]
-            if failures:
-                raise TaskError(
-                    "tasks failed: "
-                    + ", ".join(f"{task.uid} ({task.stderr})" for task in failures)
-                )
-        return tasks

@@ -1,4 +1,4 @@
-"""Task and pilot state machines.
+"""The task state machine.
 
 The state names deliberately mirror RADICAL-Pilot's task lifecycle (NEW ->
 TMGR_SCHEDULING -> AGENT_SCHEDULING -> EXECUTING -> DONE/FAILED/CANCELED) so
@@ -14,14 +14,7 @@ from typing import Dict, FrozenSet, Set
 
 from repro.exceptions import StateTransitionError
 
-__all__ = [
-    "TaskState",
-    "PilotState",
-    "FINAL_TASK_STATES",
-    "FINAL_PILOT_STATES",
-    "validate_task_transition",
-    "validate_pilot_transition",
-]
+__all__ = ["TaskState", "FINAL_TASK_STATES", "validate_task_transition"]
 
 
 class TaskState(str, enum.Enum):
@@ -36,27 +29,10 @@ class TaskState(str, enum.Enum):
     CANCELED = "CANCELED"
 
 
-class PilotState(str, enum.Enum):
-    """Lifecycle states of a pilot."""
-
-    NEW = "NEW"
-    PMGR_LAUNCHING = "PMGR_LAUNCHING"
-    ACTIVE = "ACTIVE"
-    DONE = "DONE"
-    FAILED = "FAILED"
-    CANCELED = "CANCELED"
-
-
 #: Task states from which no further transition is allowed.
 FINAL_TASK_STATES: FrozenSet[TaskState] = frozenset(
     {TaskState.DONE, TaskState.FAILED, TaskState.CANCELED}
 )
-
-#: Pilot states from which no further transition is allowed.
-FINAL_PILOT_STATES: FrozenSet[PilotState] = frozenset(
-    {PilotState.DONE, PilotState.FAILED, PilotState.CANCELED}
-)
-
 
 _TASK_TRANSITIONS: Dict[TaskState, Set[TaskState]] = {
     TaskState.NEW: {TaskState.TMGR_SCHEDULING, TaskState.CANCELED},
@@ -68,23 +44,8 @@ _TASK_TRANSITIONS: Dict[TaskState, Set[TaskState]] = {
     TaskState.CANCELED: set(),
 }
 
-_PILOT_TRANSITIONS: Dict[PilotState, Set[PilotState]] = {
-    PilotState.NEW: {PilotState.PMGR_LAUNCHING, PilotState.CANCELED},
-    PilotState.PMGR_LAUNCHING: {PilotState.ACTIVE, PilotState.FAILED, PilotState.CANCELED},
-    PilotState.ACTIVE: {PilotState.DONE, PilotState.FAILED, PilotState.CANCELED},
-    PilotState.DONE: set(),
-    PilotState.FAILED: set(),
-    PilotState.CANCELED: set(),
-}
-
 
 def validate_task_transition(entity: str, current: TaskState, target: TaskState) -> None:
     """Raise :class:`StateTransitionError` unless ``current -> target`` is legal."""
     if target not in _TASK_TRANSITIONS[current]:
-        raise StateTransitionError(entity, current.value, target.value)
-
-
-def validate_pilot_transition(entity: str, current: PilotState, target: PilotState) -> None:
-    """Raise :class:`StateTransitionError` unless ``current -> target`` is legal."""
-    if target not in _PILOT_TRANSITIONS[current]:
         raise StateTransitionError(entity, current.value, target.value)

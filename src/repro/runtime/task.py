@@ -16,12 +16,10 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.hpc.allocation import Allocation
+from repro.hpc.platform import ComputePlatform
+from repro.hpc.profiling import ResourceInterval
 from repro.hpc.resources import ResourceRequest
-from repro.runtime.states import (
-    FINAL_TASK_STATES,
-    TaskState,
-    validate_task_transition,
-)
+from repro.runtime.states import TaskState, validate_task_transition
 
 __all__ = ["TaskDescription", "Task"]
 
@@ -80,7 +78,6 @@ class Task:
         self._description = description
         self._state = TaskState.NEW
         self.submit_time: Optional[float] = None
-        self.schedule_time: Optional[float] = None
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         self.allocation: Optional[Allocation] = None
@@ -117,14 +114,6 @@ class Task:
         return self._state
 
     @property
-    def is_final(self) -> bool:
-        return self._state in FINAL_TASK_STATES
-
-    @property
-    def succeeded(self) -> bool:
-        return self._state is TaskState.DONE
-
-    @property
     def failed(self) -> bool:
         return self._state is TaskState.FAILED
 
@@ -133,40 +122,36 @@ class Task:
         validate_task_transition(self.uid, self._state, target)
         self._state = target
 
-    # -- derived timings -------------------------------------------------- #
+    def finish(self, platform: ComputePlatform) -> None:
+        """End execution at the platform's current time.
 
-    @property
-    def queue_wait(self) -> Optional[float]:
-        """Seconds between submission and execution start, if both known."""
-        if self.submit_time is None or self.start_time is None:
-            return None
-        return self.start_time - self.submit_time
-
-    @property
-    def runtime(self) -> Optional[float]:
-        """Execution duration in simulated seconds, if finished."""
-        if self.start_time is None or self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-able summary (omits the payload callable)."""
-        return {
-            "uid": self.uid,
-            "name": self.name,
-            "kind": self.kind,
-            "state": self._state.value,
-            "cpu_cores": self._description.request.cpu_cores,
-            "gpus": self._description.request.gpus,
-            "submit_time": self.submit_time,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "metadata": {
-                key: value
-                for key, value in self._description.metadata.items()
-                if isinstance(value, (str, int, float, bool, type(None)))
-            },
-        }
+        Runs the payload, records the task's resource interval, releases its
+        devices and moves it to DONE, or to FAILED when the payload raises.
+        """
+        final_state = TaskState.DONE
+        payload = self._description.payload
+        if payload is not None:
+            try:
+                self.result = payload()
+            except Exception as exc:  # payload failures become task failures
+                self.exception = exc
+                self.stderr = f"{type(exc).__name__}: {exc}"
+                final_state = TaskState.FAILED
+        now = platform.now
+        allocation = self.allocation
+        platform.profiler.record_resource_interval(
+            ResourceInterval(
+                task_id=self.uid,
+                node=allocation.node,
+                cpu_core_ids=allocation.cpu_core_ids,
+                gpu_ids=allocation.gpu_ids,
+                start=self.start_time,
+                end=now,
+            )
+        )
+        platform.allocator.release(allocation)
+        self.end_time = now
+        self.advance(final_state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.uid} kind={self.kind} state={self._state.value}>"

@@ -25,7 +25,7 @@ from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.runtime.durations import DurationModel
-from repro.runtime.session import Session
+from repro.runtime.task_manager import TaskManager
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
@@ -85,9 +85,9 @@ def durations():
 
 
 @pytest.fixture()
-def session(durations):
-    """A middleware session on a fresh platform."""
-    return Session(platform_spec=amarel_platform(1), durations=durations)
+def task_manager(durations):
+    """A task manager (and its agent) on a fresh platform."""
+    return TaskManager(ComputePlatform(amarel_platform(1)), durations)
 
 
 @pytest.fixture(scope="session")

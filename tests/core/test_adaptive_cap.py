@@ -42,10 +42,10 @@ class TestValidation:
         with pytest.raises(CampaignError):
             CampaignConfig(max_in_flight_pipelines=bad)
 
-    def test_coordinator_rejects_unknown_strings(self, session, factory):
+    def test_coordinator_rejects_unknown_strings(self, task_manager, factory):
         with pytest.raises(CoordinatorError):
             PipelinesCoordinator(
-                session,
+                task_manager,
                 factory,
                 CoordinatorConfig(max_in_flight_pipelines="bogus"),
             )
@@ -66,10 +66,10 @@ class TestValidation:
 
 class TestController:
     def test_starts_at_one_and_raises_while_unsaturated(
-        self, session, factory, four_targets
+        self, task_manager, factory, four_targets
     ):
         coordinator = PipelinesCoordinator(
-            session,
+            task_manager,
             factory,
             CoordinatorConfig(
                 pipeline=PipelineConfig(n_cycles=2, n_sequences=5),

@@ -35,9 +35,7 @@ def _fig3_config(**overrides):
 def _collect_finished(coordinator):
     """Every task the coordinator's completion callback is handed, in order."""
     finished = []
-    coordinator.session.task_manager.register_callback(
-        lambda task, state: finished.append(task)
-    )
+    coordinator.task_manager.register_callback(finished.append)
     return finished
 
 
@@ -53,9 +51,9 @@ def _wrap_decision_step(monkeypatch, after):
 
 
 @pytest.fixture()
-def coordinator(session, factory):
+def coordinator(task_manager, factory):
     return PipelinesCoordinator(
-        session,
+        task_manager,
         factory,
         CoordinatorConfig(pipeline=PipelineConfig(n_cycles=2, n_sequences=5)),
     )
@@ -92,9 +90,9 @@ class TestCoordinator:
         )
         assert overlapping
 
-    def test_subpipelines_spawned_and_recorded(self, session, factory, four_targets):
+    def test_subpipelines_spawned_and_recorded(self, task_manager, factory, four_targets):
         coordinator = PipelinesCoordinator(
-            session,
+            task_manager,
             factory,
             CoordinatorConfig(
                 pipeline=PipelineConfig(n_cycles=2, n_sequences=5),
@@ -110,9 +108,9 @@ class TestCoordinator:
             assert sub.uid.startswith(sub.parent_uid)
             assert all(t.is_subpipeline for t in sub.trajectories)
 
-    def test_no_subpipelines_when_policy_disallows(self, session, factory, four_targets):
+    def test_no_subpipelines_when_policy_disallows(self, task_manager, factory, four_targets):
         coordinator = PipelinesCoordinator(
-            session,
+            task_manager,
             factory,
             CoordinatorConfig(
                 pipeline=PipelineConfig(n_cycles=2, n_sequences=5),
@@ -124,9 +122,9 @@ class TestCoordinator:
         assert coordinator.n_subpipelines == 0
         assert all(record.parent_uid is None for record in records)
 
-    def test_in_flight_cap_serialises_roots(self, session, factory, four_targets):
+    def test_in_flight_cap_serialises_roots(self, task_manager, factory, four_targets):
         coordinator = PipelinesCoordinator(
-            session,
+            task_manager,
             factory,
             CoordinatorConfig(
                 pipeline=PipelineConfig(n_cycles=1, n_sequences=4),
@@ -152,9 +150,9 @@ class TestCoordinator:
             assert later_start >= earlier_end - 1e-6
 
     def test_completed_channel_saw_every_task(self, monkeypatch, coordinator, four_targets):
-        """Channel 2 of the paper, the completion callback, hands back every
-        submitted task exactly once."""
-        manager = coordinator.session.task_manager
+        """The completion callback hands back every submitted task exactly
+        once."""
+        manager = coordinator.task_manager
         submit_tasks = manager.submit_tasks
         submitted = []
 
@@ -176,12 +174,12 @@ class TestOnlyInFlightTasksAreHeld:
 
     def test_coordinator_run_frees_every_finished_task(self, coordinator, four_targets):
         refs = []
-        coordinator.session.task_manager.register_callback(
-            lambda task, state: refs.append(weakref.ref(task))
+        coordinator.task_manager.register_callback(
+            lambda task: refs.append(weakref.ref(task))
         )
         coordinator.add_targets(four_targets)
         coordinator.run()
-        agent = coordinator.session.pilot.agent
+        agent = coordinator.task_manager.agent
         assert agent.waiting_count == 0
         assert agent.running_count == 0
         gc.collect()

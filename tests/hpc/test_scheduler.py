@@ -52,21 +52,6 @@ class TestFifoScheduler:
         with pytest.raises(SchedulingError):
             scheduler.submit(_queued("too-big", cores=100))
 
-    def test_limit_caps_placements(self, allocator):
-        scheduler = FifoScheduler(allocator)
-        for index in range(5):
-            scheduler.submit(_queued(f"t{index}", cores=1))
-        placed = scheduler.try_place(limit=2)
-        assert len(placed) == 2
-        assert scheduler.queue_length == 3
-
-    def test_cancel_waiting_request(self, allocator):
-        scheduler = FifoScheduler(allocator)
-        scheduler.submit(_queued("x"))
-        assert scheduler.cancel("x") is True
-        assert scheduler.cancel("x") is False
-        assert scheduler.queue_length == 0
-
     def test_waiting_snapshot_preserves_order(self, allocator):
         scheduler = FifoScheduler(allocator)
         scheduler.submit(_queued("a"))

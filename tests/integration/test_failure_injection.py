@@ -45,11 +45,11 @@ def flaky_factory(durations, four_targets):
 
 class TestPayloadFailureIsolation:
     def test_one_failing_target_does_not_poison_the_campaign(
-        self, session, flaky_factory, four_targets
+        self, task_manager, flaky_factory, four_targets
     ):
         factory, models = flaky_factory
         coordinator = PipelinesCoordinator(
-            session,
+            task_manager,
             factory,
             CoordinatorConfig(
                 pipeline=PipelineConfig(n_cycles=2, n_sequences=4),
@@ -69,14 +69,14 @@ class TestPayloadFailureIsolation:
             assert by_target[target.name].status is PipelineStatus.COMPLETED
 
         # Every device is back in the free pool after the campaign.
-        allocator = session.platform.allocator
+        allocator = task_manager.platform.allocator
         assert allocator.busy_cores() == 0
         assert allocator.busy_gpus() == 0
 
-    def test_failed_task_recorded_in_agent(self, session, flaky_factory, four_targets):
+    def test_failed_task_recorded_in_agent(self, task_manager, flaky_factory, four_targets):
         factory, _ = flaky_factory
         coordinator = PipelinesCoordinator(
-            session,
+            task_manager,
             factory,
             CoordinatorConfig(
                 pipeline=PipelineConfig(n_cycles=1, n_sequences=4),
@@ -84,7 +84,7 @@ class TestPayloadFailureIsolation:
             ),
         )
         finished = []
-        session.pilot.agent.on_completion(finished.append)
+        task_manager.agent.on_completion(finished.append)
         coordinator.add_targets(four_targets)
         coordinator.run()
         failed = [task for task in finished if task.failed]

@@ -1,20 +1,20 @@
-"""Tests for the agent, pilot/task managers, queues and the session facade."""
+"""Tests for the agent and the task manager."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SchedulingError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import ResourceRequest, amarel_platform
 from repro.runtime.agent import Agent, AgentConfig
 from repro.runtime.durations import DurationModel, TaskKind
-from repro.runtime.pilot import PilotDescription
-from repro.runtime.pilot_manager import PilotManager
-from repro.runtime.queues import Channel
-from repro.runtime.session import Session
-from repro.runtime.states import PilotState, TaskState
+from repro.runtime.states import TaskState
 from repro.runtime.task import Task, TaskDescription
+from repro.runtime.task_manager import TaskManager
 
 
 def _description(name="t", kind=TaskKind.COMPARE, cores=1, gpus=0, payload=None, **meta):
@@ -37,41 +37,9 @@ def agent(fast_durations):
     return Agent(ComputePlatform(amarel_platform(1)), fast_durations)
 
 
-class TestChannel:
-    def test_fifo_order(self):
-        channel: Channel[int] = Channel("c")
-        channel.put(1)
-        channel.put(2)
-        assert channel.get() == 1
-        assert channel.get() == 2
-        assert channel.get() is None
-
-    def test_drain_and_counts(self):
-        channel: Channel[str] = Channel("c")
-        for item in "abc":
-            channel.put(item)
-        assert channel.drain() == ["a", "b", "c"]
-        assert channel.put_count == 3
-        assert channel.get_count == 3
-        assert not channel
-
-    def test_subscribe_and_unsubscribe(self):
-        channel: Channel[int] = Channel("c")
-        seen = []
-        callback = seen.append
-        channel.subscribe(callback)
-        channel.put(5)
-        assert seen == [5]
-        assert channel.unsubscribe(callback) is True
-        channel.put(6)
-        assert seen == [5]
-        assert channel.unsubscribe(callback) is False
-
-    def test_peek_does_not_consume(self):
-        channel: Channel[int] = Channel("c")
-        channel.put(9)
-        assert channel.peek() == 9
-        assert len(channel) == 1
+@pytest.fixture()
+def manager(fast_durations):
+    return TaskManager(ComputePlatform(amarel_platform(1)), fast_durations)
 
 
 class TestAgent:
@@ -120,31 +88,6 @@ class TestAgent:
         # At least one task had to wait for a GPU to free up.
         assert max(task.start_time for task in tasks) > min(task.start_time for task in tasks)
 
-    def test_max_concurrent_cap(self, fast_durations):
-        config = AgentConfig(max_concurrent_tasks=1)
-        agent = Agent(ComputePlatform(amarel_platform(1)), fast_durations, config)
-        tasks = [Task(_description(name=f"t{i}")) for i in range(3)]
-        for task in tasks:
-            agent.submit(task)
-        agent.platform.run()
-        intervals = sorted((task.start_time, task.end_time) for task in tasks)
-        for (start_a, end_a), (start_b, _) in zip(intervals, intervals[1:]):
-            assert start_b >= end_a - 1e-9  # strictly sequential
-
-    def test_cancel_waiting_task(self, fast_durations):
-        config = AgentConfig(max_concurrent_tasks=1)
-        agent = Agent(ComputePlatform(amarel_platform(1)), fast_durations, config)
-        running = Task(_description(name="run"))
-        waiting = Task(_description(name="wait"))
-        agent.submit(running)
-        agent.submit(waiting)
-        # Fire the placement event only, then cancel the still-waiting task.
-        agent.platform.loop.step()
-        assert agent.cancel(waiting) is True
-        agent.platform.run()
-        assert waiting.state is TaskState.CANCELED
-        assert running.state is TaskState.DONE
-
     def test_completion_callback_invoked(self, agent):
         seen = []
         agent.on_completion(lambda task: seen.append(task.uid))
@@ -164,98 +107,71 @@ class TestAgent:
         assert phases["exec_setup"] > 0
         assert phases["running"] > 0
 
-    def test_invalid_config(self):
+    def test_invalid_config(self, fast_durations):
+        platform = ComputePlatform(amarel_platform(1))
         with pytest.raises(ConfigurationError):
-            AgentConfig(max_concurrent_tasks=0)
+            Agent(platform, fast_durations, AgentConfig(scheduler_policy="lottery"))
         with pytest.raises(ConfigurationError):
-            AgentConfig(sandbox_files=-1)
+            Agent(
+                platform,
+                fast_durations,
+                AgentConfig(scheduler_policy="backfill", backfill_window=0),
+            )
+
+    def test_rejected_task_is_not_kept(self, agent):
+        # A request that can never fit is refused before the task changes
+        # state, and the agent keeps no reference to it.
+        task = Task(_description(name="huge", cores=1000))
+        ref = weakref.ref(task)
+        with pytest.raises(SchedulingError):
+            agent.submit(task)
+        assert task.state is TaskState.NEW
+        assert agent.waiting_count == 0
+        del task
+        gc.collect()
+        assert ref() is None
 
 
 class TestPilotAndManagers:
-    def test_pilot_bootstrap_then_active(self, fast_durations):
+    """The task manager and the pilot bootstrap phase it records."""
+
+    def test_task_manager_records_pilot_bootstrap(self, fast_durations):
         platform = ComputePlatform(amarel_platform(1))
-        manager = PilotManager(fast_durations)
-        pilot = manager.submit_pilot(PilotDescription(bootstrap_seconds=60.0), platform)
-        assert pilot.state is PilotState.PMGR_LAUNCHING
-        platform.run()
-        assert pilot.state is PilotState.ACTIVE
-        assert pilot.active_time == pytest.approx(60.0)
+        TaskManager(platform, fast_durations)
+        (phase,) = platform.profiler.phase_intervals
+        assert phase.phase == "bootstrap"
+        assert (phase.start, phase.end) == (0.0, 180.0)
+        # Recording the phase schedules nothing: the agent places tasks at once.
+        assert platform.loop.pending == 0
 
-    def test_pilot_manager_rejects_oversized_pilot(self, fast_durations):
-        platform = ComputePlatform(amarel_platform(1))
-        manager = PilotManager(fast_durations)
-        with pytest.raises(ConfigurationError):
-            manager.submit_pilot(PilotDescription(nodes=2), platform)
-
-    def test_pilot_description_validation(self):
-        with pytest.raises(ConfigurationError):
-            PilotDescription(nodes=0)
-        with pytest.raises(ConfigurationError):
-            PilotDescription(runtime_hours=0)
-
-    def test_pilot_shutdown_and_manager_listing(self, fast_durations):
-        platform = ComputePlatform(amarel_platform(1))
-        manager = PilotManager(fast_durations)
-        pilot = manager.submit_pilot(PilotDescription(), platform)
-        platform.run()
-        manager.shutdown()
-        assert pilot.state is PilotState.DONE
-        assert manager.list_pilots() == [pilot]
-        assert manager.get(pilot.uid) is pilot
-
-    def test_task_manager_submit_and_wait(self, fast_durations):
-        session = Session(amarel_platform(1), durations=fast_durations)
-        manager = session.task_manager
+    def test_task_manager_submit_and_wait(self, manager):
         finished = []
-        manager.register_callback(lambda task, state: finished.append(task))
+        manager.register_callback(finished.append)
         tasks = manager.submit_tasks(
             [_description(name=f"t{i}", payload=lambda i=i: i) for i in range(4)]
         )
-        session.platform.run()
+        manager.platform.run()
         assert sorted(finished, key=lambda task: task.name) == tasks
         assert all(task.state is TaskState.DONE for task in tasks)
         assert [task.result for task in tasks] == [0, 1, 2, 3]
 
-    def test_task_manager_completed_channel_and_callbacks(self, fast_durations):
+    def test_task_manager_completed_channel_and_callbacks(self, manager):
         # Completions reach the caller through callbacks only; no channel keeps them.
-        session = Session(amarel_platform(1), durations=fast_durations)
-        manager = session.task_manager
         seen = []
-        manager.register_callback(lambda task, state: seen.append((task, state)))
+        manager.register_callback(lambda task: seen.append((task, task.state)))
         (task,) = manager.submit_tasks(_description(name="single"))
-        session.platform.run()
+        manager.platform.run()
         assert seen == [(task, TaskState.DONE)]
         assert not hasattr(manager, "completed_channel")
 
-    def test_wait_raise_on_failure(self, fast_durations):
+    def test_wait_raise_on_failure(self, manager):
         # A failing payload is reported to the callbacks as FAILED, not raised.
-        session = Session(amarel_platform(1), durations=fast_durations)
-        manager = session.task_manager
-
         def broken():
             raise ValueError("bad input")
 
         seen = []
-        manager.register_callback(lambda task, state: seen.append((task, state)))
+        manager.register_callback(lambda task: seen.append((task, task.state)))
         (task,) = manager.submit_tasks(_description(name="broken", payload=broken))
-        session.platform.run()
+        manager.platform.run()
         assert seen == [(task, TaskState.FAILED)]
         assert "bad input" in task.stderr
-
-    def test_task_manager_single_pilot_only(self, fast_durations):
-        session = Session(amarel_platform(1), durations=fast_durations)
-        manager = session.task_manager
-        with pytest.raises(ConfigurationError):
-            manager.add_pilot(session.pilot)
-
-    def test_session_context_manager_and_close(self, fast_durations):
-        with Session(amarel_platform(1), durations=fast_durations) as session:
-            manager = session.task_manager
-            manager.submit_tasks(_description(name="inside"))
-        assert session.closed
-        assert session.pilot.state is PilotState.DONE
-
-    def test_session_sequential_runner_shares_platform(self, fast_durations):
-        session = Session(amarel_platform(1), durations=fast_durations)
-        runner = session.sequential_runner()
-        assert runner.platform is session.platform

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import TaskError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import amarel_platform
 from repro.runtime.durations import DurationModel, TaskKind
@@ -37,7 +36,7 @@ class TestSequentialRunner:
         descriptions = [
             _description(f"t{i}", kind=TaskKind.AF_INFERENCE) for i in range(3)
         ]
-        tasks = runner.run_tasks(descriptions)
+        tasks = [runner.run_task(description) for description in descriptions]
         for earlier, later in zip(tasks, tasks[1:]):
             assert later.start_time >= earlier.end_time - 1e-9
 
@@ -49,13 +48,6 @@ class TestSequentialRunner:
         assert task.state is TaskState.FAILED
         assert runner.platform.allocator.busy_cores() == 0
 
-    def test_run_tasks_raise_on_failure(self, runner):
-        def broken():
-            raise RuntimeError("no")
-
-        with pytest.raises(TaskError):
-            runner.run_tasks([_description("bad", payload=broken)], raise_on_failure=True)
-
     def test_completion_callbacks(self, runner):
         seen = []
         runner.on_completion(seen.append)
@@ -64,11 +56,13 @@ class TestSequentialRunner:
         assert seen == [one, two]
 
     def test_profiler_gets_one_interval_per_task(self, runner):
-        runner.run_tasks([_description(f"t{i}") for i in range(4)])
+        for i in range(4):
+            runner.run_task(_description(f"t{i}"))
         assert len(runner.platform.profiler.resource_intervals) == 4
 
     def test_low_utilization_by_construction(self, runner):
         # A single-core task stream on a 28-core node cannot exceed 1/28 CPU
         # utilization — the structural reason CONT-V underuses the machine.
-        runner.run_tasks([_description(f"t{i}") for i in range(5)])
+        for i in range(5):
+            runner.run_task(_description(f"t{i}"))
         assert runner.platform.profiler.cpu_utilization() <= 1.0 / 28 + 1e-9

@@ -1,4 +1,4 @@
-"""Tests for the task/pilot state machines and the Task object."""
+"""Tests for the task state machine and the Task object."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, StateTransitionError
 from repro.hpc.resources import ResourceRequest
 from repro.runtime.states import (
-    FINAL_PILOT_STATES,
     FINAL_TASK_STATES,
-    PilotState,
     TaskState,
-    validate_pilot_transition,
     validate_task_transition,
 )
 from repro.runtime.task import Task, TaskDescription
@@ -54,22 +51,11 @@ class TestTaskStateMachine:
             with pytest.raises(StateTransitionError):
                 validate_task_transition("t", current, target)
 
-
-class TestPilotStateMachine:
-    def test_happy_path(self):
-        validate_pilot_transition("p", PilotState.NEW, PilotState.PMGR_LAUNCHING)
-        validate_pilot_transition("p", PilotState.PMGR_LAUNCHING, PilotState.ACTIVE)
-        validate_pilot_transition("p", PilotState.ACTIVE, PilotState.DONE)
-
-    def test_final_states_terminal(self):
-        for final in FINAL_PILOT_STATES:
-            with pytest.raises(StateTransitionError):
-                validate_pilot_transition("p", final, PilotState.ACTIVE)
-
     def test_error_message_contains_states(self):
         with pytest.raises(StateTransitionError) as excinfo:
-            validate_pilot_transition("pilot.1", PilotState.NEW, PilotState.DONE)
-        assert "NEW" in str(excinfo.value) and "DONE" in str(excinfo.value)
+            validate_task_transition("task.1", TaskState.NEW, TaskState.DONE)
+        message = str(excinfo.value)
+        assert "task.1" in message and "NEW" in message and "DONE" in message
 
 
 class TestTaskDescription:
@@ -95,17 +81,13 @@ class TestTaskDescription:
 class TestTask:
     def _task(self):
         return Task(
-            TaskDescription(
-                name="t", kind="generic", request=ResourceRequest(cpu_cores=1),
-                metadata={"stage": "x", "obj": object()},
-            )
+            TaskDescription(name="t", kind="generic", request=ResourceRequest(cpu_cores=1))
         )
 
     def test_initial_state(self):
         task = self._task()
         assert task.state is TaskState.NEW
-        assert not task.is_final
-        assert not task.succeeded
+        assert not task.failed
 
     def test_advance_moves_state(self):
         task = self._task()
@@ -118,17 +100,3 @@ class TestTask:
         task = self._task()
         with pytest.raises(StateTransitionError):
             task.advance(TaskState.DONE)
-
-    def test_derived_timings(self):
-        task = self._task()
-        assert task.queue_wait is None and task.runtime is None
-        task.submit_time = 1.0
-        task.start_time = 4.0
-        task.end_time = 10.0
-        assert task.queue_wait == pytest.approx(3.0)
-        assert task.runtime == pytest.approx(6.0)
-
-    def test_as_dict_filters_non_scalar_metadata(self):
-        summary = self._task().as_dict()
-        assert "stage" in summary["metadata"]
-        assert "obj" not in summary["metadata"]
