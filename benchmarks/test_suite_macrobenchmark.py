@@ -9,15 +9,16 @@ process pool is expected to break even (minus pool overhead), on multi-core
 hardware it should approach min(n_workers, n_runs)x.
 
 Two store variants bound the persistence layer: streaming finished runs to a
-:class:`~repro.store.RunStore` must add negligible overhead over in-memory
-execution, and a warm (100% cache-hit) pass must beat the cold pass by at
-least an order of magnitude.
+:class:`~repro.store.RunStore` should add negligible overhead over in-memory
+execution, and a warm (100% cache-hit) pass executes no campaign at all.
+Both print their wall-clock ratios instead of asserting them.
 """
 
 from __future__ import annotations
 
 import time
 
+import repro.experiments.suite as suite_module
 from benchmarks.conftest import PAPER_SEED, print_banner
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
 from repro.store import RunStore
@@ -72,24 +73,36 @@ def test_campaign_suite_store_streaming_overhead(tmp_path):
     )
 
 
-def test_campaign_suite_warm_store(tmp_path):
-    """A fully cached pass must be at least 10x faster than the cold pass.
+def test_campaign_suite_warm_store(tmp_path, monkeypatch):
+    """A fully cached pass executes no campaign.
 
     The warm pass re-expands the sweep, fingerprints all 8 cells, finds every
-    one in the store and reloads the records from JSONL — no campaign
-    executes.  Cached records must also be bit-compatible with the cold run
-    (same protocol/seed identity, same trajectory counts).
+    one in the store and reloads the records from JSONL; ``execute_run`` is
+    counted to show that no campaign executes.  Cached records must also be
+    bit-compatible with the cold run (same protocol/seed identity, same
+    trajectory counts).  The cold/warm speedup is printed, not asserted, so
+    the outcome does not depend on the host's load.
     """
+    executed = []
+    real_execute = suite_module.execute_run
+
+    def counting(spec):
+        executed.append(spec.run_id)
+        return real_execute(spec)
+
+    monkeypatch.setattr(suite_module, "execute_run", counting)
     store = RunStore(tmp_path / "suite.jsonl")
     start = time.perf_counter()
     cold = CampaignSuite(SUITE_SWEEP, executor="serial").run(store=store)
     cold_seconds = time.perf_counter() - start
     assert cold.n_cached == 0 and cold.n_runs == 8
+    assert len(executed) == 8
 
     start = time.perf_counter()
     warm = CampaignSuite(SUITE_SWEEP, executor="serial").run(store=store)
     warm_seconds = time.perf_counter() - start
     assert warm.n_cached == warm.n_runs == 8
+    assert len(executed) == 8  # the warm pass executed nothing
 
     for cold_record, warm_record in zip(cold.records, warm.records):
         assert warm_record.cached
@@ -104,7 +117,6 @@ def test_campaign_suite_warm_store(tmp_path):
         f"cold {cold_seconds:.2f}s, warm {warm_seconds * 1000.0:.1f}ms, "
         f"cache speedup {speedup:.0f}x"
     )
-    assert speedup >= 10.0
 
 
 def test_campaign_suite_process_pool(benchmark):

@@ -3,21 +3,29 @@
 A :class:`SweepSpec` describes a whole scenario matrix — protocols × seeds ×
 platform specs × knob combinations over one target set — without constructing
 any campaign object.  Everything in it is a plain picklable dataclass, so the
-expanded :class:`RunSpec` list can be shipped to worker processes which
-rebuild targets and campaigns locally (cheaper and more deterministic than
-pickling landscapes and surrogate models across process boundaries).
+expanded :class:`RunSpec` list can be shipped to worker processes which build
+targets and campaigns locally (cheaper and more deterministic than pickling
+landscapes and surrogate models across process boundaries).
+
+:meth:`TargetSpec.build` is deterministic in the spec, so inside one
+:func:`shared_target_builds` scope (a serial suite run, one worker's drain)
+each distinct spec is built once and its targets are shared, read-only, by
+every run of the scope; results are identical to building per run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.campaign import CampaignConfig
 from repro.core.protocols import available_protocols
 from repro.exceptions import CampaignError
 from repro.hpc.resources import PlatformSpec
+from repro.protein.alphabet import is_valid_sequence
 from repro.protein.datasets import (
     ALPHA_SYNUCLEIN_C4,
     ALPHA_SYNUCLEIN_C10,
@@ -26,7 +34,7 @@ from repro.protein.datasets import (
     named_pdz_targets,
 )
 
-__all__ = ["TargetSpec", "RunSpec", "SweepSpec"]
+__all__ = ["TargetSpec", "RunSpec", "SweepSpec", "shared_target_builds"]
 
 #: Target-set kinds understood by :meth:`TargetSpec.build`.
 TARGET_KINDS = ("named-pdz", "expanded-pdz")
@@ -34,6 +42,34 @@ TARGET_KINDS = ("named-pdz", "expanded-pdz")
 #: CampaignConfig fields a sweep may not override directly (they are swept
 #: axes or would break run identity).
 _RESERVED_OVERRIDES = ("protocol", "seed", "platform_spec")
+
+#: The open :func:`shared_target_builds` scope's builds, ``None`` outside one.
+_SHARED_BUILDS: ContextVar[Optional[Dict["TargetSpec", Tuple[DesignTarget, ...]]]] = (
+    ContextVar("shared_target_builds", default=None)
+)
+
+
+@contextmanager
+def shared_target_builds() -> Iterator[None]:
+    """Build each distinct :class:`TargetSpec` once until the block exits.
+
+    Inside the block :meth:`TargetSpec.build` materialises a spec on its
+    first call and hands every later call a fresh list over the same
+    :class:`~repro.protein.datasets.DesignTarget` objects, which campaigns
+    only read.  A block nested in an open one shares the outer block's
+    builds.  The builds live in a :class:`~contextvars.ContextVar`: a new
+    thread starts without them unless it runs in
+    :func:`contextvars.copy_context`, and they are dropped when the outermost
+    block exits.
+    """
+    if _SHARED_BUILDS.get() is not None:
+        yield
+        return
+    token = _SHARED_BUILDS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_BUILDS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -50,7 +86,8 @@ class TargetSpec:
     n_targets:
         Size of the expanded set (ignored for ``"named-pdz"``).
     peptide:
-        Peptide residues; defaults to the paper's choice for the kind.
+        Peptide residues (canonical one-letter codes); ``None`` means the
+        paper's choice for the kind.
     """
 
     kind: str = "named-pdz"
@@ -65,18 +102,37 @@ class TargetSpec:
             )
         if self.n_targets < 1:
             raise CampaignError("n_targets must be >= 1")
+        if self.peptide is not None and not (
+            isinstance(self.peptide, str) and is_valid_sequence(self.peptide)
+        ):
+            raise CampaignError(
+                "peptide must be a non-empty string of canonical one-letter "
+                f"amino acids (or None for the default), got {self.peptide!r}"
+            )
 
     def build(self) -> List[DesignTarget]:
-        """Materialise the target set (deterministic in the spec)."""
+        """Materialise the target set (deterministic in the spec).
+
+        Inside :func:`shared_target_builds` a spec is built once and each
+        call returns a fresh list over the same, read-only targets.
+        """
+        shared = _SHARED_BUILDS.get()
+        if shared is not None and self in shared:
+            return list(shared[self])
         if self.kind == "named-pdz":
-            return named_pdz_targets(
+            targets = named_pdz_targets(
                 seed=self.seed, peptide_residues=self.peptide or ALPHA_SYNUCLEIN_C10
             )
-        return expanded_pdz_set(
-            n_targets=self.n_targets,
-            seed=self.seed,
-            peptide_residues=self.peptide or ALPHA_SYNUCLEIN_C4,
-        )
+        else:
+            targets = expanded_pdz_set(
+                n_targets=self.n_targets,
+                seed=self.seed,
+                peptide_residues=self.peptide or ALPHA_SYNUCLEIN_C4,
+            )
+        if shared is not None:
+            # setdefault: a racing builder in a copied context publishes once.
+            targets = list(shared.setdefault(self, tuple(targets)))
+        return targets
 
 
 @dataclass(frozen=True)

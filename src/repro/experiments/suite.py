@@ -5,10 +5,13 @@ streams), i.e. embarrassingly parallel: :class:`CampaignSuite` fans the
 expanded :class:`~repro.experiments.spec.RunSpec` list out over a
 ``ProcessPoolExecutor`` and aggregates the per-run
 :class:`~repro.core.results.CampaignResult` objects into a
-:class:`SuiteResult`.  Determinism is preserved — each worker rebuilds its
-targets and campaign from the declarative spec, so a run inside a suite is
-identical to running that campaign alone, regardless of executor or worker
-count.
+:class:`SuiteResult`.  Determinism is preserved — every run builds its
+campaign from the declarative spec, so a run inside a suite is identical to
+running that campaign alone, regardless of executor or worker count.  Pool
+workers build each run's targets too; the serial executor builds each
+distinct target set once per :meth:`CampaignSuite.run` call
+(:func:`~repro.experiments.spec.shared_target_builds`) and its runs share
+those targets read-only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.campaign import CampaignState, DesignCampaign
 from repro.core.results import CampaignResult
 from repro.exceptions import CampaignError
-from repro.experiments.spec import RunSpec, SweepSpec
+from repro.experiments.spec import RunSpec, SweepSpec, shared_target_builds
 
 __all__ = [
     "SUITE_SCHEMA_VERSION",
@@ -56,8 +59,11 @@ def execute_run(
 ) -> Tuple[CampaignResult, float]:
     """Execute one run spec and return ``(result, wall_seconds)``.
 
-    Module-level so it is picklable as a process-pool work item.  The targets
-    and campaign are rebuilt from the declarative spec inside the worker.
+    Module-level so it is picklable as a process-pool work item.  The
+    campaign is built from the declarative spec inside the worker, and so are
+    the targets, unless an open
+    :func:`~repro.experiments.spec.shared_target_builds` scope (a serial
+    suite run, a worker drain) already built them; campaigns only read them.
 
     ``resume_state`` continues an interrupted campaign from a restorable
     :class:`~repro.core.campaign.CampaignState` (the result is byte-identical
@@ -270,9 +276,10 @@ class CampaignSuite:
         fresh: Dict[int, SuiteRunRecord] = {}
         if pending:
             if self.executor == "serial":
-                for i, spec, fingerprint in pending:
-                    result, seconds = execute_run(spec)
-                    fresh[i] = self._finish(spec, result, seconds, store, fingerprint)
+                with shared_target_builds():
+                    for i, spec, fingerprint in pending:
+                        result, seconds = execute_run(spec)
+                        fresh[i] = self._finish(spec, result, seconds, store, fingerprint)
             else:
                 fresh = self._run_pooled(n_workers, pending, store)
         wall = time.perf_counter() - start

@@ -34,6 +34,7 @@ marker.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import socket
 import threading
@@ -45,6 +46,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from repro.core.protocols import CampaignState
 from repro.core.results import CampaignResult
 from repro.exceptions import OrchestrationError, StoreError
+from repro.experiments.spec import shared_target_builds
 from repro.experiments.suite import SuiteRunRecord, execute_run
 from repro.orchestrate.lease import (
     Heartbeat,
@@ -190,7 +192,10 @@ def run_worker(
     execute:
         Run executor (injectable for tests); called as
         ``execute(spec, resume_state=..., on_cycle=...)`` and defaults to
-        :func:`repro.experiments.suite.execute_run`.
+        :func:`repro.experiments.suite.execute_run`.  The drain runs inside
+        :func:`~repro.experiments.spec.shared_target_builds` (attempts under
+        ``run_timeout`` included), so each distinct target set is built once
+        per ``run_worker`` call and its runs share the targets read-only.
     on_progress:
         Optional callback ``(event, entry)`` with events ``"claim"``,
         ``"steal"``, ``"resume"``, ``"retry"``, ``"done"``, ``"failed"``,
@@ -234,13 +239,14 @@ def run_worker(
         # for the drain's duration; a disabled writer means no sampler at all.
         sampler = start_resource_sampler(worker)
         try:
-            _drain(
-                queue, entries, worker, store, checkpoints, outcome, notify,
-                lease_seconds=lease_seconds, poll_seconds=poll_seconds,
-                max_runs=max_runs, max_attempts=max_attempts,
-                checkpoint_seconds=checkpoint_seconds, run_timeout=run_timeout,
-                wait=wait, execute=execute,
-            )
+            with shared_target_builds():
+                _drain(
+                    queue, entries, worker, store, checkpoints, outcome, notify,
+                    lease_seconds=lease_seconds, poll_seconds=poll_seconds,
+                    max_runs=max_runs, max_attempts=max_attempts,
+                    checkpoint_seconds=checkpoint_seconds, run_timeout=run_timeout,
+                    wait=wait, execute=execute,
+                )
         finally:
             if sampler is not None:
                 sampler.stop()
@@ -432,7 +438,10 @@ def _run_attempt(
         except BaseException as error:  # noqa: BLE001 - re-raised by caller
             box["error"] = error
 
-    thread = threading.Thread(target=target, daemon=True)
+    # The copied context carries the drain's shared target builds along.
+    thread = threading.Thread(
+        target=contextvars.copy_context().run, args=(target,), daemon=True
+    )
     thread.start()
     thread.join(run_timeout)
     if thread.is_alive():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.experiments.spec as spec_module
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.stages import StageFactory, StageModels
 from repro.hpc.platform import ComputePlatform
@@ -58,6 +59,21 @@ def pytest_sessionstart(session):
                 f"module {name!r} imported from {origin}; expected a .py "
                 f"file under {SRC_ROOT}"
             )
+
+
+@pytest.fixture()
+def dataset_builds(monkeypatch):
+    """Names of the dataset builders ``TargetSpec.build`` calls, in call order."""
+    calls = []
+    for name in ("named_pdz_targets", "expanded_pdz_set"):
+        real = getattr(spec_module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spec_module, name, counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

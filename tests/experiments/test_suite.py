@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis.comparison import protocol_matrix
 from repro.analysis.reporting import format_protocol_matrix
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.exceptions import CampaignError
-from repro.experiments import CampaignSuite, SweepSpec, TargetSpec, execute_run
+from repro.experiments import (
+    CampaignSuite,
+    RunSpec,
+    SuiteRunRecord,
+    SweepSpec,
+    TargetSpec,
+    execute_run,
+)
 from repro.experiments.cli import main as cli_main
+from repro.experiments.spec import shared_target_builds
+from repro.store import RunStore, prune_store
 from repro.utils.serialization import to_jsonable
 
 #: Small-but-real sweep shared by the engine tests: 4 protocols x 2 seeds = 8
@@ -39,6 +50,18 @@ class TestTargetSpec:
     def test_invalid_kind_rejected(self):
         with pytest.raises(CampaignError, match="target kind"):
             TargetSpec(kind="kinases")
+
+    @pytest.mark.parametrize("peptide", ["", "XZ1", "epea"])
+    def test_invalid_peptide_rejected(self, peptide):
+        """Rejected at spec time, not as a ``SequenceError`` in a worker."""
+        with pytest.raises(CampaignError, match="peptide"):
+            TargetSpec(kind="expanded-pdz", peptide=peptide)
+
+    def test_explicit_peptide_builds(self):
+        (target,) = TargetSpec(
+            kind="expanded-pdz", seed=2, n_targets=1, peptide="EPEA"
+        ).build()
+        assert target.peptide_sequence == "EPEA"
 
 
 class TestSweepSpec:
@@ -174,6 +197,122 @@ class TestCampaignSuite:
         result, seconds = execute_run(SMALL_SWEEP.expand()[1])
         assert result.approach == "IM-RP"
         assert seconds > 0
+
+
+def _target_digest(targets) -> str:
+    """sha256 over every field of ``targets``, landscapes included."""
+    digest = hashlib.sha256()
+
+    def add(*parts):
+        for part in parts:
+            digest.update(part if isinstance(part, bytes) else repr(part).encode())
+
+    for target in targets:
+        structure, landscape = target.complex, target.landscape
+        add(target.name, target.seed, structure.name, structure.backbone_quality,
+            structure.designable_positions, sorted(structure.metadata.items()))
+        for chain in structure.chains():
+            add(chain.sequence.residues, chain.sequence.chain_id, chain.sequence.name,
+                chain.coordinates.shape, chain.coordinates.tobytes())
+        add(landscape.target_name, landscape.receptor_length,
+            landscape.designable_positions, landscape.native_sequence.residues,
+            landscape.seed, landscape._additive.tobytes(),
+            landscape._coupling_tensor.tobytes(), landscape._pairs,
+            landscape._pair_a.tobytes(), landscape._pair_b.tobytes(),
+            landscape._calibration)
+    return digest.hexdigest()
+
+
+def _bump(array):
+    array[(0,) * array.ndim] += 1.0
+
+
+#: One in-place edit per field family the digest must see.
+_TARGET_EDITS = {
+    "backbone_quality": lambda t: object.__setattr__(t.complex, "backbone_quality", 0.9),
+    "designable_positions": lambda t: object.__setattr__(
+        t.complex, "designable_positions", (0,)
+    ),
+    "metadata": lambda t: t.complex.metadata.update(cycle=1),
+    "receptor_sequence": lambda t: object.__setattr__(
+        t.complex.receptor.sequence, "residues", "A" * len(t.complex.receptor)
+    ),
+    "receptor_coordinates": lambda t: _bump(t.complex.receptor.coordinates),
+    "peptide_coordinates": lambda t: _bump(t.complex.peptide.coordinates),
+    "additive": lambda t: _bump(t.landscape._additive),
+    "coupling_tensor": lambda t: _bump(t.landscape._coupling_tensor),
+    "pair_index": lambda t: t.landscape._pair_b.__setitem__(0, -1),
+    "calibration": lambda t: object.__setattr__(t.landscape._calibration, "offset", 0.0),
+}
+
+
+class TestSharedTargetBuilds:
+    """Shared ≡ fresh: one build per target set and scope, identical results."""
+
+    def test_scope_builds_each_distinct_spec_once(self, dataset_builds):
+        named = TargetSpec(kind="named-pdz", seed=11)
+        expanded = TargetSpec(kind="expanded-pdz", seed=2, n_targets=3)
+        with shared_target_builds():
+            first = named.build()
+            first.pop()  # every call gets its own list
+            with shared_target_builds():  # a nested scope joins the open one
+                second = named.build()
+            assert len(second) == 4
+            assert all(a is b for a, b in zip(named.build(), second))
+            assert expanded.build()[0] is expanded.build()[0]
+        assert dataset_builds == ["named_pdz_targets", "expanded_pdz_set"]
+        assert named.build()[0] is not second[0]  # the scope has ended
+        assert dataset_builds[2:] == ["named_pdz_targets"]
+
+    def test_scope_ends_with_the_run_call(self, dataset_builds):
+        suite = CampaignSuite(
+            SweepSpec(protocols=("cont-v",), seeds=(3, 5),
+                      targets=SMALL_SWEEP.targets, base=SMALL_SWEEP.base),
+            executor="serial",
+        )
+        suite.run()
+        suite.run()
+        assert dataset_builds == ["named_pdz_targets"] * 2
+
+    def test_serial_suite_builds_once_and_equals_fresh_runs(self, tmp_path, dataset_builds):
+        store = RunStore(tmp_path / "shared.jsonl")
+        outcome = CampaignSuite(SMALL_SWEEP, executor="serial").run(store=store)
+        assert outcome.n_runs == 8
+        assert dataset_builds == ["named_pdz_targets"]  # per-run building took 8
+        fresh_store = RunStore(tmp_path / "fresh.jsonl")
+        for record in outcome.records:
+            result, seconds = execute_run(record.spec)  # outside any scope
+            assert result.as_dict() == record.result.as_dict()
+            fresh_store.append(
+                SuiteRunRecord(spec=record.spec, result=result, wall_seconds=seconds)
+            )
+        assert dataset_builds == ["named_pdz_targets"] * (1 + outcome.n_runs)
+        shared = prune_store(store.path, tmp_path / "shared-c.jsonl", strip_timing=True)
+        fresh = prune_store(fresh_store.path, tmp_path / "fresh-c.jsonl", strip_timing=True)
+        assert shared.path.read_bytes() == fresh.path.read_bytes()
+
+    def test_campaigns_never_mutate_shared_targets(self, dataset_builds):
+        spec = SMALL_SWEEP.targets
+        auto_cap = RunSpec(
+            run_id="im-rp-auto", protocol="im-rp", seed=3, targets=spec,
+            overrides=(("max_in_flight_pipelines", "auto"), ("n_cycles", 2),
+                       ("n_sequences", 4)),
+        )
+        with shared_target_builds():
+            targets = spec.build()
+            before = _target_digest(targets)
+            CampaignSuite(SMALL_SWEEP, executor="serial").run()
+            execute_run(auto_cap)
+            assert all(a is b for a, b in zip(spec.build(), targets))
+        assert dataset_builds == ["named_pdz_targets"]  # every campaign shared them
+        assert _target_digest(targets) == before
+
+    @pytest.mark.parametrize("field", sorted(_TARGET_EDITS))
+    def test_target_digest_sees_every_field(self, field):
+        targets = TargetSpec(kind="named-pdz", seed=11).build()
+        before = _target_digest(targets)
+        _TARGET_EDITS[field](targets[0])
+        assert _target_digest(targets) != before
 
 
 class TestProtocolMatrix:

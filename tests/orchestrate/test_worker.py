@@ -550,6 +550,18 @@ class TestDistributedDeterminism:
         assert finalized.path.read_bytes() == reference.path.read_bytes()
 
 
+class TestSharedTargetBuilds:
+    """One drain builds each distinct target set once, watchdog included."""
+
+    @pytest.mark.parametrize("run_timeout", [None, 60.0])
+    def test_drain_builds_its_targets_once(self, queue, dataset_builds, run_timeout):
+        outcome = run_worker(queue, worker_id="w0", run_timeout=run_timeout)
+        assert outcome.n_executed == 4
+        # Per-run building took 4; the watchdog's attempt thread must share
+        # the drain's builds too.
+        assert dataset_builds == ["named_pdz_targets"]
+
+
 class TestRunTimeout:
     """``run_timeout``: the per-run wall-clock watchdog."""
 
