@@ -29,6 +29,8 @@ from repro.protein.alphabet import is_valid_sequence
 from repro.protein.datasets import (
     ALPHA_SYNUCLEIN_C4,
     ALPHA_SYNUCLEIN_C10,
+    EXPANDED_LENGTHS,
+    PDZ_LENGTH,
     DesignTarget,
     expanded_pdz_set,
     named_pdz_targets,
@@ -36,8 +38,12 @@ from repro.protein.datasets import (
 
 __all__ = ["TargetSpec", "RunSpec", "SweepSpec", "shared_target_builds"]
 
+#: The shortest receptor each target-set kind builds at any dataset seed; a
+#: peptide docks only against a longer receptor.
+_SHORTEST_RECEPTOR = {"named-pdz": PDZ_LENGTH, "expanded-pdz": EXPANDED_LENGTHS[0]}
+
 #: Target-set kinds understood by :meth:`TargetSpec.build`.
-TARGET_KINDS = ("named-pdz", "expanded-pdz")
+TARGET_KINDS = tuple(_SHORTEST_RECEPTOR)
 
 #: CampaignConfig fields a sweep may not override directly (they are swept
 #: axes or would break run identity).
@@ -87,7 +93,8 @@ class TargetSpec:
         Size of the expanded set (ignored for ``"named-pdz"``).
     peptide:
         Peptide residues (canonical one-letter codes); ``None`` means the
-        paper's choice for the kind.
+        paper's choice for the kind.  It must be shorter than every receptor
+        the kind can build, so that the spec builds at any dataset seed.
     """
 
     kind: str = "named-pdz"
@@ -108,6 +115,12 @@ class TargetSpec:
             raise CampaignError(
                 "peptide must be a non-empty string of canonical one-letter "
                 f"amino acids (or None for the default), got {self.peptide!r}"
+            )
+        shortest = _SHORTEST_RECEPTOR[self.kind]
+        if self.peptide is not None and len(self.peptide) >= shortest:
+            raise CampaignError(
+                f"peptide of {len(self.peptide)} residues cannot dock: {self.kind} "
+                f"receptors can be as short as {shortest} residues"
             )
 
     def build(self) -> List[DesignTarget]:

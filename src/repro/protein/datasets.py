@@ -18,19 +18,22 @@ in the dataset seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import DatasetError
 from repro.protein.landscape import FitnessLandscape
 from repro.protein.sequence import ProteinSequence
-from repro.protein.structure import Chain, ComplexStructure, synthetic_backbone
+from repro.protein.structure import Chain, ComplexStructure, synthetic_backbones
 from repro.utils.rng import derive_seed, spawn_rng
 
 __all__ = [
     "ALPHA_SYNUCLEIN_C10",
     "ALPHA_SYNUCLEIN_C4",
+    "EXPANDED_LENGTHS",
+    "PDZ_LENGTH",
     "PDZ_TARGET_NAMES",
     "DesignTarget",
     "make_pdz_target",
@@ -47,8 +50,11 @@ ALPHA_SYNUCLEIN_C4 = "EPEA"
 #: The four named PDZ domains of the paper's first experiment.
 PDZ_TARGET_NAMES: Tuple[str, ...] = ("NHERF3", "HTRA1", "SCRIB", "SHANK1")
 
-#: Typical PDZ domain length in residues.
-_PDZ_LENGTH = 90
+#: Typical PDZ domain length in residues: every named target's receptor length.
+PDZ_LENGTH = 90
+
+#: Half-open range ``[low, high)`` of the expanded set's receptor lengths.
+EXPANDED_LENGTHS: Tuple[int, int] = (PDZ_LENGTH - 10, PDZ_LENGTH + 15)
 
 # Residue frequencies approximating natural globular-protein composition,
 # used to draw plausible native receptor sequences.
@@ -110,9 +116,10 @@ def _dock_peptide(
     # Choose an anchor stretch biased toward surface residues (far from centroid).
     distances = np.linalg.norm(receptor_coords - centroid, axis=1)
     candidate_starts = np.arange(0, length - peptide_length)
-    stretch_distance = np.array(
-        [distances[start:start + peptide_length].mean() for start in candidate_starts]
-    )
+    # Each window sums in the order distances[start:start + L].mean() does.
+    stretch_distance = sliding_window_view(distances, peptide_length)[
+        : length - peptide_length
+    ].mean(axis=1)
     # Sample among the top-quartile most exposed stretches.
     threshold = np.quantile(stretch_distance, 0.75)
     exposed = candidate_starts[stretch_distance >= threshold]
@@ -130,11 +137,83 @@ def _dock_peptide(
     return peptide_coords
 
 
+def _build_targets(
+    names: Sequence[str],
+    receptor_lengths: Sequence[int],
+    seed: int,
+    peptide_residues: str,
+    interface_cutoff: float = 10.0,
+) -> List[DesignTarget]:
+    """Build one target per ``(name, receptor length)``, walking all backbones at once.
+
+    Every random choice of a target derives from ``(seed, name)``: its
+    backbone from its own stream, everything else from its ``"assembly"``
+    stream.  A target is therefore the same whichever set builds it.
+    """
+    if min(receptor_lengths) < 20:
+        raise DatasetError("receptor_length must be at least 20 residues")
+    if not peptide_residues:
+        raise DatasetError("peptide must have at least one residue")
+
+    target_seeds = [derive_seed(seed, "target", name) for name in names]
+    backbones = synthetic_backbones(
+        receptor_lengths,
+        [derive_seed(target_seed, "backbone") for target_seed in target_seeds],
+        compactness=0.45,
+    )
+    peptide_length = len(peptide_residues)
+    targets: List[DesignTarget] = []
+    for name, target_seed, receptor_coords in zip(names, target_seeds, backbones):
+        rng = spawn_rng(target_seed, "assembly")
+        receptor_length = receptor_coords.shape[0]
+        receptor_sequence = _natural_sequence(
+            receptor_length, rng, chain_id="A", name=name
+        )
+        peptide_sequence = ProteinSequence(
+            residues=peptide_residues, chain_id="B", name=f"{name}_peptide"
+        )
+        peptide_coords = _dock_peptide(receptor_coords, peptide_length, rng)
+
+        receptor = Chain(sequence=receptor_sequence, coordinates=receptor_coords)
+        peptide = Chain(sequence=peptide_sequence, coordinates=peptide_coords)
+
+        provisional = ComplexStructure(
+            name=name,
+            receptor=receptor,
+            peptide=peptide,
+            backbone_quality=float(rng.uniform(0.2, 0.35)),
+        )
+        designable = provisional.interface_positions(cutoff=interface_cutoff)
+        if not designable:
+            raise DatasetError(f"target {name!r} has an empty interface")
+        complex_structure = ComplexStructure(
+            name=name,
+            receptor=receptor,
+            peptide=peptide,
+            backbone_quality=provisional.backbone_quality,
+            designable_positions=tuple(designable),
+            metadata={"peptide": peptide_residues, "seed": target_seed},
+        )
+        landscape = FitnessLandscape(
+            target_name=name,
+            receptor_length=receptor_length,
+            designable_positions=designable,
+            native_sequence=receptor_sequence,
+            seed=derive_seed(target_seed, "landscape"),
+        )
+        targets.append(
+            DesignTarget(
+                name=name, complex=complex_structure, landscape=landscape, seed=target_seed
+            )
+        )
+    return targets
+
+
 def make_pdz_target(
     name: str,
     peptide_residues: str = ALPHA_SYNUCLEIN_C10,
     seed: int = 0,
-    receptor_length: int = _PDZ_LENGTH,
+    receptor_length: int = PDZ_LENGTH,
     interface_cutoff: float = 10.0,
 ) -> DesignTarget:
     """Construct one synthetic PDZ-peptide design target.
@@ -153,63 +232,19 @@ def make_pdz_target(
     interface_cutoff:
         CA-CA distance defining designable (interface) positions.
     """
-    if receptor_length < 20:
-        raise DatasetError("receptor_length must be at least 20 residues")
-    if not peptide_residues:
-        raise DatasetError("peptide must have at least one residue")
-
-    target_seed = derive_seed(seed, "target", name)
-    rng = spawn_rng(target_seed, "assembly")
-
-    receptor_sequence = _natural_sequence(receptor_length, rng, chain_id="A", name=name)
-    receptor_coords = synthetic_backbone(
-        receptor_length, seed=derive_seed(target_seed, "backbone"), compactness=0.45
+    (target,) = _build_targets(
+        [name], [receptor_length], seed, peptide_residues, interface_cutoff
     )
-    peptide_sequence = ProteinSequence(
-        residues=peptide_residues, chain_id="B", name=f"{name}_peptide"
-    )
-    peptide_coords = _dock_peptide(receptor_coords, len(peptide_residues), rng)
-
-    receptor = Chain(sequence=receptor_sequence, coordinates=receptor_coords)
-    peptide = Chain(sequence=peptide_sequence, coordinates=peptide_coords)
-
-    provisional = ComplexStructure(
-        name=name,
-        receptor=receptor,
-        peptide=peptide,
-        backbone_quality=float(rng.uniform(0.2, 0.35)),
-    )
-    designable = provisional.interface_positions(cutoff=interface_cutoff)
-    if not designable:
-        raise DatasetError(f"target {name!r} has an empty interface")
-    complex_structure = ComplexStructure(
-        name=name,
-        receptor=receptor,
-        peptide=peptide,
-        backbone_quality=provisional.backbone_quality,
-        designable_positions=tuple(designable),
-        metadata={"peptide": peptide_residues, "seed": target_seed},
-    )
-    landscape = FitnessLandscape(
-        target_name=name,
-        receptor_length=receptor_length,
-        designable_positions=designable,
-        native_sequence=receptor_sequence,
-        seed=derive_seed(target_seed, "landscape"),
-    )
-    return DesignTarget(
-        name=name, complex=complex_structure, landscape=landscape, seed=target_seed
-    )
+    return target
 
 
 def named_pdz_targets(
     seed: int = 0, peptide_residues: str = ALPHA_SYNUCLEIN_C10
 ) -> List[DesignTarget]:
     """The four named PDZ targets of Table I / Fig 2 (NHERF3, HTRA1, SCRIB, SHANK1)."""
-    return [
-        make_pdz_target(name, peptide_residues=peptide_residues, seed=seed)
-        for name in PDZ_TARGET_NAMES
-    ]
+    return _build_targets(
+        PDZ_TARGET_NAMES, [PDZ_LENGTH] * len(PDZ_TARGET_NAMES), seed, peptide_residues
+    )
 
 
 def expanded_pdz_set(
@@ -220,21 +255,12 @@ def expanded_pdz_set(
     """The expanded target set of Fig 3 (default 70 PDZ-peptide complexes).
 
     Targets are named ``PDZ_001`` ... ``PDZ_NNN``; lengths vary mildly around
-    the canonical PDZ size to diversify interface sizes.
+    the canonical PDZ size (:data:`EXPANDED_LENGTHS`) to diversify interface
+    sizes.
     """
     if n_targets < 1:
         raise DatasetError("n_targets must be >= 1")
     rng = spawn_rng(seed, "expanded-set")
-    targets: List[DesignTarget] = []
-    for index in range(n_targets):
-        name = f"PDZ_{index + 1:03d}"
-        length = int(rng.integers(_PDZ_LENGTH - 10, _PDZ_LENGTH + 15))
-        targets.append(
-            make_pdz_target(
-                name,
-                peptide_residues=peptide_residues,
-                seed=seed,
-                receptor_length=length,
-            )
-        )
-    return targets
+    lengths = [int(rng.integers(*EXPANDED_LENGTHS)) for _ in range(n_targets)]
+    names = [f"PDZ_{index + 1:03d}" for index in range(n_targets)]
+    return _build_targets(names, lengths, seed, peptide_residues)

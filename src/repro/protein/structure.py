@@ -12,17 +12,100 @@ ProteinMPNN round).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import StructureError
 from repro.protein.sequence import ProteinSequence
 
-__all__ = ["Chain", "ComplexStructure", "synthetic_backbone"]
+__all__ = ["Chain", "ComplexStructure", "synthetic_backbone", "synthetic_backbones"]
 
 #: Ideal CA-CA distance along a protein chain, in angstroms.
 CA_CA_DISTANCE = 3.8
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded exactly as ``np.linalg.norm(row)``.
+
+    ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))``, a BLAS ``ddot``;
+    ``np.vecdot`` reaches the same kernel row by row, whereas ``einsum`` and
+    ``(rows * rows).sum(1)`` can round differently.
+    """
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def synthetic_backbones(
+    lengths: Sequence[int], seeds: Sequence[int], compactness: float = 0.45
+) -> List[np.ndarray]:
+    """Generate one synthetic, compact CA trace per ``(length, seed)`` pair.
+
+    Each trace is a correlated random walk with fixed CA-CA step length and
+    a weak pull toward its running centroid, which yields globular,
+    protein-like point clouds without any physics.  Trace ``k`` draws only
+    from ``default_rng(seeds[k])`` (its first direction, then every wobble),
+    so it is the same in any batch, alone or with others.
+
+    The walks advance in lockstep, longest first, and each step is one NumPy
+    operation over the walks still growing.  Each step rounds exactly as a
+    per-residue loop over one walk: the centroid is a running sum, adding
+    rows in the order ``coords[:i].mean(axis=0)`` does, and each norm is the
+    BLAS ``ddot`` that ``np.linalg.norm`` takes (see :func:`_row_norms`).
+    The traces are therefore identical across hosts only when their BLAS
+    ``ddot`` kernels round alike: with OpenBLAS 0.3.31, the traces of its
+    SkylakeX kernel differ in the last bits from those of its Haswell and
+    Sandybridge kernels.
+
+    Parameters
+    ----------
+    lengths:
+        Number of residues of each trace.
+    seeds:
+        RNG seed controlling each trace's fold.
+    compactness:
+        Strength of the centroid pull in ``[0, 1)``; higher is more globular.
+
+    Returns
+    -------
+    list of numpy.ndarray
+        One ``(lengths[k], 3)`` array of CA coordinates in angstroms per
+        trace, in input order.
+    """
+    if len(lengths) != len(seeds):
+        raise StructureError("need exactly one seed per backbone length")
+    if any(length < 1 for length in lengths):
+        raise StructureError("backbone length must be >= 1")
+    if not 0.0 <= compactness < 1.0:
+        raise StructureError("compactness must lie in [0, 1)")
+    if not lengths:
+        return []
+    # Longest first: the walks still growing at any step are a prefix.
+    order = sorted(range(len(lengths)), key=lambda k: -lengths[k])
+    walk_lengths = np.array([lengths[k] for k in order])
+    longest = int(walk_lengths[0])
+    coords = np.zeros((len(order), longest, 3))
+    direction = np.empty((len(order), 3))
+    wobbles = np.zeros((len(order), longest - 1, 3))
+    for row, k in enumerate(order):
+        rng = np.random.default_rng(seeds[k])
+        direction[row] = rng.normal(size=3)
+        wobbles[row, : lengths[k] - 1] = rng.normal(scale=0.9, size=(lengths[k] - 1, 3))
+    direction /= _row_norms(direction)[:, None]
+    running_sum = np.zeros((len(order), 3))
+    for index in range(1, longest):
+        active = int(np.count_nonzero(walk_lengths > index))
+        previous = coords[:active, index - 1]
+        running_sum[:active] += previous
+        pull = running_sum[:active] / index - previous
+        norm = _row_norms(pull)
+        far = norm > 1e-9
+        pull[far] /= norm[far, None]
+        step = direction[:active] + wobbles[:active, index - 1] + compactness * pull
+        step /= _row_norms(step)[:, None]
+        direction[:active] = step
+        coords[:active, index] = previous + CA_CA_DISTANCE * step
+    rows = {k: row for row, k in enumerate(order)}
+    return [coords[rows[k], :length] for k, length in enumerate(lengths)]
 
 
 def synthetic_backbone(
@@ -33,10 +116,8 @@ def synthetic_backbone(
 ) -> np.ndarray:
     """Generate a synthetic, compact CA trace of ``length`` residues.
 
-    The trace is a correlated random walk with fixed CA-CA step length and a
-    weak pull toward its running centroid, which yields globular,
-    protein-like point clouds without any physics.  Deterministic in
-    ``seed``.
+    One walk of :func:`synthetic_backbones`, translated by ``origin``.
+    Deterministic in ``seed``.
 
     Parameters
     ----------
@@ -54,25 +135,8 @@ def synthetic_backbone(
     numpy.ndarray
         Array of shape ``(length, 3)`` with CA coordinates in angstroms.
     """
-    if length < 1:
-        raise StructureError("backbone length must be >= 1")
-    if not 0.0 <= compactness < 1.0:
-        raise StructureError("compactness must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
-    coords = np.zeros((length, 3), dtype=float)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    for index in range(1, length):
-        wobble = rng.normal(scale=0.9, size=3)
-        centroid = coords[:index].mean(axis=0)
-        pull = centroid - coords[index - 1]
-        norm = np.linalg.norm(pull)
-        if norm > 1e-9:
-            pull /= norm
-        direction = direction + wobble + compactness * pull
-        direction /= np.linalg.norm(direction)
-        coords[index] = coords[index - 1] + CA_CA_DISTANCE * direction
-    return coords + np.asarray(origin, dtype=float)
+    (trace,) = synthetic_backbones([length], [seed], compactness)
+    return trace + np.asarray(origin, dtype=float)
 
 
 @dataclass(frozen=True)

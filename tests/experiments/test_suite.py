@@ -63,6 +63,22 @@ class TestTargetSpec:
         ).build()
         assert target.peptide_sequence == "EPEA"
 
+    @pytest.mark.parametrize(
+        "kind,residues", [("named-pdz", 90), ("named-pdz", 120), ("expanded-pdz", 80)]
+    )
+    def test_peptide_that_cannot_dock_rejected(self, kind, residues):
+        """Rejected at spec time, not as a ``DatasetError`` in a worker's build."""
+        with pytest.raises(CampaignError, match="cannot dock"):
+            TargetSpec(kind=kind, seed=2025, peptide="A" * residues)
+
+    @pytest.mark.parametrize("kind,residues", [("named-pdz", 89), ("expanded-pdz", 79)])
+    def test_longest_dockable_peptide_builds(self, kind, residues):
+        targets = TargetSpec(
+            kind=kind, seed=2025, n_targets=3, peptide="A" * residues
+        ).build()
+        assert all(target.peptide_sequence == "A" * residues for target in targets)
+        assert all(target.n_designable > 0 for target in targets)
+
 
 class TestSweepSpec:
     def test_expand_is_full_cartesian_product(self):
