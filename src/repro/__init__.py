@@ -32,60 +32,50 @@ Sub-packages
 ``repro.experiments``
     Declarative sweeps (protocols x seeds x knobs) and the parallel
     campaign-suite engine (``python -m repro.experiments``).
+
+Importing
+---------
+``import repro`` is cheap: it loads no submodule.  This package and every
+sub-package are lazy namespaces (:mod:`repro._lazy`): a public name loads
+its defining module the first time it is used, so a process imports only
+the modules whose names it touches.  Code inside ``src/`` imports each name
+from its defining module, never from a package namespace.
 """
 
-from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.results import CampaignResult, compare_campaigns
-from repro.core.pipeline import Pipeline, PipelineConfig
-from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
-from repro.core.control import ControlConfig, ControlProtocol
-from repro.core.protocols import (
-    ExecutionProtocol,
-    available_protocols,
-    get_protocol,
-    register_protocol,
-)
-from repro.experiments import CampaignSuite, SuiteResult, SweepSpec, TargetSpec
-from repro.protein.datasets import (
-    ALPHA_SYNUCLEIN_C4,
-    ALPHA_SYNUCLEIN_C10,
-    DesignTarget,
-    expanded_pdz_set,
-    make_pdz_target,
-    named_pdz_targets,
-)
-from repro.analysis.comparison import table1
-from repro.analysis.reporting import format_iteration_table, format_table1
+from repro._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignConfig",
-    "DesignCampaign",
-    "CampaignResult",
-    "compare_campaigns",
-    "Pipeline",
-    "PipelineConfig",
-    "CoordinatorConfig",
-    "PipelinesCoordinator",
-    "ControlConfig",
-    "ControlProtocol",
-    "ExecutionProtocol",
-    "available_protocols",
-    "get_protocol",
-    "register_protocol",
-    "CampaignSuite",
-    "SuiteResult",
-    "SweepSpec",
-    "TargetSpec",
-    "DesignTarget",
-    "make_pdz_target",
-    "named_pdz_targets",
-    "expanded_pdz_set",
-    "ALPHA_SYNUCLEIN_C4",
-    "ALPHA_SYNUCLEIN_C10",
-    "table1",
-    "format_iteration_table",
-    "format_table1",
-    "__version__",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "CampaignConfig": "core.campaign",
+    "DesignCampaign": "core.campaign",
+    "CampaignResult": "core.results",
+    "compare_campaigns": "core.results",
+    "Pipeline": "core.pipeline",
+    "PipelineConfig": "core.pipeline",
+    "CoordinatorConfig": "core.coordinator",
+    "PipelinesCoordinator": "core.coordinator",
+    "ControlConfig": "core.control",
+    "ControlProtocol": "core.control",
+    "ExecutionProtocol": "core.protocols",
+    "available_protocols": "core.protocols",
+    "get_protocol": "core.protocols",
+    "register_protocol": "core.protocols",
+    "CampaignSuite": "experiments.suite",
+    "SuiteResult": "experiments.suite",
+    "SweepSpec": "experiments.spec",
+    "TargetSpec": "experiments.spec",
+    "DesignTarget": "protein.datasets",
+    "make_pdz_target": "protein.datasets",
+    "named_pdz_targets": "protein.datasets",
+    "expanded_pdz_set": "protein.datasets",
+    "ALPHA_SYNUCLEIN_C4": "protein.datasets",
+    "ALPHA_SYNUCLEIN_C10": "protein.datasets",
+    "table1": "analysis.comparison",
+    "format_iteration_table": "analysis.reporting",
+    "format_table1": "analysis.reporting",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = [*_EXPORTS, "__version__"]

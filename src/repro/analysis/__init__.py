@@ -20,62 +20,37 @@ paper reports:
   utilization per size (the ``orchestrate scale`` table).
 """
 
-from repro.analysis.utilization import UtilizationReport, utilization_report
-from repro.analysis.makespan import MakespanReport, makespan_report
-from repro.analysis.comparison import (
-    ProtocolMatrixRow,
-    Table1Row,
-    protocol_matrix,
-    table1,
-)
-from repro.analysis.progress import QueueProgress, RunInFlight, format_queue_progress
-from repro.analysis.scaling import (
-    ScalingPoint,
-    ScalingStudy,
-    build_scaling_study,
-    format_scaling_table,
-)
-from repro.analysis.timeline import (
-    FleetTimeline,
-    TimelineEvent,
-    TimelineSpan,
-    WorkerTimeline,
-    fleet_timeline,
-    format_fleet_timeline,
-)
-from repro.analysis.reporting import (
-    format_iteration_table,
-    format_protocol_matrix,
-    format_table1,
-    format_utilization_table,
-    iteration_series,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "UtilizationReport",
-    "utilization_report",
-    "MakespanReport",
-    "makespan_report",
-    "table1",
-    "Table1Row",
-    "protocol_matrix",
-    "ProtocolMatrixRow",
-    "QueueProgress",
-    "RunInFlight",
-    "ScalingPoint",
-    "ScalingStudy",
-    "build_scaling_study",
-    "format_queue_progress",
-    "format_scaling_table",
-    "FleetTimeline",
-    "WorkerTimeline",
-    "TimelineSpan",
-    "TimelineEvent",
-    "fleet_timeline",
-    "format_fleet_timeline",
-    "format_protocol_matrix",
-    "format_iteration_table",
-    "format_table1",
-    "format_utilization_table",
-    "iteration_series",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "UtilizationReport": "utilization",
+    "utilization_report": "utilization",
+    "MakespanReport": "makespan",
+    "makespan_report": "makespan",
+    "table1": "comparison",
+    "Table1Row": "comparison",
+    "protocol_matrix": "comparison",
+    "ProtocolMatrixRow": "comparison",
+    "QueueProgress": "progress",
+    "RunInFlight": "progress",
+    "format_queue_progress": "progress",
+    "ScalingPoint": "scaling",
+    "ScalingStudy": "scaling",
+    "build_scaling_study": "scaling",
+    "format_scaling_table": "scaling",
+    "FleetTimeline": "timeline",
+    "WorkerTimeline": "timeline",
+    "TimelineSpan": "timeline",
+    "TimelineEvent": "timeline",
+    "fleet_timeline": "timeline",
+    "format_fleet_timeline": "timeline",
+    "format_protocol_matrix": "reporting",
+    "format_iteration_table": "reporting",
+    "format_table1": "reporting",
+    "format_utilization_table": "reporting",
+    "iteration_series": "reporting",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.telemetry import read_telemetry_dir
+from repro.telemetry.writer import read_telemetry_dir
 from repro.utils.timer import format_duration
 
 __all__ = [

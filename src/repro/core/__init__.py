@@ -23,58 +23,41 @@ This package is the paper's primary contribution re-implemented:
   extension (population, selection, recombination).
 """
 
-from repro.core.trajectory import Trajectory, CycleResult
-from repro.core.stages import StageFactory, StageModels
-from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus, PipelineStep
-from repro.core.decision import (
-    AcceptancePolicy,
-    SubPipelinePolicy,
-    SubPipelineSpec,
-)
-from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
-from repro.core.control import ControlProtocol, ControlConfig
-from repro.core.protocols import (
-    ExecutionProtocol,
-    ProtocolContext,
-    ProtocolOutcome,
-    available_protocols,
-    get_protocol,
-    register_protocol,
-    unregister_protocol,
-)
-from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.results import CampaignResult, PipelineRecord, compare_campaigns
-from repro.core.genetic import GeneticConfig, GeneticOptimizer, Individual
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Trajectory",
-    "CycleResult",
-    "StageFactory",
-    "StageModels",
-    "Pipeline",
-    "PipelineConfig",
-    "PipelineStatus",
-    "PipelineStep",
-    "AcceptancePolicy",
-    "SubPipelinePolicy",
-    "SubPipelineSpec",
-    "CoordinatorConfig",
-    "PipelinesCoordinator",
-    "ControlProtocol",
-    "ControlConfig",
-    "ExecutionProtocol",
-    "ProtocolContext",
-    "ProtocolOutcome",
-    "available_protocols",
-    "get_protocol",
-    "register_protocol",
-    "unregister_protocol",
-    "CampaignConfig",
-    "DesignCampaign",
-    "CampaignResult",
-    "PipelineRecord",
-    "compare_campaigns",
-    "GeneticConfig",
-    "GeneticOptimizer",
-    "Individual",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "Trajectory": "trajectory",
+    "CycleResult": "trajectory",
+    "StageFactory": "stages",
+    "StageModels": "stages",
+    "Pipeline": "pipeline",
+    "PipelineConfig": "pipeline",
+    "PipelineStatus": "pipeline",
+    "PipelineStep": "pipeline",
+    "AcceptancePolicy": "decision",
+    "SubPipelinePolicy": "decision",
+    "SubPipelineSpec": "decision",
+    "CoordinatorConfig": "coordinator",
+    "PipelinesCoordinator": "coordinator",
+    "ControlProtocol": "control",
+    "ControlConfig": "control",
+    "ExecutionProtocol": "protocols",
+    "ProtocolContext": "protocols",
+    "ProtocolOutcome": "protocols",
+    "available_protocols": "protocols",
+    "get_protocol": "protocols",
+    "register_protocol": "protocols",
+    "unregister_protocol": "protocols",
+    "CampaignConfig": "campaign",
+    "DesignCampaign": "campaign",
+    "CampaignResult": "results",
+    "PipelineRecord": "results",
+    "compare_campaigns": "results",
+    "GeneticConfig": "genetic",
+    "GeneticOptimizer": "genetic",
+    "Individual": "genetic",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

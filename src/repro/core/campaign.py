@@ -21,6 +21,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -124,8 +125,10 @@ class CampaignConfig:
             )
         if self.n_cycles < 1 or self.n_sequences < 1 or self.max_retries < 1:
             raise CampaignError("n_cycles, n_sequences and max_retries must be >= 1")
-        if self.duration_speedup <= 0:
-            raise CampaignError("duration_speedup must be positive")
+        if not (math.isfinite(self.duration_speedup) and self.duration_speedup > 0):
+            raise CampaignError(
+                f"duration_speedup must be finite and positive, got {self.duration_speedup!r}"
+            )
         cap = self.max_in_flight_pipelines
         if cap is not None:
             valid = (isinstance(cap, int) and cap >= 1) or cap == AUTO_IN_FLIGHT

@@ -28,20 +28,18 @@ Quick start::
         print(record.spec.run_id, record.result.table_row())
 """
 
-from repro.experiments.spec import RunSpec, SweepSpec, TargetSpec
-from repro.experiments.suite import (
-    CampaignSuite,
-    SuiteResult,
-    SuiteRunRecord,
-    execute_run,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "RunSpec",
-    "SweepSpec",
-    "TargetSpec",
-    "CampaignSuite",
-    "SuiteResult",
-    "SuiteRunRecord",
-    "execute_run",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "RunSpec": "spec",
+    "SweepSpec": "spec",
+    "TargetSpec": "spec",
+    "CampaignSuite": "suite",
+    "SuiteResult": "suite",
+    "SuiteRunRecord": "suite",
+    "execute_run": "suite",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

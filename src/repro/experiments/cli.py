@@ -43,7 +43,8 @@ from repro.exceptions import ReproError
 from repro.hpc.scheduler import available_schedulers
 from repro.experiments.spec import TARGET_KINDS, SweepSpec, TargetSpec
 from repro.experiments.suite import EXECUTORS, CampaignSuite
-from repro.store import RunStore, parse_shard
+from repro.store.runstore import RunStore
+from repro.store.shard import parse_shard
 from repro.utils.serialization import to_jsonable
 
 __all__ = [

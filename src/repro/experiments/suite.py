@@ -18,12 +18,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Executor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -316,6 +311,10 @@ class CampaignSuite:
     ) -> Dict[int, SuiteRunRecord]:
         pool: Executor
         if self.executor == "process":
+            # Imported here: it loads multiprocessing, which serial and
+            # thread suites never need.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=n_workers)
         else:
             pool = ThreadPoolExecutor(max_workers=n_workers)

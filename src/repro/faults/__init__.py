@@ -21,36 +21,24 @@ finalized store is byte-identical to a clean serial run — the distributed
 determinism contract, proven under arbitrary seeded fault schedules.
 """
 
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FAULTS_ENV,
-    FaultEvent,
-    FaultPlan,
-    ForcedFault,
-)
-from repro.faults.registry import (
-    SITE_KINDS,
-    activate,
-    active_plan,
-    crash,
-    deactivate,
-    failpoint,
-    injected_plan,
-    raise_error,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "FAULT_KINDS",
-    "FAULTS_ENV",
-    "FaultEvent",
-    "FaultPlan",
-    "ForcedFault",
-    "SITE_KINDS",
-    "activate",
-    "active_plan",
-    "crash",
-    "deactivate",
-    "failpoint",
-    "injected_plan",
-    "raise_error",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "FAULT_KINDS": "plan",
+    "FAULTS_ENV": "plan",
+    "FaultEvent": "plan",
+    "FaultPlan": "plan",
+    "ForcedFault": "plan",
+    "SITE_KINDS": "registry",
+    "activate": "registry",
+    "active_plan": "registry",
+    "crash": "registry",
+    "deactivate": "registry",
+    "failpoint": "registry",
+    "injected_plan": "registry",
+    "raise_error": "registry",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

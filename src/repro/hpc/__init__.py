@@ -19,42 +19,29 @@ The pilot runtime in :mod:`repro.runtime` drives this platform; nothing in
 here knows about pipelines or proteins.
 """
 
-from repro.hpc.events import EventLoop
-from repro.hpc.resources import (
-    AMAREL_NODE,
-    NodeSpec,
-    PlatformSpec,
-    ResourceRequest,
-    amarel_platform,
-)
-from repro.hpc.allocation import Allocation, NodeAllocator
-from repro.hpc.scheduler import (
-    BackfillScheduler,
-    FifoScheduler,
-    PlacementScheduler,
-    make_scheduler,
-)
-from repro.hpc.filesystem import SharedFilesystem, FilesystemSpec
-from repro.hpc.platform import ComputePlatform
-from repro.hpc.profiling import ExecutionProfiler, ResourceInterval, PhaseInterval
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "EventLoop",
-    "NodeSpec",
-    "PlatformSpec",
-    "ResourceRequest",
-    "AMAREL_NODE",
-    "amarel_platform",
-    "Allocation",
-    "NodeAllocator",
-    "PlacementScheduler",
-    "FifoScheduler",
-    "BackfillScheduler",
-    "make_scheduler",
-    "SharedFilesystem",
-    "FilesystemSpec",
-    "ComputePlatform",
-    "ExecutionProfiler",
-    "ResourceInterval",
-    "PhaseInterval",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "EventLoop": "events",
+    "NodeSpec": "resources",
+    "PlatformSpec": "resources",
+    "ResourceRequest": "resources",
+    "AMAREL_NODE": "resources",
+    "amarel_platform": "resources",
+    "Allocation": "allocation",
+    "NodeAllocator": "allocation",
+    "PlacementScheduler": "scheduler",
+    "FifoScheduler": "scheduler",
+    "BackfillScheduler": "scheduler",
+    "make_scheduler": "scheduler",
+    "SharedFilesystem": "filesystem",
+    "FilesystemSpec": "filesystem",
+    "ComputePlatform": "platform",
+    "ExecutionProfiler": "profiling",
+    "ResourceInterval": "profiling",
+    "PhaseInterval": "profiling",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

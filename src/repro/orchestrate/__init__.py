@@ -35,45 +35,31 @@ interleaving and steal history, and (timing stripped) byte-identical to a
 canonicalised serial ``CampaignSuite.run(store=...)`` store.
 """
 
-from repro.orchestrate.chaos import ChaosReport, run_chaos
-from repro.orchestrate.coordinator import finalize_queue, queue_progress
-from repro.orchestrate.lease import (
-    ClaimLease,
-    Heartbeat,
-    HeartbeatError,
-    read_lease,
-    release_claim,
-    try_claim,
-    try_steal,
-)
-from repro.orchestrate.queue import QueueEntry, WorkQueue, validate_worker_id
-from repro.orchestrate.scaling import ScalingRun, run_scaling_study
-from repro.orchestrate.worker import (
-    RunTimeout,
-    WorkerOutcome,
-    default_worker_id,
-    run_worker,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ChaosReport",
-    "ClaimLease",
-    "Heartbeat",
-    "HeartbeatError",
-    "QueueEntry",
-    "RunTimeout",
-    "ScalingRun",
-    "WorkQueue",
-    "WorkerOutcome",
-    "run_scaling_study",
-    "default_worker_id",
-    "finalize_queue",
-    "queue_progress",
-    "read_lease",
-    "release_claim",
-    "run_chaos",
-    "run_worker",
-    "try_claim",
-    "try_steal",
-    "validate_worker_id",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "ChaosReport": "chaos",
+    "run_chaos": "chaos",
+    "finalize_queue": "coordinator",
+    "queue_progress": "coordinator",
+    "ClaimLease": "lease",
+    "Heartbeat": "lease",
+    "HeartbeatError": "lease",
+    "read_lease": "lease",
+    "release_claim": "lease",
+    "try_claim": "lease",
+    "try_steal": "lease",
+    "QueueEntry": "queue",
+    "WorkQueue": "queue",
+    "validate_worker_id": "queue",
+    "ScalingRun": "scaling",
+    "run_scaling_study": "scaling",
+    "RunTimeout": "worker",
+    "WorkerOutcome": "worker",
+    "default_worker_id": "worker",
+    "run_worker": "worker",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

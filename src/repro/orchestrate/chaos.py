@@ -41,8 +41,8 @@ import repro
 from repro.exceptions import OrchestrationError
 from repro.experiments.spec import SweepSpec
 from repro.experiments.suite import CampaignSuite, execute_run
-from repro.faults import FAULTS_ENV, FaultPlan, ForcedFault, active_plan
-from repro.faults.plan import _uniform
+from repro.faults.plan import FAULTS_ENV, FaultPlan, ForcedFault, _uniform
+from repro.faults.registry import active_plan
 from repro.orchestrate.coordinator import finalize_queue
 from repro.orchestrate.queue import WorkQueue
 from repro.orchestrate.worker import run_worker

@@ -35,13 +35,12 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro import telemetry
 from repro.analysis.progress import format_queue_progress
 from repro.analysis.scaling import format_scaling_table
 from repro.analysis.timeline import fleet_timeline, format_fleet_timeline
 from repro.exceptions import ConfigurationError, OrchestrationError, ReproError
 from repro.experiments.cli import add_sweep_arguments, positive_int, sweep_from_args
-from repro.faults import FAULT_KINDS, ForcedFault
+from repro.faults.plan import FAULT_KINDS, ForcedFault
 from repro.orchestrate.chaos import run_chaos
 from repro.orchestrate.coordinator import finalize_queue, queue_progress
 from repro.orchestrate.queue import QueueEntry, WorkQueue
@@ -53,6 +52,7 @@ from repro.orchestrate.worker import (
     default_worker_id,
     run_worker,
 )
+from repro.telemetry import api as telemetry
 
 __all__ = ["build_parser", "main"]
 

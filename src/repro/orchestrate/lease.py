@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro import faults
+from repro.faults import registry as faults
 from repro.orchestrate.queue import atomic_write_json
 from repro.telemetry import api as telemetry
 from repro.utils.retrying import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retries

@@ -22,52 +22,40 @@ provides surrogate equivalents that preserve the *interfaces* and the
   alpha-synuclein peptide, and the 70-complex expanded set.
 """
 
-from repro.protein.alphabet import AMINO_ACIDS, aa_index, is_valid_sequence
-from repro.protein.sequence import ProteinSequence, ScoredSequence
-from repro.protein.fasta import read_fasta, write_fasta, parse_fasta, format_fasta
-from repro.protein.structure import Chain, ComplexStructure
-from repro.protein.landscape import FitnessLandscape
-from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
-from repro.protein.folding import FoldingConfig, FoldingResult, SurrogateAlphaFold
-from repro.protein.metrics import QualityMetrics, is_improvement, composite_score
-from repro.protein.scoring import ScoringFunction, EnergyBreakdown
-from repro.protein.mutation import point_mutations, crossover
-from repro.protein.datasets import (
-    ALPHA_SYNUCLEIN_C10,
-    ALPHA_SYNUCLEIN_C4,
-    DesignTarget,
-    expanded_pdz_set,
-    named_pdz_targets,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AMINO_ACIDS",
-    "aa_index",
-    "is_valid_sequence",
-    "ProteinSequence",
-    "ScoredSequence",
-    "read_fasta",
-    "write_fasta",
-    "parse_fasta",
-    "format_fasta",
-    "Chain",
-    "ComplexStructure",
-    "FitnessLandscape",
-    "MPNNConfig",
-    "SurrogateProteinMPNN",
-    "FoldingConfig",
-    "FoldingResult",
-    "SurrogateAlphaFold",
-    "QualityMetrics",
-    "is_improvement",
-    "composite_score",
-    "ScoringFunction",
-    "EnergyBreakdown",
-    "point_mutations",
-    "crossover",
-    "ALPHA_SYNUCLEIN_C10",
-    "ALPHA_SYNUCLEIN_C4",
-    "DesignTarget",
-    "named_pdz_targets",
-    "expanded_pdz_set",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "AMINO_ACIDS": "alphabet",
+    "aa_index": "alphabet",
+    "is_valid_sequence": "alphabet",
+    "ProteinSequence": "sequence",
+    "ScoredSequence": "sequence",
+    "read_fasta": "fasta",
+    "write_fasta": "fasta",
+    "parse_fasta": "fasta",
+    "format_fasta": "fasta",
+    "Chain": "structure",
+    "ComplexStructure": "structure",
+    "FitnessLandscape": "landscape",
+    "MPNNConfig": "mpnn",
+    "SurrogateProteinMPNN": "mpnn",
+    "FoldingConfig": "folding",
+    "FoldingResult": "folding",
+    "SurrogateAlphaFold": "folding",
+    "QualityMetrics": "metrics",
+    "is_improvement": "metrics",
+    "composite_score": "metrics",
+    "ScoringFunction": "scoring",
+    "EnergyBreakdown": "scoring",
+    "point_mutations": "mutation",
+    "crossover": "mutation",
+    "ALPHA_SYNUCLEIN_C10": "datasets",
+    "ALPHA_SYNUCLEIN_C4": "datasets",
+    "DesignTarget": "datasets",
+    "named_pdz_targets": "datasets",
+    "expanded_pdz_set": "datasets",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -18,23 +18,22 @@ reimplements that middleware layer against the simulated platform in
   by the CONT-V baseline.
 """
 
-from repro.runtime.states import TaskState, FINAL_TASK_STATES
-from repro.runtime.task import TaskDescription, Task
-from repro.runtime.durations import DurationModel, TaskKind, DEFAULT_DURATIONS
-from repro.runtime.agent import Agent, AgentConfig
-from repro.runtime.task_manager import TaskManager
-from repro.runtime.sequential import SequentialRunner
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "TaskState",
-    "FINAL_TASK_STATES",
-    "TaskDescription",
-    "Task",
-    "DurationModel",
-    "TaskKind",
-    "DEFAULT_DURATIONS",
-    "Agent",
-    "AgentConfig",
-    "TaskManager",
-    "SequentialRunner",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "TaskState": "states",
+    "FINAL_TASK_STATES": "states",
+    "TaskDescription": "task",
+    "Task": "task",
+    "DurationModel": "durations",
+    "TaskKind": "durations",
+    "DEFAULT_DURATIONS": "durations",
+    "Agent": "agent",
+    "AgentConfig": "agent",
+    "TaskManager": "task_manager",
+    "SequentialRunner": "sequential",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -24,6 +24,7 @@ seed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -171,8 +172,8 @@ class DurationModel:
         seed: int = 0,
         speedup: float = 1.0,
     ) -> None:
-        if speedup <= 0:
-            raise ConfigurationError("speedup must be positive")
+        if not (math.isfinite(speedup) and speedup > 0):
+            raise ConfigurationError(f"speedup must be finite and positive, got {speedup!r}")
         self._profiles = dict(_default_profiles())
         if profiles:
             self._profiles.update(profiles)

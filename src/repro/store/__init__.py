@@ -31,41 +31,29 @@ Resumable sweep in four lines::
     outcome = CampaignSuite(SweepSpec(seeds=(0, 1, 2, 3))).run(store=store)
 """
 
-from repro.store.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    CheckpointRecord,
-    CheckpointStore,
-)
-from repro.store.codec import decode_run_spec, encode_run_spec
-from repro.store.fingerprint import canonical_json, run_fingerprint
-from repro.store.migrate import migrate_payload, migrate_store, register_migration
-from repro.store.runstore import (
-    STORE_SCHEMA_VERSION,
-    RunStore,
-    StoredCampaignResult,
-    StoredRun,
-    merge_stores,
-    prune_store,
-)
-from repro.store.shard import parse_shard, shard_runs
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CHECKPOINT_SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
-    "CheckpointRecord",
-    "CheckpointStore",
-    "RunStore",
-    "StoredCampaignResult",
-    "StoredRun",
-    "canonical_json",
-    "decode_run_spec",
-    "encode_run_spec",
-    "merge_stores",
-    "migrate_payload",
-    "migrate_store",
-    "parse_shard",
-    "prune_store",
-    "register_migration",
-    "run_fingerprint",
-    "shard_runs",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "CHECKPOINT_SCHEMA_VERSION": "checkpoint",
+    "CheckpointRecord": "checkpoint",
+    "CheckpointStore": "checkpoint",
+    "decode_run_spec": "codec",
+    "encode_run_spec": "codec",
+    "canonical_json": "fingerprint",
+    "run_fingerprint": "fingerprint",
+    "migrate_payload": "migrate",
+    "migrate_store": "migrate",
+    "register_migration": "migrate",
+    "STORE_SCHEMA_VERSION": "runstore",
+    "RunStore": "runstore",
+    "StoredCampaignResult": "runstore",
+    "StoredRun": "runstore",
+    "merge_stores": "runstore",
+    "prune_store": "runstore",
+    "parse_shard": "shard",
+    "shard_runs": "shard",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

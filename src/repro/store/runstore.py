@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro import faults
+from repro.faults import registry as faults
 from repro.core.results import net_deltas_from_summary
 from repro.telemetry import api as telemetry
 from repro.exceptions import StoreError

@@ -29,59 +29,35 @@ status --watch`` and ``… report``; ``… scale`` turns the streams of repeated
 fleet sizes into a paper-style scaling study.
 """
 
-from repro.telemetry.api import (
-    TELEMETRY_ENV,
-    active_writer,
-    disable,
-    enable,
-    enabled,
-    event,
-    reset,
-    scoped,
-    span,
-    worker_scope,
-)
-from repro.telemetry.metrics import (
-    METRIC_KINDS,
-    MetricSample,
-    MetricSeries,
-    counter,
-    gauge,
-    histogram,
-    metrics_from_records,
-    read_metrics,
-)
-from repro.telemetry.resources import ResourceSampler, start_resource_sampler
-from repro.telemetry.writer import (
-    TELEMETRY_SCHEMA_VERSION,
-    TelemetryWriter,
-    iter_telemetry_file,
-    read_telemetry_dir,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "METRIC_KINDS",
-    "MetricSample",
-    "MetricSeries",
-    "ResourceSampler",
-    "TELEMETRY_ENV",
-    "TELEMETRY_SCHEMA_VERSION",
-    "TelemetryWriter",
-    "active_writer",
-    "counter",
-    "disable",
-    "enable",
-    "enabled",
-    "event",
-    "gauge",
-    "histogram",
-    "iter_telemetry_file",
-    "metrics_from_records",
-    "read_metrics",
-    "read_telemetry_dir",
-    "reset",
-    "scoped",
-    "span",
-    "start_resource_sampler",
-    "worker_scope",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "TELEMETRY_ENV": "api",
+    "active_writer": "api",
+    "disable": "api",
+    "enable": "api",
+    "enabled": "api",
+    "event": "api",
+    "reset": "api",
+    "scoped": "api",
+    "span": "api",
+    "worker_scope": "api",
+    "METRIC_KINDS": "metrics",
+    "MetricSample": "metrics",
+    "MetricSeries": "metrics",
+    "counter": "metrics",
+    "gauge": "metrics",
+    "histogram": "metrics",
+    "metrics_from_records": "metrics",
+    "read_metrics": "metrics",
+    "ResourceSampler": "resources",
+    "start_resource_sampler": "resources",
+    "TELEMETRY_SCHEMA_VERSION": "writer",
+    "TelemetryWriter": "writer",
+    "iter_telemetry_file": "writer",
+    "read_telemetry_dir": "writer",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -1,33 +1,26 @@
 """Shared utilities: deterministic RNG streams, statistics, logging, timing."""
 
-from repro.utils.rng import RNGRegistry, derive_seed, spawn_rng
-from repro.utils.stats import (
-    SummaryStats,
-    bootstrap_ci,
-    median_and_spread,
-    net_delta_percent,
-    summarize,
-)
-from repro.utils.timer import Stopwatch
-from repro.utils.logging import get_logger
-from repro.utils.retrying import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retries
-from repro.utils.serialization import to_jsonable, dump_json, load_json
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "RNGRegistry",
-    "derive_seed",
-    "spawn_rng",
-    "SummaryStats",
-    "bootstrap_ci",
-    "median_and_spread",
-    "net_delta_percent",
-    "summarize",
-    "Stopwatch",
-    "DEFAULT_RETRY_POLICY",
-    "RetryPolicy",
-    "call_with_retries",
-    "get_logger",
-    "to_jsonable",
-    "dump_json",
-    "load_json",
-]
+#: Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "RNGRegistry": "rng",
+    "derive_seed": "rng",
+    "spawn_rng": "rng",
+    "SummaryStats": "stats",
+    "bootstrap_ci": "stats",
+    "median_and_spread": "stats",
+    "net_delta_percent": "stats",
+    "summarize": "stats",
+    "Stopwatch": "timer",
+    "get_logger": "logging",
+    "DEFAULT_RETRY_POLICY": "retrying",
+    "RetryPolicy": "retrying",
+    "call_with_retries": "retrying",
+    "to_jsonable": "serialization",
+    "dump_json": "serialization",
+    "load_json": "serialization",
+}
+
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

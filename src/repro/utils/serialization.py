@@ -17,7 +17,7 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from repro import faults
+from repro.faults import registry as faults
 
 __all__ = ["atomic_write_text", "to_jsonable", "dump_json", "load_json"]
 

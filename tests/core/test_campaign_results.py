@@ -18,8 +18,9 @@ class TestCampaignConfig:
     def test_parameter_validation(self):
         with pytest.raises(CampaignError):
             CampaignConfig(n_cycles=0)
-        with pytest.raises(CampaignError):
-            CampaignConfig(duration_speedup=0.0)
+        for speedup in (0.0, float("nan"), float("inf")):
+            with pytest.raises(CampaignError, match="finite and positive"):
+                CampaignConfig(duration_speedup=speedup)
 
 
 class TestDesignCampaign:

@@ -200,6 +200,31 @@ class TestCampaignSuite:
         assert process_outcome.speedup > 0
         assert all(r.wall_seconds > 0 for r in process_outcome.records)
 
+    @pytest.mark.parametrize("speedup", [float("nan"), float("inf")])
+    def test_non_finite_speedup_fails_before_simulating(self, tmp_path, monkeypatch,
+                                                        speedup):
+        """A NaN or infinite speedup would simulate NaN/inf times and store
+        non-JSON tokens: the sweep must fail before any campaign runs."""
+        simulated = []
+        real = DesignCampaign.run_stepwise
+
+        def counting(self, *args, **kwargs):
+            simulated.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DesignCampaign, "run_stepwise", counting)
+        sweep = SweepSpec(
+            protocols=("cont-v", "im-rp"),
+            seeds=(3,),
+            targets=TargetSpec(kind="named-pdz", seed=11),
+            base={"n_cycles": 1, "n_sequences": 4, "duration_speedup": speedup},
+        )
+        path = tmp_path / "runs.jsonl"
+        with pytest.raises(CampaignError, match="duration_speedup"):
+            CampaignSuite(sweep, executor="serial").run(store=RunStore(path))
+        assert simulated == []
+        assert not path.exists() or path.read_bytes() == b""
+
     def test_missing_run_id_raises(self, serial_outcome):
         with pytest.raises(CampaignError, match="no run"):
             serial_outcome.find("im-rp-s999")

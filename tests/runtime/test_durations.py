@@ -103,8 +103,10 @@ class TestDeterminism:
 
 class TestValidation:
     def test_invalid_speedup(self):
-        with pytest.raises(ConfigurationError):
-            DurationModel(speedup=0)
+        # NaN passes a ``<= 0`` check and would make every duration NaN.
+        for speedup in (0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                DurationModel(speedup=speedup)
 
     def test_profile_validation(self):
         with pytest.raises(ConfigurationError):
