@@ -13,12 +13,10 @@ makes them durable artifacts:
   per-cycle campaign checkpoints (atomic replace, torn-line fallback to the
   previous cycle, schema-versioned) backing mid-run suspend/resume and
   preemptive work stealing.
-* :mod:`repro.store.migrate` — the schema-version migration registry and
-  ``migrate`` rewriter for run stores.
 * :mod:`repro.store.shard` — the deterministic ``runs[i::n]`` cross-machine
   partition of an expanded sweep.
 * :mod:`repro.store.cli` — ``python -m repro.store`` (``inspect`` / ``merge``
-  / ``report`` / ``prune`` / ``migrate``).
+  / ``report`` / ``prune``).
 
 Resumable sweep in four lines::
 
@@ -42,9 +40,6 @@ _EXPORTS = {
     "encode_run_spec": "codec",
     "canonical_json": "fingerprint",
     "run_fingerprint": "fingerprint",
-    "migrate_payload": "migrate",
-    "migrate_store": "migrate",
-    "register_migration": "migrate",
     "STORE_SCHEMA_VERSION": "runstore",
     "RunStore": "runstore",
     "StoredCampaignResult": "runstore",

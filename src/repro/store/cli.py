@@ -17,10 +17,6 @@ Operates on persistent run stores written by
     # tails, write canonical fingerprint-sorted output (in place by default).
     python -m repro.store prune sweep.jsonl
     python -m repro.store prune sweep.jsonl --output canonical.jsonl --strip-timing
-
-    # Carry an older store's records to the current schema version
-    # (line-by-line, atomic in-place replace; unknown versions rejected).
-    python -m repro.store migrate old-sweep.jsonl
 """
 
 from __future__ import annotations
@@ -33,8 +29,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.comparison import protocol_matrix_from_store
 from repro.analysis.reporting import format_protocol_matrix
 from repro.exceptions import ReproError, StoreError
-from repro.store.migrate import migrate_store
-from repro.store.runstore import STORE_SCHEMA_VERSION, RunStore, merge_stores, prune_store
+from repro.store.runstore import RunStore, merge_stores, prune_store
 
 __all__ = ["build_parser", "main"]
 
@@ -83,19 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="zero each record's wall_seconds so stores from different "
         "executions of the same sweep become byte-comparable",
     )
-
-    migrate = commands.add_parser(
-        "migrate",
-        help="rewrite a store with every record migrated to the current "
-        f"schema version ({STORE_SCHEMA_VERSION}); line order preserved, "
-        "unknown versions rejected",
-    )
-    migrate.add_argument("path", help="store JSONL file to migrate")
-    migrate.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="write the migrated store here instead of replacing the input "
-        "in place (atomically)",
-    )
     return parser
 
 
@@ -131,7 +113,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("inspect", "report", "prune", "migrate") and not Path(
+        if args.command in ("inspect", "report", "prune") and not Path(
             args.path
         ).exists():
             raise StoreError(f"no such store: {args.path}")
@@ -156,13 +138,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"Pruned {args.path} -> {pruned.path}: {len(pruned)} runs kept, "
                 f"{dropped} superseded/torn line(s) dropped"
                 f"{', timing stripped' if args.strip_timing else ''}"
-            )
-        elif args.command == "migrate":
-            migrated, n_changed = migrate_store(args.path, args.output)
-            print(
-                f"Migrated {args.path} -> {migrated.path}: {len(migrated)} "
-                f"runs at schema_version {STORE_SCHEMA_VERSION}, "
-                f"{n_changed} record(s) rewritten"
             )
     except FileNotFoundError as error:
         print(f"error: no such store: {error.filename}", file=sys.stderr)

@@ -197,7 +197,7 @@ def _parse_line(line: str, path: Path, line_number: int) -> Dict[str, Any]:
         raise StoreError(
             f"run store {path} line {line_number} has schema_version "
             f"{version!r}; this build reads version {STORE_SCHEMA_VERSION}. "
-            "Re-run the sweep with a matching build or migrate the store."
+            "Re-run the sweep with a matching build."
         )
     return payload
 

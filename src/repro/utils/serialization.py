@@ -47,8 +47,7 @@ def atomic_write_text(
     the commit point.  ``None`` (the default) skips injection entirely.
 
     The single definition of the write-temp-then-replace pattern used by the
-    work queue's coordination files, the checkpoint store and the store
-    migrator.
+    work queue's coordination files and the checkpoint store.
     """
     path = Path(path)
     event = faults.failpoint(failpoint_site) if failpoint_site else None
