@@ -8,8 +8,8 @@ provides surrogate equivalents that preserve the *interfaces* and the
 
 * :mod:`repro.protein.alphabet`, :mod:`repro.protein.sequence`,
   :mod:`repro.protein.fasta` — amino-acid sequences and FASTA I/O.
-* :mod:`repro.protein.structure`, :mod:`repro.protein.pdb` — coarse
-  CA-backbone structures, two-chain complexes, minimal PDB I/O.
+* :mod:`repro.protein.structure` — coarse CA-backbone structures and
+  two-chain complexes.
 * :mod:`repro.protein.landscape` — the latent, epistatic sequence-fitness
   landscape that couples the two surrogates per design target.
 * :mod:`repro.protein.mpnn` — :class:`SurrogateProteinMPNN`.

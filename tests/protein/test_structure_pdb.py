@@ -1,4 +1,4 @@
-"""Tests for coarse structures, complexes and PDB I/O."""
+"""Tests for coarse structures and complexes."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import StructureError
-from repro.protein.pdb import format_pdb, parse_pdb, read_pdb, write_pdb
 from repro.protein.sequence import ProteinSequence
 from repro.protein.structure import CA_CA_DISTANCE, Chain, ComplexStructure, synthetic_backbone
 
@@ -156,36 +155,3 @@ class TestComplexStructure:
     def test_min_interchain_distance_positive(self):
         assert _complex().min_interchain_distance() > 0
 
-
-class TestPdbIO:
-    def test_round_trip_preserves_sequences_and_quality(self):
-        complex_structure = _complex().with_backbone_quality(0.42)
-        parsed = parse_pdb(format_pdb(complex_structure))
-        assert parsed.receptor.sequence.residues == complex_structure.receptor.sequence.residues
-        assert parsed.peptide.sequence.residues == "EPEA"
-        assert parsed.backbone_quality == pytest.approx(0.42, abs=1e-6)
-
-    def test_round_trip_preserves_coordinates(self):
-        complex_structure = _complex()
-        parsed = parse_pdb(format_pdb(complex_structure))
-        assert np.allclose(
-            parsed.receptor.coordinates, complex_structure.receptor.coordinates, atol=1e-3
-        )
-
-    def test_file_round_trip(self, tmp_path):
-        complex_structure = _complex()
-        path = write_pdb(complex_structure, tmp_path / "model.pdb")
-        loaded = read_pdb(path)
-        assert loaded.peptide.sequence.residues == "EPEA"
-
-    def test_single_chain_rejected(self):
-        text = "\n".join(
-            line for line in format_pdb(_complex()).splitlines() if " B" not in line
-        )
-        with pytest.raises(StructureError):
-            parse_pdb(text)
-
-    def test_malformed_atom_rejected(self):
-        bad = format_pdb(_complex()).replace("ALA", "XXX", 1)
-        with pytest.raises(StructureError):
-            parse_pdb(bad)
