@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG streams, statistics, logging, timing."""
+"""Shared utilities: deterministic RNG streams, statistics, timing, retries, JSON."""
 
 from repro._lazy import lazy_namespace
 
@@ -13,7 +13,6 @@ _EXPORTS = {
     "net_delta_percent": "stats",
     "summarize": "stats",
     "Stopwatch": "timer",
-    "get_logger": "logging",
     "DEFAULT_RETRY_POLICY": "retrying",
     "RetryPolicy": "retrying",
     "call_with_retries": "retrying",

@@ -1,16 +1,14 @@
-"""Tests for serialization, logging and timing utilities."""
+"""Tests for serialization and timing utilities."""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import logging
 import time
 
 import numpy as np
 import pytest
 
-from repro.utils.logging import LOG_LEVEL_ENV, get_logger
 from repro.utils.serialization import dump_json, load_json, to_jsonable
 from repro.utils.timer import Stopwatch
 
@@ -63,44 +61,6 @@ class TestDumpLoadJson:
         path = dump_json(payload, tmp_path / "out" / "data.json")
         assert path.exists()
         assert load_json(path) == payload
-
-
-class TestGetLogger:
-    def test_idempotent_handlers(self):
-        first = get_logger("repro.test.logger")
-        second = get_logger("repro.test.logger")
-        assert first is second
-        assert len(first.handlers) == 1
-
-    def test_default_level_is_info(self, monkeypatch):
-        monkeypatch.delenv(LOG_LEVEL_ENV, raising=False)
-        assert get_logger("repro.test.level.default").level == logging.INFO
-
-    def test_env_level_name_is_honoured(self, monkeypatch):
-        monkeypatch.setenv(LOG_LEVEL_ENV, "debug")
-        assert get_logger("repro.test.level.name").level == logging.DEBUG
-
-    def test_env_numeric_level_is_honoured(self, monkeypatch):
-        monkeypatch.setenv(LOG_LEVEL_ENV, "5")
-        assert get_logger("repro.test.level.numeric").level == 5
-
-    def test_garbled_env_falls_back_to_info(self, monkeypatch):
-        monkeypatch.setenv(LOG_LEVEL_ENV, "chatty-please")
-        assert get_logger("repro.test.level.garbled").level == logging.INFO
-
-    def test_explicit_level_beats_the_environment(self, monkeypatch):
-        monkeypatch.setenv(LOG_LEVEL_ENV, "DEBUG")
-        logger = get_logger("repro.test.level.explicit", level=logging.ERROR)
-        assert logger.level == logging.ERROR
-
-    def test_env_change_applies_on_the_next_call(self, monkeypatch):
-        """One export re-levels an existing logger — how a fleet operator
-        turns up verbosity between worker launches."""
-        monkeypatch.delenv(LOG_LEVEL_ENV, raising=False)
-        logger = get_logger("repro.test.level.dynamic")
-        assert logger.level == logging.INFO
-        monkeypatch.setenv(LOG_LEVEL_ENV, "WARNING")
-        assert get_logger("repro.test.level.dynamic").level == logging.WARNING
 
 
 class TestStopwatch:
