@@ -39,12 +39,11 @@ from repro.analysis.comparison import protocol_matrix
 from repro.analysis.reporting import format_protocol_matrix
 from repro.core.coordinator import AUTO_IN_FLIGHT
 from repro.core.protocols import available_protocols, get_protocol
-from repro.exceptions import ReproError
+from repro.exceptions import CampaignError, ReproError
 from repro.hpc.scheduler import available_schedulers
 from repro.experiments.spec import TARGET_KINDS, SweepSpec, TargetSpec
 from repro.experiments.suite import EXECUTORS, CampaignSuite
 from repro.store.runstore import RunStore
-from repro.store.shard import parse_shard
 from repro.utils.serialization import to_jsonable
 
 __all__ = [
@@ -66,6 +65,20 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _parse_shard(text: str) -> Tuple[int, int]:
+    """Parse an ``I/N`` shard designator such as ``0/2``.
+
+    :class:`~repro.experiments.suite.CampaignSuite` checks the range.
+    """
+    index, _, count = text.partition("/")
+    try:
+        return int(index), int(count)
+    except ValueError:
+        raise CampaignError(
+            f"shard must look like I/N (e.g. 0/2), got {text!r}"
+        ) from None
 
 
 def in_flight_cap(text: str):
@@ -219,7 +232,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     try:
         sweep = sweep_from_args(args)
-        shard = parse_shard(args.shard) if args.shard else None
+        shard = _parse_shard(args.shard) if args.shard else None
         store = RunStore(args.store) if args.store else None
         suite = CampaignSuite(
             spec=sweep, executor=args.executor, max_workers=args.workers,

@@ -212,7 +212,8 @@ class CampaignSuite:
             if count < 1 or not 0 <= index < count:
                 raise CampaignError(
                     f"shard must be (index, count) with 0 <= index < count, "
-                    f"got {self.shard!r}"
+                    f"got {self.shard!r} (shards are zero-based: the first of "
+                    "two shards has index 0)"
                 )
             # Strided partition: deterministic, order-based (never hash-based),
             # balanced to within one run across shards.

@@ -1,4 +1,4 @@
-"""Persistent run store: streaming results, RunSpec-keyed caching, sharding.
+"""Persistent run store: streaming results, RunSpec-keyed caching, shard merging.
 
 Where :mod:`repro.experiments` *executes* scenario matrices, this package
 makes them durable artifacts:
@@ -13,8 +13,6 @@ makes them durable artifacts:
   per-cycle campaign checkpoints (atomic replace, torn-line fallback to the
   previous cycle, schema-versioned) backing mid-run suspend/resume and
   preemptive work stealing.
-* :mod:`repro.store.shard` — the deterministic ``runs[i::n]`` cross-machine
-  partition of an expanded sweep.
 * :mod:`repro.store.cli` — ``python -m repro.store`` (``inspect`` / ``merge``
   / ``report`` / ``prune``).
 
@@ -46,8 +44,6 @@ _EXPORTS = {
     "StoredRun": "runstore",
     "merge_stores": "runstore",
     "prune_store": "runstore",
-    "parse_shard": "shard",
-    "shard_runs": "shard",
 }
 
 __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -421,9 +421,9 @@ def merge_stores(
     (true for seeded runs by the determinism contract; timing and run-id
     labels may differ — the first-seen record wins); a genuinely conflicting
     duplicate raises :class:`StoreError` rather than silently picking a side.
-    Output lines are sorted by fingerprint, so merging
-    ``shard(0, n) … shard(n-1, n)`` stores yields a file byte-identical to
-    merging the equivalent unsharded store.
+    Output lines are sorted by fingerprint, so merging the stores of a
+    sweep's ``n`` shards yields a file byte-identical to merging the
+    equivalent unsharded store.
     """
     merged: Dict[str, Tuple[Dict[str, Any], str]] = {}
     for source in inputs:

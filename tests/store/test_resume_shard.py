@@ -14,7 +14,7 @@ import repro.experiments.suite as suite_module
 from repro.analysis.comparison import protocol_matrix, protocol_matrix_from_store
 from repro.exceptions import CampaignError
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
-from repro.store import RunStore, merge_stores, run_fingerprint, shard_runs
+from repro.store import RunStore, merge_stores, run_fingerprint
 from repro.utils.serialization import to_jsonable
 
 BASE_SWEEP = SweepSpec(
@@ -113,25 +113,27 @@ class TestResume:
 
 
 class TestSharding:
-    def test_shard_runs_partitions_exactly(self):
-        runs = BASE_SWEEP.expand()
-        zero = shard_runs(runs, 0, 2)
-        one = shard_runs(runs, 1, 2)
-        assert zero == runs[0::2]
-        assert one == runs[1::2]
-        assert sorted(
-            [run.run_id for run in zero] + [run.run_id for run in one]
-        ) == sorted(run.run_id for run in runs)
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_shards_partition_the_sweep_exactly(self, count):
+        shards = [
+            [
+                run.run_id
+                for run in CampaignSuite(
+                    BASE_SWEEP, executor="serial", shard=(index, count)
+                ).run_specs
+            ]
+            for index in range(count)
+        ]
+        selected = [run_id for shard in shards for run_id in shard]
+        assert len(selected) == len(set(selected))  # disjoint
+        assert sorted(selected) == sorted(run.run_id for run in BASE_SWEEP.expand())
+        sizes = [len(shard) for shard in shards]
+        assert max(sizes) - min(sizes) <= 1
 
-    def test_invalid_shards_rejected(self):
-        from repro.exceptions import StoreError
-
-        with pytest.raises(StoreError):
-            shard_runs([1, 2], 2, 2)
-        with pytest.raises(StoreError):
-            shard_runs([1, 2], 0, 0)
-        with pytest.raises(CampaignError, match="shard"):
-            CampaignSuite(BASE_SWEEP, executor="serial", shard=(3, 2))
+    @pytest.mark.parametrize("shard", [(2, 2), (3, 2), (-1, 2), (0, 0)])
+    def test_invalid_shards_rejected(self, shard):
+        with pytest.raises(CampaignError, match="zero-based"):
+            CampaignSuite(BASE_SWEEP, executor="serial", shard=shard)
 
     def test_suite_shard_matches_strided_expansion(self):
         suite = CampaignSuite(BASE_SWEEP, executor="serial", shard=(1, 2))
