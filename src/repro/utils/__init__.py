@@ -4,7 +4,6 @@ from repro._lazy import lazy_namespace
 
 #: Each public name and the submodule that defines it, imported on first use.
 _EXPORTS = {
-    "RNGRegistry": "rng",
     "derive_seed": "rng",
     "spawn_rng": "rng",
     "SummaryStats": "stats",

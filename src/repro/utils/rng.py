@@ -14,13 +14,12 @@ bitwise reproducible regardless of execution order or concurrency.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["derive_seed", "spawn_rng", "RNGRegistry"]
+__all__ = ["derive_seed", "spawn_rng"]
 
 
 @lru_cache(maxsize=65536)
@@ -69,61 +68,3 @@ def spawn_rng(root_seed: int, *keys: object) -> np.random.Generator:
     """Create an independent generator for the stream named by ``keys``."""
     return np.random.default_rng(derive_seed(root_seed, *keys))
 
-
-@dataclass
-class RNGRegistry:
-    """A registry of named random streams rooted at a single seed.
-
-    The registry memoises generators so that repeated lookups of the same
-    stream name return the *same* generator object (continuing its sequence),
-    while distinct names always map to independent streams.
-
-    Examples
-    --------
-    >>> reg = RNGRegistry(seed=42)
-    >>> a = reg.get("mpnn", "NHERF3")
-    >>> b = reg.get("folding", "NHERF3")
-    >>> a is reg.get("mpnn", "NHERF3")
-    True
-    >>> a is b
-    False
-    """
-
-    seed: int
-    _streams: Dict[str, np.random.Generator] = field(default_factory=dict, repr=False)
-
-    def key(self, *keys: object) -> str:
-        """Build the canonical string key for a stream."""
-        return "/".join(repr(k) for k in keys)
-
-    def get(self, *keys: object) -> np.random.Generator:
-        """Return (creating if needed) the generator for the named stream."""
-        skey = self.key(*keys)
-        gen = self._streams.get(skey)
-        if gen is None:
-            gen = spawn_rng(self.seed, *keys)
-            self._streams[skey] = gen
-        return gen
-
-    def fresh(self, *keys: object) -> np.random.Generator:
-        """Return a brand-new generator for the named stream.
-
-        Unlike :meth:`get` this does not memoise; every call restarts the
-        stream from its derived seed.  Useful for components that must be
-        replayable in isolation (e.g. re-evaluating a single pipeline).
-        """
-        return spawn_rng(self.seed, *keys)
-
-    def child(self, *keys: object) -> "RNGRegistry":
-        """Create a sub-registry rooted at a derived seed.
-
-        The child registry is independent from the parent and from any other
-        child created with different keys, enabling hierarchical stream
-        namespaces (campaign -> pipeline -> stage).
-        """
-        return RNGRegistry(seed=derive_seed(self.seed, *keys))
-
-    def seeds(self, *keys: object, count: int = 1) -> Iterable[int]:
-        """Yield ``count`` deterministic seeds under the given namespace."""
-        for index in range(count):
-            yield derive_seed(self.seed, *keys, index)

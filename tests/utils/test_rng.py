@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import RNGRegistry, derive_seed, spawn_rng
+from repro.utils.rng import derive_seed, spawn_rng
 
 
 class TestDeriveSeed:
@@ -45,47 +45,3 @@ class TestSpawnRng:
         b = spawn_rng(7, "y").random(5)
         assert not np.allclose(a, b)
 
-
-class TestRNGRegistry:
-    def test_get_memoises(self):
-        registry = RNGRegistry(seed=3)
-        assert registry.get("mpnn", "A") is registry.get("mpnn", "A")
-
-    def test_distinct_names_distinct_generators(self):
-        registry = RNGRegistry(seed=3)
-        assert registry.get("mpnn") is not registry.get("folding")
-
-    def test_fresh_restarts_stream(self):
-        registry = RNGRegistry(seed=3)
-        first = registry.fresh("s").random(3)
-        second = registry.fresh("s").random(3)
-        assert np.allclose(first, second)
-
-    def test_get_continues_stream(self):
-        registry = RNGRegistry(seed=3)
-        first = registry.get("s").random(3)
-        second = registry.get("s").random(3)
-        assert not np.allclose(first, second)
-
-    def test_child_independent_from_parent(self):
-        registry = RNGRegistry(seed=3)
-        child = registry.child("sub")
-        a = registry.fresh("s").random(3)
-        b = child.fresh("s").random(3)
-        assert not np.allclose(a, b)
-
-    def test_child_deterministic(self):
-        a = RNGRegistry(seed=3).child("sub").fresh("s").random(3)
-        b = RNGRegistry(seed=3).child("sub").fresh("s").random(3)
-        assert np.allclose(a, b)
-
-    def test_seeds_iterator_count_and_determinism(self):
-        registry = RNGRegistry(seed=9)
-        seeds = list(registry.seeds("batch", count=5))
-        assert len(seeds) == 5
-        assert len(set(seeds)) == 5
-        assert seeds == list(RNGRegistry(seed=9).seeds("batch", count=5))
-
-    def test_key_formatting(self):
-        registry = RNGRegistry(seed=0)
-        assert registry.key("a", 1) == "'a'/1"
