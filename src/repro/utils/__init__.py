@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG streams, statistics, timing, retries, JSON."""
+"""Shared utilities: deterministic RNG streams, statistics, retries, JSON, duration text."""
 
 from repro._lazy import lazy_namespace
 
@@ -11,7 +11,6 @@ _EXPORTS = {
     "median_and_spread": "stats",
     "net_delta_percent": "stats",
     "summarize": "stats",
-    "Stopwatch": "timer",
     "DEFAULT_RETRY_POLICY": "retrying",
     "RetryPolicy": "retrying",
     "call_with_retries": "retrying",

@@ -1,12 +1,8 @@
-"""Wall-clock timing helpers: the benchmark stopwatch and duration text."""
+"""Human-readable duration text."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-__all__ = ["Stopwatch", "format_duration"]
+__all__ = ["format_duration"]
 
 
 def format_duration(seconds: float) -> str:
@@ -30,73 +26,3 @@ def format_duration(seconds: float) -> str:
     parts.append(f"{remaining}s")
     return " ".join(parts)
 
-
-@dataclass
-class Stopwatch:
-    """A simple multi-interval stopwatch.
-
-    Intervals are named; the same name may be started and stopped repeatedly
-    and its durations accumulate.  Used by the benchmark harness to separate
-    campaign setup from simulated execution from analysis.
-    """
-
-    _starts: Dict[str, float] = field(default_factory=dict)
-    _totals: Dict[str, float] = field(default_factory=dict)
-    _history: Dict[str, List[float]] = field(default_factory=dict)
-
-    def start(self, name: str = "default") -> None:
-        """Begin (or restart) timing the interval ``name``."""
-        self._starts[name] = time.perf_counter()
-
-    def stop(self, name: str = "default") -> float:
-        """Stop the interval ``name`` and return the elapsed seconds.
-
-        Raises
-        ------
-        KeyError
-            If the interval was never started.
-        """
-        start = self._starts.pop(name)
-        elapsed = time.perf_counter() - start
-        self._totals[name] = self._totals.get(name, 0.0) + elapsed
-        self._history.setdefault(name, []).append(elapsed)
-        return elapsed
-
-    def total(self, name: str = "default") -> float:
-        """Accumulated seconds for the interval ``name`` (0 if never run)."""
-        return self._totals.get(name, 0.0)
-
-    def laps(self, name: str = "default") -> List[float]:
-        """Individual interval durations recorded for ``name``."""
-        return list(self._history.get(name, []))
-
-    def running(self, name: str = "default") -> bool:
-        """Whether the interval ``name`` is currently being timed."""
-        return name in self._starts
-
-    def elapsed(self, name: str = "default") -> Optional[float]:
-        """Seconds since ``start`` if running, else ``None``."""
-        start = self._starts.get(name)
-        if start is None:
-            return None
-        return time.perf_counter() - start
-
-    def report(self) -> Dict[str, float]:
-        """Mapping of interval name to accumulated seconds."""
-        return dict(self._totals)
-
-    class _Context:
-        def __init__(self, watch: "Stopwatch", name: str) -> None:
-            self._watch = watch
-            self._name = name
-
-        def __enter__(self) -> "Stopwatch":
-            self._watch.start(self._name)
-            return self._watch
-
-        def __exit__(self, exc_type, exc, tb) -> None:
-            self._watch.stop(self._name)
-
-    def measure(self, name: str = "default") -> "Stopwatch._Context":
-        """Context manager form: ``with watch.measure("phase"): ...``."""
-        return Stopwatch._Context(self, name)

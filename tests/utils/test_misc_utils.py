@@ -1,16 +1,14 @@
-"""Tests for serialization and timing utilities."""
+"""Tests for serialization and duration-text utilities."""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils.serialization import dump_json, load_json, to_jsonable
-from repro.utils.timer import Stopwatch
 
 
 class Color(enum.Enum):
@@ -61,49 +59,6 @@ class TestDumpLoadJson:
         path = dump_json(payload, tmp_path / "out" / "data.json")
         assert path.exists()
         assert load_json(path) == payload
-
-
-class TestStopwatch:
-    def test_measures_positive_time(self):
-        watch = Stopwatch()
-        watch.start("work")
-        time.sleep(0.01)
-        elapsed = watch.stop("work")
-        assert elapsed > 0
-        assert watch.total("work") == pytest.approx(elapsed)
-
-    def test_accumulates_across_laps(self):
-        watch = Stopwatch()
-        for _ in range(3):
-            watch.start("lap")
-            watch.stop("lap")
-        assert len(watch.laps("lap")) == 3
-        assert watch.total("lap") >= 0
-
-    def test_context_manager(self):
-        watch = Stopwatch()
-        with watch.measure("ctx"):
-            pass
-        assert watch.total("ctx") >= 0
-        assert not watch.running("ctx")
-
-    def test_running_and_elapsed(self):
-        watch = Stopwatch()
-        assert watch.elapsed("x") is None
-        watch.start("x")
-        assert watch.running("x")
-        assert watch.elapsed("x") >= 0
-        watch.stop("x")
-
-    def test_stop_unknown_raises(self):
-        with pytest.raises(KeyError):
-            Stopwatch().stop("never-started")
-
-    def test_report(self):
-        watch = Stopwatch()
-        watch.start("a")
-        watch.stop("a")
-        assert "a" in watch.report()
 
 
 class TestFormatDuration:
