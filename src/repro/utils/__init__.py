@@ -6,11 +6,7 @@ from repro._lazy import lazy_namespace
 _EXPORTS = {
     "derive_seed": "rng",
     "spawn_rng": "rng",
-    "SummaryStats": "stats",
-    "bootstrap_ci": "stats",
-    "median_and_spread": "stats",
     "net_delta_percent": "stats",
-    "summarize": "stats",
     "DEFAULT_RETRY_POLICY": "retrying",
     "RetryPolicy": "retrying",
     "call_with_retries": "retrying",

@@ -1,92 +1,14 @@
-"""Summary statistics used throughout the evaluation.
+"""The relative-change and net-delta definitions behind Table I.
 
-The paper reports medians with error bars of half a standard deviation
-(Figs 2 and 3) and "net delta" percentages between the first and last design
-cycles (Table I).  This module centralises those computations so tests,
-benchmarks and the analysis layer all agree on their definitions.
+Table I reports "net delta" percentages between the first and last design
+cycles; this module defines them once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
-__all__ = [
-    "SummaryStats",
-    "summarize",
-    "median_and_spread",
-    "net_delta_percent",
-    "bootstrap_ci",
-    "relative_change",
-]
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Aggregate statistics of a sample of metric values.
-
-    Attributes
-    ----------
-    count:
-        Number of observations.
-    mean, median, std, minimum, maximum:
-        The usual moments and extrema.  ``std`` uses the population
-        convention (``ddof=0``) to match a plain "standard deviation of the
-        reported values" reading of the paper's error bars.
-    half_std:
-        ``std / 2`` — the error-bar half-width used in Figs 2 and 3.
-    """
-
-    count: int
-    mean: float
-    median: float
-    std: float
-    minimum: float
-    maximum: float
-
-    @property
-    def half_std(self) -> float:
-        return self.std / 2.0
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "std": self.std,
-            "half_std": self.half_std,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-
-def summarize(values: Iterable[float]) -> SummaryStats:
-    """Compute :class:`SummaryStats` over ``values``.
-
-    Raises
-    ------
-    ValueError
-        If ``values`` is empty.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return SummaryStats(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        std=float(arr.std(ddof=0)),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-    )
-
-
-def median_and_spread(values: Iterable[float]) -> tuple[float, float]:
-    """Return ``(median, std/2)`` — the quantities plotted in Figs 2 and 3."""
-    stats = summarize(values)
-    return stats.median, stats.half_std
+__all__ = ["net_delta_percent", "relative_change"]
 
 
 def relative_change(initial: float, final: float) -> float:
@@ -112,47 +34,3 @@ def net_delta_percent(initial: float, final: float) -> float:
     """
     return 100.0 * relative_change(initial, final)
 
-
-def bootstrap_ci(
-    values: Sequence[float],
-    *,
-    statistic=np.median,
-    n_boot: int = 2000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval for an arbitrary statistic.
-
-    Used by the extended analysis (not by the paper itself) to attach
-    uncertainty to the median quality metrics.
-
-    Parameters
-    ----------
-    values:
-        Sample to resample.
-    statistic:
-        Callable reducing a 1-D array to a scalar (default: median).
-    n_boot:
-        Number of bootstrap resamples.
-    alpha:
-        Two-sided miscoverage; the interval covers ``1 - alpha``.
-    seed:
-        Seed for the resampling generator.
-
-    Returns
-    -------
-    (low, high):
-        The percentile interval bounds.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
-    samples = arr[idx]
-    stats = np.apply_along_axis(statistic, 1, samples)
-    low = float(np.percentile(stats, 100.0 * (alpha / 2.0)))
-    high = float(np.percentile(stats, 100.0 * (1.0 - alpha / 2.0)))
-    return low, high

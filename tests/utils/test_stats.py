@@ -1,60 +1,11 @@
-"""Tests for summary statistics and net-delta computations."""
+"""Tests for the relative-change and net-delta computations."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.utils.stats import (
-    bootstrap_ci,
-    median_and_spread,
-    net_delta_percent,
-    relative_change,
-    summarize,
-)
-
-
-class TestSummarize:
-    def test_basic_moments(self):
-        stats = summarize([1.0, 2.0, 3.0, 4.0])
-        assert stats.count == 4
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.median == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-
-    def test_half_std_is_half(self):
-        stats = summarize([1.0, 5.0, 9.0])
-        assert stats.half_std == pytest.approx(stats.std / 2.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_single_value(self):
-        stats = summarize([3.0])
-        assert stats.std == 0.0
-        assert stats.median == 3.0
-
-    def test_as_dict_keys(self):
-        keys = set(summarize([1.0, 2.0]).as_dict())
-        assert {"count", "mean", "median", "std", "half_std", "min", "max"} <= keys
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_median_within_range(self, values):
-        stats = summarize(values)
-        assert stats.minimum - 1e-9 <= stats.median <= stats.maximum + 1e-9
-
-
-class TestMedianAndSpread:
-    def test_matches_numpy(self):
-        values = [3.0, 1.0, 2.0, 10.0]
-        median, half_std = median_and_spread(values)
-        assert median == pytest.approx(np.median(values))
-        assert half_std == pytest.approx(np.std(values) / 2.0)
+from repro.utils.stats import net_delta_percent, relative_change
 
 
 class TestRelativeChange:
@@ -83,28 +34,3 @@ class TestNetDeltaPercent:
         # A 5.8 -> 7.7 style change expressed in percent of the start.
         assert net_delta_percent(100.0, 107.7) == pytest.approx(7.7)
 
-
-class TestBootstrapCI:
-    def test_contains_true_median_for_tight_sample(self):
-        values = [5.0] * 30
-        low, high = bootstrap_ci(values, seed=1)
-        assert low == pytest.approx(5.0)
-        assert high == pytest.approx(5.0)
-
-    def test_interval_ordering(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=100)
-        low, high = bootstrap_ci(values, seed=2)
-        assert low <= high
-
-    def test_deterministic_for_fixed_seed(self):
-        values = list(range(20))
-        assert bootstrap_ci(values, seed=3) == bootstrap_ci(values, seed=3)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([])
-
-    def test_bad_alpha_raises(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0, 2.0], alpha=1.5)
