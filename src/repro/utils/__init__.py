@@ -12,7 +12,6 @@ _EXPORTS = {
     "call_with_retries": "retrying",
     "to_jsonable": "serialization",
     "dump_json": "serialization",
-    "load_json": "serialization",
 }
 
 __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

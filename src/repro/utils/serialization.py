@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.faults import registry as faults
 
-__all__ = ["atomic_write_text", "to_jsonable", "dump_json", "load_json"]
+__all__ = ["atomic_write_text", "to_jsonable", "dump_json"]
 
 
 def atomic_write_text(
@@ -126,7 +126,3 @@ def dump_json(obj: Any, path: Union[str, Path], *, indent: int = 2) -> Path:
     path.write_text(json.dumps(to_jsonable(obj), indent=indent, sort_keys=False))
     return path
 
-
-def load_json(path: Union[str, Path]) -> Any:
-    """Load a JSON document from ``path``."""
-    return json.loads(Path(path).read_text())

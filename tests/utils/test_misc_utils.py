@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 
 import numpy as np
 import pytest
 
-from repro.utils.serialization import dump_json, load_json, to_jsonable
+from repro.utils.serialization import dump_json, to_jsonable
 
 
 class Color(enum.Enum):
@@ -53,12 +54,12 @@ class TestToJsonable:
             to_jsonable(object())
 
 
-class TestDumpLoadJson:
+class TestDumpJson:
     def test_round_trip(self, tmp_path):
         payload = {"values": [1, 2, 3], "nested": {"x": 1.5}}
         path = dump_json(payload, tmp_path / "out" / "data.json")
         assert path.exists()
-        assert load_json(path) == payload
+        assert json.loads(path.read_text()) == payload
 
 
 class TestFormatDuration:
