@@ -67,4 +67,3 @@ def derive_seed(root_seed: int, *keys: object) -> int:
 def spawn_rng(root_seed: int, *keys: object) -> np.random.Generator:
     """Create an independent generator for the stream named by ``keys``."""
     return np.random.default_rng(derive_seed(root_seed, *keys))
-

@@ -125,4 +125,3 @@ def dump_json(obj: Any, path: Union[str, Path], *, indent: int = 2) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(to_jsonable(obj), indent=indent, sort_keys=False))
     return path
-

@@ -33,4 +33,3 @@ def net_delta_percent(initial: float, final: float) -> float:
     percentage of the starting value.
     """
     return 100.0 * relative_change(initial, final)
-

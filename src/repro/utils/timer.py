@@ -25,4 +25,3 @@ def format_duration(seconds: float) -> str:
             parts.append(f"{value}{label}")
     parts.append(f"{remaining}s")
     return " ".join(parts)
-

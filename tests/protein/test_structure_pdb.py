@@ -154,4 +154,3 @@ class TestComplexStructure:
 
     def test_min_interchain_distance_positive(self):
         assert _complex().min_interchain_distance() > 0
-

@@ -44,4 +44,3 @@ class TestSpawnRng:
         a = spawn_rng(7, "x").random(5)
         b = spawn_rng(7, "y").random(5)
         assert not np.allclose(a, b)
-

@@ -33,4 +33,3 @@ class TestNetDeltaPercent:
     def test_matches_paper_plddt_style(self):
         # A 5.8 -> 7.7 style change expressed in percent of the start.
         assert net_delta_percent(100.0, 107.7) == pytest.approx(7.7)
-
