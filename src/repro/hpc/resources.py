@@ -19,7 +19,6 @@ __all__ = [
     "PlatformSpec",
     "AMAREL_NODE",
     "amarel_platform",
-    "single_node_platform",
 ]
 
 
@@ -152,14 +151,3 @@ def amarel_platform(n_nodes: int = 1) -> PlatformSpec:
             )
         )
     return PlatformSpec(name=f"amarel-x{n_nodes}", nodes=tuple(nodes))
-
-
-def single_node_platform(
-    cpu_cores: int = 28,
-    gpus: int = 4,
-    memory_gb: float = 128.0,
-    name: str = "custom-node",
-) -> PlatformSpec:
-    """A one-node platform with the given shape (for scaling studies)."""
-    node = NodeSpec(name=name, cpu_cores=cpu_cores, gpus=gpus, memory_gb=memory_gb)
-    return PlatformSpec(name=f"{name}-platform", nodes=(node,))

@@ -16,7 +16,6 @@ from repro.hpc.resources import (
     PlatformSpec,
     ResourceRequest,
     amarel_platform,
-    single_node_platform,
 )
 
 
@@ -71,11 +70,6 @@ class TestSpecs:
     def test_platform_needs_nodes(self):
         with pytest.raises(ConfigurationError):
             PlatformSpec(name="p", nodes=())
-
-    def test_single_node_platform_shape(self):
-        spec = single_node_platform(cpu_cores=16, gpus=2)
-        assert spec.total_cpu_cores == 16
-        assert spec.total_gpus == 2
 
     def test_describe_keys(self):
         assert {"name", "nodes", "cpu_cores", "gpus", "memory_gb"} <= set(
