@@ -52,10 +52,6 @@ class PipelineError(ReproError):
     """A pipeline could not be constructed or advanced."""
 
 
-class StageError(PipelineError):
-    """A pipeline stage received invalid inputs or produced invalid outputs."""
-
-
 class CoordinatorError(ReproError):
     """The pipelines coordinator reached an inconsistent state."""
 
