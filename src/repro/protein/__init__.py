@@ -7,7 +7,7 @@ provides surrogate equivalents that preserve the *interfaces* and the
 *statistical behaviour* the protocol depends on (see DESIGN.md §2):
 
 * :mod:`repro.protein.alphabet`, :mod:`repro.protein.sequence`,
-  :mod:`repro.protein.fasta` — amino-acid sequences and FASTA I/O.
+  :mod:`repro.protein.fasta` — amino-acid sequences and FASTA text.
 * :mod:`repro.protein.structure` — coarse CA-backbone structures and
   two-chain complexes.
 * :mod:`repro.protein.landscape` — the latent, epistatic sequence-fitness
@@ -31,8 +31,6 @@ _EXPORTS = {
     "is_valid_sequence": "alphabet",
     "ProteinSequence": "sequence",
     "ScoredSequence": "sequence",
-    "read_fasta": "fasta",
-    "write_fasta": "fasta",
     "parse_fasta": "fasta",
     "format_fasta": "fasta",
     "Chain": "structure",

@@ -1,21 +1,19 @@
-"""FASTA formatting, parsing and file I/O.
+"""FASTA formatting and parsing.
 
 Stage 3 of the IMPRESS pipeline compiles the highest-ranking sequences into a
 FASTA file that is the input of the AlphaFold stage.  This module provides
-round-trip-safe FASTA support for :class:`~repro.protein.sequence.ProteinSequence`
-objects, including the multi-chain "/"-joined record convention used for
-complex prediction inputs.
+round-trip-safe FASTA text for :class:`~repro.protein.sequence.ProteinSequence`
+objects, one record per chain.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence
 
 from repro.exceptions import SequenceError
 from repro.protein.sequence import ProteinSequence
 
-__all__ = ["format_fasta", "parse_fasta", "write_fasta", "read_fasta", "complex_record"]
+__all__ = ["format_fasta", "parse_fasta"]
 
 _LINE_WIDTH = 60
 
@@ -85,28 +83,3 @@ def parse_fasta(text: str) -> List[ProteinSequence]:
     flush()
     return sequences
 
-
-def write_fasta(sequences: Sequence[ProteinSequence], path: Union[str, Path]) -> Path:
-    """Write sequences to a FASTA file and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(format_fasta(sequences))
-    return path
-
-
-def read_fasta(path: Union[str, Path]) -> List[ProteinSequence]:
-    """Read a FASTA file written by :func:`write_fasta` (or plain FASTA)."""
-    return parse_fasta(Path(path).read_text())
-
-
-def complex_record(
-    receptor: ProteinSequence, peptide: ProteinSequence, name: str = ""
-) -> Tuple[str, Dict[str, str]]:
-    """Build the AlphaFold-Multimer style record for a two-chain complex.
-
-    Returns the record name and a mapping ``{chain_id: residues}`` — the
-    structure-prediction surrogate consumes this instead of a file, but the
-    format mirrors what a real AlphaFold input bundle would contain.
-    """
-    label = name or f"{receptor.name or 'receptor'}__{peptide.name or 'peptide'}"
-    return label, {receptor.chain_id: receptor.residues, peptide.chain_id: peptide.residues}

@@ -1,4 +1,4 @@
-"""Tests for the alphabet, sequences, scored sequences and FASTA I/O."""
+"""Tests for the alphabet, sequences, scored sequences and FASTA text."""
 
 from __future__ import annotations
 
@@ -14,13 +14,7 @@ from repro.protein.alphabet import (
     is_valid_sequence,
     property_matrix,
 )
-from repro.protein.fasta import (
-    complex_record,
-    format_fasta,
-    parse_fasta,
-    read_fasta,
-    write_fasta,
-)
+from repro.protein.fasta import format_fasta, parse_fasta
 from repro.protein.sequence import ProteinSequence, ScoredSequence
 
 _residue = st.sampled_from(AMINO_ACIDS)
@@ -173,22 +167,6 @@ class TestFasta:
             parse_fasta("ACDEF\n")
         with pytest.raises(SequenceError):
             parse_fasta(">empty_record\n>next\nACD\n")
-
-    def test_file_round_trip(self, tmp_path):
-        sequences = [
-            ProteinSequence(residues="ACDEF", chain_id="A", name="r"),
-            ProteinSequence(residues="EPEA", chain_id="B", name="p"),
-        ]
-        path = write_fasta(sequences, tmp_path / "designs.fasta")
-        loaded = read_fasta(path)
-        assert [s.residues for s in loaded] == ["ACDEF", "EPEA"]
-
-    def test_complex_record(self):
-        receptor = ProteinSequence(residues="ACDEF", chain_id="A", name="rec")
-        peptide = ProteinSequence(residues="EPEA", chain_id="B", name="pep")
-        label, chains = complex_record(receptor, peptide)
-        assert label == "rec__pep"
-        assert chains == {"A": "ACDEF", "B": "EPEA"}
 
     @given(st.lists(_residues, min_size=1, max_size=4))
     @settings(max_examples=50, deadline=None)
