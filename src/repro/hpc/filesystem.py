@@ -11,14 +11,12 @@ results:
   this CPU/IO phase dominates AlphaFold's runtime while GPUs sit idle.
 
 :class:`SharedFilesystem` converts byte volumes and file counts into
-simulated seconds, with optional contention: concurrent readers share the
-aggregate bandwidth.
+simulated seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.exceptions import ConfigurationError
 
@@ -34,89 +32,41 @@ class FilesystemSpec:
     name:
         Label used in traces.
     read_bandwidth_gb_s:
-        Aggregate streaming read bandwidth (GB/s) shared by all readers.
-    write_bandwidth_gb_s:
-        Aggregate write bandwidth (GB/s).
+        Streaming read bandwidth (GB/s) that every read gets.
     metadata_latency_s:
         Cost of one metadata operation (create/stat a file).
     """
 
     name: str = "gpfs-scratch"
     read_bandwidth_gb_s: float = 2.0
-    write_bandwidth_gb_s: float = 1.0
     metadata_latency_s: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.read_bandwidth_gb_s <= 0 or self.write_bandwidth_gb_s <= 0:
-            raise ConfigurationError("filesystem bandwidths must be positive")
+        if self.read_bandwidth_gb_s <= 0:
+            raise ConfigurationError("filesystem read bandwidth must be positive")
         if self.metadata_latency_s < 0:
             raise ConfigurationError("metadata latency must be non-negative")
 
 
 class SharedFilesystem:
-    """Converts I/O volumes into simulated time, with simple contention.
+    """Converts I/O volumes into simulated seconds.
 
-    Contention model: the instantaneous bandwidth available to one stream is
-    the aggregate bandwidth divided by the number of *registered* concurrent
-    streams.  The runtime registers a stream for the duration of each I/O
-    heavy phase; this coarse model is sufficient to reproduce the
-    "CPU/I-O-bound MSA phase is long and serialises AlphaFold" behaviour.
+    Reads do not contend: each one streams at the full read bandwidth, so a
+    read's cost depends only on its volume and file count.
     """
 
     def __init__(self, spec: FilesystemSpec | None = None) -> None:
         self._spec = spec or FilesystemSpec()
-        self._active_readers = 0
-        self._active_writers = 0
-        self._bytes_read = 0.0
-        self._bytes_written = 0.0
 
     @property
     def spec(self) -> FilesystemSpec:
         return self._spec
 
-    @property
-    def active_readers(self) -> int:
-        return self._active_readers
-
-    @property
-    def active_writers(self) -> int:
-        return self._active_writers
-
-    def register_reader(self) -> None:
-        """Declare one more concurrent read-heavy stream."""
-        self._active_readers += 1
-
-    def unregister_reader(self) -> None:
-        if self._active_readers <= 0:
-            raise ConfigurationError("unregister_reader without matching register")
-        self._active_readers -= 1
-
-    def register_writer(self) -> None:
-        """Declare one more concurrent write-heavy stream."""
-        self._active_writers += 1
-
-    def unregister_writer(self) -> None:
-        if self._active_writers <= 0:
-            raise ConfigurationError("unregister_writer without matching register")
-        self._active_writers -= 1
-
     def read_time(self, gigabytes: float, files: int = 1) -> float:
         """Simulated seconds to read ``gigabytes`` across ``files`` files."""
         if gigabytes < 0 or files < 0:
             raise ConfigurationError("negative I/O volume")
-        sharers = max(1, self._active_readers)
-        bandwidth = self._spec.read_bandwidth_gb_s / sharers
-        self._bytes_read += gigabytes * 1e9
-        return gigabytes / bandwidth + files * self._spec.metadata_latency_s
-
-    def write_time(self, gigabytes: float, files: int = 1) -> float:
-        """Simulated seconds to write ``gigabytes`` across ``files`` files."""
-        if gigabytes < 0 or files < 0:
-            raise ConfigurationError("negative I/O volume")
-        sharers = max(1, self._active_writers)
-        bandwidth = self._spec.write_bandwidth_gb_s / sharers
-        self._bytes_written += gigabytes * 1e9
-        return gigabytes / bandwidth + files * self._spec.metadata_latency_s
+        return gigabytes / self._spec.read_bandwidth_gb_s + files * self._spec.metadata_latency_s
 
     def sandbox_setup_time(self, files: int = 6) -> float:
         """Simulated seconds to create a task sandbox (scripts + staging links).
@@ -127,10 +77,3 @@ class SharedFilesystem:
         if files < 0:
             raise ConfigurationError("negative file count")
         return files * self._spec.metadata_latency_s
-
-    def counters(self) -> Dict[str, float]:
-        """Lifetime byte counters (for reports and tests)."""
-        return {
-            "bytes_read": self._bytes_read,
-            "bytes_written": self._bytes_written,
-        }

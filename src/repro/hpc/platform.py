@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.hpc.allocation import NodeAllocator
 from repro.hpc.events import EventLoop
-from repro.hpc.filesystem import FilesystemSpec, SharedFilesystem
+from repro.hpc.filesystem import SharedFilesystem
 from repro.hpc.profiling import ExecutionProfiler
 from repro.hpc.resources import PlatformSpec, amarel_platform
 
@@ -27,21 +27,15 @@ class ComputePlatform:
     ----------
     spec:
         Static platform description; defaults to one Amarel-like GPU node as
-        used in the paper's evaluation.
-    filesystem:
-        Shared-filesystem cost model; a default GPFS-like model is created
-        when omitted.
+        used in the paper's evaluation.  The filesystem is always the default
+        GPFS-like :class:`SharedFilesystem`.
     """
 
-    def __init__(
-        self,
-        spec: Optional[PlatformSpec] = None,
-        filesystem: Optional[SharedFilesystem] = None,
-    ) -> None:
+    def __init__(self, spec: Optional[PlatformSpec] = None) -> None:
         self._spec = spec or amarel_platform(1)
         self._loop = EventLoop()
         self._allocator = NodeAllocator(self._spec)
-        self._filesystem = filesystem or SharedFilesystem(FilesystemSpec())
+        self._filesystem = SharedFilesystem()
         self._profiler = ExecutionProfiler(self._spec)
 
     # -- accessors ------------------------------------------------------ #

@@ -38,26 +38,6 @@ class TestSharedFilesystem:
         with_files = fs.read_time(0.0, files=5)
         assert with_files - base == pytest.approx(0.5)
 
-    def test_contention_halves_bandwidth(self):
-        fs = SharedFilesystem(FilesystemSpec(read_bandwidth_gb_s=2.0, metadata_latency_s=0.0))
-        solo = fs.read_time(4.0)
-        fs.register_reader()
-        fs.register_reader()
-        contended = fs.read_time(4.0)
-        assert contended == pytest.approx(2 * solo)
-        fs.unregister_reader()
-        fs.unregister_reader()
-
-    def test_unbalanced_unregister_raises(self):
-        fs = SharedFilesystem()
-        with pytest.raises(ConfigurationError):
-            fs.unregister_reader()
-
-    def test_write_time_and_counters(self):
-        fs = SharedFilesystem(FilesystemSpec(write_bandwidth_gb_s=1.0, metadata_latency_s=0.0))
-        assert fs.write_time(3.0) == pytest.approx(3.0)
-        assert fs.counters()["bytes_written"] == pytest.approx(3.0e9)
-
     def test_sandbox_setup_time(self):
         fs = SharedFilesystem(FilesystemSpec(metadata_latency_s=0.02))
         assert fs.sandbox_setup_time(files=6) == pytest.approx(0.12)
