@@ -233,25 +233,3 @@ class ExecutionProfiler:
         if phases is not None:
             return {phase: totals.get(phase, 0.0) for phase in phases}
         return totals
-
-    def concurrency_timeline(
-        self, n_bins: int = 100, window: Optional[Tuple[float, float]] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Number of concurrently running tasks over time (binned average)."""
-        if window is None:
-            window = self.span()
-        start, end = window
-        edges = np.linspace(start, end, n_bins + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        running = np.zeros(n_bins, dtype=float)
-        for interval in self._resource_intervals:
-            lo = max(interval.start, start)
-            hi = min(interval.end, end)
-            if hi <= lo:
-                continue
-            for b in range(n_bins):
-                overlap = min(hi, edges[b + 1]) - max(lo, edges[b])
-                if overlap > 0:
-                    running[b] += overlap
-        widths = np.diff(edges)
-        return centers, running / widths

@@ -113,12 +113,6 @@ class TestExecutionProfiler:
         busy = self.profiler.device_busy_seconds("gpu")
         assert busy[("amarel-gpu-node-000", 1)] == pytest.approx(8.0)
 
-    def test_concurrency_timeline(self):
-        self.profiler.record_resource_interval(_interval("a", 0.0, 10.0))
-        self.profiler.record_resource_interval(_interval("b", 0.0, 10.0))
-        _, series = self.profiler.concurrency_timeline(n_bins=4)
-        assert np.allclose(series, 2.0)
-
     def test_phase_interval_validation(self):
         with pytest.raises(SimulationError):
             PhaseInterval(entity_id="x", phase="running", start=3.0, end=1.0)
