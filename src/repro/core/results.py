@@ -77,13 +77,6 @@ class PipelineRecord:
     def cycles_accepted(self) -> int:
         return sum(1 for cycle in self.cycles if cycle.accepted)
 
-    def final_metrics(self) -> Optional[QualityMetrics]:
-        """Metrics of the last accepted cycle, if any."""
-        for cycle in reversed(self.cycles):
-            if cycle.accepted and cycle.best_metrics is not None:
-                return cycle.best_metrics
-        return None
-
     def as_dict(self) -> dict:
         return {
             "uid": self.uid,
@@ -205,18 +198,6 @@ class CampaignResult:
     def net_deltas(self) -> Dict[str, float]:
         """Net change (%) of each metric's cohort median, first vs last iteration."""
         return net_deltas_from_summary(self.iteration_summary())
-
-    def absolute_deltas(self) -> Dict[str, float]:
-        """Absolute change of each metric's cohort median, first vs last iteration."""
-        summary = self.iteration_summary()
-        if len(summary) < 2:
-            raise CampaignError("need at least two iterations")
-        first_key = min(summary)
-        last_key = max(summary)
-        return {
-            metric: summary[last_key][metric]["median"] - summary[first_key][metric]["median"]
-            for metric in ("plddt", "ptm", "interchain_pae")
-        }
 
     def table_row(self) -> Dict[str, object]:
         """One row of Table I for this campaign."""

@@ -100,13 +100,6 @@ class TestDesignCampaign:
         payload = to_jsonable(small_imrp_result.as_dict())
         assert payload["approach"] == "IM-RP"
 
-    def test_absolute_deltas_match_summary(self, small_imrp_result):
-        summary = small_imrp_result.iteration_summary()
-        deltas = small_imrp_result.absolute_deltas()
-        first, last = min(summary), max(summary)
-        assert deltas["plddt"] == pytest.approx(
-            summary[last]["plddt"]["median"] - summary[first]["plddt"]["median"]
-        )
 
 
 class TestCompareCampaigns:
