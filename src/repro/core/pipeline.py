@@ -573,13 +573,6 @@ class Pipeline:
 
     # -- summaries ------------------------------------------------------------------------ #
 
-    def best_trajectory(self) -> Optional[Trajectory]:
-        """The accepted trajectory with the highest composite score, if any."""
-        accepted = [t for t in self._all_trajectories if t.accepted]
-        if not accepted:
-            return None
-        return max(accepted, key=lambda t: t.metrics.composite())
-
     def as_dict(self) -> dict:
         return {
             "uid": self.uid,

@@ -218,14 +218,6 @@ class TestPipeline:
         assert pipeline.status is PipelineStatus.COMPLETED
         assert pipeline.cycle_results[-1].adaptive is False
 
-    def test_best_trajectory_is_accepted_maximum(self, factory, target):
-        pipeline = Pipeline("p11", target, factory, PipelineConfig(n_cycles=3, n_sequences=6))
-        drive(pipeline)
-        best = pipeline.best_trajectory()
-        assert best is not None and best.accepted
-        accepted = [t for t in pipeline.trajectories if t.accepted]
-        assert best.metrics.composite() == max(t.metrics.composite() for t in accepted)
-
     def test_as_dict_summary(self, factory, target):
         pipeline = Pipeline("p12", target, factory, PipelineConfig(n_cycles=1, n_sequences=4))
         drive(pipeline)
