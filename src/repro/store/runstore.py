@@ -371,12 +371,6 @@ class RunStore:
             faults.crash(event)
         return fingerprint
 
-    # -- conversions ---------------------------------------------------------- #
-
-    def suite_records(self) -> List[SuiteRunRecord]:
-        """Every stored run adapted to a cached :class:`SuiteRunRecord`."""
-        return [stored.as_record() for stored in self.iter_records()]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RunStore({str(self._path)!r}, n_runs={len(self)})"
 

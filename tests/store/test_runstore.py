@@ -152,11 +152,6 @@ class TestRunStore:
         with pytest.raises(StoreError, match="schema_version"):
             RunStore(populated.path)
 
-    def test_suite_records_adapt_to_cached_records(self, populated, executed_records):
-        cached = populated.suite_records()
-        assert [r.spec for r in cached] == [r.spec for r in executed_records]
-        assert all(record.cached for record in cached)
-
 
 class TestMergeStores:
     def test_merge_dedupes_by_fingerprint(self, tmp_path, executed_records):
