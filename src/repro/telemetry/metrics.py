@@ -147,18 +147,6 @@ class MetricSeries:
         rank = math.ceil(q / 100.0 * len(ordered)) - 1
         return ordered[min(len(ordered) - 1, max(0, rank))]
 
-    def by_worker(self) -> Dict[str, "MetricSeries"]:
-        """The series split per worker label, preserving sample order."""
-        groups: Dict[str, List[MetricSample]] = {}
-        for sample in self.samples:
-            groups.setdefault(sample.worker, []).append(sample)
-        return {
-            worker: MetricSeries(
-                name=self.name, metric=self.metric, samples=tuple(samples)
-            )
-            for worker, samples in groups.items()
-        }
-
 
 def metrics_from_records(records) -> Dict[str, MetricSeries]:
     """Group raw telemetry records into per-name :class:`MetricSeries`.

@@ -149,15 +149,6 @@ class TestAggregation:
         assert series.percentile(50) == pytest.approx(2.0)
         assert series.percentile(100) == pytest.approx(10.0)
 
-    def test_by_worker_splits_a_shared_series(self, tmp_path):
-        with telemetry.scoped(tmp_path / "telemetry", "w0"):
-            metrics.counter("campaign.cycles", worker="w0")
-            metrics.counter("campaign.cycles", worker="w1")
-            metrics.counter("campaign.cycles", worker="w1")
-        series = read_metrics(tmp_path / "telemetry")["campaign.cycles"]
-        split = series.by_worker()
-        assert split["w0"].count == 1 and split["w1"].count == 2
-
     def test_names_filter_reads_only_the_requested_series(self, tmp_path):
         with telemetry.scoped(tmp_path / "telemetry", "w0"):
             metrics.counter("kept")
