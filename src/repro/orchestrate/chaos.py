@@ -102,10 +102,6 @@ class ChaosReport:
     reference_path: Optional[Path] = None
     wall_seconds: float = 0.0
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected_by_kind.values())
-
     def summary(self) -> str:
         """A one-paragraph human rendering (the CLI's output)."""
         verdict = "byte-identical" if self.identical else "DIVERGED"
