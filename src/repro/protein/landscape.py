@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -332,21 +332,3 @@ class FitnessLandscape:
         """Coupled designable-position pairs (as receptor positions)."""
         positions = self.designable_positions
         return [(positions[a], positions[b]) for a, b in self._pairs]
-
-    def best_reachable_fitness(self, n_samples: int = 200, seed: Optional[int] = None) -> float:
-        """Monte-Carlo estimate of a high-quality fitness value.
-
-        Samples random sequences at the designable positions (one vectorized
-        draw, one batched fitness evaluation) and returns the best fitness
-        observed; used by tests to verify the native sequence leaves headroom
-        for improvement.
-        """
-        rng = spawn_rng(self.seed if seed is None else seed, "landscape-probe")
-        encoded = self.native_sequence.encode()
-        draws = rng.integers(
-            0, _N_AA, size=(n_samples, len(self._designable_index))
-        )
-        candidates = np.tile(encoded, (n_samples, 1))
-        candidates[:, self._designable_index] = draws
-        best = float(self.fitness_batch(candidates).max(initial=-np.inf))
-        return max(self.fitness(self.native_sequence), best)
