@@ -215,6 +215,11 @@ class CampaignSuite:
                     f"got {self.shard!r} (shards are zero-based: the first of "
                     "two shards has index 0)"
                 )
+            if index >= len(self._run_specs):
+                raise CampaignError(
+                    f"shard {self.shard!r} selects none of the sweep's "
+                    f"{len(self._run_specs)} runs"
+                )
             # Strided partition: deterministic, order-based (never hash-based),
             # balanced to within one run across shards.
             self._run_specs = self._run_specs[index::count]

@@ -130,9 +130,19 @@ class TestSharding:
         sizes = [len(shard) for shard in shards]
         assert max(sizes) - min(sizes) <= 1
 
-    @pytest.mark.parametrize("shard", [(2, 2), (3, 2), (-1, 2), (0, 0)])
-    def test_invalid_shards_rejected(self, shard):
-        with pytest.raises(CampaignError, match="zero-based"):
+    @pytest.mark.parametrize(
+        "shard, message",
+        [
+            ((2, 2), "zero-based"),
+            ((3, 2), "zero-based"),
+            ((-1, 2), "zero-based"),
+            ((0, 0), "zero-based"),
+            ((4, 5), "selects none of the sweep's 4 runs"),
+        ],
+        ids=["index-is-count", "index-past-count", "negative-index", "no-shards", "empty"],
+    )
+    def test_invalid_shards_rejected(self, shard, message):
+        with pytest.raises(CampaignError, match=message):
             CampaignSuite(BASE_SWEEP, executor="serial", shard=shard)
 
     def test_suite_shard_matches_strided_expansion(self):

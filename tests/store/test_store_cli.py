@@ -53,6 +53,14 @@ class TestExperimentsStoreFlags:
         assert code == 2
         assert "shard must look like I/N" in capsys.readouterr().err
 
+    def test_empty_shard_is_a_clean_error(self, tmp_path, capsys):
+        store_path = tmp_path / "s.jsonl"
+        assert _run_sweep(store_path, extra=["--shard", "2/3"]) == 2
+        captured = capsys.readouterr()
+        assert "selects none of the sweep's 2 runs" in captured.err
+        assert "Running" not in captured.out
+        assert not store_path.exists()
+
     def test_json_export_is_schema_stamped(self, tmp_path, capsys):
         json_path = tmp_path / "suite.json"
         assert experiments_main(SWEEP_ARGS + ["--json", str(json_path)]) == 0
