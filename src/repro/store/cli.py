@@ -115,8 +115,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command in ("inspect", "report", "prune") and not Path(
             args.path
-        ).exists():
-            raise StoreError(f"no such store: {args.path}")
+        ).is_file():
+            raise StoreError(f"no such store file: {args.path}")
         if args.command == "inspect":
             print(_inspect(args.path, args.runs))
         elif args.command == "merge":

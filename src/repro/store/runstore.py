@@ -244,6 +244,8 @@ class RunStore:
     def _scan(self) -> None:
         if not self._path.exists():
             return
+        if not self._path.is_file():
+            raise StoreError(f"run store {self._path} is not a regular file")
         # newline="" disables newline translation so byte offsets computed
         # from line lengths stay correct on every platform.
         with self._path.open("r", encoding="utf-8", newline="") as handle:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.exceptions import StoreError
 from repro.experiments.cli import main as experiments_main
 from repro.store import RunStore
 from repro.store.cli import main as store_main
@@ -104,3 +107,23 @@ class TestStoreCli:
     def test_missing_store_is_a_clean_error(self, tmp_path, capsys):
         assert store_main(["inspect", str(tmp_path / "ghost.jsonl")]) == 2
         assert "no such store" in capsys.readouterr().err
+
+
+class TestDirectoryStorePath:
+    """A directory where a store file belongs is a clean error, not a traceback."""
+
+    def test_run_store_rejects_a_directory(self, tmp_path):
+        with pytest.raises(StoreError, match="not a regular file"):
+            RunStore(tmp_path)
+
+    @pytest.mark.parametrize("command", ["inspect", "report", "prune", "merge"])
+    def test_store_commands_reject_a_directory(self, tmp_path, capsys, command):
+        argv = [command, str(tmp_path)]
+        if command == "merge":
+            argv = [command, str(tmp_path / "merged.jsonl"), str(tmp_path)]
+        assert store_main(argv) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_experiments_store_flag_rejects_a_directory(self, tmp_path, capsys):
+        assert _run_sweep(tmp_path) == 2
+        assert "not a regular file" in capsys.readouterr().err
