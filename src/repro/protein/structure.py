@@ -3,7 +3,7 @@
 The reproduction represents structures at the CA (alpha-carbon) level: one
 3-D coordinate per residue.  That is enough to support everything the
 protocol touches — interface detection (which positions ProteinMPNN is
-allowed to design), contact-based scoring, PDB round-trips, and a latent
+allowed to design), contact-based scoring, and a latent
 ``backbone_quality`` scalar that the folding surrogate updates each cycle
 (standing in for the refined backbone AlphaFold feeds back into the next
 ProteinMPNN round).
