@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.results import compare_campaigns
+from repro.core.results import compare_campaigns, net_deltas_from_summary
 from repro.exceptions import CampaignError
 from repro.utils.serialization import to_jsonable
+from repro.utils.stats import net_delta_percent
 
 
 class TestCampaignConfig:
@@ -100,6 +101,21 @@ class TestDesignCampaign:
         payload = to_jsonable(small_imrp_result.as_dict())
         assert payload["approach"] == "IM-RP"
 
+    def test_net_deltas_match_summary(self, small_imrp_result):
+        summary = small_imrp_result.iteration_summary()
+        deltas = small_imrp_result.net_deltas()
+        first, last = min(summary), max(summary)
+        for metric in ("plddt", "ptm", "interchain_pae"):
+            assert deltas[metric] == pytest.approx(
+                net_delta_percent(
+                    summary[first][metric]["median"], summary[last][metric]["median"]
+                )
+            )
+
+    def test_net_deltas_need_a_completed_iteration(self, small_imrp_result):
+        baseline_only = {0: small_imrp_result.iteration_summary()[0]}
+        with pytest.raises(CampaignError, match="at least a baseline"):
+            net_deltas_from_summary(baseline_only)
 
 
 class TestCompareCampaigns:

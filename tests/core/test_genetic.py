@@ -17,6 +17,12 @@ class TestGeneticConfig:
             GeneticConfig(crossover_rate=1.5)
         with pytest.raises(ConfigurationError):
             GeneticConfig(elitism=10, population_size=4)
+        with pytest.raises(ConfigurationError, match="n_generations"):
+            GeneticConfig(n_generations=0)
+        with pytest.raises(ConfigurationError, match="mutation_fallback_rate"):
+            GeneticConfig(mutation_fallback_rate=1.5)
+        with pytest.raises(ConfigurationError, match="mutation_fallback_rate"):
+            GeneticConfig(mutation_fallback_rate=-0.1)
 
 
 class TestGeneticOptimizer:

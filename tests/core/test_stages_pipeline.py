@@ -107,6 +107,10 @@ class TestPipelineConfig:
             PipelineConfig(n_cycles=0)
         with pytest.raises(ConfigurationError):
             PipelineConfig(adaptivity_schedule=(True,), n_cycles=2)
+        with pytest.raises(ConfigurationError, match="n_sequences"):
+            PipelineConfig(n_sequences=0)
+        with pytest.raises(ConfigurationError, match="max_retries"):
+            PipelineConfig(max_retries=0)
 
     def test_adaptivity_schedule(self):
         config = PipelineConfig(n_cycles=3, adaptivity_schedule=(True, False, True))
@@ -217,6 +221,38 @@ class TestPipeline:
         drive(pipeline)
         assert pipeline.status is PipelineStatus.COMPLETED
         assert pipeline.cycle_results[-1].adaptive is False
+
+    def test_latest_metrics_are_the_last_accepted_cycle(self, factory, target):
+        pipeline = Pipeline("p11", target, factory, PipelineConfig(n_cycles=3, n_sequences=6))
+        assert pipeline.latest_metrics is None
+        drive(pipeline)
+        accepted = [c for c in pipeline.cycle_results if c.accepted]
+        assert accepted
+        assert pipeline.latest_metrics == accepted[-1].best_metrics
+
+    def test_empty_uid_rejected(self, factory, target):
+        with pytest.raises(ConfigurationError, match="uid must be non-empty"):
+            Pipeline("", target, factory)
+
+    def test_resume_at_a_cycle_boundary_rederives_the_generation_task(self, factory, target):
+        pipeline = Pipeline("p13", target, factory, PipelineConfig(n_cycles=2, n_sequences=4))
+        queue = list(pipeline.start())
+        while True:
+            step = pipeline.advance(run_task_inline(queue.pop(0)))
+            if step.completed_cycle is not None:
+                break
+            queue.extend(step.new_tasks)
+        assert pipeline.at_cycle_boundary and not pipeline.is_finished
+        (resumed,) = pipeline.resume_tasks()
+        (emitted,) = step.new_tasks
+        assert resumed.kind == emitted.kind == TaskKind.MPNN_GENERATE.value
+        assert resumed.metadata == emitted.metadata
+
+    def test_finished_pipeline_has_nothing_to_resume(self, factory, target):
+        pipeline = Pipeline("p14", target, factory, PipelineConfig(n_cycles=1, n_sequences=4))
+        drive(pipeline)
+        assert pipeline.is_finished
+        assert pipeline.resume_tasks() == []
 
     def test_as_dict_summary(self, factory, target):
         pipeline = Pipeline("p12", target, factory, PipelineConfig(n_cycles=1, n_sequences=4))

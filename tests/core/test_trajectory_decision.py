@@ -161,3 +161,7 @@ class TestSubPipelinePolicy:
             SubPipelinePolicy(quality_margin=-0.1)
         with pytest.raises(ConfigurationError):
             SubPipelinePolicy(subpipeline_cycles=0)
+        with pytest.raises(ConfigurationError, match="max_per_pipeline"):
+            SubPipelinePolicy(max_per_pipeline=-1)
+        with pytest.raises(ConfigurationError, match="max_total"):
+            SubPipelinePolicy(max_total=-1)

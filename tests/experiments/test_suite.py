@@ -51,6 +51,10 @@ class TestTargetSpec:
         with pytest.raises(CampaignError, match="target kind"):
             TargetSpec(kind="kinases")
 
+    def test_target_count_must_be_positive(self):
+        with pytest.raises(CampaignError, match="n_targets"):
+            TargetSpec(kind="expanded-pdz", n_targets=0)
+
     @pytest.mark.parametrize("peptide", ["", "XZ1", "epea"])
     def test_invalid_peptide_rejected(self, peptide):
         """Rejected at spec time, not as a ``SequenceError`` in a worker."""
@@ -124,6 +128,16 @@ class TestSweepSpec:
         with pytest.raises(CampaignError):
             SweepSpec(protocols=("im-rp",), seeds=(0, 0))
 
+    def test_empty_axes_rejected(self):
+        with pytest.raises(CampaignError, match="at least one protocol and one seed"):
+            SweepSpec(protocols=(), seeds=(0,))
+        with pytest.raises(CampaignError, match="at least one protocol and one seed"):
+            SweepSpec(protocols=("im-rp",), seeds=())
+        with pytest.raises(CampaignError, match="at least one entry"):
+            SweepSpec(protocols=("im-rp",), seeds=(0,), platform_specs=())
+        with pytest.raises(CampaignError, match="at least one entry"):
+            SweepSpec(protocols=("im-rp",), seeds=(0,), knobs=())
+
 
 @pytest.fixture(scope="module")
 def serial_outcome():
@@ -154,6 +168,10 @@ class TestCampaignSuite:
     def test_invalid_executor_rejected(self):
         with pytest.raises(CampaignError, match="executor"):
             CampaignSuite(SMALL_SWEEP, executor="mpi")
+
+    def test_max_workers_must_be_positive(self):
+        with pytest.raises(CampaignError, match="max_workers"):
+            CampaignSuite(SMALL_SWEEP, executor="thread", max_workers=0)
 
     def test_serial_covers_every_combination(self, serial_outcome):
         assert serial_outcome.n_runs == 8

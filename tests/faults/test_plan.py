@@ -165,3 +165,17 @@ class TestEnvRoundTrip:
             FaultPlan.from_env()
         with pytest.raises(ConfigurationError, match="JSON object"):
             FaultPlan.from_env(json.dumps([1, 2]))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rates": {"io_error": 0.1}},
+            {"seed": "not-a-seed"},
+            {"seed": 1, "force": [{"site": "store.append", "kind": "enospc"}]},
+            {"seed": 1, "max_delay": "slow"},
+        ],
+        ids=["no-seed", "bad-seed", "forced-fault-without-index", "bad-delay"],
+    )
+    def test_incomplete_payload_is_a_loud_error(self, payload):
+        with pytest.raises(ConfigurationError, match="unreadable fault plan payload"):
+            FaultPlan.from_env(json.dumps(payload))

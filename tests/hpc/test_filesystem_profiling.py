@@ -38,13 +38,23 @@ class TestSharedFilesystem:
         with_files = fs.read_time(0.0, files=5)
         assert with_files - base == pytest.approx(0.5)
 
+    def test_read_time_is_streaming_plus_metadata(self):
+        fs = SharedFilesystem(FilesystemSpec(read_bandwidth_gb_s=4.0, metadata_latency_s=0.05))
+        assert fs.read_time(2.0, files=3) == pytest.approx(2.0 / 4.0 + 3 * 0.05)
+        assert fs.read_time(2.0) == pytest.approx(2.0 / 4.0 + 0.05)  # one file by default
+
     def test_sandbox_setup_time(self):
         fs = SharedFilesystem(FilesystemSpec(metadata_latency_s=0.02))
         assert fs.sandbox_setup_time(files=6) == pytest.approx(0.12)
 
     def test_negative_volume_rejected(self):
+        fs = SharedFilesystem()
         with pytest.raises(ConfigurationError):
-            SharedFilesystem().read_time(-1.0)
+            fs.read_time(-1.0)
+        with pytest.raises(ConfigurationError):
+            fs.read_time(1.0, files=-1)
+        with pytest.raises(ConfigurationError, match="negative file count"):
+            fs.sandbox_setup_time(files=-1)
 
 
 def _interval(task: str, start: float, end: float, cores=(0,), gpus=()):
@@ -97,6 +107,25 @@ class TestExecutionProfiler:
         self.profiler.record_resource_interval(_interval("a", 0.0, 10.0, cores=(0,), gpus=(0, 1)))
         _, series = self.profiler.utilization_timeline("gpu", n_bins=5)
         assert series.mean() == pytest.approx(0.5, rel=1e-6)
+
+    def test_timeline_stacks_overlapping_intervals(self):
+        # Two one-core tasks overlap on [5, 10): the middle bin is twice as busy.
+        self.profiler.record_resource_interval(_interval("a", 0.0, 10.0, cores=(0,)))
+        self.profiler.record_resource_interval(_interval("b", 5.0, 15.0, cores=(1,)))
+        centers, series = self.profiler.utilization_timeline("cpu", n_bins=3)
+        assert centers == pytest.approx([2.5, 7.5, 12.5])
+        assert series == pytest.approx([1 / 28, 2 / 28, 1 / 28])
+
+    def test_timeline_rejects_zero_bins_and_an_instantaneous_trace(self):
+        self.profiler.record_resource_interval(_interval("a", 3.0, 3.0))
+        with pytest.raises(SimulationError, match="n_bins"):
+            self.profiler.utilization_timeline("cpu", n_bins=0)
+        with pytest.raises(SimulationError, match="empty profiling window"):
+            self.profiler.utilization_timeline("cpu")
+
+    def test_utilization_over_an_empty_window_is_zero(self):
+        self.profiler.record_resource_interval(_interval("a", 0.0, 10.0))
+        assert self.profiler.cpu_utilization(window=(3.0, 3.0)) == 0.0
 
     def test_phase_totals(self):
         self.profiler.record_phase("t1", "exec_setup", 0.0, 2.0)

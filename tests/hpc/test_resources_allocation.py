@@ -62,6 +62,14 @@ class TestSpecs:
         assert AMAREL_NODE.can_ever_fit(ResourceRequest(cpu_cores=28, gpus=4))
         assert not AMAREL_NODE.can_ever_fit(ResourceRequest(cpu_cores=29))
 
+    def test_node_validation(self):
+        with pytest.raises(ConfigurationError, match="at least 1 core"):
+            NodeSpec(name="n", cpu_cores=0, gpus=0, memory_gb=8.0)
+        with pytest.raises(ConfigurationError, match="invalid node spec"):
+            NodeSpec(name="n", cpu_cores=4, gpus=-1, memory_gb=8.0)
+        with pytest.raises(ConfigurationError, match="invalid node spec"):
+            NodeSpec(name="n", cpu_cores=4, gpus=0, memory_gb=0.0)
+
     def test_platform_rejects_duplicate_node_names(self):
         node = NodeSpec(name="n", cpu_cores=4, gpus=0, memory_gb=8.0)
         with pytest.raises(ConfigurationError):

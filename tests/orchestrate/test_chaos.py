@@ -20,7 +20,7 @@ from repro.analysis import fleet_timeline
 from repro.exceptions import OrchestrationError
 from repro.experiments import SweepSpec, TargetSpec
 from repro.faults import FaultPlan, ForcedFault, injected_plan
-from repro.orchestrate import run_chaos
+from repro.orchestrate import ChaosReport, run_chaos
 
 CHAOS_SWEEP = SweepSpec(
     protocols=("cont-v",),
@@ -97,6 +97,37 @@ class TestChaosSoak:
         with pytest.raises(OrchestrationError, match="fault plan is active"):
             with injected_plan(FaultPlan(0)):
                 run_chaos(tmp_path / "soak2", CHAOS_SWEEP, seed=0)
+        with pytest.raises(OrchestrationError, match="at least one worker"):
+            run_chaos(tmp_path / "soak3", CHAOS_SWEEP, seed=0, workers=0)
+        with pytest.raises(OrchestrationError, match="kills must be >= 0"):
+            run_chaos(tmp_path / "soak3", CHAOS_SWEEP, seed=0, kills=-1)
+        assert not (tmp_path / "soak3").exists()
+
+
+class TestChaosReport:
+    def _report(self, **fields):
+        base = dict(seed=4, n_runs=6, workers=2, kills_delivered=1, workers_spawned=3)
+        return ChaosReport(**{**base, **fields})
+
+    def test_summary_counts_faults_by_kind(self):
+        report = self._report(
+            injected_by_kind={"torn_write": 2, "io_error": 5},
+            failed_in_storm={"cont-v-s3": "error"},
+            drained=["cont-v-s3", "cont-v-s5"],
+            identical=True,
+            wall_seconds=12.34,
+        )
+        assert report.summary() == (
+            "chaos seed 4: 6 runs, 3 worker(s) spawned (1 adversary kill(s)), "
+            "faults fired: io_error×5, torn_write×2; 1 failed marker(s) cleared, "
+            "2 run(s) finished by the clean drain; finalized store byte-identical "
+            "to the serial reference in 12.3s"
+        )
+
+    def test_summary_without_faults_flags_divergence(self):
+        summary = self._report().summary()
+        assert "faults fired: none;" in summary
+        assert "finalized store DIVERGED" in summary
 
 
 class TestChaosCli:

@@ -108,6 +108,22 @@ class TestWorkerRetryFlags:
                 ["worker", "--queue", str(tmp_path / "q"), "--max-attempts", "0"]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lease", "0", "must be > 0"),
+            ("--lease", "soon", "not a number"),
+            ("--checkpoint-interval", "-1", "must be >= 0"),
+            ("--checkpoint-interval", "often", "not a number"),
+        ],
+        ids=["zero-lease", "text-lease", "negative-interval", "text-interval"],
+    )
+    def test_timing_flags_reject_bad_values(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as excinfo:
+            orchestrate_main(["worker", "--queue", str(tmp_path / "q"), flag, value])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_max_attempts_accepted(self, tmp_path, capsys):
         queue_dir = tmp_path / "queue"
         _init(queue_dir)
@@ -122,6 +138,20 @@ class TestWorkerRetryFlags:
             == 0
         )
         assert "executed 2 run(s)" in capsys.readouterr().out
+
+
+class TestChaosFlags:
+    @pytest.mark.parametrize(
+        "rate, message",
+        [("io_error", "fault rate must be KIND=RATE"), ("io_error=often", "must be a number")],
+        ids=["no-separator", "text-rate"],
+    )
+    def test_malformed_rate_is_a_clean_error(self, tmp_path, capsys, rate, message):
+        queue_dir = tmp_path / "soak"
+        code = orchestrate_main(["chaos", "--queue", str(queue_dir), "--rate", rate])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not queue_dir.exists()  # rejected before any storm starts
 
 
 class TestTelemetryCli:

@@ -641,6 +641,17 @@ class TestRunTimeout:
         with pytest.raises(OrchestrationError, match="run_timeout"):
             run_worker(queue, worker_id="w0", run_timeout=0.0)
 
+    def test_lease_budget_and_checkpoint_settings_validated(self, queue):
+        with pytest.raises(OrchestrationError, match="lease_seconds and poll_seconds"):
+            run_worker(queue, worker_id="w0", lease_seconds=0.0)
+        with pytest.raises(OrchestrationError, match="lease_seconds and poll_seconds"):
+            run_worker(queue, worker_id="w0", poll_seconds=-1.0)
+        with pytest.raises(OrchestrationError, match="max_attempts"):
+            run_worker(queue, worker_id="w0", max_attempts=0)
+        with pytest.raises(OrchestrationError, match="checkpoint_seconds"):
+            run_worker(queue, worker_id="w0", checkpoint_seconds=-1.0)
+        assert queue_progress(queue).n_unclaimed == 4  # nothing was claimed
+
 
 class TestPoisonQuarantine:
     """Runs that kill their workers repeatedly are quarantined, not

@@ -129,6 +129,42 @@ class TestFitnessLandscape:
             FitnessLandscape("x", len(native), [], native, seed=1)
         with pytest.raises(ProteinError):
             FitnessLandscape("x", len(native), [len(native) + 5], native, seed=1)
+        with pytest.raises(ProteinError, match="receptor_length must be"):
+            FitnessLandscape("x", 0, [0], native, seed=1)
+        with pytest.raises(ProteinError, match="does not match receptor_length"):
+            FitnessLandscape("x", len(native) + 1, [0], native, seed=1)
+        with pytest.raises(ProteinError, match="coupling_density"):
+            FitnessLandscape("x", len(native), [0, 1], native, seed=1, coupling_density=1.5)
+
+    def test_zero_coupling_density_is_purely_additive(self, pdz_target):
+        source = pdz_target.landscape
+        landscape = FitnessLandscape(
+            "additive",
+            source.receptor_length,
+            source.designable_positions,
+            source.native_sequence,
+            seed=1,
+            coupling_density=0.0,
+        )
+        rng = spawn_rng(5, "additive")
+        sequences = [
+            point_mutations(source.native_sequence, source.designable_positions, 4, rng)
+            for _ in range(8)
+        ]
+        # Without coupling terms the MPNN surrogate's additive view is the
+        # whole fitness signal.
+        for sequence in sequences:
+            expected = 1.0 / (1.0 + np.exp(-landscape.partial_score(sequence)))
+            assert landscape.fitness(sequence) == pytest.approx(expected)
+        assert landscape.fitness_batch(sequences) == pytest.approx(
+            [landscape.fitness(sequence) for sequence in sequences]
+        )
+
+    def test_batch_length_mismatch_raises(self, pdz_target):
+        landscape = pdz_target.landscape
+        short = ProteinSequence(residues="ACD", chain_id="A")
+        with pytest.raises(SequenceError, match="does not match receptor"):
+            landscape.fitness_batch([landscape.native_sequence, short])
 
 
 class TestSurrogateProteinMPNN:
@@ -195,6 +231,21 @@ class TestSurrogateProteinMPNN:
             MPNNConfig(temperature=0)
         with pytest.raises(ConfigurationError):
             MPNNConfig(mutation_rate=0.0)
+        with pytest.raises(ConfigurationError, match="score_noise"):
+            MPNNConfig(score_noise=-0.1)
+        with pytest.raises(ConfigurationError, match="backbone_sharpening"):
+            MPNNConfig(backbone_sharpening=-1.0)
+
+    def test_zero_sequence_request_rejected(self, pdz_target):
+        mpnn = SurrogateProteinMPNN(seed=1)
+        with pytest.raises(ConfigurationError, match="at least one sequence"):
+            mpnn.generate(pdz_target.complex, pdz_target.landscape, n_sequences=0)
+
+    def test_receptor_length_must_match_the_landscape(self, pdz_target):
+        longer = make_pdz_target("HTRA1", seed=23, receptor_length=95)
+        mpnn = SurrogateProteinMPNN(seed=1)
+        with pytest.raises(ProteinError, match="does not match the landscape"):
+            mpnn.generate(longer.complex, pdz_target.landscape)
 
     def test_all_positions_fixed_raises(self, pdz_target):
         config = MPNNConfig(fixed_positions=tuple(pdz_target.landscape.designable_positions))
@@ -284,6 +335,33 @@ class TestSurrogateAlphaFold:
             FoldingConfig(msa_mode="bogus")
         with pytest.raises(ConfigurationError):
             FoldingConfig(n_models=0)
+        with pytest.raises(ConfigurationError, match="noise scales"):
+            FoldingConfig(pae_noise=-0.5)
+        with pytest.raises(ConfigurationError, match="single_sequence_noise_factor"):
+            FoldingConfig(single_sequence_noise_factor=0.5)
+
+    def test_predict_batch_needs_aligned_inputs(self, pdz_target):
+        folding = SurrogateAlphaFold(seed=1)
+        native = pdz_target.landscape.native_sequence
+        with pytest.raises(ConfigurationError, match="one complex per sequence"):
+            folding.predict_batch(
+                [pdz_target.complex], pdz_target.landscape, [native, native]
+            )
+        with pytest.raises(ConfigurationError, match="one landscape per sequence"):
+            folding.predict_batch(
+                pdz_target.complex, [pdz_target.landscape], [native, native]
+            )
+        with pytest.raises(ConfigurationError, match="one stream per sequence"):
+            folding.predict_batch(
+                pdz_target.complex, pdz_target.landscape, [native, native],
+                streams=[(0,)],
+            )
+        with pytest.raises(ProteinError, match="does not match the landscape"):
+            folding.predict_batch(
+                pdz_target.complex,
+                pdz_target.landscape,
+                [ProteinSequence(residues="ACD", chain_id="A")],
+            )
 
     def test_length_mismatch_raises(self, pdz_target):
         folding = SurrogateAlphaFold(seed=1)

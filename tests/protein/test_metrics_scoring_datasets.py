@@ -155,6 +155,10 @@ class TestScoringFunction:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             ScoringFunction(contact_cutoff=2.0, clash_cutoff=3.0)
+        with pytest.raises(ConfigurationError, match="weights must be non-negative"):
+            ScoringFunction(clash_weight=-1.0)
+        with pytest.raises(ConfigurationError, match="weights must be non-negative"):
+            ScoringFunction(compactness_weight=-0.01)
 
 
 class TestMutationOperators:
@@ -201,6 +205,9 @@ class TestMutationOperators:
         b = ProteinSequence(residues="AAAA", chain_id="A")
         with pytest.raises(SequenceError):
             crossover(a, b, rng)
+        other_chain = ProteinSequence(residues="AAA", chain_id="B")
+        with pytest.raises(SequenceError, match="same chain"):
+            crossover(a, other_chain, rng)
 
     def test_random_sequence(self):
         rng = spawn_rng(7, "rand")
@@ -262,3 +269,9 @@ class TestDatasets:
             make_pdz_target("X", peptide_residues="")
         with pytest.raises(DatasetError):
             expanded_pdz_set(n_targets=0)
+        with pytest.raises(DatasetError, match="peptide cannot be longer"):
+            make_pdz_target("X", peptide_residues="A" * 20, receptor_length=20)
+        # The peptide docks 6 angstroms out, so a 1-angstrom cutoff finds no
+        # receptor residue near it.
+        with pytest.raises(DatasetError, match="empty interface"):
+            make_pdz_target("X", interface_cutoff=1.0)

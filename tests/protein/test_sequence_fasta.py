@@ -73,6 +73,24 @@ class TestProteinSequence:
         mutated = sequence.with_substitutions({0: "W", 3: "Y"})
         assert mutated.residues == "WAAY"
 
+    def test_no_substitutions_returns_the_same_sequence(self):
+        sequence = ProteinSequence(residues="ACDE", chain_id="A")
+        assert sequence.with_substitutions({}) is sequence
+        assert sequence.with_substitutions([]) is sequence
+
+    def test_later_substitution_wins_on_conflict(self):
+        sequence = ProteinSequence(residues="AAAA", chain_id="A")
+        mutated = sequence.with_substitutions([(1, "W"), (1, "Y")])
+        assert mutated.residues == "AYAA"
+
+    def test_multiple_substitution_validation(self):
+        sequence = ProteinSequence(residues="ACDE", chain_id="A")
+        with pytest.raises(SequenceError, match="out of range"):
+            sequence.with_substitutions({0: "W", 4: "Y"})
+        with pytest.raises(SequenceError, match="invalid residue"):
+            sequence.with_substitutions({0: "W", 1: "B"})
+        assert sequence.residues == "ACDE"
+
     def test_hamming_and_identity(self):
         a = ProteinSequence(residues="AAAA", chain_id="A")
         b = ProteinSequence(residues="AAWY", chain_id="A")
@@ -161,6 +179,19 @@ class TestFasta:
         parsed = parse_fasta(">some_protein\nACDEF\n")
         assert parsed[0].chain_id == "A"
         assert parsed[0].name == "some_protein"
+
+    def test_unnamed_sequences_round_trip_under_chain_names(self):
+        sequences = [
+            ProteinSequence(residues="ACDEF", chain_id="A"),
+            ProteinSequence(residues="EPEA", chain_id="B"),
+        ]
+        text = format_fasta(sequences)
+        assert text.splitlines()[0] == ">chain_A|A"
+        parsed = parse_fasta(text)
+        assert [(p.name, p.chain_id, p.residues) for p in parsed] == [
+            ("chain_A", "A", "ACDEF"),
+            ("chain_B", "B", "EPEA"),
+        ]
 
     def test_malformed_input_raises(self):
         with pytest.raises(SequenceError):

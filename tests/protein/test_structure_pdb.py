@@ -90,6 +90,15 @@ class TestChain:
 
 
 class TestComplexStructure:
+    def test_name_required(self):
+        complex_structure = _complex()
+        with pytest.raises(StructureError, match="non-empty name"):
+            ComplexStructure(
+                name="",
+                receptor=complex_structure.receptor,
+                peptide=complex_structure.peptide,
+            )
+
     def test_distinct_chain_ids_required(self):
         receptor = _chain("ACDE", "A")
         peptide = _chain("EPEA", "A", seed=9)
@@ -111,6 +120,16 @@ class TestComplexStructure:
         interface = complex_structure.interface_positions(cutoff=10.0)
         assert interface
         assert all(0 <= p < len(complex_structure.receptor) for p in interface)
+
+    def test_interface_cutoff_must_be_positive(self):
+        with pytest.raises(StructureError, match="cutoff must be positive"):
+            _complex().interface_positions(cutoff=0.0)
+
+    def test_interface_grows_with_cutoff(self):
+        complex_structure = _complex()
+        narrow = set(complex_structure.interface_positions(cutoff=6.0))
+        wide = set(complex_structure.interface_positions(cutoff=12.0))
+        assert narrow and narrow <= wide
 
     def test_interchain_contacts_subset_of_interface(self):
         complex_structure = _complex()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.exceptions import StoreError
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
 from repro.store import RunStore, prune_store
 from repro.store.cli import main as store_main
@@ -54,6 +55,16 @@ class TestPruneStore:
         assert len(pruned) == 2
         for line in _raw_lines(pruned.path):
             json.loads(line)  # every surviving line parses
+
+    def test_unreadable_line_aborts_without_touching_the_store(self, populated):
+        line = json.loads(_raw_lines(populated.path)[0])
+        line["schema_version"] = 99
+        with populated.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line) + "\n")
+        before = populated.path.read_bytes()
+        with pytest.raises(StoreError, match="schema_version 99"):
+            prune_store(populated.path)
+        assert populated.path.read_bytes() == before
 
     def test_output_is_fingerprint_sorted_and_idempotent(self, populated, tmp_path):
         once = prune_store(populated.path, tmp_path / "once.jsonl")

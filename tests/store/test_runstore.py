@@ -72,6 +72,28 @@ class TestSpecCodec:
         with pytest.raises(StoreError, match="cannot persist"):
             encode_value(object())
 
+    def test_unknown_dataclass_rejected(self):
+        payload = encode_run_spec(SWEEP.expand()[0])
+        payload["overrides"] = [
+            ["platform_spec", {"__kind__": "dataclass", "type": "Mystery", "fields": {}}]
+        ]
+        with pytest.raises(StoreError, match="unknown dataclass 'Mystery'"):
+            decode_run_spec(payload)
+
+    def test_malformed_values_rejected(self):
+        from repro.store.codec import decode_value
+
+        with pytest.raises(StoreError, match="malformed tagged value"):
+            decode_value({"__kind__": "set", "items": [1]})
+        with pytest.raises(StoreError, match="cannot decode stored value of type list"):
+            decode_value([1, 2])
+
+    def test_spec_missing_a_field_rejected(self):
+        payload = encode_run_spec(SWEEP.expand()[0])
+        del payload["protocol"]
+        with pytest.raises(StoreError, match="malformed stored run spec"):
+            decode_run_spec(payload)
+
 
 class TestRunStore:
     def test_missing_file_is_an_empty_store(self, tmp_path):
@@ -151,6 +173,31 @@ class TestRunStore:
         populated.path.write_text(json.dumps(line) + "\n")
         with pytest.raises(StoreError, match="schema_version"):
             RunStore(populated.path)
+
+    def test_missing_schema_version_rejected(self, populated):
+        line = json.loads(populated.path.read_text().splitlines()[0])
+        del line["schema_version"]
+        populated.path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(StoreError, match="has schema_version None") as caught:
+            RunStore(populated.path)
+        assert "Re-run the sweep with a matching build" in str(caught.value)
+
+    def test_line_without_fingerprint_is_a_clear_error(self, populated):
+        with populated.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"schema_version": STORE_SCHEMA_VERSION}) + "\n")
+            handle.write("[1, 2]\n")
+        with pytest.raises(StoreError, match="line 3: not a run record"):
+            RunStore(populated.path)
+
+    def test_stored_runs_adapt_to_cached_suite_records(self, populated, executed_records):
+        cached = [stored.as_record() for stored in populated.iter_records()]
+        assert [r.spec for r in cached] == [r.spec for r in executed_records]
+        assert all(record.cached for record in cached)
+        assert [r.result.as_dict() for r in cached] == [
+            to_jsonable(r.result.as_dict()) for r in executed_records
+        ]
+        substitute = executed_records[0].spec
+        assert populated.records()[0].as_record(substitute).spec is substitute
 
 
 class TestMergeStores:

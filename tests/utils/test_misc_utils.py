@@ -33,6 +33,16 @@ class TestToJsonable:
         out = to_jsonable({"s": np.float64(2.5), "a": np.arange(3)})
         assert out == {"s": 2.5, "a": [0, 1, 2]}
 
+    def test_non_float_numpy_scalars_become_python_scalars(self):
+        out = to_jsonable([np.int64(3), np.bool_(True), np.float32(0.5)])
+        assert out == [3, True, 0.5]
+        assert [type(value) for value in out] == [int, bool, float]
+
+    def test_paths_and_non_string_keys_become_strings(self, tmp_path):
+        out = to_jsonable({1: tmp_path / "store.jsonl", (2, 3): "x"})
+        assert out == {"1": str(tmp_path / "store.jsonl"), "(2, 3)": "x"}
+        json.dumps(out)  # must not raise
+
     def test_enum(self):
         assert to_jsonable(Color.RED) == "red"
 
@@ -76,6 +86,14 @@ class TestFormatDuration:
         assert format_duration(60) == "1m 0s"
         assert format_duration(3600) == "1h 0m 0s"
         assert format_duration(90061) == "1d 1h 1m 1s"
+        assert format_duration(2 * 86400 + 5) == "2d 0h 0m 5s"
+
+    def test_rounds_to_whole_seconds_past_a_minute(self):
+        from repro.utils.timer import format_duration
+
+        assert format_duration(59.994) == "59.99s"
+        assert format_duration(61.4) == "1m 1s"
+        assert format_duration(119.6) == "2m 0s"
 
     def test_negative_is_signed(self):
         from repro.utils.timer import format_duration

@@ -22,6 +22,12 @@ class TestDeriveSeed:
     def test_key_order_matters(self):
         assert derive_seed(0, "a", "b") != derive_seed(0, "b", "a")
 
+    def test_equal_but_distinct_keys_do_not_collide(self):
+        # Keys are hashed by repr, so 1, True, 1.0 and "1" name four streams.
+        seeds = {derive_seed(0, key) for key in (1, True, 1.0, "1")}
+        assert len(seeds) == 4
+        assert derive_seed(0, (1, 2)) != derive_seed(0, 1, 2)
+
     def test_range_is_valid_numpy_seed(self):
         seed = derive_seed(123456789, "stream", 7)
         assert 0 <= seed < 2 ** 63

@@ -21,6 +21,9 @@ class TestRelativeChange:
     def test_zero_initial_positive_final(self):
         assert relative_change(0.0, 1.0) == np.inf
 
+    def test_zero_initial_negative_final(self):
+        assert relative_change(0.0, -1.0) == -np.inf
+
     def test_negative_initial_uses_absolute(self):
         # pAE-style improvements (from -6.7 to -6.61) stay interpretable.
         assert relative_change(-10.0, -5.0) == pytest.approx(0.5)
