@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.exceptions import ProteinError, SequenceError
 from repro.protein.alphabet import AMINO_ACIDS, property_matrix
-from repro.protein.sequence import ProteinSequence
+from repro.protein.sequence import ProteinSequence, check_encoded
 from repro.utils.rng import spawn_rng
 
 __all__ = ["FitnessLandscape"]
@@ -207,16 +207,7 @@ class FitnessLandscape:
                     f"encoded batch width {encoded.shape[1]} does not match "
                     f"receptor length {self.receptor_length}"
                 )
-            if not np.issubdtype(encoded.dtype, np.integer):
-                raise SequenceError(
-                    f"encoded batch must be integer-typed, got {encoded.dtype}"
-                )
-            if encoded.size and (
-                int(encoded.min()) < 0 or int(encoded.max()) >= _N_AA
-            ):
-                raise SequenceError(
-                    f"encoded batch contains indices outside [0, {_N_AA})"
-                )
+            check_encoded(encoded)
             return encoded
         rows = []
         for sequence in sequences:

@@ -17,12 +17,17 @@ the IMPRESS protocol relies on:
    temperature, fixed positions (the future-work protease use case fixes
    catalytic residues) and which chain to design.
 
-Generation is vectorized: the softmax sampling profile (and its CDF) over all
-designable positions is built once per call rather than per position per
-design, each design's mutations are applied in one sequence construction, and
-the surrogate log-likelihoods of all designs are computed with a single
-batched partial-score evaluation.  The RNG draw order matches the historical
-scalar implementation, so seeded outputs are unchanged.
+Generation is batched.  The softmax sampling profile (and its CDF) over all
+designable positions is built once per call.  The per-design loop makes only
+its four RNG calls, in the order of the historical per-design
+implementation: ``binomial`` (how many mutations), ``choice`` (which profile
+rows), ``random`` (one uniform per mutation) and ``normal`` (score noise).
+Everything else happens once per call, on one encoded ``(n_sequences, L)``
+matrix: one CDF comparison yields every mutated residue, one fancy-index
+assignment writes them into copies of the current receptor's encoding, one
+batched partial-score evaluation scores all designs, and
+:func:`~repro.protein.sequence.decode_batch` turns the rows into sequences.
+Seeded outputs are bit-identical to the per-design loop.
 """
 
 from __future__ import annotations
@@ -33,15 +38,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ProteinError
-from repro.protein.alphabet import AMINO_ACIDS
 from repro.protein.landscape import FitnessLandscape
-from repro.protein.sequence import ProteinSequence, ScoredSequence
+from repro.protein.sequence import ScoredSequence, decode_batch
 from repro.protein.structure import ComplexStructure
 from repro.utils.rng import spawn_rng
 
 __all__ = ["MPNNConfig", "SurrogateProteinMPNN"]
-
-_N_AA = len(AMINO_ACIDS)
 
 
 @dataclass(frozen=True)
@@ -136,12 +138,16 @@ class SurrogateProteinMPNN:
                 "complex receptor length does not match the landscape"
             )
 
-        designable = [
-            position
-            for position in landscape.designable_positions
-            if position not in self._config.fixed_positions
-        ]
-        if not designable:
+        fixed = self._config.fixed_positions
+        designable_rows = np.array(
+            [
+                row
+                for row, position in enumerate(landscape.designable_positions)
+                if position not in fixed
+            ],
+            dtype=np.int64,
+        )
+        if not designable_rows.size:
             raise ProteinError(
                 "no designable positions remain after applying fixed_positions"
             )
@@ -158,7 +164,7 @@ class SurrogateProteinMPNN:
         # Precompute the sampling profile for every designable position once
         # per call: softmax of the additive term at inverse temperature beta,
         # stored as a CDF matrix so per-position categorical draws reduce to
-        # one vectorized searchsorted.  Row order follows the landscape's
+        # one vectorized comparison.  Row order follows the landscape's
         # designable positions.
         profiles = landscape.additive_matrix()  # (n_designable, 20)
         logits = beta * (profiles - profiles.max(axis=1, keepdims=True))
@@ -166,48 +172,52 @@ class SurrogateProteinMPNN:
         probabilities /= probabilities.sum(axis=1, keepdims=True)
         cdf = probabilities.cumsum(axis=1)
         cdf /= cdf[:, -1:]
-        local_row = {
-            position: row
-            for row, position in enumerate(landscape.designable_positions)
-        }
 
-        designable_array = np.asarray(designable, dtype=np.int64)
-        sequences: List[ProteinSequence] = []
+        # Only the RNG draws are per design, in the historical order.
+        # ``choice`` picks designable rows instead of receptor positions: its
+        # draws depend only on the population and sample sizes.
+        n_designable = len(designable_rows)
+        mutation_rate = self._config.mutation_rate
+        score_noise = self._config.score_noise
         mutation_counts: List[int] = []
+        picks: List[np.ndarray] = []
+        draws: List[np.ndarray] = []
         noises: List[float] = []
-        for design_index in range(count):
-            n_mutations = max(
-                1,
-                int(rng.binomial(len(designable), self._config.mutation_rate)),
+        for _ in range(count):
+            n_mutations = min(
+                max(1, int(rng.binomial(n_designable, mutation_rate))), n_designable
             )
-            positions = rng.choice(
-                designable_array, size=min(n_mutations, len(designable)), replace=False
-            )
-            rows = np.array([local_row[int(p)] for p in positions], dtype=np.int64)
-            draws = rng.random(len(positions))
-            residue_indices = (cdf[rows] <= draws[:, None]).sum(axis=1)
-            new_sequence = current.with_substitutions(
-                (int(position), AMINO_ACIDS[int(residue_index)])
-                for position, residue_index in zip(positions, residue_indices)
-            )
-            noises.append(float(rng.normal(scale=self._config.score_noise)))
-            mutation_counts.append(len(positions))
-            sequences.append(new_sequence)
+            picks.append(rng.choice(n_designable, size=n_mutations, replace=False))
+            draws.append(rng.random(n_mutations))
+            noises.append(float(rng.normal(scale=score_noise)))
+            mutation_counts.append(n_mutations)
 
-        partials = landscape.partial_score_batch(sequences)
+        rows = designable_rows[np.concatenate(picks)]
+        residue_indices = (cdf[rows] <= np.concatenate(draws)[:, None]).sum(axis=1)
+        encoded = np.repeat(current.encode()[None, :], count, axis=0)
+        encoded[
+            np.repeat(np.arange(count), mutation_counts),
+            np.asarray(landscape.designable_positions)[rows],
+        ] = residue_indices
+
+        log_likelihoods = (landscape.partial_score_batch(encoded) + noises).tolist()
+        sequences = decode_batch(
+            encoded,
+            current.chain_id,
+            [f"{complex_structure.name}_design_{index:03d}" for index in range(count)],
+        )
         backbone_quality = float(complex_structure.backbone_quality)
-        results: List[ScoredSequence] = []
-        for design_index, new_sequence in enumerate(sequences):
-            name = f"{complex_structure.name}_design_{design_index:03d}"
-            results.append(
-                ScoredSequence(
-                    sequence=new_sequence.renamed(name),
-                    log_likelihood=float(partials[design_index] + noises[design_index]),
-                    generator="surrogate-mpnn",
-                    metadata={
-                        "n_mutations": float(mutation_counts[design_index]),
-                        "backbone_quality": backbone_quality,
-                    },
-                )
+        return [
+            ScoredSequence(
+                sequence=sequence,
+                log_likelihood=log_likelihood,
+                generator="surrogate-mpnn",
+                metadata={
+                    "n_mutations": float(n_mutations),
+                    "backbone_quality": backbone_quality,
+                },
             )
-        return results
+            for sequence, log_likelihood, n_mutations in zip(
+                sequences, log_likelihoods, mutation_counts
+            )
+        ]

@@ -2,22 +2,27 @@
 
 :class:`ProteinSequence` is an immutable value object (chain id + residue
 string) with the small set of operations the protocol needs: validation,
-point substitution, Hamming distance and identity.  :class:`ScoredSequence`
-pairs a sequence with the surrogate ProteinMPNN log-likelihood used by the
-ranking stage.
+point substitution, Hamming distance and identity.  :func:`decode_batch`
+builds a whole batch of sequences from an encoded index matrix.
+:class:`ScoredSequence` pairs a sequence with the surrogate ProteinMPNN
+log-likelihood used by the ranking stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.exceptions import SequenceError
 from repro.protein.alphabet import AA_TO_INDEX, AMINO_ACIDS, is_valid_sequence
 
-__all__ = ["ProteinSequence", "ScoredSequence"]
+__all__ = ["ProteinSequence", "ScoredSequence", "check_encoded", "decode_batch"]
+
+#: ASCII code of each residue letter, indexed by residue index.
+_LETTER_CODES = np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -59,18 +64,20 @@ class ProteinSequence:
 
     # -- operations ---------------------------------------------------------- #
 
-    def _trusted_copy(self, residues: str, name: str) -> "ProteinSequence":
-        """Build a copy without re-running O(L) residue validation.
+    @staticmethod
+    def _trusted(residues: str, chain_id: str, name: str) -> "ProteinSequence":
+        """Build a sequence without re-running O(L) residue validation.
 
-        Only for internal use on residue strings already proven valid (every
-        mutation helper validates the substituted residues individually), so
-        skipping the per-residue scan preserves the class invariant.
+        Only for internal use on residue strings already proven valid (the
+        mutation helper validates the substituted residue, the batch decoder
+        its whole index matrix), so skipping the per-residue scan preserves
+        the class invariant.
         """
-        copy = object.__new__(ProteinSequence)
-        object.__setattr__(copy, "residues", residues)
-        object.__setattr__(copy, "chain_id", self.chain_id)
-        object.__setattr__(copy, "name", name)
-        return copy
+        sequence = object.__new__(ProteinSequence)
+        object.__setattr__(sequence, "residues", residues)
+        object.__setattr__(sequence, "chain_id", chain_id)
+        object.__setattr__(sequence, "name", name)
+        return sequence
 
     def with_substitution(self, position: int, residue: str) -> "ProteinSequence":
         """Return a copy with ``position`` replaced by ``residue``.
@@ -87,51 +94,15 @@ class ProteinSequence:
         if residue not in AA_TO_INDEX:
             raise SequenceError(f"invalid residue {residue!r}")
         residues = self.residues[:position] + residue + self.residues[position + 1:]
-        copy = self._trusted_copy(residues, self.name)
-        self._propagate_encoding(copy, {position: residue})
-        return copy
-
-    def with_substitutions(
-        self, substitutions: Dict[int, str] | Iterable[Tuple[int, str]]
-    ) -> "ProteinSequence":
-        """Apply several substitutions at once (later entries win on conflict).
-
-        Builds the mutated residue string in a single pass, so applying ``k``
-        substitutions costs one sequence construction instead of ``k``.
-        """
-        if isinstance(substitutions, dict):
-            items = list(substitutions.items())
-        else:
-            items = list(substitutions)
-        if not items:
-            return self
-        residues = list(self.residues)
-        for position, residue in items:
-            if not 0 <= position < len(residues):
-                raise SequenceError(
-                    f"position {position} out of range for length {len(residues)}"
-                )
-            if residue not in AA_TO_INDEX:
-                raise SequenceError(f"invalid residue {residue!r}")
-            residues[int(position)] = residue
-        copy = self._trusted_copy("".join(residues), self.name)
-        self._propagate_encoding(
-            copy, {int(position): residue for position, residue in items}
-        )
-        return copy
-
-    def _propagate_encoding(
-        self, copy: "ProteinSequence", edits: Dict[int, str]
-    ) -> None:
-        """Derive the copy's cached encoding from this one's, if present."""
+        copy = self._trusted(residues, self.chain_id, self.name)
         cached = getattr(self, "_encoded", None)
-        if cached is None:
-            return
-        encoded = cached.copy()
-        for position, residue in edits.items():
+        if cached is not None:
+            # Derive the copy's cached encoding from this one's.
+            encoded = cached.copy()
             encoded[position] = AA_TO_INDEX[residue]
-        encoded.flags.writeable = False
-        object.__setattr__(copy, "_encoded", encoded)
+            encoded.flags.writeable = False
+            object.__setattr__(copy, "_encoded", encoded)
+        return copy
 
     def hamming_distance(self, other: "ProteinSequence") -> int:
         """Number of positions at which two equal-length sequences differ."""
@@ -184,13 +155,56 @@ class ProteinSequence:
             if aa in self.residues
         }
 
-    def renamed(self, name: str) -> "ProteinSequence":
-        """Copy with a different display name (shares the cached encoding)."""
-        copy = self._trusted_copy(self.residues, name)
-        cached = getattr(self, "_encoded", None)
-        if cached is not None:
-            object.__setattr__(copy, "_encoded", cached)
-        return copy
+
+def check_encoded(encoded: np.ndarray) -> None:
+    """Raise :class:`SequenceError` unless ``encoded`` holds only alphabet indices."""
+    if not np.issubdtype(encoded.dtype, np.integer):
+        raise SequenceError(f"encoded batch must be integer-typed, got {encoded.dtype}")
+    if encoded.size and (
+        int(encoded.min()) < 0 or int(encoded.max()) >= len(AMINO_ACIDS)
+    ):
+        raise SequenceError(
+            f"encoded batch contains indices outside [0, {len(AMINO_ACIDS)})"
+        )
+
+
+def decode_batch(
+    encoded: np.ndarray, chain_id: str, names: Sequence[str]
+) -> List[ProteinSequence]:
+    """One sequence per row of an encoded ``(B, L)`` index matrix.
+
+    The whole matrix is validated and translated to letters at once.  Each
+    sequence caches its own read-only copy of its row as its encoding; a
+    view would keep the whole matrix alive for as long as any one sequence
+    survives.
+
+    Raises
+    ------
+    SequenceError
+        If the matrix is not a non-empty-width integer matrix with one row
+        per name, holds an index outside the alphabet, or ``chain_id`` is
+        empty.
+    """
+    if encoded.ndim != 2 or encoded.shape[1] == 0 or len(names) != len(encoded):
+        raise SequenceError(
+            f"need a (B, L) matrix with one row per name, got shape "
+            f"{encoded.shape} for {len(names)} names"
+        )
+    check_encoded(encoded)
+    if not chain_id:
+        raise SequenceError("chain_id must be non-empty")
+    width = encoded.shape[1]
+    letters = _LETTER_CODES[encoded].tobytes().decode("ascii")
+    sequences = []
+    for index, name in enumerate(names):
+        sequence = ProteinSequence._trusted(
+            letters[index * width:(index + 1) * width], chain_id, name
+        )
+        row = encoded[index].astype(np.int64)
+        row.flags.writeable = False
+        object.__setattr__(sequence, "_encoded", row)
+        sequences.append(sequence)
+    return sequences
 
 
 @dataclass(frozen=True)
@@ -207,7 +221,7 @@ class ScoredSequence:
     metadata: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.log_likelihood):
+        if not math.isfinite(self.log_likelihood):
             raise SequenceError("log_likelihood must be finite")
 
     @staticmethod

@@ -236,18 +236,13 @@ class TestSequenceEncodingCache:
     def test_mutated_copies_carry_correct_encoding(self):
         sequence = ProteinSequence(residues="ACDEFGHIKL", chain_id="A")
         sequence.encode()  # populate the cache so propagation kicks in
-        mutated = sequence.with_substitutions({0: "W", 3: "Y"})
+        mutated = sequence.with_substitution(0, "W").with_substitution(3, "Y")
         assert mutated.residues == "WCDYFGHIKL"
         expected = np.fromiter(
             (list("ACDEFGHIKLMNPQRSTVWY").index(r) for r in mutated.residues),
             dtype=np.int64,
         )
         np.testing.assert_array_equal(mutated.encode(), expected)
-
-    def test_renamed_shares_encoding(self):
-        sequence = ProteinSequence(residues="ACDEFGHIKL", chain_id="A")
-        encoded = sequence.encode()
-        assert sequence.renamed("other").encode() is encoded
 
 
 class TestGeneticEndToEndGolden:

@@ -1,0 +1,183 @@
+"""Batched ≡ per-design ProteinMPNN generation.
+
+:meth:`~repro.protein.mpnn.SurrogateProteinMPNN.generate` keeps only its four
+RNG calls per design and does every lookup, substitution and sequence
+construction once per call, on one encoded matrix.  These tests pin it bit
+for bit to the per-design loop it replaced (kept here as the reference):
+residues, names, chain ids, encodings, log-likelihood bits and metadata.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.protein.alphabet import AMINO_ACIDS
+from repro.protein.datasets import make_pdz_target
+from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
+from repro.protein.sequence import ProteinSequence, ScoredSequence
+from repro.utils.rng import spawn_rng
+
+
+def _reference_generate(config, seed, complex_structure, landscape, *,
+                        n_sequences=None, stream=()):
+    """One design at a time: the loop the batched generate replaced."""
+    count = n_sequences if n_sequences is not None else config.n_sequences
+    current = complex_structure.receptor.sequence
+    designable = [
+        position
+        for position in landscape.designable_positions
+        if position not in config.fixed_positions
+    ]
+    rng = spawn_rng(seed, "mpnn", complex_structure.name, *stream)
+    beta = (
+        1.0 + config.backbone_sharpening * complex_structure.backbone_quality
+    ) / config.temperature
+    profiles = landscape.additive_matrix()
+    logits = beta * (profiles - profiles.max(axis=1, keepdims=True))
+    probabilities = np.exp(logits)
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
+    cdf = probabilities.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    local_row = {
+        position: row for row, position in enumerate(landscape.designable_positions)
+    }
+
+    designable_array = np.asarray(designable, dtype=np.int64)
+    sequences, mutation_counts, noises = [], [], []
+    for _ in range(count):
+        n_mutations = max(1, int(rng.binomial(len(designable), config.mutation_rate)))
+        positions = rng.choice(
+            designable_array, size=min(n_mutations, len(designable)), replace=False
+        )
+        rows = np.array([local_row[int(p)] for p in positions], dtype=np.int64)
+        draws = rng.random(len(positions))
+        residue_indices = (cdf[rows] <= draws[:, None]).sum(axis=1)
+        residues = list(current.residues)
+        for position, residue_index in zip(positions, residue_indices):
+            residues[int(position)] = AMINO_ACIDS[int(residue_index)]
+        sequences.append(ProteinSequence("".join(residues), chain_id=current.chain_id))
+        noises.append(float(rng.normal(scale=config.score_noise)))
+        mutation_counts.append(len(positions))
+
+    partials = landscape.partial_score_batch(sequences)
+    return [
+        ScoredSequence(
+            sequence=ProteinSequence(
+                sequence.residues,
+                chain_id=sequence.chain_id,
+                name=f"{complex_structure.name}_design_{index:03d}",
+            ),
+            log_likelihood=float(partials[index] + noises[index]),
+            generator="surrogate-mpnn",
+            metadata={
+                "n_mutations": float(mutation_counts[index]),
+                "backbone_quality": float(complex_structure.backbone_quality),
+            },
+        )
+        for index, sequence in enumerate(sequences)
+    ]
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _assert_identical(got, want) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.sequence.residues == w.sequence.residues
+        assert g.sequence.name == w.sequence.name
+        assert g.sequence.chain_id == w.sequence.chain_id
+        encoded = g.sequence.encode()
+        assert encoded.dtype == np.int64
+        assert not encoded.flags.writeable
+        np.testing.assert_array_equal(encoded, w.sequence.encode())
+        assert type(g.log_likelihood) is float
+        assert _bits(g.log_likelihood) == _bits(w.log_likelihood)
+        assert g.generator == w.generator
+        assert g.metadata.keys() == w.metadata.keys()
+        for key, value in w.metadata.items():
+            assert _bits(g.metadata[key]) == _bits(value)
+
+
+def _check(target, config, seed, **kwargs) -> None:
+    got = SurrogateProteinMPNN(config, seed=seed).generate(
+        target.complex, target.landscape, **kwargs
+    )
+    want = _reference_generate(config, seed, target.complex, target.landscape, **kwargs)
+    _assert_identical(got, want)
+
+
+@pytest.fixture(scope="module")
+def target():
+    return make_pdz_target("HTRA1", seed=23)
+
+
+class TestBatchedGenerateMatchesPerDesignLoop:
+    @pytest.mark.parametrize("n_sequences", [1, 10, 40])
+    @pytest.mark.parametrize("temperature", [0.3, 1.0, 2.5])
+    def test_counts_and_temperatures(self, target, n_sequences, temperature):
+        _check(
+            target, MPNNConfig(temperature=temperature), seed=5,
+            n_sequences=n_sequences, stream=("pipe", 0),
+        )
+
+    @pytest.mark.parametrize("stream", [(), ("p.0001", 0), ("p.0002", 3), (7,)])
+    def test_streams(self, target, stream):
+        _check(target, MPNNConfig(), seed=11, stream=stream)
+
+    def test_fixed_positions(self, target):
+        fixed = target.landscape.designable_positions[::3]
+        _check(target, MPNNConfig(fixed_positions=tuple(fixed)), seed=3)
+
+    def test_single_designable_position(self, target):
+        fixed = tuple(target.landscape.designable_positions[1:])
+        _check(target, MPNNConfig(fixed_positions=fixed), seed=3, n_sequences=12)
+
+    def test_every_position_mutated(self, target):
+        _check(target, MPNNConfig(mutation_rate=1.0), seed=4, n_sequences=10)
+
+    @pytest.mark.parametrize("quality", [0.0, 0.5, 1.0])
+    def test_backbone_quality(self, target, quality):
+        complex_structure = target.complex.with_backbone_quality(quality)
+        config = MPNNConfig()
+        got = SurrogateProteinMPNN(config, seed=9).generate(
+            complex_structure, target.landscape, stream=("q",)
+        )
+        want = _reference_generate(
+            config, 9, complex_structure, target.landscape, stream=("q",)
+        )
+        _assert_identical(got, want)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n_sequences=st.integers(min_value=1, max_value=24),
+        temperature=st.floats(min_value=0.05, max_value=5.0),
+        mutation_rate=st.floats(min_value=0.01, max_value=1.0),
+        n_fixed=st.integers(min_value=0, max_value=6),
+        cycle=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_configurations(
+        self, target, seed, n_sequences, temperature, mutation_rate, n_fixed, cycle
+    ):
+        config = MPNNConfig(
+            temperature=temperature,
+            mutation_rate=mutation_rate,
+            fixed_positions=tuple(target.landscape.designable_positions[:n_fixed]),
+        )
+        _check(target, config, seed=seed, n_sequences=n_sequences, stream=("h", cycle))
+
+
+def test_designs_do_not_share_encoding_memory(target):
+    designs = SurrogateProteinMPNN(seed=1).generate(target.complex, target.landscape)
+    encodings = [design.sequence.encode() for design in designs]
+    for index, encoding in enumerate(encodings):
+        assert encoding.base is None
+        for other in encodings[index + 1:]:
+            assert not np.shares_memory(encoding, other)

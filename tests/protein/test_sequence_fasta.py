@@ -15,7 +15,7 @@ from repro.protein.alphabet import (
     property_matrix,
 )
 from repro.protein.fasta import format_fasta, parse_fasta
-from repro.protein.sequence import ProteinSequence, ScoredSequence
+from repro.protein.sequence import ProteinSequence, ScoredSequence, decode_batch
 
 _residue = st.sampled_from(AMINO_ACIDS)
 _residues = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=120)
@@ -67,29 +67,6 @@ class TestProteinSequence:
             sequence.with_substitution(9, "A")
         with pytest.raises(SequenceError):
             sequence.with_substitution(0, "Z")
-
-    def test_multiple_substitutions(self):
-        sequence = ProteinSequence(residues="AAAA", chain_id="A")
-        mutated = sequence.with_substitutions({0: "W", 3: "Y"})
-        assert mutated.residues == "WAAY"
-
-    def test_no_substitutions_returns_the_same_sequence(self):
-        sequence = ProteinSequence(residues="ACDE", chain_id="A")
-        assert sequence.with_substitutions({}) is sequence
-        assert sequence.with_substitutions([]) is sequence
-
-    def test_later_substitution_wins_on_conflict(self):
-        sequence = ProteinSequence(residues="AAAA", chain_id="A")
-        mutated = sequence.with_substitutions([(1, "W"), (1, "Y")])
-        assert mutated.residues == "AYAA"
-
-    def test_multiple_substitution_validation(self):
-        sequence = ProteinSequence(residues="ACDE", chain_id="A")
-        with pytest.raises(SequenceError, match="out of range"):
-            sequence.with_substitutions({0: "W", 4: "Y"})
-        with pytest.raises(SequenceError, match="invalid residue"):
-            sequence.with_substitutions({0: "W", 1: "B"})
-        assert sequence.residues == "ACDE"
 
     def test_hamming_and_identity(self):
         a = ProteinSequence(residues="AAAA", chain_id="A")
@@ -151,6 +128,64 @@ class TestScoredSequence:
         base = ProteinSequence(residues="ACD", chain_id="A")
         with pytest.raises(SequenceError):
             ScoredSequence(sequence=base, log_likelihood=float("nan"))
+
+    @pytest.mark.parametrize("value", [float("inf"), -np.inf])
+    def test_infinite_score_rejected(self, value):
+        base = ProteinSequence(residues="ACD", chain_id="A")
+        with pytest.raises(SequenceError):
+            ScoredSequence(sequence=base, log_likelihood=value)
+
+    def test_numpy_score_accepted(self):
+        base = ProteinSequence(residues="ACD", chain_id="A")
+        assert ScoredSequence(sequence=base, log_likelihood=np.float64(0.5))
+
+
+class TestDecodeBatch:
+    def test_rows_become_named_sequences(self):
+        sources = ["ACDEFG", "WYVTSR", "AAAAAA"]
+        encoded = np.stack([ProteinSequence(r).encode() for r in sources])
+        decoded = decode_batch(encoded, "B", ["x", "y", "z"])
+        assert [s.residues for s in decoded] == sources
+        assert [s.name for s in decoded] == ["x", "y", "z"]
+        assert {s.chain_id for s in decoded} == {"B"}
+        assert decoded[1] == ProteinSequence("WYVTSR", chain_id="B", name="y")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_each_sequence_owns_a_read_only_int64_encoding(self, dtype):
+        encoded = np.array([[0, 1, 2], [19, 18, 17]], dtype=dtype)
+        decoded = decode_batch(encoded, "A", ["a", "b"])
+        for sequence, row in zip(decoded, encoded):
+            cached = sequence.encode()
+            assert cached.dtype == np.int64
+            assert not cached.flags.writeable
+            assert not np.shares_memory(cached, encoded)
+            np.testing.assert_array_equal(cached, row)
+        encoded[0, 0] = 5
+        assert decoded[0].residues == "ACD"
+        assert decoded[0].encode()[0] == 0
+
+    def test_empty_batch(self):
+        assert decode_batch(np.zeros((0, 4), dtype=np.int64), "A", []) == []
+
+    @pytest.mark.parametrize(
+        "encoded, names, match",
+        [
+            (np.array([[0, 20]]), ["a"], "outside"),
+            (np.array([[-1, 0]]), ["a"], "outside"),
+            (np.array([[0.0, 1.0]]), ["a"], "integer"),
+            (np.array([[True, False]]), ["a"], "integer"),
+            (np.array([0, 1]), ["a"], "one row per name"),
+            (np.zeros((1, 0), dtype=np.int64), ["a"], "one row per name"),
+            (np.array([[0, 1]]), ["a", "b"], "one row per name"),
+        ],
+    )
+    def test_invalid_batches_rejected(self, encoded, names, match):
+        with pytest.raises(SequenceError, match=match):
+            decode_batch(encoded, "A", names)
+
+    def test_empty_chain_id_rejected(self):
+        with pytest.raises(SequenceError, match="chain_id"):
+            decode_batch(np.array([[0, 1]]), "", ["a"])
 
 
 class TestFasta:
