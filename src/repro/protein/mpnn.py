@@ -32,6 +32,7 @@ Seeded outputs are bit-identical to the per-design loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -77,14 +78,18 @@ class MPNNConfig:
     def __post_init__(self) -> None:
         if self.n_sequences < 1:
             raise ConfigurationError("n_sequences must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigurationError(
+                f"temperature must be finite and positive, got {self.temperature!r}"
+            )
         if not 0.0 < self.mutation_rate <= 1.0:
             raise ConfigurationError("mutation_rate must lie in (0, 1]")
-        if self.score_noise < 0:
-            raise ConfigurationError("score_noise must be non-negative")
-        if self.backbone_sharpening < 0:
-            raise ConfigurationError("backbone_sharpening must be non-negative")
+        for name in ("score_noise", "backbone_sharpening"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
 
 
 class SurrogateProteinMPNN:

@@ -236,6 +236,14 @@ class TestSurrogateProteinMPNN:
         with pytest.raises(ConfigurationError, match="backbone_sharpening"):
             MPNNConfig(backbone_sharpening=-1.0)
 
+    @pytest.mark.parametrize("field", ["temperature", "score_noise", "backbone_sharpening"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_config_rejects_non_finite_numbers(self, field, value):
+        # A NaN temperature or sharpening used to turn every substitution
+        # into alanine; a NaN score noise failed only inside a task payload.
+        with pytest.raises(ConfigurationError, match=field):
+            MPNNConfig(**{field: value})
+
     def test_zero_sequence_request_rejected(self, pdz_target):
         mpnn = SurrogateProteinMPNN(seed=1)
         with pytest.raises(ConfigurationError, match="at least one sequence"):
