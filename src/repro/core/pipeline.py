@@ -238,18 +238,10 @@ class Pipeline:
             return PipelineStep(pipeline_finished=True)
 
         stage = task.metadata.get("stage")
-        handler = {
-            "sequence_generation": self._on_generation,
-            "sequence_ranking": self._on_ranking,
-            "sequence_selection": self._on_selection,
-            "structure_msa": self._on_msa,
-            "structure_inference": self._on_inference,
-            "scoring": self._on_scoring,
-            "compare": self._on_compare,
-        }.get(stage)
+        handler = _STAGE_HANDLERS.get(stage)
         if handler is None:
             raise PipelineError(f"unknown stage {stage!r} for task {task.uid}")
-        return handler(task)
+        return handler(self, task)
 
     # -- stage handlers ---------------------------------------------------------------- #
 
@@ -582,3 +574,15 @@ class Pipeline:
             "cycles_completed": len([c for c in self._cycle_results if c.accepted]),
             "n_trajectories": self.n_trajectories,
         }
+
+
+#: ``Pipeline.advance``'s handler for each stage a task can belong to.
+_STAGE_HANDLERS = {
+    "sequence_generation": Pipeline._on_generation,
+    "sequence_ranking": Pipeline._on_ranking,
+    "sequence_selection": Pipeline._on_selection,
+    "structure_msa": Pipeline._on_msa,
+    "structure_inference": Pipeline._on_inference,
+    "scoring": Pipeline._on_scoring,
+    "compare": Pipeline._on_compare,
+}

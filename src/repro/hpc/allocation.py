@@ -74,10 +74,13 @@ class _NodeState:
         return self.spec.memory_gb - math.fsum(self.allocated_memory_gb.values())
 
     def fits(self, request: ResourceRequest) -> bool:
+        # The float tolerance never admits more memory than the node holds,
+        # so a request that fits some node now could ever fit the platform.
         return (
             len(self.free_cores) >= request.cpu_cores
             and len(self.free_gpus) >= request.gpus
             and self.free_memory_gb >= request.memory_gb - 1e-9
+            and request.memory_gb <= self.spec.memory_gb
         )
 
 
@@ -94,6 +97,8 @@ class NodeAllocator:
         self._nodes: Dict[str, _NodeState] = {
             node.name: _NodeState.fresh(node) for node in platform.nodes
         }
+        #: Placement scans nodes in name order.
+        self._by_name: List[Tuple[str, _NodeState]] = sorted(self._nodes.items())
         self._live: Dict[int, Allocation] = {}
         self._ids = itertools.count(1)
 
@@ -151,13 +156,7 @@ class NodeAllocator:
         AllocationError
             If the request fits the platform in principle but not right now.
         """
-        if not self.can_ever_fit(request):
-            raise InsufficientResourcesError(
-                f"request {request} exceeds the capacity of every node in "
-                f"platform {self._platform.name!r}"
-            )
-        for name in sorted(self._nodes):
-            state = self._nodes[name]
+        for name, state in self._by_name:
             if not state.fits(request):
                 continue
             core_ids = tuple(sorted(state.free_cores)[: request.cpu_cores])
@@ -174,6 +173,11 @@ class NodeAllocator:
             state.allocated_memory_gb[allocation.allocation_id] = request.memory_gb
             self._live[allocation.allocation_id] = allocation
             return allocation
+        if not self.can_ever_fit(request):
+            raise InsufficientResourcesError(
+                f"request {request} exceeds the capacity of every node in "
+                f"platform {self._platform.name!r}"
+            )
         raise AllocationError(
             f"request {request} does not fit right now "
             f"(free cores={self.free_cores()}, gpus={self.free_gpus()})"

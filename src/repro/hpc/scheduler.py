@@ -99,6 +99,8 @@ class PlacementScheduler(ABC):
             placed.append((item, allocation))
 
     def _pop(self, item: QueuedRequest) -> QueuedRequest:
+        if self._queue[0] is item:
+            return self._queue.popleft()
         try:
             self._queue.remove(item)
         except ValueError:  # pragma: no cover - defensive

@@ -63,6 +63,11 @@ class Agent:
         self._platform = platform
         self._durations = durations
         self._config = config or AgentConfig()
+        # "Exec setup" (Fig 5): the sandbox's few small files on the shared
+        # FS.  Neither the filesystem nor the speedup changes during a run.
+        self._setup_seconds = platform.filesystem.sandbox_setup_time() / max(
+            1.0, durations.speedup
+        )
         kwargs = {}
         if self._config.scheduler_policy == "backfill":
             kwargs["window"] = self._config.backfill_window
@@ -143,11 +148,10 @@ class Agent:
 
     def _start_task(self, task: Task, allocation: Allocation) -> None:
         now = self._platform.now
-        filesystem = self._platform.filesystem
-        # "Exec setup" (Fig 5): the sandbox's few small files on the shared FS.
-        setup_seconds = filesystem.sandbox_setup_time()
-        setup_seconds /= max(1.0, self._durations.speedup)
-        run_seconds = self._durations.duration(task.description, filesystem)
+        setup_seconds = self._setup_seconds
+        run_seconds = self._durations.duration(
+            task.description, self._platform.filesystem
+        )
 
         task.allocation = allocation
         task.start_time = now

@@ -174,9 +174,13 @@ class DurationModel:
     ) -> None:
         if not (math.isfinite(speedup) and speedup > 0):
             raise ConfigurationError(f"speedup must be finite and positive, got {speedup!r}")
-        self._profiles = dict(_default_profiles())
-        if profiles:
-            self._profiles.update(profiles)
+        self._profiles = _default_profiles()
+        for kind, profile in (profiles or {}).items():
+            try:
+                self._profiles[TaskKind(kind)] = profile
+            except ValueError:
+                raise ConfigurationError(f"unknown task kind {kind!r}") from None
+        self._generic = self._profiles[TaskKind.GENERIC]
         self._seed = seed
         self._speedup = float(speedup)
 
@@ -185,12 +189,12 @@ class DurationModel:
         return self._speedup
 
     def profile(self, kind: TaskKind | str) -> KindProfile:
-        """Return the profile for ``kind``; an unknown kind gets GENERIC's."""
-        try:
-            kind = TaskKind(kind)
-        except ValueError:
-            kind = TaskKind.GENERIC
-        return self._profiles[kind]
+        """Return the profile for ``kind``; an unknown kind gets GENERIC's.
+
+        ``TaskKind`` is a ``str`` enum, so a member and its value find the
+        same entry.
+        """
+        return self._profiles.get(kind, self._generic)
 
     def request_for(self, kind: TaskKind | str) -> ResourceRequest:
         """Default resource request for a task of ``kind``."""

@@ -121,6 +121,19 @@ class TestNodeAllocator:
         with pytest.raises(AllocationError):
             self.allocator.allocate(ResourceRequest(cpu_cores=1))
 
+    def test_impossible_request_raises_insufficient_on_a_full_platform(self):
+        self.allocator.allocate(ResourceRequest(cpu_cores=28))
+        with pytest.raises(InsufficientResourcesError):
+            self.allocator.allocate(ResourceRequest(cpu_cores=64))
+
+    def test_memory_tolerance_never_exceeds_the_node(self):
+        # Free memory may sit a rounding error below a request, but a node
+        # never takes more memory than it has.
+        request = ResourceRequest(cpu_cores=1, memory_gb=AMAREL_NODE.memory_gb + 5e-10)
+        assert not self.allocator.fits_now(request)
+        with pytest.raises(InsufficientResourcesError):
+            self.allocator.allocate(request)
+
     def test_double_release_raises(self):
         allocation = self.allocator.allocate(ResourceRequest(cpu_cores=1))
         self.allocator.release(allocation)

@@ -118,3 +118,19 @@ class TestValidation:
         custom = KindProfile(base_seconds=7.0, jitter_sigma=0.0)
         model = DurationModel(profiles={TaskKind.COMPARE: custom})
         assert model.duration(_description(TaskKind.COMPARE, "c")) == pytest.approx(7.0)
+
+    def test_profile_override_by_kind_value(self):
+        custom = KindProfile(base_seconds=7.0, jitter_sigma=0.0)
+        model = DurationModel(profiles={"compare": custom})
+        assert model.profile(TaskKind.COMPARE) is custom
+        assert model.profile("compare") is custom
+
+    def test_profile_for_an_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown task kind"):
+            DurationModel(profiles={"custom": KindProfile(base_seconds=7.0)})
+
+    def test_member_and_value_find_the_same_profile(self):
+        model = DurationModel()
+        for kind in TaskKind:
+            assert model.profile(kind) is model.profile(kind.value)
+        assert model.profile("not-a-kind") is model.profile(TaskKind.GENERIC)
