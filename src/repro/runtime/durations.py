@@ -84,10 +84,18 @@ class KindProfile:
     )
 
     def __post_init__(self) -> None:
-        if self.base_seconds < 0:
-            raise ConfigurationError("base_seconds must be non-negative")
-        if self.jitter_sigma < 0:
-            raise ConfigurationError("jitter_sigma must be non-negative")
+        for name in (
+            "base_seconds",
+            "per_sequence_seconds",
+            "per_residue_seconds",
+            "io_gigabytes",
+            "jitter_sigma",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
 
 
 _REFERENCE_RESIDUES = 100

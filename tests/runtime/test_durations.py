@@ -114,6 +114,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             KindProfile(base_seconds=1.0, jitter_sigma=-0.1)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "base_seconds",
+            "per_sequence_seconds",
+            "per_residue_seconds",
+            "io_gigabytes",
+            "jitter_sigma",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_profile_rejects_non_finite_or_negative_numbers(self, field, value):
+        # A NaN base_seconds or a negative per_sequence_seconds used to put
+        # every task of the kind on the 1 ms floor; a NaN jitter_sigma or
+        # io_gigabytes was skipped without a word.
+        with pytest.raises(ConfigurationError, match=field):
+            KindProfile(**{"base_seconds": 1.0, field: value})
+
     def test_profile_override(self):
         custom = KindProfile(base_seconds=7.0, jitter_sigma=0.0)
         model = DurationModel(profiles={TaskKind.COMPARE: custom})
