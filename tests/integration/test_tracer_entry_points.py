@@ -11,6 +11,7 @@ make such a refactor fail instead.
 from __future__ import annotations
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,29 @@ def test_coordinator_callback_is_timed_in_its_own_layer(
     self_times = spans.self_times([span for span in tracer.spans if span is not None])
     assert self_times.get("core.coordinator", 0.0) > 0.0
     assert self_times.get("runtime", 0.0) > 0.0
+
+
+def test_every_agent_event_is_spanned(spans, durations, factory, four_targets):
+    """The tracer wraps callbacks as ``EventLoop.schedule_at`` receives them.
+
+    An agent event scheduled any other way runs unspanned, and its time
+    silently moves from ``runtime`` into ``hpc.loop``.
+    """
+    platform = ComputePlatform(amarel_platform(1))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        coordinator = PipelinesCoordinator(
+            TaskManager(platform, durations),
+            factory,
+            CoordinatorConfig(pipeline=PipelineConfig(n_cycles=1, n_sequences=4)),
+        )
+        coordinator.add_targets(four_targets[:2])
+        coordinator.run()
+    finally:
+        tracer.uninstall()
+    names = Counter(span[0] for span in tracer.spans if span is not None)
+    completions = names["Agent._complete_task"]
+    assert completions > 0
+    assert completions + names["Agent._placement_pass"] == platform.loop.processed
+    assert completions == names["Agent.submit"]
