@@ -162,8 +162,9 @@ class DurationModel:
     Parameters
     ----------
     profiles:
-        Per-kind cost profiles; omitted kinds fall back to
-        :attr:`TaskKind.GENERIC`.
+        Per-kind cost profiles, keyed by :class:`TaskKind` member or value;
+        a key that names no kind raises :class:`ConfigurationError`.
+        Omitted kinds keep their default profile.
     seed:
         Root seed for the per-task jitter streams.  Jitter is keyed by the
         task *name*, so it depends neither on execution order nor on the
