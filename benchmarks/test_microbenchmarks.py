@@ -152,16 +152,15 @@ def test_single_pipeline_inline_execution(benchmark, micro_target):
             factory,
             PipelineConfig(n_cycles=2, n_sequences=6),
         )
-        queue = list(pipeline.start())
-        while queue:
-            description = queue.pop(0)
+        description = pipeline.start()
+        while description is not None:
             task = Task(description)
             task.advance(TaskState.TMGR_SCHEDULING)
             task.advance(TaskState.AGENT_SCHEDULING)
             task.advance(TaskState.EXECUTING)
             task.result = description.payload() if description.payload else None
             task.advance(TaskState.DONE)
-            queue.extend(pipeline.advance(task).new_tasks)
+            description = pipeline.advance(task).task
         return pipeline
 
     pipeline = benchmark(run_pipeline)

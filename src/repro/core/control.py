@@ -16,7 +16,8 @@ and execution model alone.
 Since the checkpointing refactor the control is a **cycle-granular stepping
 engine**: :meth:`ControlProtocol.step_cycle` advances exactly one design
 cycle of the current target and stops at the quiescent boundary (no task in
-flight, the next generation task re-derivable from carried state), where
+flight; the pipeline's outstanding generation task is rebuilt by
+:meth:`~repro.core.pipeline.Pipeline.pending_task`), where
 :meth:`snapshot` / :meth:`restore` serialise and rebuild the whole execution
 — per-target pipeline state, captured RNG streams, the simulated clock and
 the profiler traces — exactly.  :meth:`run` is the run-to-completion wrapper
@@ -27,9 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
-
-from collections import deque
+from typing import Dict, List, Optional
 
 from repro.core.decision import AcceptancePolicy
 from repro.core.instrumentation import record_cycle_metrics, record_stage_metrics
@@ -48,7 +47,6 @@ from repro.hpc.resources import PlatformSpec
 from repro.protein.datasets import DesignTarget
 from repro.runtime.durations import DurationModel
 from repro.runtime.sequential import SequentialRunner
-from repro.runtime.task import TaskDescription
 
 __all__ = ["ControlConfig", "ControlProtocol"]
 
@@ -185,9 +183,10 @@ class ControlProtocol:
 
         Drives the current target's pipeline task-by-task until it reports a
         completed cycle (or finishes), then stops at the quiescent boundary.
-        The next cycle's generation task is *not* queued — it is re-derived
-        by the next step (identically, by construction), which is what makes
-        the boundary serialisable.
+        The next cycle's generation task is *not* run: it stays outstanding
+        in the pipeline, and the next step rebuilds it with
+        :meth:`~repro.core.pipeline.Pipeline.pending_task`, which is what
+        makes the boundary serialisable.
 
         Returns ``True`` when every target has finished.
         """
@@ -204,34 +203,24 @@ class ControlProtocol:
         if pipeline is None:
             pipeline = self._build_pipeline(target)
             self._per_target_pipelines[target.name] = pipeline
-            queue: Deque[TaskDescription] = deque(pipeline.start())
+            description = pipeline.start()
         else:
-            queue = deque(pipeline.resume_tasks())
+            description = pipeline.pending_task()
 
         wall_start = time.perf_counter()
         stage_seconds: Dict[str, float] = {}
-        cycle_completed = False
         completed_result = None
-        while queue:
-            description = queue.popleft()
+        while description is not None:
             task = self._runner.run_task(description)
             if task.start_time is not None and task.end_time is not None:
                 stage_seconds[task.kind] = stage_seconds.get(task.kind, 0.0) + (
                     task.end_time - task.start_time
                 )
             step = pipeline.advance(task)
-            if step.completed_cycle is not None:
-                # Stop at the boundary; any emitted follow-up work is the
-                # next cycle's generation task, re-derived by the next step.
-                cycle_completed = True
-                completed_result = step.completed_cycle
+            completed_result = step.completed_cycle
+            if completed_result is not None:
                 break
-            queue.extend(step.new_tasks)
-        if not cycle_completed and not pipeline.is_finished:
-            raise CampaignError(
-                f"control pipeline {pipeline.uid} stalled at cycle "
-                f"{pipeline.current_cycle} without finishing"
-            )
+            description = step.task
         if completed_result is not None:
             # Out-of-band per-cycle metrics at the quiescent boundary: no-op
             # unless a telemetry writer is active in this process.

@@ -308,8 +308,8 @@ class PipelinesCoordinator:
         if pipeline.is_finished:
             return
         step = pipeline.advance(task)
-        if step.new_tasks:
-            self._task_manager.submit_tasks(step.new_tasks)
+        if step.task is not None:
+            self._task_manager.submit_tasks(step.task)
         if step.completed_cycle is not None:
             self._decision_step(pipeline, step.completed_cycle)
             self._cycles_completed += 1
@@ -328,7 +328,7 @@ class PipelinesCoordinator:
                 self._launch_pending_roots()
             if self._on_cycle is not None:
                 self._on_cycle(self._cycles_completed)
-        if step.pipeline_finished:
+        if pipeline.is_finished:
             self._on_pipeline_finished(pipeline)
 
     def _on_pipeline_finished(self, pipeline: Pipeline) -> None:

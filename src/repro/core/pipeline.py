@@ -9,6 +9,12 @@ RADICAL-Pilot has no pipeline abstraction, so — exactly as the paper did —
 we implement one on top of plain tasks: the pipeline emits task descriptions
 and consumes completed tasks, never blocking, so any executor (the
 asynchronous pilot agent or the sequential control runner) can drive it.
+
+A running pipeline has exactly one outstanding task: the task of the stage
+it awaits.  :meth:`Pipeline.pending_task` is the only code that builds a
+stage task.  It reads only fields that stay fixed while that task is
+outstanding and draws no randomness, so a driver can rebuild the outstanding
+task from the pipeline at any time instead of carrying it.
 """
 
 from __future__ import annotations
@@ -117,11 +123,15 @@ class PipelineConfig:
 
 @dataclass
 class PipelineStep:
-    """What the pipeline wants to happen next after consuming a task."""
+    """What follows one consumed task.
 
-    new_tasks: List[TaskDescription] = field(default_factory=list)
+    ``task`` is the pipeline's next outstanding task, ``None`` once the
+    pipeline has finished.  ``completed_cycle`` is set when the consumed
+    task closed a design cycle.
+    """
+
+    task: Optional[TaskDescription]
     completed_cycle: Optional[CycleResult] = None
-    pipeline_finished: bool = False
 
 
 class Pipeline:
@@ -159,6 +169,9 @@ class Pipeline:
         self._cycle_results: List[CycleResult] = []
         self._all_trajectories: List[Trajectory] = []
         self._rng = spawn_rng(self._config.selection_seed, "pipeline-select", uid)
+        #: The stage whose task is outstanding: ``None`` before :meth:`start`
+        #: and once the pipeline has finished.
+        self._awaited: Optional[str] = None
 
     # -- introspection --------------------------------------------------------- #
 
@@ -208,21 +221,65 @@ class Pipeline:
 
     # -- lifecycle ---------------------------------------------------------------- #
 
-    def start(self) -> List[TaskDescription]:
-        """Emit the first stage's task(s).  May be called exactly once."""
+    def start(self) -> TaskDescription:
+        """Emit the first stage's task.  May be called exactly once."""
         if self._status is not PipelineStatus.PENDING:
             raise PipelineError(f"pipeline {self.uid} was already started")
         self._status = PipelineStatus.RUNNING
-        return [self._generation_task()]
+        self._awaited = "sequence_generation"
+        return self.pending_task()
+
+    def pending_task(self) -> Optional[TaskDescription]:
+        """Build the outstanding task: the one of the awaited stage.
+
+        Returns ``None`` before :meth:`start` and once the pipeline has
+        finished.  Calling it changes nothing: every input stays fixed while
+        the task is outstanding and the selection draw was made on entering
+        the stage, so each call builds the same task (a fresh description
+        uid aside).
+        """
+        stage = self._awaited
+        if stage is None:
+            return None
+        factory, uid, target = self._factory, self.uid, self.target
+        cycle, retry = self._cycle, self._retry_index
+        if stage == "sequence_generation":
+            return factory.sequence_generation(
+                uid, target, self._complex, cycle, self._config.n_sequences
+            )
+        if stage == "sequence_ranking":
+            return factory.sequence_ranking(uid, target, cycle, self._candidates)
+        if stage == "sequence_selection":
+            return factory.sequence_selection(uid, target, cycle, self._selected, retry)
+        if stage == "structure_msa":
+            return factory.structure_msa(
+                uid, target, cycle, self._selected.sequence, retry
+            )
+        if stage == "structure_inference":
+            return factory.structure_inference(
+                uid, target, self._complex, cycle, self._selected.sequence, retry
+            )
+        if stage == "scoring":
+            return factory.scoring(uid, target, cycle, self._current_folding, retry)
+        return factory.compare(
+            uid,
+            target,
+            cycle,
+            self._current_folding.metrics,
+            self._previous_metrics,
+            self._config.acceptance,
+            retry,
+        )
 
     def advance(self, task: Task) -> PipelineStep:
-        """Consume a completed task and decide what happens next.
+        """Consume the awaited stage's completed task and decide what happens next.
 
         Raises
         ------
         PipelineError
-            If the task does not belong to this pipeline or arrives while the
-            pipeline is not running.
+            If the task does not belong to this pipeline, arrives while the
+            pipeline is not running, or belongs to a stage other than the
+            awaited one.
         """
         if task.metadata.get("pipeline_uid") != self.uid:
             raise PipelineError(
@@ -233,130 +290,72 @@ class Pipeline:
             raise PipelineError(
                 f"pipeline {self.uid} received task {task.uid} while {self._status}"
             )
-        if task.failed:
-            self._status = PipelineStatus.FAILED
-            return PipelineStep(pipeline_finished=True)
-
         stage = task.metadata.get("stage")
-        handler = _STAGE_HANDLERS.get(stage)
-        if handler is None:
-            raise PipelineError(f"unknown stage {stage!r} for task {task.uid}")
-        return handler(self, task)
+        if stage != self._awaited:
+            raise PipelineError(
+                f"pipeline {self.uid} awaits a {self._awaited} task, "
+                f"got task {task.uid} of stage {stage!r}"
+            )
+        if task.failed:
+            self._finish(PipelineStatus.FAILED)
+            return PipelineStep(None)
+        completed_cycle = _STAGE_HANDLERS[stage](self, task)
+        return PipelineStep(self.pending_task(), completed_cycle)
+
+    def _finish(self, status: PipelineStatus) -> None:
+        self._status = status
+        self._awaited = None
 
     # -- stage handlers ---------------------------------------------------------------- #
 
-    def _generation_task(self) -> TaskDescription:
-        return self._factory.sequence_generation(
-            self.uid,
-            self.target,
-            self._complex,
-            self._cycle,
-            self._config.n_sequences,
-        )
-
-    def _on_generation(self, task: Task) -> PipelineStep:
+    def _on_generation(self, task: Task) -> None:
         self._candidates = list(task.result)
         if not self._candidates:
-            self._status = PipelineStatus.FAILED
-            return PipelineStep(pipeline_finished=True)
-        return PipelineStep(
-            new_tasks=[
-                self._factory.sequence_ranking(
-                    self.uid, self.target, self._cycle, self._candidates
-                )
-            ]
-        )
+            self._finish(PipelineStatus.FAILED)
+            return
+        self._awaited = "sequence_ranking"
 
-    def _on_ranking(self, task: Task) -> PipelineStep:
+    def _on_ranking(self, task: Task) -> None:
         self._ranked = list(task.result)
         self._retry_index = 0
         self._cycle_trajectories = []
-        return PipelineStep(new_tasks=[self._selection_task()])
+        self._await_selection()
 
-    def _select_candidate(self) -> ScoredSequence:
+    def _await_selection(self) -> None:
         # Adaptivity covers both halves of the genetic mechanism: ranked
         # selection and comparison-based pruning.  A *scheduled-off* cycle of
         # a nominally adaptive pipeline therefore also falls back to the
         # control's random pick (this is what produces Fig 3's final-cycle
         # deterioration).  A never-adaptive pipeline keeps whatever selection
         # mode it was configured with, so sequential protocols can run either
-        # random (cont-v) or ranked (cont-v-ranked) selection.
+        # random (cont-v) or ranked (cont-v-ranked) selection.  The draw is
+        # made here, on entering the stage, so that pending_task() never draws.
         scheduled_off = self._config.adaptive and not self._config.adaptive_for_cycle(
             self._cycle
         )
         if self._config.random_selection or scheduled_off:
             index = int(self._rng.integers(0, len(self._candidates)))
-            return self._candidates[index]
-        index = min(self._retry_index, len(self._ranked) - 1)
-        return self._ranked[index]
+            self._selected = self._candidates[index]
+        else:
+            index = min(self._retry_index, len(self._ranked) - 1)
+            self._selected = self._ranked[index]
+        self._awaited = "sequence_selection"
 
-    def _selection_task(self) -> TaskDescription:
-        self._selected = self._select_candidate()
-        return self._factory.sequence_selection(
-            self.uid, self.target, self._cycle, self._selected, self._retry_index
-        )
+    def _on_selection(self, task: Task) -> None:
+        self._awaited = "structure_msa"
 
-    def _on_selection(self, task: Task) -> PipelineStep:
-        assert self._selected is not None
-        return PipelineStep(
-            new_tasks=[
-                self._factory.structure_msa(
-                    self.uid,
-                    self.target,
-                    self._cycle,
-                    self._selected.sequence,
-                    self._retry_index,
-                )
-            ]
-        )
+    def _on_msa(self, task: Task) -> None:
+        self._awaited = "structure_inference"
 
-    def _on_msa(self, task: Task) -> PipelineStep:
-        assert self._selected is not None
-        return PipelineStep(
-            new_tasks=[
-                self._factory.structure_inference(
-                    self.uid,
-                    self.target,
-                    self._complex,
-                    self._cycle,
-                    self._selected.sequence,
-                    self._retry_index,
-                )
-            ]
-        )
-
-    def _on_inference(self, task: Task) -> PipelineStep:
+    def _on_inference(self, task: Task) -> None:
         self._current_folding = task.result
-        return PipelineStep(
-            new_tasks=[
-                self._factory.scoring(
-                    self.uid,
-                    self.target,
-                    self._cycle,
-                    self._current_folding,
-                    self._retry_index,
-                )
-            ]
-        )
+        self._awaited = "scoring"
 
-    def _on_scoring(self, task: Task) -> PipelineStep:
-        assert self._current_folding is not None
+    def _on_scoring(self, task: Task) -> None:
         self._current_energy = float(task.result["energy"]["total"])
-        return PipelineStep(
-            new_tasks=[
-                self._factory.compare(
-                    self.uid,
-                    self.target,
-                    self._cycle,
-                    self._current_folding.metrics,
-                    self._previous_metrics,
-                    self._config.acceptance,
-                    self._retry_index,
-                )
-            ]
-        )
+        self._awaited = "compare"
 
-    def _on_compare(self, task: Task) -> PipelineStep:
+    def _on_compare(self, task: Task) -> Optional[CycleResult]:
         assert self._current_folding is not None and self._selected is not None
         adaptive = self._config.adaptive_for_cycle(self._cycle)
         accepted = bool(task.result["accepted"]) or not adaptive
@@ -384,7 +383,7 @@ class Pipeline:
 
     # -- cycle bookkeeping -------------------------------------------------------------- #
 
-    def _accept_cycle(self, adaptive: bool) -> PipelineStep:
+    def _accept_cycle(self, adaptive: bool) -> CycleResult:
         assert self._current_folding is not None and self._selected is not None
         metrics = self._current_folding.metrics
         cycle_result = CycleResult(
@@ -403,26 +402,23 @@ class Pipeline:
         self._previous_metrics = metrics
         self._cycle += 1
         self._retry_index = 0
+        # The next cycle's stages reassign each scratch field before reading
+        # it; clearing them here exists so that a pipeline between cycles,
+        # and a finished one, holds no candidates, rankings or structures.
         self._current_folding = None
         self._current_energy = None
-        # Clear the per-cycle scratch state so the pipeline sits at a clean,
-        # snapshottable cycle boundary (each field is reassigned by the next
-        # cycle's stages before any read).
         self._selected = None
         self._candidates = []
         self._ranked = []
         self._cycle_trajectories = []
 
         if self._cycle >= self._config.n_cycles:
-            self._status = PipelineStatus.COMPLETED
-            return PipelineStep(
-                completed_cycle=cycle_result, pipeline_finished=True
-            )
-        return PipelineStep(
-            new_tasks=[self._generation_task()], completed_cycle=cycle_result
-        )
+            self._finish(PipelineStatus.COMPLETED)
+        else:
+            self._awaited = "sequence_generation"
+        return cycle_result
 
-    def _reject_candidate(self, adaptive: bool) -> PipelineStep:
+    def _reject_candidate(self, adaptive: bool) -> Optional[CycleResult]:
         self._retry_index += 1
         retry_budget = min(self._config.max_retries, len(self._ranked))
         if self._retry_index >= retry_budget:
@@ -440,31 +436,22 @@ class Pipeline:
                 adaptive=adaptive,
             )
             self._cycle_results.append(cycle_result)
-            self._status = PipelineStatus.TERMINATED
-            return PipelineStep(
-                completed_cycle=cycle_result, pipeline_finished=True
-            )
-        return PipelineStep(new_tasks=[self._selection_task()])
+            self._finish(PipelineStatus.TERMINATED)
+            return cycle_result
+        self._await_selection()
+        return None
 
     # -- cycle-boundary suspend / resume ---------------------------------------------- #
 
     @property
     def at_cycle_boundary(self) -> bool:
-        """Whether the pipeline sits between cycles (or is finished).
+        """Whether the pipeline awaits the next cycle's generation task, or nothing.
 
-        This is the only point where a pipeline may be snapshotted: no stage
-        task is outstanding, the retry ladder is reset, and the only pending
-        work — the next cycle's generation task — is re-derivable from the
-        carried state.
+        This is the only point where a pipeline may be snapshotted: the
+        outstanding task, if any, is rebuilt by :meth:`pending_task` from
+        the cross-cycle state alone.
         """
-        if self.is_finished or self._status is PipelineStatus.PENDING:
-            return True
-        return (
-            self._retry_index == 0
-            and self._selected is None
-            and not self._candidates
-            and self._current_folding is None
-        )
+        return self._awaited in (None, "sequence_generation")
 
     def snapshot(self) -> dict:
         """Serialise the cross-cycle state as plain JSON values.
@@ -531,6 +518,8 @@ class Pipeline:
             parent_uid=payload["parent_uid"],
         )
         pipeline._status = PipelineStatus(payload["status"])
+        if pipeline._status is PipelineStatus.RUNNING:
+            pipeline._awaited = "sequence_generation"
         pipeline._cycle = payload["cycle"]
         pipeline._complex = decode_complex(payload["complex"])
         pipeline._previous_metrics = decode_metrics(payload["previous_metrics"])
@@ -543,25 +532,6 @@ class Pipeline:
         ]
         decode_rng_state(pipeline._rng, payload["rng_state"])
         return pipeline
-
-    def resume_tasks(self) -> List[TaskDescription]:
-        """The pending work at a cycle boundary: the next generation task.
-
-        Finished pipelines have nothing pending; a PENDING pipeline must go
-        through :meth:`start` instead (preserving its may-only-start-once
-        contract).
-        """
-        if self._status is PipelineStatus.PENDING:
-            raise PipelineError(
-                f"pipeline {self.uid} has not started; call start() instead"
-            )
-        if self.is_finished:
-            return []
-        if not self.at_cycle_boundary:
-            raise PipelineError(
-                f"pipeline {self.uid} is mid-cycle; tasks cannot be re-derived"
-            )
-        return [self._generation_task()]
 
     # -- summaries ------------------------------------------------------------------------ #
 

@@ -115,24 +115,10 @@ class TestRejections:
     def test_pipeline_snapshot_mid_cycle(self, target, factory, durations, platform):
         pipeline = Pipeline("p.mid", target, factory, PipelineConfig(n_sequences=4))
         runner = SequentialRunner(platform, durations)
-        (generation,) = pipeline.start()
-        pipeline.advance(runner.run_task(generation))
+        pipeline.advance(runner.run_task(pipeline.start()))
         assert not pipeline.at_cycle_boundary
         with pytest.raises(PipelineError, match="mid-cycle"):
             pipeline.snapshot()
-
-    def test_resume_tasks_before_start(self, target, factory):
-        pipeline = Pipeline("p.new", target, factory, PipelineConfig(n_sequences=4))
-        with pytest.raises(PipelineError, match="call start"):
-            pipeline.resume_tasks()
-
-    def test_resume_tasks_mid_cycle(self, target, factory, durations, platform):
-        pipeline = Pipeline("p.mid", target, factory, PipelineConfig(n_sequences=4))
-        runner = SequentialRunner(platform, durations)
-        (generation,) = pipeline.start()
-        pipeline.advance(runner.run_task(generation))
-        with pytest.raises(PipelineError, match="mid-cycle"):
-            pipeline.resume_tasks()
 
     def test_pipeline_restore_for_the_wrong_target(self, target, factory):
         config = PipelineConfig(n_sequences=4)

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decision import AcceptancePolicy
 from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
+from repro.core.snapshot import encode_rng_state
+from repro.core.stages import StageFactory, StageModels
 from repro.exceptions import ConfigurationError, PipelineError
-from repro.protein.folding import FoldingResult
-from repro.runtime.durations import TaskKind
+from repro.protein.folding import FoldingResult, SurrogateAlphaFold
+from repro.protein.mpnn import SurrogateProteinMPNN
+from repro.protein.scoring import ScoringFunction
+from repro.runtime.durations import DurationModel, TaskKind
 from repro.runtime.states import TaskState
 from repro.runtime.task import Task, TaskDescription
 
@@ -30,11 +36,9 @@ def run_task_inline(description: TaskDescription) -> Task:
 
 def drive(pipeline: Pipeline, fail_stage: str | None = None, max_steps: int = 10_000):
     """Drive a pipeline synchronously until it finishes; returns all tasks run."""
-    queue = list(pipeline.start())
+    description = pipeline.start()
     executed = []
-    steps = 0
-    while queue:
-        description = queue.pop(0)
+    while description is not None:
         if fail_stage is not None and description.metadata.get("stage") == fail_stage:
             task = Task(description)
             task.advance(TaskState.TMGR_SCHEDULING)
@@ -46,12 +50,25 @@ def drive(pipeline: Pipeline, fail_stage: str | None = None, max_steps: int = 10
         else:
             task = run_task_inline(description)
         executed.append(task)
-        step = pipeline.advance(task)
-        queue.extend(step.new_tasks)
-        steps += 1
-        if steps > max_steps:
+        description = pipeline.advance(task).task
+        if len(executed) > max_steps:
             raise AssertionError("pipeline did not converge")
     return executed
+
+
+def four_field_boundary(pipeline: Pipeline) -> bool:
+    """Reference for ``at_cycle_boundary``, inferred from four scratch fields.
+
+    The awaited stage must give the same answer at every step.
+    """
+    if pipeline.is_finished or pipeline.status is PipelineStatus.PENDING:
+        return True
+    return (
+        pipeline._retry_index == 0
+        and pipeline._selected is None
+        and not pipeline._candidates
+        and pipeline._current_folding is None
+    )
 
 
 class TestStageFactory:
@@ -236,23 +253,50 @@ class TestPipeline:
 
     def test_resume_at_a_cycle_boundary_rederives_the_generation_task(self, factory, target):
         pipeline = Pipeline("p13", target, factory, PipelineConfig(n_cycles=2, n_sequences=4))
-        queue = list(pipeline.start())
+        description = pipeline.start()
         while True:
-            step = pipeline.advance(run_task_inline(queue.pop(0)))
+            step = pipeline.advance(run_task_inline(description))
             if step.completed_cycle is not None:
                 break
-            queue.extend(step.new_tasks)
+            description = step.task
         assert pipeline.at_cycle_boundary and not pipeline.is_finished
-        (resumed,) = pipeline.resume_tasks()
-        (emitted,) = step.new_tasks
+        resumed, emitted = pipeline.pending_task(), step.task
         assert resumed.kind == emitted.kind == TaskKind.MPNN_GENERATE.value
         assert resumed.metadata == emitted.metadata
 
     def test_finished_pipeline_has_nothing_to_resume(self, factory, target):
         pipeline = Pipeline("p14", target, factory, PipelineConfig(n_cycles=1, n_sequences=4))
+        assert pipeline.pending_task() is None  # not started yet
         drive(pipeline)
         assert pipeline.is_finished
-        assert pipeline.resume_tasks() == []
+        assert pipeline.pending_task() is None
+
+    @pytest.mark.parametrize(
+        "random_selection, stale_stage, awaited_stage",
+        [
+            # Used to emit a second ranking task.
+            (False, "sequence_generation", "sequence_ranking"),
+            # Used to make a second selection-RNG draw.
+            (True, "sequence_ranking", "structure_msa"),
+        ],
+    )
+    def test_advance_rejects_a_task_it_no_longer_awaits(
+        self, factory, target, random_selection, stale_stage, awaited_stage
+    ):
+        config = PipelineConfig(n_cycles=1, n_sequences=4, random_selection=random_selection)
+        pipeline = Pipeline("p15", target, factory, config)
+        consumed = {}
+        description = pipeline.start()
+        while description.metadata["stage"] != awaited_stage:
+            task = run_task_inline(description)
+            consumed[description.metadata["stage"]] = task
+            description = pipeline.advance(task).task
+        rng_state = encode_rng_state(pipeline._rng)
+        with pytest.raises(PipelineError, match=f"awaits a {awaited_stage} task"):
+            pipeline.advance(consumed[stale_stage])
+        assert encode_rng_state(pipeline._rng) == rng_state
+        assert pipeline.pending_task().name == description.name
+        assert pipeline.advance(run_task_inline(description)).task is not None
 
     def test_as_dict_summary(self, factory, target):
         pipeline = Pipeline("p12", target, factory, PipelineConfig(n_cycles=1, n_sequences=4))
@@ -261,3 +305,60 @@ class TestPipeline:
         assert summary["uid"] == "p12"
         assert summary["status"] == "COMPLETED"
         assert summary["cycles_completed"] == 1
+
+
+PIPELINE_CONFIGS = {
+    "adaptive": {},
+    "random-selection": {"random_selection": True},
+    "scheduled-off": {"adaptivity_schedule": (True, False, True)},
+}
+
+
+class TestPendingTask:
+    """``pending_task()`` rebuilds the outstanding task and changes nothing."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n_sequences=st.integers(min_value=1, max_value=6),
+        max_retries=st.integers(min_value=1, max_value=4),
+        flavour=st.sampled_from(sorted(PIPELINE_CONFIGS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rebuilds_the_outstanding_task_without_side_effects(
+        self, target, seed, n_sequences, max_retries, flavour
+    ):
+        factory = StageFactory(
+            StageModels(
+                mpnn=SurrogateProteinMPNN(seed=seed),
+                folding=SurrogateAlphaFold(seed=seed + 1),
+                scoring=ScoringFunction(),
+            ),
+            DurationModel(seed=seed),
+        )
+        config = PipelineConfig(
+            n_cycles=3,
+            n_sequences=n_sequences,
+            max_retries=max_retries,
+            selection_seed=seed,
+            **PIPELINE_CONFIGS[flavour],
+        )
+        checked = Pipeline("prop", target, factory, config)
+        assert checked.at_cycle_boundary == four_field_boundary(checked)
+        description = checked.start()
+        while description is not None:
+            rng_state = encode_rng_state(checked._rng)
+            for rebuilt in (checked.pending_task(), checked.pending_task()):
+                assert rebuilt.name == description.name
+                assert rebuilt.kind == description.kind
+                assert rebuilt.request == description.request
+                assert rebuilt.metadata == description.metadata
+            assert encode_rng_state(checked._rng) == rng_state
+            assert checked.at_cycle_boundary == four_field_boundary(checked)
+            description = checked.advance(run_task_inline(description)).task
+        assert checked.at_cycle_boundary == four_field_boundary(checked)
+
+        plain = Pipeline("prop", target, factory, config)
+        drive(plain)
+        assert checked.status is plain.status
+        assert checked.trajectories == plain.trajectories
+        assert checked.cycle_results == plain.cycle_results
