@@ -34,26 +34,29 @@ be registered (imported) before configs referencing them are built.
 
 Cycle-granular execution
 ------------------------
-Execution is an explicit state machine: ``execute`` is *defined* as
-``init_state`` → ``step``\\* → ``finalize`` over a :class:`CampaignState`.
-Each ``step(context, state) -> state`` advances one checkpointable unit and
-— when the state is *restorable* — returns a JSON-able payload from which a
+Execution is an explicit state machine: a campaign runs as ``init_state`` →
+``step``\\* → ``finalize`` over a :class:`CampaignState`.  Each
+``step(context, state) -> state`` advances one checkpointable unit and —
+when the state is *restorable* — returns a JSON-able payload from which a
 different process (or a different worker machine) can resume the run at the
 last completed cycle, finishing byte-identical to an uninterrupted run.
 
 The two built-in families differ in step granularity, and honestly so:
 
 * **sequential protocols** (``cont-v`` family) have a quiescent point after
-  every design cycle — no task in flight, the next generation task
-  re-derivable — so every step is one cycle and every post-step state is a
-  restorable checkpoint;
-* **pilot protocols** (``im-rp`` family) interleave pipelines inside an
-  asynchronous discrete-event simulation whose in-flight tasks carry Python
-  closures; there is no quiescent cycle boundary to serialise, so the whole
-  simulation is a single step.  Mid-run they report cycle *progress* (for
-  status/ETA displays) through :attr:`ProtocolContext.on_progress`, and an
-  interrupted run resumes by deterministic re-execution from the start —
-  the determinism contract makes that re-execution exact, just not free.
+  every design cycle — no task in flight, the pipeline's next generation
+  task rebuilt by ``Pipeline.pending_task()`` — so every step is one cycle
+  and every post-step state is a restorable checkpoint;
+* **pilot protocols** (``im-rp`` family) interleave pipelines inside one
+  asynchronous discrete-event simulation, so the whole simulation is a
+  single step.  Each pipeline can rebuild its own outstanding task, so the
+  tasks in flight are not what blocks a per-cycle checkpoint; the
+  simulation's own state is: the event heap, the live allocations, the
+  scheduler queue and the coordinator's state, none of which has a codec
+  yet.  Mid-run these protocols report cycle *progress* (for status/ETA
+  displays) through :attr:`ProtocolContext.on_progress`, and an interrupted
+  run resumes by deterministic re-execution from the start — the
+  determinism contract makes that re-execution exact, just not free.
 """
 
 from __future__ import annotations
@@ -196,8 +199,7 @@ class ProtocolContext:
     #: into every post-step state.  Snapshots are what checkpointing
     #: consumes, but they cost a per-cycle encode of the current pipeline
     #: and keep a cache of the run's encodings in memory — an unobserved
-    #: run-to-completion loop leaves this off and pays nothing the
-    #: pre-state-machine ``execute`` didn't.
+    #: run-to-completion loop leaves this off and encodes nothing.
     capture_snapshots: bool = False
 
     @property
@@ -223,12 +225,10 @@ class ExecutionProtocol(abc.ABC):
     """One way of executing a design campaign's pipelines.
 
     Subclasses set :attr:`name` (the registry key) and :attr:`approach` (the
-    label reported in Table-I-style outputs) and implement either the
-    stepping triple (:meth:`init_state` / :meth:`step` / :meth:`finalize`)
-    or — for protocols that cannot be suspended mid-run — just
-    :meth:`execute`, which the default :meth:`step` wraps as a single
-    whole-run step.  The registry API is unchanged either way: callers that
-    only ever wanted ``execute(context) -> ProtocolOutcome`` still get it.
+    label reported in Table-I-style outputs) and implement :meth:`step`;
+    :meth:`init_state` and :meth:`finalize` have defaults that suit a
+    protocol whose terminal step stashes its :class:`ProtocolOutcome` in the
+    state.
     """
 
     #: Registry key, e.g. ``"im-rp"``.
@@ -238,32 +238,13 @@ class ExecutionProtocol(abc.ABC):
     #: One-line description shown by ``python -m repro.experiments --list-protocols``.
     summary: ClassVar[str] = ""
 
-    def execute(self, context: ProtocolContext) -> ProtocolOutcome:
-        """Run the campaign to completion: init → step\\* → finalize."""
-        state = self.init_state(context)
-        while not state.done:
-            state = self.step(context, state)
-        return self.finalize(context, state)
-
     def init_state(self, context: ProtocolContext) -> CampaignState:
         """The pre-execution state (cycle 0, nothing in flight)."""
         return CampaignState(protocol=self.name, seed=context.config.seed)
 
+    @abc.abstractmethod
     def step(self, context: ProtocolContext, state: CampaignState) -> CampaignState:
-        """Advance one checkpointable unit and return the successor state.
-
-        The default implementation treats the subclass's :meth:`execute` as
-        one indivisible step (run-granular checkpointing: the only resumable
-        boundary is the start).  Stepping subclasses override this.
-        """
-        if type(self).execute is ExecutionProtocol.execute:
-            raise CampaignError(
-                f"protocol {self.name!r} implements neither step() nor execute()"
-            )
-        outcome = self.execute(context)
-        return dataclasses.replace(
-            state, done=True, restorable=False, payload=None, runtime=outcome
-        )
+        """Advance one checkpointable unit and return the successor state."""
 
     def finalize(
         self, context: ProtocolContext, state: CampaignState
@@ -377,9 +358,11 @@ class PilotRuntimeProtocol(ExecutionProtocol):
     Checkpoint granularity is the **whole run**: the discrete-event
     simulation interleaves every pipeline's stages, so a cycle boundary of
     one pipeline is not a quiescent point of the simulation — other
-    pipelines' tasks (closures over live model objects) are in flight and
-    cannot be serialised.  The single :meth:`step` therefore executes the
-    whole simulation; completed cycles are reported through
+    pipelines' tasks are in flight.  Each pipeline can rebuild its own
+    outstanding task (``Pipeline.pending_task()``), but the event heap, the
+    live allocations, the scheduler queue and the coordinator's state have
+    no codec yet.  The single :meth:`step` therefore executes the whole
+    simulation; completed cycles are reported through
     :attr:`ProtocolContext.on_progress` as they happen, and an interrupted
     run resumes by exact deterministic re-execution from the start.
     """

@@ -282,10 +282,3 @@ class TestProtocolSteppingContract:
         state = campaign.step(campaign.init_state())
         with pytest.raises(CampaignError, match="unfinished"):
             protocol.finalize(campaign._protocol_context(), state)
-
-    def test_execute_api_unchanged(self):
-        """The registry entry point still runs a whole campaign in one call."""
-        protocol = get_protocol("cont-v")
-        campaign = _campaign()
-        outcome = protocol.execute(campaign._protocol_context())
-        assert outcome.records and outcome.platform is not None

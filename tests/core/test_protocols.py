@@ -12,7 +12,6 @@ import pytest
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.protocols import (
     ExecutionProtocol,
-    ProtocolOutcome,
     available_protocols,
     get_protocol,
     register_protocol,
@@ -105,8 +104,8 @@ class TestRegistry:
             name = "test-echo"
             approach = "ECHO"
 
-            def execute(self, context):  # pragma: no cover - never driven
-                return ProtocolOutcome(records=[], platform=None)
+            def step(self, context, state):  # pragma: no cover - never driven
+                return state
 
         try:
             registered = register_protocol(EchoProtocol)
@@ -126,14 +125,14 @@ class TestRegistry:
             name = "test-dup"
             approach = "A"
 
-            def execute(self, context):  # pragma: no cover
+            def step(self, context, state):  # pragma: no cover
                 raise NotImplementedError
 
         class SecondProtocol(ExecutionProtocol):
             name = "test-dup"
             approach = "B"
 
-            def execute(self, context):  # pragma: no cover
+            def step(self, context, state):  # pragma: no cover
                 raise NotImplementedError
 
         try:
@@ -150,7 +149,7 @@ class TestRegistry:
         class NamelessProtocol(ExecutionProtocol):
             approach = "X"
 
-            def execute(self, context):  # pragma: no cover
+            def step(self, context, state):  # pragma: no cover
                 raise NotImplementedError
 
         with pytest.raises(CampaignError, match="name"):
