@@ -79,7 +79,8 @@ class CampaignConfig:
         per completed cycle from simulated busy fraction — deterministic,
         so it participates in the run fingerprint like any other knob).
     adaptivity_schedule:
-        Per-cycle adaptivity override (Fig 3 turns the last cycle off).
+        Per-cycle adaptivity override (Fig 3 turns the last cycle off); one
+        entry per cycle.
     acceptance / spawn_policy:
         Decision policies used by IM-RP pipelines and the coordinator.
     msa_mode:
@@ -125,6 +126,12 @@ class CampaignConfig:
             )
         if self.n_cycles < 1 or self.n_sequences < 1 or self.max_retries < 1:
             raise CampaignError("n_cycles, n_sequences and max_retries must be >= 1")
+        schedule = self.adaptivity_schedule
+        if schedule is not None and len(schedule) != self.n_cycles:
+            raise CampaignError(
+                f"adaptivity_schedule has {len(schedule)} entries, "
+                f"n_cycles is {self.n_cycles}"
+            )
         if not (math.isfinite(self.duration_speedup) and self.duration_speedup > 0):
             raise CampaignError(
                 f"duration_speedup must be finite and positive, got {self.duration_speedup!r}"

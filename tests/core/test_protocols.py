@@ -165,6 +165,14 @@ class TestConfigValidation:
         with pytest.raises(CampaignError, match="msa_mode"):
             CampaignConfig(msa_mode="no_msa")
 
+    @pytest.mark.parametrize("protocol", ["im-rp", "cont-v"])
+    @pytest.mark.parametrize("schedule", [(True, True, False), (False,)])
+    def test_adaptivity_schedule_needs_one_entry_per_cycle(self, protocol, schedule):
+        # cont-v used to ignore a mismatched schedule, and im-rp rejected it
+        # only inside the protocol step (in a sweep, inside a worker).
+        with pytest.raises(CampaignError, match="adaptivity_schedule has"):
+            CampaignConfig(protocol=protocol, n_cycles=2, adaptivity_schedule=schedule)
+
     def test_valid_values_accepted(self):
         config = CampaignConfig(scheduler_policy="backfill", msa_mode="single_sequence")
         assert config.scheduler_policy == "backfill"
