@@ -17,6 +17,7 @@ swap them out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -49,6 +50,8 @@ class AcceptancePolicy:
     def __post_init__(self) -> None:
         if self.metric not in ("composite", "plddt", "ptm", "pae"):
             raise ConfigurationError(f"unknown decision metric {self.metric!r}")
+        if not math.isfinite(self.min_delta):
+            raise ConfigurationError(f"min_delta must be finite, got {self.min_delta!r}")
 
     def accepts(self, new: QualityMetrics, previous: Optional[QualityMetrics]) -> bool:
         """Whether ``new`` should replace ``previous`` as the cycle best."""
@@ -111,8 +114,10 @@ class SubPipelinePolicy:
     spawn_on_rejection: bool = True
 
     def __post_init__(self) -> None:
-        if self.quality_margin < 0:
-            raise ConfigurationError("quality_margin must be non-negative")
+        if not (math.isfinite(self.quality_margin) and self.quality_margin >= 0):
+            raise ConfigurationError(
+                f"quality_margin must be finite and non-negative, got {self.quality_margin!r}"
+            )
         if self.max_per_pipeline < 0:
             raise ConfigurationError("max_per_pipeline must be non-negative")
         if self.max_total is not None and self.max_total < 0:

@@ -100,6 +100,12 @@ class TestAcceptancePolicy:
         with pytest.raises(ConfigurationError):
             AcceptancePolicy(metric="rmsd")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_min_delta_rejected(self, value):
+        # A NaN min_delta used to reject every cycle after the first.
+        with pytest.raises(ConfigurationError, match="min_delta"):
+            AcceptancePolicy(min_delta=value)
+
 
 class TestSubPipelinePolicy:
     def test_spawn_on_rejection(self):
@@ -165,3 +171,9 @@ class TestSubPipelinePolicy:
             SubPipelinePolicy(max_per_pipeline=-1)
         with pytest.raises(ConfigurationError, match="max_total"):
             SubPipelinePolicy(max_total=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_quality_margin_rejected(self, value):
+        # A NaN margin used to never spawn a below-median sub-pipeline.
+        with pytest.raises(ConfigurationError, match="quality_margin"):
+            SubPipelinePolicy(quality_margin=value)
