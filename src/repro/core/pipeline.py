@@ -13,8 +13,8 @@ asynchronous pilot agent or the sequential control runner) can drive it.
 A running pipeline has exactly one outstanding task: the task of the stage
 it awaits.  :meth:`Pipeline.pending_task` is the only code that builds a
 stage task.  It reads only fields that stay fixed while that task is
-outstanding and draws no randomness, so a driver can rebuild the outstanding
-task from the pipeline at any time instead of carrying it.
+outstanding and draws no randomness, so an executor can rebuild the
+outstanding task from the pipeline at any time instead of carrying it.
 """
 
 from __future__ import annotations
@@ -402,9 +402,10 @@ class Pipeline:
         self._previous_metrics = metrics
         self._cycle += 1
         self._retry_index = 0
-        # The next cycle's stages reassign each scratch field before reading
-        # it; clearing them here exists so that a pipeline between cycles,
-        # and a finished one, holds no candidates, rankings or structures.
+        # The next cycle's stages reassign each per-cycle field before
+        # reading it; clearing them here exists so that a pipeline between
+        # cycles, and a finished one, holds no candidates, rankings or
+        # structures.
         self._current_folding = None
         self._current_energy = None
         self._selected = None

@@ -57,7 +57,7 @@ def drive(pipeline: Pipeline, fail_stage: str | None = None, max_steps: int = 10
 
 
 def four_field_boundary(pipeline: Pipeline) -> bool:
-    """Reference for ``at_cycle_boundary``, inferred from four scratch fields.
+    """Reference for ``at_cycle_boundary``, inferred from four per-cycle fields.
 
     The awaited stage must give the same answer at every step.
     """
