@@ -190,9 +190,6 @@ class PipelinesCoordinator:
         self._submissions: Deque[Pipeline] = deque()
 
         self._in_flight_roots = 0
-        # Completed tasks flow back from the runtime through this callback,
-        # which is the only reference the coordinator gets to a finished task.
-        task_manager.register_callback(self._on_task_state)
 
     # -- pipeline construction --------------------------------------------------- #
 
@@ -256,11 +253,19 @@ class PipelinesCoordinator:
         """Execute every queued pipeline to completion and return records."""
         if not self._submissions:
             raise CoordinatorError("no pipelines were added to the coordinator")
-        self._launch_pending_roots()
-        # Drive the simulation until no further events are pending.  Task
-        # completion callbacks keep feeding new tasks in, so a drained loop
-        # means every pipeline has finished (or failed).
-        self._task_manager.platform.run()
+        # Completed tasks flow back through this callback, the coordinator's
+        # only reference to a finished task.  Registered, it closes a cycle
+        # (coordinator -> task manager -> agent -> callback), so it lives for
+        # this call only and a finished campaign is freed by refcount.
+        detach = self._task_manager.register_callback(self._on_task_state)
+        try:
+            self._launch_pending_roots()
+            # Drive the simulation until no further events are pending.  Task
+            # completion callbacks keep feeding new tasks in, so a drained
+            # loop means every pipeline has finished (or failed).
+            self._task_manager.platform.run()
+        finally:
+            detach()
         unfinished = [
             pipeline.uid
             for pipeline in self._pipelines.values()

@@ -12,6 +12,7 @@ time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -99,9 +100,15 @@ class Agent:
         """Number of tasks waiting for placement."""
         return self._scheduler.queue_length
 
-    def on_completion(self, callback: Callable[[Task], None]) -> None:
-        """Register a callback invoked whenever a task reaches a final state."""
+    def on_completion(self, callback: Callable[[Task], None]) -> Callable[[], None]:
+        """Register a callback invoked whenever a task reaches a final state.
+
+        Returns a zero-argument remover for exactly the callable stored here:
+        a wrapper around registration (a tracer's, say) may store another
+        callable than the caller passed.
+        """
         self._completion_callbacks.append(callback)
+        return functools.partial(self._completion_callbacks.remove, callback)
 
     # -- submission -------------------------------------------------------- #
 

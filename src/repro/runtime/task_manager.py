@@ -66,6 +66,6 @@ class TaskManager:
             tasks.append(task)
         return tasks
 
-    def register_callback(self, callback: Callable[[Task], None]) -> None:
-        """Register a ``(task)`` callback fired when a task reaches a final state."""
-        self._agent.on_completion(callback)
+    def register_callback(self, callback: Callable[[Task], None]) -> Callable[[], None]:
+        """Register a ``(task)`` callback for final states; returns its remover."""
+        return self._agent.on_completion(callback)

@@ -14,8 +14,11 @@ from repro.core.coordinator import AUTO_IN_FLIGHT, CoordinatorConfig, PipelinesC
 from repro.core.decision import SubPipelinePolicy
 from repro.core.pipeline import PipelineConfig, PipelineStatus
 from repro.exceptions import CampaignError, CoordinatorError
+from repro.hpc.resources import ResourceRequest
 from repro.protein.datasets import expanded_pdz_set
 from repro.protein.metrics import composite_score
+from repro.runtime.task import TaskDescription
+from repro.runtime.task_manager import TaskManager
 
 FIG3_SEED = 2025
 
@@ -196,6 +199,114 @@ class TestOnlyInFlightTasksAreHeld:
         gc.collect()
         assert refs
         assert [ref() for ref in refs if ref() is not None] == []
+
+
+def _wrap_registered_callbacks(monkeypatch):
+    """Register a wrapper for every callback, as the benchmark tracer does.
+
+    Returns the names of the tasks the wrappers were handed, in order.
+    """
+    calls = []
+    register = TaskManager.register_callback
+
+    def wrapping_register(manager, callback):
+        def wrapper(task):
+            calls.append(task.name)
+            callback(task)
+
+        return register(manager, wrapper)
+
+    monkeypatch.setattr(TaskManager, "register_callback", wrapping_register)
+    return calls
+
+
+def _run_one_more_task(task_manager):
+    task_manager.submit_tasks(
+        TaskDescription(name="after-run", kind="generic", request=ResourceRequest())
+    )
+    task_manager.platform.run()
+
+
+class TestCallbackLifetime:
+    """The coordinator's task callback is registered only while ``run()`` runs."""
+
+    def _coordinator(self, task_manager, factory):
+        return PipelinesCoordinator(
+            task_manager,
+            factory,
+            CoordinatorConfig(pipeline=PipelineConfig(n_cycles=2, n_sequences=5)),
+        )
+
+    def test_run_detaches_its_callback(self, monkeypatch, task_manager, factory, four_targets):
+        calls = _wrap_registered_callbacks(monkeypatch)
+        coordinator = self._coordinator(task_manager, factory)
+        coordinator.add_targets(four_targets[:2])
+        coordinator.run()
+        heard = len(calls)
+        assert heard > 0
+        _run_one_more_task(task_manager)
+        assert len(calls) == heard
+
+    def test_run_detaches_its_callback_when_it_raises(
+        self, monkeypatch, task_manager, factory, four_targets
+    ):
+        calls = _wrap_registered_callbacks(monkeypatch)
+
+        def failing_decision_step(self, pipeline, cycle_result):
+            raise RuntimeError("decision step failed")
+
+        monkeypatch.setattr(PipelinesCoordinator, "_decision_step", failing_decision_step)
+        coordinator = self._coordinator(task_manager, factory)
+        coordinator.add_targets(four_targets[:2])
+        with pytest.raises(RuntimeError, match="decision step failed"):
+            coordinator.run()
+        heard = len(calls)
+        # The other pipeline's task is still in flight; nothing routes it back.
+        _run_one_more_task(task_manager)
+        assert len(calls) == heard
+
+
+class TestFinishedCampaignIsFreedByRefcount:
+    """No reference cycle survives ``PipelinesCoordinator.run()``.
+
+    A worker drains many campaigns in one process; a cycle would leave each
+    finished campaign (coordinator, agent, platform, profiler traces,
+    pipelines) to the cyclic collector, and memory would grow between its
+    full collections.
+    """
+
+    @pytest.mark.parametrize("cap", [2, AUTO_IN_FLIGHT])
+    def test_dropped_campaign_leaves_no_cyclic_garbage(self, monkeypatch, four_targets, cap):
+        coordinators = []
+        init = PipelinesCoordinator.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            coordinators.append(weakref.ref(self))
+
+        monkeypatch.setattr(PipelinesCoordinator, "__init__", recording_init)
+        config = CampaignConfig(
+            protocol="im-rp",
+            seed=3,
+            n_cycles=3,
+            n_sequences=4,
+            spawn_policy=SubPipelinePolicy(quality_margin=0.03, max_per_pipeline=2),
+            max_in_flight_pipelines=cap,
+        )
+        # A first run makes whatever is created once per process.
+        DesignCampaign(four_targets, config).run()
+        coordinators.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            result = DesignCampaign(four_targets, config).run()
+            assert result.n_subpipelines > 0
+            del result
+            (coordinator,) = coordinators
+            assert coordinator() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDecisionStepCost:

@@ -96,6 +96,16 @@ class TestAgent:
         agent.platform.run()
         assert seen == [task.uid]
 
+    def test_completion_remover_detaches_only_its_registration(self, agent):
+        seen = []
+        remove_first = agent.on_completion(seen.append)
+        agent.on_completion(seen.append)
+        remove_first()
+        task = Task(_description())
+        agent.submit(task)
+        agent.platform.run()
+        assert seen == [task]
+
     def test_profiler_records_intervals_and_phases(self, agent):
         task = Task(_description(kind=TaskKind.SCORING, cores=4))
         agent.submit(task)
@@ -163,6 +173,16 @@ class TestPilotAndManagers:
         manager.platform.run()
         assert seen == [(task, TaskState.DONE)]
         assert not hasattr(manager, "completed_channel")
+
+    def test_register_callback_returns_the_agents_remover(self, manager):
+        seen = []
+        remove = manager.register_callback(seen.append)
+        manager.submit_tasks(_description(name="heard"))
+        manager.platform.run()
+        remove()
+        manager.submit_tasks(_description(name="unheard"))
+        manager.platform.run()
+        assert [task.name for task in seen] == ["heard"]
 
     def test_wait_raise_on_failure(self, manager):
         # A failing payload is reported to the callbacks as FAILED, not raised.
