@@ -9,44 +9,30 @@ stable hash, and hand out :class:`numpy.random.Generator` instances.
 
 This mirrors the common HPC practice of per-task RNG streams: results are
 bitwise reproducible regardless of execution order or concurrency.
+
+Nothing here is cached.  A fresh campaign derives almost every stream name
+(pipeline uid, cycle, task...) once, so a cache of names pays only when one
+process re-runs one campaign, and it keeps every name it saw for the life of
+the process: a worker's memory would grow with every run it drains.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 
 __all__ = ["derive_seed", "spawn_rng"]
 
 
-@lru_cache(maxsize=65536)
-def _hash_key_reprs(root_seed: int, key_reprs: Tuple[str, ...]) -> int:
-    """Memoised BLAKE2b hash of a stream name.
-
-    Campaign-scale runs spawn the same streams (same pipeline uid, cycle,
-    sequence...) over and over; caching on the already-``repr``-ed keys makes
-    repeat derivations a dict lookup instead of a fresh hash.  Keying on the
-    reprs (not the objects) keeps distinct-but-equal keys such as ``1`` and
-    ``True`` from colliding.
-    """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(root_seed).encode("utf-8"))
-    for key_repr in key_reprs:
-        h.update(b"\x1f")
-        h.update(key_repr.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little") & ((1 << 63) - 1)
-
-
 def derive_seed(root_seed: int, *keys: object) -> int:
     """Derive a child seed from ``root_seed`` and a sequence of keys.
 
-    The derivation uses BLAKE2b over the decimal representation of the root
-    seed and the ``repr`` of each key, truncated to 63 bits so the result is a
-    valid non-negative seed for :func:`numpy.random.default_rng`.  Repeated
-    derivations of the same stream name are served from an LRU cache.
+    The derivation is one BLAKE2b hash over the decimal root seed and the
+    ``repr`` of each key, joined by ``"\\x1f"`` in UTF-8 and truncated to 63
+    bits, a valid non-negative seed for :func:`numpy.random.default_rng`.
+    Hashing reprs keeps equal-but-distinct keys such as ``1`` and ``True``
+    apart.  Nothing is cached (see the module docstring).
 
     Parameters
     ----------
@@ -61,7 +47,9 @@ def derive_seed(root_seed: int, *keys: object) -> int:
     int
         A deterministic 63-bit seed.
     """
-    return _hash_key_reprs(int(root_seed), tuple(repr(key) for key in keys))
+    name = "\x1f".join([str(int(root_seed)), *map(repr, keys)])
+    digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") & ((1 << 63) - 1)
 
 
 def spawn_rng(root_seed: int, *keys: object) -> np.random.Generator:

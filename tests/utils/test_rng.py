@@ -2,11 +2,35 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import derive_seed, spawn_rng
+
+
+def _incremental_derive_seed(root_seed, *keys):
+    """The historical derivation, one ``update`` per field: the reference."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(int(root_seed)).encode("utf-8"))
+    for key in keys:
+        h.update(b"\x1f")
+        h.update(repr(key).encode("utf-8"))
+    return int.from_bytes(h.digest(), "little") & ((1 << 63) - 1)
+
+
+#: Stream-name keys: scalars, text with the separator and non-ASCII
+#: characters, and nested tuples of them.
+_KEYS = st.recursive(
+    st.integers()
+    | st.booleans()
+    | st.floats()
+    | st.text(st.sampled_from("\x1f,'a\u00e9\u6f22\U0001f600") | st.characters()),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
 
 
 class TestDeriveSeed:
@@ -38,6 +62,15 @@ class TestDeriveSeed:
     def test_always_in_range(self, root, key):
         seed = derive_seed(root, key)
         assert 0 <= seed < 2 ** 63
+
+    def test_golden_value(self):
+        # Seeds must never change, whatever code derives them.
+        assert derive_seed(7, "a", 1) == 8384184359439742816
+
+    @given(st.integers(min_value=-(2**70), max_value=2**70), st.lists(_KEYS, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_incremental_derivation(self, root, keys):
+        assert derive_seed(root, *keys) == _incremental_derive_seed(root, *keys)
 
 
 class TestSpawnRng:
