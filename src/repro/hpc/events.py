@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
@@ -30,8 +31,9 @@ class EventLoop:
 
     Notes
     -----
-    * Scheduling an event in the past raises :class:`SimulationError`; the
-      simulated world never travels backwards.
+    * Scheduling an event in the past or at a non-finite time raises
+      :class:`SimulationError`: the simulated world never travels backwards,
+      and a NaN time, false under every comparison, would break heap order.
     * ``priority`` lets the runtime order same-timestamp events (e.g. release
       resources *before* trying to place waiting tasks).
     """
@@ -66,6 +68,8 @@ class EventLoop:
         **kwargs: Any,
     ) -> None:
         """Schedule ``callback`` at absolute simulation time ``time``."""
+        if not math.isfinite(time):
+            raise SimulationError(f"cannot schedule event at non-finite t={time!r}")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f} before current time "
@@ -122,6 +126,8 @@ class EventLoop:
 
         Returns the number of events executed.
         """
+        if not math.isfinite(time):
+            raise SimulationError(f"cannot run until non-finite t={time!r}")
         if time < self._now:
             raise SimulationError(
                 f"cannot run until t={time:.6f}, clock already at t={self._now:.6f}"

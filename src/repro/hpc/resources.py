@@ -8,6 +8,7 @@ configuration; generic specs allow scaling experiments beyond the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -41,9 +42,10 @@ class ResourceRequest:
     memory_gb: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.cpu_cores < 0 or self.gpus < 0 or self.memory_gb < 0:
+        memory_ok = math.isfinite(self.memory_gb) and self.memory_gb >= 0
+        if self.cpu_cores < 0 or self.gpus < 0 or not memory_ok:
             raise ConfigurationError(
-                f"resource request must be non-negative, got {self}"
+                f"resource request must be non-negative and finite, got {self}"
             )
         if self.cpu_cores == 0 and self.gpus == 0:
             raise ConfigurationError("a task must request at least one core or GPU")
@@ -72,7 +74,8 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.cpu_cores <= 0:
             raise ConfigurationError(f"node {self.name!r} must have at least 1 core")
-        if self.gpus < 0 or self.memory_gb <= 0:
+        memory_ok = math.isfinite(self.memory_gb) and self.memory_gb > 0
+        if self.gpus < 0 or not memory_ok or not math.isfinite(self.gpu_memory_gb):
             raise ConfigurationError(f"invalid node spec: {self}")
 
     def can_ever_fit(self, request: ResourceRequest) -> bool:

@@ -54,6 +54,16 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             loop.schedule_at(5.0, lambda: None)
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, method, when):
+        # A NaN time compares false with every other and would fire out of order.
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            getattr(loop, method)(when, lambda: None)
+        assert loop.pending == 1
+
     def test_callbacks_can_schedule_more_events(self):
         loop = EventLoop()
         fired = []
@@ -151,6 +161,15 @@ class TestRunUntil:
         loop = EventLoop(start_time=50.0)
         with pytest.raises(SimulationError):
             loop.run_until(10.0)
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_run_until_non_finite_raises(self, when):
+        # A NaN target would run nothing and leave the clock at NaN.
+        loop = EventLoop(start_time=5.0)
+        loop.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            loop.run_until(when)
+        assert (loop.now, loop.pending) == (5.0, 1)
 
     def test_advance_relative(self):
         loop = EventLoop(start_time=5.0)

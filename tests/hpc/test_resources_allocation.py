@@ -33,6 +33,12 @@ class TestResourceRequest:
         with pytest.raises(ConfigurationError):
             ResourceRequest(cpu_cores=-1)
 
+    @pytest.mark.parametrize("memory_gb", [float("nan"), float("inf")])
+    def test_rejects_non_finite_memory(self, memory_gb):
+        # A NaN request would fail only at placement, as "can never be placed".
+        with pytest.raises(ConfigurationError, match="finite"):
+            ResourceRequest(cpu_cores=1, memory_gb=memory_gb)
+
     def test_scaled(self):
         request = ResourceRequest(cpu_cores=2, gpus=1, memory_gb=4.0).scaled(3)
         assert (request.cpu_cores, request.gpus, request.memory_gb) == (6, 3, 12.0)
@@ -69,6 +75,23 @@ class TestSpecs:
             NodeSpec(name="n", cpu_cores=4, gpus=-1, memory_gb=8.0)
         with pytest.raises(ConfigurationError, match="invalid node spec"):
             NodeSpec(name="n", cpu_cores=4, gpus=0, memory_gb=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("memory_gb", float("nan")),
+            ("memory_gb", float("inf")),
+            ("gpu_memory_gb", float("nan")),
+            ("gpu_memory_gb", float("inf")),
+            ("gpu_memory_gb", float("-inf")),
+        ],
+    )
+    def test_node_rejects_non_finite_memory(self, field, value):
+        # A node with NaN memory_gb would fit no request at all.
+        fields = dict(name="n", cpu_cores=4, gpus=1, memory_gb=8.0)
+        fields[field] = value
+        with pytest.raises(ConfigurationError):
+            NodeSpec(**fields)
 
     def test_platform_rejects_duplicate_node_names(self):
         node = NodeSpec(name="n", cpu_cores=4, gpus=0, memory_gb=8.0)
