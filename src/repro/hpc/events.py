@@ -109,16 +109,14 @@ class EventLoop:
         self._processed += 1
         return True
 
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``max_events`` fired).
+    def run(self) -> int:
+        """Run until the queue drains.
 
         Returns the number of events executed by this call.
         """
         executed = 0
         while self.step():
             executed += 1
-            if max_events is not None and executed >= max_events:
-                break
         return executed
 
     def run_until(self, time: float) -> int:

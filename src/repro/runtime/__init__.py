@@ -28,7 +28,6 @@ _EXPORTS = {
     "Task": "task",
     "DurationModel": "durations",
     "TaskKind": "durations",
-    "DEFAULT_DURATIONS": "durations",
     "Agent": "agent",
     "AgentConfig": "agent",
     "TaskManager": "task_manager",

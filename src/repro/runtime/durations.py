@@ -36,7 +36,7 @@ from repro.hpc.resources import ResourceRequest
 from repro.runtime.task import TaskDescription
 from repro.utils.rng import spawn_rng
 
-__all__ = ["TaskKind", "KindProfile", "DurationModel", "DEFAULT_DURATIONS", "default_request"]
+__all__ = ["TaskKind", "KindProfile", "DurationModel"]
 
 
 class TaskKind(str, enum.Enum):
@@ -243,12 +243,3 @@ class DurationModel:
             )
 
         return max(1e-3, seconds / self._speedup)
-
-
-#: A default, paper-calibrated duration model (no speedup, seed 0).
-DEFAULT_DURATIONS = DurationModel()
-
-
-def default_request(kind: TaskKind | str) -> ResourceRequest:
-    """Convenience accessor for the default resource request of a task kind."""
-    return DEFAULT_DURATIONS.request_for(kind)

@@ -176,14 +176,6 @@ class TestRunUntil:
         loop.advance(10.0)
         assert loop.now == 15.0
 
-    def test_max_events_bound(self):
-        loop = EventLoop()
-        for index in range(10):
-            loop.schedule(float(index), lambda: None)
-        executed = loop.run(max_events=3)
-        assert executed == 3
-        assert loop.pending == 7
-
     def test_peek_and_processed(self):
         loop = EventLoop()
         assert loop.peek() is None

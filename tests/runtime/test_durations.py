@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.hpc.filesystem import SharedFilesystem
 from repro.hpc.resources import ResourceRequest
-from repro.runtime.durations import DurationModel, KindProfile, TaskKind, default_request
+from repro.runtime.durations import DurationModel, KindProfile, TaskKind
 from repro.runtime.task import TaskDescription
 
 
@@ -28,10 +28,11 @@ class TestDefaultProfiles:
         assert msa > inference > mpnn > rank
 
     def test_msa_is_cpu_only_and_inference_uses_gpu(self):
-        assert default_request(TaskKind.AF_MSA).gpus == 0
-        assert default_request(TaskKind.AF_MSA).cpu_cores >= 4
-        assert default_request(TaskKind.AF_INFERENCE).gpus == 1
-        assert default_request(TaskKind.MPNN_GENERATE).gpus == 1
+        model = DurationModel()
+        assert model.request_for(TaskKind.AF_MSA).gpus == 0
+        assert model.request_for(TaskKind.AF_MSA).cpu_cores >= 4
+        assert model.request_for(TaskKind.AF_INFERENCE).gpus == 1
+        assert model.request_for(TaskKind.MPNN_GENERATE).gpus == 1
 
     def test_unknown_kind_falls_back_to_generic(self):
         model = DurationModel()
@@ -43,7 +44,6 @@ class TestDefaultProfiles:
     def test_custom_kind_gets_the_generic_profile(self):
         model = DurationModel(seed=3)
         assert model.request_for("custom") == model.request_for(TaskKind.GENERIC)
-        assert default_request("custom") == default_request(TaskKind.GENERIC)
         custom = TaskDescription(
             name="same-name", kind="custom", request=ResourceRequest(cpu_cores=1)
         )
