@@ -53,14 +53,7 @@ def counter(name: str, value: float = 1.0, **attrs: Any) -> None:
     writer = _api._writer
     if writer is None:
         return
-    if writer is _UNRESOLVED:
-        writer = _api.active_writer()
-        if writer is None:
-            return
-    worker = attrs.pop("worker", None)
-    if worker is None:
-        worker = _worker_var.get()
-    writer.write_metric(name, value, "counter", attrs, worker=worker)
+    _write_metric(writer, name, value, "counter", attrs)
 
 
 def gauge(name: str, value: float, **attrs: Any) -> None:
@@ -68,14 +61,7 @@ def gauge(name: str, value: float, **attrs: Any) -> None:
     writer = _api._writer
     if writer is None:
         return
-    if writer is _UNRESOLVED:
-        writer = _api.active_writer()
-        if writer is None:
-            return
-    worker = attrs.pop("worker", None)
-    if worker is None:
-        worker = _worker_var.get()
-    writer.write_metric(name, value, "gauge", attrs, worker=worker)
+    _write_metric(writer, name, value, "gauge", attrs)
 
 
 def histogram(name: str, value: float, **attrs: Any) -> None:
@@ -83,6 +69,17 @@ def histogram(name: str, value: float, **attrs: Any) -> None:
     writer = _api._writer
     if writer is None:
         return
+    _write_metric(writer, name, value, "histogram", attrs)
+
+
+def _write_metric(
+    writer: Any, name: str, value: float, metric: str, attrs: Dict[str, Any]
+) -> None:
+    """The verbs' enabled path: resolve the writer and the worker label, write.
+
+    Each verb keeps its own disabled check (one global read, one compare)
+    inline, so a disabled crossing never pays for this call.
+    """
     if writer is _UNRESOLVED:
         writer = _api.active_writer()
         if writer is None:
@@ -90,7 +87,7 @@ def histogram(name: str, value: float, **attrs: Any) -> None:
     worker = attrs.pop("worker", None)
     if worker is None:
         worker = _worker_var.get()
-    writer.write_metric(name, value, "histogram", attrs, worker=worker)
+    writer.write_metric(name, value, metric, attrs, worker=worker)
 
 
 @dataclass(frozen=True)

@@ -94,18 +94,8 @@ class TelemetryWriter:
         attrs: Optional[Dict[str, Any]] = None,
         worker: Optional[str] = None,
     ) -> None:
-        self._write(
-            {
-                "v": TELEMETRY_SCHEMA_VERSION,
-                "kind": "span",
-                "name": name,
-                "start": start,
-                "end": end,
-                "ok": bool(ok),
-                "pid": os.getpid(),
-                "worker": worker if worker is not None else self._worker,
-                "attrs": dict(attrs or {}),
-            }
+        self._write_record(
+            "span", name, attrs, worker, {"start": start, "end": end, "ok": bool(ok)}
         )
 
     def write_event(
@@ -115,16 +105,8 @@ class TelemetryWriter:
         at: Optional[float] = None,
         worker: Optional[str] = None,
     ) -> None:
-        self._write(
-            {
-                "v": TELEMETRY_SCHEMA_VERSION,
-                "kind": "event",
-                "name": name,
-                "at": time.time() if at is None else at,
-                "pid": os.getpid(),
-                "worker": worker if worker is not None else self._worker,
-                "attrs": dict(attrs or {}),
-            }
+        self._write_record(
+            "event", name, attrs, worker, {"at": time.time() if at is None else at}
         )
 
     def write_metric(
@@ -142,19 +124,36 @@ class TelemetryWriter:
         older readers that only consume ``span``/``event`` kinds skip them
         without error, which is why adding the kind is not a version bump.
         """
-        self._write(
+        self._write_record(
+            "metric",
+            name,
+            attrs,
+            worker,
             {
-                "v": TELEMETRY_SCHEMA_VERSION,
-                "kind": "metric",
-                "name": name,
                 "metric": metric,
                 "value": float(value),
                 "at": time.time() if at is None else at,
-                "pid": os.getpid(),
-                "worker": worker if worker is not None else self._worker,
-                "attrs": dict(attrs or {}),
-            }
+            },
         )
+
+    def _write_record(
+        self,
+        kind: str,
+        name: str,
+        attrs: Optional[Dict[str, Any]],
+        worker: Optional[str],
+        record: Dict[str, Any],
+    ) -> None:
+        """Add the envelope every kind shares to ``record``, then write it."""
+        record.update(
+            v=TELEMETRY_SCHEMA_VERSION,
+            kind=kind,
+            name=name,
+            pid=os.getpid(),
+            worker=worker if worker is not None else self._worker,
+            attrs=dict(attrs or {}),
+        )
+        self._write(record)
 
     def _write(self, record: Dict[str, Any]) -> None:
         # Serialise outside the lock, write-and-flush inside it: one line per
