@@ -56,7 +56,7 @@ def test_scheduler_placement_throughput(benchmark):
         placed = 0
         for index in range(500):
             scheduler.submit(
-                QueuedRequest(f"task-{index}", ResourceRequest(cpu_cores=1), 0.0)
+                QueuedRequest(f"task-{index}", ResourceRequest(cpu_cores=1))
             )
         # Every batch's allocations are released immediately below, so the
         # platform always has capacity; an empty batch therefore means no

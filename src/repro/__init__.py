@@ -56,7 +56,6 @@ _EXPORTS = {
     "PipelineConfig": "core.pipeline",
     "CoordinatorConfig": "core.coordinator",
     "PipelinesCoordinator": "core.coordinator",
-    "ControlConfig": "core.control",
     "ControlProtocol": "core.control",
     "ExecutionProtocol": "core.protocols",
     "available_protocols": "core.protocols",

@@ -39,16 +39,6 @@ class MakespanReport:
     n_tasks: int
     mean_task_hours: float
 
-    def as_dict(self) -> dict:
-        return {
-            "approach": self.approach,
-            "makespan_hours": self.makespan_hours,
-            "total_task_hours": self.total_task_hours,
-            "phase_hours": dict(self.phase_hours),
-            "n_tasks": self.n_tasks,
-            "mean_task_hours": self.mean_task_hours,
-        }
-
 
 def makespan_report(
     profiler: ExecutionProfiler, approach: str = "", time_scale: float = 1.0

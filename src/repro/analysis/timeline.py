@@ -182,12 +182,6 @@ class FleetTimeline:
         spans = [span for w in self.workers for span in w.run_spans]
         return max(spans, key=lambda span: span.seconds) if spans else None
 
-    def worker_timeline(self, worker: str) -> Optional[WorkerTimeline]:
-        for timeline in self.workers:
-            if timeline.worker == worker:
-                return timeline
-        return None
-
 
 def fleet_timeline(directory: Union[str, Path]) -> FleetTimeline:
     """Reconstruct the fleet from the telemetry streams under ``directory``.

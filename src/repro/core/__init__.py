@@ -41,7 +41,6 @@ _EXPORTS = {
     "CoordinatorConfig": "coordinator",
     "PipelinesCoordinator": "coordinator",
     "ControlProtocol": "control",
-    "ControlConfig": "control",
     "ExecutionProtocol": "protocols",
     "ProtocolContext": "protocols",
     "ProtocolOutcome": "protocols",

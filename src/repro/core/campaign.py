@@ -42,7 +42,7 @@ from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec
 from repro.hpc.scheduler import available_schedulers
 from repro.protein.datasets import DesignTarget
-from repro.protein.folding import MSA_MODES, FoldingConfig, SurrogateAlphaFold
+from repro.protein.folding import MSA_MODES, SurrogateAlphaFold
 from repro.protein.metrics import QualityMetrics
 from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
@@ -180,8 +180,7 @@ class DesignCampaign:
                 seed=derive_seed(seed, "mpnn"),
             ),
             folding=SurrogateAlphaFold(
-                config=FoldingConfig(msa_mode=self._config.msa_mode),
-                seed=derive_seed(seed, "folding"),
+                msa_mode=self._config.msa_mode, seed=derive_seed(seed, "folding")
             ),
             scoring=ScoringFunction(),
         )
@@ -233,16 +232,16 @@ class DesignCampaign:
         and the finalized result is byte-identical to an uninterrupted run.
         ``on_state`` observes every post-step state (plus, for run-granular
         protocols, non-restorable mid-step progress states) — the hook the
-        orchestration worker uses to stream one checkpoint per cycle.
+        orchestration worker uses to stream one checkpoint per cycle.  A
+        sequential step carries a restorable payload only when ``on_state``
+        is set, so an unobserved :meth:`run` pays no per-cycle encoding.
+        Each observed state's ``runtime`` is the live execution, which keeps
+        stepping after the call; its payload is never changed later.
         """
         if self._result is not None:
             return self._result
         protocol = self._protocol()
-        # Snapshots are only serialised when someone is there to persist
-        # them; an unobserved run() pays no per-cycle encoding.
-        context = self._protocol_context(
-            on_state, capture_snapshots=on_state is not None
-        )
+        context = self._protocol_context(on_state)
         if resume_from is not None:
             state = self._validated_resume(resume_from)
         else:
@@ -252,23 +251,6 @@ class DesignCampaign:
             if on_state is not None:
                 on_state(state)
         return self.finalize_state(state)
-
-    def init_state(self) -> CampaignState:
-        """The campaign's pre-execution state (cycle 0, nothing in flight)."""
-        return self._protocol().init_state(
-            self._protocol_context(capture_snapshots=True)
-        )
-
-    def step(self, state: CampaignState) -> CampaignState:
-        """Advance one checkpointable unit: ``step(state) -> state``.
-
-        States returned by the explicit stepping API always carry a
-        restorable snapshot (where the protocol supports one) — this is the
-        checkpoint boundary.
-        """
-        return self._protocol().step(
-            self._protocol_context(capture_snapshots=True), state
-        )
 
     def finalize_state(self, state: CampaignState) -> CampaignResult:
         """Turn a terminal state into the campaign result (idempotent)."""
@@ -306,33 +288,14 @@ class DesignCampaign:
         return state
 
     def _protocol_context(
-        self,
-        on_state: Optional[Callable[[CampaignState], None]] = None,
-        capture_snapshots: bool = False,
+        self, on_state: Optional[Callable[[CampaignState], None]] = None
     ) -> ProtocolContext:
-        on_progress = None
-        if on_state is not None:
-
-            def on_progress(cycle: int, cycles_total: Optional[int]) -> None:
-                on_state(
-                    CampaignState(
-                        protocol=self._config.protocol,
-                        seed=self._config.seed,
-                        cycle=cycle,
-                        cycles_total=cycles_total,
-                        done=False,
-                        restorable=False,
-                        payload=None,
-                    )
-                )
-
         return ProtocolContext(
             config=self._config,
             targets=self._targets,
             factory=self._factory,
             durations=self._durations,
-            on_progress=on_progress,
-            capture_snapshots=capture_snapshots,
+            on_state=on_state,
         )
 
     def _baseline_metrics(self) -> Dict[str, QualityMetrics]:

@@ -20,17 +20,15 @@ flight; the pipeline's outstanding generation task is rebuilt by
 :meth:`~repro.core.pipeline.Pipeline.pending_task`), where
 :meth:`snapshot` / :meth:`restore` serialise and rebuild the whole execution
 — per-target pipeline state, captured RNG streams, the simulated clock and
-the profiler traces — exactly.  :meth:`run` is the run-to-completion wrapper
-(``begin`` + ``step_cycle`` until drained) and behaves precisely as before.
+the profiler traces — exactly.  The campaign's stepping loop
+(:meth:`~repro.core.campaign.DesignCampaign.run_stepwise`) drives it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.decision import AcceptancePolicy
 from repro.core.instrumentation import record_cycle_metrics, record_stage_metrics
 from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
 from repro.core.results import PipelineRecord
@@ -41,37 +39,14 @@ from repro.core.snapshot import (
 )
 from repro.core.stages import StageFactory
 from repro.core.trajectory import CycleResult, Trajectory
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, ConfigurationError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec
 from repro.protein.datasets import DesignTarget
 from repro.runtime.durations import DurationModel
 from repro.runtime.sequential import SequentialRunner
 
-__all__ = ["ControlConfig", "ControlProtocol"]
-
-
-@dataclass(frozen=True)
-class ControlConfig:
-    """Parameters of the control run.
-
-    Attributes
-    ----------
-    n_cycles:
-        Design cycles per structure (4 in the paper).
-    n_sequences:
-        Sequences generated by ProteinMPNN per cycle (10 in the paper).
-    selection_seed:
-        Seed of the random-selection stream.
-    random_selection:
-        Select the evaluated sequence at random (the paper's control) or take
-        the top-ranked one (the ``cont-v-ranked`` ablation).
-    """
-
-    n_cycles: int = 4
-    n_sequences: int = 10
-    selection_seed: int = 0
-    random_selection: bool = True
+__all__ = ["ControlProtocol"]
 
 
 class ControlProtocol:
@@ -86,11 +61,21 @@ class ControlProtocol:
         platform: ComputePlatform,
         factory: StageFactory,
         durations: DurationModel,
-        config: Optional[ControlConfig] = None,
+        config: PipelineConfig,
     ) -> None:
+        """``config`` is every target's pipeline configuration.
+
+        It must be non-adaptive: every cycle is then accepted, so its
+        retry budget, acceptance policy and adaptivity schedule never change
+        an outcome, a task name or a snapshot.
+        """
+        if config.adaptive:
+            raise ConfigurationError(
+                "the control runs without adaptivity; got an adaptive pipeline config"
+            )
         self._platform = platform
         self._factory = factory
-        self._config = config or ControlConfig()
+        self._config = config
         self._runner = SequentialRunner(platform, durations)
         self._targets: List[DesignTarget] = []
         self._per_target_pipelines: Dict[str, Pipeline] = {}
@@ -103,7 +88,7 @@ class ControlProtocol:
         self._phase_encodings: List[dict] = []
 
     @property
-    def config(self) -> ControlConfig:
+    def config(self) -> PipelineConfig:
         return self._config
 
     @property
@@ -137,37 +122,14 @@ class ControlProtocol:
         self._targets = list(targets)
         self._started = True
 
-    def run(self, targets: List[DesignTarget]) -> List[PipelineRecord]:
-        """Execute the control protocol over ``targets`` and return records.
-
-        The four (or N) structures are processed one after another inside
-        one logical pipeline; each structure goes through ``n_cycles`` design
-        cycles with random sequence selection and no pruning.
-        """
-        self.begin(targets)
-        while not self.step_cycle():
-            pass
-        return self.records()
-
     # -- cycle-granular stepping ----------------------------------------------- #
-
-    def _pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            n_cycles=self._config.n_cycles,
-            n_sequences=self._config.n_sequences,
-            max_retries=1,
-            adaptive=False,
-            random_selection=self._config.random_selection,
-            acceptance=AcceptancePolicy(),
-            selection_seed=self._config.selection_seed,
-        )
 
     def _build_pipeline(self, target: DesignTarget) -> Pipeline:
         return Pipeline(
             uid=f"{self.PIPELINE_UID}.{target.name}",
             target=target,
             factory=self._factory,
-            config=self._pipeline_config(),
+            config=self._config,
         )
 
     def _current_target(self) -> Optional[DesignTarget]:
@@ -292,7 +254,7 @@ class ControlProtocol:
         platform_spec: Optional[PlatformSpec],
         factory: StageFactory,
         durations: DurationModel,
-        config: ControlConfig,
+        config: PipelineConfig,
         targets: List[DesignTarget],
         payload: dict,
     ) -> "ControlProtocol":
@@ -310,13 +272,12 @@ class ControlProtocol:
         control = cls(platform, factory, durations, config)
         control.begin(targets)
         control._finished = payload["finished"]
-        pipeline_config = control._pipeline_config()
         for target in targets:  # preserve sweep order in the pipelines dict
             snapshot = payload["pipelines"].get(target.name)
             if snapshot is None:
                 continue
             control._per_target_pipelines[target.name] = Pipeline.restore_snapshot(
-                snapshot, target, factory, pipeline_config
+                snapshot, target, factory, config
             )
         return control
 

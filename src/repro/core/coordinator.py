@@ -50,6 +50,13 @@ __all__ = [
 #: utilization-driven controller instead of a static cap.
 AUTO_IN_FLIGHT = "auto"
 
+#: The adaptive controller's starting cap, the trailing window of simulated
+#: seconds its busy fraction covers, and the busy fraction below which it
+#: raises the cap.
+_AUTO_INITIAL_CAP = 1
+_AUTO_WINDOW_SECONDS = 600.0
+_AUTO_TARGET_UTILIZATION = 0.90
+
 
 @dataclass(frozen=True)
 class CoordinatorConfig:
@@ -81,13 +88,13 @@ class CoordinatorConfig:
 class AdaptiveInFlightController:
     """Retunes the root-pipeline cap from observed simulated busy fraction.
 
-    The observe→decide loop in its smallest form: after every completed
-    design cycle the controller reads the platform profiler's CPU/GPU busy
-    fraction over the trailing ``window_seconds`` of *simulated* time and,
-    while root pipelines are still waiting and the platform is under
-    ``target_utilization``, raises the cap by one — converging on the
-    smallest cap that saturates the platform instead of requiring the static
-    ablation sweep up front.
+    The observe→decide loop in its smallest form: the cap starts at 1;
+    after every completed design cycle the controller reads the platform
+    profiler's CPU/GPU busy fraction over the trailing 600 s of *simulated*
+    time and, while root pipelines are still waiting and the platform is
+    under 90% busy, raises the cap by one — converging on the smallest cap
+    that saturates the platform instead of requiring the static ablation
+    sweep up front.
 
     Every input is deterministic (simulated clock, profiler traces), so two
     executions of the same spec make identical decisions regardless of the
@@ -95,26 +102,16 @@ class AdaptiveInFlightController:
     ``coordinator.max_in_flight`` gauges for auditing.
     """
 
-    def __init__(
-        self,
-        platform: ComputePlatform,
-        initial_cap: int = 1,
-        window_seconds: float = 600.0,
-        target_utilization: float = 0.90,
-    ) -> None:
-        if initial_cap < 1:
-            raise CoordinatorError("adaptive in-flight cap must start >= 1")
+    def __init__(self, platform: ComputePlatform) -> None:
         self._platform = platform
-        self._window_seconds = window_seconds
-        self._target = target_utilization
-        self.cap = initial_cap
+        self.cap = _AUTO_INITIAL_CAP
         #: ``(simulated_time, cap, busy_fraction, decision)`` audit trail.
         self.decisions: List[Tuple[float, int, float, str]] = []
 
     def busy_fraction(self) -> float:
         """Peak of CPU/GPU utilization over the trailing window (0 when idle)."""
         now = self._platform.now
-        start = max(0.0, now - self._window_seconds)
+        start = max(0.0, now - _AUTO_WINDOW_SECONDS)
         if now <= start:
             return 0.0
         profiler = self._platform.profiler
@@ -127,7 +124,7 @@ class AdaptiveInFlightController:
     def retune(self, pending_roots: int) -> bool:
         """One decision step; returns True when the cap was raised."""
         busy = self.busy_fraction()
-        raised = pending_roots > 0 and busy < self._target
+        raised = pending_roots > 0 and busy < _AUTO_TARGET_UTILIZATION
         if raised:
             self.cap += 1
         decision = "raise" if raised else "hold"
@@ -225,27 +222,22 @@ class PipelinesCoordinator:
         limit = self._config.max_in_flight_pipelines
         return limit if isinstance(limit, int) else None
 
-    def add_target(
-        self, target: DesignTarget, config: Optional[PipelineConfig] = None
-    ) -> Pipeline:
-        """Create a root pipeline for ``target`` and queue it for submission."""
-        uid = f"pipeline.{next(self._uid_counter):04d}.{target.name}"
-        pipeline = Pipeline(
-            uid=uid,
-            target=target,
-            factory=self._factory,
-            config=config or self._config.pipeline,
-        )
-        self._pipelines[uid] = pipeline
-        self._root_of[uid] = uid
-        self._submissions.append(pipeline)
-        return pipeline
-
-    def add_targets(
-        self, targets: List[DesignTarget], config: Optional[PipelineConfig] = None
-    ) -> List[Pipeline]:
-        """Convenience wrapper adding several targets at once."""
-        return [self.add_target(target, config) for target in targets]
+    def add_targets(self, targets: List[DesignTarget]) -> List[Pipeline]:
+        """Create one root pipeline per target and queue them for submission."""
+        pipelines = []
+        for target in targets:
+            uid = f"pipeline.{next(self._uid_counter):04d}.{target.name}"
+            pipeline = Pipeline(
+                uid=uid,
+                target=target,
+                factory=self._factory,
+                config=self._config.pipeline,
+            )
+            self._pipelines[uid] = pipeline
+            self._root_of[uid] = uid
+            self._submissions.append(pipeline)
+            pipelines.append(pipeline)
+        return pipelines
 
     # -- execution ------------------------------------------------------------------ #
 

@@ -196,10 +196,6 @@ class Pipeline:
         )
 
     @property
-    def current_cycle(self) -> int:
-        return self._cycle
-
-    @property
     def current_complex(self) -> ComplexStructure:
         return self._complex
 

@@ -35,8 +35,9 @@ be registered (imported) before configs referencing them are built.
 Cycle-granular execution
 ------------------------
 Execution is an explicit state machine: a campaign runs as ``init_state`` →
-``step``\\* → ``finalize`` over a :class:`CampaignState`.  Each
-``step(context, state) -> state`` advances one checkpointable unit and —
+``step``\\* → ``finalize`` over a :class:`CampaignState`, and
+:meth:`~repro.core.campaign.DesignCampaign.run_stepwise` is its one driver.
+Each ``step(context, state) -> state`` advances one checkpointable unit and —
 when the state is *restorable* — returns a JSON-able payload from which a
 different process (or a different worker machine) can resume the run at the
 last completed cycle, finishing byte-identical to an uninterrupted run.
@@ -46,7 +47,8 @@ The two built-in families differ in step granularity, and honestly so:
 * **sequential protocols** (``cont-v`` family) have a quiescent point after
   every design cycle — no task in flight, the pipeline's next generation
   task rebuilt by ``Pipeline.pending_task()`` — so every step is one cycle
-  and every post-step state is a restorable checkpoint;
+  and, when an observer is attached, every post-step state is a restorable
+  checkpoint;
 * **pilot protocols** (``im-rp`` family) interleave pipelines inside one
   asynchronous discrete-event simulation, so the whole simulation is a
   single step.  Each pipeline can rebuild its own outstanding task, so the
@@ -54,9 +56,10 @@ The two built-in families differ in step granularity, and honestly so:
   simulation's own state is: the event heap, the live allocations, the
   scheduler queue and the coordinator's state, none of which has a codec
   yet.  Mid-run these protocols report cycle *progress* (for status/ETA
-  displays) through :attr:`ProtocolContext.on_progress`, and an interrupted
-  run resumes by deterministic re-execution from the start — the
-  determinism contract makes that re-execution exact, just not free.
+  displays) to :attr:`ProtocolContext.on_state` as non-restorable states,
+  and an interrupted run resumes by deterministic re-execution from the
+  start — the determinism contract makes that re-execution exact, just not
+  free.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from typing import (
     Type,
 )
 
-from repro.core.control import ControlConfig, ControlProtocol
+from repro.core.control import ControlProtocol
 from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
 from repro.core.pipeline import PipelineConfig
 from repro.core.results import PipelineRecord
@@ -190,17 +193,12 @@ class ProtocolContext:
     targets: List["DesignTarget"]
     factory: "StageFactory"
     durations: "DurationModel"
-    #: Optional mid-step progress hook ``(completed_cycles, cycles_total)``.
-    #: Protocols whose step spans many cycles (the pilot family) call it per
-    #: completed cycle so queue status displays see intra-run progress even
-    #: where no restorable checkpoint exists.
-    on_progress: Optional[Callable[[int, Optional[int]], None]] = None
-    #: Whether stepping protocols should serialise a restorable snapshot
-    #: into every post-step state.  Snapshots are what checkpointing
-    #: consumes, but they cost a per-cycle encode of the current pipeline
-    #: and keep a cache of the run's encodings in memory — an unobserved
-    #: run-to-completion loop leaves this off and encodes nothing.
-    capture_snapshots: bool = False
+    #: The campaign's state observer, or ``None``.  When one is attached, a
+    #: sequential step carries a restorable payload (what checkpointing
+    #: consumes), and the pilot family, whose one step spans every cycle,
+    #: reports each completed cycle to it as a non-restorable progress
+    #: state.  An unobserved run encodes nothing.
+    on_state: Optional[Callable[[CampaignState], None]] = None
 
     @property
     def platform_spec(self) -> PlatformSpec:
@@ -362,9 +360,9 @@ class PilotRuntimeProtocol(ExecutionProtocol):
     outstanding task (``Pipeline.pending_task()``), but the event heap, the
     live allocations, the scheduler queue and the coordinator's state have
     no codec yet.  The single :meth:`step` therefore executes the whole
-    simulation; completed cycles are reported through
-    :attr:`ProtocolContext.on_progress` as they happen, and an interrupted
-    run resumes by exact deterministic re-execution from the start.
+    simulation; completed cycles are reported to
+    :attr:`ProtocolContext.on_state` as they happen, and an interrupted run
+    resumes by exact deterministic re-execution from the start.
     """
 
     #: Whether Stage 6 gates cycle acceptance.
@@ -384,11 +382,18 @@ class PilotRuntimeProtocol(ExecutionProtocol):
             ),
         )
         on_cycle = None
-        if context.on_progress is not None:
-            progress = context.on_progress
+        if context.on_state is not None:
+            on_state = context.on_state
 
             def on_cycle(completed: int) -> None:
-                progress(completed, None)
+                on_state(
+                    CampaignState(
+                        protocol=self.name,
+                        seed=config.seed,
+                        cycle=completed,
+                        restorable=False,
+                    )
+                )
 
         coordinator = PipelinesCoordinator(
             task_manager,
@@ -429,25 +434,19 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
     #: Whether the evaluated sequence is drawn at random (the paper's control).
     random_selection: ClassVar[bool] = True
 
-    def _control_config(self, context: ProtocolContext) -> ControlConfig:
-        config = context.config
-        return ControlConfig(
-            n_cycles=config.n_cycles,
-            n_sequences=config.n_sequences,
-            selection_seed=context.selection_seed,
-            random_selection=self.random_selection,
-        )
-
     def _control(self, context: ProtocolContext, state: CampaignState) -> ControlProtocol:
         """The live stepping engine: carried between steps, rebuilt on resume."""
         if isinstance(state.runtime, ControlProtocol):
             return state.runtime
+        config = self.pipeline_config(
+            context, adaptive=False, random_selection=self.random_selection
+        )
         if state.payload is not None:
             return ControlProtocol.restore(
                 context.platform_spec,
                 context.factory,
                 context.durations,
-                self._control_config(context),
+                config,
                 context.targets,
                 state.payload,
             )
@@ -455,7 +454,7 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
             ComputePlatform(context.platform_spec),
             context.factory,
             context.durations,
-            self._control_config(context),
+            config,
         )
         control.begin(context.targets)
         return control
@@ -470,9 +469,9 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
     def step(self, context: ProtocolContext, state: CampaignState) -> CampaignState:
         control = self._control(context, state)
         finished = control.step_cycle()
-        # No context.on_progress call here: each step IS one cycle, so the
-        # post-step state observer already sees every boundary.
-        capture = context.capture_snapshots
+        # Each step is one cycle, so the observer already sees every
+        # boundary; a payload is encoded only when it is there to keep it.
+        capture = context.on_state is not None
         return dataclasses.replace(
             state,
             cycle=control.n_cycles_completed,

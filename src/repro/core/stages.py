@@ -208,7 +208,7 @@ class StageFactory:
             return {
                 "sequence_name": sequence.name,
                 "n_residues": len(sequence) + len(target.complex.peptide),
-                "msa_depth": 2048 if self._models.folding.config.msa_mode == "full_msa" else 1,
+                "msa_depth": 2048 if self._models.folding.msa_mode == "full_msa" else 1,
             }
 
         kind = TaskKind.AF_MSA

@@ -100,13 +100,6 @@ class CycleResult:
     def n_trajectories(self) -> int:
         return len(self.trajectories)
 
-    def accepted_trajectory(self) -> Optional[Trajectory]:
-        """The trajectory Stage 6 accepted, if any."""
-        for trajectory in self.trajectories:
-            if trajectory.accepted:
-                return trajectory
-        return None
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "pipeline_uid": self.pipeline_uid,

@@ -137,20 +137,6 @@ class SuiteResult:
             return float("nan")
         return self.total_run_seconds / self.wall_seconds
 
-    def by_protocol(self) -> Dict[str, List[SuiteRunRecord]]:
-        """Records grouped by protocol name, preserving run order."""
-        groups: Dict[str, List[SuiteRunRecord]] = {}
-        for record in self.records:
-            groups.setdefault(record.spec.protocol, []).append(record)
-        return groups
-
-    def find(self, run_id: str) -> SuiteRunRecord:
-        """The record with the given run id."""
-        for record in self.records:
-            if record.spec.run_id == run_id:
-                return record
-        raise CampaignError(f"no run {run_id!r} in this suite result")
-
     def as_dict(self) -> dict:
         return {
             "schema_version": SUITE_SCHEMA_VERSION,

@@ -36,7 +36,6 @@ _EXPORTS = {
     "BackfillScheduler": "scheduler",
     "make_scheduler": "scheduler",
     "SharedFilesystem": "filesystem",
-    "FilesystemSpec": "filesystem",
     "ComputePlatform": "platform",
     "ExecutionProfiler": "profiling",
     "ResourceInterval": "profiling",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.exceptions import AllocationError, InsufficientResourcesError
 from repro.hpc.resources import NodeSpec, PlatformSpec, ResourceRequest
@@ -106,34 +106,20 @@ class NodeAllocator:
     def platform(self) -> PlatformSpec:
         return self._platform
 
-    @property
-    def live_allocations(self) -> List[Allocation]:
-        """Currently outstanding allocations."""
-        return list(self._live.values())
-
-    def free_cores(self, node: Optional[str] = None) -> int:
-        """Free core count on ``node`` (or across the platform)."""
-        if node is not None:
-            return len(self._nodes[node].free_cores)
+    def free_cores(self) -> int:
+        """Free core count across the platform."""
         return sum(len(state.free_cores) for state in self._nodes.values())
 
-    def free_gpus(self, node: Optional[str] = None) -> int:
-        """Free GPU count on ``node`` (or across the platform)."""
-        if node is not None:
-            return len(self._nodes[node].free_gpus)
+    def free_gpus(self) -> int:
+        """Free GPU count across the platform."""
         return sum(len(state.free_gpus) for state in self._nodes.values())
 
-    def free_memory_gb(self, node: Optional[str] = None) -> float:
-        """Free host memory on ``node`` (or across the platform)."""
-        if node is not None:
-            return self._nodes[node].free_memory_gb
+    def free_memory_gb(self) -> float:
+        """Free host memory across the platform."""
         return sum(state.free_memory_gb for state in self._nodes.values())
 
     def busy_cores(self) -> int:
         return self._platform.total_cpu_cores - self.free_cores()
-
-    def busy_gpus(self) -> int:
-        return self._platform.total_gpus - self.free_gpus()
 
     def can_ever_fit(self, request: ResourceRequest) -> bool:
         """Whether ``request`` could fit on some node of an *empty* platform."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.exceptions import SimulationError
 
@@ -38,8 +38,8 @@ class EventLoop:
       resources *before* trying to place waiting tasks).
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[_Event] = []
         self._counter = itertools.count()
         self._processed = 0
@@ -95,10 +95,6 @@ class EventLoop:
             self._now + float(delay), callback, *args, priority=priority, **kwargs
         )
 
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next event, or ``None`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else None
-
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when nothing is pending."""
         if not self._queue:
@@ -136,7 +132,3 @@ class EventLoop:
             executed += 1
         self._now = float(time)
         return executed
-
-    def advance(self, delay: float) -> int:
-        """Run for ``delay`` seconds of simulated time (convenience wrapper)."""
-        return self.run_until(self._now + float(delay))

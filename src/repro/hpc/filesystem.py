@@ -16,36 +16,18 @@ simulated seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.exceptions import ConfigurationError
 
-__all__ = ["FilesystemSpec", "SharedFilesystem"]
+__all__ = ["SharedFilesystem"]
 
-
-@dataclass(frozen=True)
-class FilesystemSpec:
-    """Static description of the shared filesystem.
-
-    Attributes
-    ----------
-    name:
-        Label used in traces.
-    read_bandwidth_gb_s:
-        Streaming read bandwidth (GB/s) that every read gets.
-    metadata_latency_s:
-        Cost of one metadata operation (create/stat a file).
-    """
-
-    name: str = "gpfs-scratch"
-    read_bandwidth_gb_s: float = 2.0
-    metadata_latency_s: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.read_bandwidth_gb_s <= 0:
-            raise ConfigurationError("filesystem read bandwidth must be positive")
-        if self.metadata_latency_s < 0:
-            raise ConfigurationError("metadata latency must be non-negative")
+#: Label of the modelled filesystem, used in platform descriptions.
+FILESYSTEM_NAME = "gpfs-scratch"
+#: Streaming read bandwidth (GB/s) that every read gets.
+_READ_BANDWIDTH_GB_S = 2.0
+#: Cost of one metadata operation (create/stat a file), in seconds.
+_METADATA_LATENCY_S = 0.02
+#: Small files RADICAL-Pilot creates per task sandbox (scripts, staging links).
+_SANDBOX_FILES = 6
 
 
 class SharedFilesystem:
@@ -55,25 +37,16 @@ class SharedFilesystem:
     read's cost depends only on its volume and file count.
     """
 
-    def __init__(self, spec: FilesystemSpec | None = None) -> None:
-        self._spec = spec or FilesystemSpec()
-
-    @property
-    def spec(self) -> FilesystemSpec:
-        return self._spec
-
     def read_time(self, gigabytes: float, files: int = 1) -> float:
         """Simulated seconds to read ``gigabytes`` across ``files`` files."""
         if gigabytes < 0 or files < 0:
             raise ConfigurationError("negative I/O volume")
-        return gigabytes / self._spec.read_bandwidth_gb_s + files * self._spec.metadata_latency_s
+        return gigabytes / _READ_BANDWIDTH_GB_S + files * _METADATA_LATENCY_S
 
-    def sandbox_setup_time(self, files: int = 6) -> float:
+    def sandbox_setup_time(self) -> float:
         """Simulated seconds to create a task sandbox (scripts + staging links).
 
         RADICAL-Pilot creates a handful of small files per task; the cost is
         dominated by metadata operations on the shared filesystem.
         """
-        if files < 0:
-            raise ConfigurationError("negative file count")
-        return files * self._spec.metadata_latency_s
+        return _SANDBOX_FILES * _METADATA_LATENCY_S

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.hpc.allocation import NodeAllocator
 from repro.hpc.events import EventLoop
-from repro.hpc.filesystem import SharedFilesystem
+from repro.hpc.filesystem import FILESYSTEM_NAME, SharedFilesystem
 from repro.hpc.profiling import ExecutionProfiler
 from repro.hpc.resources import PlatformSpec, amarel_platform
 
@@ -74,5 +74,5 @@ class ComputePlatform:
     def describe(self) -> dict:
         """Summary dictionary used by reports."""
         summary = self._spec.describe()
-        summary["filesystem"] = self._filesystem.spec.name
+        summary["filesystem"] = FILESYSTEM_NAME
         return summary

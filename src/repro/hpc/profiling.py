@@ -169,21 +169,16 @@ class ExecutionProfiler:
     # ------------------------------------------------------------------ #
 
     def utilization_timeline(
-        self,
-        kind: str = "cpu",
-        n_bins: int = 100,
-        window: Optional[Tuple[float, float]] = None,
+        self, kind: str = "cpu", n_bins: int = 100
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Binned utilization fraction over time.
+        """Binned utilization fraction over the recorded span.
 
         Returns ``(bin_centers, utilization)`` arrays of length ``n_bins``;
         this is the series plotted in Figs 4 and 5 (as a percentage).
         """
         if n_bins < 1:
             raise SimulationError("n_bins must be >= 1")
-        if window is None:
-            window = self.span()
-        start, end = window
+        start, end = self.span()
         if end <= start:
             raise SimulationError("empty profiling window")
         edges = np.linspace(start, end, n_bins + 1)

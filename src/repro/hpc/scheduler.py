@@ -43,7 +43,6 @@ class QueuedRequest:
 
     request_id: str
     request: ResourceRequest
-    enqueue_time: float
 
 
 class PlacementScheduler(ABC):
@@ -61,10 +60,6 @@ class PlacementScheduler(ABC):
     def queue_length(self) -> int:
         """Number of requests waiting for placement."""
         return len(self._queue)
-
-    def waiting(self) -> List[QueuedRequest]:
-        """Snapshot of the waiting queue in order."""
-        return list(self._queue)
 
     def submit(self, item: QueuedRequest) -> None:
         """Add a request to the waiting queue.

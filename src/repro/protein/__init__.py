@@ -27,7 +27,6 @@ from repro._lazy import lazy_namespace
 #: Each public name and the submodule that defines it, imported on first use.
 _EXPORTS = {
     "AMINO_ACIDS": "alphabet",
-    "aa_index": "alphabet",
     "is_valid_sequence": "alphabet",
     "ProteinSequence": "sequence",
     "ScoredSequence": "sequence",
@@ -38,7 +37,6 @@ _EXPORTS = {
     "FitnessLandscape": "landscape",
     "MPNNConfig": "mpnn",
     "SurrogateProteinMPNN": "mpnn",
-    "FoldingConfig": "folding",
     "FoldingResult": "folding",
     "SurrogateAlphaFold": "folding",
     "QualityMetrics": "metrics",

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "AMINO_ACIDS",
     "AA_TO_INDEX",
-    "aa_index",
     "is_valid_sequence",
     "HYDROPHOBICITY",
     "CHARGE",
@@ -53,17 +52,6 @@ VOLUME: Mapping[str, float] = {
     "M": 162.9, "N": 114.1, "P": 112.7, "Q": 143.8, "R": 173.4,
     "S": 89.0, "T": 116.1, "V": 140.0, "W": 227.8, "Y": 193.6,
 }
-
-
-def aa_index(residue: str) -> int:
-    """Index of a one-letter amino-acid code in the canonical alphabet.
-
-    Raises
-    ------
-    KeyError
-        If ``residue`` is not one of the 20 canonical amino acids.
-    """
-    return AA_TO_INDEX[residue]
 
 
 def is_valid_sequence(sequence: str) -> bool:

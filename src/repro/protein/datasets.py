@@ -97,6 +97,26 @@ def _natural_sequence(length: int, rng: np.random.Generator, chain_id: str, name
     return ProteinSequence(residues=residues, chain_id=chain_id, name=name)
 
 
+def _upper_quartile(values: np.ndarray) -> float:
+    """``np.quantile(values, 0.75)`` by NumPy's default (linear) method.
+
+    ``np.quantile`` imports ``numpy.ma``, which every process that builds
+    targets would otherwise load.  This repeats its arithmetic, NumPy's
+    ``_lerp`` included, so the threshold keeps its bits and the docking
+    its seeded result.
+    """
+    ordered = np.sort(values)
+    index = (len(ordered) - 1) * 0.75
+    lower = int(index)
+    weight = index - lower
+    below = ordered[lower]
+    above = ordered[min(lower + 1, len(ordered) - 1)]
+    step = above - below
+    if weight >= 0.5:
+        return float(above - step * (1 - weight))
+    return float(below + step * weight)
+
+
 def _dock_peptide(
     receptor_coords: np.ndarray,
     peptide_length: int,
@@ -121,7 +141,7 @@ def _dock_peptide(
         : length - peptide_length
     ].mean(axis=1)
     # Sample among the top-quartile most exposed stretches.
-    threshold = np.quantile(stretch_distance, 0.75)
+    threshold = _upper_quartile(stretch_distance)
     exposed = candidate_starts[stretch_distance >= threshold]
     start = int(rng.choice(exposed))
 

@@ -28,49 +28,20 @@ from repro.protein.sequence import ProteinSequence
 from repro.protein.structure import ComplexStructure
 from repro.utils.rng import spawn_rng
 
-__all__ = ["MSA_MODES", "FoldingConfig", "FoldingResult", "SurrogateAlphaFold"]
+__all__ = ["MSA_MODES", "FoldingResult", "SurrogateAlphaFold"]
 
 #: Supported surrogate-AlphaFold MSA modes.
 MSA_MODES = ("full_msa", "single_sequence")
 
-
-@dataclass(frozen=True)
-class FoldingConfig:
-    """Surrogate AlphaFold parameters.
-
-    Attributes
-    ----------
-    msa_mode:
-        ``"full_msa"`` (default, low-noise) or ``"single_sequence"``
-        (EvoPro-style, faster but noisier metrics).
-    n_models:
-        Number of models predicted per call; the best by pTM is returned,
-        which slightly tightens the noise (matching AlphaFold's model
-        ranking behaviour described in the pipeline's Stage 4).
-    plddt_noise, ptm_noise, pae_noise:
-        Base noise scales for each metric in ``full_msa`` mode.
-    single_sequence_noise_factor:
-        Multiplier applied to all noise scales in ``single_sequence`` mode.
-    """
-
-    msa_mode: str = "full_msa"
-    n_models: int = 5
-    plddt_noise: float = 3.0
-    ptm_noise: float = 0.035
-    pae_noise: float = 1.4
-    single_sequence_noise_factor: float = 2.5
-
-    def __post_init__(self) -> None:
-        if self.msa_mode not in MSA_MODES:
-            raise ConfigurationError(
-                f"msa_mode must be one of {MSA_MODES}, got {self.msa_mode!r}"
-            )
-        if self.n_models < 1:
-            raise ConfigurationError("n_models must be >= 1")
-        if min(self.plddt_noise, self.ptm_noise, self.pae_noise) < 0:
-            raise ConfigurationError("noise scales must be non-negative")
-        if self.single_sequence_noise_factor < 1.0:
-            raise ConfigurationError("single_sequence_noise_factor must be >= 1")
+#: Models predicted per call; the best by pTM is returned, which slightly
+#: tightens the noise (AlphaFold's model ranking in the pipeline's Stage 4).
+_N_MODELS = 5
+#: Base noise scales of pLDDT, pTM and inter-chain pAE in ``full_msa`` mode.
+_PLDDT_NOISE = 3.0
+_PTM_NOISE = 0.035
+_PAE_NOISE = 1.4
+#: Multiplier applied to every noise scale in ``single_sequence`` mode.
+_SINGLE_SEQUENCE_NOISE_FACTOR = 2.5
 
 
 @dataclass(frozen=True)
@@ -83,31 +54,28 @@ class FoldingResult:
     model_rank: int
     msa_mode: str
 
-    def as_dict(self) -> dict:
-        return {
-            "metrics": self.metrics.as_dict(),
-            "fitness": self.fitness,
-            "model_rank": self.model_rank,
-            "msa_mode": self.msa_mode,
-            "complex": self.structure.name,
-        }
-
 
 class SurrogateAlphaFold:
-    """Predicts complex quality metrics from the latent landscape."""
+    """Predicts complex quality metrics from the latent landscape.
 
-    def __init__(self, config: Optional[FoldingConfig] = None, seed: int = 0) -> None:
-        self._config = config or FoldingConfig()
+    ``msa_mode`` is ``"full_msa"`` (default, low-noise) or
+    ``"single_sequence"`` (EvoPro-style, faster but noisier metrics).
+    """
+
+    def __init__(self, msa_mode: str = "full_msa", seed: int = 0) -> None:
+        if msa_mode not in MSA_MODES:
+            raise ConfigurationError(
+                f"msa_mode must be one of {MSA_MODES}, got {msa_mode!r}"
+            )
+        self._msa_mode = msa_mode
+        self._noise_factor = (
+            _SINGLE_SEQUENCE_NOISE_FACTOR if msa_mode == "single_sequence" else 1.0
+        )
         self._seed = seed
 
     @property
-    def config(self) -> FoldingConfig:
-        return self._config
-
-    def _noise_factor(self) -> float:
-        if self._config.msa_mode == "single_sequence":
-            return self._config.single_sequence_noise_factor
-        return 1.0
+    def msa_mode(self) -> str:
+        return self._msa_mode
 
     def predict(
         self,
@@ -247,14 +215,13 @@ class SurrogateAlphaFold:
             target_sequence.residues,
             *stream,
         )
-        factor = self._noise_factor()
+        factor = self._noise_factor
 
-        # Predict n_models models and keep the best by pTM: the max of a few
+        # Predict several models and keep the best by pTM: the max of a few
         # noisy draws, matching AlphaFold's "rank by pTM, return best" step.
-        n_models = self._config.n_models
         ptm_means = 0.35 + 0.60 * fitness
         ptm_draws = np.clip(
-            ptm_means + rng.normal(scale=self._config.ptm_noise * factor, size=n_models),
+            ptm_means + rng.normal(scale=_PTM_NOISE * factor, size=_N_MODELS),
             0.01,
             0.99,
         )
@@ -263,14 +230,14 @@ class SurrogateAlphaFold:
 
         plddt = min(
             max(
-                55.0 + 42.0 * fitness + float(rng.normal(scale=self._config.plddt_noise * factor)),
+                55.0 + 42.0 * fitness + float(rng.normal(scale=_PLDDT_NOISE * factor)),
                 30.0,
             ),
             98.5,
         )
         interchain_pae = min(
             max(
-                22.0 - 16.0 * fitness + float(rng.normal(scale=self._config.pae_noise * factor)),
+                22.0 - 16.0 * fitness + float(rng.normal(scale=_PAE_NOISE * factor)),
                 1.5,
             ),
             31.5,
@@ -304,5 +271,5 @@ class SurrogateAlphaFold:
             structure=refined,
             fitness=fitness,
             model_rank=best_model,
-            msa_mode=self._config.msa_mode,
+            msa_mode=self._msa_mode,
         )

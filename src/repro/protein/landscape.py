@@ -313,13 +313,3 @@ class FitnessLandscape:
         idx = encoded[:, self._designable_index]
         raw = self._additive[self._local_range, idx].sum(axis=1)
         return (raw - self._calibration.offset) / self._calibration.scale
-
-    @property
-    def n_couplings(self) -> int:
-        """Number of epistatic coupling pairs in the landscape."""
-        return len(self._pairs)
-
-    def coupled_pairs(self) -> List[Tuple[int, int]]:
-        """Coupled designable-position pairs (as receptor positions)."""
-        positions = self.designable_positions
-        return [(positions[a], positions[b]) for a, b in self._pairs]

@@ -17,7 +17,7 @@ from repro.exceptions import SequenceError
 from repro.protein.alphabet import AMINO_ACIDS
 from repro.protein.sequence import ProteinSequence
 
-__all__ = ["point_mutations", "crossover", "random_sequence"]
+__all__ = ["point_mutations", "crossover"]
 
 
 def point_mutations(
@@ -83,14 +83,3 @@ def crossover(
         chain_id=parent_a.chain_id,
         name=f"{parent_a.name or 'parentA'}x{parent_b.name or 'parentB'}",
     )
-
-
-def random_sequence(
-    length: int, rng: np.random.Generator, chain_id: str = "A", name: str = ""
-) -> ProteinSequence:
-    """A uniformly random sequence of the given length (test/benchmark helper)."""
-    if length < 1:
-        raise SequenceError("length must be >= 1")
-    indices = rng.integers(0, len(AMINO_ACIDS), size=length)
-    residues = "".join(AMINO_ACIDS[int(i)] for i in indices)
-    return ProteinSequence(residues=residues, chain_id=chain_id, name=name)

@@ -129,7 +129,3 @@ class ScoringFunction:
             clash_penalty=float(self._clash_weight * clash_count),
             compactness_penalty=float(self._compactness_weight * compactness),
         )
-
-    def interface_size(self, complex_structure: ComplexStructure) -> int:
-        """Number of receptor/peptide contacts under the contact cutoff."""
-        return len(complex_structure.interchain_contacts(self._contact_cutoff))

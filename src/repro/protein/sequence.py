@@ -118,16 +118,6 @@ class ProteinSequence:
             raise SequenceError("cannot compute identity of an empty sequence")
         return 1.0 - self.hamming_distance(other) / len(self)
 
-    def differing_positions(self, other: "ProteinSequence") -> List[int]:
-        """Positions at which the two sequences differ."""
-        if len(self) != len(other):
-            raise SequenceError("sequences must have equal length")
-        return [
-            index
-            for index, (a, b) in enumerate(zip(self.residues, other.residues))
-            if a != b
-        ]
-
     def encode(self) -> np.ndarray:
         """Integer encoding (indices into :data:`AMINO_ACIDS`), shape ``(L,)``.
 

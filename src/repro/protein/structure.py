@@ -259,13 +259,6 @@ class ComplexStructure:
         pairs = np.argwhere(distances < cutoff)
         return [(int(i), int(j)) for i, j in pairs]
 
-    def min_interchain_distance(self) -> float:
-        """Smallest CA-CA distance between the two chains."""
-        deltas = (
-            self.receptor.coordinates[:, None, :] - self.peptide.coordinates[None, :, :]
-        )
-        return float(np.sqrt((deltas ** 2).sum(axis=2)).min())
-
     # -- derived copies ---------------------------------------------------------- #
 
     def with_receptor_sequence(self, sequence: ProteinSequence) -> "ComplexStructure":
@@ -281,9 +274,3 @@ class ComplexStructure:
         merged = dict(self.metadata)
         merged.update(extra)
         return replace(self, metadata=merged)
-
-    def effective_designable_positions(self, cutoff: float = 10.0) -> List[int]:
-        """Explicit designable positions, falling back to the interface."""
-        if self.designable_positions:
-            return list(self.designable_positions)
-        return self.interface_positions(cutoff)

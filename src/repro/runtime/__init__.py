@@ -23,7 +23,6 @@ from repro._lazy import lazy_namespace
 #: Each public name and the submodule that defines it, imported on first use.
 _EXPORTS = {
     "TaskState": "states",
-    "FINAL_TASK_STATES": "states",
     "TaskDescription": "task",
     "Task": "task",
     "DurationModel": "durations",

@@ -76,7 +76,6 @@ class Agent:
             self._config.scheduler_policy, platform.allocator, **kwargs
         )
         self._waiting: Dict[str, Task] = {}
-        self._n_running = 0
         self._completion_callbacks: List[Callable[[Task], None]] = []
         self._placement_scheduled = False
 
@@ -89,16 +88,6 @@ class Agent:
     @property
     def platform(self) -> ComputePlatform:
         return self._platform
-
-    @property
-    def running_count(self) -> int:
-        """Number of tasks currently executing."""
-        return self._n_running
-
-    @property
-    def waiting_count(self) -> int:
-        """Number of tasks waiting for placement."""
-        return self._scheduler.queue_length
 
     def on_completion(self, callback: Callable[[Task], None]) -> Callable[[], None]:
         """Register a callback invoked whenever a task reaches a final state.
@@ -121,19 +110,12 @@ class Agent:
             If the task's request could never fit on the platform; the task
             is then left untouched and not kept.
         """
-        now = self._platform.now
         self._scheduler.submit(
-            QueuedRequest(
-                request_id=task.uid,
-                request=task.description.request,
-                enqueue_time=now,
-            )
+            QueuedRequest(request_id=task.uid, request=task.description.request)
         )
         if task.state is TaskState.NEW:
             task.advance(TaskState.TMGR_SCHEDULING)
         task.advance(TaskState.AGENT_SCHEDULING)
-        if task.submit_time is None:
-            task.submit_time = now
         self._waiting[task.uid] = task
         self._request_placement()
 
@@ -163,7 +145,6 @@ class Agent:
         task.allocation = allocation
         task.start_time = now
         task.advance(TaskState.EXECUTING)
-        self._n_running += 1
 
         profiler = self._platform.profiler
         profiler.record_phase(task.uid, "exec_setup", now, now + setup_seconds)
@@ -178,7 +159,6 @@ class Agent:
         )
 
     def _complete_task(self, task: Task) -> None:
-        self._n_running -= 1
         task.finish(self._platform)
         for callback in list(self._completion_callbacks):
             callback(task)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -102,58 +102,58 @@ _REFERENCE_RESIDUES = 100
 _REFERENCE_SEQUENCES = 10
 
 
-def _default_profiles() -> Dict[TaskKind, KindProfile]:
-    """Default profiles loosely calibrated to the paper's hardware."""
-    return {
-        TaskKind.MPNN_GENERATE: KindProfile(
-            base_seconds=480.0,
-            per_sequence_seconds=25.0,
-            per_residue_seconds=1.0,
-            jitter_sigma=0.10,
-            request=ResourceRequest(cpu_cores=2, gpus=1, memory_gb=8.0),
-        ),
-        TaskKind.SEQUENCE_RANK: KindProfile(
-            base_seconds=20.0,
-            per_sequence_seconds=1.0,
-            jitter_sigma=0.05,
-            request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
-        ),
-        TaskKind.SEQUENCE_SELECT: KindProfile(
-            base_seconds=15.0,
-            per_sequence_seconds=0.5,
-            jitter_sigma=0.05,
-            request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
-        ),
-        TaskKind.AF_MSA: KindProfile(
-            base_seconds=3000.0,
-            per_residue_seconds=9.0,
-            io_gigabytes=60.0,
-            jitter_sigma=0.12,
-            request=ResourceRequest(cpu_cores=8, gpus=0, memory_gb=48.0),
-        ),
-        TaskKind.AF_INFERENCE: KindProfile(
-            base_seconds=2400.0,
-            per_residue_seconds=4.0,
-            jitter_sigma=0.10,
-            request=ResourceRequest(cpu_cores=2, gpus=1, memory_gb=16.0),
-        ),
-        TaskKind.SCORING: KindProfile(
-            base_seconds=600.0,
-            per_residue_seconds=1.5,
-            jitter_sigma=0.08,
-            request=ResourceRequest(cpu_cores=4, gpus=0, memory_gb=8.0),
-        ),
-        TaskKind.COMPARE: KindProfile(
-            base_seconds=10.0,
-            jitter_sigma=0.05,
-            request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
-        ),
-        TaskKind.GENERIC: KindProfile(
-            base_seconds=60.0,
-            jitter_sigma=0.05,
-            request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
-        ),
-    }
+#: The per-kind cost table, loosely calibrated to the paper's hardware.
+_PROFILES: Dict[TaskKind, KindProfile] = {
+    TaskKind.MPNN_GENERATE: KindProfile(
+        base_seconds=480.0,
+        per_sequence_seconds=25.0,
+        per_residue_seconds=1.0,
+        jitter_sigma=0.10,
+        request=ResourceRequest(cpu_cores=2, gpus=1, memory_gb=8.0),
+    ),
+    TaskKind.SEQUENCE_RANK: KindProfile(
+        base_seconds=20.0,
+        per_sequence_seconds=1.0,
+        jitter_sigma=0.05,
+        request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
+    ),
+    TaskKind.SEQUENCE_SELECT: KindProfile(
+        base_seconds=15.0,
+        per_sequence_seconds=0.5,
+        jitter_sigma=0.05,
+        request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
+    ),
+    TaskKind.AF_MSA: KindProfile(
+        base_seconds=3000.0,
+        per_residue_seconds=9.0,
+        io_gigabytes=60.0,
+        jitter_sigma=0.12,
+        request=ResourceRequest(cpu_cores=8, gpus=0, memory_gb=48.0),
+    ),
+    TaskKind.AF_INFERENCE: KindProfile(
+        base_seconds=2400.0,
+        per_residue_seconds=4.0,
+        jitter_sigma=0.10,
+        request=ResourceRequest(cpu_cores=2, gpus=1, memory_gb=16.0),
+    ),
+    TaskKind.SCORING: KindProfile(
+        base_seconds=600.0,
+        per_residue_seconds=1.5,
+        jitter_sigma=0.08,
+        request=ResourceRequest(cpu_cores=4, gpus=0, memory_gb=8.0),
+    ),
+    TaskKind.COMPARE: KindProfile(
+        base_seconds=10.0,
+        jitter_sigma=0.05,
+        request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
+    ),
+    TaskKind.GENERIC: KindProfile(
+        base_seconds=60.0,
+        jitter_sigma=0.05,
+        request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
+    ),
+}
+_GENERIC = _PROFILES[TaskKind.GENERIC]
 
 
 class DurationModel:
@@ -161,10 +161,6 @@ class DurationModel:
 
     Parameters
     ----------
-    profiles:
-        Per-kind cost profiles, keyed by :class:`TaskKind` member or value;
-        a key that names no kind raises :class:`ConfigurationError`.
-        Omitted kinds keep their default profile.
     seed:
         Root seed for the per-task jitter streams.  Jitter is keyed by the
         task *name*, so it depends neither on execution order nor on the
@@ -175,21 +171,9 @@ class DurationModel:
         of real time without changing any relative quantity.
     """
 
-    def __init__(
-        self,
-        profiles: Optional[Dict[TaskKind, KindProfile]] = None,
-        seed: int = 0,
-        speedup: float = 1.0,
-    ) -> None:
+    def __init__(self, seed: int = 0, speedup: float = 1.0) -> None:
         if not (math.isfinite(speedup) and speedup > 0):
             raise ConfigurationError(f"speedup must be finite and positive, got {speedup!r}")
-        self._profiles = _default_profiles()
-        for kind, profile in (profiles or {}).items():
-            try:
-                self._profiles[TaskKind(kind)] = profile
-            except ValueError:
-                raise ConfigurationError(f"unknown task kind {kind!r}") from None
-        self._generic = self._profiles[TaskKind.GENERIC]
         self._seed = seed
         self._speedup = float(speedup)
 
@@ -203,23 +187,22 @@ class DurationModel:
         ``TaskKind`` is a ``str`` enum, so a member and its value find the
         same entry.
         """
-        return self._profiles.get(kind, self._generic)
+        return _PROFILES.get(kind, _GENERIC)
 
     def request_for(self, kind: TaskKind | str) -> ResourceRequest:
         """Default resource request for a task of ``kind``."""
         return self.profile(kind).request
 
     def duration(
-        self,
-        description: TaskDescription,
-        filesystem: Optional[SharedFilesystem] = None,
+        self, description: TaskDescription, filesystem: SharedFilesystem
     ) -> float:
         """Simulated seconds the task will occupy its allocation.
 
         The duration combines the kind's base cost, scaling in the number of
         sequences (``metadata["n_sequences"]``) and residues
-        (``metadata["n_residues"]``), filesystem read time for I/O-heavy
-        kinds, and deterministic per-task jitter.
+        (``metadata["n_residues"]``), read time on the platform's
+        ``filesystem`` for I/O-heavy kinds, and deterministic per-task
+        jitter.
         """
         profile = self.profile(description.kind)
 
@@ -230,7 +213,7 @@ class DurationModel:
         seconds += profile.per_sequence_seconds * max(0, n_sequences - 1)
         seconds += profile.per_residue_seconds * max(0, n_residues - _REFERENCE_RESIDUES)
 
-        if profile.io_gigabytes > 0 and filesystem is not None:
+        if profile.io_gigabytes > 0:
             seconds += filesystem.read_time(profile.io_gigabytes, files=24)
 
         if profile.jitter_sigma > 0:

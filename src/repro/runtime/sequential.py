@@ -51,7 +51,6 @@ class SequentialRunner:
         """
         task = Task(description)
         now = self._platform.now
-        task.submit_time = now
         task.advance(TaskState.TMGR_SCHEDULING)
         task.advance(TaskState.AGENT_SCHEDULING)
         task.allocation = self._platform.allocator.allocate(description.request)

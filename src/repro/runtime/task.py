@@ -77,7 +77,6 @@ class Task:
     def __init__(self, description: TaskDescription) -> None:
         self._description = description
         self._state = TaskState.NEW
-        self.submit_time: Optional[float] = None
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         self.allocation: Optional[Allocation] = None

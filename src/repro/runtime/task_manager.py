@@ -57,11 +57,9 @@ class TaskManager:
         if isinstance(descriptions, TaskDescription):
             descriptions = [descriptions]
         agent = self._agent
-        now = self._platform.now
         tasks: List[Task] = []
         for description in descriptions:
             task = Task(description)
-            task.submit_time = now
             agent.submit(task)
             tasks.append(task)
         return tasks

@@ -60,15 +60,15 @@ class TestFleetArithmetic:
     def test_worker_timelines_reduce_the_streams(self, synthetic):
         fleet = fleet_timeline(synthetic)
         assert [w.worker for w in fleet.workers] == ["w0", "w1"]
-        w0 = fleet.worker_timeline("w0")
+        workers = {w.worker: w for w in fleet.workers}
+        w0 = workers["w0"]
         assert len(w0.run_spans) == 2
         assert w0.busy_seconds == pytest.approx(18.0)
         assert w0.span_seconds("worker.checkpoint") == pytest.approx(1.0)
         assert w0.count_events("lease.steal") == 1
-        w1 = fleet.worker_timeline("w1")
+        w1 = workers["w1"]
         assert w1.busy_seconds == pytest.approx(30.0)
         assert w1.count_events("retry") == 1
-        assert fleet.worker_timeline("absent") is None
 
     def test_fleet_aggregates(self, synthetic):
         fleet = fleet_timeline(synthetic)
@@ -84,10 +84,9 @@ class TestFleetArithmetic:
 
     def test_busy_fractions_bin_the_overlap(self, synthetic):
         fleet = fleet_timeline(synthetic)
-        w1 = fleet.worker_timeline("w1")
+        w0, w1 = fleet.workers
         # w1 is busy over [100, 130] of a [100, 130] window: every bin full.
         assert w1.busy_fractions(fleet.start, fleet.end, 10) == [1.0] * 10
-        w0 = fleet.worker_timeline("w0")
         fractions = w0.busy_fractions(fleet.start, fleet.end, 30)
         assert fractions[:10] == [1.0] * 10  # [100, 110] busy
         assert fractions[10] == pytest.approx(0.0)  # [110, 111] idle
@@ -208,11 +207,12 @@ class TestTracedSweepAcceptance:
         assert fleet.n_run_spans == len(queue.entries()) == 4
         assert all(span.ok for w in fleet.workers for span in w.run_spans)
         # Each worker's run spans match what its outcome reports.
+        workers = {w.worker: w for w in fleet.workers}
         for index, outcome in enumerate(outcomes):
-            timeline = fleet.worker_timeline(f"w{index}")
+            timeline = workers.get(f"w{index}")
             if outcome.n_executed:
                 assert len(timeline.run_spans) == outcome.n_executed
         # The finalize span closed under the harness label.
-        harness = fleet.worker_timeline("harness")
+        harness = workers.get("harness")
         assert harness is not None
         assert harness.span_seconds("queue.finalize") > 0.0

@@ -21,7 +21,23 @@ from repro.core.coordinator import (
 from repro.core.pipeline import PipelineConfig, PipelineStatus
 from repro.exceptions import CampaignError, CoordinatorError
 from repro.experiments.cli import build_parser, sweep_from_args
+from repro.hpc.profiling import ResourceInterval
 from repro.telemetry import read_metrics
+
+
+def _occupy_every_device(platform, start, end):
+    """Record one interval holding every core and GPU over ``[start, end)``."""
+    for node in platform.spec.nodes:
+        platform.profiler.record_resource_interval(
+            ResourceInterval(
+                task_id="load",
+                node=node.name,
+                cpu_core_ids=tuple(range(node.cpu_cores)),
+                gpu_ids=tuple(range(node.gpus)),
+                start=start,
+                end=end,
+            )
+        )
 
 
 @pytest.fixture(autouse=True)
@@ -127,19 +143,36 @@ class TestController:
         assert auto.n_cycles == uncapped.n_cycles
 
     def test_hold_when_saturated(self, platform):
-        controller = AdaptiveInFlightController(platform, target_utilization=0.0)
+        _occupy_every_device(platform, 0.0, 600.0)
+        platform.loop.run_until(600.0)
+        controller = AdaptiveInFlightController(platform)
+        assert controller.busy_fraction() == 1.0
         assert controller.retune(pending_roots=3) is False
         assert controller.cap == 1
         assert controller.decisions[-1][3] == "hold"
+
+    @pytest.mark.parametrize(
+        "busy_from, now, raised",
+        [
+            (60.0, 600.0, False),  # 90% busy: at the target, hold
+            (61.0, 600.0, True),  # just under 90%
+            (500.0, 1100.0, False),  # busy through the trailing 600 s
+            (0.0, 1100.0, True),  # idle for the last 500 of them
+        ],
+    )
+    def test_raises_below_90_percent_of_the_trailing_600_seconds(
+        self, platform, busy_from, now, raised
+    ):
+        _occupy_every_device(platform, busy_from, min(now, busy_from + 600.0))
+        platform.loop.run_until(now)
+        controller = AdaptiveInFlightController(platform)
+        assert controller.retune(pending_roots=1) is raised
+        assert controller.cap == (2 if raised else 1)
 
     def test_hold_when_nothing_pending(self, platform):
         controller = AdaptiveInFlightController(platform)
         assert controller.retune(pending_roots=0) is False
         assert controller.cap == 1
-
-    def test_initial_cap_must_be_positive(self, platform):
-        with pytest.raises(CoordinatorError):
-            AdaptiveInFlightController(platform, initial_cap=0)
 
 
 class TestDecisionTrail:

@@ -1,9 +1,12 @@
-"""The cycle-granular campaign state machine: step equivalence and resume.
+"""The cycle-granular campaign state machine: observation and resume.
 
-The refactor's core contract: ``execute`` ≡ ``init_state → step* →
-finalize``, and a campaign suspended at any cycle boundary — its state
-round-tripped through JSON, as a cross-process resume would — finishes
-byte-identical to an uninterrupted run.
+The contract: an observed ``run_stepwise`` (``init_state → step* →
+finalize`` with an ``on_state`` hook) finishes byte-identical to an
+unobserved ``run()``, and a campaign suspended at any cycle boundary — its
+state round-tripped through JSON, as a cross-process resume would —
+finishes byte-identical to an uninterrupted run.  An observed state's
+``runtime`` is the live execution, which keeps stepping after the state is
+handed out, so a resume always starts from the JSON round-trip.
 """
 
 from __future__ import annotations
@@ -31,6 +34,18 @@ def _result_bytes(result):
     return json.dumps(result.as_dict(), sort_keys=True)
 
 
+def _observed_states(config=CONFIG):
+    """Every state an observed run hands its ``on_state`` hook, in order."""
+    states = []
+    _campaign(config).run_stepwise(on_state=states.append)
+    return states
+
+
+def _revived(state):
+    """``state`` as a fresh process reads it back from a checkpoint."""
+    return CampaignState.from_dict(json.loads(json.dumps(state.as_dict())))
+
+
 @pytest.fixture(scope="module")
 def reference():
     """The uninterrupted serial result, per protocol config."""
@@ -49,37 +64,48 @@ class TestStepLoopEquivalence:
     @pytest.mark.parametrize(
         "protocol", ["im-rp", "cont-v", "im-rp-random", "cont-v-ranked"]
     )
-    def test_manual_step_loop_equals_run(self, protocol, reference):
+    def test_observed_run_equals_run(self, protocol, reference):
         config = CampaignConfig(
             protocol=protocol, seed=7, n_cycles=2, n_sequences=4
         )
-        campaign = _campaign(config)
-        state = campaign.init_state()
-        steps = 0
-        while not state.done:
-            state = campaign.step(state)
-            steps += 1
-        result = campaign.finalize_state(state)
+        states = []
+        result = _campaign(config).run_stepwise(on_state=states.append)
         assert _result_bytes(result) == reference(config)
+        final = states[-1]
+        assert final.done and [s for s in states if s.done] == [final]
         if protocol.startswith("cont-v"):
             # One step per (target, cycle): 4 targets x 2 cycles.
-            assert steps == 8
-            assert state.cycle == 8 and state.cycles_total == 8
+            assert len(states) == 8
+            assert final.cycle == 8 and final.cycles_total == 8
+            assert all(state.restorable for state in states)
         else:
-            # The pilot simulation has no quiescent cycle boundary: one step.
-            assert steps == 1
-            assert state.cycle >= 8  # roots + adaptively spawned sub-pipelines
+            # The pilot simulation has no quiescent cycle boundary: one step,
+            # preceded by a progress state per completed cycle.
+            assert final.cycle >= 8  # roots + adaptively spawned sub-pipelines
+            assert len(states) == final.cycle + 1
+            assert not any(state.restorable for state in states)
 
     def test_sequential_states_are_restorable_checkpoints(self):
-        campaign = _campaign()
-        state = campaign.step(campaign.init_state())
+        state = _observed_states()[0]
         assert state.restorable and state.payload is not None
         json.dumps(state.as_dict())  # JSON-able by construction
 
+    def test_unobserved_sequential_steps_encode_nothing(self, monkeypatch):
+        snapshots = []
+        snapshot = control_module.ControlProtocol.snapshot
+
+        def counting(self):
+            snapshots.append(self)
+            return snapshot(self)
+
+        monkeypatch.setattr(control_module.ControlProtocol, "snapshot", counting)
+        _campaign().run()
+        assert snapshots == []
+        assert len(_observed_states()) == len(snapshots) == 12
+
     def test_pilot_terminal_state_is_not_restorable(self):
         config = CampaignConfig(protocol="im-rp", seed=7, n_cycles=2, n_sequences=4)
-        campaign = _campaign(config)
-        state = campaign.step(campaign.init_state())
+        state = _observed_states(config)[-1]
         assert state.done and not state.restorable
 
     def test_pilot_reports_progress_states_mid_step(self):
@@ -92,28 +118,31 @@ class TestStepLoopEquivalence:
         assert all(not s.restorable for s in progress)
         assert seen[-1].done
 
+    def test_pilot_progress_states_name_their_campaign(self):
+        config = CampaignConfig(protocol="im-rp-random", seed=7, n_cycles=2, n_sequences=4)
+        seen = []
+        _campaign(config).run_stepwise(on_state=seen.append)
+        progress = seen[:-1]
+        assert [s.cycle for s in progress] == list(range(1, len(progress) + 1))
+        for state in progress:
+            assert (state.protocol, state.seed) == ("im-rp-random", 7)
+            assert state.cycles_total is None  # spawning makes the total emergent
+            assert not state.done and state.payload is None and state.runtime is None
+
 
 class TestResumeDeterminism:
     @pytest.mark.parametrize("interrupt_after", [1, 5, 11])
     def test_resume_from_json_roundtrip_is_byte_identical(
         self, interrupt_after, reference
     ):
-        campaign = _campaign()
-        state = campaign.init_state()
-        for _ in range(interrupt_after):
-            state = campaign.step(state)
+        state = _observed_states()[interrupt_after - 1]
         assert not state.done
         # Cross-process simulation: the state travels as JSON text.
-        revived = CampaignState.from_dict(json.loads(json.dumps(state.as_dict())))
-        resumed = _campaign().run_stepwise(resume_from=revived)
+        resumed = _campaign().run_stepwise(resume_from=_revived(state))
         assert _result_bytes(resumed) == reference(CONFIG)
 
     def test_resume_skips_completed_cycles(self):
-        campaign = _campaign()
-        state = campaign.init_state()
-        for _ in range(5):
-            state = campaign.step(state)
-        revived = CampaignState.from_dict(json.loads(json.dumps(state.as_dict())))
+        revived = _revived(_observed_states()[4])
         observed = []
         _campaign().run_stepwise(resume_from=revived, on_state=observed.append)
         # 12 total (target, cycle) steps, 5 already done: only 7 execute.
@@ -125,16 +154,12 @@ class TestResumeDeterminism:
             protocol="cont-v-ranked", seed=3, n_cycles=2, n_sequences=4
         )
         expected = _result_bytes(_campaign(config).run())
-        campaign = _campaign(config)
-        state = campaign.init_state()
-        for _ in range(3):
-            state = campaign.step(state)
-        revived = CampaignState.from_dict(json.loads(json.dumps(state.as_dict())))
+        revived = _revived(_observed_states(config)[2])
         resumed = _campaign(config).run_stepwise(resume_from=revived)
         assert _result_bytes(resumed) == expected
 
     def test_resume_rejects_mismatched_identity(self):
-        state = _campaign().step(_campaign().init_state())
+        state = _revived(_observed_states()[0])
         other = CampaignConfig(protocol="cont-v", seed=8, n_cycles=3, n_sequences=5)
         with pytest.raises(CampaignError, match="seed"):
             _campaign(other).run_stepwise(resume_from=state)
@@ -191,13 +216,7 @@ class TestIncrementalSnapshots:
         config = CampaignConfig(protocol=protocol, seed=7, n_cycles=3, n_sequences=5)
         resume_from = None
         if resume_after is not None:
-            campaign = _campaign(config)
-            state = campaign.init_state()
-            for _ in range(resume_after):
-                state = campaign.step(state)
-            resume_from = CampaignState.from_dict(
-                json.loads(json.dumps(state.as_dict()))
-            )
+            resume_from = _revived(_observed_states(config)[resume_after - 1])
         observed = []
 
         def check(state):
@@ -279,6 +298,6 @@ class TestProtocolSteppingContract:
     def test_finalize_refuses_unfinished_state(self):
         protocol = get_protocol("cont-v")
         campaign = _campaign()
-        state = campaign.step(campaign.init_state())
+        state = _observed_states()[0]
         with pytest.raises(CampaignError, match="unfinished"):
             protocol.finalize(campaign._protocol_context(), state)

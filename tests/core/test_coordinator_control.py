@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import gc
+import json
+import re
 import weakref
 
 import pytest
 
 from repro.core import coordinator as coordinator_module
 from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.control import ControlConfig, ControlProtocol
+from repro.core.control import ControlProtocol
 from repro.core.coordinator import AUTO_IN_FLIGHT, CoordinatorConfig, PipelinesCoordinator
-from repro.core.decision import SubPipelinePolicy
+from repro.core.decision import AcceptancePolicy, SubPipelinePolicy
 from repro.core.pipeline import PipelineConfig, PipelineStatus
-from repro.exceptions import CampaignError, CoordinatorError
+from repro.exceptions import CampaignError, ConfigurationError, CoordinatorError
 from repro.hpc.resources import ResourceRequest
 from repro.protein.datasets import expanded_pdz_set
 from repro.protein.metrics import composite_score
+from repro.runtime.sequential import SequentialRunner
 from repro.runtime.task import TaskDescription
 from repro.runtime.task_manager import TaskManager
 
@@ -33,6 +36,28 @@ def _fig3_config(**overrides):
         spawn_policy=SubPipelinePolicy(quality_margin=0.03, max_per_pipeline=2),
         **overrides,
     )
+
+
+def _control_campaign(targets, **overrides):
+    """A small cont-v campaign on ``targets``."""
+    config = dict(protocol="cont-v", seed=13, n_cycles=2, n_sequences=4)
+    config.update(overrides)
+    return DesignCampaign(targets, CampaignConfig(**config))
+
+
+def _record_run_tasks(monkeypatch):
+    """Names and weak references of every task the sequential runner runs."""
+    names, refs = [], []
+    run_task = SequentialRunner.run_task
+
+    def recording(self, description):
+        task = run_task(self, description)
+        names.append(task.name)
+        refs.append(weakref.ref(task))
+        return task
+
+    monkeypatch.setattr(SequentialRunner, "run_task", recording)
+    return names, refs
 
 
 def _collect_finished(coordinator):
@@ -182,22 +207,22 @@ class TestOnlyInFlightTasksAreHeld:
         )
         coordinator.add_targets(four_targets)
         coordinator.run()
-        agent = coordinator.task_manager.agent
-        assert agent.waiting_count == 0
-        assert agent.running_count == 0
+        platform = coordinator.task_manager.platform
+        # A running task holds devices and a pending completion event.
+        assert platform.loop.pending == 0
+        assert platform.allocator.busy_cores() == 0
         gc.collect()
         assert refs
         assert [ref() for ref in refs if ref() is not None] == []
 
-    def test_control_run_frees_every_finished_task(
-        self, platform, factory, durations, four_targets
-    ):
-        control = ControlProtocol(platform, factory, durations, ControlConfig(n_cycles=2))
-        refs = []
-        control.runner.on_completion(lambda task: refs.append(weakref.ref(task)))
-        control.run(four_targets)
+    def test_control_run_frees_every_finished_task(self, monkeypatch, four_targets):
+        _, refs = _record_run_tasks(monkeypatch)
+        states = []
+        _control_campaign(four_targets).run_stepwise(on_state=states.append)
         gc.collect()
         assert refs
+        # The states keep the live control engine alive; it holds no task.
+        assert states[-1].runtime is not None
         assert [ref() for ref in refs if ref() is not None] == []
 
 
@@ -361,42 +386,77 @@ class TestDecisionStepCost:
 
 
 class TestControlProtocol:
-    def test_single_pipeline_record(self, platform, factory, durations, four_targets):
-        control = ControlProtocol(platform, factory, durations, ControlConfig(n_cycles=2))
-        records = control.run(four_targets)
-        assert len(records) == 1
-        record = records[0]
+    def test_single_pipeline_record(self, small_control_result):
+        assert len(small_control_result.pipelines) == 1
+        record = small_control_result.pipelines[0]
         assert record.uid == ControlProtocol.PIPELINE_UID
         assert record.parent_uid is None
         assert record.status is PipelineStatus.COMPLETED
 
-    def test_trajectory_count_is_targets_times_cycles(self, platform, factory, durations, four_targets):
-        control = ControlProtocol(platform, factory, durations, ControlConfig(n_cycles=3))
-        records = control.run(four_targets)
-        assert records[0].n_trajectories == len(four_targets) * 3
+    def test_trajectory_count_is_targets_times_cycles(self, four_targets):
+        result = _control_campaign(four_targets, n_cycles=3).run()
+        assert result.n_trajectories == len(four_targets) * 3
 
-    def test_sequential_execution_never_overlaps(self, platform, factory, durations, four_targets):
-        control = ControlProtocol(platform, factory, durations, ControlConfig(n_cycles=1))
-        tasks = []
-        control.runner.on_completion(tasks.append)
-        control.run(four_targets[:2])
-        assert tasks
-        for earlier, later in zip(tasks, tasks[1:]):
-            assert later.start_time >= earlier.end_time - 1e-9
+    def test_sequential_execution_never_overlaps(self, four_targets):
+        campaign = _control_campaign(four_targets[:2], n_cycles=1)
+        campaign.run()
+        intervals = campaign.platform.profiler.resource_intervals
+        assert len(intervals) == 2 * 7
+        for earlier, later in zip(intervals, intervals[1:]):
+            assert later.start >= earlier.end - 1e-9
 
     def test_cannot_run_twice(self, platform, factory, durations, four_targets):
-        control = ControlProtocol(platform, factory, durations)
-        control.run(four_targets[:1])
-        with pytest.raises(CampaignError):
-            control.run(four_targets[:1])
+        control = ControlProtocol(
+            platform, factory, durations, PipelineConfig(adaptive=False)
+        )
+        control.begin(four_targets[:1])
+        with pytest.raises(CampaignError, match="only run once"):
+            control.begin(four_targets[:1])
 
     def test_needs_targets(self, platform, factory, durations):
-        control = ControlProtocol(platform, factory, durations)
-        with pytest.raises(CampaignError):
-            control.run([])
+        control = ControlProtocol(
+            platform, factory, durations, PipelineConfig(adaptive=False)
+        )
+        with pytest.raises(CampaignError, match="at least one target"):
+            control.begin([])
 
-    def test_every_cycle_accepted_without_adaptivity(self, platform, factory, durations, four_targets):
-        control = ControlProtocol(platform, factory, durations, ControlConfig(n_cycles=2))
-        records = control.run(four_targets[:2])
-        assert all(cycle.accepted for cycle in records[0].cycles)
-        assert all(not cycle.adaptive for cycle in records[0].cycles)
+    def test_rejects_an_adaptive_config(self, platform, factory, durations):
+        with pytest.raises(ConfigurationError, match="without adaptivity"):
+            ControlProtocol(platform, factory, durations, PipelineConfig())
+
+    def test_every_cycle_accepted_without_adaptivity(self, small_control_result):
+        cycles = small_control_result.pipelines[0].cycles
+        assert len(cycles) == 4 * 2
+        assert all(cycle.accepted for cycle in cycles)
+        assert all(not cycle.adaptive for cycle in cycles)
+
+    @pytest.mark.parametrize("protocol", ["cont-v", "cont-v-ranked"])
+    def test_adaptive_only_knobs_change_nothing(self, monkeypatch, four_targets, protocol):
+        """The control's config is not adaptive, so every cycle is accepted:
+        the retry budget, the acceptance policy and the adaptivity schedule
+        change no outcome, no task name and no snapshot."""
+        names, _ = _record_run_tasks(monkeypatch)
+
+        def observed(**overrides):
+            names.clear()
+            states = []
+            result = _control_campaign(
+                four_targets, protocol=protocol, **overrides
+            ).run_stepwise(on_state=states.append)
+            # Profiler task ids come from a process-global counter, so they
+            # differ between two runs in one process; they are labels only.
+            return (
+                json.dumps(result.as_dict(), sort_keys=True),
+                list(names),
+                [
+                    re.sub(r'"task\.\d+"', '"task"', json.dumps(state.as_dict()))
+                    for state in states
+                ],
+            )
+
+        reference = observed()
+        assert observed(
+            max_retries=1,
+            acceptance=AcceptancePolicy(min_delta=0.5, strict=True, metric="pae"),
+            adaptivity_schedule=(False, True),
+        ) == reference

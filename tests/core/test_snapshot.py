@@ -41,11 +41,7 @@ def _via_json(payload):
 def control_record(four_targets):
     """The merged CONT-V record of a small run: cycles with trajectories."""
     config = CampaignConfig(protocol="cont-v", seed=7, n_cycles=2, n_sequences=4)
-    campaign = DesignCampaign(four_targets, config)
-    state = campaign.init_state()
-    while not state.done:
-        state = campaign.step(state)
-    return state.runtime.records()[0]
+    return DesignCampaign(four_targets, config).run().pipelines[0]
 
 
 class TestRoundTrips:

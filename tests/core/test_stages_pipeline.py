@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.decision import AcceptancePolicy
 from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
 from repro.core.snapshot import encode_rng_state
@@ -106,6 +107,16 @@ class TestStageFactory:
         assert msa.payload()["msa_depth"] > 1
         folding_result = inference.payload()
         assert isinstance(folding_result, FoldingResult)
+
+    def test_single_sequence_mode_searches_no_msa(self, target, four_targets):
+        campaign = DesignCampaign(four_targets, CampaignConfig(msa_mode="single_sequence"))
+        assert campaign.models.folding.msa_mode == "single_sequence"
+        factory = StageFactory(campaign.models, DurationModel())
+        msa = factory.structure_msa("p1", target, 0, target.complex.receptor.sequence, 0)
+        assert msa.payload()["msa_depth"] == 1
+        assert factory.structure_inference(
+            "p1", target, target.complex, 0, target.complex.receptor.sequence, 0
+        ).payload().msa_mode == "single_sequence"
 
     def test_scoring_and_compare_tasks(self, factory, target, models):
         folding_result = models.folding.predict(target.complex, target.landscape)

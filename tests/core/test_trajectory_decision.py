@@ -46,7 +46,7 @@ class TestTrajectory:
 
 
 class TestCycleResult:
-    def test_accepted_trajectory_lookup(self):
+    def test_counts_every_evaluated_trajectory(self):
         rejected = _trajectory(accepted=False, retry=0)
         accepted = _trajectory(accepted=True, retry=1)
         cycle = CycleResult(
@@ -54,16 +54,15 @@ class TestCycleResult:
             best_metrics=_metrics(), best_sequence="ACD",
             trajectories=[rejected, accepted],
         )
-        assert cycle.accepted_trajectory() is accepted
         assert cycle.n_trajectories == 2
+        assert cycle.as_dict()["n_trajectories"] == 2
 
-    def test_no_accepted_trajectory(self):
+    def test_rejected_cycle_renders_without_best_metrics(self):
         cycle = CycleResult(
             pipeline_uid="p", target="x", cycle=0, accepted=False,
             best_metrics=None, best_sequence="ACD",
             trajectories=[_trajectory(accepted=False)],
         )
-        assert cycle.accepted_trajectory() is None
         assert cycle.as_dict()["best_metrics"] is None
 
 

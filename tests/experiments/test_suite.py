@@ -149,6 +149,12 @@ def process_outcome():
     return CampaignSuite(SMALL_SWEEP, executor="process", max_workers=4).run()
 
 
+def _record(outcome, run_id):
+    """The suite record of the run named ``run_id``."""
+    (record,) = [r for r in outcome.records if r.spec.run_id == run_id]
+    return record
+
+
 def _fingerprint(result):
     return (
         result.approach,
@@ -194,7 +200,7 @@ class TestCampaignSuite:
 
     def test_suite_run_identical_to_standalone_campaign(self, process_outcome):
         """A run inside a suite equals running that campaign alone."""
-        record = process_outcome.find("im-rp-s5")
+        record = _record(process_outcome, "im-rp-s5")
         standalone = DesignCampaign(
             TargetSpec(kind="named-pdz", seed=11).build(),
             CampaignConfig(protocol="im-rp", seed=5, n_cycles=1, n_sequences=4),
@@ -209,7 +215,7 @@ class TestCampaignSuite:
             base={"n_cycles": 1, "n_sequences": 4},
         )
         outcome = CampaignSuite(sweep, executor="thread", max_workers=2).run()
-        want = serial_outcome.find("cont-v-s3")
+        want = _record(serial_outcome, "cont-v-s3")
         assert _fingerprint(outcome.records[0].result) == _fingerprint(want.result)
 
     def test_timing_accounting(self, process_outcome):
@@ -242,10 +248,6 @@ class TestCampaignSuite:
             CampaignSuite(sweep, executor="serial").run(store=RunStore(path))
         assert simulated == []
         assert not path.exists() or path.read_bytes() == b""
-
-    def test_missing_run_id_raises(self, serial_outcome):
-        with pytest.raises(CampaignError, match="no run"):
-            serial_outcome.find("im-rp-s999")
 
     def test_result_is_json_serialisable(self, serial_outcome):
         payload = to_jsonable(serial_outcome.as_dict())

@@ -50,7 +50,8 @@ class TestScheduling:
             loop.schedule(-1.0, lambda: None)
 
     def test_schedule_in_past_rejected(self):
-        loop = EventLoop(start_time=10.0)
+        loop = EventLoop()
+        loop.run_until(10.0)
         with pytest.raises(SimulationError):
             loop.schedule_at(5.0, lambda: None)
 
@@ -158,28 +159,29 @@ class TestRunUntil:
         assert loop.pending == 1
 
     def test_run_until_past_raises(self):
-        loop = EventLoop(start_time=50.0)
+        loop = EventLoop()
+        loop.run_until(50.0)
         with pytest.raises(SimulationError):
             loop.run_until(10.0)
 
     @pytest.mark.parametrize("when", [float("nan"), float("inf")])
     def test_run_until_non_finite_raises(self, when):
         # A NaN target would run nothing and leave the clock at NaN.
-        loop = EventLoop(start_time=5.0)
+        loop = EventLoop()
+        loop.run_until(5.0)
         loop.schedule(1.0, lambda: None)
         with pytest.raises(SimulationError, match="finite"):
             loop.run_until(when)
         assert (loop.now, loop.pending) == (5.0, 1)
 
-    def test_advance_relative(self):
-        loop = EventLoop(start_time=5.0)
-        loop.advance(10.0)
-        assert loop.now == 15.0
-
-    def test_peek_and_processed(self):
+    def test_clock_starts_at_zero(self):
         loop = EventLoop()
-        assert loop.peek() is None
+        assert (loop.now, loop.pending, loop.processed) == (0.0, 0, 0)
+
+    def test_pending_and_processed(self):
+        loop = EventLoop()
         loop.schedule(2.0, lambda: None)
-        assert loop.peek() == 2.0
+        assert (loop.pending, loop.processed) == (1, 0)
         loop.run()
-        assert loop.processed == 1
+        assert (loop.pending, loop.processed) == (0, 1)
+        assert loop.now == 2.0

@@ -181,9 +181,3 @@ class TestNodeAllocator:
         first = allocator.allocate(ResourceRequest(cpu_cores=28))
         second = allocator.allocate(ResourceRequest(cpu_cores=28))
         assert first.node != second.node
-
-    def test_live_allocations_listing(self):
-        allocation = self.allocator.allocate(ResourceRequest(cpu_cores=2))
-        assert allocation in self.allocator.live_allocations
-        self.allocator.release(allocation)
-        assert self.allocator.live_allocations == []

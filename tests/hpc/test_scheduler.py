@@ -19,7 +19,6 @@ def _queued(uid: str, cores: int = 1, gpus: int = 0) -> QueuedRequest:
     return QueuedRequest(
         request_id=uid,
         request=ResourceRequest(cpu_cores=cores, gpus=gpus),
-        enqueue_time=0.0,
     )
 
 
@@ -52,11 +51,15 @@ class TestFifoScheduler:
         with pytest.raises(SchedulingError):
             scheduler.submit(_queued("too-big", cores=100))
 
-    def test_waiting_snapshot_preserves_order(self, allocator):
+    def test_blocked_queue_keeps_arrival_order(self, allocator):
         scheduler = FifoScheduler(allocator)
+        full = allocator.allocate(ResourceRequest(cpu_cores=28))
         scheduler.submit(_queued("a"))
         scheduler.submit(_queued("b"))
-        assert [item.request_id for item in scheduler.waiting()] == ["a", "b"]
+        assert scheduler.try_place() == []
+        allocator.release(full)
+        placed = scheduler.try_place()
+        assert [item.request_id for item, _ in placed] == ["a", "b"]
 
 
 class TestBackfillScheduler:

@@ -71,7 +71,7 @@ class TestPayloadFailureIsolation:
         # Every device is back in the free pool after the campaign.
         allocator = task_manager.platform.allocator
         assert allocator.busy_cores() == 0
-        assert allocator.busy_gpus() == 0
+        assert allocator.free_gpus() == task_manager.platform.spec.total_gpus
 
     def test_failed_task_recorded_in_agent(self, task_manager, flaky_factory, four_targets):
         factory, _ = flaky_factory

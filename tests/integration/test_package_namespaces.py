@@ -110,6 +110,17 @@ class TestImportClosure:
             }, package
         assert "multiprocessing" not in loaded
 
+    def test_building_targets_leaves_out_numpy_ma(self):
+        # np.quantile would import numpy.ma in every process that builds a
+        # target set; the docking threshold is computed without it.
+        loaded = _loaded_after(
+            "from repro.protein.datasets import expanded_pdz_set, named_pdz_targets\n"
+            "named_pdz_targets(seed=1)\n"
+            "expanded_pdz_set(n_targets=12, seed=2025)"
+        )
+        assert "repro.protein.datasets" in loaded
+        assert "numpy.ma" not in loaded
+
     def test_public_name_loads_its_defining_module(self):
         loaded = _loaded_after("from repro import DesignCampaign")
         assert "repro.core.campaign" in loaded

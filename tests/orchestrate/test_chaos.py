@@ -62,7 +62,7 @@ class TestChaosSoak:
         # The traced soak leaves a reconstructible fleet timeline: the
         # adversary logged its kill, and fired faults rode the streams.
         fleet = fleet_timeline(tmp_path / "soak" / "telemetry")
-        adversary = fleet.worker_timeline("chaos-adversary")
+        adversary = {w.worker: w for w in fleet.workers}.get("chaos-adversary")
         assert adversary is not None
         assert adversary.count_events("chaos.kill") == 1
         assert sum(w.count_events("fault") for w in fleet.workers) >= 1

@@ -2,18 +2,36 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ProteinError, SequenceError
 from repro.protein.alphabet import AMINO_ACIDS
 from repro.protein.datasets import make_pdz_target
-from repro.protein.folding import FoldingConfig, SurrogateAlphaFold
+from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.landscape import FitnessLandscape
 from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
-from repro.protein.mutation import point_mutations, random_sequence
+from repro.protein.mutation import point_mutations
 from repro.protein.sequence import ProteinSequence
 from repro.utils.rng import spawn_rng
+
+
+def _random_sequence(length, rng):
+    """A uniformly random receptor sequence of ``length`` residues."""
+    indices = rng.integers(0, len(AMINO_ACIDS), size=length)
+    return ProteinSequence(
+        residues="".join(AMINO_ACIDS[int(i)] for i in indices), chain_id="A"
+    )
+
+
+def _differing_positions(a, b):
+    return [
+        index
+        for index, (left, right) in enumerate(zip(a.residues, b.residues))
+        if left != right
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +44,7 @@ class TestFitnessLandscape:
         landscape = pdz_target.landscape
         rng = spawn_rng(1, "probe")
         for _ in range(30):
-            sequence = random_sequence(landscape.receptor_length, rng)
+            sequence = _random_sequence(landscape.receptor_length, rng)
             assert 0.0 <= landscape.fitness(sequence) <= 1.0
 
     def test_native_fitness_leaves_headroom(self, pdz_target):
@@ -65,7 +83,7 @@ class TestFitnessLandscape:
             seed=landscape.seed + 1,
         )
         rng = spawn_rng(2, "probe")
-        sequence = random_sequence(landscape.receptor_length, rng)
+        sequence = _random_sequence(landscape.receptor_length, rng)
         assert landscape.fitness(sequence) != pytest.approx(other.fitness(sequence))
 
     def test_mutation_outside_designable_positions_is_neutral(self, pdz_target):
@@ -116,12 +134,22 @@ class TestFitnessLandscape:
         with pytest.raises(ProteinError):
             landscape.additive_profile(outside)
 
-    def test_couplings_exist(self, pdz_target):
+    def test_couplings_make_fitness_epistatic(self, pdz_target):
+        # Fitness is the logistic of the additive partial score plus the
+        # coupling terms, on one calibration; with couplings, what fitness
+        # adds to the partial score changes from one sequence to the next.
         landscape = pdz_target.landscape
-        assert landscape.n_couplings > 0
-        for a, b in landscape.coupled_pairs():
-            assert a in landscape.designable_positions
-            assert b in landscape.designable_positions
+        native = landscape.native_sequence
+        rng = spawn_rng(3, "probe")
+        gaps = set()
+        for n_mutations in (0, 2, 2, 4, 4):
+            sequence = point_mutations(
+                native, landscape.designable_positions, n_mutations, rng
+            )
+            fitness = landscape.fitness(sequence)
+            logit = math.log(fitness) - math.log1p(-fitness)
+            gaps.add(round(logit - landscape.partial_score(sequence), 9))
+        assert len(gaps) > 1
 
     def test_constructor_validation(self, pdz_target):
         native = pdz_target.landscape.native_sequence
@@ -184,7 +212,7 @@ class TestSurrogateProteinMPNN:
         native = pdz_target.complex.receptor.sequence
         designable = set(pdz_target.landscape.designable_positions)
         for scored in mpnn.generate(pdz_target.complex, pdz_target.landscape):
-            assert set(native.differing_positions(scored.sequence)) <= designable
+            assert set(_differing_positions(native, scored.sequence)) <= designable
 
     def test_fixed_positions_respected(self, pdz_target):
         fixed = pdz_target.landscape.designable_positions[:3]
@@ -326,8 +354,8 @@ class TestSurrogateAlphaFold:
     def test_single_sequence_mode_is_noisier(self, pdz_target):
         landscape = pdz_target.landscape
         sequence = landscape.native_sequence
-        full = SurrogateAlphaFold(FoldingConfig(msa_mode="full_msa"), seed=1)
-        single = SurrogateAlphaFold(FoldingConfig(msa_mode="single_sequence"), seed=1)
+        full = SurrogateAlphaFold(msa_mode="full_msa", seed=1)
+        single = SurrogateAlphaFold(msa_mode="single_sequence", seed=1)
         full_spread = np.std([
             full.predict(pdz_target.complex, landscape, sequence, stream=(i,)).metrics.plddt
             for i in range(25)
@@ -339,14 +367,8 @@ class TestSurrogateAlphaFold:
         assert single_spread > full_spread
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            FoldingConfig(msa_mode="bogus")
-        with pytest.raises(ConfigurationError):
-            FoldingConfig(n_models=0)
-        with pytest.raises(ConfigurationError, match="noise scales"):
-            FoldingConfig(pae_noise=-0.5)
-        with pytest.raises(ConfigurationError, match="single_sequence_noise_factor"):
-            FoldingConfig(single_sequence_noise_factor=0.5)
+        with pytest.raises(ConfigurationError, match="msa_mode"):
+            SurrogateAlphaFold(msa_mode="bogus")
 
     def test_predict_batch_needs_aligned_inputs(self, pdz_target):
         folding = SurrogateAlphaFold(seed=1)

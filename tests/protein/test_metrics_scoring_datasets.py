@@ -15,6 +15,7 @@ from repro.protein.datasets import (
     ALPHA_SYNUCLEIN_C4,
     ALPHA_SYNUCLEIN_C10,
     PDZ_TARGET_NAMES,
+    _upper_quartile,
     expanded_pdz_set,
     make_pdz_target,
     named_pdz_targets,
@@ -29,7 +30,7 @@ from repro.protein.metrics import (
     composite_score,
     is_improvement,
 )
-from repro.protein.mutation import crossover, point_mutations, random_sequence
+from repro.protein.mutation import crossover, point_mutations
 from repro.protein.scoring import ScoringFunction
 from repro.protein.sequence import ProteinSequence
 from repro.utils.rng import spawn_rng
@@ -149,8 +150,9 @@ class TestScoringFunction:
         with pytest.raises(ConfigurationError):
             scoring.pair_energy("X", "A")
 
-    def test_interface_size_positive_for_docked_complex(self, target):
-        assert ScoringFunction().interface_size(target.complex) > 0
+    def test_docked_complex_has_contacts_within_the_scoring_cutoff(self, target):
+        # The default 8-angstrom contact cutoff of ScoringFunction.
+        assert target.complex.interchain_contacts(8.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -173,7 +175,12 @@ class TestMutationOperators:
         sequence = ProteinSequence(residues="A" * 30, chain_id="A")
         allowed = [0, 1, 2]
         mutated = point_mutations(sequence, allowed, 3, rng)
-        assert set(sequence.differing_positions(mutated)) <= set(allowed)
+        differing = {
+            index
+            for index, (a, b) in enumerate(zip(sequence.residues, mutated.residues))
+            if a != b
+        }
+        assert differing <= set(allowed)
 
     def test_point_mutations_validation(self):
         rng = spawn_rng(3, "mut")
@@ -209,12 +216,41 @@ class TestMutationOperators:
         with pytest.raises(SequenceError, match="same chain"):
             crossover(a, other_chain, rng)
 
-    def test_random_sequence(self):
-        rng = spawn_rng(7, "rand")
-        sequence = random_sequence(50, rng)
-        assert len(sequence) == 50
-        with pytest.raises(SequenceError):
-            random_sequence(0, rng)
+
+#: Docking stretch distances: short vectors of non-negative means, with ties.
+_stretch_distances = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+        st.sampled_from([0.0, 7.5, 12.25, 30.0]),
+    ),
+    min_size=1,
+    max_size=129,
+)
+
+
+class TestUpperQuartile:
+    """The docking threshold is ``np.quantile(values, 0.75)``, bit for bit."""
+
+    @given(_stretch_distances)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_numpy_quantile(self, values):
+        values = np.asarray(values, dtype=float)
+        threshold = _upper_quartile(values)
+        expected = np.quantile(values, 0.75)
+        assert threshold == expected
+        assert np.array_equal(values >= threshold, values >= expected)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([5.0], 5.0),  # one value is its own quartile
+            ([1.0, 2.0, 3.0, 4.0, 5.0], 4.0),  # index (5 - 1) * 0.75 = 3
+            ([1.0, 2.0, 3.0, 4.0], 3.25),  # weight 0.25: below + step * 0.25
+            ([0.0, 10.0, 20.0], 15.0),  # weight 0.5: above - step * 0.5
+        ],
+    )
+    def test_interpolates_linearly(self, values, expected):
+        assert _upper_quartile(np.asarray(values)) == expected
 
 
 class TestDatasets:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SequenceError
 from repro.protein.alphabet import (
+    AA_TO_INDEX,
     AMINO_ACIDS,
-    aa_index,
     is_valid_sequence,
     property_matrix,
 )
@@ -28,11 +28,8 @@ class TestAlphabet:
 
     def test_aa_index_round_trip(self):
         for index, residue in enumerate(AMINO_ACIDS):
-            assert aa_index(residue) == index
-
-    def test_unknown_residue_raises(self):
-        with pytest.raises(KeyError):
-            aa_index("X")
+            assert AA_TO_INDEX[residue] == index
+        assert len(AA_TO_INDEX) == 20
 
     def test_is_valid_sequence(self):
         assert is_valid_sequence("ACDEFGHIKLMNPQRSTVWY")
@@ -73,7 +70,6 @@ class TestProteinSequence:
         b = ProteinSequence(residues="AAWY", chain_id="A")
         assert a.hamming_distance(b) == 2
         assert a.identity(b) == pytest.approx(0.5)
-        assert a.differing_positions(b) == [2, 3]
 
     def test_length_mismatch_raises(self):
         a = ProteinSequence(residues="AAA", chain_id="A")
@@ -83,7 +79,7 @@ class TestProteinSequence:
 
     def test_encode_matches_alphabet(self):
         sequence = ProteinSequence(residues="ACD", chain_id="A")
-        assert list(sequence.encode()) == [aa_index("A"), aa_index("C"), aa_index("D")]
+        assert list(sequence.encode()) == [AMINO_ACIDS.index(aa) for aa in "ACD"]
 
     def test_composition_sums_to_one(self):
         sequence = ProteinSequence(residues="AACD", chain_id="A")

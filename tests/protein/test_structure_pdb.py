@@ -165,11 +165,3 @@ class TestComplexStructure:
         complex_structure = _complex().with_metadata(cycle=1)
         again = complex_structure.with_metadata(parent="x")
         assert again.metadata["cycle"] == 1 and again.metadata["parent"] == "x"
-
-    def test_effective_designable_falls_back_to_interface(self):
-        complex_structure = _complex()
-        assert complex_structure.effective_designable_positions() == \
-            complex_structure.interface_positions(10.0)
-
-    def test_min_interchain_distance_positive(self):
-        assert _complex().min_interchain_distance() > 0

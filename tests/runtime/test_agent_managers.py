@@ -117,6 +117,15 @@ class TestAgent:
         assert phases["exec_setup"] > 0
         assert phases["running"] > 0
 
+    def test_exec_setup_is_the_sandbox_setup_over_the_speedup(self, agent):
+        # Six sandbox files at 20 ms of metadata latency each, compressed
+        # by the duration model's speedup (1000 here), once per task.
+        for index in range(3):
+            agent.submit(Task(_description(name=f"t{index}")))
+        agent.platform.run()
+        phases = agent.platform.profiler.phase_totals()
+        assert phases["exec_setup"] == pytest.approx(3 * 0.12 / 1000.0)
+
     def test_invalid_config(self, fast_durations):
         platform = ComputePlatform(amarel_platform(1))
         with pytest.raises(ConfigurationError):
@@ -136,7 +145,7 @@ class TestAgent:
         with pytest.raises(SchedulingError):
             agent.submit(task)
         assert task.state is TaskState.NEW
-        assert agent.waiting_count == 0
+        assert agent.platform.loop.pending == 0  # no placement pass for it
         del task
         gc.collect()
         assert ref() is None

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, StateTransitionError
 from repro.hpc.resources import ResourceRequest
-from repro.runtime.states import (
-    FINAL_TASK_STATES,
-    TaskState,
-    validate_task_transition,
-)
+from repro.runtime.states import TaskState, validate_task_transition
 from repro.runtime.task import Task, TaskDescription
+
+#: States a task never leaves.
+_FINAL = (TaskState.DONE, TaskState.FAILED)
 
 
 class TestTaskStateMachine:
@@ -33,21 +32,25 @@ class TestTaskStateMachine:
             validate_task_transition("t", TaskState.NEW, TaskState.EXECUTING)
 
     def test_final_states_are_terminal(self):
-        for final in FINAL_TASK_STATES:
+        for final in _FINAL:
             for target in TaskState:
                 with pytest.raises(StateTransitionError):
                     validate_task_transition("t", final, target)
 
-    def test_cancel_allowed_from_every_non_final_state(self):
-        for state in TaskState:
-            if state in FINAL_TASK_STATES:
-                continue
-            validate_task_transition("t", state, TaskState.CANCELED)
+    def test_every_submitted_state_may_fail(self):
+        for state in (
+            TaskState.TMGR_SCHEDULING,
+            TaskState.AGENT_SCHEDULING,
+            TaskState.EXECUTING,
+        ):
+            validate_task_transition("t", state, TaskState.FAILED)
+        with pytest.raises(StateTransitionError):
+            validate_task_transition("t", TaskState.NEW, TaskState.FAILED)
 
     @given(st.sampled_from(list(TaskState)), st.sampled_from(list(TaskState)))
     @settings(max_examples=60, deadline=None)
     def test_no_transition_out_of_final(self, current, target):
-        if current in FINAL_TASK_STATES:
+        if current in _FINAL:
             with pytest.raises(StateTransitionError):
                 validate_task_transition("t", current, target)
 
