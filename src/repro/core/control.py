@@ -88,14 +88,6 @@ class ControlProtocol:
         self._phase_encodings: List[dict] = []
 
     @property
-    def config(self) -> PipelineConfig:
-        return self._config
-
-    @property
-    def runner(self) -> SequentialRunner:
-        return self._runner
-
-    @property
     def platform(self) -> ComputePlatform:
         return self._platform
 
