@@ -50,6 +50,8 @@ class TestFifoScheduler:
         scheduler = FifoScheduler(allocator)
         with pytest.raises(SchedulingError):
             scheduler.submit(_queued("too-big", cores=100))
+        # Queued, it would block the head of the line forever.
+        assert scheduler.queue_length == 0
 
     def test_blocked_queue_keeps_arrival_order(self, allocator):
         scheduler = FifoScheduler(allocator)
@@ -80,6 +82,12 @@ class TestBackfillScheduler:
         scheduler.submit(_queued("small", cores=1))  # beyond the window
         placed = scheduler.try_place()
         assert placed == []
+
+    def test_rejects_impossible_request(self, allocator):
+        scheduler = BackfillScheduler(allocator)
+        with pytest.raises(SchedulingError):
+            scheduler.submit(_queued("too-big", cores=100))
+        assert scheduler.queue_length == 0
 
     def test_invalid_window(self, allocator):
         with pytest.raises(ConfigurationError):

@@ -149,6 +149,12 @@ class TestAgent:
         del task
         gc.collect()
         assert ref() is None
+        # Nor does its request wait: at the head of the FIFO queue it would
+        # block every later task forever.
+        later = Task(_description(name="later"))
+        agent.submit(later)
+        agent.platform.run()
+        assert later.state is TaskState.DONE
 
 
 class TestPilotAndManagers:
