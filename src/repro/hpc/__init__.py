@@ -35,7 +35,6 @@ _EXPORTS = {
     "FifoScheduler": "scheduler",
     "BackfillScheduler": "scheduler",
     "make_scheduler": "scheduler",
-    "SharedFilesystem": "filesystem",
     "ComputePlatform": "platform",
     "ExecutionProfiler": "profiling",
     "ResourceInterval": "profiling",

@@ -10,15 +10,15 @@ results:
   sequence databases from shared storage; the paper (citing ParaFold) notes
   this CPU/IO phase dominates AlphaFold's runtime while GPUs sit idle.
 
-:class:`SharedFilesystem` converts byte volumes and file counts into
-simulated seconds.
+:func:`read_time` and :data:`SANDBOX_SETUP_SECONDS` convert byte volumes
+and file counts into simulated seconds.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SharedFilesystem"]
+__all__ = ["FILESYSTEM_NAME", "SANDBOX_SETUP_SECONDS", "read_time"]
 
 #: Label of the modelled filesystem, used in platform descriptions.
 FILESYSTEM_NAME = "gpfs-scratch"
@@ -30,23 +30,18 @@ _METADATA_LATENCY_S = 0.02
 _SANDBOX_FILES = 6
 
 
-class SharedFilesystem:
-    """Converts I/O volumes into simulated seconds.
+def read_time(gigabytes: float, files: int = 1) -> float:
+    """Simulated seconds to read ``gigabytes`` across ``files`` files.
 
     Reads do not contend: each one streams at the full read bandwidth, so a
     read's cost depends only on its volume and file count.
     """
+    if gigabytes < 0 or files < 0:
+        raise ConfigurationError("negative I/O volume")
+    return gigabytes / _READ_BANDWIDTH_GB_S + files * _METADATA_LATENCY_S
 
-    def read_time(self, gigabytes: float, files: int = 1) -> float:
-        """Simulated seconds to read ``gigabytes`` across ``files`` files."""
-        if gigabytes < 0 or files < 0:
-            raise ConfigurationError("negative I/O volume")
-        return gigabytes / _READ_BANDWIDTH_GB_S + files * _METADATA_LATENCY_S
 
-    def sandbox_setup_time(self) -> float:
-        """Simulated seconds to create a task sandbox (scripts + staging links).
-
-        RADICAL-Pilot creates a handful of small files per task; the cost is
-        dominated by metadata operations on the shared filesystem.
-        """
-        return _SANDBOX_FILES * _METADATA_LATENCY_S
+#: Simulated seconds to create a task sandbox (scripts + staging links):
+#: RADICAL-Pilot creates a handful of small files per task, so the cost is
+#: dominated by metadata operations on the shared filesystem.
+SANDBOX_SETUP_SECONDS = _SANDBOX_FILES * _METADATA_LATENCY_S

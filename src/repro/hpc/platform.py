@@ -1,8 +1,9 @@
 """The :class:`ComputePlatform` facade.
 
 A ``ComputePlatform`` bundles everything the pilot runtime needs from the
-simulated machine: the event loop (virtual time), the allocator (devices),
-the shared filesystem (I/O costs) and the profiler (traces).  One platform
+simulated machine: the event loop (virtual time), the allocator (devices)
+and the profiler (traces); the shared filesystem's I/O costs are the fixed
+model of :mod:`repro.hpc.filesystem`.  One platform
 instance corresponds to one job allocation on the real machine — exactly the
 unit a RADICAL pilot occupies.
 """
@@ -13,7 +14,7 @@ from typing import Optional
 
 from repro.hpc.allocation import NodeAllocator
 from repro.hpc.events import EventLoop
-from repro.hpc.filesystem import FILESYSTEM_NAME, SharedFilesystem
+from repro.hpc.filesystem import FILESYSTEM_NAME
 from repro.hpc.profiling import ExecutionProfiler
 from repro.hpc.resources import PlatformSpec, amarel_platform
 
@@ -21,21 +22,20 @@ __all__ = ["ComputePlatform"]
 
 
 class ComputePlatform:
-    """Simulated HPC allocation: clock + devices + filesystem + traces.
+    """Simulated HPC allocation: clock + devices + traces.
 
     Parameters
     ----------
     spec:
         Static platform description; defaults to one Amarel-like GPU node as
-        used in the paper's evaluation.  The filesystem is always the default
-        GPFS-like :class:`SharedFilesystem`.
+        used in the paper's evaluation.  The filesystem is always the
+        GPFS-like scratch of :mod:`repro.hpc.filesystem`.
     """
 
     def __init__(self, spec: Optional[PlatformSpec] = None) -> None:
         self._spec = spec or amarel_platform(1)
         self._loop = EventLoop()
         self._allocator = NodeAllocator(self._spec)
-        self._filesystem = SharedFilesystem()
         self._profiler = ExecutionProfiler(self._spec)
 
     # -- accessors ------------------------------------------------------ #
@@ -51,10 +51,6 @@ class ComputePlatform:
     @property
     def allocator(self) -> NodeAllocator:
         return self._allocator
-
-    @property
-    def filesystem(self) -> SharedFilesystem:
-        return self._filesystem
 
     @property
     def profiler(self) -> ExecutionProfiler:

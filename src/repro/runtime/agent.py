@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.hpc.allocation import Allocation
+from repro.hpc.filesystem import SANDBOX_SETUP_SECONDS
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.scheduler import QueuedRequest, make_scheduler
 from repro.runtime.durations import DurationModel
@@ -65,10 +66,8 @@ class Agent:
         self._durations = durations
         self._config = config or AgentConfig()
         # "Exec setup" (Fig 5): the sandbox's few small files on the shared
-        # FS.  Neither the filesystem nor the speedup changes during a run.
-        self._setup_seconds = platform.filesystem.sandbox_setup_time() / max(
-            1.0, durations.speedup
-        )
+        # FS.  The speedup does not change during a run.
+        self._setup_seconds = SANDBOX_SETUP_SECONDS / max(1.0, durations.speedup)
         kwargs = {}
         if self._config.scheduler_policy == "backfill":
             kwargs["window"] = self._config.backfill_window
@@ -138,9 +137,7 @@ class Agent:
     def _start_task(self, task: Task, allocation: Allocation) -> None:
         now = self._platform.now
         setup_seconds = self._setup_seconds
-        run_seconds = self._durations.duration(
-            task.description, self._platform.filesystem
-        )
+        run_seconds = self._durations.duration(task.description)
 
         task.allocation = allocation
         task.start_time = now

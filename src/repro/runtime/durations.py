@@ -31,7 +31,7 @@ from typing import Dict
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hpc.filesystem import SharedFilesystem
+from repro.hpc.filesystem import read_time
 from repro.hpc.resources import ResourceRequest
 from repro.runtime.task import TaskDescription
 from repro.utils.rng import spawn_rng
@@ -193,16 +193,13 @@ class DurationModel:
         """Default resource request for a task of ``kind``."""
         return self.profile(kind).request
 
-    def duration(
-        self, description: TaskDescription, filesystem: SharedFilesystem
-    ) -> float:
+    def duration(self, description: TaskDescription) -> float:
         """Simulated seconds the task will occupy its allocation.
 
         The duration combines the kind's base cost, scaling in the number of
         sequences (``metadata["n_sequences"]``) and residues
-        (``metadata["n_residues"]``), read time on the platform's
-        ``filesystem`` for I/O-heavy kinds, and deterministic per-task
-        jitter.
+        (``metadata["n_residues"]``), shared-filesystem read time for
+        I/O-heavy kinds, and deterministic per-task jitter.
         """
         profile = self.profile(description.kind)
 
@@ -214,7 +211,7 @@ class DurationModel:
         seconds += profile.per_residue_seconds * max(0, n_residues - _REFERENCE_RESIDUES)
 
         if profile.io_gigabytes > 0:
-            seconds += filesystem.read_time(profile.io_gigabytes, files=24)
+            seconds += read_time(profile.io_gigabytes, files=24)
 
         if profile.jitter_sigma > 0:
             # Jitter is keyed by the task *name* (unique and stable within a

@@ -57,7 +57,7 @@ class SequentialRunner:
         task.start_time = now
         task.advance(TaskState.EXECUTING)
 
-        duration = self._durations.duration(description, self._platform.filesystem)
+        duration = self._durations.duration(description)
         self._platform.profiler.record_phase(task.uid, "running", now, now + duration)
         # Advance virtual time past the task's execution window.
         self._platform.loop.run_until(now + duration)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.hpc.filesystem import SharedFilesystem
+from repro.hpc.filesystem import SANDBOX_SETUP_SECONDS, read_time
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.profiling import ExecutionProfiler, PhaseInterval, ResourceInterval
 from repro.hpc.resources import amarel_platform
@@ -16,31 +16,27 @@ class TestSharedFilesystem:
     """A GPFS-like scratch: 2 GB/s streaming reads, 20 ms per metadata op."""
 
     def test_read_time_scales_with_volume(self):
-        fs = SharedFilesystem()
-        assert fs.read_time(4.0, files=0) == pytest.approx(2.0)
-        assert fs.read_time(8.0, files=0) == pytest.approx(4.0)
+        assert read_time(4.0, files=0) == pytest.approx(2.0)
+        assert read_time(8.0, files=0) == pytest.approx(4.0)
 
     def test_metadata_latency_added_per_file(self):
-        fs = SharedFilesystem()
-        base = fs.read_time(0.0, files=0)
-        with_files = fs.read_time(0.0, files=5)
+        base = read_time(0.0, files=0)
+        with_files = read_time(0.0, files=5)
         assert with_files - base == pytest.approx(0.1)
 
     def test_read_time_is_streaming_plus_metadata(self):
-        fs = SharedFilesystem()
-        assert fs.read_time(2.0, files=3) == pytest.approx(2.0 / 2.0 + 3 * 0.02)
-        assert fs.read_time(2.0) == pytest.approx(2.0 / 2.0 + 0.02)  # one file by default
+        assert read_time(2.0, files=3) == pytest.approx(2.0 / 2.0 + 3 * 0.02)
+        assert read_time(2.0) == pytest.approx(2.0 / 2.0 + 0.02)  # one file by default
 
     def test_sandbox_setup_time(self):
         # Six small files (scripts, staging links), one metadata op each.
-        assert SharedFilesystem().sandbox_setup_time() == pytest.approx(0.12)
+        assert SANDBOX_SETUP_SECONDS == pytest.approx(0.12)
 
     def test_negative_volume_rejected(self):
-        fs = SharedFilesystem()
         with pytest.raises(ConfigurationError):
-            fs.read_time(-1.0)
+            read_time(-1.0)
         with pytest.raises(ConfigurationError):
-            fs.read_time(1.0, files=-1)
+            read_time(1.0, files=-1)
 
 
 def _interval(task: str, start: float, end: float, cores=(0,), gpus=()):

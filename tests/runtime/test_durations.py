@@ -7,14 +7,10 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.hpc.filesystem import SharedFilesystem
 from repro.hpc.resources import ResourceRequest
 from repro.runtime.durations import DurationModel, KindProfile, TaskKind
 from repro.runtime.task import TaskDescription
 from repro.utils.rng import spawn_rng
-
-#: The filesystem every platform has; the duration model reads through it.
-_FS = SharedFilesystem()
 
 
 def _description(kind: TaskKind, name: str = "t", **metadata) -> TaskDescription:
@@ -27,10 +23,10 @@ def _description(kind: TaskKind, name: str = "t", **metadata) -> TaskDescription
 class TestDefaultProfiles:
     def test_msa_is_the_longest_phase(self):
         model = DurationModel()
-        msa = model.duration(_description(TaskKind.AF_MSA, "msa"), _FS)
-        inference = model.duration(_description(TaskKind.AF_INFERENCE, "inf"), _FS)
-        mpnn = model.duration(_description(TaskKind.MPNN_GENERATE, "gen"), _FS)
-        rank = model.duration(_description(TaskKind.SEQUENCE_RANK, "rank"), _FS)
+        msa = model.duration(_description(TaskKind.AF_MSA, "msa"))
+        inference = model.duration(_description(TaskKind.AF_INFERENCE, "inf"))
+        mpnn = model.duration(_description(TaskKind.MPNN_GENERATE, "gen"))
+        rank = model.duration(_description(TaskKind.SEQUENCE_RANK, "rank"))
         assert msa > inference > mpnn > rank
 
     def test_msa_is_cpu_only_and_inference_uses_gpu(self):
@@ -45,7 +41,7 @@ class TestDefaultProfiles:
         description = TaskDescription(
             name="weird", kind="not-a-kind", request=ResourceRequest(cpu_cores=1)
         )
-        assert model.duration(description, _FS) > 0
+        assert model.duration(description) > 0
 
     def test_custom_kind_gets_the_generic_profile(self):
         model = DurationModel(seed=3)
@@ -54,20 +50,20 @@ class TestDefaultProfiles:
             name="same-name", kind="custom", request=ResourceRequest(cpu_cores=1)
         )
         generic = _description(TaskKind.GENERIC, "same-name")
-        assert model.duration(custom, _FS) == model.duration(generic, _FS)
+        assert model.duration(custom) == model.duration(generic)
 
 
 class TestScaling:
     def test_more_sequences_cost_more(self):
         model = DurationModel()
-        small = model.duration(_description(TaskKind.MPNN_GENERATE, "a", n_sequences=1), _FS)
-        large = model.duration(_description(TaskKind.MPNN_GENERATE, "a", n_sequences=40), _FS)
+        small = model.duration(_description(TaskKind.MPNN_GENERATE, "a", n_sequences=1))
+        large = model.duration(_description(TaskKind.MPNN_GENERATE, "a", n_sequences=40))
         assert large > small
 
     def test_longer_proteins_cost_more(self):
         model = DurationModel()
-        short = model.duration(_description(TaskKind.AF_INFERENCE, "a", n_residues=80), _FS)
-        long = model.duration(_description(TaskKind.AF_INFERENCE, "a", n_residues=400), _FS)
+        short = model.duration(_description(TaskKind.AF_INFERENCE, "a", n_residues=80))
+        long = model.duration(_description(TaskKind.AF_INFERENCE, "a", n_residues=400))
         assert long > short
 
     def test_msa_duration_includes_the_database_read(self):
@@ -76,37 +72,37 @@ class TestScaling:
         model = DurationModel(seed=4)
         jitter = math.exp(spawn_rng(4, "duration", "m").normal(loc=0.0, scale=0.12))
         expected = (3000.0 + 60.0 / 2.0 + 24 * 0.02) * jitter
-        assert model.duration(_description(TaskKind.AF_MSA, "m"), _FS) == pytest.approx(expected)
+        assert model.duration(_description(TaskKind.AF_MSA, "m")) == pytest.approx(expected)
 
     def test_speedup_divides_duration(self):
         slow = DurationModel(seed=1, speedup=1.0)
         fast = DurationModel(seed=1, speedup=100.0)
         description = _description(TaskKind.AF_MSA, "m")
-        assert fast.duration(description, _FS) == pytest.approx(
-            slow.duration(description, _FS) / 100.0
+        assert fast.duration(description) == pytest.approx(
+            slow.duration(description) / 100.0
         )
 
     def test_duration_always_positive(self):
         model = DurationModel(speedup=1e9)
-        assert model.duration(_description(TaskKind.COMPARE, "c"), _FS) > 0
+        assert model.duration(_description(TaskKind.COMPARE, "c")) > 0
 
 
 class TestDeterminism:
     def test_same_name_same_duration(self):
         model = DurationModel(seed=3)
-        a = model.duration(_description(TaskKind.AF_MSA, "pipeline.c0.msa"), _FS)
-        b = model.duration(_description(TaskKind.AF_MSA, "pipeline.c0.msa"), _FS)
+        a = model.duration(_description(TaskKind.AF_MSA, "pipeline.c0.msa"))
+        b = model.duration(_description(TaskKind.AF_MSA, "pipeline.c0.msa"))
         assert a == b
 
     def test_different_names_jitter_differently(self):
         model = DurationModel(seed=3)
-        a = model.duration(_description(TaskKind.AF_MSA, "task-a"), _FS)
-        b = model.duration(_description(TaskKind.AF_MSA, "task-b"), _FS)
+        a = model.duration(_description(TaskKind.AF_MSA, "task-a"))
+        b = model.duration(_description(TaskKind.AF_MSA, "task-b"))
         assert a != b
 
     def test_seed_changes_jitter(self):
         description = _description(TaskKind.AF_MSA, "same-name")
-        assert DurationModel(seed=1).duration(description, _FS) != DurationModel(seed=2).duration(description, _FS)
+        assert DurationModel(seed=1).duration(description) != DurationModel(seed=2).duration(description)
 
 
 class TestValidation:
