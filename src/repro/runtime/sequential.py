@@ -11,8 +11,6 @@ node, same duration model, same profiler).
 
 from __future__ import annotations
 
-from typing import Callable, List
-
 from repro.hpc.platform import ComputePlatform
 from repro.runtime.durations import DurationModel
 from repro.runtime.states import TaskState
@@ -31,15 +29,10 @@ class SequentialRunner:
     ) -> None:
         self._platform = platform
         self._durations = durations
-        self._callbacks: List[Callable[[Task], None]] = []
 
     @property
     def platform(self) -> ComputePlatform:
         return self._platform
-
-    def on_completion(self, callback: Callable[[Task], None]) -> None:
-        """Register a callback invoked after each task finishes."""
-        self._callbacks.append(callback)
 
     def run_task(self, description: TaskDescription) -> Task:
         """Execute one task to completion, advancing simulated time.
@@ -62,6 +55,4 @@ class SequentialRunner:
         # Advance virtual time past the task's execution window.
         self._platform.loop.run_until(now + duration)
         task.finish(self._platform)
-        for callback in list(self._callbacks):
-            callback(task)
         return task

@@ -48,12 +48,15 @@ class TestSequentialRunner:
         assert task.state is TaskState.FAILED
         assert runner.platform.allocator.busy_cores() == 0
 
-    def test_completion_callbacks(self, runner):
-        seen = []
-        runner.on_completion(seen.append)
+    def test_returns_each_task_finished(self, runner):
+        # The returned task is the only way to observe it: it has finished,
+        # holds no devices, and the next task starts after it.
         one = runner.run_task(_description("one"))
         two = runner.run_task(_description("two"))
-        assert seen == [one, two]
+        assert [task.description.name for task in (one, two)] == ["one", "two"]
+        assert one.state is two.state is TaskState.DONE
+        assert one.end_time <= two.start_time
+        assert runner.platform.allocator.busy_cores() == 0
 
     def test_profiler_gets_one_interval_per_task(self, runner):
         for i in range(4):
