@@ -7,6 +7,9 @@ registry refactor is provably behaviour-preserving.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.campaign import CampaignConfig, DesignCampaign
@@ -82,6 +85,23 @@ GOLDEN = {
             "interchain_pae": -8.161327867255686,
         },
     },
+}
+
+
+#: sha256 of ``json.dumps(result.as_dict(), sort_keys=True)`` for ``im-rp`` on
+#: the same targets and sizes, on the two placement paths ``GOLDEN`` (FIFO,
+#: static cap) does not run: backfill placement and the adaptive in-flight
+#: cap.  Captured before the pilot runtime was reduced to one placement
+#: scheduler and name-keyed tasks, so they pin that refactor's outputs.
+PLACEMENT_DIGESTS = {
+    ("backfill", 13): "d1f4ca355757fb83886254e74a2bbe0df6f4401f4a3ac1b8d26be3449aad9ade",
+    ("backfill", 5): "1b1aa0f5108f594f45874f469a2eb268d3248e4786cadb55bc651a04a9934628",
+    ("auto", 13): "6c7cf60b18dd0a068f83e2cd9a4fb5ab3a206f2033f4285e23a56e5ad3dbe5e6",
+    ("auto", 5): "18423ae1041d60360b030b8396067cb401477ffdac0a4cc2f543cc368ad3fb87",
+}
+_PLACEMENT_OPTIONS = {
+    "backfill": {"scheduler_policy": "backfill"},
+    "auto": {"max_in_flight_pipelines": "auto"},
 }
 
 
@@ -198,6 +218,19 @@ def test_golden_equivalence_with_pre_refactor_branches(four_targets, protocol, s
     deltas = result.net_deltas()
     for metric, value in want["net_deltas"].items():
         assert deltas[metric] == pytest.approx(value, rel=0, abs=0), metric
+
+
+@pytest.mark.parametrize("variant,seed", sorted(PLACEMENT_DIGESTS))
+def test_placement_paths_match_their_pinned_digests(four_targets, variant, seed):
+    config = CampaignConfig(
+        protocol="im-rp", n_cycles=2, n_sequences=6, seed=seed,
+        **_PLACEMENT_OPTIONS[variant],
+    )
+    result = DesignCampaign(four_targets, config).run()
+    text = json.dumps(result.as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PLACEMENT_DIGESTS[(variant, seed)]
+    # Each path places differently from the FIFO, static-cap run it is not.
+    assert result.makespan_hours != GOLDEN[("im-rp", seed)]["makespan_hours"]
 
 
 class TestNewProtocols:
