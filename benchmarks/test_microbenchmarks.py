@@ -10,6 +10,8 @@ impractically slow.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,20 @@ from repro.core.stages import StageFactory
 from repro.hpc.allocation import NodeAllocator
 from repro.hpc.events import EventLoop
 from repro.hpc.resources import ResourceRequest, amarel_platform
-from repro.hpc.scheduler import FifoScheduler, QueuedRequest
+from repro.hpc.scheduler import PlacementScheduler
 from repro.protein.datasets import make_pdz_target
 from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.runtime.durations import DurationModel
-from repro.runtime.states import TaskState
 from repro.runtime.task import Task
+
+
+class _Queued(NamedTuple):
+    """A schedulable item: the scheduler reads only a name and a request."""
+
+    name: str
+    request: ResourceRequest
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +60,10 @@ def test_event_loop_throughput(benchmark):
 def test_scheduler_placement_throughput(benchmark):
     def place_500_tasks():
         allocator = NodeAllocator(amarel_platform(4))
-        scheduler = FifoScheduler(allocator)
+        scheduler = PlacementScheduler(allocator, 0)
         placed = 0
         for index in range(500):
-            scheduler.submit(
-                QueuedRequest(f"task-{index}", ResourceRequest(cpu_cores=1))
-            )
+            scheduler.submit(_Queued(f"task-{index}", ResourceRequest(cpu_cores=1)))
         # Every batch's allocations are released immediately below, so the
         # platform always has capacity; an empty batch therefore means no
         # forward progress is possible — break and let the count assertion
@@ -155,11 +161,7 @@ def test_single_pipeline_inline_execution(benchmark, micro_target):
         description = pipeline.start()
         while description is not None:
             task = Task(description)
-            task.advance(TaskState.TMGR_SCHEDULING)
-            task.advance(TaskState.AGENT_SCHEDULING)
-            task.advance(TaskState.EXECUTING)
             task.result = description.payload() if description.payload else None
-            task.advance(TaskState.DONE)
             description = pipeline.advance(task).task
         return pipeline
 

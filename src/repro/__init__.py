@@ -20,7 +20,8 @@ Sub-packages
     The paper's contribution: pipelines, coordinator, adaptive decisions,
     control baseline, campaigns and results.
 ``repro.runtime``
-    The pilot-job middleware substrate (task manager, agent, task states).
+    The pilot-job middleware substrate (task manager, agent, tasks keyed by
+    name).
 ``repro.hpc``
     The discrete-event HPC platform (resources, scheduler, filesystem,
     profiler).
@@ -54,7 +55,6 @@ _EXPORTS = {
     "compare_campaigns": "core.results",
     "Pipeline": "core.pipeline",
     "PipelineConfig": "core.pipeline",
-    "CoordinatorConfig": "core.coordinator",
     "PipelinesCoordinator": "core.coordinator",
     "ControlProtocol": "core.control",
     "ExecutionProtocol": "core.protocols",

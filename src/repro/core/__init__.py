@@ -38,7 +38,6 @@ _EXPORTS = {
     "AcceptancePolicy": "decision",
     "SubPipelinePolicy": "decision",
     "SubPipelineSpec": "decision",
-    "CoordinatorConfig": "coordinator",
     "PipelinesCoordinator": "coordinator",
     "ControlProtocol": "control",
     "ExecutionProtocol": "protocols",

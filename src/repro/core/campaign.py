@@ -40,7 +40,7 @@ from repro.core.stages import StageFactory, StageModels
 from repro.exceptions import CampaignError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec
-from repro.hpc.scheduler import available_schedulers
+from repro.hpc.scheduler import SCHEDULER_POLICIES
 from repro.protein.datasets import DesignTarget
 from repro.protein.folding import MSA_MODES, SurrogateAlphaFold
 from repro.protein.metrics import QualityMetrics
@@ -71,7 +71,9 @@ class CampaignConfig:
         Simulated platform; defaults to one Amarel-like GPU node.
     scheduler_policy / backfill_window:
         Agent placement policy for pilot-runtime protocols ("fifo" or
-        "backfill").
+        "backfill"), and backfill's lookahead past a blocked head of the
+        queue (at least 1; "fifo" ignores it).  See
+        :func:`repro.hpc.scheduler.placement_window`.
     max_in_flight_pipelines:
         Optional concurrency cap for the IM-RP coordinator (ablation knob).
         A positive int is a static cap; the string ``"auto"`` enables the
@@ -114,10 +116,9 @@ class CampaignConfig:
             raise CampaignError(
                 f"unknown protocol {self.protocol!r}; available: {list(protocols)}"
             )
-        schedulers = available_schedulers()
-        if self.scheduler_policy not in schedulers:
+        if self.scheduler_policy not in SCHEDULER_POLICIES:
             raise CampaignError(
-                f"scheduler_policy must be one of {list(schedulers)}, "
+                f"scheduler_policy must be one of {list(SCHEDULER_POLICIES)}, "
                 f"got {self.scheduler_policy!r}"
             )
         if self.msa_mode not in MSA_MODES:

@@ -4,8 +4,8 @@ The coordinator is the component marked 1/3/6/7 in the paper's Fig 1: it
 
 * constructs pipelines (one per starting structure, as in the paper's
   implementation section),
-* submits their tasks concurrently to the pilot runtime and monitors their
-  states through the task manager's completion callback,
+* submits their tasks concurrently to the pilot runtime and hears of their
+  completion through the task manager's completion callback,
 * maintains a global view of every pipeline's latest design quality, and
 * performs the decision-making step after every completed cycle, dynamically
   generating sub-pipelines for designs that need further refinement or
@@ -22,8 +22,7 @@ import dataclasses
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.core.decision import SubPipelinePolicy, SubPipelineSpec
 from repro.core.instrumentation import record_cycle_metrics
@@ -42,7 +41,6 @@ from repro.telemetry import metrics
 __all__ = [
     "AUTO_IN_FLIGHT",
     "AdaptiveInFlightController",
-    "CoordinatorConfig",
     "PipelinesCoordinator",
 ]
 
@@ -58,33 +56,6 @@ _AUTO_WINDOW_SECONDS = 600.0
 _AUTO_TARGET_UTILIZATION = 0.90
 
 
-@dataclass(frozen=True)
-class CoordinatorConfig:
-    """Coordinator-level knobs.
-
-    Attributes
-    ----------
-    pipeline:
-        Default configuration applied to every root pipeline.
-    spawn_policy:
-        When and how to generate sub-pipelines.
-    max_in_flight_pipelines:
-        Optional cap on concurrently executing *root* pipelines; additional
-        root pipelines wait in the submission queue until a slot frees up.
-        Sub-pipelines always start immediately (they are the mechanism that
-        soaks up idle resources).  The string ``"auto"`` replaces the static
-        cap with an :class:`AdaptiveInFlightController`: the cap starts at 1
-        and is retuned after every completed cycle from the simulated
-        platform's busy fraction over a sliding window — a deterministic
-        function of the simulation, so seeded runs stay byte-identical
-        across workers and resumes.
-    """
-
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    spawn_policy: SubPipelinePolicy = field(default_factory=SubPipelinePolicy)
-    max_in_flight_pipelines: Union[int, str, None] = None
-
-
 class AdaptiveInFlightController:
     """Retunes the root-pipeline cap from observed simulated busy fraction.
 
@@ -98,15 +69,14 @@ class AdaptiveInFlightController:
 
     Every input is deterministic (simulated clock, profiler traces), so two
     executions of the same spec make identical decisions regardless of the
-    worker or wall-clock speed; the decision trail is emitted as out-of-band
-    ``coordinator.max_in_flight`` gauges for auditing.
+    worker or wall-clock speed; each decision is emitted as an out-of-band
+    ``coordinator.max_in_flight`` gauge for auditing, and nothing else keeps
+    the trail.
     """
 
     def __init__(self, platform: ComputePlatform) -> None:
         self._platform = platform
         self.cap = _AUTO_INITIAL_CAP
-        #: ``(simulated_time, cap, busy_fraction, decision)`` audit trail.
-        self.decisions: List[Tuple[float, int, float, str]] = []
 
     def busy_fraction(self) -> float:
         """Peak of CPU/GPU utilization over the trailing window (0 when idle)."""
@@ -127,32 +97,52 @@ class AdaptiveInFlightController:
         raised = pending_roots > 0 and busy < _AUTO_TARGET_UTILIZATION
         if raised:
             self.cap += 1
-        decision = "raise" if raised else "hold"
-        self.decisions.append((self._platform.now, self.cap, busy, decision))
         metrics.gauge(
             "coordinator.max_in_flight",
             self.cap,
             busy_fraction=busy,
             pending_roots=pending_roots,
-            decision=decision,
+            decision="raise" if raised else "hold",
             sim_time=self._platform.now,
         )
         return raised
 
 
 class PipelinesCoordinator:
-    """Coordinates concurrent, adaptive pipelines through a task manager."""
+    """Coordinates concurrent, adaptive pipelines through a task manager.
+
+    Parameters
+    ----------
+    pipeline_config:
+        The configuration of every root pipeline.
+    spawn_policy:
+        When and how to generate sub-pipelines.
+    max_in_flight_pipelines:
+        Optional cap on concurrently executing *root* pipelines; additional
+        root pipelines wait in the submission queue until a slot frees up.
+        Sub-pipelines always start immediately (they are the mechanism that
+        soaks up idle resources).  The string ``"auto"`` replaces the static
+        cap with an :class:`AdaptiveInFlightController`: the cap starts at 1
+        and is retuned after every completed cycle from the simulated
+        platform's busy fraction over a sliding window — a deterministic
+        function of the simulation, so seeded runs stay byte-identical
+        across workers and resumes.
+    """
 
     def __init__(
         self,
         task_manager: TaskManager,
         factory: StageFactory,
-        config: Optional[CoordinatorConfig] = None,
+        pipeline_config: PipelineConfig,
+        spawn_policy: Optional[SubPipelinePolicy] = None,
+        max_in_flight_pipelines: Union[int, str, None] = None,
         on_cycle: Optional[Callable[[int], None]] = None,
     ) -> None:
         self._task_manager = task_manager
         self._factory = factory
-        self._config = config or CoordinatorConfig()
+        self._pipeline_config = pipeline_config
+        self._spawn_policy = spawn_policy or SubPipelinePolicy()
+        self._max_in_flight = max_in_flight_pipelines
         #: Progress hook invoked with the total completed-cycle count after
         #: every cycle (root or sub-pipeline) finishes.  Pure observation:
         #: it runs after the decision step and must not mutate the campaign.
@@ -160,7 +150,7 @@ class PipelinesCoordinator:
         self._cycles_completed = 0
         self._last_cycle_wall = time.perf_counter()
 
-        limit = self._config.max_in_flight_pipelines
+        limit = max_in_flight_pipelines
         if isinstance(limit, str) and limit != AUTO_IN_FLIGHT:
             raise CoordinatorError(
                 f"max_in_flight_pipelines must be a positive int, None or "
@@ -181,7 +171,6 @@ class PipelinesCoordinator:
         self._spawned_per_root: Dict[str, int] = {}
         self._total_spawned = 0
         self._uid_counter = itertools.count(1)
-        self._sub_uid_counter = itertools.count(1)
 
         #: New pipeline instances awaiting submission, oldest first.
         self._submissions: Deque[Pipeline] = deque()
@@ -189,10 +178,6 @@ class PipelinesCoordinator:
         self._in_flight_roots = 0
 
     # -- pipeline construction --------------------------------------------------- #
-
-    @property
-    def config(self) -> CoordinatorConfig:
-        return self._config
 
     @property
     def task_manager(self) -> TaskManager:
@@ -219,7 +204,7 @@ class PipelinesCoordinator:
         """The in-flight root cap in force right now (None = unlimited)."""
         if self._adaptive is not None:
             return self._adaptive.cap
-        limit = self._config.max_in_flight_pipelines
+        limit = self._max_in_flight
         return limit if isinstance(limit, int) else None
 
     def add_targets(self, targets: List[DesignTarget]) -> List[Pipeline]:
@@ -231,7 +216,7 @@ class PipelinesCoordinator:
                 uid=uid,
                 target=target,
                 factory=self._factory,
-                config=self._config.pipeline,
+                config=self._pipeline_config,
             )
             self._pipelines[uid] = pipeline
             self._root_of[uid] = uid
@@ -343,9 +328,8 @@ class PipelinesCoordinator:
     def _decision_step(self, pipeline: Pipeline, cycle_result: CycleResult) -> None:
         """Global decision-making after one completed cycle (paper step 6/7)."""
         root_uid = self._root_of[pipeline.uid]
-        policy = self._config.spawn_policy
         self._record_composite(pipeline)
-        spec = policy.should_spawn(
+        spec = self._spawn_policy.should_spawn(
             pipeline_uid=pipeline.uid,
             target_name=pipeline.target.name,
             latest_metrics=cycle_result.best_metrics,
@@ -361,12 +345,13 @@ class PipelinesCoordinator:
     def _spawn_subpipeline(
         self, parent: Pipeline, spec: SubPipelineSpec, root_uid: str
     ) -> Pipeline:
-        uid = f"{parent.uid}.sub{next(self._sub_uid_counter):03d}"
+        self._total_spawned += 1
+        uid = f"{parent.uid}.sub{self._total_spawned:03d}"
         # Sub-pipelines inherit the root configuration except for their cycle
         # budget; the adaptivity schedule is dropped because its length is
         # tied to the root's n_cycles.
         sub_config = dataclasses.replace(
-            self._config.pipeline,
+            self._pipeline_config,
             n_cycles=spec.n_cycles,
             adaptivity_schedule=None,
         )
@@ -386,7 +371,6 @@ class PipelinesCoordinator:
         self._record_composite(subpipeline)
         self._root_of[uid] = root_uid
         self._spawned_per_root[root_uid] = self._spawned_per_root.get(root_uid, 0) + 1
-        self._total_spawned += 1
         # Sub-pipelines start immediately: they exist to exploit idle resources.
         self._submit_pipeline(subpipeline)
         return subpipeline

@@ -6,9 +6,9 @@ exactly one lineage per pipeline; this module exposes the more general
 population-based view — maintain a population of designs, generate variants
 with ProteinMPNN (or plain mutation/crossover), evaluate them with the
 folding surrogate, select survivors — as a standalone optimizer.  It is used
-by the ``custom_pipeline`` example and by the ablation benchmarks, and it is
-the natural extension point for the paper's future-work scenarios (protease
-redesign with fixed catalytic residues, monomeric prediction).
+by the ``custom_pipeline`` example, and it is the natural extension point for
+the paper's future-work scenarios (protease redesign with fixed catalytic
+residues, monomeric prediction).
 
 Evaluation is batch-first: each generation (initial population and offspring)
 is scored through one :meth:`SurrogateAlphaFold.predict_batch` call — a single

@@ -231,8 +231,7 @@ class Pipeline:
         Returns ``None`` before :meth:`start` and once the pipeline has
         finished.  Calling it changes nothing: every input stays fixed while
         the task is outstanding and the selection draw was made on entering
-        the stage, so each call builds the same task (a fresh description
-        uid aside).
+        the stage, so each call builds the same task.
         """
         stage = self._awaited
         if stage is None:
@@ -279,18 +278,18 @@ class Pipeline:
         """
         if task.metadata.get("pipeline_uid") != self.uid:
             raise PipelineError(
-                f"task {task.uid} (pipeline {task.metadata.get('pipeline_uid')!r}) "
+                f"task {task.name} (pipeline {task.metadata.get('pipeline_uid')!r}) "
                 f"routed to pipeline {self.uid}"
             )
         if self._status is not PipelineStatus.RUNNING:
             raise PipelineError(
-                f"pipeline {self.uid} received task {task.uid} while {self._status}"
+                f"pipeline {self.uid} received task {task.name} while {self._status}"
             )
         stage = task.metadata.get("stage")
         if stage != self._awaited:
             raise PipelineError(
                 f"pipeline {self.uid} awaits a {self._awaited} task, "
-                f"got task {task.uid} of stage {stage!r}"
+                f"got task {task.name} of stage {stage!r}"
             )
         if task.failed:
             self._finish(PipelineStatus.FAILED)

@@ -80,13 +80,13 @@ from typing import (
 )
 
 from repro.core.control import ControlProtocol
-from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
+from repro.core.coordinator import PipelinesCoordinator
 from repro.core.pipeline import PipelineConfig
 from repro.core.results import PipelineRecord
 from repro.exceptions import CampaignError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec, amarel_platform
-from repro.runtime.agent import AgentConfig
+from repro.hpc.scheduler import placement_window
 from repro.runtime.task_manager import TaskManager
 from repro.utils.rng import derive_seed
 
@@ -376,10 +376,7 @@ class PilotRuntimeProtocol(ExecutionProtocol):
         task_manager = TaskManager(
             platform,
             context.durations,
-            AgentConfig(
-                scheduler_policy=config.scheduler_policy,
-                backfill_window=config.backfill_window,
-            ),
+            placement_window(config.scheduler_policy, config.backfill_window),
         )
         on_cycle = None
         if context.on_state is not None:
@@ -398,15 +395,11 @@ class PilotRuntimeProtocol(ExecutionProtocol):
         coordinator = PipelinesCoordinator(
             task_manager,
             context.factory,
-            CoordinatorConfig(
-                pipeline=self.pipeline_config(
-                    context,
-                    adaptive=self.adaptive,
-                    random_selection=self.random_selection,
-                ),
-                spawn_policy=config.spawn_policy,
-                max_in_flight_pipelines=config.max_in_flight_pipelines,
+            self.pipeline_config(
+                context, adaptive=self.adaptive, random_selection=self.random_selection
             ),
+            config.spawn_policy,
+            config.max_in_flight_pipelines,
             on_cycle=on_cycle,
         )
         coordinator.add_targets(context.targets)

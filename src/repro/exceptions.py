@@ -36,18 +36,6 @@ class SimulationError(ReproError):
     """Raised by the discrete-event engine for invalid event operations."""
 
 
-class StateTransitionError(ReproError):
-    """An illegal task state transition was attempted."""
-
-    def __init__(self, entity: str, current: str, target: str) -> None:
-        super().__init__(
-            f"illegal state transition for {entity}: {current!r} -> {target!r}"
-        )
-        self.entity = entity
-        self.current = current
-        self.target = target
-
-
 class PipelineError(ReproError):
     """A pipeline could not be constructed or advanced."""
 

@@ -40,7 +40,7 @@ from repro.analysis.reporting import format_protocol_matrix
 from repro.core.coordinator import AUTO_IN_FLIGHT
 from repro.core.protocols import available_protocols, get_protocol
 from repro.exceptions import CampaignError, ReproError
-from repro.hpc.scheduler import available_schedulers
+from repro.hpc.scheduler import SCHEDULER_POLICIES
 from repro.experiments.spec import TARGET_KINDS, SweepSpec, TargetSpec
 from repro.experiments.suite import EXECUTORS, CampaignSuite
 from repro.store.runstore import RunStore
@@ -128,7 +128,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "(positive ints, or 'auto' for the utilization-adaptive controller)",
     )
     parser.add_argument(
-        "--scheduler", choices=available_schedulers(), default=None,
+        "--scheduler", choices=SCHEDULER_POLICIES, default=None,
         help="agent placement policy for pilot-runtime protocols",
     )
 

@@ -10,7 +10,8 @@ such a platform:
 * :mod:`repro.hpc.resources` — node and platform descriptions, resource
   requests (cores / GPUs / memory).
 * :mod:`repro.hpc.allocation` — per-node slot bookkeeping.
-* :mod:`repro.hpc.scheduler` — placement policies (FIFO first-fit, backfill).
+* :mod:`repro.hpc.scheduler` — placement: FIFO first-fit and backfill, as
+  two lookahead windows of one scheduler.
 * :mod:`repro.hpc.filesystem` — shared-filesystem staging and I/O cost model.
 * :mod:`repro.hpc.platform` — the :class:`ComputePlatform` facade.
 * :mod:`repro.hpc.profiling` — execution traces and utilization timelines.
@@ -32,9 +33,6 @@ _EXPORTS = {
     "Allocation": "allocation",
     "NodeAllocator": "allocation",
     "PlacementScheduler": "scheduler",
-    "FifoScheduler": "scheduler",
-    "BackfillScheduler": "scheduler",
-    "make_scheduler": "scheduler",
     "ComputePlatform": "platform",
     "ExecutionProfiler": "profiling",
     "ResourceInterval": "profiling",

@@ -6,8 +6,8 @@ allocation schedules and executes them asynchronously.  This subpackage
 reimplements that middleware layer against the simulated platform in
 :mod:`repro.hpc`:
 
-* :mod:`repro.runtime.states` — the task state machine.
-* :mod:`repro.runtime.task` — task descriptions and live task objects.
+* :mod:`repro.runtime.task` — task descriptions and live task objects, keyed
+  by task name.
 * :mod:`repro.runtime.durations` — duration models for the application task
   types (ProteinMPNN, AlphaFold MSA/inference, scoring, ranking...).
 * :mod:`repro.runtime.agent` — the agent: placement scheduler + executor.
@@ -22,13 +22,11 @@ from repro._lazy import lazy_namespace
 
 #: Each public name and the submodule that defines it, imported on first use.
 _EXPORTS = {
-    "TaskState": "states",
     "TaskDescription": "task",
     "Task": "task",
     "DurationModel": "durations",
     "TaskKind": "durations",
     "Agent": "agent",
-    "AgentConfig": "agent",
     "TaskManager": "task_manager",
     "SequentialRunner": "sequential",
 }

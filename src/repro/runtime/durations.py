@@ -163,8 +163,7 @@ class DurationModel:
     ----------
     seed:
         Root seed for the per-task jitter streams.  Jitter is keyed by the
-        task *name*, so it depends neither on execution order nor on the
-        process-global task uids.
+        task name, so it does not depend on execution order.
     speedup:
         Global divisor applied to all durations.  Benchmarks use large
         speedups so that simulating a multi-hour campaign costs milliseconds
@@ -214,9 +213,9 @@ class DurationModel:
             seconds += read_time(profile.io_gigabytes, files=24)
 
         if profile.jitter_sigma > 0:
-            # Jitter is keyed by the task *name* (unique and stable within a
-            # campaign) rather than the process-global uid, so a campaign's
-            # timing does not depend on what else ran in the same process.
+            # Jitter is keyed by the task name (unique and stable within a
+            # campaign), so a campaign's timing does not depend on what else
+            # ran in the same process.
             rng = spawn_rng(self._seed, "duration", description.name)
             seconds *= float(
                 np.exp(rng.normal(loc=0.0, scale=profile.jitter_sigma))

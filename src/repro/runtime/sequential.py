@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.hpc.platform import ComputePlatform
 from repro.runtime.durations import DurationModel
-from repro.runtime.states import TaskState
 from repro.runtime.task import Task, TaskDescription
 
 __all__ = ["SequentialRunner"]
@@ -44,14 +43,11 @@ class SequentialRunner:
         """
         task = Task(description)
         now = self._platform.now
-        task.advance(TaskState.TMGR_SCHEDULING)
-        task.advance(TaskState.AGENT_SCHEDULING)
         task.allocation = self._platform.allocator.allocate(description.request)
         task.start_time = now
-        task.advance(TaskState.EXECUTING)
 
         duration = self._durations.duration(description)
-        self._platform.profiler.record_phase(task.uid, "running", now, now + duration)
+        self._platform.profiler.record_phase(task.name, "running", now, now + duration)
         # Advance virtual time past the task's execution window.
         self._platform.loop.run_until(now + duration)
         task.finish(self._platform)

@@ -4,13 +4,12 @@ A :class:`TaskDescription` is the immutable recipe handed to the task
 manager: what kind of computation, how many cores/GPUs, the Python payload
 standing in for the real executable, and free-form metadata used by the
 duration model and the coordinator.  A :class:`Task` is the live object the
-runtime mutates as the task flows through its state machine, accumulating
-timestamps, its allocation and its result.
+runtime fills in as the task runs: its timestamps, its allocation and its
+result.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -19,15 +18,8 @@ from repro.hpc.allocation import Allocation
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.profiling import ResourceInterval
 from repro.hpc.resources import ResourceRequest
-from repro.runtime.states import TaskState, validate_task_transition
 
 __all__ = ["TaskDescription", "Task"]
-
-_uid_counter = itertools.count(1)
-
-
-def _next_uid(prefix: str) -> str:
-    return f"{prefix}.{next(_uid_counter):06d}"
 
 
 @dataclass(frozen=True)
@@ -37,7 +29,8 @@ class TaskDescription:
     Attributes
     ----------
     name:
-        Human-readable name (e.g. ``"mpnn.NHERF3.cycle1"``).
+        The task's identity (e.g. ``"mpnn.NHERF3.cycle1"``): unique within a
+        campaign, and the id its profiler intervals carry.
     kind:
         Task kind understood by the duration model (see
         :class:`repro.runtime.durations.TaskKind`); also used by reports.
@@ -51,8 +44,6 @@ class TaskDescription:
     metadata:
         Free-form information (target name, pipeline uid, cycle index,
         sequence count...) used by the duration model and the coordinator.
-    uid:
-        Stable unique identifier; autogenerated when not supplied.
     """
 
     name: str
@@ -60,23 +51,26 @@ class TaskDescription:
     request: ResourceRequest
     payload: Optional[Callable[[], Any]] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
-    uid: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("task description needs a non-empty name")
         if not self.kind:
             raise ConfigurationError("task description needs a non-empty kind")
-        if not self.uid:
-            object.__setattr__(self, "uid", _next_uid("task"))
 
 
 class Task:
-    """A live task: description + mutable runtime state."""
+    """A live task: description + what its execution recorded.
+
+    RADICAL-Pilot's task lifecycle (NEW -> TMGR_SCHEDULING ->
+    AGENT_SCHEDULING -> EXECUTING -> DONE/FAILED) reads off three fields
+    here: a task without ``start_time`` is still waiting for placement, one
+    with ``start_time`` but no ``end_time`` is executing, and a finished one
+    is FAILED when ``failed`` (its payload raised) and DONE otherwise.
+    """
 
     def __init__(self, description: TaskDescription) -> None:
         self._description = description
-        self._state = TaskState.NEW
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         self.allocation: Optional[Allocation] = None
@@ -84,15 +78,9 @@ class Task:
         self.exception: Optional[BaseException] = None
         self.stderr: str = ""
 
-    # -- identity -------------------------------------------------------- #
-
     @property
     def description(self) -> TaskDescription:
         return self._description
-
-    @property
-    def uid(self) -> str:
-        return self._description.uid
 
     @property
     def name(self) -> str:
@@ -103,31 +91,28 @@ class Task:
         return self._description.kind
 
     @property
+    def request(self) -> ResourceRequest:
+        return self._description.request
+
+    @property
     def metadata(self) -> Dict[str, Any]:
         return self._description.metadata
 
-    # -- state machine --------------------------------------------------- #
-
-    @property
-    def state(self) -> TaskState:
-        return self._state
-
     @property
     def failed(self) -> bool:
-        return self._state is TaskState.FAILED
-
-    def advance(self, target: TaskState) -> None:
-        """Move the task to ``target``, validating the transition."""
-        validate_task_transition(self.uid, self._state, target)
-        self._state = target
+        """Whether the payload raised (RP's FAILED state)."""
+        return self.exception is not None
 
     def finish(self, platform: ComputePlatform) -> None:
         """End execution at the platform's current time.
 
-        Runs the payload, records the task's resource interval, releases its
-        devices and moves it to DONE, or to FAILED when the payload raises.
+        Releases the task's devices, runs the payload (a raise becomes the
+        task's ``exception``) and records the task's resource interval.  A
+        second call raises in the allocator's double-release check before
+        anything runs or is recorded again.
         """
-        final_state = TaskState.DONE
+        allocation = self.allocation
+        platform.allocator.release(allocation)
         payload = self._description.payload
         if payload is not None:
             try:
@@ -135,12 +120,10 @@ class Task:
             except Exception as exc:  # payload failures become task failures
                 self.exception = exc
                 self.stderr = f"{type(exc).__name__}: {exc}"
-                final_state = TaskState.FAILED
         now = platform.now
-        allocation = self.allocation
         platform.profiler.record_resource_interval(
             ResourceInterval(
-                task_id=self.uid,
+                task_id=self.name,
                 node=allocation.node,
                 cpu_core_ids=allocation.cpu_core_ids,
                 gpu_ids=allocation.gpu_ids,
@@ -148,9 +131,7 @@ class Task:
                 end=now,
             )
         )
-        platform.allocator.release(allocation)
         self.end_time = now
-        self.advance(final_state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Task {self.uid} kind={self.kind} state={self._state.value}>"
+        return f"<Task {self.name} kind={self.kind} failed={self.failed}>"

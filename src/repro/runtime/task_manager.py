@@ -13,10 +13,10 @@ keeps no record of the tasks it submitted.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.hpc.platform import ComputePlatform
-from repro.runtime.agent import Agent, AgentConfig
+from repro.runtime.agent import Agent
 from repro.runtime.durations import DurationModel
 from repro.runtime.task import Task, TaskDescription
 
@@ -29,16 +29,16 @@ BOOTSTRAP_SECONDS = 180.0
 
 
 class TaskManager:
-    """Submits tasks to the pilot's agent and reports their completion."""
+    """Submits tasks to the pilot's agent and reports their completion.
+
+    ``window`` is the agent's placement lookahead (0 is FIFO).
+    """
 
     def __init__(
-        self,
-        platform: ComputePlatform,
-        durations: DurationModel,
-        agent_config: Optional[AgentConfig] = None,
+        self, platform: ComputePlatform, durations: DurationModel, window: int = 0
     ) -> None:
         self._platform = platform
-        self._agent = Agent(platform, durations, agent_config)
+        self._agent = Agent(platform, durations, window)
         now = platform.now
         platform.profiler.record_phase("pilot", "bootstrap", now, now + BOOTSTRAP_SECONDS)
 
@@ -65,5 +65,5 @@ class TaskManager:
         return tasks
 
     def register_callback(self, callback: Callable[[Task], None]) -> Callable[[], None]:
-        """Register a ``(task)`` callback for final states; returns its remover."""
+        """Register a ``(task)`` callback for finished tasks; returns its remover."""
         return self._agent.on_completion(callback)

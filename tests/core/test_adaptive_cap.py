@@ -15,7 +15,6 @@ from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.coordinator import (
     AUTO_IN_FLIGHT,
     AdaptiveInFlightController,
-    CoordinatorConfig,
     PipelinesCoordinator,
 )
 from repro.core.pipeline import PipelineConfig, PipelineStatus
@@ -38,6 +37,12 @@ def _occupy_every_device(platform, start, end):
                 end=end,
             )
         )
+
+
+def _decisions(directory):
+    """The ``decision`` attribute of every cap gauge under ``directory``."""
+    series = read_metrics(directory)["coordinator.max_in_flight"]
+    return [sample.attrs["decision"] for sample in series.samples]
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +68,8 @@ class TestValidation:
             PipelinesCoordinator(
                 task_manager,
                 factory,
-                CoordinatorConfig(max_in_flight_pipelines="bogus"),
+                PipelineConfig(),
+                max_in_flight_pipelines="bogus",
             )
 
     def test_cli_parses_auto_alongside_ints(self):
@@ -82,29 +88,28 @@ class TestValidation:
 
 class TestController:
     def test_starts_at_one_and_raises_while_unsaturated(
-        self, task_manager, factory, four_targets
+        self, tmp_path, task_manager, factory, four_targets
     ):
         coordinator = PipelinesCoordinator(
             task_manager,
             factory,
-            CoordinatorConfig(
-                pipeline=PipelineConfig(n_cycles=2, n_sequences=5),
-                max_in_flight_pipelines=AUTO_IN_FLIGHT,
-            ),
+            PipelineConfig(n_cycles=2, n_sequences=5),
+            max_in_flight_pipelines=AUTO_IN_FLIGHT,
         )
         controller = coordinator.adaptive_controller
         assert controller is not None and controller.cap == 1
         coordinator.add_targets(four_targets)
-        records = coordinator.run()
+        with telemetry.scoped(tmp_path / "telemetry", "w0"):
+            records = coordinator.run()
         roots = [record for record in records if record.parent_uid is None]
         assert len(roots) == 4
         assert all(record.status is PipelineStatus.COMPLETED for record in roots)
         # The controller decided at every cycle boundary and raised at least
         # once (four pipelines behind a cap of 1 cannot saturate the node).
-        assert len(controller.decisions) == coordinator.n_cycles_completed
+        decisions = _decisions(tmp_path / "telemetry")
+        assert len(decisions) == coordinator.n_cycles_completed
         assert controller.cap > 1
-        verbs = {decision for (_, _, _, decision) in controller.decisions}
-        assert verbs <= {"raise", "hold"} and "raise" in verbs
+        assert set(decisions) <= {"raise", "hold"} and "raise" in decisions
 
     def test_decisions_read_only_simulated_state(self, factory, four_targets):
         """Two fresh executions of the same spec make identical decisions."""
@@ -142,14 +147,15 @@ class TestController:
         assert auto.targets == uncapped.targets
         assert auto.n_cycles == uncapped.n_cycles
 
-    def test_hold_when_saturated(self, platform):
+    def test_hold_when_saturated(self, tmp_path, platform):
         _occupy_every_device(platform, 0.0, 600.0)
         platform.loop.run_until(600.0)
         controller = AdaptiveInFlightController(platform)
         assert controller.busy_fraction() == 1.0
-        assert controller.retune(pending_roots=3) is False
+        with telemetry.scoped(tmp_path / "telemetry", "w0"):
+            assert controller.retune(pending_roots=3) is False
         assert controller.cap == 1
-        assert controller.decisions[-1][3] == "hold"
+        assert _decisions(tmp_path / "telemetry") == ["hold"]
 
     @pytest.mark.parametrize(
         "busy_from, now, raised",

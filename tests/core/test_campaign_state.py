@@ -22,6 +22,7 @@ from repro.core.protocols import get_protocol
 from repro.core.snapshot import encode_phase_interval, encode_resource_interval
 from repro.exceptions import CampaignError
 from repro.protein.datasets import expanded_pdz_set, named_pdz_targets
+from repro.runtime.task import Task
 
 CONFIG = CampaignConfig(protocol="cont-v", seed=7, n_cycles=3, n_sequences=5)
 
@@ -179,6 +180,52 @@ class TestResumeDeterminism:
         )
         with pytest.raises(CampaignError, match="not a restorable"):
             _campaign(config).run_stepwise(resume_from=done)
+
+
+def _trace(campaign):
+    """A finished run's profiler trace, task ids included."""
+    profiler = campaign.platform.profiler
+    return list(profiler.resource_intervals), list(profiler.phase_intervals)
+
+
+class TestTaskIdentity:
+    """A task's identity is its name, so a trace does not depend on the process."""
+
+    @pytest.mark.parametrize("interrupt_after", [1, 5, 11])
+    def test_resumed_run_records_the_uninterrupted_trace(self, interrupt_after):
+        uninterrupted = _campaign()
+        states = []
+        uninterrupted.run_stepwise(on_state=states.append)
+        resumed = _campaign()
+        resumed.run_stepwise(resume_from=_revived(states[interrupt_after - 1]))
+        assert _trace(resumed) == _trace(uninterrupted)
+
+    def test_rerun_in_one_process_records_the_same_trace(self):
+        config = CampaignConfig(protocol="im-rp", seed=13, n_cycles=2, n_sequences=6)
+        first, second = _campaign(config), _campaign(config)
+        first.run()
+        second.run()
+        assert _trace(first) == _trace(second)
+
+    @pytest.mark.parametrize(
+        "protocol", ["im-rp", "cont-v", "im-rp-random", "cont-v-ranked"]
+    )
+    def test_no_two_tasks_of_a_campaign_share_a_name(self, monkeypatch, protocol):
+        names = []
+        init = Task.__init__
+
+        def recording(task, description):
+            names.append(description.name)
+            init(task, description)
+
+        monkeypatch.setattr(Task, "__init__", recording)
+        config = CampaignConfig(protocol=protocol, seed=13, n_cycles=2, n_sequences=6)
+        campaign = _campaign(config)
+        campaign.run()
+        assert len(set(names)) == len(names)
+        # Each task ran once, so its name labels exactly one interval.
+        intervals = campaign.platform.profiler.resource_intervals
+        assert sorted(interval.task_id for interval in intervals) == sorted(names)
 
 
 def _full_snapshot(control):

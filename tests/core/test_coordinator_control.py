@@ -12,7 +12,7 @@ import pytest
 from repro.core import coordinator as coordinator_module
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.control import ControlProtocol
-from repro.core.coordinator import AUTO_IN_FLIGHT, CoordinatorConfig, PipelinesCoordinator
+from repro.core.coordinator import AUTO_IN_FLIGHT, PipelinesCoordinator
 from repro.core.decision import AcceptancePolicy, SubPipelinePolicy
 from repro.core.pipeline import PipelineConfig, PipelineStatus
 from repro.exceptions import CampaignError, ConfigurationError, CoordinatorError
@@ -83,7 +83,7 @@ def coordinator(task_manager, factory):
     return PipelinesCoordinator(
         task_manager,
         factory,
-        CoordinatorConfig(pipeline=PipelineConfig(n_cycles=2, n_sequences=5)),
+        PipelineConfig(n_cycles=2, n_sequences=5),
     )
 
 
@@ -122,10 +122,8 @@ class TestCoordinator:
         coordinator = PipelinesCoordinator(
             task_manager,
             factory,
-            CoordinatorConfig(
-                pipeline=PipelineConfig(n_cycles=2, n_sequences=5),
-                spawn_policy=SubPipelinePolicy(quality_margin=0.05, max_per_pipeline=2),
-            ),
+            PipelineConfig(n_cycles=2, n_sequences=5),
+            spawn_policy=SubPipelinePolicy(quality_margin=0.05, max_per_pipeline=2),
         )
         coordinator.add_targets(four_targets)
         records = coordinator.run()
@@ -140,10 +138,8 @@ class TestCoordinator:
         coordinator = PipelinesCoordinator(
             task_manager,
             factory,
-            CoordinatorConfig(
-                pipeline=PipelineConfig(n_cycles=2, n_sequences=5),
-                spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
-            ),
+            PipelineConfig(n_cycles=2, n_sequences=5),
+            spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )
         coordinator.add_targets(four_targets)
         records = coordinator.run()
@@ -154,11 +150,9 @@ class TestCoordinator:
         coordinator = PipelinesCoordinator(
             task_manager,
             factory,
-            CoordinatorConfig(
-                pipeline=PipelineConfig(n_cycles=1, n_sequences=4),
-                spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
-                max_in_flight_pipelines=1,
-            ),
+            PipelineConfig(n_cycles=1, n_sequences=4),
+            spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
+            max_in_flight_pipelines=1,
         )
         tasks = _collect_finished(coordinator)
         coordinator.add_targets(four_targets)
@@ -186,7 +180,7 @@ class TestCoordinator:
 
         def recording_submit(descriptions):
             tasks = submit_tasks(descriptions)
-            submitted.extend(task.uid for task in tasks)
+            submitted.extend(task.name for task in tasks)
             return tasks
 
         monkeypatch.setattr(manager, "submit_tasks", recording_submit)
@@ -194,7 +188,7 @@ class TestCoordinator:
         coordinator.add_targets(four_targets[:2])
         coordinator.run()
         assert submitted
-        assert sorted(task.uid for task in finished) == sorted(submitted)
+        assert sorted(task.name for task in finished) == sorted(submitted)
 
 
 class TestOnlyInFlightTasksAreHeld:
@@ -259,7 +253,7 @@ class TestCallbackLifetime:
         return PipelinesCoordinator(
             task_manager,
             factory,
-            CoordinatorConfig(pipeline=PipelineConfig(n_cycles=2, n_sequences=5)),
+            PipelineConfig(n_cycles=2, n_sequences=5),
         )
 
     def test_run_detaches_its_callback(self, monkeypatch, task_manager, factory, four_targets):

@@ -20,7 +20,7 @@ from repro.core.protocols import (
     register_protocol,
     unregister_protocol,
 )
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, ConfigurationError
 
 #: Exact fingerprints captured from the pre-refactor if/else implementation
 #: (commit 16c280d) for named_pdz_targets(seed=11), n_cycles=2, n_sequences=6.
@@ -197,6 +197,29 @@ class TestConfigValidation:
         config = CampaignConfig(scheduler_policy="backfill", msa_mode="single_sequence")
         assert config.scheduler_policy == "backfill"
         assert config.msa_mode == "single_sequence"
+
+    def test_backfill_window_below_one_is_refused_when_a_pilot_run_starts(
+        self, four_targets
+    ):
+        config = CampaignConfig(
+            protocol="im-rp", n_cycles=1, n_sequences=4,
+            scheduler_policy="backfill", backfill_window=0,
+        )
+        with pytest.raises(ConfigurationError, match="backfill window"):
+            DesignCampaign(four_targets, config).run()
+
+    def test_fifo_ignores_the_backfill_window(self, four_targets):
+        results = [
+            DesignCampaign(
+                four_targets,
+                CampaignConfig(
+                    protocol="im-rp", n_cycles=1, n_sequences=4, seed=3,
+                    backfill_window=window,
+                ),
+            ).run().as_dict()
+            for window in (0, 16)
+        ]
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))

@@ -16,22 +16,16 @@ from repro.protein.folding import FoldingResult, SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.runtime.durations import DurationModel, TaskKind
-from repro.runtime.states import TaskState
 from repro.runtime.task import Task, TaskDescription
 
 
 def run_task_inline(description: TaskDescription) -> Task:
     """Execute a task description synchronously (no platform needed)."""
     task = Task(description)
-    task.advance(TaskState.TMGR_SCHEDULING)
-    task.advance(TaskState.AGENT_SCHEDULING)
-    task.advance(TaskState.EXECUTING)
     try:
         task.result = description.payload() if description.payload else None
-        task.advance(TaskState.DONE)
     except Exception as exc:  # pragma: no cover - exercised via failure tests
         task.exception = exc
-        task.advance(TaskState.FAILED)
     return task
 
 
@@ -42,12 +36,8 @@ def drive(pipeline: Pipeline, fail_stage: str | None = None, max_steps: int = 10
     while description is not None:
         if fail_stage is not None and description.metadata.get("stage") == fail_stage:
             task = Task(description)
-            task.advance(TaskState.TMGR_SCHEDULING)
-            task.advance(TaskState.AGENT_SCHEDULING)
-            task.advance(TaskState.EXECUTING)
             task.exception = RuntimeError("injected failure")
             task.stderr = "injected failure"
-            task.advance(TaskState.FAILED)
         else:
             task = run_task_inline(description)
         executed.append(task)

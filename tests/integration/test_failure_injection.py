@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
+from repro.core.coordinator import PipelinesCoordinator
 from repro.core.decision import SubPipelinePolicy
 from repro.core.pipeline import PipelineConfig, PipelineStatus
 from repro.core.stages import StageFactory, StageModels
@@ -51,10 +51,8 @@ class TestPayloadFailureIsolation:
         coordinator = PipelinesCoordinator(
             task_manager,
             factory,
-            CoordinatorConfig(
-                pipeline=PipelineConfig(n_cycles=2, n_sequences=4),
-                spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
-            ),
+            PipelineConfig(n_cycles=2, n_sequences=4),
+            spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )
         coordinator.add_targets(four_targets)
         records = coordinator.run()
@@ -78,10 +76,8 @@ class TestPayloadFailureIsolation:
         coordinator = PipelinesCoordinator(
             task_manager,
             factory,
-            CoordinatorConfig(
-                pipeline=PipelineConfig(n_cycles=1, n_sequences=4),
-                spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
-            ),
+            PipelineConfig(n_cycles=1, n_sequences=4),
+            spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )
         finished = []
         task_manager.agent.on_completion(finished.append)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
+from repro.core.coordinator import PipelinesCoordinator
 from repro.core.pipeline import PipelineConfig
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import amarel_platform
@@ -49,7 +49,7 @@ def test_coordinator_callback_is_timed_in_its_own_layer(
         coordinator = PipelinesCoordinator(
             TaskManager(ComputePlatform(amarel_platform(1)), durations),
             factory,
-            CoordinatorConfig(pipeline=PipelineConfig(n_cycles=1, n_sequences=4)),
+            PipelineConfig(n_cycles=1, n_sequences=4),
         )
         coordinator.add_targets(four_targets[:1])
         coordinator.run()
@@ -73,7 +73,7 @@ def test_every_agent_event_is_spanned(spans, durations, factory, four_targets):
         coordinator = PipelinesCoordinator(
             TaskManager(platform, durations),
             factory,
-            CoordinatorConfig(pipeline=PipelineConfig(n_cycles=1, n_sequences=4)),
+            PipelineConfig(n_cycles=1, n_sequences=4),
         )
         coordinator.add_targets(four_targets[:2])
         coordinator.run()

@@ -7,12 +7,11 @@ import weakref
 
 import pytest
 
-from repro.exceptions import ConfigurationError, SchedulingError
+from repro.exceptions import SchedulingError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import ResourceRequest, amarel_platform
-from repro.runtime.agent import Agent, AgentConfig
+from repro.runtime.agent import Agent
 from repro.runtime.durations import DurationModel, TaskKind
-from repro.runtime.states import TaskState
 from repro.runtime.task import Task, TaskDescription
 from repro.runtime.task_manager import TaskManager
 
@@ -25,6 +24,11 @@ def _description(name="t", kind=TaskKind.COMPARE, cores=1, gpus=0, payload=None,
         payload=payload,
         metadata=meta,
     )
+
+
+def _done(task):
+    """RP's DONE: finished, and its payload did not raise."""
+    return task.end_time is not None and not task.failed
 
 
 @pytest.fixture()
@@ -47,7 +51,7 @@ class TestAgent:
         task = Task(_description(payload=lambda: {"value": 42}))
         agent.submit(task)
         agent.platform.run()
-        assert task.state is TaskState.DONE
+        assert _done(task)
         assert task.result == {"value": 42}
         assert task.start_time is not None and task.end_time > task.start_time
 
@@ -58,7 +62,7 @@ class TestAgent:
         task = Task(_description(payload=broken))
         agent.submit(task)
         agent.platform.run()
-        assert task.state is TaskState.FAILED
+        assert task.failed and task.end_time is not None
         assert "boom" in task.stderr
         # Resources are released even on failure.
         assert agent.platform.allocator.busy_cores() == 0
@@ -84,17 +88,17 @@ class TestAgent:
         for task in tasks:
             agent.submit(task)
         agent.platform.run()
-        assert all(task.state is TaskState.DONE for task in tasks)
+        assert all(_done(task) for task in tasks)
         # At least one task had to wait for a GPU to free up.
         assert max(task.start_time for task in tasks) > min(task.start_time for task in tasks)
 
     def test_completion_callback_invoked(self, agent):
         seen = []
-        agent.on_completion(lambda task: seen.append(task.uid))
-        task = Task(_description())
+        agent.on_completion(lambda task: seen.append(task.name))
+        task = Task(_description(name="heard"))
         agent.submit(task)
         agent.platform.run()
-        assert seen == [task.uid]
+        assert seen == ["heard"]
 
     def test_completion_remover_detaches_only_its_registration(self, agent):
         seen = []
@@ -117,6 +121,16 @@ class TestAgent:
         assert phases["exec_setup"] > 0
         assert phases["running"] > 0
 
+    def test_profiler_ids_are_task_names(self, agent):
+        agent.submit(Task(_description(name="named")))
+        agent.platform.run()
+        profiler = agent.platform.profiler
+        assert [interval.task_id for interval in profiler.resource_intervals] == ["named"]
+        assert [(phase.entity_id, phase.phase) for phase in profiler.phase_intervals] == [
+            ("named", "exec_setup"),
+            ("named", "running"),
+        ]
+
     def test_exec_setup_is_the_sandbox_setup_over_the_speedup(self, agent):
         # Six sandbox files at 20 ms of metadata latency each, compressed
         # by the duration model's speedup (1000 here), once per task.
@@ -126,25 +140,48 @@ class TestAgent:
         phases = agent.platform.profiler.phase_totals()
         assert phases["exec_setup"] == pytest.approx(3 * 0.12 / 1000.0)
 
-    def test_invalid_config(self, fast_durations):
-        platform = ComputePlatform(amarel_platform(1))
-        with pytest.raises(ConfigurationError):
-            Agent(platform, fast_durations, AgentConfig(scheduler_policy="lottery"))
-        with pytest.raises(ConfigurationError):
-            Agent(
-                platform,
-                fast_durations,
-                AgentConfig(scheduler_policy="backfill", backfill_window=0),
-            )
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_window_decides_whether_a_task_passes_a_blocked_head(
+        self, fast_durations, window
+    ):
+        # "blocker" holds 27 of 28 cores, so "big" (4) waits for it; only a
+        # window past the head lets "small" (1) start at once.
+        agent = Agent(ComputePlatform(amarel_platform(1)), fast_durations, window)
+        blocker, big, small = (
+            Task(_description(name=name, cores=cores))
+            for name, cores in (("blocker", 27), ("big", 4), ("small", 1))
+        )
+        for task in (blocker, big, small):
+            agent.submit(task)
+        agent.platform.run()
+        assert all(_done(task) for task in (blocker, big, small))
+        assert big.start_time == blocker.end_time
+        if window:
+            assert small.start_time == 0.0
+        else:
+            assert small.start_time == big.start_time
+
+    def test_a_waiting_task_is_held_by_the_scheduler_queue_only(self, agent):
+        # The queue holds the task itself; once it leaves the queue (here by
+        # hand, before any placement pass runs) nothing else keeps it.
+        task = Task(_description(name="queued"))
+        ref = weakref.ref(task)
+        agent.submit(task)
+        queue = agent._scheduler._queue
+        assert list(queue) == [task]
+        del task
+        queue.clear()
+        gc.collect()
+        assert ref() is None
 
     def test_rejected_task_is_not_kept(self, agent):
-        # A request that can never fit is refused before the task changes
-        # state, and the agent keeps no reference to it.
+        # A request that can never fit is refused before it enters the
+        # queue, and the agent keeps no reference to it.
         task = Task(_description(name="huge", cores=1000))
         ref = weakref.ref(task)
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match="'huge'"):
             agent.submit(task)
-        assert task.state is TaskState.NEW
+        assert task.start_time is None and task.allocation is None
         assert agent.platform.loop.pending == 0  # no placement pass for it
         del task
         gc.collect()
@@ -154,7 +191,7 @@ class TestAgent:
         later = Task(_description(name="later"))
         agent.submit(later)
         agent.platform.run()
-        assert later.state is TaskState.DONE
+        assert _done(later)
 
 
 class TestPilotAndManagers:
@@ -177,16 +214,16 @@ class TestPilotAndManagers:
         )
         manager.platform.run()
         assert sorted(finished, key=lambda task: task.name) == tasks
-        assert all(task.state is TaskState.DONE for task in tasks)
+        assert all(_done(task) for task in tasks)
         assert [task.result for task in tasks] == [0, 1, 2, 3]
 
     def test_task_manager_completed_channel_and_callbacks(self, manager):
         # Completions reach the caller through callbacks only; no channel keeps them.
         seen = []
-        manager.register_callback(lambda task: seen.append((task, task.state)))
+        manager.register_callback(lambda task: seen.append((task, _done(task))))
         (task,) = manager.submit_tasks(_description(name="single"))
         manager.platform.run()
-        assert seen == [(task, TaskState.DONE)]
+        assert seen == [(task, True)]
         assert not hasattr(manager, "completed_channel")
 
     def test_register_callback_returns_the_agents_remover(self, manager):
@@ -200,13 +237,13 @@ class TestPilotAndManagers:
         assert [task.name for task in seen] == ["heard"]
 
     def test_wait_raise_on_failure(self, manager):
-        # A failing payload is reported to the callbacks as FAILED, not raised.
+        # A failing payload is reported to the callbacks as failed, not raised.
         def broken():
             raise ValueError("bad input")
 
         seen = []
-        manager.register_callback(lambda task: seen.append((task, task.state)))
+        manager.register_callback(lambda task: seen.append((task, task.failed)))
         (task,) = manager.submit_tasks(_description(name="broken", payload=broken))
         manager.platform.run()
-        assert seen == [(task, TaskState.FAILED)]
+        assert seen == [(task, True)]
         assert "bad input" in task.stderr

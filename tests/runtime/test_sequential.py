@@ -8,7 +8,6 @@ from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import amarel_platform
 from repro.runtime.durations import DurationModel, TaskKind
 from repro.runtime.sequential import SequentialRunner
-from repro.runtime.states import TaskState
 from repro.runtime.task import TaskDescription
 
 
@@ -28,7 +27,7 @@ def runner():
 class TestSequentialRunner:
     def test_runs_task_to_completion(self, runner):
         task = runner.run_task(_description("a", payload=lambda: "done"))
-        assert task.state is TaskState.DONE
+        assert not task.failed
         assert task.result == "done"
         assert runner.platform.now == pytest.approx(task.end_time)
 
@@ -45,7 +44,7 @@ class TestSequentialRunner:
             raise RuntimeError("no")
 
         task = runner.run_task(_description("bad", payload=broken))
-        assert task.state is TaskState.FAILED
+        assert task.failed and task.end_time is not None
         assert runner.platform.allocator.busy_cores() == 0
 
     def test_returns_each_task_finished(self, runner):
@@ -54,7 +53,7 @@ class TestSequentialRunner:
         one = runner.run_task(_description("one"))
         two = runner.run_task(_description("two"))
         assert [task.description.name for task in (one, two)] == ["one", "two"]
-        assert one.state is two.state is TaskState.DONE
+        assert not one.failed and not two.failed
         assert one.end_time <= two.start_time
         assert runner.platform.allocator.busy_cores() == 0
 
@@ -62,6 +61,13 @@ class TestSequentialRunner:
         for i in range(4):
             runner.run_task(_description(f"t{i}"))
         assert len(runner.platform.profiler.resource_intervals) == 4
+
+    def test_profiler_ids_are_task_names(self, runner):
+        for i in range(2):
+            runner.run_task(_description(f"t{i}"))
+        profiler = runner.platform.profiler
+        assert [interval.task_id for interval in profiler.resource_intervals] == ["t0", "t1"]
+        assert [phase.entity_id for phase in profiler.phase_intervals] == ["t0", "t1"]
 
     def test_low_utilization_by_construction(self, runner):
         # A single-core task stream on a 28-core node cannot exceed 1/28 CPU
