@@ -65,14 +65,6 @@ class PlacementScheduler:
         self._queue: Deque[Any] = deque()
 
     @property
-    def allocator(self) -> NodeAllocator:
-        return self._allocator
-
-    @property
-    def window(self) -> int:
-        return self._window
-
-    @property
     def queue_length(self) -> int:
         """Number of items waiting for placement."""
         return len(self._queue)
