@@ -60,6 +60,9 @@ class PlacementScheduler:
     """
 
     def __init__(self, allocator: NodeAllocator, window: int) -> None:
+        if window < 0:
+            # A negative window would never place even the head of the queue.
+            raise ConfigurationError(f"placement window must be >= 0, got {window}")
         self._allocator = allocator
         self._window = window
         self._queue: Deque[Any] = deque()

@@ -133,6 +133,11 @@ class TestBackfillScheduler:
 
 
 class TestPlacementWindow:
+    def test_scheduler_refuses_a_negative_window(self, allocator):
+        # It would never place even the head of the queue.
+        with pytest.raises(ConfigurationError, match="placement window"):
+            PlacementScheduler(allocator, -1)
+
     def test_policy_names(self):
         assert SCHEDULER_POLICIES == ("backfill", "fifo")
 
