@@ -13,7 +13,9 @@ are two windows:
 * ``"backfill"`` — the campaign's ``backfill_window`` (at least 1): scans past
   a blocked head and starts a later task that fits, the classic "EASY-style"
   compromise between utilization and fairness, without reservations (the
-  simulated tasks have no user-provided runtime estimates).
+  simulated tasks have no user-provided runtime estimates).  The ablation
+  benchmarks use it to quantify how much of IM-RP's utilization gain comes
+  from the protocol (concurrent pipelines) versus the placement policy.
 
 The scheduler only *chooses*; device bookkeeping stays in
 :class:`repro.hpc.allocation.NodeAllocator`.
