@@ -84,8 +84,8 @@ class ControlProtocol:
         # Snapshot encodings that can never change again: finished pipelines
         # (by target name) and the append-only profiler traces, encoded once.
         self._finished_snapshots: Dict[str, dict] = {}
-        self._resource_encodings: List[dict] = []
-        self._phase_encodings: List[dict] = []
+        self._resource_encodings: List[list] = []
+        self._phase_encodings: List[list] = []
 
     @property
     def platform(self) -> ComputePlatform:

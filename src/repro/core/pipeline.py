@@ -453,10 +453,15 @@ class Pipeline:
         """Serialise the cross-cycle state as plain JSON values.
 
         Everything a resumed pipeline needs to continue bit-identically:
-        the current complex, the previous cycle's metrics, accumulated cycle
-        results and trajectories, and the exact selection-RNG state.  Floats
+        the current complex (relative to the target's), the previous
+        cycle's metrics, accumulated cycle results, the trajectories no
+        cycle result holds, and the exact selection-RNG state.  Floats
         survive the JSON round-trip losslessly, which is what makes the
         resume byte-identity contract possible.
+
+        The trajectories are the cycle results' trajectories, in order,
+        followed by a tail that only a pipeline which failed mid-cycle
+        after a rejected candidate has; only that tail is written.
 
         Raises
         ------
@@ -469,20 +474,21 @@ class Pipeline:
                 f"pipeline {self.uid} cannot snapshot mid-cycle "
                 f"(cycle {self._cycle}, retry {self._retry_index})"
             )
+        tail_start = sum(len(cycle.trajectories) for cycle in self._cycle_results)
         return {
             "uid": self.uid,
             "target": self.target.name,
             "parent_uid": self.parent_uid,
             "status": self._status.value,
             "cycle": self._cycle,
-            "complex": encode_complex(self._complex),
+            "complex": encode_complex(self._complex, self.target.complex),
             "previous_metrics": encode_metrics(self._previous_metrics),
             "cycle_results": [
                 encode_cycle_result(cycle) for cycle in self._cycle_results
             ],
             "trajectories": [
                 encode_trajectory(trajectory)
-                for trajectory in self._all_trajectories
+                for trajectory in self._all_trajectories[tail_start:]
             ],
             "rng_state": encode_rng_state(self._rng),
         }
@@ -499,7 +505,8 @@ class Pipeline:
 
         ``target``, ``factory`` and ``config`` are rebuilt by the caller from
         the declarative run spec (they are deterministic in it); the snapshot
-        carries only the evolving state.
+        carries only the evolving state, and the restored complex is built
+        on ``target.complex``.
         """
         if payload["target"] != target.name:
             raise PipelineError(
@@ -517,15 +524,20 @@ class Pipeline:
         if pipeline._status is PipelineStatus.RUNNING:
             pipeline._awaited = "sequence_generation"
         pipeline._cycle = payload["cycle"]
-        pipeline._complex = decode_complex(payload["complex"])
+        pipeline._complex = decode_complex(payload["complex"], target.complex)
         pipeline._previous_metrics = decode_metrics(payload["previous_metrics"])
         pipeline._cycle_results = [
             decode_cycle_result(cycle) for cycle in payload["cycle_results"]
         ]
+        # The same objects as the cycle results hold, as in a live pipeline.
         pipeline._all_trajectories = [
-            decode_trajectory(trajectory)
-            for trajectory in payload["trajectories"]
+            trajectory
+            for cycle in pipeline._cycle_results
+            for trajectory in cycle.trajectories
         ]
+        pipeline._all_trajectories.extend(
+            decode_trajectory(trajectory) for trajectory in payload["trajectories"]
+        )
         decode_rng_state(pipeline._rng, payload["rng_state"])
         return pipeline
 

@@ -10,6 +10,15 @@ to an uninterrupted run, and Python's ``json`` round-trips floats losslessly
 (``repr`` shortest-round-trip), so every numeric field survives the detour
 through disk bit-for-bit.
 
+A snapshot holds only what a resume cannot rebuild from the run spec.  A
+complex is encoded relative to its target's complex (the resume rebuilds
+the targets): only the receptor sequence, ``backbone_quality`` and
+``metadata`` evolve, and the chains' coordinate arrays are the target's
+own.  Profiler intervals are positional rows, in recording order::
+
+    resource interval: [task_id, node, cpu_core_ids, gpu_ids, start, end]
+    phase interval:    [entity_id, phase, start, end]
+
 The codecs live in the core layer (they know the core dataclasses); the
 storage envelope around them — schema versioning, atomic files, torn-tail
 fallback — is :mod:`repro.store.checkpoint`'s concern.
@@ -17,12 +26,13 @@ fallback — is :mod:`repro.store.checkpoint`'s concern.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.trajectory import CycleResult, Trajectory
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, PipelineError
 from repro.hpc.profiling import ExecutionProfiler, PhaseInterval, ResourceInterval
 from repro.protein.metrics import QualityMetrics
 from repro.protein.sequence import ProteinSequence
@@ -68,44 +78,65 @@ def decode_rng_state(rng: np.random.Generator, state: Dict[str, Any]) -> None:
 # -- protein objects ------------------------------------------------------------ #
 
 
-def _encode_chain(chain: Chain) -> Dict[str, Any]:
-    return {
-        "residues": chain.sequence.residues,
-        "chain_id": chain.sequence.chain_id,
-        "name": chain.sequence.name,
-        "coordinates": chain.coordinates.tolist(),
-    }
-
-
-def _decode_chain(payload: Dict[str, Any]) -> Chain:
-    return Chain(
-        sequence=ProteinSequence(
-            residues=payload["residues"],
-            chain_id=payload["chain_id"],
-            name=payload["name"],
-        ),
-        coordinates=np.asarray(payload["coordinates"], dtype=float),
+def _same_coordinates(chain: Chain, target_chain: Chain) -> bool:
+    return chain.coordinates is target_chain.coordinates or np.array_equal(
+        chain.coordinates, target_chain.coordinates
     )
 
 
-def encode_complex(structure: ComplexStructure) -> Dict[str, Any]:
+def encode_complex(
+    structure: ComplexStructure, target_complex: ComplexStructure
+) -> Dict[str, Any]:
+    """Encode ``structure`` as its differences from ``target_complex``.
+
+    Raises
+    ------
+    PipelineError
+        If ``structure`` does not keep the target's atoms: its receptor
+        coordinates, its peptide chain, its name or its designable
+        positions differ from the target's.  Nothing moves atoms today, so
+        a structure that does is refused here rather than resumed with the
+        target's.
+    """
+    if not (
+        _same_coordinates(structure.receptor, target_complex.receptor)
+        and _same_coordinates(structure.peptide, target_complex.peptide)
+        and structure.peptide.sequence == target_complex.peptide.sequence
+        and structure.name == target_complex.name
+        and structure.designable_positions == target_complex.designable_positions
+    ):
+        raise PipelineError(
+            f"complex {structure.name!r} does not keep the atoms of target "
+            f"complex {target_complex.name!r}; a snapshot holds only its "
+            "receptor sequence, backbone quality and metadata"
+        )
+    sequence = structure.receptor.sequence
     return {
-        "name": structure.name,
-        "receptor": _encode_chain(structure.receptor),
-        "peptide": _encode_chain(structure.peptide),
+        "receptor": {
+            "residues": sequence.residues,
+            "chain_id": sequence.chain_id,
+            "name": sequence.name,
+        },
         "backbone_quality": structure.backbone_quality,
-        "designable_positions": list(structure.designable_positions),
         "metadata": dict(structure.metadata),
     }
 
 
-def decode_complex(payload: Dict[str, Any]) -> ComplexStructure:
-    return ComplexStructure(
-        name=payload["name"],
-        receptor=_decode_chain(payload["receptor"]),
-        peptide=_decode_chain(payload["peptide"]),
+def decode_complex(
+    payload: Dict[str, Any], target_complex: ComplexStructure
+) -> ComplexStructure:
+    """Rebuild a complex on ``target_complex``: its chains keep the target's arrays."""
+    receptor = payload["receptor"]
+    return replace(
+        target_complex,
+        receptor=target_complex.receptor.with_sequence(
+            ProteinSequence(
+                residues=receptor["residues"],
+                chain_id=receptor["chain_id"],
+                name=receptor["name"],
+            )
+        ),
         backbone_quality=payload["backbone_quality"],
-        designable_positions=tuple(payload["designable_positions"]),
         metadata=dict(payload["metadata"]),
     )
 
@@ -185,51 +216,35 @@ def decode_cycle_result(payload: Dict[str, Any]) -> CycleResult:
 # -- profiler traces ------------------------------------------------------------ #
 #
 # A profiler payload is ``{"resource_intervals": [...], "phase_intervals":
-# [...]}`` with each list in recording order — utilization sums iterate in
-# recording order, and float summation order is part of the byte-identity
-# contract.  The traces are append-only, so callers encode each interval once
-# and keep extending their encoded lists.
+# [...]}`` of the rows laid out in the module docstring, each list in
+# recording order — utilization sums iterate in recording order, and float
+# summation order is part of the byte-identity contract.  The traces are
+# append-only, so callers encode each interval once and keep extending their
+# encoded lists.
 
 
-def encode_resource_interval(interval: ResourceInterval) -> Dict[str, Any]:
-    return {
-        "task_id": interval.task_id,
-        "node": interval.node,
-        "cpu_core_ids": list(interval.cpu_core_ids),
-        "gpu_ids": list(interval.gpu_ids),
-        "start": interval.start,
-        "end": interval.end,
-    }
+def encode_resource_interval(interval: ResourceInterval) -> List[Any]:
+    return [
+        interval.task_id,
+        interval.node,
+        list(interval.cpu_core_ids),
+        list(interval.gpu_ids),
+        interval.start,
+        interval.end,
+    ]
 
 
-def encode_phase_interval(interval: PhaseInterval) -> Dict[str, Any]:
-    return {
-        "entity_id": interval.entity_id,
-        "phase": interval.phase,
-        "start": interval.start,
-        "end": interval.end,
-    }
+def encode_phase_interval(interval: PhaseInterval) -> List[Any]:
+    return [interval.entity_id, interval.phase, interval.start, interval.end]
 
 
 def restore_profiler(
-    profiler: ExecutionProfiler, payload: Dict[str, List[Dict[str, Any]]]
+    profiler: ExecutionProfiler, payload: Dict[str, List[List[Any]]]
 ) -> None:
     """Replay serialised traces onto a fresh profiler, in recorded order."""
-    for interval in payload["resource_intervals"]:
+    for task_id, node, cpu_core_ids, gpu_ids, start, end in payload["resource_intervals"]:
         profiler.record_resource_interval(
-            ResourceInterval(
-                task_id=interval["task_id"],
-                node=interval["node"],
-                cpu_core_ids=tuple(interval["cpu_core_ids"]),
-                gpu_ids=tuple(interval["gpu_ids"]),
-                start=interval["start"],
-                end=interval["end"],
-            )
+            ResourceInterval(task_id, node, tuple(cpu_core_ids), tuple(gpu_ids), start, end)
         )
-    for interval in payload["phase_intervals"]:
-        profiler.record_phase(
-            interval["entity_id"],
-            interval["phase"],
-            interval["start"],
-            interval["end"],
-        )
+    for entity_id, phase, start, end in payload["phase_intervals"]:
+        profiler.record_phase(entity_id, phase, start, end)

@@ -5,9 +5,12 @@ A :class:`CheckpointStore` is a directory holding one JSONL file per run
 schema-version-stamped line per completed cycle::
 
     checkpoints/<fingerprint>.jsonl
-      {"schema_version": 1, "fingerprint": "…", "run_id": "cont-v-s0",
+      {"schema_version": 2, "fingerprint": "…", "run_id": "cont-v-s0",
        "worker": "node1-4242", "cycle": 3, "cycles_total": 12,
        "restorable": true, "state": {…CampaignState…}, "written_at": …}
+
+A line holds only evolving state (see :mod:`repro.core.snapshot`): target
+structures are rebuilt from the run spec, so no coordinates are written.
 
 Durability contract:
 
@@ -20,8 +23,12 @@ Durability contract:
   (at most one cycle is re-executed — exactly, by the determinism
   contract).
 * **versioned** — every line carries ``schema_version``; a checkpoint
-  written by an unknown (future) layout is rejected with a clear error,
-  never half-parsed into a silently wrong resume.
+  written by any other layout (an older build's version 1 included) is
+  rejected with a clear error, never half-parsed into a silently wrong
+  resume.
+
+Reads walk the ladder newest first and decode only until the first usable
+line, so a resume or a status report decodes one snapshot, not the ladder.
 
 Checkpoints are transient by design: the orchestration worker discards a
 run's file once its finished record lands in the :class:`~repro.store.
@@ -34,7 +41,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.core.protocols import CampaignState
 from repro.exceptions import StoreError
@@ -42,8 +49,10 @@ from repro.utils.serialization import atomic_write_text
 
 __all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointRecord", "CheckpointStore"]
 
-#: Layout version stamped on every checkpoint line.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Layout version stamped on every checkpoint line.  Version 2 encodes
+#: complexes relative to their targets, each trajectory once and profiler
+#: intervals as rows.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: How many trailing ladder records a save keeps.  The torn-line fallback
 #: only ever needs the *previous* cycle; keeping a couple more is cheap
@@ -162,17 +171,16 @@ class CheckpointStore:
 
     # -- reads ----------------------------------------------------------------- #
 
-    def records(self, fingerprint: str) -> List[CheckpointRecord]:
-        """Every parseable checkpoint of a run, oldest first.
+    def _newest_first(self, fingerprint: str) -> Iterator[CheckpointRecord]:
+        """A run's parseable checkpoints, newest first, each decoded when reached.
 
         Torn/garbled lines are skipped (that is the previous-cycle
         fallback); a line stamped with an unknown ``schema_version`` raises
-        :class:`StoreError` — a wrong-schema resume must fail loudly, not
-        fall through to a silently stale cycle.
+        :class:`StoreError` when reached — a wrong-schema resume must fail
+        loudly, not fall through to a silently stale cycle.
         """
         path = self.path(fingerprint)
-        records: List[CheckpointRecord] = []
-        for line in self._raw_lines(path):
+        for line in reversed(self._raw_lines(path)):
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError:
@@ -188,27 +196,28 @@ class CheckpointStore:
                     "resume it with a matching build."
                 )
             try:
-                records.append(
-                    CheckpointRecord(
-                        schema_version=version,
-                        fingerprint=payload["fingerprint"],
-                        run_id=payload["run_id"],
-                        worker=payload["worker"],
-                        cycle=payload["cycle"],
-                        cycles_total=payload["cycles_total"],
-                        restorable=payload["restorable"],
-                        state=payload["state"],
-                        written_at=payload["written_at"],
-                    )
+                record = CheckpointRecord(
+                    schema_version=version,
+                    fingerprint=payload["fingerprint"],
+                    run_id=payload["run_id"],
+                    worker=payload["worker"],
+                    cycle=payload["cycle"],
+                    cycles_total=payload["cycles_total"],
+                    restorable=payload["restorable"],
+                    state=payload["state"],
+                    written_at=payload["written_at"],
                 )
             except KeyError:
                 continue  # structurally incomplete line: skip like a torn one
-        return records
+            yield record
+
+    def records(self, fingerprint: str) -> List[CheckpointRecord]:
+        """Every parseable checkpoint of a run, oldest first."""
+        return list(self._newest_first(fingerprint))[::-1]
 
     def latest(self, fingerprint: str) -> Optional[CheckpointRecord]:
         """The newest parseable checkpoint of a run, if any."""
-        records = self.records(fingerprint)
-        return records[-1] if records else None
+        return next(self._newest_first(fingerprint), None)
 
     def latest_restorable(self, fingerprint: str) -> Optional[CampaignState]:
         """The newest checkpoint a fresh process can actually resume from.
@@ -216,7 +225,7 @@ class CheckpointStore:
         Walks the ladder newest-first past progress-only and torn entries;
         returns ``None`` when the run must start from the beginning.
         """
-        for record in reversed(self.records(fingerprint)):
+        for record in self._newest_first(fingerprint):
             if record.restorable and record.state is not None:
                 return record.campaign_state()
         return None

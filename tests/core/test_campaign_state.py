@@ -11,6 +11,7 @@ handed out, so a resume always starts from the JSON round-trip.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -132,15 +133,17 @@ class TestStepLoopEquivalence:
 
 
 class TestResumeDeterminism:
-    @pytest.mark.parametrize("interrupt_after", [1, 5, 11])
+    @pytest.mark.parametrize("interrupt_after", range(1, 12))
+    @pytest.mark.parametrize("protocol", ["cont-v", "cont-v-ranked"])
     def test_resume_from_json_roundtrip_is_byte_identical(
-        self, interrupt_after, reference
+        self, protocol, interrupt_after, reference
     ):
-        state = _observed_states()[interrupt_after - 1]
+        config = dataclasses.replace(CONFIG, protocol=protocol)
+        state = _observed_states(config)[interrupt_after - 1]
         assert not state.done
         # Cross-process simulation: the state travels as JSON text.
-        resumed = _campaign().run_stepwise(resume_from=_revived(state))
-        assert _result_bytes(resumed) == reference(CONFIG)
+        resumed = _campaign(config).run_stepwise(resume_from=_revived(state))
+        assert _result_bytes(resumed) == reference(config)
 
     def test_resume_skips_completed_cycles(self):
         revived = _revived(_observed_states()[4])

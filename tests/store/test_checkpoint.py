@@ -102,6 +102,19 @@ class TestCrashWindows:
         with pytest.raises(StoreError, match="schema_version 99"):
             store.latest_restorable(FP)
 
+    def test_schema_1_line_of_an_older_build_is_refused(self, store):
+        # Version 1 wrote whole complexes and every trajectory twice; this
+        # build must not half-decode one.
+        store.save(FP, _state(1), run_id="r", worker="w0")
+        path = store.path(FP)
+        record = json.loads(path.read_text().splitlines()[0])
+        record["schema_version"] = 1
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(StoreError, match="schema_version 1;"):
+            store.latest(FP)
+        with pytest.raises(StoreError, match="schema_version 1;"):
+            store.latest_restorable(FP)
+
     def test_progress_record_of_done_state_never_restores(self, store):
         # A restorable=True state without payload (e.g. an init state) must
         # not masquerade as a checkpoint.
@@ -109,3 +122,80 @@ class TestCrashWindows:
         store.save(FP, state, run_id="r", worker="w0")
         assert store.latest(FP).restorable is False
         assert store.latest_restorable(FP) is None
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """The number of ``json.loads`` calls made so far."""
+    calls = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return calls
+
+
+def _ladder(store, *, newest_restorable=True):
+    """A full three-line ladder: cycles 1, 2 and 3."""
+    for cycle in (1, 2, 3):
+        restorable = newest_restorable or cycle < 3
+        store.save(FP, _state(cycle, restorable=restorable), run_id="r", worker="w0")
+    assert len(store.path(FP).read_text().splitlines()) == 3
+
+
+def _tear_newest_line(store):
+    """Cut the newest line in half, keeping its newline (a garbled line)."""
+    path = store.path(FP)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestNewestFirstReads:
+    """A read decodes ladder lines newest first and stops at the first usable one."""
+
+    def test_good_newest_line_is_the_only_one_decoded(self, store, decodes):
+        _ladder(store)
+        decodes.clear()
+        assert store.latest(FP).cycle == 3
+        assert len(decodes) == 1
+        decodes.clear()
+        assert store.latest_restorable(FP) == _state(3)
+        assert len(decodes) == 1
+
+    def test_torn_newest_line_costs_one_more_decode(self, store, decodes):
+        _ladder(store)
+        _tear_newest_line(store)
+        decodes.clear()
+        assert store.latest(FP).cycle == 2
+        assert len(decodes) == 2
+        decodes.clear()
+        assert store.latest_restorable(FP) == _state(2)
+        assert len(decodes) == 2
+
+    def test_restorable_read_passes_a_progress_only_line(self, store, decodes):
+        _ladder(store, newest_restorable=False)
+        decodes.clear()
+        assert store.latest(FP).cycle == 3
+        assert len(decodes) == 1
+        decodes.clear()
+        assert store.latest_restorable(FP) == _state(2)
+        assert len(decodes) == 2
+
+    def test_wrong_schema_line_raises_when_the_walk_reaches_it(self, store):
+        _ladder(store)
+        path = store.path(FP)
+        lines = path.read_text().splitlines()
+        middle = json.loads(lines[1])
+        middle["schema_version"] = 99
+        lines[1] = json.dumps(middle)
+        path.write_text("\n".join(lines) + "\n")
+        assert store.latest(FP).cycle == 3  # the walk stops before it
+        _tear_newest_line(store)
+        with pytest.raises(StoreError, match="schema_version 99"):
+            store.latest(FP)
+        with pytest.raises(StoreError, match="schema_version 99"):
+            store.latest_restorable(FP)
