@@ -6,10 +6,10 @@ aggregate arithmetic and the plain-text rendering, keeping the analysis layer
 the single home of report formatting (same split as the protocol matrix).
 
 Since the checkpointing refactor the snapshot is **cycle-aware**: each
-in-flight run carries its last-checkpointed cycle progress, the ETA credits
-partially-completed runs with their completed fraction, and durations render
-as humanized text (``2h 34m 11s``) via the shared
-:func:`repro.utils.timer.format_duration` helper.
+in-flight run carries the cycle progress its owner's last heartbeat wrote
+into the claim, the ETA credits partially-completed runs with their
+completed fraction, and durations render as humanized text (``2h 34m 11s``)
+via the shared :func:`repro.utils.timer.format_duration` helper.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ class RunInFlight:
     worker: str
     #: Seconds since the claim's last heartbeat.
     lease_age: float
-    #: Last checkpointed completed-cycle count, when a checkpoint exists.
+    #: Completed cycles as of the claim's last heartbeat (at most
+    #: ``lease / 4`` old), once the owner has reported progress.
     cycle: Optional[int] = None
-    #: Known total cycles of the run, when the checkpoint carries it.
+    #: Known total cycles of the run, when its protocol predicts one.
     cycles_total: Optional[int] = None
 
     @property
@@ -84,9 +85,9 @@ class QueueProgress:
     def cycles_in_flight_credit(self) -> float:
         """Fractional runs completed inside in-flight campaigns.
 
-        Sum of each running run's checkpointed completed fraction — what the
-        cycle checkpoints buy the ETA: a worker 7/8 through a long campaign
-        counts as 0.875 of a run already done, not zero.
+        Sum of each running run's completed fraction, as its lease reports
+        it: a worker 7/8 through a long campaign counts as 0.875 of a run
+        already done, not zero.
         """
         return sum(
             fraction
@@ -96,9 +97,9 @@ class QueueProgress:
 
     @property
     def eta_seconds(self) -> Optional[float]:
-        """Checkpoint-aware drain estimate at the observed throughput.
+        """Cycle-aware drain estimate at the observed throughput.
 
-        Failed runs are terminal, and in-flight checkpointed cycles count as
+        Failed runs are terminal, and in-flight completed cycles count as
         completed fractions of their runs.
         """
         rate = self.throughput_per_minute

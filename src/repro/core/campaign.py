@@ -232,10 +232,11 @@ class DesignCampaign:
         by another process or worker): completed cycles are *not* re-executed
         and the finalized result is byte-identical to an uninterrupted run.
         ``on_state`` observes every post-step state (plus, for run-granular
-        protocols, non-restorable mid-step progress states) — the hook the
-        orchestration worker uses to stream one checkpoint per cycle.  A
-        sequential step carries a restorable payload only when ``on_state``
-        is set, so an unobserved :meth:`run` pays no per-cycle encoding.
+        protocols, payload-free mid-step progress states) — the hook the
+        orchestration worker uses to checkpoint each restorable state and to
+        hand every state's cycle to its heartbeat lease.  A sequential step
+        carries a restorable payload only when ``on_state`` is set, so an
+        unobserved :meth:`run` pays no per-cycle encoding.
         Each observed state's ``runtime`` is the live execution, which keeps
         stepping after the call; its payload is never changed later.
         """
@@ -276,12 +277,8 @@ class DesignCampaign:
                 f"{state.seed}, this campaign runs {self._config.protocol!r} "
                 f"seed {self._config.seed}"
             )
-        if state.done:
-            # Finalizing needs the live execution or a payload to rebuild it.
-            resumable = state.runtime is not None or state.payload is not None
-        else:
-            resumable = state.restorable and state.payload is not None
-        if not resumable:
+        # Finalizing a done state can also use the live execution.
+        if not (state.restorable or (state.done and state.runtime is not None)):
             raise CampaignError(
                 "campaign state is a progress report, not a restorable "
                 "checkpoint; re-run from the start instead"

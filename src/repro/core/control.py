@@ -62,25 +62,27 @@ class ControlProtocol:
         factory: StageFactory,
         durations: DurationModel,
         config: PipelineConfig,
+        targets: List[DesignTarget],
     ) -> None:
         """``config`` is every target's pipeline configuration.
 
         It must be non-adaptive: every cycle is then accepted, so its
         retry budget, acceptance policy and adaptivity schedule never change
-        an outcome, a task name or a snapshot.
+        an outcome, a task name or a snapshot.  ``targets`` are processed in
+        order, one pipeline each.
         """
         if config.adaptive:
             raise ConfigurationError(
                 "the control runs without adaptivity; got an adaptive pipeline config"
             )
+        if not targets:
+            raise CampaignError("control run needs at least one target")
         self._platform = platform
         self._factory = factory
         self._config = config
         self._runner = SequentialRunner(platform, durations)
-        self._targets: List[DesignTarget] = []
+        self._targets = list(targets)
         self._per_target_pipelines: Dict[str, Pipeline] = {}
-        self._started = False
-        self._finished = False
         # Snapshot encodings that can never change again: finished pipelines
         # (by target name) and the append-only profiler traces, encoded once.
         self._finished_snapshots: Dict[str, dict] = {}
@@ -92,27 +94,12 @@ class ControlProtocol:
         return self._platform
 
     @property
-    def finished(self) -> bool:
-        return self._finished
-
-    @property
     def n_cycles_completed(self) -> int:
         """Completed design cycles across every target processed so far."""
         return sum(
             len(pipeline.cycle_results)
             for pipeline in self._per_target_pipelines.values()
         )
-
-    # -- lifecycle ---------------------------------------------------------------- #
-
-    def begin(self, targets: List[DesignTarget]) -> None:
-        """Register the target list and arm the stepping loop (call once)."""
-        if self._started:
-            raise CampaignError("a ControlProtocol instance can only run once")
-        if not targets:
-            raise CampaignError("control run needs at least one target")
-        self._targets = list(targets)
-        self._started = True
 
     # -- cycle-granular stepping ----------------------------------------------- #
 
@@ -144,13 +131,8 @@ class ControlProtocol:
 
         Returns ``True`` when every target has finished.
         """
-        if not self._started:
-            raise CampaignError("call begin(targets) before step_cycle()")
-        if self._finished:
-            return True
         target = self._current_target()
         if target is None:
-            self._finished = True
             return True
 
         pipeline = self._per_target_pipelines.get(target.name)
@@ -189,10 +171,7 @@ class ControlProtocol:
                 cycle=completed_result.cycle,
                 protocol="sequential",
             )
-
-        if self._current_target() is None:
-            self._finished = True
-        return self._finished
+        return self._current_target() is None
 
     # -- suspend / resume ------------------------------------------------------- #
 
@@ -236,7 +215,6 @@ class ControlProtocol:
                 "resource_intervals": list(self._resource_encodings),
                 "phase_intervals": list(self._phase_encodings),
             },
-            "finished": self._finished,
             "pipelines": pipelines,
         }
 
@@ -261,9 +239,7 @@ class ControlProtocol:
         platform = ComputePlatform(platform_spec)
         platform.loop.run_until(payload["now"])
         restore_profiler(platform.profiler, payload["profiler"])
-        control = cls(platform, factory, durations, config)
-        control.begin(targets)
-        control._finished = payload["finished"]
+        control = cls(platform, factory, durations, config, targets)
         for target in targets:  # preserve sweep order in the pipelines dict
             snapshot = payload["pipelines"].get(target.name)
             if snapshot is None:

@@ -167,7 +167,6 @@ class Pipeline:
         self._current_energy: Optional[float] = None
         self._cycle_trajectories: List[Trajectory] = []
         self._cycle_results: List[CycleResult] = []
-        self._all_trajectories: List[Trajectory] = []
         self._rng = spawn_rng(self._config.selection_seed, "pipeline-select", uid)
         #: The stage whose task is outstanding: ``None`` before :meth:`start`
         #: and once the pipeline has finished.
@@ -209,11 +208,14 @@ class Pipeline:
 
     @property
     def trajectories(self) -> List[Trajectory]:
-        return list(self._all_trajectories)
+        """The cycle results' trajectories, then the current cycle's."""
+        done = [t for cycle in self._cycle_results for t in cycle.trajectories]
+        return done + self._cycle_trajectories
 
     @property
     def n_trajectories(self) -> int:
-        return len(self._all_trajectories)
+        done = sum(len(cycle.trajectories) for cycle in self._cycle_results)
+        return done + len(self._cycle_trajectories)
 
     # -- lifecycle ---------------------------------------------------------------- #
 
@@ -370,7 +372,6 @@ class Pipeline:
             is_subpipeline=self.is_subpipeline,
         )
         self._cycle_trajectories.append(trajectory)
-        self._all_trajectories.append(trajectory)
 
         if accepted:
             return self._accept_cycle(adaptive)
@@ -432,6 +433,7 @@ class Pipeline:
                 adaptive=adaptive,
             )
             self._cycle_results.append(cycle_result)
+            self._cycle_trajectories = []
             self._finish(PipelineStatus.TERMINATED)
             return cycle_result
         self._await_selection()
@@ -474,7 +476,6 @@ class Pipeline:
                 f"pipeline {self.uid} cannot snapshot mid-cycle "
                 f"(cycle {self._cycle}, retry {self._retry_index})"
             )
-        tail_start = sum(len(cycle.trajectories) for cycle in self._cycle_results)
         return {
             "uid": self.uid,
             "target": self.target.name,
@@ -488,7 +489,7 @@ class Pipeline:
             ],
             "trajectories": [
                 encode_trajectory(trajectory)
-                for trajectory in self._all_trajectories[tail_start:]
+                for trajectory in self._cycle_trajectories
             ],
             "rng_state": encode_rng_state(self._rng),
         }
@@ -529,15 +530,9 @@ class Pipeline:
         pipeline._cycle_results = [
             decode_cycle_result(cycle) for cycle in payload["cycle_results"]
         ]
-        # The same objects as the cycle results hold, as in a live pipeline.
-        pipeline._all_trajectories = [
-            trajectory
-            for cycle in pipeline._cycle_results
-            for trajectory in cycle.trajectories
-        ]
-        pipeline._all_trajectories.extend(
+        pipeline._cycle_trajectories = [
             decode_trajectory(trajectory) for trajectory in payload["trajectories"]
-        )
+        ]
         decode_rng_state(pipeline._rng, payload["rng_state"])
         return pipeline
 

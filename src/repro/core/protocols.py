@@ -37,8 +37,8 @@ Cycle-granular execution
 Execution is an explicit state machine: a campaign runs as ``init_state`` →
 ``step``\\* → ``finalize`` over a :class:`CampaignState`, and
 :meth:`~repro.core.campaign.DesignCampaign.run_stepwise` is its one driver.
-Each ``step(context, state) -> state`` advances one checkpointable unit and —
-when the state is *restorable* — returns a JSON-able payload from which a
+Each ``step(context, state) -> state`` advances one checkpointable unit.  A
+*restorable* successor state carries a JSON-able payload from which a
 different process (or a different worker machine) can resume the run at the
 last completed cycle, finishing byte-identical to an uninterrupted run.
 
@@ -56,10 +56,11 @@ The two built-in families differ in step granularity, and honestly so:
   simulation's own state is: the event heap, the live allocations, the
   scheduler queue and the coordinator's state, none of which has a codec
   yet.  Mid-run these protocols report cycle *progress* (for status/ETA
-  displays) to :attr:`ProtocolContext.on_state` as non-restorable states,
-  and an interrupted run resumes by deterministic re-execution from the
-  start — the determinism contract makes that re-execution exact, just not
-  free.
+  displays) to :attr:`ProtocolContext.on_state` as payload-free states,
+  which the orchestration worker hands to its heartbeat lease and never
+  checkpoints, and an interrupted run resumes by deterministic
+  re-execution from the start — the determinism contract makes that
+  re-execution exact, just not free.
 """
 
 from __future__ import annotations
@@ -128,13 +129,10 @@ class CampaignState:
     done:
         Whether execution finished and :meth:`ExecutionProtocol.finalize`
         may run.
-    restorable:
-        Whether ``payload`` can rebuild execution at this boundary in a
-        fresh process.  Non-restorable states are progress reports only —
-        resuming from one means re-executing from the start (exactly, by the
-        determinism contract).
     payload:
-        JSON-able protocol snapshot (``None`` when not restorable).
+        JSON-able protocol snapshot from which a fresh process rebuilds
+        execution at this boundary; ``None`` for a progress report (see
+        :attr:`restorable`).
     runtime:
         Live in-process objects carried between consecutive steps (never
         serialised; absent after a cross-process resume, in which case the
@@ -146,9 +144,18 @@ class CampaignState:
     cycle: int = 0
     cycles_total: Optional[int] = None
     done: bool = False
-    restorable: bool = True
     payload: Optional[Dict[str, Any]] = None
     runtime: Any = field(default=None, repr=False, compare=False)
+
+    @property
+    def restorable(self) -> bool:
+        """Whether the state is a restore point: it carries a payload.
+
+        A state without one is a progress report only — resuming from it
+        means re-executing from the start (exactly, by the determinism
+        contract).
+        """
+        return self.payload is not None
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able rendering (drops the live ``runtime`` objects)."""
@@ -158,7 +165,6 @@ class CampaignState:
             "cycle": self.cycle,
             "cycles_total": self.cycles_total,
             "done": self.done,
-            "restorable": self.restorable,
             "payload": self.payload,
         }
 
@@ -171,7 +177,6 @@ class CampaignState:
                 cycle=payload["cycle"],
                 cycles_total=payload["cycles_total"],
                 done=payload["done"],
-                restorable=payload["restorable"],
                 payload=payload["payload"],
             )
         except (KeyError, TypeError) as error:
@@ -196,8 +201,8 @@ class ProtocolContext:
     #: The campaign's state observer, or ``None``.  When one is attached, a
     #: sequential step carries a restorable payload (what checkpointing
     #: consumes), and the pilot family, whose one step spans every cycle,
-    #: reports each completed cycle to it as a non-restorable progress
-    #: state.  An unobserved run encodes nothing.
+    #: reports each completed cycle to it as a payload-free progress state.
+    #: An unobserved run encodes nothing.
     on_state: Optional[Callable[[CampaignState], None]] = None
 
     @property
@@ -385,10 +390,7 @@ class PilotRuntimeProtocol(ExecutionProtocol):
             def on_cycle(completed: int) -> None:
                 on_state(
                     CampaignState(
-                        protocol=self.name,
-                        seed=config.seed,
-                        cycle=completed,
-                        restorable=False,
+                        protocol=self.name, seed=config.seed, cycle=completed
                     )
                 )
 
@@ -408,7 +410,6 @@ class PilotRuntimeProtocol(ExecutionProtocol):
             state,
             cycle=coordinator.n_cycles_completed,
             done=True,
-            restorable=False,
             payload=None,
             runtime=ProtocolOutcome(records=records, platform=platform),
         )
@@ -443,14 +444,13 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
                 context.targets,
                 state.payload,
             )
-        control = ControlProtocol(
+        return ControlProtocol(
             ComputePlatform(context.platform_spec),
             context.factory,
             context.durations,
             config,
+            context.targets,
         )
-        control.begin(context.targets)
-        return control
 
     def init_state(self, context: ProtocolContext) -> CampaignState:
         return CampaignState(
@@ -464,13 +464,11 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
         finished = control.step_cycle()
         # Each step is one cycle, so the observer already sees every
         # boundary; a payload is encoded only when it is there to keep it.
-        capture = context.on_state is not None
         return dataclasses.replace(
             state,
             cycle=control.n_cycles_completed,
             done=finished,
-            restorable=capture,
-            payload=control.snapshot() if capture else None,
+            payload=control.snapshot() if context.on_state is not None else None,
             runtime=control,
         )
 

@@ -1,9 +1,11 @@
 """Queue-level views: progress snapshots and the finalize merge.
 
 These are the read-side of the orchestration protocol — nothing here takes a
-lease.  ``status`` works on a live queue (other processes keep mutating it);
-``finalize`` is meant for a drained queue and verifies completeness before
-merging the per-worker stores into one canonical artifact.
+lease.  ``status`` works on a live queue (other processes keep mutating it)
+and reads markers and claim files only: a running run's cycle progress rides
+its heartbeat lease, so no checkpoint is decoded.  ``finalize`` is meant for
+a drained queue and verifies completeness before merging the per-worker
+stores into one canonical artifact.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.analysis.progress import QueueProgress, RunInFlight
-from repro.exceptions import OrchestrationError, StoreError
+from repro.exceptions import OrchestrationError
 from repro.orchestrate.lease import read_lease
 from repro.orchestrate.queue import WorkQueue
 from repro.orchestrate.worker import DEFAULT_LEASE_SECONDS
-from repro.store.checkpoint import CheckpointStore
 from repro.store.runstore import RunStore, merge_stores, prune_store
 from repro.telemetry import api as telemetry
 
@@ -34,12 +35,12 @@ def queue_progress(
 
     ``lease_seconds`` only affects the live/stale split of claimed runs (the
     observer must use the same lease the workers do for the split to mean
-    anything); it takes no part in completion accounting.
+    anything); it takes no part in completion accounting.  A running run's
+    cycle is the one its owner's last heartbeat wrote into the claim.
     """
     queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue)
     clock = time.time() if now is None else now
     entries = queue.entries()
-    checkpoints = CheckpointStore(queue.checkpoints_dir)
     n_done = n_running = n_stale = n_unclaimed = n_failed = 0
     done_by_worker: Dict[str, int] = {}
     running: List[RunInFlight] = []
@@ -65,21 +66,13 @@ def queue_progress(
             n_stale += 1
         else:
             n_running += 1
-            cycle = cycles_total = None
-            try:
-                checkpoint = checkpoints.latest(entry.fingerprint)
-            except StoreError:
-                checkpoint = None  # unreadable schema: report no progress
-            if checkpoint is not None:
-                cycle = checkpoint.cycle
-                cycles_total = checkpoint.cycles_total
             running.append(
                 RunInFlight(
                     run_id=entry.spec.run_id,
                     worker=lease.worker,
                     lease_age=lease.age(clock),
-                    cycle=cycle,
-                    cycles_total=cycles_total,
+                    cycle=lease.cycle,
+                    cycles_total=lease.cycles_total,
                 )
             )
     return QueueProgress(

@@ -29,6 +29,12 @@ run died or stalled without releasing.  Stealing increments it; the worker
 uses it to quarantine poison runs (a run that keeps killing its workers must
 not be re-stolen forever).
 
+A claim also carries the run's progress, ``cycle`` and ``cycles_total``:
+the heartbeat writes the pair its worker last handed it, so ``status``
+reads a running run's position from the lease it already reads, at most
+one beat (``lease / 4``) old.  A fresh or stolen claim, and a torn one,
+has no progress until the owner's first beat.
+
 Every write seam here is a named failpoint (:mod:`repro.faults`):
 ``lease.try_claim``, ``lease.try_steal``, ``lease.refresh`` and the
 timestamp source ``lease.clock`` (which a ``clock_skew`` fault offsets — the
@@ -43,7 +49,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.faults import registry as faults
 from repro.orchestrate.queue import atomic_write_json
@@ -82,6 +88,11 @@ class ClaimLease:
     #: — a count of worker incarnations that died (or stalled past the
     #: lease) while holding it.  Feeds poison-run quarantine.
     crashes: int = 0
+    #: The run's completed cycles as of the owner's last heartbeat; ``None``
+    #: until the owner reports progress.
+    cycle: Optional[int] = None
+    #: The run's known total cycles, when its protocol predicts one.
+    cycles_total: Optional[int] = None
     #: True when the file's JSON was unreadable and mtime stood in for the
     #: heartbeat (the claim still gates execution, it is just not trusted
     #: beyond its timestamp).
@@ -110,7 +121,12 @@ def _clock() -> float:
 
 
 def _lease_payload(
-    worker: str, claimed_at: float, attempt: int = 1, crashes: int = 0
+    worker: str,
+    claimed_at: float,
+    attempt: int = 1,
+    crashes: int = 0,
+    cycle: Optional[int] = None,
+    cycles_total: Optional[int] = None,
 ) -> dict:
     return {
         "worker": worker,
@@ -118,7 +134,13 @@ def _lease_payload(
         "heartbeat_at": _clock(),
         "attempt": attempt,
         "crashes": crashes,
+        "cycle": cycle,
+        "cycles_total": cycles_total,
     }
+
+
+def _optional_int(value: object) -> Optional[int]:
+    return None if value is None else int(value)
 
 
 def read_lease(path: Path) -> Optional[ClaimLease]:
@@ -131,6 +153,8 @@ def read_lease(path: Path) -> Optional[ClaimLease]:
             heartbeat_at=float(payload["heartbeat_at"]),
             attempt=int(payload.get("attempt", 1)),
             crashes=int(payload.get("crashes", 0)),
+            cycle=_optional_int(payload.get("cycle")),
+            cycles_total=_optional_int(payload.get("cycles_total")),
         )
     except FileNotFoundError:
         return None
@@ -237,11 +261,13 @@ def refresh_lease(
     claimed_at: float,
     attempt: int = 1,
     crashes: int = 0,
+    cycle: Optional[int] = None,
+    cycles_total: Optional[int] = None,
 ) -> None:
-    """Rewrite the claim with a fresh heartbeat (atomic rename)."""
+    """Rewrite the claim with a fresh heartbeat and progress (atomic rename)."""
     atomic_write_json(
         path,
-        _lease_payload(worker, claimed_at, attempt, crashes),
+        _lease_payload(worker, claimed_at, attempt, crashes, cycle, cycles_total),
         failpoint_site="lease.refresh",
     )
 
@@ -275,7 +301,9 @@ class Heartbeat:
 
     Beats every ``lease_seconds / 4`` (floored at 50 ms) so a healthy worker
     misses the lease deadline only if it stalls for most of the lease — the
-    failure the steal path exists for.
+    failure the steal path exists for.  Each beat also writes the run's
+    progress as last handed to :meth:`report_progress`, so the claim shows
+    the cycle at most one beat late without a file write per cycle.
 
     A transient refresh failure (shared-filesystem hiccup, injected
     ``io_error``) is retried with backoff inside the beat; if the retries
@@ -301,16 +329,21 @@ class Heartbeat:
         self._claimed_at = time.time()
         self._attempt = attempt
         self._crashes = crashes
+        self._progress: Tuple[Optional[int], Optional[int]] = (None, None)
         self._retry_policy = retry_policy
         self._interval = max(0.05, lease_seconds / 4.0)
         self._stop = threading.Event()
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(target=self._beat, daemon=True)
 
+    def report_progress(self, cycle: int, cycles_total: Optional[int]) -> None:
+        """Hand the run's progress to the next beat (any thread may call it)."""
+        self._progress = (cycle, cycles_total)
+
     def _refresh(self) -> None:
         refresh_lease(
             self._path, self._worker, self._claimed_at, self._attempt,
-            self._crashes,
+            self._crashes, *self._progress,
         )
 
     def _beat(self) -> None:

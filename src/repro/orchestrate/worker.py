@@ -14,9 +14,12 @@ sharing the queue directory).  Each pass over the manifest the worker:
    **resuming from the last restorable cycle checkpoint** when one exists —
    a stolen half-finished campaign re-executes at most one cycle, not the
    whole run;
-4. streams a checkpoint per completed cycle next to its heartbeat, appends
-   the finished record to its per-worker :class:`~repro.store.RunStore`,
-   publishes the done marker, and discards the run's checkpoints.
+4. hands each state's cycle progress to its heartbeat, which writes it into
+   the claim, and streams a checkpoint per completed cycle for states that
+   carry a restorable payload (pilot-protocol runs, whose mid-run states
+   are progress only, write none); then appends the finished record to its
+   per-worker :class:`~repro.store.RunStore`, publishes the done marker, and
+   discards the run's checkpoints.
 
 Deterministically failing runs are governed by ``max_attempts``: with the
 default (1) a failure releases the claim and fails fast, exactly as before;
@@ -384,18 +387,19 @@ def _drain(
 
 
 def _load_resume_state(
-    checkpoints: CheckpointStore, entry: QueueEntry, claim: Path
+    checkpoints: CheckpointStore, entry: QueueEntry, claim: Path, worker: str
 ) -> Optional[CampaignState]:
     """The newest restorable checkpoint for ``entry``, or ``None``.
 
     An unreadable-by-design checkpoint (unknown schema version) must not be
     silently ignored — that would quietly restart a run a newer build could
-    have resumed — so it surfaces as a hard error after releasing the claim.
+    have resumed — so it surfaces as a hard error after releasing the claim
+    (only while the claim still names ``worker``: a peer's is left alone).
     """
     try:
         return checkpoints.latest_restorable(entry.fingerprint)
     except StoreError as error:
-        release_claim(claim)
+        release_claim(claim, worker)
         raise OrchestrationError(
             f"run {entry.spec.run_id!r} has an unusable checkpoint: {error}"
         ) from error
@@ -491,8 +495,12 @@ def _execute_with_budget(
         # A dead heartbeat means the lease is going stale under us: abort at
         # the cycle boundary, before a peer steals the claim and doubles the
         # remaining cycles — the checkpoint just saved makes the abort cheap.
+        # A live one carries this state's progress on its next beat.
         if heartbeat is not None:
             heartbeat.check()
+            heartbeat.report_progress(state.cycle, state.cycles_total)
+        if not state.restorable:
+            return  # a progress report: nothing a resume could use
         now = time.monotonic()
         if now - last_save < checkpoint_seconds:
             return
@@ -525,10 +533,15 @@ def _execute_with_budget(
         last_save = now
 
     while True:
-        resume = _load_resume_state(checkpoints, entry, claim)
+        resume = _load_resume_state(checkpoints, entry, claim, worker)
+        heartbeat = Heartbeat(
+            claim, worker, lease_seconds, attempt=attempt, crashes=crashes
+        )
         if resume is not None:
             outcome.resumed.append((entry.spec.run_id, resume.cycle))
             notify("resume", entry)
+            # A stolen run shows its position from the first beat on.
+            heartbeat.report_progress(resume.cycle, resume.cycles_total)
         try:
             with telemetry.span(
                 "worker.run",
@@ -537,10 +550,7 @@ def _execute_with_budget(
                 attempt=attempt,
                 resumed_cycle=None if resume is None else resume.cycle,
             ):
-                with Heartbeat(
-                    claim, worker, lease_seconds, attempt=attempt,
-                    crashes=crashes,
-                ) as heartbeat:
+                with heartbeat:
                     with telemetry.span(
                         "worker.execute", run=entry.spec.run_id
                     ):

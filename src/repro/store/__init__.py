@@ -32,7 +32,6 @@ from repro._lazy import lazy_namespace
 #: Each public name and the submodule that defines it, imported on first use.
 _EXPORTS = {
     "CHECKPOINT_SCHEMA_VERSION": "checkpoint",
-    "CheckpointRecord": "checkpoint",
     "CheckpointStore": "checkpoint",
     "decode_run_spec": "codec",
     "encode_run_spec": "codec",

@@ -2,12 +2,17 @@
 
 A :class:`CheckpointStore` is a directory holding one JSONL file per run
 (keyed by the run's :func:`~repro.store.fingerprint.run_fingerprint`), one
-schema-version-stamped line per completed cycle::
+schema-version-stamped line per saved cycle boundary::
 
     checkpoints/<fingerprint>.jsonl
-      {"schema_version": 2, "fingerprint": "…", "run_id": "cont-v-s0",
-       "worker": "node1-4242", "cycle": 3, "cycles_total": 12,
-       "restorable": true, "state": {…CampaignState…}, "written_at": …}
+      {"schema_version": 3, "fingerprint": "…", "run_id": "cont-v-s0",
+       "worker": "node1-4242", "written_at": …, "state": {…CampaignState…}}
+
+Every line is a restore point: :meth:`CheckpointStore.save` refuses a state
+without a payload, so a progress report (a pilot-protocol run's mid-run
+cycle count) is never written here.  A running run's progress rides its
+heartbeat lease instead (:mod:`repro.orchestrate.lease`), which is where
+``status`` reads it.
 
 A line holds only evolving state (see :mod:`repro.core.snapshot`): target
 structures are rebuilt from the run spec, so no coordinates are written.
@@ -23,12 +28,12 @@ Durability contract:
   (at most one cycle is re-executed — exactly, by the determinism
   contract).
 * **versioned** — every line carries ``schema_version``; a checkpoint
-  written by any other layout (an older build's version 1 included) is
+  written by any other layout (an older build's version 1 or 2 included) is
   rejected with a clear error, never half-parsed into a silently wrong
   resume.
 
 Reads walk the ladder newest first and decode only until the first usable
-line, so a resume or a status report decodes one snapshot, not the ladder.
+line, so a resume decodes one snapshot, not the ladder.
 
 Checkpoints are transient by design: the orchestration worker discards a
 run's file once its finished record lands in the :class:`~repro.store.
@@ -39,52 +44,27 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.core.protocols import CampaignState
 from repro.exceptions import StoreError
 from repro.utils.serialization import atomic_write_text
 
-__all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointRecord", "CheckpointStore"]
+__all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointStore"]
 
-#: Layout version stamped on every checkpoint line.  Version 2 encodes
+#: Layout version stamped on every checkpoint line.  Version 2 encoded
 #: complexes relative to their targets, each trajectory once and profiler
-#: intervals as rows.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: intervals as rows; version 3 keeps that payload and drops the line-level
+#: progress fields (``cycle``, ``cycles_total``, ``restorable``): every line
+#: is a restore point.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: How many trailing ladder records a save keeps.  The torn-line fallback
 #: only ever needs the *previous* cycle; keeping a couple more is cheap
 #: insurance, while an unbounded ladder would grow quadratically (every
 #: line carries the full campaign snapshot).
 LADDER_DEPTH = 3
-
-
-@dataclass(frozen=True)
-class CheckpointRecord:
-    """One decoded checkpoint line."""
-
-    schema_version: int
-    fingerprint: str
-    run_id: str
-    worker: str
-    cycle: int
-    cycles_total: Optional[int]
-    restorable: bool
-    #: JSON rendering of the :class:`CampaignState` (``None`` for pure
-    #: progress reports, e.g. pilot-protocol mid-run cycle counts).
-    state: Optional[Dict[str, Any]]
-    written_at: float
-
-    def campaign_state(self) -> CampaignState:
-        """Decode the embedded state (only for restorable records)."""
-        if not self.restorable or self.state is None:
-            raise StoreError(
-                f"checkpoint for run {self.run_id!r} at cycle {self.cycle} "
-                "is a progress report, not a restorable state"
-            )
-        return CampaignState.from_dict(self.state)
 
 
 class CheckpointStore:
@@ -122,17 +102,24 @@ class CheckpointStore:
         the newest :data:`LADDER_DEPTH` prior lines (minus any torn tail)
         are carried forward so the previous-cycle fallback always has
         something to fall back to, without the file growing quadratically.
+
+        Raises
+        ------
+        StoreError
+            If ``state`` has no payload: a progress report restores nothing.
         """
+        if not state.restorable:
+            raise StoreError(
+                f"run {run_id!r} at cycle {state.cycle} has no payload to "
+                "restore from; only restore points are checkpointed"
+            )
         record = {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "fingerprint": fingerprint,
             "run_id": run_id,
             "worker": worker,
-            "cycle": state.cycle,
-            "cycles_total": state.cycles_total,
-            "restorable": bool(state.restorable and state.payload is not None),
-            "state": state.as_dict() if state.restorable else None,
             "written_at": time.time(),
+            "state": state.as_dict(),
         }
         path = self.path(fingerprint)
         lines = self._raw_lines(path)[-(LADDER_DEPTH - 1):] if LADDER_DEPTH > 1 else []
@@ -171,23 +158,25 @@ class CheckpointStore:
 
     # -- reads ----------------------------------------------------------------- #
 
-    def _newest_first(self, fingerprint: str) -> Iterator[CheckpointRecord]:
-        """A run's parseable checkpoints, newest first, each decoded when reached.
+    def latest_restorable(self, fingerprint: str) -> Optional[CampaignState]:
+        """The newest checkpoint a fresh process can resume from, if any.
 
-        Torn/garbled lines are skipped (that is the previous-cycle
-        fallback); a line stamped with an unknown ``schema_version`` raises
-        :class:`StoreError` when reached — a wrong-schema resume must fail
-        loudly, not fall through to a silently stale cycle.
+        Walks the ladder newest first and decodes only until the first
+        usable line.  Torn or garbled lines are skipped (that is the
+        previous-cycle fallback); a line stamped with an unknown
+        ``schema_version`` raises :class:`StoreError` when reached — a
+        wrong-schema resume must fail loudly, not fall through to a silently
+        stale cycle.  ``None`` means the run starts from the beginning.
         """
         path = self.path(fingerprint)
         for line in reversed(self._raw_lines(path)):
             try:
-                payload = json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError:
                 continue  # torn line: fall back to neighbours
-            if not isinstance(payload, dict):
+            if not isinstance(record, dict):
                 continue
-            version = payload.get("schema_version")
+            version = record.get("schema_version")
             if version != CHECKPOINT_SCHEMA_VERSION:
                 raise StoreError(
                     f"checkpoint {path} has schema_version {version!r}; this "
@@ -195,37 +184,8 @@ class CheckpointStore:
                     "the checkpoint (the run re-executes from the start) or "
                     "resume it with a matching build."
                 )
-            try:
-                record = CheckpointRecord(
-                    schema_version=version,
-                    fingerprint=payload["fingerprint"],
-                    run_id=payload["run_id"],
-                    worker=payload["worker"],
-                    cycle=payload["cycle"],
-                    cycles_total=payload["cycles_total"],
-                    restorable=payload["restorable"],
-                    state=payload["state"],
-                    written_at=payload["written_at"],
-                )
-            except KeyError:
+            state = record.get("state")
+            if not isinstance(state, dict):
                 continue  # structurally incomplete line: skip like a torn one
-            yield record
-
-    def records(self, fingerprint: str) -> List[CheckpointRecord]:
-        """Every parseable checkpoint of a run, oldest first."""
-        return list(self._newest_first(fingerprint))[::-1]
-
-    def latest(self, fingerprint: str) -> Optional[CheckpointRecord]:
-        """The newest parseable checkpoint of a run, if any."""
-        return next(self._newest_first(fingerprint), None)
-
-    def latest_restorable(self, fingerprint: str) -> Optional[CampaignState]:
-        """The newest checkpoint a fresh process can actually resume from.
-
-        Walks the ladder newest-first past progress-only and torn entries;
-        returns ``None`` when the run must start from the beginning.
-        """
-        for record in self._newest_first(fingerprint):
-            if record.restorable and record.state is not None:
-                return record.campaign_state()
+            return CampaignState.from_dict(state)
         return None

@@ -8,7 +8,7 @@ all route their writes through :func:`call_with_retries`, so the transient
 class heals in place while genuine failures still surface after a bounded
 number of attempts.
 
-Only :class:`OSError` (and subclasses) is retried by default: anything else
+Only :class:`OSError` (and subclasses) is retried: anything else
 — a programming error, a corrupt-store :class:`~repro.exceptions.StoreError`
 — is not transient and propagates immediately.  Jitter decorrelates the
 retry storms of many workers hammering one shared filesystem; it affects
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from repro.exceptions import ConfigurationError
 from repro.telemetry import api as telemetry
@@ -81,25 +81,21 @@ def call_with_retries(
     fn: Callable[[], T],
     *,
     policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-    retry_on: Tuple[Type[BaseException], ...] = (OSError,),
-    on_retry: Optional[Callable[[int, BaseException], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
-    rng: Optional[random.Random] = None,
     site: Optional[str] = None,
 ) -> T:
-    """Call ``fn`` until it returns, retrying ``retry_on`` with backoff.
+    """Call ``fn`` until it returns, retrying :class:`OSError` with backoff.
 
-    ``on_retry(retry_index, error)`` observes each suppressed failure (log
-    hook); the final failure is re-raised unchanged.  ``sleep`` and ``rng``
-    are injectable for deterministic tests.  ``site`` names the seam for
-    telemetry: each suppressed failure emits a ``retry`` event, so backoff
-    churn shows up in fleet timelines instead of vanishing silently.
+    The final failure is re-raised unchanged.  ``sleep`` is injectable for
+    deterministic tests.  ``site`` names the seam for telemetry: each
+    suppressed failure emits a ``retry`` event, so backoff churn shows up
+    in fleet timelines instead of vanishing silently.
     """
     retries = policy.attempts - 1
     for retry_index in range(retries):
         try:
             return fn()
-        except retry_on as error:
+        except OSError as error:
             if site is not None:
                 telemetry.event(
                     "retry",
@@ -107,7 +103,5 @@ def call_with_retries(
                     retry_index=retry_index,
                     error=f"{type(error).__name__}: {error}",
                 )
-            if on_retry is not None:
-                on_retry(retry_index, error)
-            sleep(policy.backoff(retry_index, rng=rng))
+            sleep(policy.backoff(retry_index))
     return fn()

@@ -169,9 +169,7 @@ class TestResumeDeterminism:
             _campaign(other).run_stepwise(resume_from=state)
 
     def test_resume_rejects_progress_only_state(self):
-        progress = CampaignState(
-            protocol="cont-v", seed=7, cycle=2, restorable=False, payload=None
-        )
+        progress = CampaignState(protocol="cont-v", seed=7, cycle=2, payload=None)
         with pytest.raises(CampaignError, match="not a restorable"):
             _campaign().run_stepwise(resume_from=progress)
 
@@ -247,7 +245,6 @@ def _full_snapshot(control):
                 for interval in profiler.phase_intervals
             ],
         },
-        "finished": control.finished,
         "pipelines": {
             name: pipeline.snapshot()
             for name, pipeline in control._per_target_pipelines.items()
@@ -281,6 +278,20 @@ class TestIncrementalSnapshots:
         assert len(observed) == 12 - (resume_after or 0)
         for payload, text in observed:
             assert json.dumps(payload) == text
+
+    def test_payload_holds_no_finished_flag(self):
+        states = _observed_states()
+        assert all("finished" not in state.payload for state in states)
+        # The control derives the flag from its pipelines: restored at the
+        # last boundary it is done without running a cycle; restored one
+        # boundary earlier it runs that cycle first.
+        protocol = get_protocol("cont-v")
+        context = _campaign()._protocol_context()
+        last = protocol._control(context, _revived(states[-1]))
+        assert last.step_cycle() is True and last.n_cycles_completed == 12
+        earlier = protocol._control(context, _revived(states[-2]))
+        assert earlier.n_cycles_completed == 11
+        assert earlier.step_cycle() is True and earlier.n_cycles_completed == 12
 
 
 class TestSnapshotCost:
@@ -330,10 +341,16 @@ class TestCampaignStateCodec:
             cycle=3,
             cycles_total=12,
             done=False,
-            restorable=True,
             payload={"k": [1.5, "x"]},
         )
         assert CampaignState.from_dict(state.as_dict()) == state
+
+    def test_restorable_is_derived_from_the_payload(self):
+        state = CampaignState(protocol="cont-v", seed=4, payload={"k": 1})
+        assert state.restorable
+        assert "restorable" not in state.as_dict()
+        init = get_protocol("cont-v").init_state(_campaign()._protocol_context())
+        assert init.payload is None and not init.restorable
 
     def test_runtime_never_serialised(self):
         state = CampaignState(protocol="cont-v", seed=0, runtime=object())

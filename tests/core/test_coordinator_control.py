@@ -399,24 +399,17 @@ class TestControlProtocol:
         for earlier, later in zip(intervals, intervals[1:]):
             assert later.start >= earlier.end - 1e-9
 
-    def test_cannot_run_twice(self, platform, factory, durations, four_targets):
-        control = ControlProtocol(
-            platform, factory, durations, PipelineConfig(adaptive=False)
-        )
-        control.begin(four_targets[:1])
-        with pytest.raises(CampaignError, match="only run once"):
-            control.begin(four_targets[:1])
-
     def test_needs_targets(self, platform, factory, durations):
-        control = ControlProtocol(
-            platform, factory, durations, PipelineConfig(adaptive=False)
-        )
         with pytest.raises(CampaignError, match="at least one target"):
-            control.begin([])
+            ControlProtocol(
+                platform, factory, durations, PipelineConfig(adaptive=False), []
+            )
 
-    def test_rejects_an_adaptive_config(self, platform, factory, durations):
+    def test_rejects_an_adaptive_config(self, platform, factory, durations, four_targets):
         with pytest.raises(ConfigurationError, match="without adaptivity"):
-            ControlProtocol(platform, factory, durations, PipelineConfig())
+            ControlProtocol(
+                platform, factory, durations, PipelineConfig(), four_targets[:1]
+            )
 
     def test_every_cycle_accepted_without_adaptivity(self, small_control_result):
         cycles = small_control_result.pipelines[0].cycles

@@ -125,6 +125,36 @@ class TestClaims:
             assert try_steal(path, "w1", lease_seconds=0.4) is False
         assert read_lease(path).worker == "w0"
 
+    def test_heartbeat_writes_the_reported_progress(self, queue):
+        path = queue.claim_path(queue.entries()[0].fingerprint)
+        try_claim(path, "w0")
+        assert read_lease(path).cycle is None  # a fresh claim has none
+        with Heartbeat(path, "w0", lease_seconds=0.2) as heartbeat:
+            heartbeat.report_progress(4, 12)
+            reported = read_lease(path)
+            deadline = time.time() + 10.0
+            while reported.cycle is None and time.time() < deadline:
+                time.sleep(0.01)
+                reported = read_lease(path)
+        assert (reported.cycle, reported.cycles_total) == (4, 12)
+        assert reported.worker == "w0"
+
+    def test_steals_write_no_progress(self, queue):
+        path = queue.claim_path(queue.entries()[0].fingerprint)
+        stale = time.time() - 3600.0
+        atomic_write_json(
+            path,
+            {
+                "worker": "w0", "claimed_at": stale, "heartbeat_at": stale,
+                "cycle": 7, "cycles_total": 12,
+            },
+        )
+        assert read_lease(path).cycle == 7
+        assert try_steal(path, "w1", lease_seconds=30.0) is True
+        stolen = read_lease(path)
+        assert stolen.worker == "w1" and stolen.cycle is None
+        assert stolen.cycles_total is None
+
     def test_refresh_extends_the_lease(self, queue):
         path = queue.claim_path(queue.entries()[0].fingerprint)
         try_claim(path, "w0")
@@ -248,6 +278,7 @@ class TestGarbageClaimFiles:
         assert lease is not None and lease.torn
         assert lease.worker == "<unreadable>"
         assert lease.attempt == 1 and lease.crashes == 0
+        assert lease.cycle is None and lease.cycles_total is None
         # Fresh mtime: not stealable yet; stale mtime: stealable.
         assert not lease.expired(lease_seconds=60.0)
 

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.progress import format_queue_progress
+from repro.core.protocols import CampaignState
 from repro.exceptions import OrchestrationError
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
 from repro.experiments.suite import SuiteRunRecord, execute_run
@@ -27,6 +29,8 @@ from repro.orchestrate import (
     run_worker,
     try_claim,
 )
+from repro.orchestrate import worker as worker_module
+from repro.orchestrate.lease import refresh_lease
 from repro.orchestrate.queue import atomic_write_json
 from repro.store import CheckpointStore, RunStore, prune_store
 
@@ -74,6 +78,25 @@ def _dead_claim(queue, fingerprint, *, worker="dead-worker", age=3600.0):
         queue.claim_path(fingerprint),
         {"worker": worker, "claimed_at": stale, "heartbeat_at": stale},
     )
+
+
+def _plant_checkpoint(queue, entry, *, cycle=5, schema_version=None):
+    """A checkpoint for ``entry`` at ``cycle``; ``schema_version`` overrides
+    the line's stamp (an unusable checkpoint of another build)."""
+    checkpoints = CheckpointStore(queue.checkpoints_dir)
+    state = CampaignState(
+        protocol=entry.spec.protocol, seed=entry.spec.seed, cycle=cycle,
+        cycles_total=12, payload={"x": 1},
+    )
+    checkpoints.save(
+        entry.fingerprint, state, run_id=entry.spec.run_id, worker="old"
+    )
+    if schema_version is not None:
+        path = checkpoints.path(entry.fingerprint)
+        line = json.loads(path.read_text())
+        line["schema_version"] = schema_version
+        path.write_text(json.dumps(line) + "\n")
+    return checkpoints
 
 
 class TestWorkerLoop:
@@ -411,7 +434,7 @@ class TestPreemptiveStealing:
         _kill_worker_mid_campaign(long_queue, kill_after=3)
         checkpoints = CheckpointStore(long_queue.checkpoints_dir)
         [fingerprint] = checkpoints.fingerprints()
-        assert checkpoints.latest(fingerprint).cycle == 3
+        assert checkpoints.latest_restorable(fingerprint).cycle == 3
         # The victim's claim is stale (heartbeat died with the process):
         # a survivor steals it and resumes from the cycle-3 checkpoint.
         survivor = run_worker(
@@ -475,27 +498,92 @@ class TestPreemptiveStealing:
             for entry in long_queue.entries()
         )
 
-    def test_status_reports_cycle_progress_of_in_flight_runs(self, long_queue):
-        """A live claim with checkpoints shows cycle-granular progress and
-        feeds the checkpoint-aware ETA credit."""
-        from repro.core.protocols import CampaignState
+    def test_unusable_checkpoint_leaves_a_peers_claim_alone(self, queue, monkeypatch):
+        """The claim is released only while it still names this worker."""
+        entry = queue.entries()[0]
+        _plant_checkpoint(queue, entry, schema_version=99)
+        claim_for_real = worker_module.try_claim
 
+        def claim_then_lose_it(path, worker, *args, **kwargs):
+            won = claim_for_real(path, worker, *args, **kwargs)
+            if won:  # a peer's fresh lease replaces ours right away
+                refresh_lease(path, "peer", time.time())
+            return won
+
+        monkeypatch.setattr(worker_module, "try_claim", claim_then_lose_it)
+        with pytest.raises(OrchestrationError, match="unusable checkpoint"):
+            run_worker(queue, worker_id="w0", execute=fake_execute())
+        assert read_lease(queue.claim_path(entry.fingerprint)).worker == "peer"
+
+    def test_status_reports_cycle_progress_of_in_flight_runs(self, long_queue):
+        """A live claim's progress shows cycle-granular status and feeds the
+        cycle-aware ETA credit."""
         entry = long_queue.entries()[0]
-        checkpoints = CheckpointStore(long_queue.checkpoints_dir)
-        try_claim(long_queue.claim_path(entry.fingerprint), "parked")
-        checkpoints.save(
-            entry.fingerprint,
-            CampaignState(
-                protocol="cont-v", seed=3, cycle=9, cycles_total=12,
-                restorable=True, payload={"x": 1},
-            ),
-            run_id=entry.spec.run_id,
-            worker="parked",
-        )
+        claim = long_queue.claim_path(entry.fingerprint)
+        try_claim(claim, "parked")
+        refresh_lease(claim, "parked", time.time(), cycle=9, cycles_total=12)
         progress = queue_progress(long_queue, lease_seconds=60.0)
         [running] = progress.running
         assert running.cycle == 9 and running.cycles_total == 12
         assert progress.cycles_in_flight_credit == pytest.approx(0.75)
+
+
+class TestLeaseProgress:
+    """A running run's progress rides its heartbeat lease, not a checkpoint."""
+
+    def test_status_reads_the_lease_and_no_checkpoint(self, queue):
+        entry = queue.entries()[0]
+        _plant_checkpoint(queue, entry, schema_version=99)
+        claim = queue.claim_path(entry.fingerprint)
+        refresh_lease(claim, "parked", time.time(), cycle=9, cycles_total=12)
+        progress = queue_progress(queue, lease_seconds=60.0)
+        [running] = progress.running
+        assert (running.cycle, running.cycles_total) == (9, 12)
+        assert "cycle 9/12" in format_queue_progress(progress)
+
+    def test_resumed_attempts_first_beat_carries_the_resume_cycle(self, queue):
+        entry = queue.entries()[0]
+        _plant_checkpoint(queue, entry, cycle=5)
+        _dead_claim(queue, entry.fingerprint)
+        claim = queue.claim_path(entry.fingerprint)
+        first_beats = []
+
+        def execute(spec, *, resume_state=None, on_cycle=None):
+            if resume_state is not None:
+                won = read_lease(claim)
+                deadline = time.time() + 10.0
+                lease = won
+                while lease.heartbeat_at == won.heartbeat_at:
+                    assert time.time() < deadline, "no heartbeat"
+                    time.sleep(0.005)
+                    lease = read_lease(claim)
+                first_beats.append((won, lease))
+            return FakeResult(spec), 0.01
+
+        outcome = run_worker(
+            queue, worker_id="thief", execute=execute, lease_seconds=0.2
+        )
+        assert outcome.resumed == [(entry.spec.run_id, 5)]
+        [(won, beat)] = first_beats
+        assert won.worker == beat.worker == "thief"
+        assert (beat.cycle, beat.cycles_total) == (5, 12)
+
+    def test_only_restore_points_are_checkpointed(self, queue, monkeypatch):
+        saved = []
+        save = CheckpointStore.save
+
+        def recording(store, fingerprint, state, *, run_id, worker):
+            saved.append(run_id)
+            return save(store, fingerprint, state, run_id=run_id, worker=worker)
+
+        monkeypatch.setattr(CheckpointStore, "save", recording)
+        outcome = run_worker(
+            queue, worker_id="w0", execute=execute_run, checkpoint_seconds=0.0
+        )
+        assert outcome.n_executed == 4
+        # One save per cont-v cycle boundary (4 targets x 1 cycle); the
+        # im-rp runs' progress states go to the heartbeat only.
+        assert sorted(saved) == ["cont-v-s3"] * 4 + ["cont-v-s5"] * 4
 
 
 class TestDistributedDeterminism:

@@ -2,7 +2,7 @@
 
 Covers the durability contract: atomic write-then-replace saves, torn-tail
 fallback to the previous cycle, hard rejection of unknown schema versions,
-and the restorable/progress-record split.
+and the refusal to save a state that is not a restore point.
 """
 
 from __future__ import annotations
@@ -18,16 +18,20 @@ from repro.store.checkpoint import CHECKPOINT_SCHEMA_VERSION, CheckpointStore
 FP = "f" * 64
 
 
-def _state(cycle, *, restorable=True):
+def _state(cycle):
     return CampaignState(
         protocol="cont-v",
         seed=3,
         cycle=cycle,
         cycles_total=12,
         done=False,
-        restorable=restorable,
-        payload={"cycle": cycle} if restorable else None,
+        payload={"cycle": cycle},
     )
+
+
+def _lines(store):
+    """The run's checkpoint lines, decoded, oldest first."""
+    return [json.loads(line) for line in store.path(FP).read_text().splitlines()]
 
 
 @pytest.fixture()
@@ -39,22 +43,31 @@ class TestLadder:
     def test_save_and_latest_round_trip(self, store):
         store.save(FP, _state(1), run_id="cont-v-s3", worker="w0")
         store.save(FP, _state(2), run_id="cont-v-s3", worker="w0")
-        record = store.latest(FP)
-        assert record.cycle == 2 and record.worker == "w0"
-        assert record.schema_version == CHECKPOINT_SCHEMA_VERSION
-        revived = store.latest_restorable(FP)
-        assert revived == _state(2)
+        assert store.latest_restorable(FP) == _state(2)
+
+    def test_line_holds_provenance_and_the_state_only(self, store):
+        store.save(FP, _state(1), run_id="cont-v-s3", worker="w0")
+        [line] = _lines(store)
+        assert set(line) == {
+            "schema_version", "fingerprint", "run_id", "worker", "written_at",
+            "state",
+        }
+        assert line["schema_version"] == CHECKPOINT_SCHEMA_VERSION == 3
+        assert (line["fingerprint"], line["run_id"], line["worker"]) == (
+            FP, "cont-v-s3", "w0",
+        )
+        assert line["state"] == _state(1).as_dict()
+        assert "restorable" not in line["state"]
 
     def test_ladder_bounded_to_newest_records(self, store):
         from repro.store.checkpoint import LADDER_DEPTH
 
         for cycle in (1, 2, 3, 4, 5):
             store.save(FP, _state(cycle), run_id="r", worker="w0")
-        kept = [record.cycle for record in store.records(FP)]
+        kept = [line["state"]["cycle"] for line in _lines(store)]
         assert kept == [3, 4, 5] and len(kept) == LADDER_DEPTH
 
     def test_missing_run_reads_empty(self, store):
-        assert store.latest(FP) is None
         assert store.latest_restorable(FP) is None
         assert store.fingerprints() == []
 
@@ -74,7 +87,6 @@ class TestCrashWindows:
         # Crash mid-write on a non-atomic filesystem: the newest line tears.
         content = path.read_text()
         path.write_text(content + '{"schema_version": 1, "cycle": 3, "trunc')
-        assert store.latest(FP).cycle == 2
         assert store.latest_restorable(FP) == _state(2)
 
     def test_garbled_middle_line_is_skipped(self, store):
@@ -83,13 +95,8 @@ class TestCrashWindows:
         content = path.read_text()
         path.write_text(content + "not json at all\n")
         store.save(FP, _state(2), run_id="r", worker="w0")
-        assert [record.cycle for record in store.records(FP)] == [1, 2]
-
-    def test_progress_only_records_are_not_restorable(self, store):
-        store.save(FP, _state(1), run_id="r", worker="w0")
-        store.save(FP, _state(2, restorable=False), run_id="r", worker="w0")
-        assert store.latest(FP).cycle == 2  # progress visible to status
-        assert store.latest_restorable(FP) == _state(1)  # resume falls back
+        _tear_newest_line(store)
+        assert store.latest_restorable(FP) == _state(1)
 
     def test_unknown_schema_version_rejected_with_clear_error(self, store):
         store.save(FP, _state(1), run_id="r", worker="w0")
@@ -97,8 +104,6 @@ class TestCrashWindows:
         record = json.loads(path.read_text().splitlines()[0])
         record["schema_version"] = 99
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(StoreError, match="schema_version 99"):
-            store.latest(FP)
         with pytest.raises(StoreError, match="schema_version 99"):
             store.latest_restorable(FP)
 
@@ -111,17 +116,39 @@ class TestCrashWindows:
         record["schema_version"] = 1
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(StoreError, match="schema_version 1;"):
-            store.latest(FP)
-        with pytest.raises(StoreError, match="schema_version 1;"):
             store.latest_restorable(FP)
 
-    def test_progress_record_of_done_state_never_restores(self, store):
-        # A restorable=True state without payload (e.g. an init state) must
-        # not masquerade as a checkpoint.
-        state = CampaignState(protocol="cont-v", seed=3, restorable=True)
-        store.save(FP, state, run_id="r", worker="w0")
-        assert store.latest(FP).restorable is False
-        assert store.latest_restorable(FP) is None
+    def test_schema_2_line_of_an_older_build_is_refused(self, store):
+        # Version 2 carried line-level progress fields and could hold a
+        # progress-only line; this build must not half-decode one.
+        path = store.path(FP)
+        path.parent.mkdir(parents=True)
+        state = _state(1).as_dict()
+        state["restorable"] = True
+        line = {
+            "schema_version": 2, "fingerprint": FP, "run_id": "r",
+            "worker": "w0", "cycle": 1, "cycles_total": 12,
+            "restorable": True, "state": state, "written_at": 0.0,
+        }
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(StoreError, match="schema_version 2;"):
+            store.latest_restorable(FP)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            CampaignState(protocol="cont-v", seed=3, cycles_total=12),
+            CampaignState(protocol="im-rp", seed=3, cycle=2),
+        ],
+        ids=["init-state", "progress-report"],
+    )
+    def test_save_refuses_a_state_without_a_payload(self, store, state):
+        # Neither an init state nor a pilot run's progress report can
+        # restore anything, so neither may masquerade as a checkpoint.
+        assert not state.restorable
+        with pytest.raises(StoreError, match="no payload"):
+            store.save(FP, state, run_id="r", worker="w0")
+        assert store.fingerprints() == []
 
 
 @pytest.fixture()
@@ -138,11 +165,10 @@ def decodes(monkeypatch):
     return calls
 
 
-def _ladder(store, *, newest_restorable=True):
+def _ladder(store):
     """A full three-line ladder: cycles 1, 2 and 3."""
     for cycle in (1, 2, 3):
-        restorable = newest_restorable or cycle < 3
-        store.save(FP, _state(cycle, restorable=restorable), run_id="r", worker="w0")
+        store.save(FP, _state(cycle), run_id="r", worker="w0")
     assert len(store.path(FP).read_text().splitlines()) == 3
 
 
@@ -160,27 +186,12 @@ class TestNewestFirstReads:
     def test_good_newest_line_is_the_only_one_decoded(self, store, decodes):
         _ladder(store)
         decodes.clear()
-        assert store.latest(FP).cycle == 3
-        assert len(decodes) == 1
-        decodes.clear()
         assert store.latest_restorable(FP) == _state(3)
         assert len(decodes) == 1
 
     def test_torn_newest_line_costs_one_more_decode(self, store, decodes):
         _ladder(store)
         _tear_newest_line(store)
-        decodes.clear()
-        assert store.latest(FP).cycle == 2
-        assert len(decodes) == 2
-        decodes.clear()
-        assert store.latest_restorable(FP) == _state(2)
-        assert len(decodes) == 2
-
-    def test_restorable_read_passes_a_progress_only_line(self, store, decodes):
-        _ladder(store, newest_restorable=False)
-        decodes.clear()
-        assert store.latest(FP).cycle == 3
-        assert len(decodes) == 1
         decodes.clear()
         assert store.latest_restorable(FP) == _state(2)
         assert len(decodes) == 2
@@ -193,9 +204,7 @@ class TestNewestFirstReads:
         middle["schema_version"] = 99
         lines[1] = json.dumps(middle)
         path.write_text("\n".join(lines) + "\n")
-        assert store.latest(FP).cycle == 3  # the walk stops before it
+        assert store.latest_restorable(FP) == _state(3)  # the walk stops before it
         _tear_newest_line(store)
-        with pytest.raises(StoreError, match="schema_version 99"):
-            store.latest(FP)
         with pytest.raises(StoreError, match="schema_version 99"):
             store.latest_restorable(FP)

@@ -99,3 +99,10 @@ class TestFormatDuration:
         from repro.utils.timer import format_duration
 
         assert format_duration(-61) == "-1m 1s"
+
+    def test_branch_follows_the_value_rounded_to_hundredths(self):
+        from repro.utils.timer import format_duration
+
+        assert format_duration(59.994) == "59.99s"
+        assert format_duration(59.996) == "1m 0s"
+        assert format_duration(-59.999) == "-1m 0s"

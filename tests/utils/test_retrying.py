@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from repro import telemetry
 from repro.exceptions import ConfigurationError
+from repro.telemetry.writer import read_telemetry_dir
 from repro.utils.retrying import (
     DEFAULT_RETRY_POLICY,
     RetryPolicy,
@@ -58,24 +60,22 @@ class TestCallWithRetries:
             call_with_retries(flaky, sleep=lambda _s: None)
         assert flaky.calls == 1  # a logic bug must not be retried
 
-    def test_retry_on_narrows_the_net(self):
-        flaky = Flaky(99, error=FileNotFoundError("gone"))
-        with pytest.raises(FileNotFoundError):
-            call_with_retries(
-                flaky, retry_on=(PermissionError,), sleep=lambda _s: None
-            )
-        assert flaky.calls == 1
-
-    def test_on_retry_observes_each_failure(self):
-        seen = []
+    def test_each_suppressed_failure_emits_a_retry_event(self, tmp_path):
         flaky = Flaky(2)
-        call_with_retries(
-            flaky,
-            policy=RetryPolicy(attempts=3, base_delay=0.001, jitter=0.0),
-            on_retry=lambda index, error: seen.append((index, str(error))),
-            sleep=lambda _s: None,
-        )
-        assert seen == [(0, "transient"), (1, "transient")]
+        with telemetry.scoped(tmp_path / "telemetry", "w0"):
+            call_with_retries(
+                flaky,
+                policy=RetryPolicy(attempts=3, base_delay=0.001, jitter=0.0),
+                sleep=lambda _s: None,
+                site="store.append",
+            )
+        events = read_telemetry_dir(tmp_path / "telemetry", names={"retry"})
+        assert [event["attrs"] for event in events] == [
+            {"site": "store.append", "retry_index": 0,
+             "error": "OSError: transient"},
+            {"site": "store.append", "retry_index": 1,
+             "error": "OSError: transient"},
+        ]
 
 
 class TestBackoffShape:
