@@ -52,7 +52,6 @@ _EXPORTS = {
     "CampaignConfig": "core.campaign",
     "DesignCampaign": "core.campaign",
     "CampaignResult": "core.results",
-    "compare_campaigns": "core.results",
     "Pipeline": "core.pipeline",
     "PipelineConfig": "core.pipeline",
     "PipelinesCoordinator": "core.coordinator",

@@ -18,7 +18,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.results import CampaignResult, compare_campaigns
+from repro.core.results import CampaignResult
 from repro.exceptions import CampaignError
 
 __all__ = [
@@ -83,15 +83,12 @@ def table1(control: CampaignResult, adaptive: CampaignResult) -> Dict[str, objec
     """Build the Table I comparison from the two campaign results.
 
     Returns a dictionary with ``rows`` (list of :class:`Table1Row`, control
-    first), the ``advantages`` summary from
-    :func:`repro.core.results.compare_campaigns`, and convenience booleans
-    asserting the paper's qualitative claims (used by the benchmark harness
-    and the integration tests).
+    first) and convenience booleans asserting the paper's qualitative claims
+    (used by the benchmark harness and the integration tests).
     """
     if control.approach == adaptive.approach:
         raise CampaignError("table1 expects one control and one adaptive result")
     rows: List[Table1Row] = [_row(control), _row(adaptive)]
-    advantages = compare_campaigns(control, adaptive)
     claims = {
         "adaptive_has_more_trajectories": adaptive.n_trajectories > control.n_trajectories,
         "adaptive_has_higher_cpu_utilization": adaptive.cpu_utilization > control.cpu_utilization,
@@ -100,7 +97,7 @@ def table1(control: CampaignResult, adaptive: CampaignResult) -> Dict[str, objec
         "adaptive_has_higher_ptm_gain": rows[1].ptm_net_delta_pct >= rows[0].ptm_net_delta_pct,
         "adaptive_takes_longer_aggregate_time": rows[1].time_hours >= rows[0].time_hours,
     }
-    return {"rows": rows, "advantages": advantages, "claims": claims}
+    return {"rows": rows, "claims": claims}
 
 
 @dataclass(frozen=True)

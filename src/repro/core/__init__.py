@@ -51,7 +51,6 @@ _EXPORTS = {
     "DesignCampaign": "campaign",
     "CampaignResult": "results",
     "PipelineRecord": "results",
-    "compare_campaigns": "results",
     "GeneticConfig": "genetic",
     "GeneticOptimizer": "genetic",
     "Individual": "genetic",

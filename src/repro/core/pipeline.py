@@ -247,11 +247,9 @@ class Pipeline:
         if stage == "sequence_ranking":
             return factory.sequence_ranking(uid, target, cycle, self._candidates)
         if stage == "sequence_selection":
-            return factory.sequence_selection(uid, target, cycle, self._selected, retry)
+            return factory.sequence_selection(uid, target, cycle, retry)
         if stage == "structure_msa":
-            return factory.structure_msa(
-                uid, target, cycle, self._selected.sequence, retry
-            )
+            return factory.structure_msa(uid, target, cycle, retry)
         if stage == "structure_inference":
             return factory.structure_inference(
                 uid, target, self._complex, cycle, self._selected.sequence, retry
@@ -349,13 +347,13 @@ class Pipeline:
         self._awaited = "scoring"
 
     def _on_scoring(self, task: Task) -> None:
-        self._current_energy = float(task.result["energy"]["total"])
+        self._current_energy = task.result
         self._awaited = "compare"
 
     def _on_compare(self, task: Task) -> Optional[CycleResult]:
         assert self._current_folding is not None and self._selected is not None
         adaptive = self._config.adaptive_for_cycle(self._cycle)
-        accepted = bool(task.result["accepted"]) or not adaptive
+        accepted = task.result or not adaptive
 
         trajectory = Trajectory(
             trajectory_id=f"{self.uid}.c{self._cycle}.r{self._retry_index}",

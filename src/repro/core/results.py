@@ -26,7 +26,6 @@ from repro.utils.stats import net_delta_percent
 __all__ = [
     "PipelineRecord",
     "CampaignResult",
-    "compare_campaigns",
     "net_deltas_from_summary",
 ]
 
@@ -235,37 +234,3 @@ class CampaignResult:
             "iteration_summary": self.iteration_summary(),
             "pipelines": [record.as_dict() for record in self.pipelines],
         }
-
-
-def compare_campaigns(
-    control: CampaignResult, adaptive: CampaignResult
-) -> Dict[str, object]:
-    """Head-to-head comparison of a control and an adaptive campaign.
-
-    Returns a dictionary with both Table-I rows plus the relative
-    improvements the paper highlights (quality medians, utilization,
-    trajectories examined).
-    """
-    control_summary = control.iteration_summary()
-    adaptive_summary = adaptive.iteration_summary()
-    last_control = control_summary[max(control_summary)]
-    last_adaptive = adaptive_summary[max(adaptive_summary)]
-
-    return {
-        "rows": [control.table_row(), adaptive.table_row()],
-        "quality_advantage": {
-            "plddt_median_gain": last_adaptive["plddt"]["median"] - last_control["plddt"]["median"],
-            "ptm_median_gain": last_adaptive["ptm"]["median"] - last_control["ptm"]["median"],
-            "pae_median_gain": last_control["interchain_pae"]["median"]
-            - last_adaptive["interchain_pae"]["median"],
-        },
-        "consistency_advantage": {
-            "plddt_std_reduction": last_control["plddt"]["std"] - last_adaptive["plddt"]["std"],
-            "ptm_std_reduction": last_control["ptm"]["std"] - last_adaptive["ptm"]["std"],
-        },
-        "utilization_advantage": {
-            "cpu": adaptive.cpu_utilization - control.cpu_utilization,
-            "gpu": adaptive.gpu_utilization - control.gpu_utilization,
-        },
-        "extra_trajectories": adaptive.n_trajectories - control.n_trajectories,
-    }

@@ -12,9 +12,10 @@ through disk bit-for-bit.
 
 A snapshot holds only what a resume cannot rebuild from the run spec.  A
 complex is encoded relative to its target's complex (the resume rebuilds
-the targets): only the receptor sequence, ``backbone_quality`` and
-``metadata`` evolve, and the chains' coordinate arrays are the target's
-own.  Profiler intervals are positional rows, in recording order::
+the targets): only the receptor sequence and ``backbone_quality`` evolve,
+so a complex is written as exactly those two, and the chains' coordinate
+arrays are the target's own.  Profiler intervals are positional rows, in
+recording order::
 
     resource interval: [task_id, node, cpu_core_ids, gpu_ids, start, end]
     phase interval:    [entity_id, phase, start, end]
@@ -108,7 +109,7 @@ def encode_complex(
         raise PipelineError(
             f"complex {structure.name!r} does not keep the atoms of target "
             f"complex {target_complex.name!r}; a snapshot holds only its "
-            "receptor sequence, backbone quality and metadata"
+            "receptor sequence and backbone quality"
         )
     sequence = structure.receptor.sequence
     return {
@@ -118,7 +119,6 @@ def encode_complex(
             "name": sequence.name,
         },
         "backbone_quality": structure.backbone_quality,
-        "metadata": dict(structure.metadata),
     }
 
 
@@ -137,7 +137,6 @@ def decode_complex(
             )
         ),
         backbone_quality=payload["backbone_quality"],
-        metadata=dict(payload["metadata"]),
     )
 
 

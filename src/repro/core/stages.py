@@ -1,7 +1,8 @@
 """The six IMPRESS pipeline stages as task factories.
 
 Each stage of Fig 1 becomes a :class:`~repro.runtime.task.TaskDescription`
-whose payload calls the protein surrogates.  The factory only *builds* task
+whose payload calls the protein surrogates and returns exactly what the
+pipeline's handler for that stage reads.  The factory only *builds* task
 descriptions — executing them (concurrently through the pilot runtime for
 IM-RP, or sequentially for CONT-V) is the caller's concern, which is exactly
 the split the paper describes between the pipeline definition and the
@@ -11,7 +12,7 @@ Stage map (paper numbering):
 
 * Stage 1 — :meth:`StageFactory.sequence_generation` (ProteinMPNN).
 * Stage 2 — :meth:`StageFactory.sequence_ranking` (sort by log-likelihood).
-* Stage 3 — :meth:`StageFactory.sequence_selection` (compile FASTA input).
+* Stage 3 — :meth:`StageFactory.sequence_selection` (FASTA compilation).
 * Stage 4 — :meth:`StageFactory.structure_msa` +
   :meth:`StageFactory.structure_inference` (AlphaFold, split into its
   CPU/I-O-bound MSA phase and GPU inference phase).
@@ -21,7 +22,9 @@ Stage map (paper numbering):
 The stage payloads ride on the vectorized evaluation core: Stage 1 generation
 batches its partial scores, Stage 2 ranking is a stable vectorized argsort,
 and Stage 5 scoring gathers a precomputed pair-energy matrix over the contact
-mask — no per-residue Python on any hot path.
+mask — no per-residue Python on any hot path.  Stages 3 and 4a have no
+payload: their tasks model the time those phases take on the real system,
+and the surrogate folds the selected sequence directly.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.decision import AcceptancePolicy
 from repro.protein.datasets import DesignTarget
-from repro.protein.fasta import format_fasta
 from repro.protein.folding import FoldingResult, SurrogateAlphaFold
-from repro.protein.metrics import QualityMetrics, composite_score
+from repro.protein.metrics import QualityMetrics
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.protein.sequence import ProteinSequence, ScoredSequence
@@ -79,22 +81,17 @@ class StageFactory:
         return self._models
 
     def _base_metadata(
-        self,
-        pipeline_uid: str,
-        target: DesignTarget,
-        cycle: int,
-        stage: str,
-        **extra: object,
+        self, pipeline_uid: str, target: DesignTarget, stage: str, **extra: object
     ) -> Dict[str, object]:
-        metadata: Dict[str, object] = {
+        # Only what is read: the coordinator and the pipeline route a task by
+        # its pipeline uid and stage, and the duration model scales its time
+        # by the residue count (and the sequence count, where one is given).
+        return {
             "pipeline_uid": pipeline_uid,
-            "target": target.name,
-            "cycle": cycle,
             "stage": stage,
             "n_residues": target.complex.total_residues,
+            **extra,
         }
-        metadata.update(extra)
-        return metadata
 
     # -- Stage 1: sequence generation (ProteinMPNN) -------------------------- #
 
@@ -124,8 +121,7 @@ class StageFactory:
             request=self._durations.request_for(kind),
             payload=payload,
             metadata=self._base_metadata(
-                pipeline_uid, target, cycle, "sequence_generation",
-                n_sequences=n_sequences,
+                pipeline_uid, target, "sequence_generation", n_sequences=n_sequences
             ),
         )
 
@@ -151,8 +147,7 @@ class StageFactory:
             request=self._durations.request_for(kind),
             payload=payload,
             metadata=self._base_metadata(
-                pipeline_uid, target, cycle, "sequence_ranking",
-                n_sequences=len(frozen),
+                pipeline_uid, target, "sequence_ranking", n_sequences=len(frozen)
             ),
         )
 
@@ -163,31 +158,19 @@ class StageFactory:
         pipeline_uid: str,
         target: DesignTarget,
         cycle: int,
-        selected: ScoredSequence,
         retry_index: int,
     ) -> TaskDescription:
-        """Compile the selected design plus the peptide into a FASTA record."""
-        peptide = target.complex.peptide.sequence
+        """Compile the selected design into AlphaFold's FASTA input.
 
-        def payload() -> Dict[str, object]:
-            fasta_text = format_fasta([selected.sequence, peptide])
-            return {
-                "fasta": fasta_text,
-                "selected_name": selected.sequence.name,
-                "log_likelihood": selected.log_likelihood,
-                "retry_index": retry_index,
-            }
-
+        The task models the time FASTA compilation takes and has no payload:
+        the surrogate folds the selected sequence directly.
+        """
         kind = TaskKind.SEQUENCE_SELECT
         return TaskDescription(
             name=f"{pipeline_uid}.c{cycle}.r{retry_index}.select",
             kind=kind.value,
             request=self._durations.request_for(kind),
-            payload=payload,
-            metadata=self._base_metadata(
-                pipeline_uid, target, cycle, "sequence_selection",
-                retry_index=retry_index,
-            ),
+            metadata=self._base_metadata(pipeline_uid, target, "sequence_selection"),
         )
 
     # -- Stage 4a: AlphaFold MSA / feature construction (CPU + I/O) ------------ #
@@ -197,30 +180,20 @@ class StageFactory:
         pipeline_uid: str,
         target: DesignTarget,
         cycle: int,
-        sequence: ProteinSequence,
         retry_index: int,
     ) -> TaskDescription:
-        """The CPU/I-O-bound database-search phase of AlphaFold."""
+        """The CPU/I-O-bound database-search phase of AlphaFold.
 
-        def payload() -> Dict[str, object]:
-            # The surrogate needs no real features; the payload records what a
-            # feature bundle would contain so downstream stages can assert on it.
-            return {
-                "sequence_name": sequence.name,
-                "n_residues": len(sequence) + len(target.complex.peptide),
-                "msa_depth": 2048 if self._models.folding.msa_mode == "full_msa" else 1,
-            }
-
+        The task models that phase's time and has no payload: the surrogate
+        needs no features, and its MSA mode acts on the inference stage's
+        metric noise.
+        """
         kind = TaskKind.AF_MSA
         return TaskDescription(
             name=f"{pipeline_uid}.c{cycle}.r{retry_index}.af_msa",
             kind=kind.value,
             request=self._durations.request_for(kind),
-            payload=payload,
-            metadata=self._base_metadata(
-                pipeline_uid, target, cycle, "structure_msa",
-                retry_index=retry_index,
-            ),
+            metadata=self._base_metadata(pipeline_uid, target, "structure_msa"),
         )
 
     # -- Stage 4b: AlphaFold inference (GPU) ------------------------------------ #
@@ -251,10 +224,7 @@ class StageFactory:
             kind=kind.value,
             request=self._durations.request_for(kind),
             payload=payload,
-            metadata=self._base_metadata(
-                pipeline_uid, target, cycle, "structure_inference",
-                retry_index=retry_index,
-            ),
+            metadata=self._base_metadata(pipeline_uid, target, "structure_inference"),
         )
 
     # -- Stage 5: scoring and metrics gathering ---------------------------------- #
@@ -267,16 +237,11 @@ class StageFactory:
         folding_result: FoldingResult,
         retry_index: int,
     ) -> TaskDescription:
-        """Coarse energy scoring of the predicted complex."""
+        """Coarse energy scoring of the predicted complex: its total energy."""
         models = self._models
 
-        def payload() -> Dict[str, object]:
-            breakdown = models.scoring.score(folding_result.structure)
-            return {
-                "energy": breakdown.as_dict(),
-                "metrics": folding_result.metrics.as_dict(),
-                "composite": composite_score(folding_result.metrics),
-            }
+        def payload() -> float:
+            return models.scoring.score(folding_result.structure).total
 
         kind = TaskKind.SCORING
         return TaskDescription(
@@ -284,10 +249,7 @@ class StageFactory:
             kind=kind.value,
             request=self._durations.request_for(kind),
             payload=payload,
-            metadata=self._base_metadata(
-                pipeline_uid, target, cycle, "scoring",
-                retry_index=retry_index,
-            ),
+            metadata=self._base_metadata(pipeline_uid, target, "scoring"),
         )
 
     # -- Stage 6: comparison with the previous iteration --------------------------- #
@@ -304,18 +266,8 @@ class StageFactory:
     ) -> TaskDescription:
         """Accept/reject the new design relative to the previous cycle."""
 
-        def payload() -> Dict[str, object]:
-            accepted = policy.accepts(new_metrics, previous_metrics)
-            return {
-                "accepted": accepted,
-                "new_composite": composite_score(new_metrics),
-                "previous_composite": (
-                    composite_score(previous_metrics)
-                    if previous_metrics is not None
-                    else None
-                ),
-                "retry_index": retry_index,
-            }
+        def payload() -> bool:
+            return policy.accepts(new_metrics, previous_metrics)
 
         kind = TaskKind.COMPARE
         return TaskDescription(
@@ -323,8 +275,5 @@ class StageFactory:
             kind=kind.value,
             request=self._durations.request_for(kind),
             payload=payload,
-            metadata=self._base_metadata(
-                pipeline_uid, target, cycle, "compare",
-                retry_index=retry_index,
-            ),
+            metadata=self._base_metadata(pipeline_uid, target, "compare"),
         )

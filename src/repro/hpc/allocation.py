@@ -197,14 +197,3 @@ class NodeAllocator:
                 f"memory accounting error on node {stored.node!r}: "
                 f"allocation {stored.allocation_id} held no memory record"
             )
-
-    def utilization(self) -> Dict[str, float]:
-        """Instantaneous utilization fractions (cores, GPUs, memory)."""
-        total_cores = self._platform.total_cpu_cores
-        total_gpus = self._platform.total_gpus
-        total_mem = self._platform.total_memory_gb
-        return {
-            "cpu": (total_cores - self.free_cores()) / total_cores if total_cores else 0.0,
-            "gpu": (total_gpus - self.free_gpus()) / total_gpus if total_gpus else 0.0,
-            "memory": (total_mem - self.free_memory_gb()) / total_mem if total_mem else 0.0,
-        }

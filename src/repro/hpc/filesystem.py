@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["FILESYSTEM_NAME", "SANDBOX_SETUP_SECONDS", "read_time"]
+__all__ = ["SANDBOX_SETUP_SECONDS", "read_time"]
 
-#: Label of the modelled filesystem, used in platform descriptions.
-FILESYSTEM_NAME = "gpfs-scratch"
 #: Streaming read bandwidth (GB/s) that every read gets.
 _READ_BANDWIDTH_GB_S = 2.0
 #: Cost of one metadata operation (create/stat a file), in seconds.

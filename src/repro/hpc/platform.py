@@ -14,7 +14,6 @@ from typing import Optional
 
 from repro.hpc.allocation import NodeAllocator
 from repro.hpc.events import EventLoop
-from repro.hpc.filesystem import FILESYSTEM_NAME
 from repro.hpc.profiling import ExecutionProfiler
 from repro.hpc.resources import PlatformSpec, amarel_platform
 
@@ -66,9 +65,3 @@ class ComputePlatform:
     def run(self) -> int:
         """Run the event loop until it drains; returns executed event count."""
         return self._loop.run()
-
-    def describe(self) -> dict:
-        """Summary dictionary used by reports."""
-        summary = self._spec.describe()
-        summary["filesystem"] = FILESYSTEM_NAME
-        return summary

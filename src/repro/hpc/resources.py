@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -49,16 +49,6 @@ class ResourceRequest:
             )
         if self.cpu_cores == 0 and self.gpus == 0:
             raise ConfigurationError("a task must request at least one core or GPU")
-
-    def scaled(self, factor: int) -> "ResourceRequest":
-        """Return the request multiplied by an integer ``factor`` (for MPI-like tasks)."""
-        if factor < 1:
-            raise ConfigurationError(f"scale factor must be >= 1, got {factor}")
-        return ResourceRequest(
-            cpu_cores=self.cpu_cores * factor,
-            gpus=self.gpus * factor,
-            memory_gb=self.memory_gb * factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -109,23 +99,9 @@ class PlatformSpec:
     def total_gpus(self) -> int:
         return sum(node.gpus for node in self.nodes)
 
-    @property
-    def total_memory_gb(self) -> float:
-        return sum(node.memory_gb for node in self.nodes)
-
     def can_ever_fit(self, request: ResourceRequest) -> bool:
         """Whether any single node could satisfy ``request`` when idle."""
         return any(node.can_ever_fit(request) for node in self.nodes)
-
-    def describe(self) -> Dict[str, object]:
-        """Human-readable summary used in reports."""
-        return {
-            "name": self.name,
-            "nodes": len(self.nodes),
-            "cpu_cores": self.total_cpu_cores,
-            "gpus": self.total_gpus,
-            "memory_gb": self.total_memory_gb,
-        }
 
 
 #: The Amarel node used in the paper's evaluation (Section III).

@@ -391,10 +391,11 @@ def _load_resume_state(
 ) -> Optional[CampaignState]:
     """The newest restorable checkpoint for ``entry``, or ``None``.
 
-    An unreadable-by-design checkpoint (unknown schema version) must not be
-    silently ignored — that would quietly restart a run a newer build could
-    have resumed — so it surfaces as a hard error after releasing the claim
-    (only while the claim still names ``worker``: a peer's is left alone).
+    An unusable checkpoint (an unknown schema version, or a state that does
+    not decode) must not be silently ignored — that would quietly restart a
+    run a newer build could have resumed — so it surfaces as a hard error
+    after releasing the claim (only while the claim still names ``worker``:
+    a peer's is left alone).
     """
     try:
         return checkpoints.latest_restorable(entry.fingerprint)

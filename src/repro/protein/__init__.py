@@ -6,8 +6,8 @@ the experimental structures are available offline, so this subpackage
 provides surrogate equivalents that preserve the *interfaces* and the
 *statistical behaviour* the protocol depends on (see DESIGN.md §2):
 
-* :mod:`repro.protein.alphabet`, :mod:`repro.protein.sequence`,
-  :mod:`repro.protein.fasta` — amino-acid sequences and FASTA text.
+* :mod:`repro.protein.alphabet`, :mod:`repro.protein.sequence` —
+  amino-acid sequences.
 * :mod:`repro.protein.structure` — coarse CA-backbone structures and
   two-chain complexes.
 * :mod:`repro.protein.landscape` — the latent, epistatic sequence-fitness
@@ -30,8 +30,6 @@ _EXPORTS = {
     "is_valid_sequence": "alphabet",
     "ProteinSequence": "sequence",
     "ScoredSequence": "sequence",
-    "parse_fasta": "fasta",
-    "format_fasta": "fasta",
     "Chain": "structure",
     "ComplexStructure": "structure",
     "FitnessLandscape": "landscape",

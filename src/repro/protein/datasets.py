@@ -212,7 +212,6 @@ def _build_targets(
             peptide=peptide,
             backbone_quality=provisional.backbone_quality,
             designable_positions=tuple(designable),
-            metadata={"peptide": peptide_residues, "seed": target_seed},
         )
         landscape = FitnessLandscape(
             target_name=name,

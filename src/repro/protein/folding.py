@@ -10,8 +10,9 @@ ProteinMPNN round benefit from a better backbone.
 
 Two MSA modes are modelled after the paper's Related Work discussion: the
 default ``"full_msa"`` mode (IMPRESS) has low metric noise; the
-``"single_sequence"`` mode (EvoPro-style) is faster in the duration model but
-noisier, degrading the classifier quality of the metrics.
+``"single_sequence"`` mode (EvoPro-style) scales every metric's noise by 2.5,
+degrading the classifier quality of the metrics.  The duration model does
+not see the mode: both take the same simulated time.
 """
 
 from __future__ import annotations
@@ -51,15 +52,14 @@ class FoldingResult:
     metrics: QualityMetrics
     structure: ComplexStructure
     fitness: float
-    model_rank: int
-    msa_mode: str
 
 
 class SurrogateAlphaFold:
     """Predicts complex quality metrics from the latent landscape.
 
     ``msa_mode`` is ``"full_msa"`` (default, low-noise) or
-    ``"single_sequence"`` (EvoPro-style, faster but noisier metrics).
+    ``"single_sequence"`` (EvoPro-style: 2.5 times the metric noise, in the
+    same simulated time).
     """
 
     def __init__(self, msa_mode: str = "full_msa", seed: int = 0) -> None:
@@ -225,8 +225,7 @@ class SurrogateAlphaFold:
             0.01,
             0.99,
         )
-        best_model = int(np.argmax(ptm_draws))
-        ptm = float(ptm_draws[best_model])
+        ptm = float(ptm_draws[int(np.argmax(ptm_draws))])
 
         plddt = min(
             max(
@@ -254,22 +253,10 @@ class SurrogateAlphaFold:
                 name=target_sequence.name,
             )
         # One dataclasses.replace instead of chaining with_receptor_sequence /
-        # with_backbone_quality / with_metadata: the complex is validated once.
+        # with_backbone_quality: the complex is validated once.
         refined = replace(
             complex_structure,
             receptor=complex_structure.receptor.with_sequence(refined_sequence),
             backbone_quality=min(max(float(fitness), 0.0), 1.0),
-            metadata={
-                **complex_structure.metadata,
-                "last_plddt": plddt,
-                "last_ptm": ptm,
-                "last_pae": interchain_pae,
-            },
         )
-        return FoldingResult(
-            metrics=metrics,
-            structure=refined,
-            fitness=fitness,
-            model_rank=best_model,
-            msa_mode=self._msa_mode,
-        )
+        return FoldingResult(metrics=metrics, structure=refined, fitness=fitness)

@@ -211,18 +211,7 @@ class SurrogateProteinMPNN:
             current.chain_id,
             [f"{complex_structure.name}_design_{index:03d}" for index in range(count)],
         )
-        backbone_quality = float(complex_structure.backbone_quality)
         return [
-            ScoredSequence(
-                sequence=sequence,
-                log_likelihood=log_likelihood,
-                generator="surrogate-mpnn",
-                metadata={
-                    "n_mutations": float(n_mutations),
-                    "backbone_quality": backbone_quality,
-                },
-            )
-            for sequence, log_likelihood, n_mutations in zip(
-                sequences, log_likelihoods, mutation_counts
-            )
+            ScoredSequence(sequence=sequence, log_likelihood=log_likelihood)
+            for sequence, log_likelihood in zip(sequences, log_likelihoods)
         ]

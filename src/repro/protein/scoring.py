@@ -4,15 +4,14 @@ The paper's Stage 5 gathers quality metrics and runs scoring/simulation on
 the predicted complex.  Alongside the AlphaFold confidence metrics (computed
 by the folding surrogate) the pipelines record a Rosetta-flavoured coarse
 energy: interchain contact energy weighted by residue compatibility, a clash
-penalty and a compactness term.  The energy is reported in the trajectory
-records and exercised by the ablation benchmarks; the adaptive decision in
-the paper (and here, by default) is taken on the AlphaFold metrics.
+penalty and a compactness term.  The scoring stage returns the total, which
+the trajectory records report; the adaptive decision in the paper (and here)
+is taken on the AlphaFold metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -34,14 +33,6 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.contact_energy + self.clash_penalty + self.compactness_penalty
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "contact_energy": self.contact_energy,
-            "clash_penalty": self.clash_penalty,
-            "compactness_penalty": self.compactness_penalty,
-            "total": self.total,
-        }
 
 
 class ScoringFunction:

@@ -11,7 +11,7 @@ log-likelihood used by the ranking stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -207,8 +207,6 @@ class ScoredSequence:
 
     sequence: ProteinSequence
     log_likelihood: float
-    generator: str = "surrogate-mpnn"
-    metadata: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log_likelihood):

@@ -11,8 +11,8 @@ ProteinMPNN round).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -202,8 +202,6 @@ class ComplexStructure:
     designable_positions:
         Receptor positions ProteinMPNN may redesign (the interface by
         default).  Stored as a sorted tuple for hashability.
-    metadata:
-        Free-form provenance (target id, design cycle, parent design...).
     """
 
     name: str
@@ -211,7 +209,6 @@ class ComplexStructure:
     peptide: Chain
     backbone_quality: float = 0.3
     designable_positions: Tuple[int, ...] = ()
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -268,9 +265,3 @@ class ComplexStructure:
     def with_backbone_quality(self, quality: float) -> "ComplexStructure":
         """Copy with an updated latent backbone quality."""
         return replace(self, backbone_quality=float(np.clip(quality, 0.0, 1.0)))
-
-    def with_metadata(self, **extra: object) -> "ComplexStructure":
-        """Copy with additional metadata entries merged in."""
-        merged = dict(self.metadata)
-        merged.update(extra)
-        return replace(self, metadata=merged)

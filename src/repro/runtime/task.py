@@ -76,7 +76,6 @@ class Task:
         self.allocation: Optional[Allocation] = None
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        self.stderr: str = ""
 
     @property
     def description(self) -> TaskDescription:
@@ -119,7 +118,6 @@ class Task:
                 self.result = payload()
             except Exception as exc:  # payload failures become task failures
                 self.exception = exc
-                self.stderr = f"{type(exc).__name__}: {exc}"
         now = platform.now
         platform.profiler.record_resource_interval(
             ResourceInterval(

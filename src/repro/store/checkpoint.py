@@ -5,7 +5,7 @@ A :class:`CheckpointStore` is a directory holding one JSONL file per run
 schema-version-stamped line per saved cycle boundary::
 
     checkpoints/<fingerprint>.jsonl
-      {"schema_version": 3, "fingerprint": "…", "run_id": "cont-v-s0",
+      {"schema_version": 4, "fingerprint": "…", "run_id": "cont-v-s0",
        "worker": "node1-4242", "written_at": …, "state": {…CampaignState…}}
 
 Every line is a restore point: :meth:`CheckpointStore.save` refuses a state
@@ -15,7 +15,8 @@ heartbeat lease instead (:mod:`repro.orchestrate.lease`), which is where
 ``status`` reads it.
 
 A line holds only evolving state (see :mod:`repro.core.snapshot`): target
-structures are rebuilt from the run spec, so no coordinates are written.
+structures are rebuilt from the run spec, so no coordinates are written,
+and a complex is written as its receptor sequence and backbone quality.
 
 Durability contract:
 
@@ -28,9 +29,9 @@ Durability contract:
   (at most one cycle is re-executed — exactly, by the determinism
   contract).
 * **versioned** — every line carries ``schema_version``; a checkpoint
-  written by any other layout (an older build's version 1 or 2 included) is
-  rejected with a clear error, never half-parsed into a silently wrong
-  resume.
+  written by any other layout (an older build's version 1, 2 or 3 included)
+  is rejected with a clear error, never half-parsed into a silently wrong
+  resume.  So is a current-version line whose state does not decode.
 
 Reads walk the ladder newest first and decode only until the first usable
 line, so a resume decodes one snapshot, not the ladder.
@@ -48,17 +49,19 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.protocols import CampaignState
-from repro.exceptions import StoreError
+from repro.exceptions import CampaignError, StoreError
 from repro.utils.serialization import atomic_write_text
 
 __all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointStore"]
 
 #: Layout version stamped on every checkpoint line.  Version 2 encoded
 #: complexes relative to their targets, each trajectory once and profiler
-#: intervals as rows; version 3 keeps that payload and drops the line-level
-#: progress fields (``cycle``, ``cycles_total``, ``restorable``): every line
-#: is a restore point.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: intervals as rows; version 3 dropped the line-level progress fields
+#: (``cycle``, ``cycles_total``, ``restorable``): every line is a restore
+#: point; version 4 writes a complex as its receptor sequence and backbone
+#: quality, without the ``metadata`` copy of its target's peptide and seed
+#: and its last fold's metrics.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 #: How many trailing ladder records a save keeps.  The torn-line fallback
 #: only ever needs the *previous* cycle; keeping a couple more is cheap
@@ -164,9 +167,10 @@ class CheckpointStore:
         Walks the ladder newest first and decodes only until the first
         usable line.  Torn or garbled lines are skipped (that is the
         previous-cycle fallback); a line stamped with an unknown
-        ``schema_version`` raises :class:`StoreError` when reached — a
-        wrong-schema resume must fail loudly, not fall through to a silently
-        stale cycle.  ``None`` means the run starts from the beginning.
+        ``schema_version``, or one whose state does not decode, raises
+        :class:`StoreError` when reached — a wrong-schema resume must fail
+        loudly, not fall through to a silently stale cycle.  ``None`` means
+        the run starts from the beginning.
         """
         path = self.path(fingerprint)
         for line in reversed(self._raw_lines(path)):
@@ -187,5 +191,8 @@ class CheckpointStore:
             state = record.get("state")
             if not isinstance(state, dict):
                 continue  # structurally incomplete line: skip like a torn one
-            return CampaignState.from_dict(state)
+            try:
+                return CampaignState.from_dict(state)
+            except CampaignError as error:
+                raise StoreError(f"checkpoint {path} holds {error}") from error
         return None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.results import compare_campaigns, net_deltas_from_summary
+from repro.core.results import net_deltas_from_summary
 from repro.exceptions import CampaignError
 from repro.utils.serialization import to_jsonable
 from repro.utils.stats import net_delta_percent
@@ -120,16 +120,21 @@ class TestDesignCampaign:
 
 class TestCompareCampaigns:
     def test_adaptive_beats_control(self, small_control_result, small_imrp_result):
-        comparison = compare_campaigns(small_control_result, small_imrp_result)
-        advantage = comparison["quality_advantage"]
-        assert advantage["plddt_median_gain"] > 0
-        assert advantage["ptm_median_gain"] > 0
-        assert advantage["pae_median_gain"] > 0
-        assert comparison["utilization_advantage"]["cpu"] > 0
-        assert comparison["utilization_advantage"]["gpu"] > 0
-        assert comparison["extra_trajectories"] >= 0
+        control, adaptive = small_control_result, small_imrp_result
+        summaries = [result.iteration_summary() for result in (control, adaptive)]
+        last_control, last_adaptive = (summary[max(summary)] for summary in summaries)
+        for metric in ("plddt", "ptm"):
+            assert last_adaptive[metric]["median"] > last_control[metric]["median"]
+        assert (
+            last_adaptive["interchain_pae"]["median"]
+            < last_control["interchain_pae"]["median"]
+        )
+        assert adaptive.cpu_utilization > control.cpu_utilization
+        assert adaptive.gpu_utilization > control.gpu_utilization
+        assert adaptive.n_trajectories >= control.n_trajectories
 
-    def test_rows_order(self, small_control_result, small_imrp_result):
-        comparison = compare_campaigns(small_control_result, small_imrp_result)
-        assert comparison["rows"][0]["approach"] == "CONT-V"
-        assert comparison["rows"][1]["approach"] == "IM-RP"
+    def test_each_result_labels_its_table_row(
+        self, small_control_result, small_imrp_result
+    ):
+        assert small_control_result.table_row()["approach"] == "CONT-V"
+        assert small_imrp_result.table_row()["approach"] == "IM-RP"

@@ -44,7 +44,7 @@ def _via_json(payload):
 
 def _designed(target, models):
     """The target's complex as a design cycle leaves it: a new receptor
-    sequence, backbone quality and metadata on the target's atoms."""
+    sequence and backbone quality on the target's atoms."""
     receptor = target.complex.receptor.sequence
     design = ProteinSequence(
         residues=receptor.residues[::-1], chain_id=receptor.chain_id, name="design.7"
@@ -60,7 +60,7 @@ def _run(pipeline, fail_task=None):
         task = Task(description)
         if description.name == fail_task:
             task.exception = RuntimeError("injected failure")
-        else:
+        elif description.payload is not None:
             task.result = description.payload()
         description = pipeline.advance(task).task
     return pipeline
@@ -213,6 +213,7 @@ class TestPayloadShape:
         for state in states:
             assert '"coordinates"' not in json.dumps(state.payload)
             for pipeline in state.payload["pipelines"].values():
+                assert set(pipeline["complex"]) == {"receptor", "backbone_quality"}
                 if pipeline["status"] != "RUNNING":
                     finished += 1
                     assert pipeline["trajectories"] == []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +15,11 @@ from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
 from repro.core.snapshot import encode_rng_state
 from repro.core.stages import StageFactory, StageModels
 from repro.exceptions import ConfigurationError, PipelineError
-from repro.protein.folding import FoldingResult, SurrogateAlphaFold
+from repro.protein.folding import MSA_MODES, FoldingResult, SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
+from repro.protein.sequence import ScoredSequence
+from repro.protein.structure import ComplexStructure
 from repro.runtime.durations import DurationModel, TaskKind
 from repro.runtime.task import Task, TaskDescription
 
@@ -37,7 +42,6 @@ def drive(pipeline: Pipeline, fail_stage: str | None = None, max_steps: int = 10
         if fail_stage is not None and description.metadata.get("stage") == fail_stage:
             task = Task(description)
             task.exception = RuntimeError("injected failure")
-            task.stderr = "injected failure"
         else:
             task = run_task_inline(description)
         executed.append(task)
@@ -79,44 +83,118 @@ class TestStageFactory:
         scores = [scored.log_likelihood for scored in ranked]
         assert scores == sorted(scores, reverse=True)
 
-    def test_selection_task_builds_fasta(self, factory, target, models):
-        candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=3)
-        description = factory.sequence_selection("p1", target, 0, candidates[0], 0)
-        result = description.payload()
-        assert result["fasta"].startswith(">")
-        assert result["selected_name"] == candidates[0].sequence.name
+    def test_selection_task_is_named_for_its_retry(self, factory, target):
+        description = factory.sequence_selection("p1", target, 0, 2)
+        assert description.name == "p1.c0.r2.select"
+        assert description.kind == TaskKind.SEQUENCE_SELECT.value
+        assert description.metadata["stage"] == "sequence_selection"
 
     def test_msa_and_inference_split(self, factory, target, models):
         candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=1)
-        msa = factory.structure_msa("p1", target, 0, candidates[0].sequence, 0)
+        msa = factory.structure_msa("p1", target, 0, 0)
         inference = factory.structure_inference(
             "p1", target, target.complex, 0, candidates[0].sequence, 0
         )
         assert msa.request.gpus == 0 and msa.request.cpu_cores >= 4
         assert inference.request.gpus == 1
-        assert msa.payload()["msa_depth"] > 1
         folding_result = inference.payload()
         assert isinstance(folding_result, FoldingResult)
 
-    def test_single_sequence_mode_searches_no_msa(self, target, four_targets):
+    def test_single_sequence_mode_reaches_the_folding_surrogate(self, four_targets):
         campaign = DesignCampaign(four_targets, CampaignConfig(msa_mode="single_sequence"))
         assert campaign.models.folding.msa_mode == "single_sequence"
-        factory = StageFactory(campaign.models, DurationModel())
-        msa = factory.structure_msa("p1", target, 0, target.complex.receptor.sequence, 0)
-        assert msa.payload()["msa_depth"] == 1
-        assert factory.structure_inference(
-            "p1", target, target.complex, 0, target.complex.receptor.sequence, 0
-        ).payload().msa_mode == "single_sequence"
+
+    def test_single_sequence_mode_takes_the_same_simulated_time(self, four_targets):
+        # The mode only scales the metric noise; CONT-V's random selection
+        # then runs the same tasks, so only the metrics differ.
+        full, single = (
+            DesignCampaign(
+                four_targets,
+                CampaignConfig(
+                    protocol="cont-v", msa_mode=mode, seed=7, n_cycles=2, n_sequences=4
+                ),
+            ).run()
+            for mode in MSA_MODES
+        )
+        assert single.makespan_hours == full.makespan_hours
+        assert single.total_task_hours == full.total_task_hours
+        assert single.iteration_summary() != full.iteration_summary()
 
     def test_scoring_and_compare_tasks(self, factory, target, models):
         folding_result = models.folding.predict(target.complex, target.landscape)
-        scoring = factory.scoring("p1", target, 0, folding_result, 0)
-        payload = scoring.payload()
-        assert "energy" in payload and "composite" in payload
+        scoring = factory.scoring("p1", target, 0, folding_result, 1)
         compare = factory.compare(
-            "p1", target, 0, folding_result.metrics, None, AcceptancePolicy(), 0
+            "p1", target, 0, folding_result.metrics, None, AcceptancePolicy(), 1
         )
-        assert compare.payload()["accepted"] is True
+        assert (scoring.name, scoring.kind) == ("p1.c0.r1.score", TaskKind.SCORING.value)
+        assert (compare.name, compare.kind) == ("p1.c0.r1.compare", TaskKind.COMPARE.value)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestStageContract:
+    """Each stage task returns exactly what its pipeline handler reads."""
+
+    def test_selection_and_msa_tasks_carry_no_payload(self, factory, target):
+        assert factory.sequence_selection("p1", target, 0, 0).payload is None
+        assert factory.structure_msa("p1", target, 0, 0).payload is None
+
+    def test_scoring_returns_the_total_energy(self, factory, target, models):
+        folding_result = models.folding.predict(target.complex, target.landscape)
+        energy = factory.scoring("p1", target, 0, folding_result, 0).payload()
+        want = ScoringFunction().score(folding_result.structure).total
+        assert type(energy) is float and _bits(energy) == _bits(want)
+
+    @pytest.mark.parametrize("min_delta", [0.0, 1e9])
+    def test_compare_returns_the_policys_decision(self, factory, target, models, min_delta):
+        policy = AcceptancePolicy(min_delta=min_delta)
+        baseline = models.folding.predict(target.complex, target.landscape).metrics
+        new = models.folding.predict(
+            target.complex, target.landscape, stream=("again",)
+        ).metrics
+        for previous in (None, baseline):
+            decision = factory.compare("p1", target, 0, new, previous, policy, 0).payload()
+            assert decision is policy.accepts(new, previous)
+
+    def test_task_metadata_holds_only_what_is_read(self, factory, target, models):
+        folding_result = models.folding.predict(target.complex, target.landscape)
+        candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=3)
+        sized = {"pipeline_uid", "stage", "n_residues", "n_sequences"}
+        plain = sized - {"n_sequences"}
+        expected = [
+            (factory.sequence_generation("p1", target, target.complex, 0, 3), sized),
+            (factory.sequence_ranking("p1", target, 0, candidates), sized),
+            (factory.sequence_selection("p1", target, 0, 0), plain),
+            (factory.structure_msa("p1", target, 0, 0), plain),
+            (
+                factory.structure_inference(
+                    "p1", target, target.complex, 0, candidates[0].sequence, 0
+                ),
+                plain,
+            ),
+            (factory.scoring("p1", target, 0, folding_result, 0), plain),
+            (
+                factory.compare(
+                    "p1", target, 0, folding_result.metrics, None, AcceptancePolicy(), 0
+                ),
+                plain,
+            ),
+        ]
+        for description, keys in expected:
+            assert set(description.metadata) == keys
+            assert description.metadata["n_residues"] == target.complex.total_residues
+
+    def test_design_records_hold_only_their_kept_fields(self):
+        def names(cls):
+            return [item.name for item in dataclasses.fields(cls)]
+
+        assert names(FoldingResult) == ["metrics", "structure", "fitness"]
+        assert names(ScoredSequence) == ["sequence", "log_likelihood"]
+        assert names(ComplexStructure) == [
+            "name", "receptor", "peptide", "backbone_quality", "designable_positions",
+        ]
 
 
 class TestPipelineConfig:
@@ -239,6 +317,23 @@ class TestPipeline:
         drive(pipeline)
         assert pipeline.status is PipelineStatus.COMPLETED
         assert pipeline.cycle_results[-1].adaptive is False
+
+    def test_trajectories_record_the_scoring_and_compare_results(self, factory, target):
+        # Cycle 0 accepts (nothing to compare with); cycle 1 rejects every
+        # candidate.
+        config = PipelineConfig(
+            n_cycles=2, n_sequences=5, acceptance=AcceptancePolicy(min_delta=1.0)
+        )
+        pipeline = Pipeline("p16", target, factory, config)
+        executed = drive(pipeline)
+        stage_results = {
+            stage: [t.result for t in executed if t.metadata["stage"] == stage]
+            for stage in ("scoring", "compare")
+        }
+        trajectories = pipeline.trajectories
+        assert [t.energy_total for t in trajectories] == stage_results["scoring"]
+        assert [t.accepted for t in trajectories] == stage_results["compare"]
+        assert stage_results["compare"] == [True] + [False] * 5
 
     def test_latest_metrics_are_the_last_accepted_cycle(self, factory, target):
         pipeline = Pipeline("p11", target, factory, PipelineConfig(n_cycles=3, n_sequences=6))

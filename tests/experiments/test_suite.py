@@ -271,7 +271,7 @@ def _target_digest(targets) -> str:
     for target in targets:
         structure, landscape = target.complex, target.landscape
         add(target.name, target.seed, structure.name, structure.backbone_quality,
-            structure.designable_positions, sorted(structure.metadata.items()))
+            structure.designable_positions)
         for chain in structure.chains():
             add(chain.sequence.residues, chain.sequence.chain_id, chain.sequence.name,
                 chain.coordinates.shape, chain.coordinates.tobytes())
@@ -294,9 +294,12 @@ _TARGET_EDITS = {
     "designable_positions": lambda t: object.__setattr__(
         t.complex, "designable_positions", (0,)
     ),
-    "metadata": lambda t: t.complex.metadata.update(cycle=1),
+    "seed": lambda t: object.__setattr__(t, "seed", t.seed + 1),
     "receptor_sequence": lambda t: object.__setattr__(
         t.complex.receptor.sequence, "residues", "A" * len(t.complex.receptor)
+    ),
+    "peptide_sequence": lambda t: object.__setattr__(
+        t.complex.peptide.sequence, "residues", "A" * len(t.complex.peptide)
     ),
     "receptor_coordinates": lambda t: _bump(t.complex.receptor.coordinates),
     "peptide_coordinates": lambda t: _bump(t.complex.peptide.coordinates),

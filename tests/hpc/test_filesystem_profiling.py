@@ -134,6 +134,3 @@ class TestComputePlatform:
         platform = ComputePlatform()
         assert platform.spec.total_cpu_cores == 28
         assert platform.spec.total_gpus == 4
-
-    def test_describe_includes_filesystem(self):
-        assert ComputePlatform().describe()["filesystem"] == "gpfs-scratch"

@@ -39,14 +39,6 @@ class TestResourceRequest:
         with pytest.raises(ConfigurationError, match="finite"):
             ResourceRequest(cpu_cores=1, memory_gb=memory_gb)
 
-    def test_scaled(self):
-        request = ResourceRequest(cpu_cores=2, gpus=1, memory_gb=4.0).scaled(3)
-        assert (request.cpu_cores, request.gpus, request.memory_gb) == (6, 3, 12.0)
-
-    def test_scaled_rejects_zero_factor(self):
-        with pytest.raises(ConfigurationError):
-            ResourceRequest(cpu_cores=1).scaled(0)
-
 
 class TestSpecs:
     def test_amarel_node_matches_paper(self):
@@ -101,11 +93,6 @@ class TestSpecs:
     def test_platform_needs_nodes(self):
         with pytest.raises(ConfigurationError):
             PlatformSpec(name="p", nodes=())
-
-    def test_describe_keys(self):
-        assert {"name", "nodes", "cpu_cores", "gpus", "memory_gb"} <= set(
-            amarel_platform().describe()
-        )
 
 
 class TestNodeAllocator:
@@ -168,13 +155,6 @@ class TestNodeAllocator:
         assert self.allocator.fits_now(request)
         self.allocator.allocate(request)
         assert not self.allocator.fits_now(request)
-
-    def test_utilization_fractions(self):
-        self.allocator.allocate(ResourceRequest(cpu_cores=14, gpus=2, memory_gb=64))
-        utilization = self.allocator.utilization()
-        assert utilization["cpu"] == pytest.approx(0.5)
-        assert utilization["gpu"] == pytest.approx(0.5)
-        assert utilization["memory"] == pytest.approx(0.5)
 
     def test_multi_node_spillover(self):
         allocator = NodeAllocator(amarel_platform(2))

@@ -85,7 +85,7 @@ class TestPayloadFailureIsolation:
         coordinator.run()
         failed = [task for task in finished if task.failed]
         assert failed
-        assert all("GPU OOM" in task.stderr for task in failed)
+        assert all("GPU OOM" in str(task.exception) for task in failed)
 
 
 class TestResultFinalDesignMetrics:

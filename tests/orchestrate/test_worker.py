@@ -80,9 +80,10 @@ def _dead_claim(queue, fingerprint, *, worker="dead-worker", age=3600.0):
     )
 
 
-def _plant_checkpoint(queue, entry, *, cycle=5, schema_version=None):
-    """A checkpoint for ``entry`` at ``cycle``; ``schema_version`` overrides
-    the line's stamp (an unusable checkpoint of another build)."""
+def _plant_checkpoint(queue, entry, *, cycle=5, **line_overrides):
+    """A checkpoint for ``entry`` at ``cycle``; ``line_overrides`` replace
+    fields of the line (e.g. the ``schema_version`` stamp of another build's
+    checkpoint, or a ``state`` that does not decode)."""
     checkpoints = CheckpointStore(queue.checkpoints_dir)
     state = CampaignState(
         protocol=entry.spec.protocol, seed=entry.spec.seed, cycle=cycle,
@@ -91,10 +92,10 @@ def _plant_checkpoint(queue, entry, *, cycle=5, schema_version=None):
     checkpoints.save(
         entry.fingerprint, state, run_id=entry.spec.run_id, worker="old"
     )
-    if schema_version is not None:
+    if line_overrides:
         path = checkpoints.path(entry.fingerprint)
         line = json.loads(path.read_text())
-        line["schema_version"] = schema_version
+        line.update(line_overrides)
         path.write_text(json.dumps(line) + "\n")
     return checkpoints
 
@@ -497,6 +498,19 @@ class TestPreemptiveStealing:
             long_queue.is_done(entry.fingerprint)
             for entry in long_queue.entries()
         )
+
+    @pytest.mark.parametrize(
+        "line_overrides",
+        [{"schema_version": 3}, {"state": {"protocol": "cont-v"}}],
+        ids=["schema-3", "malformed-state"],
+    )
+    def test_unusable_checkpoint_releases_the_claim(self, queue, line_overrides):
+        entry = queue.entries()[0]
+        _plant_checkpoint(queue, entry, **line_overrides)
+        with pytest.raises(OrchestrationError, match="unusable checkpoint") as caught:
+            run_worker(queue, worker_id="w0", execute=fake_execute())
+        assert repr(entry.spec.run_id) in str(caught.value)
+        assert not queue.claim_path(entry.fingerprint).exists()
 
     def test_unusable_checkpoint_leaves_a_peers_claim_alone(self, queue, monkeypatch):
         """The claim is released only while it still names this worker."""

@@ -104,7 +104,7 @@ class TestFoldingBatchEquivalence:
             assert result.metrics.interchain_pae == pytest.approx(
                 scalar.metrics.interchain_pae, abs=1e-9
             )
-            assert result.model_rank == scalar.model_rank
+            assert result.structure.receptor.sequence == scalar.structure.receptor.sequence
             assert result.structure.backbone_quality == pytest.approx(
                 scalar.structure.backbone_quality, abs=1e-9
             )

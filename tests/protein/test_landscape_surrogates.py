@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +344,20 @@ class TestSurrogateAlphaFold:
         assert result.structure.backbone_quality == pytest.approx(result.fitness)
         assert result.structure.receptor.sequence.residues == (
             pdz_target.complex.receptor.sequence.residues
+        )
+
+    def test_refined_structure_changes_only_the_design(self, pdz_target):
+        native = pdz_target.complex.receptor.sequence
+        design = ProteinSequence(native.residues[::-1], chain_id="Z", name="design.1")
+        result = SurrogateAlphaFold(seed=11).predict(
+            pdz_target.complex, pdz_target.landscape, design
+        )
+        # The receptor chain keeps its id; nothing else of the complex changes.
+        installed = ProteinSequence(design.residues, native.chain_id, design.name)
+        assert result.structure == replace(
+            pdz_target.complex,
+            receptor=pdz_target.complex.receptor.with_sequence(installed),
+            backbone_quality=result.structure.backbone_quality,
         )
 
     def test_deterministic_per_stream(self, pdz_target):

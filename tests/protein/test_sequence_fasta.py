@@ -1,4 +1,4 @@
-"""Tests for the alphabet, sequences, scored sequences and FASTA text."""
+"""Tests for the alphabet, sequences and scored sequences."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.protein.alphabet import (
     is_valid_sequence,
     property_matrix,
 )
-from repro.protein.fasta import format_fasta, parse_fasta
 from repro.protein.sequence import ProteinSequence, ScoredSequence, decode_batch
 
 _residue = st.sampled_from(AMINO_ACIDS)
@@ -183,59 +182,3 @@ class TestDecodeBatch:
         with pytest.raises(SequenceError, match="chain_id"):
             decode_batch(np.array([[0, 1]]), "", ["a"])
 
-
-class TestFasta:
-    def test_round_trip_single(self):
-        sequence = ProteinSequence(residues="ACDEFG" * 15, chain_id="A", name="design_1")
-        parsed = parse_fasta(format_fasta([sequence]))
-        assert len(parsed) == 1
-        assert parsed[0].residues == sequence.residues
-        assert parsed[0].chain_id == "A"
-        assert parsed[0].name == "design_1"
-
-    def test_round_trip_complex(self):
-        receptor = ProteinSequence(residues="ACD" * 30, chain_id="A", name="receptor")
-        peptide = ProteinSequence(residues="EPEA", chain_id="B", name="peptide")
-        parsed = parse_fasta(format_fasta([receptor, peptide]))
-        assert [p.chain_id for p in parsed] == ["A", "B"]
-        assert parsed[1].residues == "EPEA"
-
-    def test_line_wrapping(self):
-        sequence = ProteinSequence(residues="A" * 150, chain_id="A", name="long")
-        text = format_fasta([sequence])
-        longest = max(len(line) for line in text.splitlines())
-        assert longest <= 60
-
-    def test_plain_fasta_without_chain_suffix(self):
-        parsed = parse_fasta(">some_protein\nACDEF\n")
-        assert parsed[0].chain_id == "A"
-        assert parsed[0].name == "some_protein"
-
-    def test_unnamed_sequences_round_trip_under_chain_names(self):
-        sequences = [
-            ProteinSequence(residues="ACDEF", chain_id="A"),
-            ProteinSequence(residues="EPEA", chain_id="B"),
-        ]
-        text = format_fasta(sequences)
-        assert text.splitlines()[0] == ">chain_A|A"
-        parsed = parse_fasta(text)
-        assert [(p.name, p.chain_id, p.residues) for p in parsed] == [
-            ("chain_A", "A", "ACDEF"),
-            ("chain_B", "B", "EPEA"),
-        ]
-
-    def test_malformed_input_raises(self):
-        with pytest.raises(SequenceError):
-            parse_fasta("ACDEF\n")
-        with pytest.raises(SequenceError):
-            parse_fasta(">empty_record\n>next\nACD\n")
-
-    @given(st.lists(_residues, min_size=1, max_size=4))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, residue_strings):
-        sequences = [
-            ProteinSequence(residues=residues, chain_id="ABCD"[index], name=f"s{index}")
-            for index, residues in enumerate(residue_strings)
-        ]
-        parsed = parse_fasta(format_fasta(sequences))
-        assert [p.residues for p in parsed] == [s.residues for s in sequences]

@@ -160,8 +160,3 @@ class TestComplexStructure:
         complex_structure = _complex()
         assert complex_structure.with_backbone_quality(2.0).backbone_quality == 1.0
         assert complex_structure.with_backbone_quality(-1.0).backbone_quality == 0.0
-
-    def test_with_metadata_merges(self):
-        complex_structure = _complex().with_metadata(cycle=1)
-        again = complex_structure.with_metadata(parent="x")
-        assert again.metadata["cycle"] == 1 and again.metadata["parent"] == "x"

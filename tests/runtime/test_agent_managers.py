@@ -63,7 +63,7 @@ class TestAgent:
         agent.submit(task)
         agent.platform.run()
         assert task.failed and task.end_time is not None
-        assert "boom" in task.stderr
+        assert "boom" in str(task.exception)
         # Resources are released even on failure.
         assert agent.platform.allocator.busy_cores() == 0
 
@@ -246,4 +246,4 @@ class TestPilotAndManagers:
         (task,) = manager.submit_tasks(_description(name="broken", payload=broken))
         manager.platform.run()
         assert seen == [(task, True)]
-        assert "bad input" in task.stderr
+        assert "bad input" in str(task.exception)

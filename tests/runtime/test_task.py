@@ -85,7 +85,7 @@ class TestFinish:
         task.finish(platform)
         assert task.failed
         assert isinstance(task.exception, ValueError)
-        assert task.stderr == "ValueError: bad input"
+        assert str(task.exception) == "bad input"
         assert task.end_time == 5.0
         assert platform.allocator.busy_cores() == 0
 

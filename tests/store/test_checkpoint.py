@@ -1,8 +1,9 @@
 """CheckpointStore: the crash windows of cycle-granular suspend/resume.
 
 Covers the durability contract: atomic write-then-replace saves, torn-tail
-fallback to the previous cycle, hard rejection of unknown schema versions,
-and the refusal to save a state that is not a restore point.
+fallback to the previous cycle, hard rejection of unknown schema versions
+and of states that do not decode, and the refusal to save a state that is
+not a restore point.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class TestLadder:
             "schema_version", "fingerprint", "run_id", "worker", "written_at",
             "state",
         }
-        assert line["schema_version"] == CHECKPOINT_SCHEMA_VERSION == 3
+        assert line["schema_version"] == CHECKPOINT_SCHEMA_VERSION == 4
         assert (line["fingerprint"], line["run_id"], line["worker"]) == (
             FP, "cont-v-s3", "w0",
         )
@@ -133,6 +134,28 @@ class TestCrashWindows:
         path.write_text(json.dumps(line) + "\n")
         with pytest.raises(StoreError, match="schema_version 2;"):
             store.latest_restorable(FP)
+
+    def test_schema_3_line_of_an_older_build_is_refused(self, store):
+        # Version 3 wrote each complex with a metadata copy of its target's
+        # peptide and seed and its last fold's metrics; this build must not
+        # half-decode one.
+        store.save(FP, _state(1), run_id="r", worker="w0")
+        path = store.path(FP)
+        record = json.loads(path.read_text().splitlines()[0])
+        record["schema_version"] = 3
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(StoreError, match="schema_version 3;"):
+            store.latest_restorable(FP)
+
+    def test_current_schema_line_with_a_malformed_state_is_refused(self, store):
+        store.save(FP, _state(1), run_id="r", worker="w0")
+        path = store.path(FP)
+        record = json.loads(path.read_text().splitlines()[0])
+        record["state"] = {"protocol": "cont-v"}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(StoreError, match="malformed campaign state") as caught:
+            store.latest_restorable(FP)
+        assert str(path) in str(caught.value)
 
     @pytest.mark.parametrize(
         "state",
