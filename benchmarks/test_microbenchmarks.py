@@ -140,9 +140,17 @@ def test_folding_predict_batch_speed(benchmark, micro_target):
     assert len(results) == 24
 
 
-def test_scoring_vectorized_speed(benchmark, micro_target):
-    """Vectorized coarse-energy scoring of one complex."""
+def test_scoring_first_score_speed(benchmark, micro_target):
+    """The first score of a geometry: a fresh ``ScoringFunction`` measures the
+    receptor/peptide distances, contact pairs, clashes and compactness."""
+    breakdown = benchmark(lambda: ScoringFunction().score(micro_target.complex))
+    assert np.isfinite(breakdown.total)
+
+
+def test_scoring_memo_hit_speed(benchmark, micro_target):
+    """A later score of the same geometry: a gather over its contact pairs."""
     scoring = ScoringFunction()
+    scoring.score(micro_target.complex)
     breakdown = benchmark(lambda: scoring.score(micro_target.complex))
     assert np.isfinite(breakdown.total)
 

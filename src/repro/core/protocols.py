@@ -84,7 +84,7 @@ from repro.core.control import ControlProtocol
 from repro.core.coordinator import PipelinesCoordinator
 from repro.core.pipeline import PipelineConfig
 from repro.core.results import PipelineRecord
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, ReproError, StoreError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec, amarel_platform
 from repro.hpc.scheduler import placement_window
@@ -436,14 +436,22 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
             context, adaptive=False, random_selection=self.random_selection
         )
         if state.payload is not None:
-            return ControlProtocol.restore(
-                context.platform_spec,
-                context.factory,
-                context.durations,
-                config,
-                context.targets,
-                state.payload,
-            )
+            try:
+                return ControlProtocol.restore(
+                    context.platform_spec,
+                    context.factory,
+                    context.durations,
+                    config,
+                    context.targets,
+                    state.payload,
+                )
+            except (LookupError, TypeError, ValueError, AttributeError, ReproError) as error:
+                # The checkpoint, not the run, is at fault: a retry would
+                # resume from the same payload and fail the same way.
+                raise StoreError(
+                    f"{self.name} checkpoint payload at cycle {state.cycle} does "
+                    f"not restore: {type(error).__name__}: {error}"
+                ) from error
         return ControlProtocol(
             ComputePlatform(context.platform_spec),
             context.factory,

@@ -543,6 +543,7 @@ def _execute_with_budget(
             notify("resume", entry)
             # A stolen run shows its position from the first beat on.
             heartbeat.report_progress(resume.cycle, resume.cycles_total)
+        executed = False
         try:
             with telemetry.span(
                 "worker.run",
@@ -558,6 +559,7 @@ def _execute_with_budget(
                         result, seconds = _run_attempt(
                             execute, entry, resume, on_cycle, run_timeout
                         )
+                executed = True
                 # Store/marker failures (full disk, queue-FS hiccup) are
                 # retried with backoff; if they persist the claim is released
                 # like an execution failure, so a peer retries immediately
@@ -585,6 +587,14 @@ def _execute_with_budget(
             return True
         except Exception as error:
             heartbeat = None
+            if isinstance(error, StoreError) and resume is not None and not executed:
+                # The checkpoint's payload does not restore: every retry would
+                # resume from it and fail the same way.  Refuse it as
+                # _load_resume_state refuses a state that does not decode.
+                release_claim(claim, worker)
+                raise OrchestrationError(
+                    f"run {entry.spec.run_id!r} has an unusable checkpoint: {error}"
+                ) from error
             if attempt < max_attempts:
                 attempt += 1
                 refresh_lease(claim, worker, time.time(), attempt, crashes)

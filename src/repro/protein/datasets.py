@@ -83,10 +83,6 @@ class DesignTarget:
     def n_designable(self) -> int:
         return len(self.complex.designable_positions)
 
-    def native_fitness(self) -> float:
-        """Latent fitness of the unmodified (native) receptor."""
-        return self.landscape.native_fitness()
-
 
 def _natural_sequence(length: int, rng: np.random.Generator, chain_id: str, name: str) -> ProteinSequence:
     letters = list(_NATURAL_FREQUENCIES.keys())

@@ -252,8 +252,8 @@ class SurrogateAlphaFold:
                 chain_id=receptor_chain_id,
                 name=target_sequence.name,
             )
-        # One dataclasses.replace instead of chaining with_receptor_sequence /
-        # with_backbone_quality: the complex is validated once.
+        # The refined complex keeps the input's coordinate arrays (the scoring
+        # memo is keyed by them) and is validated once.
         refined = replace(
             complex_structure,
             receptor=complex_structure.receptor.with_sequence(refined_sequence),

@@ -268,10 +268,6 @@ class FitnessLandscape:
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-z))
 
-    def native_fitness(self) -> float:
-        """Fitness of the starting (native) receptor sequence."""
-        return self.fitness(self.native_sequence)
-
     def additive_profile(self, position: int) -> np.ndarray:
         """Additive preference vector (length 20) for a designable position."""
         try:

@@ -7,11 +7,18 @@ energy: interchain contact energy weighted by residue compatibility, a clash
 penalty and a compactness term.  The scoring stage returns the total, which
 the trajectory records report; the adaptive decision in the paper (and here)
 is taken on the AlphaFold metrics.
+
+Designs change sequences, never atoms: every complex a campaign scores
+shares its target's two coordinate arrays.  A :class:`ScoringFunction`
+therefore measures each receptor/peptide geometry once and keeps what
+depends only on atoms (the contact pairs, the clash count and the
+compactness term); scoring a design is then a gather over its sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -35,8 +42,27 @@ class EnergyBreakdown:
         return self.contact_energy + self.clash_penalty + self.compactness_penalty
 
 
+class _Geometry(NamedTuple):
+    """What a score takes from one complex's atoms (see ``ScoringFunction``)."""
+
+    #: The two coordinate arrays measured.  Holding them keeps their ids,
+    #: the memo key, from being reused while the entry exists.
+    receptor_xyz: np.ndarray
+    peptide_xyz: np.ndarray
+    #: Row-major indices of the contacting (receptor, peptide) pairs.
+    rows: np.ndarray
+    cols: np.ndarray
+    clash_penalty: float
+    compactness_penalty: float
+
+
 class ScoringFunction:
     """Pairwise-contact energy with clash and compactness terms.
+
+    The atom-only terms are measured once per receptor/peptide coordinate
+    array pair, keyed by the arrays' identity, and kept for the life of the
+    instance: one entry per target a campaign scores.  Scoring is therefore
+    correct only while nobody moves atoms in place.
 
     Parameters
     ----------
@@ -77,6 +103,7 @@ class ScoringFunction:
         pair_matrix -= 1.5 * (charge_product < 0)
         pair_matrix += 1.0 * (charge_product > 0)
         self._pair_matrix = pair_matrix
+        self._geometries: Dict[Tuple[int, int], _Geometry] = {}
 
     def pair_energy(self, residue_a: str, residue_b: str) -> float:
         """Compatibility energy of two contacting residues (negative = favourable).
@@ -96,27 +123,40 @@ class ScoringFunction:
     def score(self, complex_structure: ComplexStructure) -> EnergyBreakdown:
         """Score a complex; lower total energy is better.
 
-        Vectorized: the contact energy is a gather of the precomputed pair
-        matrix over the contact mask — no per-pair Python.
+        The contact energy gathers the precomputed pair matrix over the
+        geometry's contact pairs, in the row-major order a boolean contact
+        mask selects them, so it sums the same values in the same order.
         """
         receptor = complex_structure.receptor
         peptide = complex_structure.peptide
-        deltas = receptor.coordinates[:, None, :] - peptide.coordinates[None, :, :]
-        distances = np.sqrt((deltas ** 2).sum(axis=2))
+        key = (id(receptor.coordinates), id(peptide.coordinates))
+        geometry = self._geometries.get(key)
+        if geometry is None:
+            geometry = self._geometries[key] = self._measure(complex_structure)
+        contact_energy = self._pair_matrix[
+            receptor.sequence.encode()[geometry.rows],
+            peptide.sequence.encode()[geometry.cols],
+        ].sum()
+        return EnergyBreakdown(
+            contact_energy=float(contact_energy),
+            clash_penalty=geometry.clash_penalty,
+            compactness_penalty=geometry.compactness_penalty,
+        )
 
-        contact_mask = distances < self._contact_cutoff
-        pair_energies = self._pair_matrix[
-            receptor.sequence.encode()[:, None], peptide.sequence.encode()[None, :]
-        ]
-        contact_energy = float(pair_energies[contact_mask].sum())
+    def _measure(self, complex_structure: ComplexStructure) -> _Geometry:
+        """The atom-only terms of one complex's score."""
+        receptor = complex_structure.receptor
+        distances = complex_structure.interchain_distances()
+        rows, cols = np.nonzero(distances < self._contact_cutoff)
         # Clash pairs are a subset of contact pairs (the constructor enforces
         # clash_cutoff < contact_cutoff), so a plain count suffices.
         clash_count = int((distances < self._clash_cutoff).sum())
-
         compactness = receptor.radius_of_gyration() / max(1.0, len(receptor) ** (1.0 / 3.0))
-
-        return EnergyBreakdown(
-            contact_energy=float(contact_energy),
+        return _Geometry(
+            receptor_xyz=receptor.coordinates,
+            peptide_xyz=complex_structure.peptide.coordinates,
+            rows=rows,
+            cols=cols,
             clash_penalty=float(self._clash_weight * clash_count),
             compactness_penalty=float(self._compactness_weight * compactness),
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -104,20 +104,6 @@ class ProteinSequence:
             object.__setattr__(copy, "_encoded", encoded)
         return copy
 
-    def hamming_distance(self, other: "ProteinSequence") -> int:
-        """Number of positions at which two equal-length sequences differ."""
-        if len(self) != len(other):
-            raise SequenceError(
-                f"cannot compare sequences of lengths {len(self)} and {len(other)}"
-            )
-        return sum(1 for a, b in zip(self.residues, other.residues) if a != b)
-
-    def identity(self, other: "ProteinSequence") -> float:
-        """Fraction of identical positions (1.0 = identical sequences)."""
-        if len(self) == 0:
-            raise SequenceError("cannot compute identity of an empty sequence")
-        return 1.0 - self.hamming_distance(other) / len(self)
-
     def encode(self) -> np.ndarray:
         """Integer encoding (indices into :data:`AMINO_ACIDS`), shape ``(L,)``.
 
@@ -135,15 +121,6 @@ class ProteinSequence:
             cached.flags.writeable = False
             object.__setattr__(self, "_encoded", cached)
         return cached
-
-    def composition(self) -> Dict[str, float]:
-        """Fraction of each amino acid present in the sequence."""
-        length = len(self.residues)
-        return {
-            aa: self.residues.count(aa) / length
-            for aa in AMINO_ACIDS
-            if aa in self.residues
-        }
 
 
 def check_encoded(encoded: np.ndarray) -> None:

@@ -11,7 +11,7 @@ ProteinMPNN round).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -233,35 +233,17 @@ class ComplexStructure:
     def total_residues(self) -> int:
         return len(self.receptor) + len(self.peptide)
 
-    def chains(self) -> List[Chain]:
-        return [self.receptor, self.peptide]
+    def interchain_distances(self) -> np.ndarray:
+        """CA-CA distances, one row per receptor residue and one column per
+        peptide residue, in angstroms."""
+        deltas = (
+            self.receptor.coordinates[:, None, :] - self.peptide.coordinates[None, :, :]
+        )
+        return np.sqrt((deltas ** 2).sum(axis=2))
 
     def interface_positions(self, cutoff: float = 10.0) -> List[int]:
         """Receptor positions with a CA within ``cutoff`` angstroms of the peptide."""
         if cutoff <= 0:
             raise StructureError("cutoff must be positive")
-        receptor_xyz = self.receptor.coordinates
-        peptide_xyz = self.peptide.coordinates
-        deltas = receptor_xyz[:, None, :] - peptide_xyz[None, :, :]
-        distances = np.sqrt((deltas ** 2).sum(axis=2))
-        mask = (distances < cutoff).any(axis=1)
+        mask = (self.interchain_distances() < cutoff).any(axis=1)
         return [int(index) for index in np.nonzero(mask)[0]]
-
-    def interchain_contacts(self, cutoff: float = 8.0) -> List[Tuple[int, int]]:
-        """Pairs ``(receptor_pos, peptide_pos)`` whose CAs are within ``cutoff``."""
-        receptor_xyz = self.receptor.coordinates
-        peptide_xyz = self.peptide.coordinates
-        deltas = receptor_xyz[:, None, :] - peptide_xyz[None, :, :]
-        distances = np.sqrt((deltas ** 2).sum(axis=2))
-        pairs = np.argwhere(distances < cutoff)
-        return [(int(i), int(j)) for i, j in pairs]
-
-    # -- derived copies ---------------------------------------------------------- #
-
-    def with_receptor_sequence(self, sequence: ProteinSequence) -> "ComplexStructure":
-        """Copy with the receptor sequence replaced (same backbone)."""
-        return replace(self, receptor=self.receptor.with_sequence(sequence))
-
-    def with_backbone_quality(self, quality: float) -> "ComplexStructure":
-        """Copy with an updated latent backbone quality."""
-        return replace(self, backbone_quality=float(np.clip(quality, 0.0, 1.0)))

@@ -39,7 +39,7 @@ class TestGeneticOptimizer:
         best = optimizer.run()
         baseline = models.folding.predict(target.complex, target.landscape).metrics
         assert best.composite > baseline.composite()
-        assert best.fitness > target.native_fitness()
+        assert best.fitness > target.landscape.fitness(target.landscape.native_sequence)
 
     def test_history_length_and_population_size(self, optimizer):
         optimizer.run()

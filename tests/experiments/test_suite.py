@@ -272,7 +272,7 @@ def _target_digest(targets) -> str:
         structure, landscape = target.complex, target.landscape
         add(target.name, target.seed, structure.name, structure.backbone_quality,
             structure.designable_positions)
-        for chain in structure.chains():
+        for chain in (structure.receptor, structure.peptide):
             add(chain.sequence.residues, chain.sequence.chain_id, chain.sequence.name,
                 chain.coordinates.shape, chain.coordinates.tobytes())
         add(landscape.target_name, landscape.receptor_length,

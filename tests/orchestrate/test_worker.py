@@ -512,6 +512,44 @@ class TestPreemptiveStealing:
         assert repr(entry.spec.run_id) in str(caught.value)
         assert not queue.claim_path(entry.fingerprint).exists()
 
+    def test_payload_that_does_not_restore_is_refused_on_the_first_attempt(
+        self, tmp_path
+    ):
+        """A current-schema line whose state decodes but whose payload does
+        not restore is refused like one whose state does not decode: no
+        retry from it, no failed marker, the claim released, the checkpoint
+        kept."""
+        sweep = SweepSpec(
+            protocols=("cont-v",),
+            seeds=(7,),
+            targets=TargetSpec(kind="named-pdz", seed=11),
+            base={"n_cycles": 2, "n_sequences": 4},
+        )
+        queue = WorkQueue.create(tmp_path / "queue", sweep)
+        [entry] = queue.entries()
+        checkpoints = _plant_checkpoint(queue, entry)
+        attempts = []
+
+        def counting_execute(spec, *, resume_state=None, on_cycle=None):
+            attempts.append(resume_state)
+            return execute_run(spec, resume_state=resume_state, on_cycle=on_cycle)
+
+        with pytest.raises(OrchestrationError, match="unusable checkpoint") as caught:
+            run_worker(
+                queue, worker_id="w0", execute=counting_execute, max_attempts=2
+            )
+        assert repr(entry.spec.run_id) in str(caught.value)
+        assert "does not restore" in str(caught.value)
+        assert len(attempts) == 1
+        assert not queue.is_failed(entry.fingerprint)
+        assert not any(queue.failed_dir.iterdir())
+        assert not queue.claim_path(entry.fingerprint).exists()
+        assert checkpoints.fingerprints() == [entry.fingerprint]
+        # Discarding the bad checkpoint lets the run succeed from its start.
+        checkpoints.discard(entry.fingerprint)
+        outcome = run_worker(queue, worker_id="w1", execute=execute_run)
+        assert outcome.executed == [entry.spec.run_id]
+
     def test_unusable_checkpoint_leaves_a_peers_claim_alone(self, queue, monkeypatch):
         """The claim is released only while it still names this worker."""
         entry = queue.entries()[0]

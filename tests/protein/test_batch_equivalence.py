@@ -5,21 +5,27 @@ and the vectorized ``ScoringFunction.score``) are the hot paths of
 campaign-scale runs; the scalar entry points are kept as thin wrappers.
 These tests pin the contract: batch and scalar evaluation agree to within
 1e-9 on seeded inputs, per-design RNG streams make batched folding
-predictions match their scalar counterparts, and a seeded end-to-end
-``GeneticOptimizer.run()`` still produces the exact pre-vectorization result.
+predictions match their scalar counterparts, scoring a design from the
+memoised geometry of its target equals measuring that geometry again, bit
+for bit, and a seeded end-to-end ``GeneticOptimizer.run()`` still produces
+the exact pre-vectorization result.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.genetic import GeneticConfig, GeneticOptimizer
-from repro.protein.datasets import make_pdz_target
+from repro.protein.datasets import make_pdz_target, named_pdz_targets
 from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
-from repro.protein.scoring import ScoringFunction
+from repro.protein.scoring import EnergyBreakdown, ScoringFunction
 from repro.protein.sequence import ProteinSequence, ScoredSequence
+from repro.protein.structure import Chain
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +120,7 @@ class TestFoldingBatchEquivalence:
         folding = SurrogateAlphaFold(seed=7)
         landscape = equivalence_target.landscape
         base = equivalence_target.complex
-        structures = [base.with_backbone_quality(q) for q in (0.2, 0.5, 0.8)]
+        structures = [replace(base, backbone_quality=q) for q in (0.2, 0.5, 0.8)]
         sequences = [base.receptor.sequence] * 3
         batch = folding.predict_batch(structures, landscape, sequences)
         scalar = [
@@ -128,8 +134,6 @@ class TestFoldingBatchEquivalence:
 
     def test_predict_batch_per_design_landscapes(self):
         """One landscape per design (the campaign's batched baseline path)."""
-        from repro.protein.datasets import named_pdz_targets
-
         targets = named_pdz_targets(seed=11)
         folding = SurrogateAlphaFold(seed=3)
         batch = folding.predict_batch(
@@ -163,9 +167,6 @@ class TestFoldingBatchEquivalence:
 
     def test_campaign_baseline_matches_scalar_predictions(self):
         """The batched iteration-0 baseline equals per-target scalar folding."""
-        from repro.core.campaign import CampaignConfig, DesignCampaign
-        from repro.protein.datasets import named_pdz_targets
-
         targets = named_pdz_targets(seed=11)
         campaign = DesignCampaign(
             targets, CampaignConfig(protocol="cont-v", seed=5, n_cycles=1)
@@ -207,6 +208,106 @@ class TestScoringVectorization:
         assert scoring.pair_energy("K", "E") == -1.5
         assert scoring.pair_energy("K", "R") == 1.0
         assert scoring.pair_energy("A", "S") == 0.0
+
+
+def _reference_score(scoring, complex_structure):
+    """``ScoringFunction.score`` as it was before the geometry memo.
+
+    It measures the complex's geometry on every call and gathers the pair
+    energies through a boolean contact mask.
+    """
+    receptor = complex_structure.receptor
+    peptide = complex_structure.peptide
+    deltas = receptor.coordinates[:, None, :] - peptide.coordinates[None, :, :]
+    distances = np.sqrt((deltas ** 2).sum(axis=2))
+
+    contact_mask = distances < scoring._contact_cutoff
+    pair_energies = scoring._pair_matrix[
+        receptor.sequence.encode()[:, None], peptide.sequence.encode()[None, :]
+    ]
+    contact_energy = float(pair_energies[contact_mask].sum())
+    clash_count = int((distances < scoring._clash_cutoff).sum())
+
+    compactness = receptor.radius_of_gyration() / max(1.0, len(receptor) ** (1.0 / 3.0))
+
+    return EnergyBreakdown(
+        contact_energy=float(contact_energy),
+        clash_penalty=float(scoring._clash_weight * clash_count),
+        compactness_penalty=float(scoring._compactness_weight * compactness),
+    )
+
+
+@pytest.fixture(scope="module")
+def folded_designs():
+    """24 folded MPNN designs per Table I target, as a campaign scores them."""
+    mpnn = SurrogateProteinMPNN(seed=5)
+    folding = SurrogateAlphaFold(seed=3)
+    designs = {}
+    for target in named_pdz_targets(seed=11):
+        sequences = [
+            design.sequence
+            for design in mpnn.generate(
+                target.complex, target.landscape, n_sequences=24, stream=("memo",)
+            )
+        ]
+        results = folding.predict_batch(
+            target.complex,
+            target.landscape,
+            sequences,
+            streams=[(index,) for index in range(len(sequences))],
+        )
+        designs[target.name] = (target, [result.structure for result in results])
+    return designs
+
+
+class TestScoringGeometryMemo:
+    """One measured geometry per target; every energy keeps its bits."""
+
+    @pytest.mark.parametrize("name", ["NHERF3", "HTRA1", "SCRIB", "SHANK1"])
+    def test_score_equals_the_reference_bit_for_bit(self, folded_designs, name):
+        target, structures = folded_designs[name]
+        shared = ScoringFunction()
+        shared.score(target.complex)  # every design below is a memo hit
+        for structure in structures:
+            assert structure.receptor.coordinates is target.complex.receptor.coordinates
+            want = _reference_score(shared, structure)
+            assert ScoringFunction().score(structure) == want  # first call
+            assert shared.score(structure) == want  # memo hit
+        assert len(shared._geometries) == 1
+
+    def test_three_of_the_four_targets_clash(self, folded_designs):
+        scoring = ScoringFunction()
+        clashing = [
+            name
+            for name, (target, _) in folded_designs.items()
+            if _reference_score(scoring, target.complex).clash_penalty > 0
+        ]
+        assert len(clashing) == 3
+
+    def test_equal_valued_copies_get_their_own_entry(self, equivalence_target):
+        scoring = ScoringFunction()
+        original = equivalence_target.complex
+        copied = replace(
+            original,
+            receptor=Chain(original.receptor.sequence, original.receptor.coordinates.copy()),
+            peptide=Chain(original.peptide.sequence, original.peptide.coordinates.copy()),
+        )
+        want = scoring.score(original)
+        assert scoring.score(copied) == want
+        assert len(scoring._geometries) == 2
+        assert scoring.score(original) == want
+        assert len(scoring._geometries) == 2
+
+    @pytest.mark.parametrize("protocol", ["im-rp", "cont-v"])
+    def test_a_campaign_measures_one_geometry_per_target(self, protocol):
+        campaign = DesignCampaign(
+            named_pdz_targets(seed=11),
+            CampaignConfig(protocol=protocol, seed=5, n_cycles=2, n_sequences=4),
+        )
+        result = campaign.run()
+        scored = [t for t in result.trajectories if t.energy_total is not None]
+        assert len(scored) > 4
+        assert len(campaign.models.scoring._geometries) == 4
 
 
 class TestRankVectorization:

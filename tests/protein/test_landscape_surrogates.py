@@ -50,7 +50,7 @@ class TestFitnessLandscape:
 
     def test_native_fitness_leaves_headroom(self, pdz_target):
         landscape = pdz_target.landscape
-        native = landscape.native_fitness()
+        native = landscape.fitness(landscape.native_sequence)
         # Best of 300 random draws at the designable positions.
         rng = spawn_rng(landscape.seed, "landscape-probe")
         positions = list(landscape.designable_positions)
@@ -241,8 +241,8 @@ class TestSurrogateProteinMPNN:
     def test_better_backbone_yields_better_designs_on_average(self, pdz_target):
         mpnn = SurrogateProteinMPNN(seed=7)
         landscape = pdz_target.landscape
-        poor = pdz_target.complex.with_backbone_quality(0.05)
-        good = pdz_target.complex.with_backbone_quality(0.95)
+        poor = replace(pdz_target.complex, backbone_quality=0.05)
+        good = replace(pdz_target.complex, backbone_quality=0.95)
         poor_fitness = np.mean([
             landscape.fitness(s.sequence)
             for s in mpnn.generate(poor, landscape, n_sequences=30, stream=("poor",))

@@ -10,6 +10,7 @@ residues, names, chain ids, encodings and log-likelihood bits.
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestBatchedGenerateMatchesPerDesignLoop:
 
     @pytest.mark.parametrize("quality", [0.0, 0.5, 1.0])
     def test_backbone_quality(self, target, quality):
-        complex_structure = target.complex.with_backbone_quality(quality)
+        complex_structure = replace(target.complex, backbone_quality=quality)
         config = MPNNConfig()
         got = SurrogateProteinMPNN(config, seed=9).generate(
             complex_structure, target.landscape, stream=("q",)

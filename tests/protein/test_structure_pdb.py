@@ -131,11 +131,14 @@ class TestComplexStructure:
         wide = set(complex_structure.interface_positions(cutoff=12.0))
         assert narrow and narrow <= wide
 
-    def test_interchain_contacts_subset_of_interface(self):
+    def test_interchain_distances_are_pairwise_ca_distances(self):
         complex_structure = _complex()
-        contacts = complex_structure.interchain_contacts(cutoff=8.0)
-        interface = set(complex_structure.interface_positions(cutoff=8.0))
-        assert {i for i, _ in contacts} <= interface
+        receptor = complex_structure.receptor.coordinates
+        peptide = complex_structure.peptide.coordinates
+        distances = complex_structure.interchain_distances()
+        assert distances.shape == (len(receptor), len(peptide))
+        expected = [[np.linalg.norm(r - p) for p in peptide] for r in receptor]
+        np.testing.assert_allclose(distances, expected, rtol=1e-12)
 
     def test_designable_positions_validated(self):
         complex_structure = _complex()
@@ -146,17 +149,3 @@ class TestComplexStructure:
                 peptide=complex_structure.peptide,
                 designable_positions=(10_000,),
             )
-
-    def test_with_receptor_sequence(self):
-        complex_structure = _complex()
-        new_sequence = ProteinSequence(
-            residues="W" * len(complex_structure.receptor), chain_id="A"
-        )
-        replaced = complex_structure.with_receptor_sequence(new_sequence)
-        assert replaced.receptor.sequence.residues == new_sequence.residues
-        assert replaced.name == complex_structure.name
-
-    def test_with_backbone_quality_clips(self):
-        complex_structure = _complex()
-        assert complex_structure.with_backbone_quality(2.0).backbone_quality == 1.0
-        assert complex_structure.with_backbone_quality(-1.0).backbone_quality == 0.0
