@@ -12,7 +12,7 @@ Two time quantities appear in the paper:
 Fig 5 additionally breaks the runtime down into Bootstrap (pilot startup),
 Exec setup (sandbox/launch-script creation) and Running (task execution);
 :func:`makespan_report` reproduces that breakdown from the profiler's phase
-intervals.
+totals.
 """
 
 from __future__ import annotations

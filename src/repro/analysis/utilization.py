@@ -37,18 +37,6 @@ class UtilizationReport:
     def gpu_percent(self) -> float:
         return 100.0 * self.gpu_utilization
 
-    def as_dict(self) -> dict:
-        return {
-            "approach": self.approach,
-            "cpu_percent": self.cpu_percent,
-            "gpu_percent": self.gpu_percent,
-            "makespan_hours": self.makespan_hours,
-            "timeline_hours": list(self.timeline_hours),
-            "cpu_timeline": list(self.cpu_timeline),
-            "gpu_timeline": list(self.gpu_timeline),
-            "per_gpu_busy_hours": dict(self.per_gpu_busy_hours),
-        }
-
 
 def utilization_report(
     profiler: ExecutionProfiler,
@@ -86,7 +74,7 @@ def utilization_report(
     )
     per_gpu = {
         f"{node}:gpu{device}": busy * time_scale / 3600.0
-        for (node, device), busy in profiler.device_busy_seconds("gpu").items()
+        for (node, device), busy in profiler.gpu_busy_seconds().items()
     }
     return UtilizationReport(
         approach=approach,

@@ -32,11 +32,7 @@ from typing import Dict, List, Optional
 from repro.core.instrumentation import record_cycle_metrics, record_stage_metrics
 from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
 from repro.core.results import PipelineRecord
-from repro.core.snapshot import (
-    encode_phase_interval,
-    encode_resource_interval,
-    restore_profiler,
-)
+from repro.core.snapshot import restore_profiler
 from repro.core.stages import StageFactory
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import CampaignError, ConfigurationError
@@ -83,11 +79,9 @@ class ControlProtocol:
         self._runner = SequentialRunner(platform, durations)
         self._targets = list(targets)
         self._per_target_pipelines: Dict[str, Pipeline] = {}
-        # Snapshot encodings that can never change again: finished pipelines
-        # (by target name) and the append-only profiler traces, encoded once.
+        # Snapshot encodings of finished pipelines (by target name), which can
+        # never change again, encoded once.
         self._finished_snapshots: Dict[str, dict] = {}
-        self._resource_encodings: List[list] = []
-        self._phase_encodings: List[list] = []
 
     @property
     def platform(self) -> ComputePlatform:
@@ -178,29 +172,22 @@ class ControlProtocol:
     def snapshot(self) -> dict:
         """Serialise the whole control execution at the current boundary.
 
-        Captures the simulated clock, the profiler traces and every started
-        pipeline's cross-cycle state; :meth:`restore` rebuilds an execution
-        that continues bit-identically to one that was never suspended.
+        Captures the simulated clock, the profiler's resource rows and phase
+        totals, and every started pipeline's cross-cycle state;
+        :meth:`restore` rebuilds an execution that continues bit-identically
+        to one that was never suspended.
 
         The cost is the work since the previous snapshot: a finished
-        pipeline never changes again and the profiler traces are
-        append-only, so both are encoded once and their encodings reused;
-        only the unfinished pipeline is encoded afresh.  Each payload owns
-        its top-level dicts and interval lists, so a later step never grows
-        or edits an earlier payload.  The leaf encodings are shared between
-        payloads, which is safe only while nothing mutates a returned
-        payload — callers (checkpoint saves, state observers) only read and
-        serialise it.
+        pipeline never changes again, so it is encoded once and its encoding
+        reused, and the profiler's rows are immutable and are their own
+        encoding; only the unfinished pipeline is encoded afresh.  Each
+        payload owns its top-level dicts and row list, so a later step never
+        grows or edits an earlier payload.  Finished pipelines' encodings are
+        shared between payloads, which is safe only while nothing mutates a
+        returned payload — callers (checkpoint saves, state observers) only
+        read and serialise it.
         """
         profiler = self._platform.profiler
-        self._resource_encodings.extend(
-            encode_resource_interval(interval)
-            for interval in profiler.resource_intervals[len(self._resource_encodings):]
-        )
-        self._phase_encodings.extend(
-            encode_phase_interval(interval)
-            for interval in profiler.phase_intervals[len(self._phase_encodings):]
-        )
         pipelines = {}
         for name, pipeline in self._per_target_pipelines.items():
             encoded = self._finished_snapshots.get(name)
@@ -212,8 +199,8 @@ class ControlProtocol:
         return {
             "now": self._platform.now,
             "profiler": {
-                "resource_intervals": list(self._resource_encodings),
-                "phase_intervals": list(self._phase_encodings),
+                "resource_intervals": profiler.resource_intervals,
+                "phase_totals": profiler.phase_totals(),
             },
             "pipelines": pipelines,
         }
@@ -233,8 +220,8 @@ class ControlProtocol:
         ``targets``, ``factory`` and ``durations`` are rebuilt by the caller
         from the declarative run spec; the payload carries only the evolving
         state.  The simulated clock is advanced to the captured time (no
-        events are pending at a boundary) and the profiler traces are
-        replayed in recording order.
+        events are pending at a boundary) and the profiler's rows and phase
+        totals are replayed.
         """
         platform = ComputePlatform(platform_spec)
         platform.loop.run_until(payload["now"])

@@ -212,11 +212,6 @@ class Pipeline:
         done = [t for cycle in self._cycle_results for t in cycle.trajectories]
         return done + self._cycle_trajectories
 
-    @property
-    def n_trajectories(self) -> int:
-        done = sum(len(cycle.trajectories) for cycle in self._cycle_results)
-        return done + len(self._cycle_trajectories)
-
     # -- lifecycle ---------------------------------------------------------------- #
 
     def start(self) -> TaskDescription:
@@ -533,18 +528,6 @@ class Pipeline:
         ]
         decode_rng_state(pipeline._rng, payload["rng_state"])
         return pipeline
-
-    # -- summaries ------------------------------------------------------------------------ #
-
-    def as_dict(self) -> dict:
-        return {
-            "uid": self.uid,
-            "target": self.target.name,
-            "parent_uid": self.parent_uid,
-            "status": self._status.value,
-            "cycles_completed": len([c for c in self._cycle_results if c.accepted]),
-            "n_trajectories": self.n_trajectories,
-        }
 
 
 #: ``Pipeline.advance``'s handler for each stage a task can belong to.

@@ -14,11 +14,15 @@ A snapshot holds only what a resume cannot rebuild from the run spec.  A
 complex is encoded relative to its target's complex (the resume rebuilds
 the targets): only the receptor sequence and ``backbone_quality`` evolve,
 so a complex is written as exactly those two, and the chains' coordinate
-arrays are the target's own.  Profiler intervals are positional rows, in
-recording order::
+arrays are the target's own.  A profiler is written as its resource rows,
+in recording order, and its phase totals::
 
-    resource interval: [task_id, node, cpu_core_ids, gpu_ids, start, end]
-    phase interval:    [entity_id, phase, start, end]
+    {"resource_intervals": [[task_id, node, cpu_core_ids, gpu_ids, start, end], ...],
+     "phase_totals": {phase: seconds, ...}}
+
+A :class:`~repro.hpc.profiling.ResourceInterval` is an immutable named
+tuple that ``json`` already writes as its row, so a snapshot holds the
+profiler's own rows and encodes nothing.
 
 The codecs live in the core layer (they know the core dataclasses); the
 storage envelope around them — schema versioning, atomic files, torn-tail
@@ -28,13 +32,13 @@ fallback — is :mod:`repro.store.checkpoint`'s concern.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import CampaignError, PipelineError
-from repro.hpc.profiling import ExecutionProfiler, PhaseInterval, ResourceInterval
+from repro.hpc.profiling import ExecutionProfiler, ResourceInterval
 from repro.protein.metrics import QualityMetrics
 from repro.protein.sequence import ProteinSequence
 from repro.protein.structure import Chain, ComplexStructure
@@ -50,8 +54,6 @@ __all__ = [
     "decode_trajectory",
     "encode_cycle_result",
     "decode_cycle_result",
-    "encode_resource_interval",
-    "encode_phase_interval",
     "restore_profiler",
 ]
 
@@ -149,8 +151,7 @@ def decode_metrics(payload: Optional[Dict[str, float]]) -> Optional[QualityMetri
 
 
 def encode_trajectory(trajectory: Trajectory) -> Dict[str, Any]:
-    # Unlike ``Trajectory.as_dict`` (a reporting view) this keeps every
-    # constructor field, including the raw residue string.
+    # Every constructor field: a resume rebuilds the trajectory from this alone.
     return {
         "trajectory_id": trajectory.trajectory_id,
         "pipeline_uid": trajectory.pipeline_uid,
@@ -213,37 +214,20 @@ def decode_cycle_result(payload: Dict[str, Any]) -> CycleResult:
 
 
 # -- profiler traces ------------------------------------------------------------ #
-#
-# A profiler payload is ``{"resource_intervals": [...], "phase_intervals":
-# [...]}`` of the rows laid out in the module docstring, each list in
-# recording order — utilization sums iterate in recording order, and float
-# summation order is part of the byte-identity contract.  The traces are
-# append-only, so callers encode each interval once and keep extending their
-# encoded lists.
 
 
-def encode_resource_interval(interval: ResourceInterval) -> List[Any]:
-    return [
-        interval.task_id,
-        interval.node,
-        list(interval.cpu_core_ids),
-        list(interval.gpu_ids),
-        interval.start,
-        interval.end,
-    ]
+def restore_profiler(profiler: ExecutionProfiler, payload: Dict[str, Any]) -> None:
+    """Replay a serialised profiler onto a fresh one.
 
-
-def encode_phase_interval(interval: PhaseInterval) -> List[Any]:
-    return [interval.entity_id, interval.phase, interval.start, interval.end]
-
-
-def restore_profiler(
-    profiler: ExecutionProfiler, payload: Dict[str, List[List[Any]]]
-) -> None:
-    """Replay serialised traces onto a fresh profiler, in recorded order."""
+    Rows are rebuilt in recorded order, with their id lists as tuples, so a
+    restored row equals the live one; utilization sums iterate in recording
+    order, and float summation order is part of the byte-identity contract.
+    Each phase total is replayed as one interval from 0.0: ``x - 0.0`` and
+    ``0.0 + x`` are exact, so the restored total is the saved one.
+    """
     for task_id, node, cpu_core_ids, gpu_ids, start, end in payload["resource_intervals"]:
         profiler.record_resource_interval(
             ResourceInterval(task_id, node, tuple(cpu_core_ids), tuple(gpu_ids), start, end)
         )
-    for entity_id, phase, start, end in payload["phase_intervals"]:
-        profiler.record_phase(entity_id, phase, start, end)
+    for phase, seconds in payload["phase_totals"].items():
+        profiler.record_phase(phase, 0.0, seconds)

@@ -10,7 +10,7 @@ pipeline together with the accepted outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.exceptions import PipelineError
 from repro.protein.metrics import QualityMetrics
@@ -66,21 +66,6 @@ class Trajectory:
         if self.cycle < 0 or self.retry_index < 0:
             raise PipelineError("cycle and retry_index must be non-negative")
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "trajectory_id": self.trajectory_id,
-            "pipeline_uid": self.pipeline_uid,
-            "target": self.target,
-            "cycle": self.cycle,
-            "retry_index": self.retry_index,
-            "sequence_name": self.sequence_name,
-            "metrics": self.metrics.as_dict(),
-            "fitness": self.fitness,
-            "accepted": self.accepted,
-            "energy_total": self.energy_total,
-            "is_subpipeline": self.is_subpipeline,
-        }
-
 
 @dataclass
 class CycleResult:
@@ -95,20 +80,3 @@ class CycleResult:
     trajectories: List[Trajectory] = field(default_factory=list)
     retries_used: int = 0
     adaptive: bool = True
-
-    @property
-    def n_trajectories(self) -> int:
-        return len(self.trajectories)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "pipeline_uid": self.pipeline_uid,
-            "target": self.target,
-            "cycle": self.cycle,
-            "accepted": self.accepted,
-            "best_metrics": self.best_metrics.as_dict() if self.best_metrics else None,
-            "best_sequence": self.best_sequence,
-            "retries_used": self.retries_used,
-            "adaptive": self.adaptive,
-            "n_trajectories": self.n_trajectories,
-        }

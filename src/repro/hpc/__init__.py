@@ -36,7 +36,6 @@ _EXPORTS = {
     "ComputePlatform": "platform",
     "ExecutionProfiler": "profiling",
     "ResourceInterval": "profiling",
-    "PhaseInterval": "profiling",
 }
 
 __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -1,29 +1,33 @@
 """Execution tracing and utilization accounting.
 
-The profiler records, for every executed task, which devices it occupied and
-for how long, plus the per-task phase breakdown RADICAL-Pilot reports
-(bootstrap, exec setup, running).  The analysis layer turns these traces into
-the CPU/GPU utilization percentages of Table I and the timelines of
-Figs 4 and 5.
+Each executed task leaves one :class:`ResourceInterval` row: which devices
+it held, and when.  The analysis layer turns these rows into the CPU/GPU
+utilization percentages of Table I and the timelines of Figs 4 and 5.  The
+phases RADICAL-Pilot reports (bootstrap, exec setup, running) are kept as
+per-phase totals, the Bootstrap / Exec setup / Running breakdown of Fig 5:
+each recorded phase adds ``end - start`` to its total at once, in recording
+order, because float summation order is part of the byte-identity contract.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.hpc.resources import PlatformSpec
 
-__all__ = ["ResourceInterval", "PhaseInterval", "ExecutionProfiler"]
+__all__ = ["ResourceInterval", "ExecutionProfiler"]
 
 
-@dataclass(frozen=True)
-class ResourceInterval:
-    """Devices occupied by one task over ``[start, end)``."""
+class ResourceInterval(NamedTuple):
+    """Devices occupied by one task over ``[start, end)``.
+
+    A row is immutable and is its own checkpoint encoding: ``json.dumps``
+    writes it as ``[task_id, node, cpu_core_ids, gpu_ids, start, end]``.
+    """
 
     task_id: str
     node: str
@@ -31,13 +35,6 @@ class ResourceInterval:
     gpu_ids: Tuple[int, ...]
     start: float
     end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise SimulationError(
-                f"interval for task {self.task_id!r} ends before it starts "
-                f"({self.start} > {self.end})"
-            )
 
     @property
     def duration(self) -> float:
@@ -52,55 +49,34 @@ class ResourceInterval:
         return self.duration * len(self.gpu_ids)
 
 
-@dataclass(frozen=True)
-class PhaseInterval:
-    """One phase (bootstrap / exec_setup / running / ...) of a task or pilot."""
-
-    entity_id: str
-    phase: str
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise SimulationError(
-                f"phase {self.phase!r} of {self.entity_id!r} ends before it starts"
-            )
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 class ExecutionProfiler:
-    """Collects resource and phase intervals during a simulated run."""
+    """Collects resource intervals and phase totals during a simulated run."""
 
     def __init__(self, platform: PlatformSpec) -> None:
         self._platform = platform
         self._resource_intervals: List[ResourceInterval] = []
-        self._phase_intervals: List[PhaseInterval] = []
-
-    @property
-    def platform(self) -> PlatformSpec:
-        return self._platform
+        self._phase_totals: Dict[str, float] = {}
 
     @property
     def resource_intervals(self) -> List[ResourceInterval]:
         return list(self._resource_intervals)
 
-    @property
-    def phase_intervals(self) -> List[PhaseInterval]:
-        return list(self._phase_intervals)
-
     def record_resource_interval(self, interval: ResourceInterval) -> None:
         """Record that a task occupied devices over an interval."""
+        if interval.end < interval.start:
+            raise SimulationError(
+                f"interval for task {interval.task_id!r} ends before it starts "
+                f"({interval.start} > {interval.end})"
+            )
         self._resource_intervals.append(interval)
 
-    def record_phase(self, entity_id: str, phase: str, start: float, end: float) -> None:
-        """Record one phase interval for a task or pilot."""
-        self._phase_intervals.append(
-            PhaseInterval(entity_id=entity_id, phase=phase, start=start, end=end)
-        )
+    def record_phase(self, phase: str, start: float, end: float) -> None:
+        """Add the phase interval ``[start, end)`` to ``phase``'s total."""
+        if end < start:
+            raise SimulationError(
+                f"phase {phase!r} ends before it starts ({start} > {end})"
+            )
+        self._phase_totals[phase] = self._phase_totals.get(phase, 0.0) + (end - start)
 
     # ------------------------------------------------------------------ #
     # Aggregate accounting
@@ -209,22 +185,20 @@ class ExecutionProfiler:
         widths = np.diff(edges)
         return centers, busy / (widths * total)
 
-    def device_busy_seconds(self, kind: str = "gpu") -> Dict[Tuple[str, int], float]:
-        """Busy seconds per (node, device index)."""
+    def gpu_busy_seconds(self) -> Dict[Tuple[str, int], float]:
+        """Busy seconds per (node, GPU index)."""
         result: Dict[Tuple[str, int], float] = {}
         for interval in self._resource_intervals:
-            ids: Sequence[int]
-            ids = interval.cpu_core_ids if kind == "cpu" else interval.gpu_ids
-            for device in ids:
+            for device in interval.gpu_ids:
                 key = (interval.node, device)
                 result[key] = result.get(key, 0.0) + interval.duration
         return result
 
     def phase_totals(self, phases: Optional[Iterable[str]] = None) -> Dict[str, float]:
-        """Total seconds spent in each phase across all entities."""
-        totals: Dict[str, float] = {}
-        for interval in self._phase_intervals:
-            totals[interval.phase] = totals.get(interval.phase, 0.0) + interval.duration
+        """Total seconds spent in each phase, in first-recorded order.
+
+        With ``phases``, exactly those keys, a phase never recorded at 0.0.
+        """
         if phases is not None:
-            return {phase: totals.get(phase, 0.0) for phase in phases}
-        return totals
+            return {phase: self._phase_totals.get(phase, 0.0) for phase in phases}
+        return dict(self._phase_totals)

@@ -108,10 +108,8 @@ class Agent:
         task.start_time = now
 
         profiler = self._platform.profiler
-        profiler.record_phase(task.name, "exec_setup", now, now + setup_seconds)
-        profiler.record_phase(
-            task.name, "running", now + setup_seconds, now + setup_seconds + run_seconds
-        )
+        profiler.record_phase("exec_setup", now, now + setup_seconds)
+        profiler.record_phase("running", now + setup_seconds, now + setup_seconds + run_seconds)
         self._platform.loop.schedule(
             setup_seconds + run_seconds,
             self._complete_task,

@@ -47,7 +47,7 @@ class SequentialRunner:
         task.start_time = now
 
         duration = self._durations.duration(description)
-        self._platform.profiler.record_phase(task.name, "running", now, now + duration)
+        self._platform.profiler.record_phase("running", now, now + duration)
         # Advance virtual time past the task's execution window.
         self._platform.loop.run_until(now + duration)
         task.finish(self._platform)

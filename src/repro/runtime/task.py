@@ -30,7 +30,7 @@ class TaskDescription:
     ----------
     name:
         The task's identity (e.g. ``"mpnn.NHERF3.cycle1"``): unique within a
-        campaign, and the id its profiler intervals carry.
+        campaign, and the id its profiler row carries.
     kind:
         Task kind understood by the duration model (see
         :class:`repro.runtime.durations.TaskKind`); also used by reports.

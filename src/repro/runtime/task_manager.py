@@ -40,7 +40,7 @@ class TaskManager:
         self._platform = platform
         self._agent = Agent(platform, durations, window)
         now = platform.now
-        platform.profiler.record_phase("pilot", "bootstrap", now, now + BOOTSTRAP_SECONDS)
+        platform.profiler.record_phase("bootstrap", now, now + BOOTSTRAP_SECONDS)
 
     @property
     def platform(self) -> ComputePlatform:

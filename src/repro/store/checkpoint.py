@@ -5,8 +5,9 @@ A :class:`CheckpointStore` is a directory holding one JSONL file per run
 schema-version-stamped line per saved cycle boundary::
 
     checkpoints/<fingerprint>.jsonl
-      {"schema_version": 4, "fingerprint": "…", "run_id": "cont-v-s0",
-       "worker": "node1-4242", "written_at": …, "state": {…CampaignState…}}
+      {"schema_version": 5, "fingerprint": "…", "run_id": "cont-v-s0",
+       "worker": "node1-4242", "written_at_ms": 1760000000123,
+       "state": {…CampaignState…}}
 
 Every line is a restore point: :meth:`CheckpointStore.save` refuses a state
 without a payload, so a progress report (a pilot-protocol run's mid-run
@@ -16,7 +17,10 @@ heartbeat lease instead (:mod:`repro.orchestrate.lease`), which is where
 
 A line holds only evolving state (see :mod:`repro.core.snapshot`): target
 structures are rebuilt from the run spec, so no coordinates are written,
-and a complex is written as its receptor sequence and backbone quality.
+a complex is written as its receptor sequence and backbone quality, and
+the profiler as its resource rows and phase totals.  ``written_at_ms`` is
+provenance only (integer Unix milliseconds, so two saves of one state
+write lines of one length).
 
 Durability contract:
 
@@ -29,7 +33,7 @@ Durability contract:
   (at most one cycle is re-executed — exactly, by the determinism
   contract).
 * **versioned** — every line carries ``schema_version``; a checkpoint
-  written by any other layout (an older build's version 1, 2 or 3 included)
+  written by any other layout (an older build's version 1 to 4 included)
   is rejected with a clear error, never half-parsed into a silently wrong
   resume.  So is a current-version line whose state does not decode.
 
@@ -60,8 +64,10 @@ __all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointStore"]
 #: (``cycle``, ``cycles_total``, ``restorable``): every line is a restore
 #: point; version 4 writes a complex as its receptor sequence and backbone
 #: quality, without the ``metadata`` copy of its target's peptide and seed
-#: and its last fold's metrics.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: and its last fold's metrics; version 5 writes the profiler as its
+#: resource rows and phase totals, without a per-task phase log, and stamps
+#: ``written_at_ms`` (integer) for the float ``written_at``.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 #: How many trailing ladder records a save keeps.  The torn-line fallback
 #: only ever needs the *previous* cycle; keeping a couple more is cheap
@@ -121,7 +127,7 @@ class CheckpointStore:
             "fingerprint": fingerprint,
             "run_id": run_id,
             "worker": worker,
-            "written_at": time.time(),
+            "written_at_ms": int(time.time() * 1000),
             "state": state.as_dict(),
         }
         path = self.path(fingerprint)

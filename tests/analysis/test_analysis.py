@@ -57,11 +57,6 @@ class TestUtilizationReport:
         assert report.per_gpu_busy_hours
         assert all(hours > 0 for hours in report.per_gpu_busy_hours.values())
 
-    def test_as_dict(self, campaign_pair):
-        _, adaptive_campaign, _, _ = campaign_pair
-        payload = utilization_report(adaptive_campaign.platform.profiler, "IM-RP").as_dict()
-        assert payload["approach"] == "IM-RP"
-
 
 class TestMakespanReport:
     def test_phase_breakdown_for_pilot_run(self, campaign_pair):

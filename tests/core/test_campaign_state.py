@@ -20,8 +20,8 @@ from repro.core import control as control_module
 from repro.core import pipeline as pipeline_module
 from repro.core.campaign import CampaignConfig, CampaignState, DesignCampaign
 from repro.core.protocols import get_protocol
-from repro.core.snapshot import encode_phase_interval, encode_resource_interval
 from repro.exceptions import CampaignError
+from repro.hpc.profiling import ExecutionProfiler
 from repro.protein.datasets import expanded_pdz_set, named_pdz_targets
 from repro.runtime.task import Task
 
@@ -186,7 +186,7 @@ class TestResumeDeterminism:
 def _trace(campaign):
     """A finished run's profiler trace, task ids included."""
     profiler = campaign.platform.profiler
-    return list(profiler.resource_intervals), list(profiler.phase_intervals)
+    return profiler.resource_intervals, profiler.phase_totals()
 
 
 class TestTaskIdentity:
@@ -229,21 +229,66 @@ class TestTaskIdentity:
         assert sorted(interval.task_id for interval in intervals) == sorted(names)
 
 
+def _phase_log(monkeypatch):
+    """Every ``record_phase(phase, start, end)`` made from now on, in order."""
+    log = []
+    record_phase = ExecutionProfiler.record_phase
+
+    def logged(profiler, phase, start, end):
+        log.append((phase, start, end))
+        record_phase(profiler, phase, start, end)
+
+    monkeypatch.setattr(ExecutionProfiler, "record_phase", logged)
+    return log
+
+
+def _summed(log):
+    """The reference sum of a phase log: one addition per interval, in
+    recording order."""
+    totals = {}
+    for phase, start, end in log:
+        totals[phase] = totals.get(phase, 0.0) + (end - start)
+    return totals
+
+
+class TestPhaseTotals:
+    """Running phase totals are the summed phase log, to the bit."""
+
+    @pytest.mark.parametrize(
+        "protocol", ["im-rp", "cont-v", "im-rp-random", "cont-v-ranked"]
+    )
+    def test_totals_equal_the_summed_log(self, monkeypatch, protocol):
+        log = _phase_log(monkeypatch)
+        config = CampaignConfig(protocol=protocol, seed=13, n_cycles=2, n_sequences=6)
+        campaign = _campaign(config)
+        campaign.run()
+        assert len(log) > 1
+        assert campaign.platform.profiler.phase_totals() == _summed(log)
+
+    @pytest.mark.parametrize("interrupt_after", [1, 5, 11])
+    def test_resumed_totals_equal_the_uninterrupted_summed_log(
+        self, monkeypatch, interrupt_after
+    ):
+        log = _phase_log(monkeypatch)
+        uninterrupted = _campaign()
+        states = []
+        uninterrupted.run_stepwise(on_state=states.append)
+        reference = _summed(log)
+        assert uninterrupted.platform.profiler.phase_totals() == reference
+        resumed = _campaign()
+        resumed.run_stepwise(resume_from=_revived(states[interrupt_after - 1]))
+        assert resumed.platform.profiler.phase_totals() == reference
+
+
 def _full_snapshot(control):
-    """Reference payload: every started pipeline and every profiler interval
-    encoded afresh, as a snapshot without reuse would build it."""
+    """Reference payload: every started pipeline encoded afresh, as a
+    snapshot without reuse would build it."""
     profiler = control.platform.profiler
     return {
         "now": control.platform.now,
         "profiler": {
-            "resource_intervals": [
-                encode_resource_interval(interval)
-                for interval in profiler.resource_intervals
-            ],
-            "phase_intervals": [
-                encode_phase_interval(interval)
-                for interval in profiler.phase_intervals
-            ],
+            "resource_intervals": profiler.resource_intervals,
+            "phase_totals": profiler.phase_totals(),
         },
         "pipelines": {
             name: pipeline.snapshot()
@@ -298,21 +343,15 @@ class TestSnapshotCost:
     """A snapshot encodes the work since the previous one, not the campaign."""
 
     @pytest.mark.parametrize("n_targets", [4, 12, 35])
-    def test_each_pipeline_and_interval_encoded_once(self, monkeypatch, n_targets):
-        counts = {}
+    def test_each_pipeline_encoded_once_and_rows_shared(self, monkeypatch, n_targets):
+        encoded = []
+        encode_complex = pipeline_module.encode_complex
 
-        def count_calls(module, name):
-            original = getattr(module, name)
+        def counting(*args):
+            encoded.append(args)
+            return encode_complex(*args)
 
-            def counting(*args):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args)
-
-            monkeypatch.setattr(module, name, counting)
-
-        count_calls(pipeline_module, "encode_complex")
-        count_calls(control_module, "encode_resource_interval")
-        count_calls(control_module, "encode_phase_interval")
+        monkeypatch.setattr(pipeline_module, "encode_complex", counting)
 
         targets = expanded_pdz_set(n_targets=n_targets, seed=2025)
         config = CampaignConfig(protocol="cont-v", seed=7, n_cycles=4)
@@ -323,14 +362,16 @@ class TestSnapshotCost:
         assert steps == 4 * n_targets
         # One complex per step: the pipeline that just ran a cycle.  A full
         # re-encode would take one per started pipeline per step.
-        assert counts["encode_complex"] == steps
+        assert len(encoded) == steps
         # Seven stage tasks per cycle (cont-v never retries), each recording
-        # one resource and one phase interval, encoded once per run.
-        profiler = states[-1].runtime.platform.profiler
-        assert len(profiler.resource_intervals) == 7 * steps
-        assert len(profiler.phase_intervals) == 7 * steps
-        assert counts["encode_resource_interval"] == 7 * steps
-        assert counts["encode_phase_interval"] == 7 * steps
+        # one resource row.  A payload holds the profiler's own rows, encoding
+        # none of them.
+        rows = states[-1].runtime.platform.profiler.resource_intervals
+        assert len(rows) == 7 * steps
+        for step, state in enumerate(states, start=1):
+            payload_rows = state.payload["profiler"]["resource_intervals"]
+            assert len(payload_rows) == 7 * step
+            assert all(row is rows[index] for index, row in enumerate(payload_rows))
 
 
 class TestCampaignStateCodec:

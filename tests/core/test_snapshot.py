@@ -22,8 +22,6 @@ from repro.core.snapshot import (
     decode_trajectory,
     encode_complex,
     encode_cycle_result,
-    encode_phase_interval,
-    encode_resource_interval,
     encode_rng_state,
     encode_trajectory,
     restore_profiler,
@@ -142,7 +140,7 @@ class TestRoundTrips:
         assert cycle.trajectories
         assert decode_cycle_result(_via_json(encode_cycle_result(cycle))) == cycle
 
-    def test_profiler_intervals_replay_in_order(self):
+    def test_profiler_rows_and_totals_replay_in_order(self):
         profiler = ExecutionProfiler(amarel_platform(1))
         profiler.record_resource_interval(
             ResourceInterval("t.2", "node0", (3, 1), (0,), 0.1, 2.5)
@@ -150,22 +148,30 @@ class TestRoundTrips:
         profiler.record_resource_interval(
             ResourceInterval("t.1", "node0", (0,), (), 0.0, 1.0 / 3.0)
         )
-        profiler.record_phase("t.2", "running", 0.1, 2.5)
-        profiler.record_phase("pilot.0", "bootstrap", 0.0, 0.1)
+        profiler.record_phase("running", 0.1, 2.5)
+        profiler.record_phase("bootstrap", 0.0, 0.1)
+        profiler.record_phase("running", 1.0 / 3.0, 0.7)
         payload = {
-            "resource_intervals": [
-                encode_resource_interval(interval)
-                for interval in profiler.resource_intervals
-            ],
-            "phase_intervals": [
-                encode_phase_interval(interval)
-                for interval in profiler.phase_intervals
-            ],
+            "resource_intervals": profiler.resource_intervals,
+            "phase_totals": profiler.phase_totals(),
         }
         restored = ExecutionProfiler(amarel_platform(1))
         restore_profiler(restored, _via_json(payload))
         assert restored.resource_intervals == profiler.resource_intervals
-        assert restored.phase_intervals == profiler.phase_intervals
+        assert all(
+            isinstance(row.cpu_core_ids, tuple) and isinstance(row.gpu_ids, tuple)
+            for row in restored.resource_intervals
+        )
+        assert restored.phase_totals() == profiler.phase_totals()
+        # Recording continues from the restored totals as from the live ones.
+        for copy in (profiler, restored):
+            copy.record_phase("running", 0.7, 2.9)
+        assert restored.phase_totals() == profiler.phase_totals()
+
+    def test_resource_row_is_its_own_encoding(self):
+        row = ResourceInterval("t.2", "node0", (3, 1), (0,), 0.1, 2.5)
+        assert json.dumps(row) == json.dumps(["t.2", "node0", [3, 1], [0], 0.1, 2.5])
+        assert json.dumps(row) == '["t.2", "node0", [3, 1], [0], 0.1, 2.5]'
 
     @pytest.mark.parametrize("kind", list(FINISHED_PIPELINES))
     def test_finished_pipeline(self, kind, target, factory):

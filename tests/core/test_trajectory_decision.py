@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.decision import AcceptancePolicy, SubPipelinePolicy
+from repro.core.snapshot import decode_cycle_result, encode_cycle_result
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import ConfigurationError, PipelineError
 from repro.protein.metrics import QualityMetrics, composite_score
@@ -38,12 +39,6 @@ class TestTrajectory:
                 accepted=True,
             )
 
-    def test_as_dict_round_trip_fields(self):
-        data = _trajectory().as_dict()
-        assert data["pipeline_uid"] == "p"
-        assert data["metrics"]["plddt"] == 75.0
-        assert data["is_subpipeline"] is False
-
 
 class TestCycleResult:
     def test_counts_every_evaluated_trajectory(self):
@@ -54,16 +49,16 @@ class TestCycleResult:
             best_metrics=_metrics(), best_sequence="ACD",
             trajectories=[rejected, accepted],
         )
-        assert cycle.n_trajectories == 2
-        assert cycle.as_dict()["n_trajectories"] == 2
+        assert len(cycle.trajectories) == 2
 
-    def test_rejected_cycle_renders_without_best_metrics(self):
+    def test_rejected_cycle_encodes_without_best_metrics(self):
         cycle = CycleResult(
             pipeline_uid="p", target="x", cycle=0, accepted=False,
             best_metrics=None, best_sequence="ACD",
             trajectories=[_trajectory(accepted=False)],
         )
-        assert cycle.as_dict()["best_metrics"] is None
+        assert encode_cycle_result(cycle)["best_metrics"] is None
+        assert decode_cycle_result(encode_cycle_result(cycle)) == cycle
 
 
 class TestAcceptancePolicy:

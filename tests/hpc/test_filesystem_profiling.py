@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.hpc.filesystem import SANDBOX_SETUP_SECONDS, read_time
 from repro.hpc.platform import ComputePlatform
-from repro.hpc.profiling import ExecutionProfiler, PhaseInterval, ResourceInterval
+from repro.hpc.profiling import ExecutionProfiler, ResourceInterval
 from repro.hpc.resources import amarel_platform
 
 
@@ -55,8 +55,9 @@ class TestExecutionProfiler:
             self.profiler.span()
 
     def test_interval_validation(self):
-        with pytest.raises(SimulationError):
-            _interval("t", 5.0, 1.0)
+        with pytest.raises(SimulationError, match="'t' ends before it starts"):
+            self.profiler.record_resource_interval(_interval("t", 5.0, 1.0))
+        assert self.profiler.resource_intervals == []
 
     def test_makespan_and_busy_seconds(self):
         self.profiler.record_resource_interval(_interval("a", 0.0, 10.0, cores=(0, 1)))
@@ -110,23 +111,24 @@ class TestExecutionProfiler:
         assert self.profiler.cpu_utilization(window=(3.0, 3.0)) == 0.0
 
     def test_phase_totals(self):
-        self.profiler.record_phase("t1", "exec_setup", 0.0, 2.0)
-        self.profiler.record_phase("t1", "running", 2.0, 12.0)
-        self.profiler.record_phase("t2", "running", 5.0, 10.0)
+        self.profiler.record_phase("exec_setup", 0.0, 2.0)
+        self.profiler.record_phase("running", 2.0, 12.0)
+        self.profiler.record_phase("running", 5.0, 10.0)
         totals = self.profiler.phase_totals()
-        assert totals["exec_setup"] == pytest.approx(2.0)
-        assert totals["running"] == pytest.approx(15.0)
+        assert totals == {"exec_setup": 2.0, "running": 15.0}
         selected = self.profiler.phase_totals(["bootstrap", "running"])
-        assert selected["bootstrap"] == 0.0
+        assert selected == {"bootstrap": 0.0, "running": 15.0}
 
-    def test_device_busy_seconds(self):
+    def test_gpu_busy_seconds(self):
         self.profiler.record_resource_interval(_interval("a", 0.0, 8.0, gpus=(1,)))
-        busy = self.profiler.device_busy_seconds("gpu")
-        assert busy[("amarel-gpu-node-000", 1)] == pytest.approx(8.0)
+        self.profiler.record_resource_interval(_interval("b", 8.0, 10.0, cores=(0, 1)))
+        busy = self.profiler.gpu_busy_seconds()
+        assert busy == {("amarel-gpu-node-000", 1): pytest.approx(8.0)}
 
     def test_phase_interval_validation(self):
-        with pytest.raises(SimulationError):
-            PhaseInterval(entity_id="x", phase="running", start=3.0, end=1.0)
+        with pytest.raises(SimulationError, match="'running' ends before it starts"):
+            self.profiler.record_phase("running", 3.0, 1.0)
+        assert self.profiler.phase_totals() == {}
 
 
 class TestComputePlatform:

@@ -501,8 +501,12 @@ class TestPreemptiveStealing:
 
     @pytest.mark.parametrize(
         "line_overrides",
-        [{"schema_version": 3}, {"state": {"protocol": "cont-v"}}],
-        ids=["schema-3", "malformed-state"],
+        [
+            {"schema_version": 3},
+            {"schema_version": 4},
+            {"state": {"protocol": "cont-v"}},
+        ],
+        ids=["schema-3", "schema-4", "malformed-state"],
     )
     def test_unusable_checkpoint_releases_the_claim(self, queue, line_overrides):
         entry = queue.entries()[0]

@@ -50,15 +50,30 @@ class TestLadder:
         store.save(FP, _state(1), run_id="cont-v-s3", worker="w0")
         [line] = _lines(store)
         assert set(line) == {
-            "schema_version", "fingerprint", "run_id", "worker", "written_at",
+            "schema_version", "fingerprint", "run_id", "worker", "written_at_ms",
             "state",
         }
-        assert line["schema_version"] == CHECKPOINT_SCHEMA_VERSION == 4
+        assert line["schema_version"] == CHECKPOINT_SCHEMA_VERSION == 5
         assert (line["fingerprint"], line["run_id"], line["worker"]) == (
             FP, "cont-v-s3", "w0",
         )
         assert line["state"] == _state(1).as_dict()
         assert "restorable" not in line["state"]
+
+    def test_written_at_ms_is_an_int_so_a_state_writes_one_length(
+        self, store, monkeypatch
+    ):
+        # A float's repr varies in length with its value; integer Unix
+        # milliseconds have 13 digits until the year 2286.
+        lengths = []
+        for now in (1760000000.5, 1760000000.123456):
+            monkeypatch.setattr("repro.store.checkpoint.time.time", lambda: now)
+            store.discard(FP)
+            store.save(FP, _state(1), run_id="r", worker="w0")
+            [line] = store.path(FP).read_text().splitlines()
+            assert type(json.loads(line)["written_at_ms"]) is int
+            lengths.append(len(line))
+        assert lengths[0] == lengths[1]
 
     def test_ladder_bounded_to_newest_records(self, store):
         from repro.store.checkpoint import LADDER_DEPTH
@@ -108,15 +123,19 @@ class TestCrashWindows:
         with pytest.raises(StoreError, match="schema_version 99"):
             store.latest_restorable(FP)
 
-    def test_schema_1_line_of_an_older_build_is_refused(self, store):
-        # Version 1 wrote whole complexes and every trajectory twice; this
-        # build must not half-decode one.
+    @pytest.mark.parametrize("version", [1, 3, 4])
+    def test_line_of_an_older_build_is_refused(self, store, version):
+        # This build must not half-decode a line an older build wrote:
+        # version 1 wrote whole complexes and every trajectory twice,
+        # version 3 each complex with a metadata copy of its target's
+        # peptide and seed and its last fold's metrics, and version 4 a
+        # per-task phase log and a float ``written_at``.
         store.save(FP, _state(1), run_id="r", worker="w0")
         path = store.path(FP)
         record = json.loads(path.read_text().splitlines()[0])
-        record["schema_version"] = 1
+        record["schema_version"] = version
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(StoreError, match="schema_version 1;"):
+        with pytest.raises(StoreError, match=f"schema_version {version};"):
             store.latest_restorable(FP)
 
     def test_schema_2_line_of_an_older_build_is_refused(self, store):
@@ -133,18 +152,6 @@ class TestCrashWindows:
         }
         path.write_text(json.dumps(line) + "\n")
         with pytest.raises(StoreError, match="schema_version 2;"):
-            store.latest_restorable(FP)
-
-    def test_schema_3_line_of_an_older_build_is_refused(self, store):
-        # Version 3 wrote each complex with a metadata copy of its target's
-        # peptide and seed and its last fold's metrics; this build must not
-        # half-decode one.
-        store.save(FP, _state(1), run_id="r", worker="w0")
-        path = store.path(FP)
-        record = json.loads(path.read_text().splitlines()[0])
-        record["schema_version"] = 3
-        path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(StoreError, match="schema_version 3;"):
             store.latest_restorable(FP)
 
     def test_current_schema_line_with_a_malformed_state_is_refused(self, store):
