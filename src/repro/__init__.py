@@ -59,7 +59,6 @@ _EXPORTS = {
     "ExecutionProtocol": "core.protocols",
     "available_protocols": "core.protocols",
     "get_protocol": "core.protocols",
-    "register_protocol": "core.protocols",
     "CampaignSuite": "experiments.suite",
     "SuiteResult": "experiments.suite",
     "SweepSpec": "experiments.spec",

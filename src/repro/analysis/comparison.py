@@ -117,28 +117,12 @@ class ProtocolMatrixRow:
     pae_net_delta_pct_mean: float
     plddt_net_delta_pct_std: float
 
-    def as_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "approach": self.approach,
-            "n_runs": self.n_runs,
-            "trajectories_mean": self.trajectories_mean,
-            "cpu_percent_mean": self.cpu_percent_mean,
-            "gpu_percent_mean": self.gpu_percent_mean,
-            "makespan_hours_mean": self.makespan_hours_mean,
-            "total_task_hours_mean": self.total_task_hours_mean,
-            "plddt_net_delta_pct_mean": self.plddt_net_delta_pct_mean,
-            "ptm_net_delta_pct_mean": self.ptm_net_delta_pct_mean,
-            "pae_net_delta_pct_mean": self.pae_net_delta_pct_mean,
-            "plddt_net_delta_pct_std": self.plddt_net_delta_pct_std,
-        }
-
 
 def protocol_matrix(results: Sequence[CampaignResult]) -> List[ProtocolMatrixRow]:
     """Aggregate sweep results into one row per protocol.
 
     Results are grouped by their ``protocol`` key (falling back to the
-    ``approach`` label for results produced outside the registry) in first-seen
+    ``approach`` label for a result built without one) in first-seen
     order; each row carries across-run means of the Table-I quantities plus
     the across-run standard deviation of the pLDDT net delta (the sweep-level
     consistency signal the paper's Fig 2 text argues about).

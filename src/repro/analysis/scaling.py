@@ -62,18 +62,6 @@ class ScalingPoint:
             "n_run_spans": self.n_run_spans,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Union[int, float]]) -> "ScalingPoint":
-        return cls(
-            n_workers=int(payload["n_workers"]),
-            wall_seconds=float(payload["wall_seconds"]),
-            utilization=float(payload["utilization"]),
-            idle_tail_seconds=float(payload["idle_tail_seconds"]),
-            busy_seconds=float(payload["busy_seconds"]),
-            makespan_seconds=float(payload["makespan_seconds"]),
-            n_run_spans=int(payload["n_run_spans"]),
-        )
-
 
 @dataclass(frozen=True)
 class ScalingStudy:
@@ -138,14 +126,6 @@ class ScalingStudy:
             encoding="utf-8",
         )
         return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ScalingStudy":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        points = tuple(
-            ScalingPoint.from_dict(entry) for entry in payload["points"]
-        )
-        return cls(points=points)
 
 
 def build_scaling_study(

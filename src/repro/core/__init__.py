@@ -14,10 +14,10 @@ This package is the paper's primary contribution re-implemented:
   submission, monitoring, global quality view, adaptive sub-pipeline
   generation (IM-RP).
 * :mod:`repro.core.control` — the non-adaptive sequential control (CONT-V).
-* :mod:`repro.core.protocols` — the pluggable execution-protocol abstraction
-  and string-keyed registry ("im-rp", "cont-v", ablations, plugins).
+* :mod:`repro.core.protocols` — the execution-protocol abstraction and its
+  fixed table of four ("im-rp", "cont-v" and two ablations).
 * :mod:`repro.core.campaign` — :class:`DesignCampaign`, the top-level public
-  API running any registered protocol end-to-end on a simulated platform.
+  API running any of those protocols end-to-end on a simulated platform.
 * :mod:`repro.core.results` — campaign results and Table-I-style summaries.
 * :mod:`repro.core.genetic` — the genetic-algorithm framing exposed for
   extension (population, selection, recombination).
@@ -45,8 +45,6 @@ _EXPORTS = {
     "ProtocolOutcome": "protocols",
     "available_protocols": "protocols",
     "get_protocol": "protocols",
-    "register_protocol": "protocols",
-    "unregister_protocol": "protocols",
     "CampaignConfig": "campaign",
     "DesignCampaign": "campaign",
     "CampaignResult": "results",

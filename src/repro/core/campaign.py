@@ -3,9 +3,9 @@
 A design campaign runs one execution protocol over a set of design targets on
 a simulated HPC platform and returns a
 :class:`~repro.core.results.CampaignResult` with both the scientific and the
-computational outcomes.  The protocol (``"im-rp"``, ``"cont-v"`` or any other
-registered :class:`~repro.core.protocols.ExecutionProtocol`) is resolved
-through the protocol registry, so the campaign itself only builds the shared
+computational outcomes.  The protocol (``"im-rp"``, ``"cont-v"`` or one of
+their two ablations) is looked up by name in
+:mod:`repro.core.protocols`, so the campaign itself only builds the shared
 models and duration model, delegates execution, and aggregates the result.
 This is the entry point used by the examples, the experiments suite engine
 and the benchmark harness:
@@ -59,10 +59,9 @@ class CampaignConfig:
     Attributes
     ----------
     protocol:
-        Name of a registered execution protocol — ``"im-rp"`` (adaptive,
-        pilot runtime), ``"cont-v"`` (control, sequential execution), or any
-        other key in :func:`repro.core.protocols.available_protocols`.
-        Custom protocols must be registered before the config is built.
+        Name of an execution protocol — ``"im-rp"`` (adaptive, pilot
+        runtime), ``"cont-v"`` (control, sequential execution), or another
+        key of :func:`repro.core.protocols.available_protocols`.
     n_cycles / n_sequences / max_retries:
         Protocol parameters (paper defaults: 4 / 10 / 10).
     seed:
@@ -152,7 +151,7 @@ class DesignCampaign:
 
     The campaign owns the shared *science* of a run — surrogate models, stage
     factory and duration model, all seeded from the root seed — and delegates
-    *execution* to the protocol registered under ``config.protocol``.
+    *execution* to the protocol named by ``config.protocol``.
     """
 
     def __init__(

@@ -281,14 +281,9 @@ class PipelinesCoordinator:
     # -- task routing ------------------------------------------------------------------ #
 
     def _on_task_state(self, task: Task) -> None:
-        pipeline_uid = task.metadata.get("pipeline_uid")
-        pipeline = self._pipelines.get(pipeline_uid)
-        if pipeline is None:
-            # Tasks not created by this coordinator (e.g. user tasks on the
-            # same task manager) are ignored.
-            return
-        if pipeline.is_finished:
-            return
+        # Only this coordinator submits to its task manager, and a finished
+        # pipeline has no task in flight (``advance`` refuses one).
+        pipeline = self._pipelines[task.metadata["pipeline_uid"]]
         step = pipeline.advance(task)
         if step.task is not None:
             self._task_manager.submit_tasks(step.task)

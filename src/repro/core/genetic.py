@@ -35,6 +35,15 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["Individual", "GeneticConfig", "GeneticOptimizer"]
 
+#: Probability that an offspring recombines two parents before mutation
+#: (otherwise it descends from a single parent).
+_CROSSOVER_RATE = 0.25
+#: Probability of plain random point mutation instead of ProteinMPNN-guided
+#: generation (keeps diversity up).
+_MUTATION_FALLBACK_RATE = 0.15
+#: Number of top individuals copied unchanged into the next generation.
+_ELITISM = 2
+
 
 @dataclass(frozen=True)
 class Individual:
@@ -63,34 +72,17 @@ class GeneticConfig:
         Variants generated per surviving parent per generation.
     n_generations:
         Number of generations to run.
-    crossover_rate:
-        Probability that an offspring is produced by recombining two parents
-        before mutation (otherwise it descends from a single parent).
-    mutation_fallback_rate:
-        Probability of using plain random point mutation instead of
-        ProteinMPNN-guided generation (keeps diversity up).
-    elitism:
-        Number of top individuals copied unchanged into the next generation.
     """
 
     population_size: int = 8
     offspring_per_parent: int = 3
     n_generations: int = 4
-    crossover_rate: float = 0.25
-    mutation_fallback_rate: float = 0.15
-    elitism: int = 2
 
     def __post_init__(self) -> None:
         if self.population_size < 1 or self.offspring_per_parent < 1:
             raise ConfigurationError("population and offspring sizes must be >= 1")
         if self.n_generations < 1:
             raise ConfigurationError("n_generations must be >= 1")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigurationError("crossover_rate must lie in [0, 1]")
-        if not 0.0 <= self.mutation_fallback_rate <= 1.0:
-            raise ConfigurationError("mutation_fallback_rate must lie in [0, 1]")
-        if self.elitism < 0 or self.elitism > self.population_size:
-            raise ConfigurationError("elitism must lie in [0, population_size]")
 
 
 class GeneticOptimizer:
@@ -175,16 +167,23 @@ class GeneticOptimizer:
         # First generate every child sequence (the GA RNG draw order is
         # unchanged), then evaluate the whole generation in one batch.
         entries: List[Tuple[ProteinSequence, ComplexStructure, object]] = []
-        designable = list(self._target.complex.designable_positions)
+        # The operators may change what ProteinMPNN may: the designable
+        # positions minus the fixed ones.
+        fixed = self._mpnn.config.fixed_positions
+        designable = [
+            position
+            for position in self._target.complex.designable_positions
+            if position not in fixed
+        ]
         for parent_index, parent in enumerate(parents):
             for child_index in range(self._config.offspring_per_parent):
                 roll = rng.random()
-                if roll < self._config.crossover_rate and len(parents) > 1:
+                if roll < _CROSSOVER_RATE and len(parents) > 1:
                     other = parents[int(rng.integers(0, len(parents)))]
                     child_sequence = crossover(
                         parent.sequence, other.sequence, rng, positions=designable
                     )
-                elif roll < self._config.crossover_rate + self._config.mutation_fallback_rate:
+                elif roll < _CROSSOVER_RATE + _MUTATION_FALLBACK_RATE:
                     child_sequence = point_mutations(
                         parent.sequence, designable, n_mutations=2, rng=rng
                     )
@@ -218,7 +217,7 @@ class GeneticOptimizer:
         )
         self._history = [population]
         for generation in range(1, self._config.n_generations + 1):
-            elites = self._select(population, self._config.elitism, self._objective)
+            elites = self._select(population, _ELITISM, self._objective)
             offspring = self._offspring(population, generation, rng)
             population = self._select(
                 list(elites) + offspring + list(population),

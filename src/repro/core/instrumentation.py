@@ -71,10 +71,11 @@ def record_stage_metrics(
 ) -> None:
     """Emit one ``campaign.stage_seconds`` histogram sample per stage kind.
 
-    ``stage_seconds`` maps a task kind (``"mpnn"``, ``"folding"``, ...) to
-    the simulated seconds that kind consumed during the cycle — the per-stage
-    breakdown behind the paper's phase accounting, reconstructed at the
-    stepping boundary instead of from the profiler afterwards.
+    ``stage_seconds`` maps a task kind, which names its stage
+    (``"mpnn_generate"``, ``"af_inference"``, ...), to the simulated seconds
+    that kind consumed during the cycle — the per-stage breakdown behind the
+    paper's phase accounting, reconstructed at the stepping boundary instead
+    of from the profiler afterwards.
     """
     for stage in sorted(stage_seconds):
         metrics.histogram(

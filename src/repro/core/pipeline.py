@@ -44,6 +44,7 @@ from repro.protein.folding import FoldingResult
 from repro.protein.metrics import QualityMetrics
 from repro.protein.sequence import ScoredSequence
 from repro.protein.structure import ComplexStructure
+from repro.runtime.durations import TaskKind
 from repro.runtime.task import Task, TaskDescription
 from repro.utils.rng import spawn_rng
 
@@ -168,9 +169,9 @@ class Pipeline:
         self._cycle_trajectories: List[Trajectory] = []
         self._cycle_results: List[CycleResult] = []
         self._rng = spawn_rng(self._config.selection_seed, "pipeline-select", uid)
-        #: The stage whose task is outstanding: ``None`` before :meth:`start`
-        #: and once the pipeline has finished.
-        self._awaited: Optional[str] = None
+        #: The kind of the outstanding task, which names its stage: ``None``
+        #: before :meth:`start` and once the pipeline has finished.
+        self._awaited: Optional[TaskKind] = None
 
     # -- introspection --------------------------------------------------------- #
 
@@ -219,7 +220,7 @@ class Pipeline:
         if self._status is not PipelineStatus.PENDING:
             raise PipelineError(f"pipeline {self.uid} was already started")
         self._status = PipelineStatus.RUNNING
-        self._awaited = "sequence_generation"
+        self._awaited = TaskKind.MPNN_GENERATE
         return self.pending_task()
 
     def pending_task(self) -> Optional[TaskDescription]:
@@ -230,26 +231,26 @@ class Pipeline:
         the task is outstanding and the selection draw was made on entering
         the stage, so each call builds the same task.
         """
-        stage = self._awaited
-        if stage is None:
+        kind = self._awaited
+        if kind is None:
             return None
         factory, uid, target = self._factory, self.uid, self.target
         cycle, retry = self._cycle, self._retry_index
-        if stage == "sequence_generation":
+        if kind is TaskKind.MPNN_GENERATE:
             return factory.sequence_generation(
                 uid, target, self._complex, cycle, self._config.n_sequences
             )
-        if stage == "sequence_ranking":
+        if kind is TaskKind.SEQUENCE_RANK:
             return factory.sequence_ranking(uid, target, cycle, self._candidates)
-        if stage == "sequence_selection":
+        if kind is TaskKind.SEQUENCE_SELECT:
             return factory.sequence_selection(uid, target, cycle, retry)
-        if stage == "structure_msa":
+        if kind is TaskKind.AF_MSA:
             return factory.structure_msa(uid, target, cycle, retry)
-        if stage == "structure_inference":
+        if kind is TaskKind.AF_INFERENCE:
             return factory.structure_inference(
                 uid, target, self._complex, cycle, self._selected.sequence, retry
             )
-        if stage == "scoring":
+        if kind is TaskKind.SCORING:
             return factory.scoring(uid, target, cycle, self._current_folding, retry)
         return factory.compare(
             uid,
@@ -268,8 +269,8 @@ class Pipeline:
         ------
         PipelineError
             If the task does not belong to this pipeline, arrives while the
-            pipeline is not running, or belongs to a stage other than the
-            awaited one.
+            pipeline is not running, or is of a kind other than the awaited
+            one.
         """
         if task.metadata.get("pipeline_uid") != self.uid:
             raise PipelineError(
@@ -280,16 +281,16 @@ class Pipeline:
             raise PipelineError(
                 f"pipeline {self.uid} received task {task.name} while {self._status}"
             )
-        stage = task.metadata.get("stage")
-        if stage != self._awaited:
+        awaited = self._awaited
+        if task.kind != awaited:
             raise PipelineError(
-                f"pipeline {self.uid} awaits a {self._awaited} task, "
-                f"got task {task.name} of stage {stage!r}"
+                f"pipeline {self.uid} awaits a {awaited.value} task, "
+                f"got task {task.name} of kind {task.kind!r}"
             )
         if task.failed:
             self._finish(PipelineStatus.FAILED)
             return PipelineStep(None)
-        completed_cycle = _STAGE_HANDLERS[stage](self, task)
+        completed_cycle = _STAGE_HANDLERS[awaited](self, task)
         return PipelineStep(self.pending_task(), completed_cycle)
 
     def _finish(self, status: PipelineStatus) -> None:
@@ -303,7 +304,7 @@ class Pipeline:
         if not self._candidates:
             self._finish(PipelineStatus.FAILED)
             return
-        self._awaited = "sequence_ranking"
+        self._awaited = TaskKind.SEQUENCE_RANK
 
     def _on_ranking(self, task: Task) -> None:
         self._ranked = list(task.result)
@@ -329,21 +330,21 @@ class Pipeline:
         else:
             index = min(self._retry_index, len(self._ranked) - 1)
             self._selected = self._ranked[index]
-        self._awaited = "sequence_selection"
+        self._awaited = TaskKind.SEQUENCE_SELECT
 
     def _on_selection(self, task: Task) -> None:
-        self._awaited = "structure_msa"
+        self._awaited = TaskKind.AF_MSA
 
     def _on_msa(self, task: Task) -> None:
-        self._awaited = "structure_inference"
+        self._awaited = TaskKind.AF_INFERENCE
 
     def _on_inference(self, task: Task) -> None:
         self._current_folding = task.result
-        self._awaited = "scoring"
+        self._awaited = TaskKind.SCORING
 
     def _on_scoring(self, task: Task) -> None:
         self._current_energy = task.result
-        self._awaited = "compare"
+        self._awaited = TaskKind.COMPARE
 
     def _on_compare(self, task: Task) -> Optional[CycleResult]:
         assert self._current_folding is not None and self._selected is not None
@@ -405,7 +406,7 @@ class Pipeline:
         if self._cycle >= self._config.n_cycles:
             self._finish(PipelineStatus.COMPLETED)
         else:
-            self._awaited = "sequence_generation"
+            self._awaited = TaskKind.MPNN_GENERATE
         return cycle_result
 
     def _reject_candidate(self, adaptive: bool) -> Optional[CycleResult]:
@@ -442,7 +443,7 @@ class Pipeline:
         outstanding task, if any, is rebuilt by :meth:`pending_task` from
         the cross-cycle state alone.
         """
-        return self._awaited in (None, "sequence_generation")
+        return self._awaited in (None, TaskKind.MPNN_GENERATE)
 
     def snapshot(self) -> dict:
         """Serialise the cross-cycle state as plain JSON values.
@@ -516,7 +517,7 @@ class Pipeline:
         )
         pipeline._status = PipelineStatus(payload["status"])
         if pipeline._status is PipelineStatus.RUNNING:
-            pipeline._awaited = "sequence_generation"
+            pipeline._awaited = TaskKind.MPNN_GENERATE
         pipeline._cycle = payload["cycle"]
         pipeline._complex = decode_complex(payload["complex"], target.complex)
         pipeline._previous_metrics = decode_metrics(payload["previous_metrics"])
@@ -530,13 +531,13 @@ class Pipeline:
         return pipeline
 
 
-#: ``Pipeline.advance``'s handler for each stage a task can belong to.
+#: ``Pipeline.advance``'s handler for each stage, by the kind of its task.
 _STAGE_HANDLERS = {
-    "sequence_generation": Pipeline._on_generation,
-    "sequence_ranking": Pipeline._on_ranking,
-    "sequence_selection": Pipeline._on_selection,
-    "structure_msa": Pipeline._on_msa,
-    "structure_inference": Pipeline._on_inference,
-    "scoring": Pipeline._on_scoring,
-    "compare": Pipeline._on_compare,
+    TaskKind.MPNN_GENERATE: Pipeline._on_generation,
+    TaskKind.SEQUENCE_RANK: Pipeline._on_ranking,
+    TaskKind.SEQUENCE_SELECT: Pipeline._on_selection,
+    TaskKind.AF_MSA: Pipeline._on_msa,
+    TaskKind.AF_INFERENCE: Pipeline._on_inference,
+    TaskKind.SCORING: Pipeline._on_scoring,
+    TaskKind.COMPARE: Pipeline._on_compare,
 }

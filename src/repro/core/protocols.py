@@ -1,18 +1,18 @@
-"""Pluggable execution protocols and the protocol registry.
+"""The execution protocols: a fixed table of the paper's two and two ablations.
 
 The paper's central object of study is the *execution protocol*: the same six
 design stages can be driven adaptively over the asynchronous pilot runtime
-(IM-RP) or sequentially without middleware (CONT-V).  This module makes the
-protocol a first-class, string-keyed abstraction so that
-:class:`~repro.core.campaign.DesignCampaign` stays a thin orchestrator and new
-protocols (ablations, schedulers, runtimes) plug in without touching it:
+(IM-RP) or sequentially without middleware (CONT-V).  Each protocol here is
+one class, named by a string key, so that
+:class:`~repro.core.campaign.DesignCampaign` stays a thin orchestrator that
+looks its protocol up by name:
 
 >>> from repro.core.protocols import available_protocols
->>> {"im-rp", "cont-v"} <= set(available_protocols())
-True
+>>> available_protocols()
+('cont-v', 'cont-v-ranked', 'im-rp', 'im-rp-random')
 
-Built-in protocols
-------------------
+The protocols
+-------------
 ``im-rp``
     The paper's adaptive implementation: concurrent pipelines on the pilot
     runtime, top-ranked selection, accept/reject gating, sub-pipeline spawning.
@@ -27,11 +27,6 @@ Built-in protocols
     Ablation: the control's sequential execution, but selecting the
     *top-ranked* sequence — the mirror image of ``im-rp-random``.
 
-Custom protocols subclass :class:`ExecutionProtocol` and register through the
-:func:`register_protocol` class decorator; ``CampaignConfig`` validates its
-``protocol`` field against the registry at construction time, so plugins must
-be registered (imported) before configs referencing them are built.
-
 Cycle-granular execution
 ------------------------
 Execution is an explicit state machine: a campaign runs as ``init_state`` →
@@ -42,7 +37,7 @@ Each ``step(context, state) -> state`` advances one checkpointable unit.  A
 different process (or a different worker machine) can resume the run at the
 last completed cycle, finishing byte-identical to an uninterrupted run.
 
-The two built-in families differ in step granularity, and honestly so:
+The two families differ in step granularity, and honestly so:
 
 * **sequential protocols** (``cont-v`` family) have a quiescent point after
   every design cycle — no task in flight, the pipeline's next generation
@@ -104,8 +99,6 @@ __all__ = [
     "ExecutionProtocol",
     "PilotRuntimeProtocol",
     "SequentialRuntimeProtocol",
-    "register_protocol",
-    "unregister_protocol",
     "available_protocols",
     "get_protocol",
 ]
@@ -227,14 +220,14 @@ class ProtocolOutcome:
 class ExecutionProtocol(abc.ABC):
     """One way of executing a design campaign's pipelines.
 
-    Subclasses set :attr:`name` (the registry key) and :attr:`approach` (the
+    Subclasses set :attr:`name` (the protocol key) and :attr:`approach` (the
     label reported in Table-I-style outputs) and implement :meth:`step`;
     :meth:`init_state` and :meth:`finalize` have defaults that suit a
     protocol whose terminal step stashes its :class:`ProtocolOutcome` in the
     state.
     """
 
-    #: Registry key, e.g. ``"im-rp"``.
+    #: Protocol key, e.g. ``"im-rp"``.
     name: ClassVar[str]
     #: Human-readable approach label used in reports, e.g. ``"IM-RP"``.
     approach: ClassVar[str]
@@ -286,69 +279,7 @@ class ExecutionProtocol(abc.ABC):
         )
 
 
-# -- registry ------------------------------------------------------------------- #
-
-_REGISTRY: Dict[str, Type[ExecutionProtocol]] = {}
-
-
-def register_protocol(cls: Type[ExecutionProtocol]) -> Type[ExecutionProtocol]:
-    """Class decorator adding an :class:`ExecutionProtocol` to the registry.
-
-    Registration is idempotent for the same class; registering a *different*
-    class under an existing name raises :class:`CampaignError` (protocols are
-    part of the reproducibility contract, silent replacement would let two
-    runs with the same config mean different things).
-    """
-    if not (isinstance(cls, type) and issubclass(cls, ExecutionProtocol)):
-        raise CampaignError(
-            f"register_protocol expects an ExecutionProtocol subclass, got {cls!r}"
-        )
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name:
-        raise CampaignError(
-            f"protocol class {cls.__name__} must define a non-empty string 'name'"
-        )
-    if not isinstance(getattr(cls, "approach", None), str):
-        raise CampaignError(
-            f"protocol class {cls.__name__} must define a string 'approach' label"
-        )
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise CampaignError(
-            f"protocol {name!r} is already registered to {existing.__name__}"
-        )
-    _REGISTRY[name] = cls
-    return cls
-
-
-def unregister_protocol(name: str) -> None:
-    """Remove a protocol from the registry (primarily for tests/plugins)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_protocols() -> Tuple[str, ...]:
-    """The sorted names of every registered protocol."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_protocol(name: str) -> ExecutionProtocol:
-    """Instantiate the protocol registered under ``name``.
-
-    Raises
-    ------
-    CampaignError
-        If no protocol is registered under ``name``.
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise CampaignError(
-            f"unknown protocol {name!r}; available: {list(available_protocols())}"
-        ) from None
-    return cls()
-
-
-# -- built-in protocols ------------------------------------------------------------ #
+# -- the protocols ------------------------------------------------------------ #
 
 
 class PilotRuntimeProtocol(ExecutionProtocol):
@@ -494,7 +425,6 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
         )
 
 
-@register_protocol
 class ImRpProtocol(PilotRuntimeProtocol):
     """The paper's adaptive implementation (IM-RP)."""
 
@@ -503,7 +433,6 @@ class ImRpProtocol(PilotRuntimeProtocol):
     summary = "adaptive pipelines on the pilot runtime, top-ranked selection"
 
 
-@register_protocol
 class ImRpRandomProtocol(PilotRuntimeProtocol):
     """IM-RP's runtime and adaptivity with the control's random selection."""
 
@@ -513,7 +442,6 @@ class ImRpRandomProtocol(PilotRuntimeProtocol):
     random_selection = True
 
 
-@register_protocol
 class ContVProtocol(SequentialRuntimeProtocol):
     """The paper's non-adaptive sequential control (CONT-V)."""
 
@@ -522,7 +450,6 @@ class ContVProtocol(SequentialRuntimeProtocol):
     summary = "sequential middleware-free execution, random selection"
 
 
-@register_protocol
 class ContVRankedProtocol(SequentialRuntimeProtocol):
     """CONT-V's sequential execution with top-ranked selection."""
 
@@ -530,3 +457,33 @@ class ContVRankedProtocol(SequentialRuntimeProtocol):
     approach = "CONT-V-RANK"
     summary = "sequential middleware-free execution, top-ranked selection"
     random_selection = False
+
+
+# -- the protocol table ------------------------------------------------------- #
+
+_PROTOCOLS: Dict[str, Type[ExecutionProtocol]] = {
+    cls.name: cls
+    for cls in (ImRpProtocol, ImRpRandomProtocol, ContVProtocol, ContVRankedProtocol)
+}
+
+
+def available_protocols() -> Tuple[str, ...]:
+    """The sorted names of the protocols."""
+    return tuple(sorted(_PROTOCOLS))
+
+
+def get_protocol(name: str) -> ExecutionProtocol:
+    """Instantiate the protocol named ``name``.
+
+    Raises
+    ------
+    CampaignError
+        If no protocol has that name.
+    """
+    try:
+        cls = _PROTOCOLS[name]
+    except KeyError:
+        raise CampaignError(
+            f"unknown protocol {name!r}; available: {list(available_protocols())}"
+        ) from None
+    return cls()

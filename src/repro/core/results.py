@@ -102,7 +102,7 @@ class CampaignResult:
     phase_totals: Dict[str, float] = field(default_factory=dict)
     n_cycles: int = 4
     seed: int = 0
-    #: Registry key of the execution protocol that produced this result
+    #: Key of the execution protocol that produced this result
     #: (``approach`` is the report label; this is the machine-readable key).
     protocol: str = ""
 

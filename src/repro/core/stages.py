@@ -8,16 +8,22 @@ IM-RP, or sequentially for CONT-V) is the caller's concern, which is exactly
 the split the paper describes between the pipeline definition and the
 RADICAL-Pilot execution layer.
 
-Stage map (paper numbering):
+Stage map (paper numbering), each builder with the task kind that names its
+stage:
 
-* Stage 1 — :meth:`StageFactory.sequence_generation` (ProteinMPNN).
-* Stage 2 — :meth:`StageFactory.sequence_ranking` (sort by log-likelihood).
-* Stage 3 — :meth:`StageFactory.sequence_selection` (FASTA compilation).
-* Stage 4 — :meth:`StageFactory.structure_msa` +
-  :meth:`StageFactory.structure_inference` (AlphaFold, split into its
-  CPU/I-O-bound MSA phase and GPU inference phase).
-* Stage 5 — :meth:`StageFactory.scoring` (metrics gathering / coarse energy).
-* Stage 6 — :meth:`StageFactory.compare` (accept/reject vs previous cycle).
+* Stage 1 — :meth:`StageFactory.sequence_generation` (ProteinMPNN),
+  ``mpnn_generate``.
+* Stage 2 — :meth:`StageFactory.sequence_ranking` (sort by log-likelihood),
+  ``sequence_rank``.
+* Stage 3 — :meth:`StageFactory.sequence_selection` (FASTA compilation),
+  ``sequence_select``.
+* Stage 4 — :meth:`StageFactory.structure_msa` (``af_msa``) +
+  :meth:`StageFactory.structure_inference` (``af_inference``): AlphaFold,
+  split into its CPU/I-O-bound MSA phase and GPU inference phase.
+* Stage 5 — :meth:`StageFactory.scoring` (metrics gathering / coarse energy),
+  ``scoring``.
+* Stage 6 — :meth:`StageFactory.compare` (accept/reject vs previous cycle),
+  ``compare``.
 
 The stage payloads ride on the vectorized evaluation core: Stage 1 generation
 batches its partial scores, Stage 2 ranking is a stable vectorized argsort,
@@ -30,7 +36,7 @@ and the surrogate folds the selected sequence directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.decision import AcceptancePolicy
 from repro.protein.datasets import DesignTarget
@@ -80,18 +86,30 @@ class StageFactory:
     def models(self) -> StageModels:
         return self._models
 
-    def _base_metadata(
-        self, pipeline_uid: str, target: DesignTarget, stage: str, **extra: object
-    ) -> Dict[str, object]:
-        # Only what is read: the coordinator and the pipeline route a task by
-        # its pipeline uid and stage, and the duration model scales its time
-        # by the residue count (and the sequence count, where one is given).
-        return {
-            "pipeline_uid": pipeline_uid,
-            "stage": stage,
-            "n_residues": target.complex.total_residues,
-            **extra,
-        }
+    def _task(
+        self,
+        kind: TaskKind,
+        name: str,
+        pipeline_uid: str,
+        target: DesignTarget,
+        payload: Optional[Callable[[], object]] = None,
+        **sizes: int,
+    ) -> TaskDescription:
+        # Metadata holds only what is read: the coordinator routes a task by
+        # its pipeline uid, and the duration model scales its time by the
+        # residue count (and the sequence count, where one is given).  The
+        # pipeline routes it to a stage handler by its kind.
+        return TaskDescription(
+            name=name,
+            kind=kind.value,
+            request=self._durations.request_for(kind),
+            payload=payload,
+            metadata={
+                "pipeline_uid": pipeline_uid,
+                "n_residues": target.complex.total_residues,
+                **sizes,
+            },
+        )
 
     # -- Stage 1: sequence generation (ProteinMPNN) -------------------------- #
 
@@ -114,15 +132,13 @@ class StageFactory:
                 stream=(pipeline_uid, cycle),
             )
 
-        kind = TaskKind.MPNN_GENERATE
-        return TaskDescription(
-            name=f"{pipeline_uid}.c{cycle}.mpnn",
-            kind=kind.value,
-            request=self._durations.request_for(kind),
-            payload=payload,
-            metadata=self._base_metadata(
-                pipeline_uid, target, "sequence_generation", n_sequences=n_sequences
-            ),
+        return self._task(
+            TaskKind.MPNN_GENERATE,
+            f"{pipeline_uid}.c{cycle}.mpnn",
+            pipeline_uid,
+            target,
+            payload,
+            n_sequences=n_sequences,
         )
 
     # -- Stage 2: sequence ranking ------------------------------------------- #
@@ -140,15 +156,13 @@ class StageFactory:
         def payload() -> List[ScoredSequence]:
             return ScoredSequence.rank(frozen)
 
-        kind = TaskKind.SEQUENCE_RANK
-        return TaskDescription(
-            name=f"{pipeline_uid}.c{cycle}.rank",
-            kind=kind.value,
-            request=self._durations.request_for(kind),
-            payload=payload,
-            metadata=self._base_metadata(
-                pipeline_uid, target, "sequence_ranking", n_sequences=len(frozen)
-            ),
+        return self._task(
+            TaskKind.SEQUENCE_RANK,
+            f"{pipeline_uid}.c{cycle}.rank",
+            pipeline_uid,
+            target,
+            payload,
+            n_sequences=len(frozen),
         )
 
     # -- Stage 3: sequence selection / FASTA compilation ---------------------- #
@@ -165,12 +179,11 @@ class StageFactory:
         The task models the time FASTA compilation takes and has no payload:
         the surrogate folds the selected sequence directly.
         """
-        kind = TaskKind.SEQUENCE_SELECT
-        return TaskDescription(
-            name=f"{pipeline_uid}.c{cycle}.r{retry_index}.select",
-            kind=kind.value,
-            request=self._durations.request_for(kind),
-            metadata=self._base_metadata(pipeline_uid, target, "sequence_selection"),
+        return self._task(
+            TaskKind.SEQUENCE_SELECT,
+            f"{pipeline_uid}.c{cycle}.r{retry_index}.select",
+            pipeline_uid,
+            target,
         )
 
     # -- Stage 4a: AlphaFold MSA / feature construction (CPU + I/O) ------------ #
@@ -188,12 +201,11 @@ class StageFactory:
         needs no features, and its MSA mode acts on the inference stage's
         metric noise.
         """
-        kind = TaskKind.AF_MSA
-        return TaskDescription(
-            name=f"{pipeline_uid}.c{cycle}.r{retry_index}.af_msa",
-            kind=kind.value,
-            request=self._durations.request_for(kind),
-            metadata=self._base_metadata(pipeline_uid, target, "structure_msa"),
+        return self._task(
+            TaskKind.AF_MSA,
+            f"{pipeline_uid}.c{cycle}.r{retry_index}.af_msa",
+            pipeline_uid,
+            target,
         )
 
     # -- Stage 4b: AlphaFold inference (GPU) ------------------------------------ #
@@ -218,13 +230,12 @@ class StageFactory:
                 stream=(pipeline_uid, cycle, retry_index),
             )
 
-        kind = TaskKind.AF_INFERENCE
-        return TaskDescription(
-            name=f"{pipeline_uid}.c{cycle}.r{retry_index}.af_infer",
-            kind=kind.value,
-            request=self._durations.request_for(kind),
-            payload=payload,
-            metadata=self._base_metadata(pipeline_uid, target, "structure_inference"),
+        return self._task(
+            TaskKind.AF_INFERENCE,
+            f"{pipeline_uid}.c{cycle}.r{retry_index}.af_infer",
+            pipeline_uid,
+            target,
+            payload,
         )
 
     # -- Stage 5: scoring and metrics gathering ---------------------------------- #
@@ -243,13 +254,12 @@ class StageFactory:
         def payload() -> float:
             return models.scoring.score(folding_result.structure).total
 
-        kind = TaskKind.SCORING
-        return TaskDescription(
-            name=f"{pipeline_uid}.c{cycle}.r{retry_index}.score",
-            kind=kind.value,
-            request=self._durations.request_for(kind),
-            payload=payload,
-            metadata=self._base_metadata(pipeline_uid, target, "scoring"),
+        return self._task(
+            TaskKind.SCORING,
+            f"{pipeline_uid}.c{cycle}.r{retry_index}.score",
+            pipeline_uid,
+            target,
+            payload,
         )
 
     # -- Stage 6: comparison with the previous iteration --------------------------- #
@@ -269,11 +279,10 @@ class StageFactory:
         def payload() -> bool:
             return policy.accepts(new_metrics, previous_metrics)
 
-        kind = TaskKind.COMPARE
-        return TaskDescription(
-            name=f"{pipeline_uid}.c{cycle}.r{retry_index}.compare",
-            kind=kind.value,
-            request=self._durations.request_for(kind),
-            payload=payload,
-            metadata=self._base_metadata(pipeline_uid, target, "compare"),
+        return self._task(
+            TaskKind.COMPARE,
+            f"{pipeline_uid}.c{cycle}.r{retry_index}.compare",
+            pipeline_uid,
+            target,
+            payload,
         )

@@ -15,7 +15,7 @@ per-run table plus the cross-protocol comparison matrix.  Examples::
     python -m repro.experiments --protocols im-rp --seeds 0 \\
         --max-in-flight 1 2 4
 
-    # What protocols are registered?
+    # Which protocols are there?
     python -m repro.experiments --list-protocols
 
     # Resumable sweep: finished runs stream to the store; re-running after an
@@ -97,7 +97,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the sweep-defining flags (shared with ``repro.orchestrate init``)."""
     parser.add_argument(
         "--protocols", nargs="+", default=["im-rp", "cont-v"],
-        help="registered protocol names to sweep (default: im-rp cont-v)",
+        help="protocol names to sweep (default: im-rp cont-v)",
     )
     parser.add_argument(
         "--seeds", nargs="+", type=int, default=[0],
@@ -162,13 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-protocols", action="store_true",
-        help="list registered execution protocols and exit",
+        help="list the execution protocols and exit",
     )
     return parser
 
 
 def _list_protocols() -> str:
-    lines = ["Registered execution protocols:"]
+    lines = ["Execution protocols:"]
     for name in available_protocols():
         protocol = get_protocol(name)
         summary = f" — {protocol.summary}" if protocol.summary else ""

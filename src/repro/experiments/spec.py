@@ -200,7 +200,7 @@ class SweepSpec:
     Attributes
     ----------
     protocols:
-        Registered protocol names to sweep.
+        Protocol names to sweep.
     seeds:
         Campaign root seeds to sweep.
     targets:
@@ -231,12 +231,12 @@ class SweepSpec:
                 "platform_specs and knobs must each have at least one entry "
                 "(use (None,) / ({},) for the defaults)"
             )
-        registered = set(available_protocols())
-        unknown = [name for name in self.protocols if name not in registered]
+        known = set(available_protocols())
+        unknown = [name for name in self.protocols if name not in known]
         if unknown:
             raise CampaignError(
                 f"unknown protocols in sweep: {unknown}; "
-                f"available: {sorted(registered)}"
+                f"available: {sorted(known)}"
             )
         if len(set(self.protocols)) != len(self.protocols):
             raise CampaignError("sweep protocols must be unique")

@@ -162,14 +162,8 @@ class CampaignSuite:
     executor:
         ``"process"`` (default; one OS process per worker — true parallelism
         for these CPU-bound simulations), ``"thread"`` (lighter weight, GIL
-        bound; useful for tests and I/O-dominated custom protocols), or
-        ``"serial"`` (in-process, no pool — the baseline the speedup is
-        measured against).  Custom (plugin) protocols registered at runtime
-        are only visible to process workers when the multiprocessing start
-        method is ``fork`` (Linux default): ``spawn`` workers re-import
-        ``repro`` and see the built-ins only, so plugin sweeps there must use
-        the ``"serial"``/``"thread"`` executors or register the protocol at
-        import time of an installed module.
+        bound; useful for tests), or ``"serial"`` (in-process, no pool — the
+        baseline the speedup is measured against).
     max_workers:
         Pool size; defaults to ``min(n_runs, os.cpu_count())``.
     shard:

@@ -56,6 +56,9 @@ PDZ_LENGTH = 90
 #: Half-open range ``[low, high)`` of the expanded set's receptor lengths.
 EXPANDED_LENGTHS: Tuple[int, int] = (PDZ_LENGTH - 10, PDZ_LENGTH + 15)
 
+#: Distance (angstroms) a docked peptide residue sits out from its anchor.
+_STANDOFF = 6.0
+
 # Residue frequencies approximating natural globular-protein composition,
 # used to draw plausible native receptor sequences.
 _NATURAL_FREQUENCIES = {
@@ -117,13 +120,13 @@ def _dock_peptide(
     receptor_coords: np.ndarray,
     peptide_length: int,
     rng: np.random.Generator,
-    standoff: float = 6.0,
 ) -> np.ndarray:
     """Place a peptide chain alongside a surface patch of the receptor.
 
-    Each peptide residue sits ``standoff`` angstroms outward from a
-    consecutive stretch of receptor residues, guaranteeing a non-empty
-    interface under the default 10-angstrom cutoff.
+    Each peptide residue sits :data:`_STANDOFF` angstroms outward from a
+    consecutive stretch of receptor residues, inside the 10-angstrom cutoff
+    of :meth:`ComplexStructure.interface_positions`, so every target has a
+    non-empty interface.
     """
     length = receptor_coords.shape[0]
     if peptide_length >= length:
@@ -149,7 +152,7 @@ def _dock_peptide(
         if norm < 1e-9:
             outward = np.array([1.0, 0.0, 0.0])
             norm = 1.0
-        peptide_coords[offset] = anchor + standoff * outward / norm
+        peptide_coords[offset] = anchor + _STANDOFF * outward / norm
     return peptide_coords
 
 
@@ -158,7 +161,6 @@ def _build_targets(
     receptor_lengths: Sequence[int],
     seed: int,
     peptide_residues: str,
-    interface_cutoff: float = 10.0,
 ) -> List[DesignTarget]:
     """Build one target per ``(name, receptor length)``, walking all backbones at once.
 
@@ -199,9 +201,7 @@ def _build_targets(
             peptide=peptide,
             backbone_quality=float(rng.uniform(0.2, 0.35)),
         )
-        designable = provisional.interface_positions(cutoff=interface_cutoff)
-        if not designable:
-            raise DatasetError(f"target {name!r} has an empty interface")
+        designable = provisional.interface_positions()
         complex_structure = ComplexStructure(
             name=name,
             receptor=receptor,
@@ -229,7 +229,6 @@ def make_pdz_target(
     peptide_residues: str = ALPHA_SYNUCLEIN_C10,
     seed: int = 0,
     receptor_length: int = PDZ_LENGTH,
-    interface_cutoff: float = 10.0,
 ) -> DesignTarget:
     """Construct one synthetic PDZ-peptide design target.
 
@@ -244,12 +243,8 @@ def make_pdz_target(
         ``(seed, name)`` so targets are independent and reproducible.
     receptor_length:
         Number of receptor residues.
-    interface_cutoff:
-        CA-CA distance defining designable (interface) positions.
     """
-    (target,) = _build_targets(
-        [name], [receptor_length], seed, peptide_residues, interface_cutoff
-    )
+    (target,) = _build_targets([name], [receptor_length], seed, peptide_residues)
     return target
 
 

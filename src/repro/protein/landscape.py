@@ -52,6 +52,11 @@ __all__ = ["FitnessLandscape"]
 
 _N_AA = len(AMINO_ACIDS)
 
+#: Fraction of designable position pairs that receive an epistatic coupling
+#: term, and the coupling terms' scale relative to the additive terms'.
+_COUPLING_DENSITY = 0.30
+_EPISTASIS_STRENGTH = 1.6
+
 #: Types accepted by the batch entry points: a pre-encoded ``(B, L)`` integer
 #: matrix or a sequence of :class:`ProteinSequence` objects.
 BatchInput = Union[np.ndarray, Sequence[ProteinSequence]]
@@ -79,11 +84,6 @@ class FitnessLandscape:
         modest value so there is room for improvement.
     seed:
         Seed controlling the landscape parameters.
-    coupling_density:
-        Fraction of designable position pairs that receive an epistatic
-        coupling term.
-    epistasis_strength:
-        Relative magnitude of coupling terms versus additive terms.
     """
 
     def __init__(
@@ -93,8 +93,6 @@ class FitnessLandscape:
         designable_positions: Sequence[int],
         native_sequence: ProteinSequence,
         seed: int = 0,
-        coupling_density: float = 0.30,
-        epistasis_strength: float = 1.6,
     ) -> None:
         if receptor_length < 1:
             raise ProteinError("receptor_length must be >= 1")
@@ -107,8 +105,6 @@ class FitnessLandscape:
             raise ProteinError("landscape needs at least one designable position")
         if positions[0] < 0 or positions[-1] >= receptor_length:
             raise ProteinError("designable positions outside the receptor")
-        if not 0.0 <= coupling_density <= 1.0:
-            raise ProteinError("coupling_density must lie in [0, 1]")
 
         self.target_name = target_name
         self.receptor_length = receptor_length
@@ -134,9 +130,9 @@ class FitnessLandscape:
         matrices: List[np.ndarray] = []
         for a in range(n_pos):
             for b in range(a + 1, n_pos):
-                if rng.random() < coupling_density:
+                if rng.random() < _COUPLING_DENSITY:
                     matrices.append(
-                        rng.normal(scale=epistasis_strength, size=(_N_AA, _N_AA))
+                        rng.normal(scale=_EPISTASIS_STRENGTH, size=(_N_AA, _N_AA))
                     )
                     pairs.append((a, b))
         self._pairs = pairs

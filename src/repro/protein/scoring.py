@@ -28,6 +28,14 @@ from repro.protein.structure import ComplexStructure
 
 __all__ = ["EnergyBreakdown", "ScoringFunction"]
 
+#: CA-CA distance (angstroms) below which a receptor/peptide pair counts as a
+#: contact, and the shorter one below which it clashes.
+_CONTACT_CUTOFF = 8.0
+_CLASH_CUTOFF = 3.0
+#: Weights of the clash and compactness penalty terms.
+_CLASH_WEIGHT = 5.0
+_COMPACTNESS_WEIGHT = 0.05
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -63,34 +71,9 @@ class ScoringFunction:
     array pair, keyed by the arrays' identity, and kept for the life of the
     instance: one entry per target a campaign scores.  Scoring is therefore
     correct only while nobody moves atoms in place.
-
-    Parameters
-    ----------
-    contact_cutoff:
-        CA-CA distance (angstroms) below which a receptor/peptide pair counts
-        as a contact.
-    clash_cutoff:
-        Distance below which a pair is considered clashing.
-    clash_weight, compactness_weight:
-        Relative weights of the penalty terms.
     """
 
-    def __init__(
-        self,
-        contact_cutoff: float = 8.0,
-        clash_cutoff: float = 3.0,
-        clash_weight: float = 5.0,
-        compactness_weight: float = 0.05,
-    ) -> None:
-        if contact_cutoff <= clash_cutoff:
-            raise ConfigurationError("contact_cutoff must exceed clash_cutoff")
-        if min(clash_weight, compactness_weight) < 0:
-            raise ConfigurationError("weights must be non-negative")
-        self._contact_cutoff = contact_cutoff
-        self._clash_cutoff = clash_cutoff
-        self._clash_weight = clash_weight
-        self._compactness_weight = compactness_weight
-
+    def __init__(self) -> None:
         # Precompute the full 20x20 residue pair-energy matrix once, so
         # score() is an encoded-sequence gather instead of a Python loop with
         # dict lookups per contact pair.
@@ -147,16 +130,16 @@ class ScoringFunction:
         """The atom-only terms of one complex's score."""
         receptor = complex_structure.receptor
         distances = complex_structure.interchain_distances()
-        rows, cols = np.nonzero(distances < self._contact_cutoff)
-        # Clash pairs are a subset of contact pairs (the constructor enforces
-        # clash_cutoff < contact_cutoff), so a plain count suffices.
-        clash_count = int((distances < self._clash_cutoff).sum())
+        rows, cols = np.nonzero(distances < _CONTACT_CUTOFF)
+        # Clash pairs are a subset of contact pairs (the clash cutoff is the
+        # shorter), so a plain count suffices.
+        clash_count = int((distances < _CLASH_CUTOFF).sum())
         compactness = receptor.radius_of_gyration() / max(1.0, len(receptor) ** (1.0 / 3.0))
         return _Geometry(
             receptor_xyz=receptor.coordinates,
             peptide_xyz=complex_structure.peptide.coordinates,
             rows=rows,
             cols=cols,
-            clash_penalty=float(self._clash_weight * clash_count),
-            compactness_penalty=float(self._compactness_weight * compactness),
+            clash_penalty=float(_CLASH_WEIGHT * clash_count),
+            compactness_penalty=float(_COMPACTNESS_WEIGHT * compactness),
         )

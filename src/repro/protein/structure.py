@@ -24,6 +24,10 @@ __all__ = ["Chain", "ComplexStructure", "synthetic_backbone", "synthetic_backbon
 #: Ideal CA-CA distance along a protein chain, in angstroms.
 CA_CA_DISTANCE = 3.8
 
+#: CA-CA distance (angstroms) within which a receptor residue is at the
+#: interface, and so designable.
+_INTERFACE_CUTOFF = 10.0
+
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, rounded exactly as ``np.linalg.norm(row)``.
@@ -241,9 +245,7 @@ class ComplexStructure:
         )
         return np.sqrt((deltas ** 2).sum(axis=2))
 
-    def interface_positions(self, cutoff: float = 10.0) -> List[int]:
-        """Receptor positions with a CA within ``cutoff`` angstroms of the peptide."""
-        if cutoff <= 0:
-            raise StructureError("cutoff must be positive")
-        mask = (self.interchain_distances() < cutoff).any(axis=1)
+    def interface_positions(self) -> List[int]:
+        """Receptor positions with a CA within 10 angstroms of the peptide."""
+        mask = (self.interchain_distances() < _INTERFACE_CUTOFF).any(axis=1)
         return [int(index) for index in np.nonzero(mask)[0]]

@@ -40,7 +40,7 @@ __all__ = ["TaskKind", "KindProfile", "DurationModel"]
 
 
 class TaskKind(str, enum.Enum):
-    """Task kinds understood by the duration model."""
+    """The kind of a stage task, which names its pipeline stage."""
 
     MPNN_GENERATE = "mpnn_generate"
     SEQUENCE_RANK = "sequence_rank"
@@ -49,7 +49,6 @@ class TaskKind(str, enum.Enum):
     AF_INFERENCE = "af_inference"
     SCORING = "scoring"
     COMPARE = "compare"
-    GENERIC = "generic"
 
 
 @dataclass(frozen=True)
@@ -147,13 +146,7 @@ _PROFILES: Dict[TaskKind, KindProfile] = {
         jitter_sigma=0.05,
         request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
     ),
-    TaskKind.GENERIC: KindProfile(
-        base_seconds=60.0,
-        jitter_sigma=0.05,
-        request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
-    ),
 }
-_GENERIC = _PROFILES[TaskKind.GENERIC]
 
 
 class DurationModel:
@@ -181,12 +174,20 @@ class DurationModel:
         return self._speedup
 
     def profile(self, kind: TaskKind | str) -> KindProfile:
-        """Return the profile for ``kind``; an unknown kind gets GENERIC's.
+        """Return the profile for ``kind``.
 
         ``TaskKind`` is a ``str`` enum, so a member and its value find the
         same entry.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``kind`` is not a :class:`TaskKind`.
         """
-        return _PROFILES.get(kind, _GENERIC)
+        try:
+            return _PROFILES[kind]
+        except KeyError:
+            raise ConfigurationError(f"unknown task kind {kind!r}") from None
 
     def request_for(self, kind: TaskKind | str) -> ResourceRequest:
         """Default resource request for a task of ``kind``."""

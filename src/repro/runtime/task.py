@@ -2,8 +2,8 @@
 
 A :class:`TaskDescription` is the immutable recipe handed to the task
 manager: what kind of computation, how many cores/GPUs, the Python payload
-standing in for the real executable, and free-form metadata used by the
-duration model and the coordinator.  A :class:`Task` is the live object the
+standing in for the real executable, and the metadata the duration model and
+the coordinator read.  A :class:`Task` is the live object the
 runtime fills in as the task runs: its timestamps, its allocation and its
 result.
 """
@@ -32,8 +32,9 @@ class TaskDescription:
         The task's identity (e.g. ``"mpnn.NHERF3.cycle1"``): unique within a
         campaign, and the id its profiler row carries.
     kind:
-        Task kind understood by the duration model (see
-        :class:`repro.runtime.durations.TaskKind`); also used by reports.
+        The value of a :class:`repro.runtime.durations.TaskKind`, which
+        names the task's pipeline stage: the duration model looks up its
+        cost profile by it, and the pipeline its stage handler.
     request:
         Resource requirements (cores / GPUs / memory).
     payload:
@@ -42,8 +43,9 @@ class TaskDescription:
         the ProteinMPNN / AlphaFold executable; here it is the surrogate
         model call.
     metadata:
-        Free-form information (target name, pipeline uid, cycle index,
-        sequence count...) used by the duration model and the coordinator.
+        What the coordinator and the duration model read: a stage task holds
+        ``pipeline_uid`` and ``n_residues``, plus ``n_sequences`` for
+        generation and ranking.
     """
 
     name: str

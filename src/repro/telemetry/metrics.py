@@ -10,9 +10,9 @@ them:
 
 * ``counter`` — monotone occurrence counts; aggregate by *sum*
   (``campaign.cycles``, ``campaign.cycle_accepted``);
-* ``gauge`` — instantaneous levels; aggregate by *last* (also min/max)
+* ``gauge`` — instantaneous levels; aggregate by *last*
   (``worker.rss_bytes``, ``coordinator.max_in_flight``);
-* ``histogram`` — per-sample distributions; aggregate by mean/percentiles
+* ``histogram`` — per-sample distributions; aggregate by *mean*
   (``campaign.cycle_seconds``, ``checkpoint.bytes``).
 
 The read side is :func:`read_metrics`: one :class:`MetricSeries` per metric
@@ -24,7 +24,6 @@ labels resolve like spans: explicit ``worker=`` → enclosing
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -65,7 +64,7 @@ def gauge(name: str, value: float, **attrs: Any) -> None:
 
 
 def histogram(name: str, value: float, **attrs: Any) -> None:
-    """Record one sample of the distribution ``name`` (mean/percentiles)."""
+    """Record one sample of the distribution ``name`` (aggregated by mean)."""
     writer = _api._writer
     if writer is None:
         return
@@ -127,22 +126,6 @@ class MetricSeries:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.samples else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return min((s.value for s in self.samples), default=0.0)
-
-    @property
-    def maximum(self) -> float:
-        return max((s.value for s in self.samples), default=0.0)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (nearest-rank) of the samples."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(sample.value for sample in self.samples)
-        rank = math.ceil(q / 100.0 * len(ordered)) - 1
-        return ordered[min(len(ordered) - 1, max(0, rank))]
 
 
 def metrics_from_records(records) -> Dict[str, MetricSeries]:

@@ -19,6 +19,7 @@ from repro.exceptions import CampaignError, ConfigurationError, CoordinatorError
 from repro.hpc.resources import ResourceRequest
 from repro.protein.datasets import expanded_pdz_set
 from repro.protein.metrics import composite_score
+from repro.runtime.durations import TaskKind
 from repro.runtime.sequential import SequentialRunner
 from repro.runtime.task import TaskDescription
 from repro.runtime.task_manager import TaskManager
@@ -241,7 +242,9 @@ def _wrap_registered_callbacks(monkeypatch):
 
 def _run_one_more_task(task_manager):
     task_manager.submit_tasks(
-        TaskDescription(name="after-run", kind="generic", request=ResourceRequest())
+        TaskDescription(
+            name="after-run", kind=TaskKind.COMPARE.value, request=ResourceRequest()
+        )
     )
     task_manager.platform.run()
 

@@ -1,8 +1,8 @@
-"""Tests for the execution-protocol registry and the refactored protocols.
+"""Tests for the execution-protocol table and the refactored protocols.
 
 The golden tests pin the exact numbers the pre-refactor ``DesignCampaign``
-branches (`_run_adaptive` / `_run_control`) produced for seeded runs, so the
-registry refactor is provably behaviour-preserving.
+branches (`_run_adaptive` / `_run_control`) produced for seeded runs, so
+dispatch by protocol name is provably behaviour-preserving.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import json
 import pytest
 
 from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.protocols import (
-    ExecutionProtocol,
-    available_protocols,
-    get_protocol,
-    register_protocol,
-    unregister_protocol,
-)
+from repro.core.protocols import available_protocols, get_protocol
 from repro.exceptions import CampaignError, ConfigurationError
 
 #: Exact fingerprints captured from the pre-refactor if/else implementation
@@ -105,11 +99,11 @@ _PLACEMENT_OPTIONS = {
 }
 
 
-class TestRegistry:
-    def test_builtin_protocols_registered(self):
-        assert {"im-rp", "cont-v", "im-rp-random", "cont-v-ranked"} <= set(
-            available_protocols()
-        )
+class TestProtocolTable:
+    def test_the_table_holds_exactly_the_four_protocols(self):
+        names = ("cont-v", "cont-v-ranked", "im-rp", "im-rp-random")
+        assert available_protocols() == names
+        assert [get_protocol(name).name for name in names] == list(names)
 
     def test_unknown_protocol_raises(self):
         with pytest.raises(CampaignError, match="unknown protocol"):
@@ -118,62 +112,6 @@ class TestRegistry:
     def test_unknown_protocol_rejected_at_config_construction(self):
         with pytest.raises(CampaignError, match="unknown protocol"):
             CampaignConfig(protocol="no-such-protocol")
-
-    def test_registration_round_trip(self):
-        class EchoProtocol(ExecutionProtocol):
-            name = "test-echo"
-            approach = "ECHO"
-
-            def step(self, context, state):  # pragma: no cover - never driven
-                return state
-
-        try:
-            registered = register_protocol(EchoProtocol)
-            assert registered is EchoProtocol
-            assert "test-echo" in available_protocols()
-            assert isinstance(get_protocol("test-echo"), EchoProtocol)
-            # Idempotent for the same class.
-            register_protocol(EchoProtocol)
-            # A config naming the plugin now validates.
-            assert CampaignConfig(protocol="test-echo").protocol == "test-echo"
-        finally:
-            unregister_protocol("test-echo")
-        assert "test-echo" not in available_protocols()
-
-    def test_duplicate_name_rejected(self):
-        class FirstProtocol(ExecutionProtocol):
-            name = "test-dup"
-            approach = "A"
-
-            def step(self, context, state):  # pragma: no cover
-                raise NotImplementedError
-
-        class SecondProtocol(ExecutionProtocol):
-            name = "test-dup"
-            approach = "B"
-
-            def step(self, context, state):  # pragma: no cover
-                raise NotImplementedError
-
-        try:
-            register_protocol(FirstProtocol)
-            with pytest.raises(CampaignError, match="already registered"):
-                register_protocol(SecondProtocol)
-        finally:
-            unregister_protocol("test-dup")
-
-    def test_invalid_registrations_rejected(self):
-        with pytest.raises(CampaignError):
-            register_protocol(object)  # not an ExecutionProtocol
-
-        class NamelessProtocol(ExecutionProtocol):
-            approach = "X"
-
-            def step(self, context, state):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(CampaignError, match="name"):
-            register_protocol(NamelessProtocol)
 
 
 class TestConfigValidation:
@@ -224,7 +162,7 @@ class TestConfigValidation:
 
 @pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
 def test_golden_equivalence_with_pre_refactor_branches(four_targets, protocol, seed):
-    """Registry-dispatched runs reproduce the pre-refactor results exactly."""
+    """Runs dispatched by protocol name reproduce the pre-refactor results exactly."""
     config = CampaignConfig(protocol=protocol, n_cycles=2, n_sequences=6, seed=seed)
     result = DesignCampaign(four_targets, config).run()
     want = GOLDEN[(protocol, seed)]

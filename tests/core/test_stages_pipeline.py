@@ -34,12 +34,12 @@ def run_task_inline(description: TaskDescription) -> Task:
     return task
 
 
-def drive(pipeline: Pipeline, fail_stage: str | None = None, max_steps: int = 10_000):
+def drive(pipeline: Pipeline, fail_kind: TaskKind | None = None, max_steps: int = 10_000):
     """Drive a pipeline synchronously until it finishes; returns all tasks run."""
     description = pipeline.start()
     executed = []
     while description is not None:
-        if fail_stage is not None and description.metadata.get("stage") == fail_stage:
+        if fail_kind is not None and description.kind == fail_kind:
             task = Task(description)
             task.exception = RuntimeError("injected failure")
         else:
@@ -71,7 +71,6 @@ class TestStageFactory:
         description = factory.sequence_generation("p1", target, target.complex, 0, 10)
         assert description.kind == TaskKind.MPNN_GENERATE.value
         assert description.request.gpus == 1
-        assert description.metadata["stage"] == "sequence_generation"
         assert description.metadata["pipeline_uid"] == "p1"
         candidates = description.payload()
         assert len(candidates) == 10
@@ -87,7 +86,6 @@ class TestStageFactory:
         description = factory.sequence_selection("p1", target, 0, 2)
         assert description.name == "p1.c0.r2.select"
         assert description.kind == TaskKind.SEQUENCE_SELECT.value
-        assert description.metadata["stage"] == "sequence_selection"
 
     def test_msa_and_inference_split(self, factory, target, models):
         candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=1)
@@ -134,6 +132,18 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+#: Each stage builder and the kind of the task it builds.
+_STAGE_KINDS = {
+    "sequence_generation": TaskKind.MPNN_GENERATE,
+    "sequence_ranking": TaskKind.SEQUENCE_RANK,
+    "sequence_selection": TaskKind.SEQUENCE_SELECT,
+    "structure_msa": TaskKind.AF_MSA,
+    "structure_inference": TaskKind.AF_INFERENCE,
+    "scoring": TaskKind.SCORING,
+    "compare": TaskKind.COMPARE,
+}
+
+
 class TestStageContract:
     """Each stage task returns exactly what its pipeline handler reads."""
 
@@ -158,33 +168,31 @@ class TestStageContract:
             decision = factory.compare("p1", target, 0, new, previous, policy, 0).payload()
             assert decision is policy.accepts(new, previous)
 
-    def test_task_metadata_holds_only_what_is_read(self, factory, target, models):
+    @pytest.mark.parametrize("builder", sorted(_STAGE_KINDS))
+    def test_task_kind_and_metadata_hold_only_what_is_read(
+        self, factory, durations, target, models, builder
+    ):
         folding_result = models.folding.predict(target.complex, target.landscape)
         candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=3)
-        sized = {"pipeline_uid", "stage", "n_residues", "n_sequences"}
-        plain = sized - {"n_sequences"}
-        expected = [
-            (factory.sequence_generation("p1", target, target.complex, 0, 3), sized),
-            (factory.sequence_ranking("p1", target, 0, candidates), sized),
-            (factory.sequence_selection("p1", target, 0, 0), plain),
-            (factory.structure_msa("p1", target, 0, 0), plain),
-            (
-                factory.structure_inference(
-                    "p1", target, target.complex, 0, candidates[0].sequence, 0
-                ),
-                plain,
-            ),
-            (factory.scoring("p1", target, 0, folding_result, 0), plain),
-            (
-                factory.compare(
-                    "p1", target, 0, folding_result.metrics, None, AcceptancePolicy(), 0
-                ),
-                plain,
-            ),
-        ]
-        for description, keys in expected:
-            assert set(description.metadata) == keys
-            assert description.metadata["n_residues"] == target.complex.total_residues
+        arguments = {
+            "sequence_generation": (target.complex, 0, 3),
+            "sequence_ranking": (0, candidates),
+            "sequence_selection": (0, 0),
+            "structure_msa": (0, 0),
+            "structure_inference": (target.complex, 0, candidates[0].sequence, 0),
+            "scoring": (0, folding_result, 0),
+            "compare": (0, folding_result.metrics, None, AcceptancePolicy(), 0),
+        }[builder]
+        description = getattr(factory, builder)("p1", target, *arguments)
+        kind = _STAGE_KINDS[builder]
+        # The kind names the stage; the metadata is what the coordinator and
+        # the duration model read.
+        assert description.kind == kind.value
+        assert description.request == durations.request_for(kind)
+        want = {"pipeline_uid": "p1", "n_residues": target.complex.total_residues}
+        if builder in ("sequence_generation", "sequence_ranking"):
+            want["n_sequences"] = 3
+        assert description.metadata == want
 
     def test_design_records_hold_only_their_kept_fields(self):
         def names(cls):
@@ -281,7 +289,7 @@ class TestPipeline:
 
     def test_task_failure_fails_pipeline(self, factory, target):
         pipeline = Pipeline("p6", target, factory, PipelineConfig(n_cycles=2, n_sequences=4))
-        drive(pipeline, fail_stage="structure_inference")
+        drive(pipeline, fail_kind=TaskKind.AF_INFERENCE)
         assert pipeline.status is PipelineStatus.FAILED
 
     def test_start_twice_rejected(self, factory, target):
@@ -327,13 +335,13 @@ class TestPipeline:
         pipeline = Pipeline("p16", target, factory, config)
         executed = drive(pipeline)
         stage_results = {
-            stage: [t.result for t in executed if t.metadata["stage"] == stage]
-            for stage in ("scoring", "compare")
+            kind: [t.result for t in executed if t.kind == kind]
+            for kind in (TaskKind.SCORING, TaskKind.COMPARE)
         }
         trajectories = pipeline.trajectories
-        assert [t.energy_total for t in trajectories] == stage_results["scoring"]
-        assert [t.accepted for t in trajectories] == stage_results["compare"]
-        assert stage_results["compare"] == [True] + [False] * 5
+        assert [t.energy_total for t in trajectories] == stage_results[TaskKind.SCORING]
+        assert [t.accepted for t in trajectories] == stage_results[TaskKind.COMPARE]
+        assert stage_results[TaskKind.COMPARE] == [True] + [False] * 5
 
     def test_latest_metrics_are_the_last_accepted_cycle(self, factory, target):
         pipeline = Pipeline("p11", target, factory, PipelineConfig(n_cycles=3, n_sequences=6))
@@ -368,28 +376,28 @@ class TestPipeline:
         assert pipeline.pending_task() is None
 
     @pytest.mark.parametrize(
-        "random_selection, stale_stage, awaited_stage",
+        "random_selection, stale_kind, awaited_kind",
         [
             # Used to emit a second ranking task.
-            (False, "sequence_generation", "sequence_ranking"),
+            (False, "mpnn_generate", "sequence_rank"),
             # Used to make a second selection-RNG draw.
-            (True, "sequence_ranking", "structure_msa"),
+            (True, "sequence_rank", "af_msa"),
         ],
     )
     def test_advance_rejects_a_task_it_no_longer_awaits(
-        self, factory, target, random_selection, stale_stage, awaited_stage
+        self, factory, target, random_selection, stale_kind, awaited_kind
     ):
         config = PipelineConfig(n_cycles=1, n_sequences=4, random_selection=random_selection)
         pipeline = Pipeline("p15", target, factory, config)
         consumed = {}
         description = pipeline.start()
-        while description.metadata["stage"] != awaited_stage:
+        while description.kind != awaited_kind:
             task = run_task_inline(description)
-            consumed[description.metadata["stage"]] = task
+            consumed[description.kind] = task
             description = pipeline.advance(task).task
         rng_state = encode_rng_state(pipeline._rng)
-        with pytest.raises(PipelineError, match=f"awaits a {awaited_stage} task"):
-            pipeline.advance(consumed[stale_stage])
+        with pytest.raises(PipelineError, match=f"awaits a {awaited_kind} task"):
+            pipeline.advance(consumed[stale_kind])
         assert encode_rng_state(pipeline._rng) == rng_state
         assert pipeline.pending_task().name == description.name
         assert pipeline.advance(run_task_inline(description)).task is not None

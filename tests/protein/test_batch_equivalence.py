@@ -23,6 +23,7 @@ from repro.core.genetic import GeneticConfig, GeneticOptimizer
 from repro.protein.datasets import make_pdz_target, named_pdz_targets
 from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
+import repro.protein.scoring as scoring_module
 from repro.protein.scoring import EnergyBreakdown, ScoringFunction
 from repro.protein.sequence import ProteinSequence, ScoredSequence
 from repro.protein.structure import Chain
@@ -221,19 +222,19 @@ def _reference_score(scoring, complex_structure):
     deltas = receptor.coordinates[:, None, :] - peptide.coordinates[None, :, :]
     distances = np.sqrt((deltas ** 2).sum(axis=2))
 
-    contact_mask = distances < scoring._contact_cutoff
+    contact_mask = distances < scoring_module._CONTACT_CUTOFF
     pair_energies = scoring._pair_matrix[
         receptor.sequence.encode()[:, None], peptide.sequence.encode()[None, :]
     ]
     contact_energy = float(pair_energies[contact_mask].sum())
-    clash_count = int((distances < scoring._clash_cutoff).sum())
+    clash_count = int((distances < scoring_module._CLASH_CUTOFF).sum())
 
     compactness = receptor.radius_of_gyration() / max(1.0, len(receptor) ** (1.0 / 3.0))
 
     return EnergyBreakdown(
         contact_energy=float(contact_energy),
-        clash_penalty=float(scoring._clash_weight * clash_count),
-        compactness_penalty=float(scoring._compactness_weight * compactness),
+        clash_penalty=float(scoring_module._CLASH_WEIGHT * clash_count),
+        compactness_penalty=float(scoring_module._COMPACTNESS_WEIGHT * compactness),
     )
 
 

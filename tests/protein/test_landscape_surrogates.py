@@ -162,32 +162,6 @@ class TestFitnessLandscape:
             FitnessLandscape("x", 0, [0], native, seed=1)
         with pytest.raises(ProteinError, match="does not match receptor_length"):
             FitnessLandscape("x", len(native) + 1, [0], native, seed=1)
-        with pytest.raises(ProteinError, match="coupling_density"):
-            FitnessLandscape("x", len(native), [0, 1], native, seed=1, coupling_density=1.5)
-
-    def test_zero_coupling_density_is_purely_additive(self, pdz_target):
-        source = pdz_target.landscape
-        landscape = FitnessLandscape(
-            "additive",
-            source.receptor_length,
-            source.designable_positions,
-            source.native_sequence,
-            seed=1,
-            coupling_density=0.0,
-        )
-        rng = spawn_rng(5, "additive")
-        sequences = [
-            point_mutations(source.native_sequence, source.designable_positions, 4, rng)
-            for _ in range(8)
-        ]
-        # Without coupling terms the MPNN surrogate's additive view is the
-        # whole fitness signal.
-        for sequence in sequences:
-            expected = 1.0 / (1.0 + np.exp(-landscape.partial_score(sequence)))
-            assert landscape.fitness(sequence) == pytest.approx(expected)
-        assert landscape.fitness_batch(sequences) == pytest.approx(
-            [landscape.fitness(sequence) for sequence in sequences]
-        )
 
     def test_batch_length_mismatch_raises(self, pdz_target):
         landscape = pdz_target.landscape

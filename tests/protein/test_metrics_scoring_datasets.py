@@ -31,6 +31,7 @@ from repro.protein.metrics import (
     is_improvement,
 )
 from repro.protein.mutation import crossover, point_mutations
+import repro.protein.scoring as scoring_module
 from repro.protein.scoring import ScoringFunction
 from repro.protein.sequence import ProteinSequence
 from repro.utils.rng import spawn_rng
@@ -150,17 +151,15 @@ class TestScoringFunction:
         with pytest.raises(ConfigurationError):
             scoring.pair_energy("X", "A")
 
+    def test_clash_cutoff_is_inside_the_contact_cutoff(self):
+        # The clash count is a plain count because every clash pair is also
+        # a contact pair.
+        assert scoring_module._CLASH_CUTOFF < scoring_module._CONTACT_CUTOFF
+
     def test_docked_complex_has_contacts_within_the_scoring_cutoff(self, target):
         # The default 8-angstrom contact cutoff of ScoringFunction.
         assert (target.complex.interchain_distances() < 8.0).any()
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ScoringFunction(contact_cutoff=2.0, clash_cutoff=3.0)
-        with pytest.raises(ConfigurationError, match="weights must be non-negative"):
-            ScoringFunction(clash_weight=-1.0)
-        with pytest.raises(ConfigurationError, match="weights must be non-negative"):
-            ScoringFunction(compactness_weight=-0.01)
 
 
 class TestMutationOperators:
@@ -285,7 +284,7 @@ class TestDatasets:
     def test_designable_positions_are_the_interface(self):
         target = make_pdz_target("NHERF3", seed=5)
         assert tuple(target.complex.designable_positions) == tuple(
-            sorted(target.complex.interface_positions(10.0))
+            sorted(target.complex.interface_positions())
         )
 
     def test_expanded_set_size_and_peptide(self):
@@ -309,7 +308,3 @@ class TestDatasets:
             expanded_pdz_set(n_targets=0)
         with pytest.raises(DatasetError, match="peptide cannot be longer"):
             make_pdz_target("X", peptide_residues="A" * 20, receptor_length=20)
-        # The peptide docks 6 angstroms out, so a 1-angstrom cutoff finds no
-        # receptor residue near it.
-        with pytest.raises(DatasetError, match="empty interface"):
-            make_pdz_target("X", interface_cutoff=1.0)

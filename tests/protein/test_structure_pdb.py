@@ -117,19 +117,9 @@ class TestComplexStructure:
 
     def test_interface_positions_non_empty(self):
         complex_structure = _complex()
-        interface = complex_structure.interface_positions(cutoff=10.0)
+        interface = complex_structure.interface_positions()
         assert interface
         assert all(0 <= p < len(complex_structure.receptor) for p in interface)
-
-    def test_interface_cutoff_must_be_positive(self):
-        with pytest.raises(StructureError, match="cutoff must be positive"):
-            _complex().interface_positions(cutoff=0.0)
-
-    def test_interface_grows_with_cutoff(self):
-        complex_structure = _complex()
-        narrow = set(complex_structure.interface_positions(cutoff=6.0))
-        wide = set(complex_structure.interface_positions(cutoff=12.0))
-        assert narrow and narrow <= wide
 
     def test_interchain_distances_are_pairwise_ca_distances(self):
         complex_structure = _complex()

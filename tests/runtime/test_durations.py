@@ -36,21 +36,16 @@ class TestDefaultProfiles:
         assert model.request_for(TaskKind.AF_INFERENCE).gpus == 1
         assert model.request_for(TaskKind.MPNN_GENERATE).gpus == 1
 
-    def test_unknown_kind_falls_back_to_generic(self):
+    def test_unknown_kind_raises(self):
+        # A kind names a pipeline stage; there is no catch-all profile.
         model = DurationModel()
         description = TaskDescription(
             name="weird", kind="not-a-kind", request=ResourceRequest(cpu_cores=1)
         )
-        assert model.duration(description) > 0
-
-    def test_custom_kind_gets_the_generic_profile(self):
-        model = DurationModel(seed=3)
-        assert model.request_for("custom") == model.request_for(TaskKind.GENERIC)
-        custom = TaskDescription(
-            name="same-name", kind="custom", request=ResourceRequest(cpu_cores=1)
-        )
-        generic = _description(TaskKind.GENERIC, "same-name")
-        assert model.duration(custom) == model.duration(generic)
+        with pytest.raises(ConfigurationError, match="unknown task kind 'not-a-kind'"):
+            model.duration(description)
+        with pytest.raises(ConfigurationError, match="unknown task kind 'generic'"):
+            model.request_for("generic")
 
 
 class TestScaling:
@@ -140,4 +135,3 @@ class TestValidation:
         model = DurationModel()
         for kind in TaskKind:
             assert model.profile(kind) is model.profile(kind.value)
-        assert model.profile("not-a-kind") is model.profile(TaskKind.GENERIC)

@@ -88,9 +88,9 @@ class TestResume:
         store = RunStore(tmp_path / "runs.jsonl")
         cold = CampaignSuite(BASE_SWEEP, executor="serial").run(store=store)
         warm = CampaignSuite(BASE_SWEEP, executor="serial").run(store=store)
-        cold_rows = [row.as_dict() for row in protocol_matrix(cold.results)]
-        warm_rows = [row.as_dict() for row in protocol_matrix(warm.results)]
-        store_rows = [row.as_dict() for row in protocol_matrix_from_store(store)]
+        cold_rows = protocol_matrix(cold.results)
+        warm_rows = protocol_matrix(warm.results)
+        store_rows = protocol_matrix_from_store(store)
         assert warm_rows == cold_rows
         assert store_rows == cold_rows
 
