@@ -166,7 +166,6 @@ class DesignCampaign:
         self._config = config or CampaignConfig()
         self._platform: Optional[ComputePlatform] = None
         self._result: Optional[CampaignResult] = None
-        self._protocol_instance: Optional[ExecutionProtocol] = None
 
         seed = self._config.seed
         self._durations = DurationModel(
@@ -226,23 +225,24 @@ class DesignCampaign:
     ) -> CampaignResult:
         """Execute as an explicit state machine: init → step\\* → finalize.
 
+        Every step is one design cycle, under every protocol.
         ``resume_from`` continues a campaign from a restorable
         :class:`CampaignState` (typically reloaded from a checkpoint written
         by another process or worker): completed cycles are *not* re-executed
         and the finalized result is byte-identical to an uninterrupted run.
-        ``on_state`` observes every post-step state (plus, for run-granular
-        protocols, payload-free mid-step progress states) — the hook the
+        ``on_state`` observes every post-step state — the hook the
         orchestration worker uses to checkpoint each restorable state and to
         hand every state's cycle to its heartbeat lease.  A sequential step
         carries a restorable payload only when ``on_state`` is set, so an
-        unobserved :meth:`run` pays no per-cycle encoding.
+        unobserved :meth:`run` pays no per-cycle encoding; a pilot step
+        carries none yet.
         Each observed state's ``runtime`` is the live execution, which keeps
         stepping after the call; its payload is never changed later.
         """
         if self._result is not None:
             return self._result
-        protocol = self._protocol()
-        context = self._protocol_context(on_state)
+        protocol = get_protocol(self._config.protocol)
+        context = self._protocol_context(observed=on_state is not None)
         if resume_from is not None:
             state = self._validated_resume(resume_from)
         else:
@@ -251,23 +251,11 @@ class DesignCampaign:
             state = protocol.step(context, state)
             if on_state is not None:
                 on_state(state)
-        return self.finalize_state(state)
-
-    def finalize_state(self, state: CampaignState) -> CampaignResult:
-        """Turn a terminal state into the campaign result (idempotent)."""
-        if self._result is not None:
-            return self._result
         baseline = self._baseline_metrics()
-        protocol = self._protocol()
-        outcome = protocol.finalize(self._protocol_context(), state)
+        outcome = protocol.finalize(context, state)
         self._platform = outcome.platform
         self._result = self._build_result(protocol, outcome, baseline)
         return self._result
-
-    def _protocol(self) -> ExecutionProtocol:
-        if self._protocol_instance is None:
-            self._protocol_instance = get_protocol(self._config.protocol)
-        return self._protocol_instance
 
     def _validated_resume(self, state: CampaignState) -> CampaignState:
         if state.protocol != self._config.protocol or state.seed != self._config.seed:
@@ -284,15 +272,13 @@ class DesignCampaign:
             )
         return state
 
-    def _protocol_context(
-        self, on_state: Optional[Callable[[CampaignState], None]] = None
-    ) -> ProtocolContext:
+    def _protocol_context(self, observed: bool = False) -> ProtocolContext:
         return ProtocolContext(
             config=self._config,
             targets=self._targets,
             factory=self._factory,
             durations=self._durations,
-            on_state=on_state,
+            observed=observed,
         )
 
     def _baseline_metrics(self) -> Dict[str, QualityMetrics]:

@@ -21,7 +21,10 @@ flight; the pipeline's outstanding generation task is rebuilt by
 :meth:`snapshot` / :meth:`restore` serialise and rebuild the whole execution
 — per-target pipeline state, captured RNG streams, the simulated clock and
 the profiler traces — exactly.  The campaign's stepping loop
-(:meth:`~repro.core.campaign.DesignCampaign.run_stepwise`) drives it.
+(:meth:`~repro.core.campaign.DesignCampaign.run_stepwise`) drives it one
+cycle per step, as it drives the IM-RP coordinator's
+:meth:`~repro.core.coordinator.PipelinesCoordinator.step_cycle`; only the
+control's boundary has a snapshot codec.
 """
 
 from __future__ import annotations

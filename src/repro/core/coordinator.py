@@ -13,7 +13,9 @@ The coordinator is the component marked 1/3/6/7 in the paper's Fig 1: it
 
 Everything is event-driven: the coordinator reacts to task-completion
 callbacks from the task manager, so any number of pipelines make progress
-concurrently within the simulated platform's event loop.
+concurrently within the simulated platform's event loop.  The campaign
+drives that loop one design cycle at a time through
+:meth:`PipelinesCoordinator.step_cycle`, as it steps the control.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import dataclasses
 import itertools
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Union
 
 from repro.core.decision import SubPipelinePolicy, SubPipelineSpec
 from repro.core.instrumentation import record_cycle_metrics
@@ -136,17 +138,13 @@ class PipelinesCoordinator:
         pipeline_config: PipelineConfig,
         spawn_policy: Optional[SubPipelinePolicy] = None,
         max_in_flight_pipelines: Union[int, str, None] = None,
-        on_cycle: Optional[Callable[[int], None]] = None,
     ) -> None:
         self._task_manager = task_manager
         self._factory = factory
         self._pipeline_config = pipeline_config
         self._spawn_policy = spawn_policy or SubPipelinePolicy()
         self._max_in_flight = max_in_flight_pipelines
-        #: Progress hook invoked with the total completed-cycle count after
-        #: every cycle (root or sub-pipeline) finishes.  Pure observation:
-        #: it runs after the decision step and must not mutate the campaign.
-        self._on_cycle = on_cycle
+        self._launched = False
         self._cycles_completed = 0
         self._last_cycle_wall = time.perf_counter()
 
@@ -180,25 +178,13 @@ class PipelinesCoordinator:
     # -- pipeline construction --------------------------------------------------- #
 
     @property
-    def task_manager(self) -> TaskManager:
-        return self._task_manager
-
-    def pipelines(self) -> List[Pipeline]:
-        return list(self._pipelines.values())
-
-    @property
-    def n_subpipelines(self) -> int:
-        return self._total_spawned
+    def platform(self) -> ComputePlatform:
+        return self._task_manager.platform
 
     @property
     def n_cycles_completed(self) -> int:
         """Design cycles completed so far, across every pipeline."""
         return self._cycles_completed
-
-    @property
-    def adaptive_controller(self) -> Optional[AdaptiveInFlightController]:
-        """The live cap controller, when ``max_in_flight_pipelines="auto"``."""
-        return self._adaptive
 
     def _current_limit(self) -> Optional[int]:
         """The in-flight root cap in force right now (None = unlimited)."""
@@ -226,23 +212,38 @@ class PipelinesCoordinator:
 
     # -- execution ------------------------------------------------------------------ #
 
-    def run(self) -> List[PipelineRecord]:
-        """Execute every queued pipeline to completion and return records."""
-        if not self._submissions:
+    def step_cycle(self) -> bool:
+        """Advance the simulation by exactly one design cycle.
+
+        The first call launches the root pipelines.  A call returns right
+        after the event that completes a cycle (of any pipeline), with the
+        other pipelines' tasks still in flight, or once the simulation drains
+        without completing one.
+
+        Returns ``True`` when the simulation has drained, i.e. every
+        pipeline has finished.
+        """
+        if not self._pipelines:
             raise CoordinatorError("no pipelines were added to the coordinator")
+        cycles = self._cycles_completed
         # Completed tasks flow back through this callback, the coordinator's
         # only reference to a finished task.  Registered, it closes a cycle
         # (coordinator -> task manager -> agent -> callback), so it lives for
-        # this call only and a finished campaign is freed by refcount.
+        # this call only and a campaign is freed by refcount between steps.
         detach = self._task_manager.register_callback(self._on_task_state)
         try:
-            self._launch_pending_roots()
-            # Drive the simulation until no further events are pending.  Task
-            # completion callbacks keep feeding new tasks in, so a drained
-            # loop means every pipeline has finished (or failed).
-            self._task_manager.platform.run()
+            if not self._launched:
+                self._launched = True
+                self._launch_pending_roots()
+            # Task completion callbacks keep feeding new tasks in, so a
+            # drained loop means every pipeline has finished (or failed).
+            self._task_manager.platform.loop.run(
+                until=lambda: self._cycles_completed != cycles
+            )
         finally:
             detach()
+        if self._cycles_completed != cycles:
+            return False
         unfinished = [
             pipeline.uid
             for pipeline in self._pipelines.values()
@@ -263,7 +264,7 @@ class PipelinesCoordinator:
             raise CoordinatorError(
                 f"pipelines never launched: {still_pending}"
             )
-        return self.records()
+        return True
 
     def _launch_pending_roots(self) -> None:
         limit = self._current_limit()
@@ -303,8 +304,6 @@ class PipelinesCoordinator:
                 # A raised cap frees slots immediately — launch into them
                 # instead of waiting for the next pipeline to finish.
                 self._launch_pending_roots()
-            if self._on_cycle is not None:
-                self._on_cycle(self._cycles_completed)
         if pipeline.is_finished:
             self._on_pipeline_finished(pipeline)
 

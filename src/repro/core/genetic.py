@@ -41,8 +41,6 @@ _CROSSOVER_RATE = 0.25
 #: Probability of plain random point mutation instead of ProteinMPNN-guided
 #: generation (keeps diversity up).
 _MUTATION_FALLBACK_RATE = 0.15
-#: Number of top individuals copied unchanged into the next generation.
-_ELITISM = 2
 
 
 @dataclass(frozen=True)
@@ -217,10 +215,11 @@ class GeneticOptimizer:
         )
         self._history = [population]
         for generation in range(1, self._config.n_generations + 1):
-            elites = self._select(population, _ELITISM, self._objective)
             offspring = self._offspring(population, generation, rng)
+            # Parents and offspring compete for the next generation, so the
+            # best individuals survive unchanged and each enters only once.
             population = self._select(
-                list(elites) + offspring + list(population),
+                offspring + population,
                 self._config.population_size,
                 self._objective,
             )

@@ -33,10 +33,9 @@ def record_cycle_metrics(
     """Emit the per-cycle metric family for one completed design cycle.
 
     * ``campaign.cycles`` (counter) — one per completed cycle, with the
-      acceptance decision riding in ``attrs`` so the accept/reject trail is
-      auditable sample by sample;
-    * ``campaign.cycle_accepted`` (counter) — only on accepted cycles, so
-      the acceptance *rate* is a two-series division;
+      acceptance decision riding in its ``accepted`` attribute, so the
+      accept/reject trail is auditable sample by sample and the acceptance
+      *rate* is the share of samples with ``accepted`` true;
     * ``campaign.cycle_seconds`` (histogram) — wall-clock cost of the cycle,
       when the caller measured one;
     * ``campaign.best_composite`` (gauge) — composite quality of the cycle's
@@ -51,8 +50,6 @@ def record_cycle_metrics(
     }
     base.update(attrs)
     metrics.counter("campaign.cycles", 1.0, accepted=result.accepted, **base)
-    if result.accepted:
-        metrics.counter("campaign.cycle_accepted", 1.0, **base)
     if wall_seconds is not None:
         metrics.histogram("campaign.cycle_seconds", wall_seconds, **base)
     if result.best_metrics is not None:

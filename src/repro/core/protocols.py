@@ -32,30 +32,31 @@ Cycle-granular execution
 Execution is an explicit state machine: a campaign runs as ``init_state`` →
 ``step``\\* → ``finalize`` over a :class:`CampaignState`, and
 :meth:`~repro.core.campaign.DesignCampaign.run_stepwise` is its one driver.
-Each ``step(context, state) -> state`` advances one checkpointable unit.  A
-*restorable* successor state carries a JSON-able payload from which a
-different process (or a different worker machine) can resume the run at the
-last completed cycle, finishing byte-identical to an uninterrupted run.
+Every protocol steps one design cycle at a time.  A family supplies only its
+stepping engine, the control or the pipelines coordinator: ``step`` calls
+the engine's ``step_cycle()`` and carries the live engine to the next step
+in the state's ``runtime``, and ``finalize`` takes the engine's
+``records()`` and ``platform``.
 
-The two families differ in step granularity, and honestly so:
+The two families differ in what a cycle boundary can be restored from:
 
-* **sequential protocols** (``cont-v`` family) have a quiescent point after
-  every design cycle — no task in flight, the pipeline's next generation
-  task rebuilt by ``Pipeline.pending_task()`` — so every step is one cycle
-  and, when an observer is attached, every post-step state is a restorable
-  checkpoint;
+* **sequential protocols** (``cont-v`` family) stop at a quiescent point —
+  no task in flight, the pipeline's next generation task rebuilt by
+  ``Pipeline.pending_task()`` — so, when the campaign is observed, every
+  post-step state carries a JSON-able payload from which a different
+  process (or a different worker machine) resumes the run at that cycle,
+  finishing byte-identical to an uninterrupted run;
 * **pilot protocols** (``im-rp`` family) interleave pipelines inside one
-  asynchronous discrete-event simulation, so the whole simulation is a
-  single step.  Each pipeline can rebuild its own outstanding task, so the
-  tasks in flight are not what blocks a per-cycle checkpoint; the
-  simulation's own state is: the event heap, the live allocations, the
-  scheduler queue and the coordinator's state, none of which has a codec
-  yet.  Mid-run these protocols report cycle *progress* (for status/ETA
-  displays) to :attr:`ProtocolContext.on_state` as payload-free states,
-  which the orchestration worker hands to its heartbeat lease and never
-  checkpoints, and an interrupted run resumes by deterministic
-  re-execution from the start — the determinism contract makes that
-  re-execution exact, just not free.
+  asynchronous discrete-event simulation, and a step returns right after
+  the event that completes a cycle, with other pipelines' tasks in flight.
+  Each pipeline can rebuild its own outstanding task, so those tasks are
+  not what blocks a checkpoint; the simulation's own state is: the event
+  heap, the live allocations, the scheduler queue and the coordinator's
+  state, none of which has a codec yet.  So a pilot state carries no
+  payload: the orchestration worker hands its cycle to the heartbeat lease
+  and never checkpoints it, and an interrupted run resumes by
+  deterministic re-execution from the start — the determinism contract
+  makes that re-execution exact, just not free.
 """
 
 from __future__ import annotations
@@ -63,17 +64,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    ClassVar,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    Type,
-)
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.core.control import ControlProtocol
 from repro.core.coordinator import PipelinesCoordinator
@@ -127,9 +118,9 @@ class CampaignState:
         execution at this boundary; ``None`` for a progress report (see
         :attr:`restorable`).
     runtime:
-        Live in-process objects carried between consecutive steps (never
+        The live stepping engine carried between consecutive steps (never
         serialised; absent after a cross-process resume, in which case the
-        protocol rebuilds them from ``payload``).
+        protocol rebuilds it from ``payload``).
     """
 
     protocol: str
@@ -191,12 +182,10 @@ class ProtocolContext:
     targets: List["DesignTarget"]
     factory: "StageFactory"
     durations: "DurationModel"
-    #: The campaign's state observer, or ``None``.  When one is attached, a
-    #: sequential step carries a restorable payload (what checkpointing
-    #: consumes), and the pilot family, whose one step spans every cycle,
-    #: reports each completed cycle to it as a payload-free progress state.
-    #: An unobserved run encodes nothing.
-    on_state: Optional[Callable[[CampaignState], None]] = None
+    #: Whether the campaign's states are observed.  An observed sequential
+    #: step carries a restorable payload (what checkpointing consumes); an
+    #: unobserved run encodes nothing.
+    observed: bool = False
 
     @property
     def platform_spec(self) -> PlatformSpec:
@@ -221,10 +210,9 @@ class ExecutionProtocol(abc.ABC):
     """One way of executing a design campaign's pipelines.
 
     Subclasses set :attr:`name` (the protocol key) and :attr:`approach` (the
-    label reported in Table-I-style outputs) and implement :meth:`step`;
-    :meth:`init_state` and :meth:`finalize` have defaults that suit a
-    protocol whose terminal step stashes its :class:`ProtocolOutcome` in the
-    state.
+    label reported in Table-I-style outputs) and implement :meth:`_engine`;
+    :meth:`step` advances that engine one design cycle, and :meth:`finalize`
+    turns the finished engine into the :class:`ProtocolOutcome`.
     """
 
     #: Protocol key, e.g. ``"im-rp"``.
@@ -239,8 +227,28 @@ class ExecutionProtocol(abc.ABC):
         return CampaignState(protocol=self.name, seed=context.config.seed)
 
     @abc.abstractmethod
+    def _engine(
+        self, context: ProtocolContext, state: CampaignState
+    ) -> ControlProtocol | PipelinesCoordinator:
+        """The live engine: ``state.runtime``, or one built for ``state``."""
+
     def step(self, context: ProtocolContext, state: CampaignState) -> CampaignState:
-        """Advance one checkpointable unit and return the successor state."""
+        """Advance one design cycle and return the successor state."""
+        engine = self._engine(context, state)
+        finished = engine.step_cycle()
+        return dataclasses.replace(
+            state,
+            cycle=engine.n_cycles_completed,
+            done=finished,
+            # Only the control has a codec; it encodes a payload only when
+            # an observer is there to keep it.
+            payload=(
+                engine.snapshot()
+                if context.observed and isinstance(engine, ControlProtocol)
+                else None
+            ),
+            runtime=engine,
+        )
 
     def finalize(
         self, context: ProtocolContext, state: CampaignState
@@ -251,12 +259,8 @@ class ExecutionProtocol(abc.ABC):
                 f"protocol {self.name!r} cannot finalize an unfinished state "
                 f"(cycle {state.cycle})"
             )
-        if not isinstance(state.runtime, ProtocolOutcome):
-            raise CampaignError(
-                f"protocol {self.name!r} has no outcome to finalize; "
-                "the terminal step must stash a ProtocolOutcome in the state"
-            )
-        return state.runtime
+        engine = self._engine(context, state)
+        return ProtocolOutcome(engine.records(), engine.platform)
 
     def pipeline_config(
         self,
@@ -289,16 +293,14 @@ class PilotRuntimeProtocol(ExecutionProtocol):
     through a :class:`TaskManager` and the :class:`PipelinesCoordinator`, with
     sub-pipeline spawning governed by the campaign's spawn policy.
 
-    Checkpoint granularity is the **whole run**: the discrete-event
-    simulation interleaves every pipeline's stages, so a cycle boundary of
-    one pipeline is not a quiescent point of the simulation — other
-    pipelines' tasks are in flight.  Each pipeline can rebuild its own
-    outstanding task (``Pipeline.pending_task()``), but the event heap, the
-    live allocations, the scheduler queue and the coordinator's state have
-    no codec yet.  The single :meth:`step` therefore executes the whole
-    simulation; completed cycles are reported to
-    :attr:`ProtocolContext.on_state` as they happen, and an interrupted run
-    resumes by exact deterministic re-execution from the start.
+    Each step runs the discrete-event simulation until the next design cycle
+    completes, so a cycle boundary of one pipeline is not a quiescent point
+    of the simulation — other pipelines' tasks are in flight.  Each pipeline
+    can rebuild its own outstanding task (``Pipeline.pending_task()``), but
+    the event heap, the live allocations, the scheduler queue and the
+    coordinator's state have no codec yet, so a state carries no payload
+    and an interrupted run resumes by exact deterministic re-execution from
+    the start.
     """
 
     #: Whether Stage 6 gates cycle acceptance.
@@ -306,25 +308,23 @@ class PilotRuntimeProtocol(ExecutionProtocol):
     #: Whether the evaluated sequence is drawn at random instead of top-ranked.
     random_selection: ClassVar[bool] = False
 
-    def step(self, context: ProtocolContext, state: CampaignState) -> CampaignState:
+    def _engine(
+        self, context: ProtocolContext, state: CampaignState
+    ) -> PipelinesCoordinator:
+        """The live coordinator, carried between steps and built on the first."""
+        if isinstance(state.runtime, PipelinesCoordinator):
+            return state.runtime
+        if state.cycle or state.done:
+            raise CampaignError(
+                f"{self.name} cannot rebuild its execution at cycle "
+                f"{state.cycle}; re-run from the start instead"
+            )
         config = context.config
-        platform = ComputePlatform(context.platform_spec)
         task_manager = TaskManager(
-            platform,
+            ComputePlatform(context.platform_spec),
             context.durations,
             placement_window(config.scheduler_policy, config.backfill_window),
         )
-        on_cycle = None
-        if context.on_state is not None:
-            on_state = context.on_state
-
-            def on_cycle(completed: int) -> None:
-                on_state(
-                    CampaignState(
-                        protocol=self.name, seed=config.seed, cycle=completed
-                    )
-                )
-
         coordinator = PipelinesCoordinator(
             task_manager,
             context.factory,
@@ -333,34 +333,26 @@ class PilotRuntimeProtocol(ExecutionProtocol):
             ),
             config.spawn_policy,
             config.max_in_flight_pipelines,
-            on_cycle=on_cycle,
         )
         coordinator.add_targets(context.targets)
-        records = coordinator.run()
-        return dataclasses.replace(
-            state,
-            cycle=coordinator.n_cycles_completed,
-            done=True,
-            payload=None,
-            runtime=ProtocolOutcome(records=records, platform=platform),
-        )
+        return coordinator
 
 
 class SequentialRuntimeProtocol(ExecutionProtocol):
     """Shared machinery for middleware-free sequential protocols (the control).
 
     Sequential execution has a quiescent point after every design cycle, so
-    each :meth:`step` advances exactly one cycle and snapshots the whole
-    execution (pipeline state, captured RNG streams, simulated clock and
-    profiler traces) into the state's JSON-able payload — a restorable
-    checkpoint from which any process resumes bit-identically.
+    each observed :meth:`step` snapshots the whole execution (pipeline
+    state, captured RNG streams, simulated clock and profiler traces) into
+    the state's JSON-able payload — a restorable checkpoint from which any
+    process resumes bit-identically.
     """
 
     #: Whether the evaluated sequence is drawn at random (the paper's control).
     random_selection: ClassVar[bool] = True
 
-    def _control(self, context: ProtocolContext, state: CampaignState) -> ControlProtocol:
-        """The live stepping engine: carried between steps, rebuilt on resume."""
+    def _engine(self, context: ProtocolContext, state: CampaignState) -> ControlProtocol:
+        """The live control: carried between steps, rebuilt on resume."""
         if isinstance(state.runtime, ControlProtocol):
             return state.runtime
         config = self.pipeline_config(
@@ -396,32 +388,6 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
             protocol=self.name,
             seed=context.config.seed,
             cycles_total=len(context.targets) * context.config.n_cycles,
-        )
-
-    def step(self, context: ProtocolContext, state: CampaignState) -> CampaignState:
-        control = self._control(context, state)
-        finished = control.step_cycle()
-        # Each step is one cycle, so the observer already sees every
-        # boundary; a payload is encoded only when it is there to keep it.
-        return dataclasses.replace(
-            state,
-            cycle=control.n_cycles_completed,
-            done=finished,
-            payload=control.snapshot() if context.on_state is not None else None,
-            runtime=control,
-        )
-
-    def finalize(
-        self, context: ProtocolContext, state: CampaignState
-    ) -> ProtocolOutcome:
-        if not state.done:
-            raise CampaignError(
-                f"protocol {self.name!r} cannot finalize an unfinished state "
-                f"(cycle {state.cycle}/{state.cycles_total})"
-            )
-        control = self._control(context, state)
-        return ProtocolOutcome(
-            records=control.records(), platform=control.platform
         )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
@@ -105,14 +105,19 @@ class EventLoop:
         self._processed += 1
         return True
 
-    def run(self) -> int:
-        """Run until the queue drains.
+    def run(self, until: Optional[Callable[[], bool]] = None) -> int:
+        """Run until the queue drains, or until ``until()`` holds after an event.
 
-        Returns the number of events executed by this call.
+        ``until`` is checked once after every executed event, so the loop
+        stops right after the event that made it true and leaves the rest of
+        the queue pending.  Returns the number of events executed by this
+        call.
         """
         executed = 0
         while self.step():
             executed += 1
+            if until is not None and until():
+                break
         return executed
 
     def run_until(self, time: float) -> int:

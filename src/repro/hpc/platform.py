@@ -59,9 +59,3 @@ class ComputePlatform:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._loop.now
-
-    # -- convenience ----------------------------------------------------- #
-
-    def run(self) -> int:
-        """Run the event loop until it drains; returns executed event count."""
-        return self._loop.run()

@@ -340,7 +340,6 @@ def run_chaos(
             run_timeout=run_timeout, trace=trace,
         )
         report.workers_spawned += 1
-        telemetry.event("chaos.spawn", spawned=worker_id)
 
     try:
         for _ in range(workers):

@@ -16,8 +16,8 @@ sharing the queue directory).  Each pass over the manifest the worker:
    whole run;
 4. hands each state's cycle progress to its heartbeat, which writes it into
    the claim, and streams a checkpoint per completed cycle for states that
-   carry a restorable payload (pilot-protocol runs, whose mid-run states
-   are progress only, write none); then appends the finished record to its
+   carry a restorable payload (pilot-protocol runs, whose per-cycle states
+   carry no payload yet, write none); then appends the finished record to its
    per-worker :class:`~repro.store.RunStore`, publishes the done marker, and
    discards the run's checkpoints.
 
@@ -489,10 +489,6 @@ def _execute_with_budget(
 
     def on_cycle(state: CampaignState) -> None:
         nonlocal last_save
-        telemetry.event(
-            "worker.cycle", run=entry.spec.run_id, cycle=state.cycle,
-            worker=worker,
-        )
         # A dead heartbeat means the lease is going stale under us: abort at
         # the cycle boundary, before a peer steals the claim and doubles the
         # remaining cycles — the checkpoint just saved makes the abort cheap.

@@ -116,9 +116,9 @@ _PROFILES: Dict[TaskKind, KindProfile] = {
         jitter_sigma=0.05,
         request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
     ),
+    # Selection compiles the one selected design, however many were generated.
     TaskKind.SEQUENCE_SELECT: KindProfile(
-        base_seconds=15.0,
-        per_sequence_seconds=0.5,
+        base_seconds=19.5,
         jitter_sigma=0.05,
         request=ResourceRequest(cpu_cores=1, gpus=0, memory_gb=1.0),
     ),

@@ -5,10 +5,11 @@ tasks and a way to hear when they finish.  :class:`TaskManager` is exactly
 that.  It builds the one :class:`~repro.runtime.agent.Agent` that places and
 executes tasks on the simulated platform and, at creation, records the
 pilot's bootstrap phase (the "Bootstrap" band of Fig 5).  Execution is
-simulated, so callers drive the platform's event loop (``platform.run()``)
-and observe completions through registered callbacks — the calling code is
-structured exactly as it would be against the real middleware.  The manager
-keeps no record of the tasks it submitted.
+simulated, so callers drive the platform's event loop
+(``platform.loop.run()``, which the coordinator stops after each completed
+design cycle) and observe completions through registered callbacks — the
+calling code is structured exactly as it would be against the real
+middleware.  The manager keeps no record of the tasks it submitted.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ schema-version-stamped line per saved cycle boundary::
        "state": {…CampaignState…}}
 
 Every line is a restore point: :meth:`CheckpointStore.save` refuses a state
-without a payload, so a progress report (a pilot-protocol run's mid-run
-cycle count) is never written here.  A running run's progress rides its
+without a payload, so a progress report (a pilot-protocol run's per-cycle
+state, which has no payload yet) is never written here.  A running run's progress rides its
 heartbeat lease instead (:mod:`repro.orchestrate.lease`), which is where
 ``status`` reads it.
 

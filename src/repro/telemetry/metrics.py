@@ -9,7 +9,8 @@ failpoints.  The three verbs only differ in how the read side aggregates
 them:
 
 * ``counter`` — monotone occurrence counts; aggregate by *sum*
-  (``campaign.cycles``, ``campaign.cycle_accepted``);
+  (``campaign.cycles``, whose ``accepted`` attribute carries each cycle's
+  acceptance decision);
 * ``gauge`` — instantaneous levels; aggregate by *last*
   (``worker.rss_bytes``, ``coordinator.max_in_flight``);
 * ``histogram`` — per-sample distributions; aggregate by *mean*

@@ -96,11 +96,13 @@ class TestController:
             PipelineConfig(n_cycles=2, n_sequences=5),
             max_in_flight_pipelines=AUTO_IN_FLIGHT,
         )
-        controller = coordinator.adaptive_controller
+        controller = coordinator._adaptive
         assert controller is not None and controller.cap == 1
         coordinator.add_targets(four_targets)
         with telemetry.scoped(tmp_path / "telemetry", "w0"):
-            records = coordinator.run()
+            while not coordinator.step_cycle():
+                pass
+        records = coordinator.records()
         roots = [record for record in records if record.parent_uid is None]
         assert len(roots) == 4
         assert all(record.status is PipelineStatus.COMPLETED for record in roots)

@@ -19,6 +19,7 @@ import pytest
 from repro.core import control as control_module
 from repro.core import pipeline as pipeline_module
 from repro.core.campaign import CampaignConfig, CampaignState, DesignCampaign
+from repro.core.coordinator import AUTO_IN_FLIGHT, PipelinesCoordinator
 from repro.core.protocols import get_protocol
 from repro.exceptions import CampaignError
 from repro.hpc.profiling import ExecutionProfiler
@@ -54,7 +55,13 @@ def reference():
     cache = {}
 
     def build(config):
-        key = (config.protocol, config.seed, config.n_cycles, config.n_sequences)
+        key = (
+            config.protocol,
+            config.seed,
+            config.n_cycles,
+            config.n_sequences,
+            config.max_in_flight_pipelines,
+        )
         if key not in cache:
             cache[key] = _result_bytes(_campaign(config).run())
         return cache[key]
@@ -81,11 +88,39 @@ class TestStepLoopEquivalence:
             assert final.cycle == 8 and final.cycles_total == 8
             assert all(state.restorable for state in states)
         else:
-            # The pilot simulation has no quiescent cycle boundary: one step,
-            # preceded by a progress state per completed cycle.
+            # One step per completed cycle, then the step that drains the
+            # simulation.
             assert final.cycle >= 8  # roots + adaptively spawned sub-pipelines
             assert len(states) == final.cycle + 1
             assert not any(state.restorable for state in states)
+
+    @pytest.mark.parametrize("cap", [None, 2, AUTO_IN_FLIGHT])
+    @pytest.mark.parametrize("protocol", ["im-rp", "im-rp-random"])
+    def test_pilot_steps_one_cycle_at_a_time(self, protocol, cap, reference):
+        config = CampaignConfig(
+            protocol=protocol,
+            seed=7,
+            n_cycles=2,
+            n_sequences=4,
+            max_in_flight_pipelines=cap,
+        )
+        seen = []
+
+        def observe(state):
+            seen.append((state, state.runtime.n_cycles_completed))
+
+        result = _campaign(config).run_stepwise(on_state=observe)
+        assert _result_bytes(result) == reference(config)
+        states = [state for state, _ in seen]
+        n = states[-1].cycle
+        assert [state.cycle for state in states] == [*range(1, n + 1), n]
+        assert [state.done for state in states] == [False] * n + [True]
+        # Each state carries the live coordinator, seen at that very cycle.
+        coordinator = states[0].runtime
+        assert isinstance(coordinator, PipelinesCoordinator)
+        assert all(state.runtime is coordinator for state in states)
+        assert all(live == state.cycle for state, live in seen)
+        assert all(state.payload is None for state in states)
 
     def test_sequential_states_are_restorable_checkpoints(self):
         state = _observed_states()[0]
@@ -110,16 +145,6 @@ class TestStepLoopEquivalence:
         state = _observed_states(config)[-1]
         assert state.done and not state.restorable
 
-    def test_pilot_reports_progress_states_mid_step(self):
-        config = CampaignConfig(protocol="im-rp", seed=7, n_cycles=2, n_sequences=4)
-        seen = []
-        _campaign(config).run_stepwise(on_state=seen.append)
-        progress = [s for s in seen if not s.done]
-        assert progress, "pilot runs must report per-cycle progress"
-        assert [s.cycle for s in progress] == sorted(s.cycle for s in progress)
-        assert all(not s.restorable for s in progress)
-        assert seen[-1].done
-
     def test_pilot_progress_states_name_their_campaign(self):
         config = CampaignConfig(protocol="im-rp-random", seed=7, n_cycles=2, n_sequences=4)
         seen = []
@@ -129,7 +154,8 @@ class TestStepLoopEquivalence:
         for state in progress:
             assert (state.protocol, state.seed) == ("im-rp-random", 7)
             assert state.cycles_total is None  # spawning makes the total emergent
-            assert not state.done and state.payload is None and state.runtime is None
+            assert not state.done and state.payload is None
+            assert isinstance(state.runtime, PipelinesCoordinator)
 
 
 class TestResumeDeterminism:
@@ -332,9 +358,9 @@ class TestIncrementalSnapshots:
         # boundary earlier it runs that cycle first.
         protocol = get_protocol("cont-v")
         context = _campaign()._protocol_context()
-        last = protocol._control(context, _revived(states[-1]))
+        last = protocol._engine(context, _revived(states[-1]))
         assert last.step_cycle() is True and last.n_cycles_completed == 12
-        earlier = protocol._control(context, _revived(states[-2]))
+        earlier = protocol._engine(context, _revived(states[-2]))
         assert earlier.n_cycles_completed == 11
         assert earlier.step_cycle() is True and earlier.n_cycles_completed == 12
 
@@ -409,3 +435,13 @@ class TestProtocolSteppingContract:
         state = _observed_states()[0]
         with pytest.raises(CampaignError, match="unfinished"):
             protocol.finalize(campaign._protocol_context(), state)
+
+    @pytest.mark.parametrize("done", [False, True])
+    def test_pilot_refuses_to_rebuild_its_execution_past_cycle_zero(self, done):
+        config = CampaignConfig(protocol="im-rp", seed=7, n_cycles=2, n_sequences=4)
+        protocol = get_protocol("im-rp")
+        context = _campaign(config)._protocol_context()
+        state = CampaignState(protocol="im-rp", seed=7, cycle=3, done=done)
+        advance = protocol.finalize if done else protocol.step
+        with pytest.raises(CampaignError, match="cannot rebuild"):
+            advance(context, state)

@@ -61,10 +61,17 @@ def _record_run_tasks(monkeypatch):
     return names, refs
 
 
-def _collect_finished(coordinator):
-    """Every task the coordinator's completion callback is handed, in order."""
+def _run(coordinator):
+    """Step ``coordinator`` until its simulation drains; its records."""
+    while not coordinator.step_cycle():
+        pass
+    return coordinator.records()
+
+
+def _collect_finished(task_manager):
+    """Every task the task manager reports finished, in order."""
     finished = []
-    coordinator.task_manager.register_callback(finished.append)
+    task_manager.register_callback(finished.append)
     return finished
 
 
@@ -91,19 +98,21 @@ def coordinator(task_manager, factory):
 class TestCoordinator:
     def test_runs_all_root_pipelines_to_completion(self, coordinator, four_targets):
         coordinator.add_targets(four_targets)
-        records = coordinator.run()
+        records = _run(coordinator)
         roots = [record for record in records if record.parent_uid is None]
         assert len(roots) == 4
         assert all(record.status is PipelineStatus.COMPLETED for record in roots)
 
-    def test_run_without_targets_raises(self, coordinator):
+    def test_step_without_targets_raises(self, coordinator):
         with pytest.raises(CoordinatorError):
-            coordinator.run()
+            coordinator.step_cycle()
 
-    def test_tasks_from_different_pipelines_overlap(self, coordinator, four_targets):
-        tasks = _collect_finished(coordinator)
+    def test_tasks_from_different_pipelines_overlap(
+        self, coordinator, task_manager, four_targets
+    ):
+        tasks = _collect_finished(task_manager)
         coordinator.add_targets(four_targets)
-        coordinator.run()
+        _run(coordinator)
         by_pipeline = {}
         for task in tasks:
             by_pipeline.setdefault(task.metadata["pipeline_uid"], []).append(task)
@@ -127,9 +136,8 @@ class TestCoordinator:
             spawn_policy=SubPipelinePolicy(quality_margin=0.05, max_per_pipeline=2),
         )
         coordinator.add_targets(four_targets)
-        records = coordinator.run()
+        records = _run(coordinator)
         subs = [record for record in records if record.parent_uid is not None]
-        assert coordinator.n_subpipelines == len(subs)
         assert len(subs) >= 1
         for sub in subs:
             assert sub.uid.startswith(sub.parent_uid)
@@ -143,8 +151,8 @@ class TestCoordinator:
             spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )
         coordinator.add_targets(four_targets)
-        records = coordinator.run()
-        assert coordinator.n_subpipelines == 0
+        records = _run(coordinator)
+        assert len(records) == 4
         assert all(record.parent_uid is None for record in records)
 
     def test_in_flight_cap_serialises_roots(self, task_manager, factory, four_targets):
@@ -155,9 +163,9 @@ class TestCoordinator:
             spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
             max_in_flight_pipelines=1,
         )
-        tasks = _collect_finished(coordinator)
+        tasks = _collect_finished(task_manager)
         coordinator.add_targets(four_targets)
-        records = coordinator.run()
+        records = _run(coordinator)
         assert len(records) == 4
         assert all(record.status is PipelineStatus.COMPLETED for record in records)
         # With the cap at one, roots execute one after another: their task
@@ -172,11 +180,12 @@ class TestCoordinator:
         for (_, earlier_end), (later_start, _) in zip(ordered, ordered[1:]):
             assert later_start >= earlier_end - 1e-6
 
-    def test_completed_channel_saw_every_task(self, monkeypatch, coordinator, four_targets):
+    def test_completed_channel_saw_every_task(
+        self, monkeypatch, coordinator, task_manager, four_targets
+    ):
         """The completion callback hands back every submitted task exactly
         once."""
-        manager = coordinator.task_manager
-        submit_tasks = manager.submit_tasks
+        submit_tasks = task_manager.submit_tasks
         submitted = []
 
         def recording_submit(descriptions):
@@ -184,10 +193,10 @@ class TestCoordinator:
             submitted.extend(task.name for task in tasks)
             return tasks
 
-        monkeypatch.setattr(manager, "submit_tasks", recording_submit)
-        finished = _collect_finished(coordinator)
+        monkeypatch.setattr(task_manager, "submit_tasks", recording_submit)
+        finished = _collect_finished(task_manager)
         coordinator.add_targets(four_targets[:2])
-        coordinator.run()
+        _run(coordinator)
         assert submitted
         assert sorted(task.name for task in finished) == sorted(submitted)
 
@@ -195,14 +204,14 @@ class TestCoordinator:
 class TestOnlyInFlightTasksAreHeld:
     """Completion callbacks are the only way to reach a finished task."""
 
-    def test_coordinator_run_frees_every_finished_task(self, coordinator, four_targets):
+    def test_coordinator_run_frees_every_finished_task(
+        self, coordinator, task_manager, four_targets
+    ):
         refs = []
-        coordinator.task_manager.register_callback(
-            lambda task: refs.append(weakref.ref(task))
-        )
+        task_manager.register_callback(lambda task: refs.append(weakref.ref(task)))
         coordinator.add_targets(four_targets)
-        coordinator.run()
-        platform = coordinator.task_manager.platform
+        _run(coordinator)
+        platform = task_manager.platform
         # A running task holds devices and a pending completion event.
         assert platform.loop.pending == 0
         assert platform.allocator.busy_cores() == 0
@@ -224,9 +233,10 @@ class TestOnlyInFlightTasksAreHeld:
 def _wrap_registered_callbacks(monkeypatch):
     """Register a wrapper for every callback, as the benchmark tracer does.
 
-    Returns the names of the tasks the wrappers were handed, in order.
+    Returns the names of the tasks the wrappers were handed, in order, and
+    the wrappers registered and not yet removed.
     """
-    calls = []
+    calls, registered = [], []
     register = TaskManager.register_callback
 
     def wrapping_register(manager, callback):
@@ -234,10 +244,17 @@ def _wrap_registered_callbacks(monkeypatch):
             calls.append(task.name)
             callback(task)
 
-        return register(manager, wrapper)
+        remove = register(manager, wrapper)
+        registered.append(wrapper)
+
+        def remover():
+            registered.remove(wrapper)
+            remove()
+
+        return remover
 
     monkeypatch.setattr(TaskManager, "register_callback", wrapping_register)
-    return calls
+    return calls, registered
 
 
 def _run_one_more_task(task_manager):
@@ -246,11 +263,11 @@ def _run_one_more_task(task_manager):
             name="after-run", kind=TaskKind.COMPARE.value, request=ResourceRequest()
         )
     )
-    task_manager.platform.run()
+    task_manager.platform.loop.run()
 
 
 class TestCallbackLifetime:
-    """The coordinator's task callback is registered only while ``run()`` runs."""
+    """The coordinator's task callback is registered only while a step runs."""
 
     def _coordinator(self, task_manager, factory):
         return PipelinesCoordinator(
@@ -259,20 +276,36 @@ class TestCallbackLifetime:
             PipelineConfig(n_cycles=2, n_sequences=5),
         )
 
-    def test_run_detaches_its_callback(self, monkeypatch, task_manager, factory, four_targets):
-        calls = _wrap_registered_callbacks(monkeypatch)
+    def test_no_callback_is_registered_between_steps(
+        self, monkeypatch, task_manager, factory, four_targets
+    ):
+        calls, registered = _wrap_registered_callbacks(monkeypatch)
         coordinator = self._coordinator(task_manager, factory)
         coordinator.add_targets(four_targets[:2])
-        coordinator.run()
+        steps = 1
+        while not coordinator.step_cycle():
+            assert registered == []
+            assert coordinator.n_cycles_completed == steps
+            steps += 1
+        assert registered == []
+        assert calls and steps == coordinator.n_cycles_completed + 1
+
+    def test_last_step_detaches_its_callback(
+        self, monkeypatch, task_manager, factory, four_targets
+    ):
+        calls, registered = _wrap_registered_callbacks(monkeypatch)
+        coordinator = self._coordinator(task_manager, factory)
+        coordinator.add_targets(four_targets[:2])
+        _run(coordinator)
         heard = len(calls)
-        assert heard > 0
+        assert heard > 0 and registered == []
         _run_one_more_task(task_manager)
         assert len(calls) == heard
 
-    def test_run_detaches_its_callback_when_it_raises(
+    def test_a_step_that_raises_detaches_its_callback(
         self, monkeypatch, task_manager, factory, four_targets
     ):
-        calls = _wrap_registered_callbacks(monkeypatch)
+        calls, registered = _wrap_registered_callbacks(monkeypatch)
 
         def failing_decision_step(self, pipeline, cycle_result):
             raise RuntimeError("decision step failed")
@@ -281,15 +314,20 @@ class TestCallbackLifetime:
         coordinator = self._coordinator(task_manager, factory)
         coordinator.add_targets(four_targets[:2])
         with pytest.raises(RuntimeError, match="decision step failed"):
-            coordinator.run()
+            coordinator.step_cycle()
         heard = len(calls)
+        assert registered == []
         # The other pipeline's task is still in flight; nothing routes it back.
         _run_one_more_task(task_manager)
         assert len(calls) == heard
 
 
+class _Abandoned(Exception):
+    pass
+
+
 class TestFinishedCampaignIsFreedByRefcount:
-    """No reference cycle survives ``PipelinesCoordinator.run()``.
+    """No reference cycle survives a ``PipelinesCoordinator.step_cycle()``.
 
     A worker drains many campaigns in one process; a cycle would leave each
     finished campaign (coordinator, agent, platform, profiler traces,
@@ -297,8 +335,11 @@ class TestFinishedCampaignIsFreedByRefcount:
     full collections.
     """
 
-    @pytest.mark.parametrize("cap", [2, AUTO_IN_FLIGHT])
-    def test_dropped_campaign_leaves_no_cyclic_garbage(self, monkeypatch, four_targets, cap):
+    def _coordinators(self, monkeypatch, four_targets, config):
+        """Weak references to the coordinators built from now on.
+
+        A first run makes whatever is created once per process.
+        """
         coordinators = []
         init = PipelinesCoordinator.__init__
 
@@ -307,7 +348,13 @@ class TestFinishedCampaignIsFreedByRefcount:
             coordinators.append(weakref.ref(self))
 
         monkeypatch.setattr(PipelinesCoordinator, "__init__", recording_init)
-        config = CampaignConfig(
+        DesignCampaign(four_targets, config).run()
+        coordinators.clear()
+        gc.collect()
+        return coordinators
+
+    def _config(self, cap):
+        return CampaignConfig(
             protocol="im-rp",
             seed=3,
             n_cycles=3,
@@ -315,10 +362,11 @@ class TestFinishedCampaignIsFreedByRefcount:
             spawn_policy=SubPipelinePolicy(quality_margin=0.03, max_per_pipeline=2),
             max_in_flight_pipelines=cap,
         )
-        # A first run makes whatever is created once per process.
-        DesignCampaign(four_targets, config).run()
-        coordinators.clear()
-        gc.collect()
+
+    @pytest.mark.parametrize("cap", [2, AUTO_IN_FLIGHT])
+    def test_dropped_campaign_leaves_no_cyclic_garbage(self, monkeypatch, four_targets, cap):
+        config = self._config(cap)
+        coordinators = self._coordinators(monkeypatch, four_targets, config)
         gc.disable()
         try:
             result = DesignCampaign(four_targets, config).run()
@@ -327,6 +375,36 @@ class TestFinishedCampaignIsFreedByRefcount:
             (coordinator,) = coordinators
             assert coordinator() is None
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("cap", [2, AUTO_IN_FLIGHT])
+    def test_campaign_abandoned_between_steps_is_freed(
+        self, monkeypatch, four_targets, cap
+    ):
+        """An observer that raises ends the run with events still pending.
+
+        Those events' bound methods point back at the agent, so the cyclic
+        collector still has work; the coordinator is not part of that cycle.
+        """
+        config = self._config(cap)
+        coordinators = self._coordinators(monkeypatch, four_targets, config)
+        seen = []
+
+        def observer(state):
+            seen.append(state.cycle)
+            if state.cycle == 2:
+                raise _Abandoned()
+
+        gc.disable()
+        try:
+            try:
+                DesignCampaign(four_targets, config).run_stepwise(on_state=observer)
+            except _Abandoned:
+                pass
+            assert seen == [1, 2]
+            (coordinator,) = coordinators
+            assert coordinator() is None
         finally:
             gc.enable()
 
@@ -341,7 +419,7 @@ class TestDecisionStepCost:
         def check(coordinator):
             expected = {
                 pipeline.uid: composite_score(pipeline.latest_metrics)
-                for pipeline in coordinator.pipelines()
+                for pipeline in coordinator._pipelines.values()
                 if pipeline.latest_metrics is not None
             }
             assert coordinator._composites == expected

@@ -57,6 +57,22 @@ class TestGeneticOptimizer:
             best_after = max(ind.composite for ind in current)
             assert best_after >= best_before - 1e-9
 
+    def test_no_generation_holds_an_individual_twice(self):
+        # The protease example's setup, where selecting the elites again
+        # beside the population that holds them filled 8 slots with 6 or 7
+        # distinct individuals.
+        target = make_pdz_target("PROTEASE_LIKE", seed=11)
+        fixed = tuple(target.complex.designable_positions[:3])
+        mpnn = SurrogateProteinMPNN(MPNNConfig(fixed_positions=fixed), seed=11)
+        config = GeneticConfig(population_size=8, offspring_per_parent=2, n_generations=4)
+        optimizer = GeneticOptimizer(
+            target, mpnn=mpnn, config=config, seed=11,
+            objective=lambda metrics: metrics.plddt,
+        )
+        optimizer.run()
+        for population in optimizer.history:
+            assert len({id(individual) for individual in population}) == len(population)
+
     @pytest.mark.parametrize("seed", [3, 5, 9])
     def test_fixed_positions_respected_through_generations(self, seed):
         # The protease example's setup: crossover and point mutation used to

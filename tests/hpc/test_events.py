@@ -142,6 +142,25 @@ class TestHeapOrder:
         assert fired == expected
 
 
+class TestRunWithAPredicate:
+    def test_stops_right_after_the_event_that_makes_it_true(self):
+        loop = EventLoop()
+        fired = []
+        for time in (1.0, 2.0, 2.0, 3.0):
+            loop.schedule_at(time, lambda time=time: fired.append(time))
+        assert loop.run(until=lambda: len(fired) == 2) == 2
+        assert fired == [1.0, 2.0] and loop.now == 2.0 and loop.pending == 2
+        # The rest runs on the next call, in the same order.
+        assert loop.run(until=lambda: False) == 2
+        assert fired == [1.0, 2.0, 2.0, 3.0] and loop.processed == 4
+
+    def test_is_checked_only_after_an_event(self):
+        loop = EventLoop()
+        assert loop.run(until=lambda: True) == 0
+        loop.schedule(1.0, lambda: None)
+        assert loop.run(until=lambda: True) == 1 and loop.pending == 0
+
+
 class TestRunUntil:
     def test_run_until_advances_clock_even_without_events(self):
         loop = EventLoop()

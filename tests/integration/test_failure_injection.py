@@ -55,7 +55,9 @@ class TestPayloadFailureIsolation:
             spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )
         coordinator.add_targets(four_targets)
-        records = coordinator.run()
+        while not coordinator.step_cycle():
+            pass
+        records = coordinator.records()
 
         by_target = {record.target: record for record in records}
         poisoned = by_target[four_targets[1].name]
@@ -82,7 +84,8 @@ class TestPayloadFailureIsolation:
         finished = []
         task_manager.agent.on_completion(finished.append)
         coordinator.add_targets(four_targets)
-        coordinator.run()
+        while not coordinator.step_cycle():
+            pass
         failed = [task for task in finished if task.failed]
         assert failed
         assert all("GPU OOM" in str(task.exception) for task in failed)

@@ -52,7 +52,8 @@ def test_coordinator_callback_is_timed_in_its_own_layer(
             PipelineConfig(n_cycles=1, n_sequences=4),
         )
         coordinator.add_targets(four_targets[:1])
-        coordinator.run()
+        while not coordinator.step_cycle():
+            pass
     finally:
         tracer.uninstall()
     self_times = spans.self_times([span for span in tracer.spans if span is not None])
@@ -76,7 +77,8 @@ def test_every_agent_event_is_spanned(spans, durations, factory, four_targets):
             PipelineConfig(n_cycles=1, n_sequences=4),
         )
         coordinator.add_targets(four_targets[:2])
-        coordinator.run()
+        while not coordinator.step_cycle():
+            pass
     finally:
         tracer.uninstall()
     names = Counter(span[0] for span in tracer.spans if span is not None)

@@ -50,7 +50,7 @@ class TestAgent:
     def test_executes_task_and_collects_result(self, agent):
         task = Task(_description(payload=lambda: {"value": 42}))
         agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         assert _done(task)
         assert task.result == {"value": 42}
         assert task.start_time is not None and task.end_time > task.start_time
@@ -61,7 +61,7 @@ class TestAgent:
 
         task = Task(_description(payload=broken))
         agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         assert task.failed and task.end_time is not None
         assert "boom" in str(task.exception)
         # Resources are released even on failure.
@@ -74,7 +74,7 @@ class TestAgent:
         ]
         for task in tasks:
             agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         starts = [task.start_time for task in tasks]
         ends = [task.end_time for task in tasks]
         assert max(starts) < min(ends)  # all three ran concurrently
@@ -87,7 +87,7 @@ class TestAgent:
         ]
         for task in tasks:
             agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         assert all(_done(task) for task in tasks)
         # At least one task had to wait for a GPU to free up.
         assert max(task.start_time for task in tasks) > min(task.start_time for task in tasks)
@@ -97,7 +97,7 @@ class TestAgent:
         agent.on_completion(lambda task: seen.append(task.name))
         task = Task(_description(name="heard"))
         agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         assert seen == ["heard"]
 
     def test_completion_remover_detaches_only_its_registration(self, agent):
@@ -107,13 +107,13 @@ class TestAgent:
         remove_first()
         task = Task(_description())
         agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         assert seen == [task]
 
     def test_profiler_records_intervals_and_phases(self, agent):
         task = Task(_description(kind=TaskKind.SCORING, cores=4))
         agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         profiler = agent.platform.profiler
         assert len(profiler.resource_intervals) == 1
         assert profiler.resource_intervals[0].cpu_core_ids == (0, 1, 2, 3)
@@ -123,7 +123,7 @@ class TestAgent:
 
     def test_profiler_ids_are_task_names(self, agent):
         agent.submit(Task(_description(name="named")))
-        agent.platform.run()
+        agent.platform.loop.run()
         profiler = agent.platform.profiler
         assert [interval.task_id for interval in profiler.resource_intervals] == ["named"]
         assert list(profiler.phase_totals()) == ["exec_setup", "running"]
@@ -133,7 +133,7 @@ class TestAgent:
         # by the duration model's speedup (1000 here), once per task.
         for index in range(3):
             agent.submit(Task(_description(name=f"t{index}")))
-        agent.platform.run()
+        agent.platform.loop.run()
         phases = agent.platform.profiler.phase_totals()
         assert phases["exec_setup"] == pytest.approx(3 * 0.12 / 1000.0)
 
@@ -150,7 +150,7 @@ class TestAgent:
         )
         for task in (blocker, big, small):
             agent.submit(task)
-        agent.platform.run()
+        agent.platform.loop.run()
         assert all(_done(task) for task in (blocker, big, small))
         assert big.start_time == blocker.end_time
         if window:
@@ -187,7 +187,7 @@ class TestAgent:
         # block every later task forever.
         later = Task(_description(name="later"))
         agent.submit(later)
-        agent.platform.run()
+        agent.platform.loop.run()
         assert _done(later)
 
 
@@ -207,7 +207,7 @@ class TestPilotAndManagers:
         tasks = manager.submit_tasks(
             [_description(name=f"t{i}", payload=lambda i=i: i) for i in range(4)]
         )
-        manager.platform.run()
+        manager.platform.loop.run()
         assert sorted(finished, key=lambda task: task.name) == tasks
         assert all(_done(task) for task in tasks)
         assert [task.result for task in tasks] == [0, 1, 2, 3]
@@ -217,7 +217,7 @@ class TestPilotAndManagers:
         seen = []
         manager.register_callback(lambda task: seen.append((task, _done(task))))
         (task,) = manager.submit_tasks(_description(name="single"))
-        manager.platform.run()
+        manager.platform.loop.run()
         assert seen == [(task, True)]
         assert not hasattr(manager, "completed_channel")
 
@@ -225,10 +225,10 @@ class TestPilotAndManagers:
         seen = []
         remove = manager.register_callback(seen.append)
         manager.submit_tasks(_description(name="heard"))
-        manager.platform.run()
+        manager.platform.loop.run()
         remove()
         manager.submit_tasks(_description(name="unheard"))
-        manager.platform.run()
+        manager.platform.loop.run()
         assert [task.name for task in seen] == ["heard"]
 
     def test_wait_raise_on_failure(self, manager):
@@ -239,6 +239,6 @@ class TestPilotAndManagers:
         seen = []
         manager.register_callback(lambda task: seen.append((task, task.failed)))
         (task,) = manager.submit_tasks(_description(name="broken", payload=broken))
-        manager.platform.run()
+        manager.platform.loop.run()
         assert seen == [(task, True)]
         assert "bad input" in str(task.exception)

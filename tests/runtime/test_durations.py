@@ -55,6 +55,18 @@ class TestScaling:
         large = model.duration(_description(TaskKind.MPNN_GENERATE, "a", n_sequences=40))
         assert large > small
 
+    def test_selection_time_ignores_the_sequence_count(self):
+        # Selection compiles the one selected design, and its builder sets no
+        # n_sequences: 19.5 s before jitter, whatever the metadata says.
+        model = DurationModel(seed=1)
+        jitter = math.exp(spawn_rng(1, "duration", "s").normal(loc=0.0, scale=0.05))
+        durations = {
+            model.duration(_description(TaskKind.SEQUENCE_SELECT, "s", **metadata))
+            for metadata in ({}, {"n_sequences": 1}, {"n_sequences": 6}, {"n_sequences": 40})
+        }
+        assert len(durations) == 1
+        assert durations.pop() == pytest.approx(19.5 * jitter)
+
     def test_longer_proteins_cost_more(self):
         model = DurationModel()
         short = model.duration(_description(TaskKind.AF_INFERENCE, "a", n_residues=80))
