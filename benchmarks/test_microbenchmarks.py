@@ -15,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.core.pipeline import Pipeline, PipelineConfig
-from repro.core.stages import StageFactory
+from repro.core.pipeline import Pipeline, PipelineConfig, StageModels
 from repro.hpc.allocation import NodeAllocator
 from repro.hpc.events import EventLoop
 from repro.hpc.resources import ResourceRequest, amarel_platform
@@ -25,7 +24,6 @@ from repro.protein.datasets import make_pdz_target
 from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
-from repro.runtime.durations import DurationModel
 from repro.runtime.task import Task
 
 
@@ -157,13 +155,13 @@ def test_scoring_memo_hit_speed(benchmark, micro_target):
 
 def test_single_pipeline_inline_execution(benchmark, micro_target):
     """One full design pipeline (2 cycles) executed synchronously."""
-    factory = StageFactory(durations=DurationModel(seed=1))
+    models = StageModels()
 
     def run_pipeline():
         pipeline = Pipeline(
             "bench.pipeline",
             micro_target,
-            factory,
+            models,
             PipelineConfig(n_cycles=2, n_sequences=6),
         )
         description = pipeline.start()

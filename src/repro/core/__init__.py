@@ -4,11 +4,10 @@ This package is the paper's primary contribution re-implemented:
 
 * :mod:`repro.core.trajectory` — trajectory and cycle records (one trajectory
   = one structure-prediction evaluation, the unit Table I counts).
-* :mod:`repro.core.stages` — the six pipeline stages of Fig 1 as task
-  factories over the protein surrogates.
 * :mod:`repro.core.pipeline` — the :class:`Pipeline` state machine binding
-  stages into the iterative design cycle with adaptive accept/reject and
-  next-ranked-sequence fallback.
+  the six stages of Fig 1 into the iterative design cycle with adaptive
+  accept/reject and next-ranked-sequence fallback; each pipeline builds its
+  own stage tasks over the shared protein surrogates (:class:`StageModels`).
 * :mod:`repro.core.decision` — acceptance and sub-pipeline spawn policies.
 * :mod:`repro.core.coordinator` — the pipelines coordinator: concurrent
   submission, monitoring, global quality view, adaptive sub-pipeline
@@ -29,8 +28,7 @@ from repro._lazy import lazy_namespace
 _EXPORTS = {
     "Trajectory": "trajectory",
     "CycleResult": "trajectory",
-    "StageFactory": "stages",
-    "StageModels": "stages",
+    "StageModels": "pipeline",
     "Pipeline": "pipeline",
     "PipelineConfig": "pipeline",
     "PipelineStatus": "pipeline",

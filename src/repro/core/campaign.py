@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.coordinator import AUTO_IN_FLIGHT
 from repro.core.decision import AcceptancePolicy, SubPipelinePolicy
+from repro.core.pipeline import StageModels
 from repro.core.protocols import (
     CampaignState,
     ExecutionProtocol,
@@ -36,7 +37,6 @@ from repro.core.protocols import (
     get_protocol,
 )
 from repro.core.results import CampaignResult, PipelineRecord
-from repro.core.stages import StageFactory, StageModels
 from repro.exceptions import CampaignError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec
@@ -149,8 +149,8 @@ class CampaignConfig:
 class DesignCampaign:
     """Runs one execution protocol over a set of design targets.
 
-    The campaign owns the shared *science* of a run — surrogate models, stage
-    factory and duration model, all seeded from the root seed — and delegates
+    The campaign owns the shared *science* of a run — surrogate models and
+    duration model, both seeded from the root seed — and delegates
     *execution* to the protocol named by ``config.protocol``.
     """
 
@@ -183,7 +183,6 @@ class DesignCampaign:
             ),
             scoring=ScoringFunction(),
         )
-        self._factory = StageFactory(self._models, self._durations)
 
     # -- accessors ------------------------------------------------------------------ #
 
@@ -237,7 +236,10 @@ class DesignCampaign:
         unobserved :meth:`run` pays no per-cycle encoding; a pilot step
         carries none yet.
         Each observed state's ``runtime`` is the live execution, which keeps
-        stepping after the call; its payload is never changed later.
+        stepping after the call; its payload is never changed later.  A step
+        loop that ends by an exception drops the live execution's pending
+        events before the exception propagates, so an abandoned run is freed
+        by reference counting.
         """
         if self._result is not None:
             return self._result
@@ -247,10 +249,18 @@ class DesignCampaign:
             state = self._validated_resume(resume_from)
         else:
             state = protocol.init_state(context)
-        while not state.done:
-            state = protocol.step(context, state)
-            if on_state is not None:
-                on_state(state)
+        try:
+            while not state.done:
+                state = protocol.step(context, state)
+                if on_state is not None:
+                    on_state(state)
+        except BaseException:
+            # An abandoned pilot run's pending events hold bound agent
+            # methods, which tie the agent and its loop into a cycle; dropping
+            # them lets reference counting free the run.
+            if state.runtime is not None:
+                state.runtime.platform.loop.clear()
+            raise
         baseline = self._baseline_metrics()
         outcome = protocol.finalize(context, state)
         self._platform = outcome.platform
@@ -276,7 +286,7 @@ class DesignCampaign:
         return ProtocolContext(
             config=self._config,
             targets=self._targets,
-            factory=self._factory,
+            models=self._models,
             durations=self._durations,
             observed=observed,
         )

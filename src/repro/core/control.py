@@ -33,10 +33,9 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.instrumentation import record_cycle_metrics, record_stage_metrics
-from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
+from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus, StageModels
 from repro.core.results import PipelineRecord
 from repro.core.snapshot import restore_profiler
-from repro.core.stages import StageFactory
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import CampaignError, ConfigurationError
 from repro.hpc.platform import ComputePlatform
@@ -58,7 +57,7 @@ class ControlProtocol:
     def __init__(
         self,
         platform: ComputePlatform,
-        factory: StageFactory,
+        models: StageModels,
         durations: DurationModel,
         config: PipelineConfig,
         targets: List[DesignTarget],
@@ -77,7 +76,7 @@ class ControlProtocol:
         if not targets:
             raise CampaignError("control run needs at least one target")
         self._platform = platform
-        self._factory = factory
+        self._models = models
         self._config = config
         self._runner = SequentialRunner(platform, durations)
         self._targets = list(targets)
@@ -104,7 +103,7 @@ class ControlProtocol:
         return Pipeline(
             uid=f"{self.PIPELINE_UID}.{target.name}",
             target=target,
-            factory=self._factory,
+            models=self._models,
             config=self._config,
         )
 
@@ -212,7 +211,7 @@ class ControlProtocol:
     def restore(
         cls,
         platform_spec: Optional[PlatformSpec],
-        factory: StageFactory,
+        models: StageModels,
         durations: DurationModel,
         config: PipelineConfig,
         targets: List[DesignTarget],
@@ -220,7 +219,7 @@ class ControlProtocol:
     ) -> "ControlProtocol":
         """Rebuild a suspended control execution from :meth:`snapshot` output.
 
-        ``targets``, ``factory`` and ``durations`` are rebuilt by the caller
+        ``targets``, ``models`` and ``durations`` are rebuilt by the caller
         from the declarative run spec; the payload carries only the evolving
         state.  The simulated clock is advanced to the captured time (no
         events are pending at a boundary) and the profiler's rows and phase
@@ -229,13 +228,13 @@ class ControlProtocol:
         platform = ComputePlatform(platform_spec)
         platform.loop.run_until(payload["now"])
         restore_profiler(platform.profiler, payload["profiler"])
-        control = cls(platform, factory, durations, config, targets)
+        control = cls(platform, models, durations, config, targets)
         for target in targets:  # preserve sweep order in the pipelines dict
             snapshot = payload["pipelines"].get(target.name)
             if snapshot is None:
                 continue
             control._per_target_pipelines[target.name] = Pipeline.restore_snapshot(
-                snapshot, target, factory, config
+                snapshot, target, models, config
             )
         return control
 

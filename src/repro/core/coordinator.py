@@ -28,9 +28,8 @@ from typing import Deque, Dict, List, Optional, Union
 
 from repro.core.decision import SubPipelinePolicy, SubPipelineSpec
 from repro.core.instrumentation import record_cycle_metrics
-from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
+from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus, StageModels
 from repro.core.results import PipelineRecord
-from repro.core.stages import StageFactory
 from repro.core.trajectory import CycleResult
 from repro.exceptions import CoordinatorError
 from repro.hpc.platform import ComputePlatform
@@ -134,13 +133,13 @@ class PipelinesCoordinator:
     def __init__(
         self,
         task_manager: TaskManager,
-        factory: StageFactory,
+        models: StageModels,
         pipeline_config: PipelineConfig,
         spawn_policy: Optional[SubPipelinePolicy] = None,
         max_in_flight_pipelines: Union[int, str, None] = None,
     ) -> None:
         self._task_manager = task_manager
-        self._factory = factory
+        self._models = models
         self._pipeline_config = pipeline_config
         self._spawn_policy = spawn_policy or SubPipelinePolicy()
         self._max_in_flight = max_in_flight_pipelines
@@ -193,22 +192,19 @@ class PipelinesCoordinator:
         limit = self._max_in_flight
         return limit if isinstance(limit, int) else None
 
-    def add_targets(self, targets: List[DesignTarget]) -> List[Pipeline]:
+    def add_targets(self, targets: List[DesignTarget]) -> None:
         """Create one root pipeline per target and queue them for submission."""
-        pipelines = []
         for target in targets:
             uid = f"pipeline.{next(self._uid_counter):04d}.{target.name}"
             pipeline = Pipeline(
                 uid=uid,
                 target=target,
-                factory=self._factory,
+                models=self._models,
                 config=self._pipeline_config,
             )
             self._pipelines[uid] = pipeline
             self._root_of[uid] = uid
             self._submissions.append(pipeline)
-            pipelines.append(pipeline)
-        return pipelines
 
     # -- execution ------------------------------------------------------------------ #
 
@@ -355,7 +351,7 @@ class PipelinesCoordinator:
         subpipeline = Pipeline(
             uid=uid,
             target=parent.target,
-            factory=self._factory,
+            models=self._models,
             config=sub_config,
             parent_uid=parent.uid,
             starting_complex=starting_complex,

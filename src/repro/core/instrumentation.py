@@ -10,8 +10,9 @@ Both execution families funnel through :func:`record_cycle_metrics` —
 :meth:`ControlProtocol.step_cycle` at its quiescent boundary and the
 :class:`PipelinesCoordinator` after every decision step — so a metric stream
 reads the same regardless of runtime.  The calls obey the telemetry
-contract: disabled they are one global read each, enabled they draw no
-science RNG and cross no failpoints (the metrics tests pin both).
+contract: disabled they return at once, before computing any value, and
+enabled they draw no science RNG and cross no failpoints (the metrics tests
+pin all three).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Any, Dict, Optional
 from repro.core.trajectory import CycleResult
 from repro.protein.metrics import composite_score
 from repro.telemetry import metrics
+from repro.telemetry.api import active_writer
 
 __all__ = ["record_cycle_metrics", "record_stage_metrics"]
 
@@ -43,6 +45,8 @@ def record_cycle_metrics(
     * ``campaign.mean_fitness`` (gauge) — mean latent fitness across the
       cycle's evaluated trajectories.
     """
+    if active_writer() is None:
+        return
     base: Dict[str, Any] = {
         "target": result.target,
         "pipeline": result.pipeline_uid,
@@ -74,6 +78,8 @@ def record_stage_metrics(
     paper's phase accounting, reconstructed at the stepping boundary instead
     of from the profiler afterwards.
     """
+    if active_writer() is None:
+        return
     for stage in sorted(stage_seconds):
         metrics.histogram(
             "campaign.stage_seconds", stage_seconds[stage], stage=stage, **attrs

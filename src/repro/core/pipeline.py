@@ -1,4 +1,4 @@
-"""The IMPRESS pipeline state machine.
+"""The IMPRESS pipeline state machine and its stage tasks.
 
 A :class:`Pipeline` binds the six stages of Fig 1 into the iterative design
 cycle: generate sequences, rank them, select one, predict its structure,
@@ -9,19 +9,44 @@ RADICAL-Pilot has no pipeline abstraction, so — exactly as the paper did —
 we implement one on top of plain tasks: the pipeline emits task descriptions
 and consumes completed tasks, never blocking, so any executor (the
 asynchronous pilot agent or the sequential control runner) can drive it.
+That is the split the paper describes between the pipeline definition and
+the RADICAL-Pilot execution layer.
+
+Each stage becomes a :class:`~repro.runtime.task.TaskDescription` whose
+payload calls the campaign's shared surrogates (:class:`StageModels`) and
+returns exactly what the pipeline's handler for that stage reads.  Stage map
+(paper numbering), each stage with the task kind that names it:
+
+* Stage 1 — sequence generation (ProteinMPNN), ``mpnn_generate``.
+* Stage 2 — sequence ranking (sort by log-likelihood), ``sequence_rank``.
+* Stage 3 — sequence selection (FASTA compilation), ``sequence_select``.
+* Stage 4 — AlphaFold, split into its CPU/I-O-bound MSA phase (``af_msa``)
+  and its GPU inference phase (``af_inference``).
+* Stage 5 — scoring (metrics gathering / coarse energy), ``scoring``.
+* Stage 6 — comparison with the previous cycle (accept/reject), ``compare``.
+
+The payloads ride on the vectorized evaluation core: Stage 1 generation
+batches its partial scores, Stage 2 ranking is a stable vectorized argsort,
+and Stage 5 scoring gathers a precomputed pair-energy matrix over the contact
+mask — no per-residue Python on any hot path.  Stages 3 and 4a have no
+payload: their tasks model the time those phases take on the real system,
+and the surrogate folds the selected sequence directly.
 
 A running pipeline has exactly one outstanding task: the task of the stage
 it awaits.  :meth:`Pipeline.pending_task` is the only code that builds a
-stage task.  It reads only fields that stay fixed while that task is
-outstanding and draws no randomness, so an executor can rebuild the
-outstanding task from the pipeline at any time instead of carrying it.
+stage task, through the stage's builder in ``_STAGE_TASKS`` (beside its
+handler in ``_STAGE_HANDLERS``).  A builder reads only fields that stay
+fixed while its task is outstanding and draws no randomness, so an executor
+can rebuild the outstanding task from the pipeline at any time instead of
+carrying it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.decision import AcceptancePolicy
 from repro.core.snapshot import (
@@ -36,19 +61,29 @@ from repro.core.snapshot import (
     encode_rng_state,
     encode_trajectory,
 )
-from repro.core.stages import StageFactory
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import ConfigurationError, PipelineError
 from repro.protein.datasets import DesignTarget
-from repro.protein.folding import FoldingResult
+from repro.protein.folding import FoldingResult, SurrogateAlphaFold
 from repro.protein.metrics import QualityMetrics
+from repro.protein.mpnn import SurrogateProteinMPNN
+from repro.protein.scoring import ScoringFunction
 from repro.protein.sequence import ScoredSequence
 from repro.protein.structure import ComplexStructure
-from repro.runtime.durations import TaskKind
+from repro.runtime.durations import TaskKind, request_for
 from repro.runtime.task import Task, TaskDescription
 from repro.utils.rng import spawn_rng
 
-__all__ = ["PipelineConfig", "PipelineStatus", "PipelineStep", "Pipeline"]
+__all__ = ["StageModels", "PipelineConfig", "PipelineStatus", "PipelineStep", "Pipeline"]
+
+
+@dataclass
+class StageModels:
+    """The application models shared by every pipeline of a campaign."""
+
+    mpnn: SurrogateProteinMPNN = field(default_factory=SurrogateProteinMPNN)
+    folding: SurrogateAlphaFold = field(default_factory=SurrogateAlphaFold)
+    scoring: ScoringFunction = field(default_factory=ScoringFunction)
 
 
 class PipelineStatus(str, enum.Enum):
@@ -136,13 +171,17 @@ class PipelineStep:
 
 
 class Pipeline:
-    """One design pipeline for one target."""
+    """One design pipeline for one target.
+
+    ``models`` are the campaign's shared surrogates, which the payloads of
+    the pipeline's stage tasks call.
+    """
 
     def __init__(
         self,
         uid: str,
         target: DesignTarget,
-        factory: StageFactory,
+        models: StageModels,
         config: Optional[PipelineConfig] = None,
         parent_uid: Optional[str] = None,
         starting_complex: Optional[ComplexStructure] = None,
@@ -153,7 +192,7 @@ class Pipeline:
         self.uid = uid
         self.target = target
         self.parent_uid = parent_uid
-        self._factory = factory
+        self._models = models
         self._config = config or PipelineConfig()
         self._status = PipelineStatus.PENDING
 
@@ -234,33 +273,7 @@ class Pipeline:
         kind = self._awaited
         if kind is None:
             return None
-        factory, uid, target = self._factory, self.uid, self.target
-        cycle, retry = self._cycle, self._retry_index
-        if kind is TaskKind.MPNN_GENERATE:
-            return factory.sequence_generation(
-                uid, target, self._complex, cycle, self._config.n_sequences
-            )
-        if kind is TaskKind.SEQUENCE_RANK:
-            return factory.sequence_ranking(uid, target, cycle, self._candidates)
-        if kind is TaskKind.SEQUENCE_SELECT:
-            return factory.sequence_selection(uid, target, cycle, retry)
-        if kind is TaskKind.AF_MSA:
-            return factory.structure_msa(uid, target, cycle, retry)
-        if kind is TaskKind.AF_INFERENCE:
-            return factory.structure_inference(
-                uid, target, self._complex, cycle, self._selected.sequence, retry
-            )
-        if kind is TaskKind.SCORING:
-            return factory.scoring(uid, target, cycle, self._current_folding, retry)
-        return factory.compare(
-            uid,
-            target,
-            cycle,
-            self._current_folding.metrics,
-            self._previous_metrics,
-            self._config.acceptance,
-            retry,
-        )
+        return _STAGE_TASKS[kind](self)
 
     def advance(self, task: Task) -> PipelineStep:
         """Consume the awaited stage's completed task and decide what happens next.
@@ -297,7 +310,44 @@ class Pipeline:
         self._status = status
         self._awaited = None
 
-    # -- stage handlers ---------------------------------------------------------------- #
+    # -- stages: each stage's task builder, then its handler ---------------------------- #
+
+    def _task(
+        self,
+        kind: TaskKind,
+        name: str,
+        payload: Optional[Callable[[], object]] = None,
+        **sizes: int,
+    ) -> TaskDescription:
+        # Metadata holds only what is read: the coordinator routes a task by
+        # its pipeline uid, and the duration model scales its time by the
+        # residue count (and the sequence count, where one is given).  The
+        # pipeline routes it to a stage handler by its kind.
+        return TaskDescription(
+            name=f"{self.uid}.c{self._cycle}.{name}",
+            kind=kind.value,
+            request=request_for(kind),
+            payload=payload,
+            metadata={
+                "pipeline_uid": self.uid,
+                "n_residues": self.target.complex.total_residues,
+                **sizes,
+            },
+        )
+
+    def _generation_task(self) -> TaskDescription:
+        """Stage 1: ProteinMPNN generation of ``n_sequences`` candidate designs."""
+        n_sequences = self._config.n_sequences
+        payload = partial(
+            self._models.mpnn.generate,
+            self._complex,
+            self.target.landscape,
+            n_sequences=n_sequences,
+            stream=(self.uid, self._cycle),
+        )
+        return self._task(
+            TaskKind.MPNN_GENERATE, "mpnn", payload, n_sequences=n_sequences
+        )
 
     def _on_generation(self, task: Task) -> None:
         self._candidates = list(task.result)
@@ -305,6 +355,16 @@ class Pipeline:
             self._finish(PipelineStatus.FAILED)
             return
         self._awaited = TaskKind.SEQUENCE_RANK
+
+    def _ranking_task(self) -> TaskDescription:
+        """Stage 2: sort the candidates by ProteinMPNN log-likelihood (best first)."""
+        candidates = self._candidates
+        return self._task(
+            TaskKind.SEQUENCE_RANK,
+            "rank",
+            partial(ScoredSequence.rank, candidates),
+            n_sequences=len(candidates),
+        )
 
     def _on_ranking(self, task: Task) -> None:
         self._ranked = list(task.result)
@@ -332,19 +392,66 @@ class Pipeline:
             self._selected = self._ranked[index]
         self._awaited = TaskKind.SEQUENCE_SELECT
 
+    def _selection_task(self) -> TaskDescription:
+        """Stage 3: compile the selected design into AlphaFold's FASTA input.
+
+        The task models the time FASTA compilation takes and has no payload:
+        the surrogate folds the selected sequence directly.
+        """
+        return self._task(TaskKind.SEQUENCE_SELECT, f"r{self._retry_index}.select")
+
     def _on_selection(self, task: Task) -> None:
         self._awaited = TaskKind.AF_MSA
 
+    def _msa_task(self) -> TaskDescription:
+        """Stage 4a: the CPU/I-O-bound database-search phase of AlphaFold.
+
+        The task models that phase's time and has no payload: the surrogate
+        needs no features, and its MSA mode acts on the inference stage's
+        metric noise.
+        """
+        return self._task(TaskKind.AF_MSA, f"r{self._retry_index}.af_msa")
+
     def _on_msa(self, task: Task) -> None:
         self._awaited = TaskKind.AF_INFERENCE
+
+    def _inference_task(self) -> TaskDescription:
+        """Stage 4b: GPU inference producing the predicted complex and its metrics."""
+        retry = self._retry_index
+        payload = partial(
+            self._models.folding.predict,
+            self._complex,
+            self.target.landscape,
+            self._selected.sequence,
+            stream=(self.uid, self._cycle, retry),
+        )
+        return self._task(TaskKind.AF_INFERENCE, f"r{retry}.af_infer", payload)
 
     def _on_inference(self, task: Task) -> None:
         self._current_folding = task.result
         self._awaited = TaskKind.SCORING
 
+    def _scoring_task(self) -> TaskDescription:
+        """Stage 5: coarse energy scoring of the predicted complex, its total energy."""
+        scoring, structure = self._models.scoring, self._current_folding.structure
+
+        def payload() -> float:
+            return scoring.score(structure).total
+
+        return self._task(TaskKind.SCORING, f"r{self._retry_index}.score", payload)
+
     def _on_scoring(self, task: Task) -> None:
         self._current_energy = task.result
         self._awaited = TaskKind.COMPARE
+
+    def _compare_task(self) -> TaskDescription:
+        """Stage 6: accept or reject the new design against the previous cycle's."""
+        payload = partial(
+            self._config.acceptance.accepts,
+            self._current_folding.metrics,
+            self._previous_metrics,
+        )
+        return self._task(TaskKind.COMPARE, f"r{self._retry_index}.compare", payload)
 
     def _on_compare(self, task: Task) -> Optional[CycleResult]:
         assert self._current_folding is not None and self._selected is not None
@@ -493,12 +600,12 @@ class Pipeline:
         cls,
         payload: dict,
         target: DesignTarget,
-        factory: StageFactory,
+        models: StageModels,
         config: PipelineConfig,
     ) -> "Pipeline":
         """Rebuild a pipeline at the cycle boundary captured by ``payload``.
 
-        ``target``, ``factory`` and ``config`` are rebuilt by the caller from
+        ``target``, ``models`` and ``config`` are rebuilt by the caller from
         the declarative run spec (they are deterministic in it); the snapshot
         carries only the evolving state, and the restored complex is built
         on ``target.complex``.
@@ -511,7 +618,7 @@ class Pipeline:
         pipeline = cls(
             uid=payload["uid"],
             target=target,
-            factory=factory,
+            models=models,
             config=config,
             parent_uid=payload["parent_uid"],
         )
@@ -531,7 +638,17 @@ class Pipeline:
         return pipeline
 
 
-#: ``Pipeline.advance``'s handler for each stage, by the kind of its task.
+#: Each stage's task builder (``Pipeline.pending_task``) and its handler
+#: (``Pipeline.advance``), by the kind of its task.
+_STAGE_TASKS = {
+    TaskKind.MPNN_GENERATE: Pipeline._generation_task,
+    TaskKind.SEQUENCE_RANK: Pipeline._ranking_task,
+    TaskKind.SEQUENCE_SELECT: Pipeline._selection_task,
+    TaskKind.AF_MSA: Pipeline._msa_task,
+    TaskKind.AF_INFERENCE: Pipeline._inference_task,
+    TaskKind.SCORING: Pipeline._scoring_task,
+    TaskKind.COMPARE: Pipeline._compare_task,
+}
 _STAGE_HANDLERS = {
     TaskKind.MPNN_GENERATE: Pipeline._on_generation,
     TaskKind.SEQUENCE_RANK: Pipeline._on_ranking,

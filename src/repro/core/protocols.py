@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple, Ty
 
 from repro.core.control import ControlProtocol
 from repro.core.coordinator import PipelinesCoordinator
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import PipelineConfig, StageModels
 from repro.core.results import PipelineRecord
 from repro.exceptions import CampaignError, ReproError, StoreError
 from repro.hpc.platform import ComputePlatform
@@ -79,7 +79,6 @@ from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.campaign import CampaignConfig
-    from repro.core.stages import StageFactory
     from repro.protein.datasets import DesignTarget
     from repro.runtime.durations import DurationModel
 
@@ -173,14 +172,14 @@ class CampaignState:
 class ProtocolContext:
     """Everything a protocol needs to execute one campaign.
 
-    The campaign builds the shared surrogates, stage factory and duration
-    model once (they define the *science* of the run); the protocol decides
-    only *how* the resulting tasks execute.
+    The campaign builds the shared surrogates and the duration model once
+    (they define the *science* of the run); the protocol decides only *how*
+    the pipelines' tasks execute.
     """
 
     config: "CampaignConfig"
     targets: List["DesignTarget"]
-    factory: "StageFactory"
+    models: StageModels
     durations: "DurationModel"
     #: Whether the campaign's states are observed.  An observed sequential
     #: step carries a restorable payload (what checkpointing consumes); an
@@ -327,7 +326,7 @@ class PilotRuntimeProtocol(ExecutionProtocol):
         )
         coordinator = PipelinesCoordinator(
             task_manager,
-            context.factory,
+            context.models,
             self.pipeline_config(
                 context, adaptive=self.adaptive, random_selection=self.random_selection
             ),
@@ -362,7 +361,7 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
             try:
                 return ControlProtocol.restore(
                     context.platform_spec,
-                    context.factory,
+                    context.models,
                     context.durations,
                     config,
                     context.targets,
@@ -377,7 +376,7 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
                 ) from error
         return ControlProtocol(
             ComputePlatform(context.platform_spec),
-            context.factory,
+            context.models,
             context.durations,
             config,
             context.targets,

@@ -105,6 +105,10 @@ class EventLoop:
         self._processed += 1
         return True
 
+    def clear(self) -> None:
+        """Drop every pending event; the clock stays where it is."""
+        self._queue.clear()
+
     def run(self, until: Optional[Callable[[], bool]] = None) -> int:
         """Run until the queue drains, or until ``until()`` holds after an event.
 

@@ -36,7 +36,7 @@ from repro.hpc.resources import ResourceRequest
 from repro.runtime.task import TaskDescription
 from repro.utils.rng import spawn_rng
 
-__all__ = ["TaskKind", "KindProfile", "DurationModel"]
+__all__ = ["TaskKind", "KindProfile", "DurationModel", "profile_for", "request_for"]
 
 
 class TaskKind(str, enum.Enum):
@@ -149,6 +149,32 @@ _PROFILES: Dict[TaskKind, KindProfile] = {
 }
 
 
+def profile_for(kind: TaskKind | str) -> KindProfile:
+    """Return the cost profile of ``kind``.
+
+    ``TaskKind`` is a ``str`` enum, so a member and its value find the same
+    entry.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``kind`` is not a :class:`TaskKind`.
+    """
+    try:
+        return _PROFILES[kind]
+    except KeyError:
+        raise ConfigurationError(f"unknown task kind {kind!r}") from None
+
+
+def request_for(kind: TaskKind | str) -> ResourceRequest:
+    """Default resource request for a task of ``kind``.
+
+    It depends on the kind alone, never on a duration model's seed or
+    speedup.
+    """
+    return profile_for(kind).request
+
+
 class DurationModel:
     """Maps tasks to simulated execution durations.
 
@@ -173,26 +199,6 @@ class DurationModel:
     def speedup(self) -> float:
         return self._speedup
 
-    def profile(self, kind: TaskKind | str) -> KindProfile:
-        """Return the profile for ``kind``.
-
-        ``TaskKind`` is a ``str`` enum, so a member and its value find the
-        same entry.
-
-        Raises
-        ------
-        ConfigurationError
-            If ``kind`` is not a :class:`TaskKind`.
-        """
-        try:
-            return _PROFILES[kind]
-        except KeyError:
-            raise ConfigurationError(f"unknown task kind {kind!r}") from None
-
-    def request_for(self, kind: TaskKind | str) -> ResourceRequest:
-        """Default resource request for a task of ``kind``."""
-        return self.profile(kind).request
-
     def duration(self, description: TaskDescription) -> float:
         """Simulated seconds the task will occupy its allocation.
 
@@ -201,7 +207,7 @@ class DurationModel:
         (``metadata["n_residues"]``), shared-filesystem read time for
         I/O-heavy kinds, and deterministic per-task jitter.
         """
-        profile = self.profile(description.kind)
+        profile = profile_for(description.kind)
 
         n_sequences = int(description.metadata.get("n_sequences", _REFERENCE_SEQUENCES))
         n_residues = int(description.metadata.get("n_residues", _REFERENCE_RESIDUES))

@@ -14,7 +14,7 @@ import pytest
 
 import repro.experiments.spec as spec_module
 from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.stages import StageFactory, StageModels
+from repro.core.pipeline import StageModels
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import amarel_platform
 from repro.protein.datasets import (
@@ -114,12 +114,6 @@ def models():
         folding=SurrogateAlphaFold(seed=22),
         scoring=ScoringFunction(),
     )
-
-
-@pytest.fixture()
-def factory(models, durations):
-    """Stage factory bound to the shared models and a fast duration model."""
-    return StageFactory(models, durations)
 
 
 @pytest.fixture(scope="session")

@@ -63,11 +63,11 @@ class TestValidation:
         with pytest.raises(CampaignError):
             CampaignConfig(max_in_flight_pipelines=bad)
 
-    def test_coordinator_rejects_unknown_strings(self, task_manager, factory):
+    def test_coordinator_rejects_unknown_strings(self, task_manager, models):
         with pytest.raises(CoordinatorError):
             PipelinesCoordinator(
                 task_manager,
-                factory,
+                models,
                 PipelineConfig(),
                 max_in_flight_pipelines="bogus",
             )
@@ -88,11 +88,11 @@ class TestValidation:
 
 class TestController:
     def test_starts_at_one_and_raises_while_unsaturated(
-        self, tmp_path, task_manager, factory, four_targets
+        self, tmp_path, task_manager, models, four_targets
     ):
         coordinator = PipelinesCoordinator(
             task_manager,
-            factory,
+            models,
             PipelineConfig(n_cycles=2, n_sequences=5),
             max_in_flight_pipelines=AUTO_IN_FLIGHT,
         )
@@ -113,7 +113,7 @@ class TestController:
         assert controller.cap > 1
         assert set(decisions) <= {"raise", "hold"} and "raise" in decisions
 
-    def test_decisions_read_only_simulated_state(self, factory, four_targets):
+    def test_decisions_read_only_simulated_state(self, models, four_targets):
         """Two fresh executions of the same spec make identical decisions."""
 
         def run_once():

@@ -87,10 +87,10 @@ def _wrap_decision_step(monkeypatch, after):
 
 
 @pytest.fixture()
-def coordinator(task_manager, factory):
+def coordinator(task_manager, models):
     return PipelinesCoordinator(
         task_manager,
-        factory,
+        models,
         PipelineConfig(n_cycles=2, n_sequences=5),
     )
 
@@ -128,10 +128,10 @@ class TestCoordinator:
         )
         assert overlapping
 
-    def test_subpipelines_spawned_and_recorded(self, task_manager, factory, four_targets):
+    def test_subpipelines_spawned_and_recorded(self, task_manager, models, four_targets):
         coordinator = PipelinesCoordinator(
             task_manager,
-            factory,
+            models,
             PipelineConfig(n_cycles=2, n_sequences=5),
             spawn_policy=SubPipelinePolicy(quality_margin=0.05, max_per_pipeline=2),
         )
@@ -143,10 +143,10 @@ class TestCoordinator:
             assert sub.uid.startswith(sub.parent_uid)
             assert all(t.is_subpipeline for t in sub.trajectories)
 
-    def test_no_subpipelines_when_policy_disallows(self, task_manager, factory, four_targets):
+    def test_no_subpipelines_when_policy_disallows(self, task_manager, models, four_targets):
         coordinator = PipelinesCoordinator(
             task_manager,
-            factory,
+            models,
             PipelineConfig(n_cycles=2, n_sequences=5),
             spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )
@@ -155,10 +155,10 @@ class TestCoordinator:
         assert len(records) == 4
         assert all(record.parent_uid is None for record in records)
 
-    def test_in_flight_cap_serialises_roots(self, task_manager, factory, four_targets):
+    def test_in_flight_cap_serialises_roots(self, task_manager, models, four_targets):
         coordinator = PipelinesCoordinator(
             task_manager,
-            factory,
+            models,
             PipelineConfig(n_cycles=1, n_sequences=4),
             spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
             max_in_flight_pipelines=1,
@@ -269,18 +269,18 @@ def _run_one_more_task(task_manager):
 class TestCallbackLifetime:
     """The coordinator's task callback is registered only while a step runs."""
 
-    def _coordinator(self, task_manager, factory):
+    def _coordinator(self, task_manager, models):
         return PipelinesCoordinator(
             task_manager,
-            factory,
+            models,
             PipelineConfig(n_cycles=2, n_sequences=5),
         )
 
     def test_no_callback_is_registered_between_steps(
-        self, monkeypatch, task_manager, factory, four_targets
+        self, monkeypatch, task_manager, models, four_targets
     ):
         calls, registered = _wrap_registered_callbacks(monkeypatch)
-        coordinator = self._coordinator(task_manager, factory)
+        coordinator = self._coordinator(task_manager, models)
         coordinator.add_targets(four_targets[:2])
         steps = 1
         while not coordinator.step_cycle():
@@ -291,10 +291,10 @@ class TestCallbackLifetime:
         assert calls and steps == coordinator.n_cycles_completed + 1
 
     def test_last_step_detaches_its_callback(
-        self, monkeypatch, task_manager, factory, four_targets
+        self, monkeypatch, task_manager, models, four_targets
     ):
         calls, registered = _wrap_registered_callbacks(monkeypatch)
-        coordinator = self._coordinator(task_manager, factory)
+        coordinator = self._coordinator(task_manager, models)
         coordinator.add_targets(four_targets[:2])
         _run(coordinator)
         heard = len(calls)
@@ -303,7 +303,7 @@ class TestCallbackLifetime:
         assert len(calls) == heard
 
     def test_a_step_that_raises_detaches_its_callback(
-        self, monkeypatch, task_manager, factory, four_targets
+        self, monkeypatch, task_manager, models, four_targets
     ):
         calls, registered = _wrap_registered_callbacks(monkeypatch)
 
@@ -311,7 +311,7 @@ class TestCallbackLifetime:
             raise RuntimeError("decision step failed")
 
         monkeypatch.setattr(PipelinesCoordinator, "_decision_step", failing_decision_step)
-        coordinator = self._coordinator(task_manager, factory)
+        coordinator = self._coordinator(task_manager, models)
         coordinator.add_targets(four_targets[:2])
         with pytest.raises(RuntimeError, match="decision step failed"):
             coordinator.step_cycle()
@@ -384,8 +384,9 @@ class TestFinishedCampaignIsFreedByRefcount:
     ):
         """An observer that raises ends the run with events still pending.
 
-        Those events' bound methods point back at the agent, so the cyclic
-        collector still has work; the coordinator is not part of that cycle.
+        Those events' bound methods point back at the agent, which holds the
+        loop; the campaign drops them as the exception leaves its step loop,
+        so reference counting frees the whole run.
         """
         config = self._config(cap)
         coordinators = self._coordinators(monkeypatch, four_targets, config)
@@ -405,6 +406,7 @@ class TestFinishedCampaignIsFreedByRefcount:
             assert seen == [1, 2]
             (coordinator,) = coordinators
             assert coordinator() is None
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -480,16 +482,16 @@ class TestControlProtocol:
         for earlier, later in zip(intervals, intervals[1:]):
             assert later.start >= earlier.end - 1e-9
 
-    def test_needs_targets(self, platform, factory, durations):
+    def test_needs_targets(self, platform, models, durations):
         with pytest.raises(CampaignError, match="at least one target"):
             ControlProtocol(
-                platform, factory, durations, PipelineConfig(adaptive=False), []
+                platform, models, durations, PipelineConfig(adaptive=False), []
             )
 
-    def test_rejects_an_adaptive_config(self, platform, factory, durations, four_targets):
+    def test_rejects_an_adaptive_config(self, platform, models, durations, four_targets):
         with pytest.raises(ConfigurationError, match="without adaptivity"):
             ControlProtocol(
-                platform, factory, durations, PipelineConfig(), four_targets[:1]
+                platform, models, durations, PipelineConfig(), four_targets[:1]
             )
 
     def test_every_cycle_accepted_without_adaptivity(self, small_control_result):

@@ -174,14 +174,14 @@ class TestRoundTrips:
         assert json.dumps(row) == '["t.2", "node0", [3, 1], [0], 0.1, 2.5]'
 
     @pytest.mark.parametrize("kind", list(FINISHED_PIPELINES))
-    def test_finished_pipeline(self, kind, target, factory):
+    def test_finished_pipeline(self, kind, target, models):
         config, fail_task, status, tail = FINISHED_PIPELINES[kind]
-        pipeline = _run(Pipeline("p.round", target, factory, config), fail_task)
+        pipeline = _run(Pipeline("p.round", target, models, config), fail_task)
         assert pipeline.status is status
         payload = _via_json(pipeline.snapshot())
         # Only the trajectories no cycle result holds are written.
         assert len(payload["trajectories"]) == tail
-        restored = Pipeline.restore_snapshot(payload, target, factory, config)
+        restored = Pipeline.restore_snapshot(payload, target, models, config)
         assert restored.status is status
         assert restored.cycle_results == pipeline.cycle_results
         assert restored.trajectories == pipeline.trajectories
@@ -242,20 +242,20 @@ class TestRejections:
         with pytest.raises(CampaignError, match="MT19937"):
             decode_rng_state(np.random.default_rng(0), encode_rng_state(mersenne))
 
-    def test_pipeline_snapshot_mid_cycle(self, target, factory, durations, platform):
-        pipeline = Pipeline("p.mid", target, factory, PipelineConfig(n_sequences=4))
+    def test_pipeline_snapshot_mid_cycle(self, target, models, durations, platform):
+        pipeline = Pipeline("p.mid", target, models, PipelineConfig(n_sequences=4))
         runner = SequentialRunner(platform, durations)
         pipeline.advance(runner.run_task(pipeline.start()))
         assert not pipeline.at_cycle_boundary
         with pytest.raises(PipelineError, match="mid-cycle"):
             pipeline.snapshot()
 
-    def test_pipeline_restore_for_the_wrong_target(self, target, factory):
+    def test_pipeline_restore_for_the_wrong_target(self, target, models):
         config = PipelineConfig(n_sequences=4)
-        payload = Pipeline("p.0", target, factory, config).snapshot()
+        payload = Pipeline("p.0", target, models, config).snapshot()
         other = make_pdz_target(
             "PSD95-PDZ3", peptide_residues=ALPHA_SYNUCLEIN_C10, seed=11
         )
         assert other.name != target.name
         with pytest.raises(PipelineError, match="snapshot is for target"):
-            Pipeline.restore_snapshot(payload, other, factory, config)
+            Pipeline.restore_snapshot(payload, other, models, config)

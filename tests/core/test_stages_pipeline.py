@@ -1,4 +1,4 @@
-"""Tests for the stage factory and the pipeline state machine."""
+"""Tests for the pipeline state machine and the stage tasks it builds."""
 
 from __future__ import annotations
 
@@ -9,18 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pipeline as pipeline_module
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.decision import AcceptancePolicy
-from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus
+from repro.core.pipeline import Pipeline, PipelineConfig, PipelineStatus, StageModels
 from repro.core.snapshot import encode_rng_state
-from repro.core.stages import StageFactory, StageModels
 from repro.exceptions import ConfigurationError, PipelineError
 from repro.protein.folding import MSA_MODES, FoldingResult, SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.protein.sequence import ScoredSequence
 from repro.protein.structure import ComplexStructure
-from repro.runtime.durations import DurationModel, TaskKind
+from repro.runtime.durations import TaskKind, request_for
 from repro.runtime.task import Task, TaskDescription
 
 
@@ -66,36 +66,58 @@ def four_field_boundary(pipeline: Pipeline) -> bool:
     )
 
 
-class TestStageFactory:
-    def test_generation_task_shape(self, factory, target):
-        description = factory.sequence_generation("p1", target, target.complex, 0, 10)
+def first_tasks(pipeline: Pipeline) -> dict:
+    """Each kind's first task in an inline run of ``pipeline``, by kind."""
+    tasks = {}
+    for task in drive(pipeline):
+        tasks.setdefault(task.kind, task)
+    return tasks
+
+
+def rejecting_pipeline(models, target) -> Pipeline:
+    """A one-cycle pipeline that rejects every candidate it evaluates."""
+    baseline = models.folding.predict(target.complex, target.landscape).metrics
+    config = PipelineConfig(
+        n_cycles=1, n_sequences=4, acceptance=AcceptancePolicy(min_delta=1.0)
+    )
+    return Pipeline("p1", target, models, config, starting_metrics=baseline)
+
+
+def test_every_stage_has_one_builder_and_one_handler():
+    for table in (pipeline_module._STAGE_TASKS, pipeline_module._STAGE_HANDLERS):
+        # Every kind exactly once, in stage order, each with its own method.
+        assert list(table) == list(TaskKind)
+        assert len(set(table.values())) == len(TaskKind)
+
+
+class TestStageTasks:
+    def test_generation_task_shape(self, models, target):
+        description = Pipeline("p1", target, models, PipelineConfig(n_sequences=10)).start()
         assert description.kind == TaskKind.MPNN_GENERATE.value
         assert description.request.gpus == 1
         assert description.metadata["pipeline_uid"] == "p1"
         candidates = description.payload()
         assert len(candidates) == 10
 
-    def test_ranking_task_orders_candidates(self, factory, target, models):
-        candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=5)
-        description = factory.sequence_ranking("p1", target, 0, candidates)
-        ranked = description.payload()
+    def test_ranking_task_orders_candidates(self, models, target):
+        pipeline = Pipeline("p1", target, models, PipelineConfig(n_cycles=1, n_sequences=5))
+        ranked = first_tasks(pipeline)[TaskKind.SEQUENCE_RANK].description.payload()
         scores = [scored.log_likelihood for scored in ranked]
         assert scores == sorted(scores, reverse=True)
 
-    def test_selection_task_is_named_for_its_retry(self, factory, target):
-        description = factory.sequence_selection("p1", target, 0, 2)
-        assert description.name == "p1.c0.r2.select"
-        assert description.kind == TaskKind.SEQUENCE_SELECT.value
+    def test_selection_task_is_named_for_its_retry(self, models, target):
+        selections = [
+            task for task in drive(rejecting_pipeline(models, target))
+            if task.kind == TaskKind.SEQUENCE_SELECT
+        ]
+        assert selections[2].name == "p1.c0.r2.select"
 
-    def test_msa_and_inference_split(self, factory, target, models):
-        candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=1)
-        msa = factory.structure_msa("p1", target, 0, 0)
-        inference = factory.structure_inference(
-            "p1", target, target.complex, 0, candidates[0].sequence, 0
-        )
+    def test_msa_and_inference_split(self, models, target):
+        tasks = first_tasks(Pipeline("p1", target, models, PipelineConfig(n_cycles=1)))
+        msa, inference = tasks[TaskKind.AF_MSA], tasks[TaskKind.AF_INFERENCE]
         assert msa.request.gpus == 0 and msa.request.cpu_cores >= 4
         assert inference.request.gpus == 1
-        folding_result = inference.payload()
+        folding_result = inference.description.payload()
         assert isinstance(folding_result, FoldingResult)
 
     def test_single_sequence_mode_reaches_the_folding_surrogate(self, four_targets):
@@ -118,11 +140,11 @@ class TestStageFactory:
         assert single.total_task_hours == full.total_task_hours
         assert single.iteration_summary() != full.iteration_summary()
 
-    def test_scoring_and_compare_tasks(self, factory, target, models):
-        folding_result = models.folding.predict(target.complex, target.landscape)
-        scoring = factory.scoring("p1", target, 0, folding_result, 1)
-        compare = factory.compare(
-            "p1", target, 0, folding_result.metrics, None, AcceptancePolicy(), 1
+    def test_scoring_and_compare_tasks(self, models, target):
+        executed = drive(rejecting_pipeline(models, target))
+        scoring, compare = (
+            [task for task in executed if task.kind == kind][1]
+            for kind in (TaskKind.SCORING, TaskKind.COMPARE)
         )
         assert (scoring.name, scoring.kind) == ("p1.c0.r1.score", TaskKind.SCORING.value)
         assert (compare.name, compare.kind) == ("p1.c0.r1.compare", TaskKind.COMPARE.value)
@@ -132,65 +154,43 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-#: Each stage builder and the kind of the task it builds.
-_STAGE_KINDS = {
-    "sequence_generation": TaskKind.MPNN_GENERATE,
-    "sequence_ranking": TaskKind.SEQUENCE_RANK,
-    "sequence_selection": TaskKind.SEQUENCE_SELECT,
-    "structure_msa": TaskKind.AF_MSA,
-    "structure_inference": TaskKind.AF_INFERENCE,
-    "scoring": TaskKind.SCORING,
-    "compare": TaskKind.COMPARE,
-}
-
-
 class TestStageContract:
-    """Each stage task returns exactly what its pipeline handler reads."""
+    """Each stage task a pipeline builds returns exactly what its handler reads."""
 
-    def test_selection_and_msa_tasks_carry_no_payload(self, factory, target):
-        assert factory.sequence_selection("p1", target, 0, 0).payload is None
-        assert factory.structure_msa("p1", target, 0, 0).payload is None
+    def test_selection_and_msa_tasks_carry_no_payload(self, models, target):
+        tasks = first_tasks(Pipeline("p1", target, models, PipelineConfig(n_cycles=1)))
+        assert tasks[TaskKind.SEQUENCE_SELECT].description.payload is None
+        assert tasks[TaskKind.AF_MSA].description.payload is None
 
-    def test_scoring_returns_the_total_energy(self, factory, target, models):
-        folding_result = models.folding.predict(target.complex, target.landscape)
-        energy = factory.scoring("p1", target, 0, folding_result, 0).payload()
+    def test_scoring_returns_the_total_energy(self, models, target):
+        tasks = first_tasks(Pipeline("p1", target, models, PipelineConfig(n_cycles=1)))
+        folding_result = tasks[TaskKind.AF_INFERENCE].result
+        energy = tasks[TaskKind.SCORING].description.payload()
         want = ScoringFunction().score(folding_result.structure).total
         assert type(energy) is float and _bits(energy) == _bits(want)
 
     @pytest.mark.parametrize("min_delta", [0.0, 1e9])
-    def test_compare_returns_the_policys_decision(self, factory, target, models, min_delta):
+    def test_compare_returns_the_policys_decision(self, models, target, min_delta):
         policy = AcceptancePolicy(min_delta=min_delta)
+        config = PipelineConfig(n_cycles=1, n_sequences=4, acceptance=policy)
         baseline = models.folding.predict(target.complex, target.landscape).metrics
-        new = models.folding.predict(
-            target.complex, target.landscape, stream=("again",)
-        ).metrics
         for previous in (None, baseline):
-            decision = factory.compare("p1", target, 0, new, previous, policy, 0).payload()
+            pipeline = Pipeline("p1", target, models, config, starting_metrics=previous)
+            tasks = first_tasks(pipeline)
+            new = tasks[TaskKind.AF_INFERENCE].result.metrics
+            decision = tasks[TaskKind.COMPARE].description.payload()
             assert decision is policy.accepts(new, previous)
 
-    @pytest.mark.parametrize("builder", sorted(_STAGE_KINDS))
-    def test_task_kind_and_metadata_hold_only_what_is_read(
-        self, factory, durations, target, models, builder
-    ):
-        folding_result = models.folding.predict(target.complex, target.landscape)
-        candidates = models.mpnn.generate(target.complex, target.landscape, n_sequences=3)
-        arguments = {
-            "sequence_generation": (target.complex, 0, 3),
-            "sequence_ranking": (0, candidates),
-            "sequence_selection": (0, 0),
-            "structure_msa": (0, 0),
-            "structure_inference": (target.complex, 0, candidates[0].sequence, 0),
-            "scoring": (0, folding_result, 0),
-            "compare": (0, folding_result.metrics, None, AcceptancePolicy(), 0),
-        }[builder]
-        description = getattr(factory, builder)("p1", target, *arguments)
-        kind = _STAGE_KINDS[builder]
-        # The kind names the stage; the metadata is what the coordinator and
-        # the duration model read.
-        assert description.kind == kind.value
-        assert description.request == durations.request_for(kind)
+    @pytest.mark.parametrize("kind", [kind.value for kind in TaskKind])
+    def test_task_kind_and_metadata_hold_only_what_is_read(self, models, target, kind):
+        pipeline = Pipeline("p1", target, models, PipelineConfig(n_cycles=1, n_sequences=3))
+        description = first_tasks(pipeline)[kind].description
+        # The kind names the stage; the request depends on the kind alone;
+        # the metadata is what the coordinator and the duration model read.
+        assert description.kind == kind
+        assert description.request == request_for(kind)
         want = {"pipeline_uid": "p1", "n_residues": target.complex.total_residues}
-        if builder in ("sequence_generation", "sequence_ranking"):
+        if kind in (TaskKind.MPNN_GENERATE, TaskKind.SEQUENCE_RANK):
             want["n_sequences"] = 3
         assert description.metadata == want
 
@@ -225,17 +225,17 @@ class TestPipelineConfig:
 
 
 class TestPipeline:
-    def test_adaptive_pipeline_completes_all_cycles(self, factory, target):
-        pipeline = Pipeline("p1", target, factory, PipelineConfig(n_cycles=3, n_sequences=6))
+    def test_adaptive_pipeline_completes_all_cycles(self, models, target):
+        pipeline = Pipeline("p1", target, models, PipelineConfig(n_cycles=3, n_sequences=6))
         drive(pipeline)
         assert pipeline.status is PipelineStatus.COMPLETED
         accepted = [c for c in pipeline.cycle_results if c.accepted]
         assert len(accepted) == 3
         assert len(pipeline.trajectories) >= 3
 
-    def test_control_pipeline_always_accepts(self, factory, target):
+    def test_control_pipeline_always_accepts(self, models, target):
         pipeline = Pipeline(
-            "ctrl", target, factory,
+            "ctrl", target, models,
             PipelineConfig(n_cycles=3, n_sequences=6, adaptive=False, random_selection=True),
         )
         drive(pipeline)
@@ -244,23 +244,23 @@ class TestPipeline:
         assert len(pipeline.trajectories) == 3
         assert all(c.retries_used == 0 for c in pipeline.cycle_results)
 
-    def test_quality_improves_over_native_baseline(self, factory, target, models):
-        pipeline = Pipeline("p2", target, factory, PipelineConfig(n_cycles=4, n_sequences=8))
+    def test_quality_improves_over_native_baseline(self, models, target):
+        pipeline = Pipeline("p2", target, models, PipelineConfig(n_cycles=4, n_sequences=8))
         drive(pipeline)
         baseline = models.folding.predict(target.complex, target.landscape).metrics
         final = pipeline.latest_metrics
         assert final is not None
         assert final.composite() > baseline.composite()
 
-    def test_cycle_feeds_refined_structure_forward(self, factory, target):
-        pipeline = Pipeline("p3", target, factory, PipelineConfig(n_cycles=2, n_sequences=6))
+    def test_cycle_feeds_refined_structure_forward(self, models, target):
+        pipeline = Pipeline("p3", target, models, PipelineConfig(n_cycles=2, n_sequences=6))
         drive(pipeline)
         assert pipeline.current_complex.backbone_quality > target.complex.backbone_quality
         assert pipeline.current_complex.receptor.sequence.residues != (
             target.complex.receptor.sequence.residues
         )
 
-    def test_rejection_falls_back_to_next_ranked_sequence(self, factory, target):
+    def test_rejection_falls_back_to_next_ranked_sequence(self, models, target):
         # An impossible acceptance threshold forces rejections; the pipeline
         # must walk down the ranked list and finally terminate.
         config = PipelineConfig(
@@ -269,70 +269,70 @@ class TestPipeline:
             max_retries=10,
             acceptance=AcceptancePolicy(min_delta=1.0),
         )
-        pipeline = Pipeline("p4", target, factory, config)
+        pipeline = Pipeline("p4", target, models, config)
         drive(pipeline)
         # First cycle accepts (no previous metrics), second exhausts retries.
         assert pipeline.status is PipelineStatus.TERMINATED
         retries = {t.retry_index for t in pipeline.trajectories if t.cycle == 1}
         assert retries == set(range(5))  # every ranked candidate was evaluated
 
-    def test_retry_budget_capped_by_max_retries(self, factory, target):
+    def test_retry_budget_capped_by_max_retries(self, models, target):
         config = PipelineConfig(
             n_cycles=2, n_sequences=8, max_retries=3,
             acceptance=AcceptancePolicy(min_delta=1.0),
         )
-        pipeline = Pipeline("p5", target, factory, config)
+        pipeline = Pipeline("p5", target, models, config)
         drive(pipeline)
         assert pipeline.status is PipelineStatus.TERMINATED
         second_cycle = [t for t in pipeline.trajectories if t.cycle == 1]
         assert len(second_cycle) == 3
 
-    def test_task_failure_fails_pipeline(self, factory, target):
-        pipeline = Pipeline("p6", target, factory, PipelineConfig(n_cycles=2, n_sequences=4))
+    def test_task_failure_fails_pipeline(self, models, target):
+        pipeline = Pipeline("p6", target, models, PipelineConfig(n_cycles=2, n_sequences=4))
         drive(pipeline, fail_kind=TaskKind.AF_INFERENCE)
         assert pipeline.status is PipelineStatus.FAILED
 
-    def test_start_twice_rejected(self, factory, target):
-        pipeline = Pipeline("p7", target, factory, PipelineConfig(n_cycles=1))
+    def test_start_twice_rejected(self, models, target):
+        pipeline = Pipeline("p7", target, models, PipelineConfig(n_cycles=1))
         pipeline.start()
         with pytest.raises(PipelineError):
             pipeline.start()
 
-    def test_foreign_task_rejected(self, factory, target):
-        pipeline = Pipeline("p8", target, factory, PipelineConfig(n_cycles=1))
+    def test_foreign_task_rejected(self, models, target):
+        pipeline = Pipeline("p8", target, models, PipelineConfig(n_cycles=1))
         pipeline.start()
         foreign = run_task_inline(
-            factory.sequence_generation("other-pipeline", target, target.complex, 0, 2)
+            Pipeline("other-pipeline", target, models, PipelineConfig(n_sequences=2)).start()
         )
         with pytest.raises(PipelineError):
             pipeline.advance(foreign)
 
-    def test_subpipeline_flag_propagates_to_trajectories(self, factory, target):
+    def test_subpipeline_flag_propagates_to_trajectories(self, models, target):
         pipeline = Pipeline(
-            "p9.sub001", target, factory, PipelineConfig(n_cycles=1, n_sequences=4),
+            "p9.sub001", target, models, PipelineConfig(n_cycles=1, n_sequences=4),
             parent_uid="p9",
         )
         drive(pipeline)
         assert pipeline.is_subpipeline
         assert all(t.is_subpipeline for t in pipeline.trajectories)
 
-    def test_non_adaptive_final_cycle_schedule(self, factory, target):
+    def test_non_adaptive_final_cycle_schedule(self, models, target):
         config = PipelineConfig(
             n_cycles=3, n_sequences=6,
             adaptivity_schedule=(True, True, False),
         )
-        pipeline = Pipeline("p10", target, factory, config)
+        pipeline = Pipeline("p10", target, models, config)
         drive(pipeline)
         assert pipeline.status is PipelineStatus.COMPLETED
         assert pipeline.cycle_results[-1].adaptive is False
 
-    def test_trajectories_record_the_scoring_and_compare_results(self, factory, target):
+    def test_trajectories_record_the_scoring_and_compare_results(self, models, target):
         # Cycle 0 accepts (nothing to compare with); cycle 1 rejects every
         # candidate.
         config = PipelineConfig(
             n_cycles=2, n_sequences=5, acceptance=AcceptancePolicy(min_delta=1.0)
         )
-        pipeline = Pipeline("p16", target, factory, config)
+        pipeline = Pipeline("p16", target, models, config)
         executed = drive(pipeline)
         stage_results = {
             kind: [t.result for t in executed if t.kind == kind]
@@ -343,20 +343,20 @@ class TestPipeline:
         assert [t.accepted for t in trajectories] == stage_results[TaskKind.COMPARE]
         assert stage_results[TaskKind.COMPARE] == [True] + [False] * 5
 
-    def test_latest_metrics_are_the_last_accepted_cycle(self, factory, target):
-        pipeline = Pipeline("p11", target, factory, PipelineConfig(n_cycles=3, n_sequences=6))
+    def test_latest_metrics_are_the_last_accepted_cycle(self, models, target):
+        pipeline = Pipeline("p11", target, models, PipelineConfig(n_cycles=3, n_sequences=6))
         assert pipeline.latest_metrics is None
         drive(pipeline)
         accepted = [c for c in pipeline.cycle_results if c.accepted]
         assert accepted
         assert pipeline.latest_metrics == accepted[-1].best_metrics
 
-    def test_empty_uid_rejected(self, factory, target):
+    def test_empty_uid_rejected(self, models, target):
         with pytest.raises(ConfigurationError, match="uid must be non-empty"):
-            Pipeline("", target, factory)
+            Pipeline("", target, models)
 
-    def test_resume_at_a_cycle_boundary_rederives_the_generation_task(self, factory, target):
-        pipeline = Pipeline("p13", target, factory, PipelineConfig(n_cycles=2, n_sequences=4))
+    def test_resume_at_a_cycle_boundary_rederives_the_generation_task(self, models, target):
+        pipeline = Pipeline("p13", target, models, PipelineConfig(n_cycles=2, n_sequences=4))
         description = pipeline.start()
         while True:
             step = pipeline.advance(run_task_inline(description))
@@ -368,8 +368,8 @@ class TestPipeline:
         assert resumed.kind == emitted.kind == TaskKind.MPNN_GENERATE.value
         assert resumed.metadata == emitted.metadata
 
-    def test_finished_pipeline_has_nothing_to_resume(self, factory, target):
-        pipeline = Pipeline("p14", target, factory, PipelineConfig(n_cycles=1, n_sequences=4))
+    def test_finished_pipeline_has_nothing_to_resume(self, models, target):
+        pipeline = Pipeline("p14", target, models, PipelineConfig(n_cycles=1, n_sequences=4))
         assert pipeline.pending_task() is None  # not started yet
         drive(pipeline)
         assert pipeline.is_finished
@@ -385,10 +385,10 @@ class TestPipeline:
         ],
     )
     def test_advance_rejects_a_task_it_no_longer_awaits(
-        self, factory, target, random_selection, stale_kind, awaited_kind
+        self, models, target, random_selection, stale_kind, awaited_kind
     ):
         config = PipelineConfig(n_cycles=1, n_sequences=4, random_selection=random_selection)
-        pipeline = Pipeline("p15", target, factory, config)
+        pipeline = Pipeline("p15", target, models, config)
         consumed = {}
         description = pipeline.start()
         while description.kind != awaited_kind:
@@ -423,13 +423,10 @@ class TestPendingTask:
     def test_rebuilds_the_outstanding_task_without_side_effects(
         self, target, seed, n_sequences, max_retries, flavour
     ):
-        factory = StageFactory(
-            StageModels(
-                mpnn=SurrogateProteinMPNN(seed=seed),
-                folding=SurrogateAlphaFold(seed=seed + 1),
-                scoring=ScoringFunction(),
-            ),
-            DurationModel(seed=seed),
+        models = StageModels(
+            mpnn=SurrogateProteinMPNN(seed=seed),
+            folding=SurrogateAlphaFold(seed=seed + 1),
+            scoring=ScoringFunction(),
         )
         config = PipelineConfig(
             n_cycles=3,
@@ -438,7 +435,7 @@ class TestPendingTask:
             selection_seed=seed,
             **PIPELINE_CONFIGS[flavour],
         )
-        checked = Pipeline("prop", target, factory, config)
+        checked = Pipeline("prop", target, models, config)
         assert checked.at_cycle_boundary == four_field_boundary(checked)
         description = checked.start()
         while description is not None:
@@ -453,7 +450,7 @@ class TestPendingTask:
             description = checked.advance(run_task_inline(description)).task
         assert checked.at_cycle_boundary == four_field_boundary(checked)
 
-        plain = Pipeline("prop", target, factory, config)
+        plain = Pipeline("prop", target, models, config)
         drive(plain)
         assert checked.status is plain.status
         assert checked.trajectories == plain.trajectories

@@ -11,8 +11,7 @@ import pytest
 
 from repro.core.coordinator import PipelinesCoordinator
 from repro.core.decision import SubPipelinePolicy
-from repro.core.pipeline import PipelineConfig, PipelineStatus
-from repro.core.stages import StageFactory, StageModels
+from repro.core.pipeline import PipelineConfig, PipelineStatus, StageModels
 from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
@@ -34,23 +33,21 @@ class _FlakyAlphaFold(SurrogateAlphaFold):
 
 
 @pytest.fixture()
-def flaky_factory(durations, four_targets):
-    models = StageModels(
+def flaky_models(four_targets):
+    return StageModels(
         mpnn=SurrogateProteinMPNN(seed=21),
         folding=_FlakyAlphaFold(poison_target=four_targets[1].name, seed=22),
         scoring=ScoringFunction(),
     )
-    return StageFactory(models, durations), models
 
 
 class TestPayloadFailureIsolation:
     def test_one_failing_target_does_not_poison_the_campaign(
-        self, task_manager, flaky_factory, four_targets
+        self, task_manager, flaky_models, four_targets
     ):
-        factory, models = flaky_factory
         coordinator = PipelinesCoordinator(
             task_manager,
-            factory,
+            flaky_models,
             PipelineConfig(n_cycles=2, n_sequences=4),
             spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )
@@ -62,7 +59,7 @@ class TestPayloadFailureIsolation:
         by_target = {record.target: record for record in records}
         poisoned = by_target[four_targets[1].name]
         assert poisoned.status is PipelineStatus.FAILED
-        assert models.folding.failures >= 1
+        assert flaky_models.folding.failures >= 1
         for target in four_targets:
             if target.name == four_targets[1].name:
                 continue
@@ -73,11 +70,10 @@ class TestPayloadFailureIsolation:
         assert allocator.busy_cores() == 0
         assert allocator.free_gpus() == task_manager.platform.spec.total_gpus
 
-    def test_failed_task_recorded_in_agent(self, task_manager, flaky_factory, four_targets):
-        factory, _ = flaky_factory
+    def test_failed_task_recorded_in_agent(self, task_manager, flaky_models, four_targets):
         coordinator = PipelinesCoordinator(
             task_manager,
-            factory,
+            flaky_models,
             PipelineConfig(n_cycles=1, n_sequences=4),
             spawn_policy=SubPipelinePolicy(max_per_pipeline=0, spawn_on_rejection=False),
         )

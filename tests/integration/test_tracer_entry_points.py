@@ -41,14 +41,14 @@ def test_every_traced_entry_point_exists(spans):
 
 
 def test_coordinator_callback_is_timed_in_its_own_layer(
-    spans, durations, factory, four_targets
+    spans, durations, models, four_targets
 ):
     tracer = spans.Tracer()
     try:
         tracer.install()
         coordinator = PipelinesCoordinator(
             TaskManager(ComputePlatform(amarel_platform(1)), durations),
-            factory,
+            models,
             PipelineConfig(n_cycles=1, n_sequences=4),
         )
         coordinator.add_targets(four_targets[:1])
@@ -61,7 +61,7 @@ def test_coordinator_callback_is_timed_in_its_own_layer(
     assert self_times.get("runtime", 0.0) > 0.0
 
 
-def test_every_agent_event_is_spanned(spans, durations, factory, four_targets):
+def test_every_agent_event_is_spanned(spans, durations, models, four_targets):
     """The tracer wraps callbacks as ``EventLoop.schedule_at`` receives them.
 
     An agent event scheduled any other way runs unspanned, and its time
@@ -73,7 +73,7 @@ def test_every_agent_event_is_spanned(spans, durations, factory, four_targets):
         tracer.install()
         coordinator = PipelinesCoordinator(
             TaskManager(platform, durations),
-            factory,
+            models,
             PipelineConfig(n_cycles=1, n_sequences=4),
         )
         coordinator.add_targets(four_targets[:2])

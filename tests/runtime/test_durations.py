@@ -8,15 +8,20 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.hpc.resources import ResourceRequest
-from repro.runtime.durations import DurationModel, KindProfile, TaskKind
+from repro.runtime.durations import (
+    DurationModel,
+    KindProfile,
+    TaskKind,
+    profile_for,
+    request_for,
+)
 from repro.runtime.task import TaskDescription
 from repro.utils.rng import spawn_rng
 
 
 def _description(kind: TaskKind, name: str = "t", **metadata) -> TaskDescription:
-    model = DurationModel()
     return TaskDescription(
-        name=name, kind=kind.value, request=model.request_for(kind), metadata=metadata
+        name=name, kind=kind.value, request=request_for(kind), metadata=metadata
     )
 
 
@@ -30,11 +35,10 @@ class TestDefaultProfiles:
         assert msa > inference > mpnn > rank
 
     def test_msa_is_cpu_only_and_inference_uses_gpu(self):
-        model = DurationModel()
-        assert model.request_for(TaskKind.AF_MSA).gpus == 0
-        assert model.request_for(TaskKind.AF_MSA).cpu_cores >= 4
-        assert model.request_for(TaskKind.AF_INFERENCE).gpus == 1
-        assert model.request_for(TaskKind.MPNN_GENERATE).gpus == 1
+        assert request_for(TaskKind.AF_MSA).gpus == 0
+        assert request_for(TaskKind.AF_MSA).cpu_cores >= 4
+        assert request_for(TaskKind.AF_INFERENCE).gpus == 1
+        assert request_for(TaskKind.MPNN_GENERATE).gpus == 1
 
     def test_unknown_kind_raises(self):
         # A kind names a pipeline stage; there is no catch-all profile.
@@ -45,7 +49,7 @@ class TestDefaultProfiles:
         with pytest.raises(ConfigurationError, match="unknown task kind 'not-a-kind'"):
             model.duration(description)
         with pytest.raises(ConfigurationError, match="unknown task kind 'generic'"):
-            model.request_for("generic")
+            request_for("generic")
 
 
 class TestScaling:
@@ -144,6 +148,6 @@ class TestValidation:
             KindProfile(**{"base_seconds": 1.0, field: value})
 
     def test_member_and_value_find_the_same_profile(self):
-        model = DurationModel()
         for kind in TaskKind:
-            assert model.profile(kind) is model.profile(kind.value)
+            assert profile_for(kind) is profile_for(kind.value)
+            assert request_for(kind) is profile_for(kind).request

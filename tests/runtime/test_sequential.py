@@ -6,15 +6,14 @@ import pytest
 
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import amarel_platform
-from repro.runtime.durations import DurationModel, TaskKind
+from repro.runtime.durations import DurationModel, TaskKind, request_for
 from repro.runtime.sequential import SequentialRunner
 from repro.runtime.task import TaskDescription
 
 
 def _description(name, kind=TaskKind.COMPARE, payload=None):
-    model = DurationModel()
     return TaskDescription(
-        name=name, kind=kind.value, request=model.request_for(kind), payload=payload
+        name=name, kind=kind.value, request=request_for(kind), payload=payload
     )
 
 

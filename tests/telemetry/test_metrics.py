@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import faults, telemetry
+from repro.core import instrumentation
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.exceptions import TelemetryError
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
@@ -58,6 +59,25 @@ class TestDisabled:
 
     def test_sampler_factory_returns_none_when_untraced(self):
         assert start_resource_sampler("w0") is None
+
+    @pytest.mark.parametrize("protocol", ["im-rp", "cont-v"])
+    def test_campaign_science_metrics_compute_nothing(
+        self, monkeypatch, four_targets, protocol
+    ):
+        """Untraced, the cycle and stage metrics return before computing a
+        value: no composite score, no metric verb."""
+        calls = []
+
+        def record(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(instrumentation, "composite_score", record("composite_score"))
+        for verb in METRIC_KINDS:
+            monkeypatch.setattr(metrics, verb, record(verb))
+        config = CampaignConfig(protocol=protocol, n_cycles=2, n_sequences=4, seed=17)
+        result = DesignCampaign(four_targets[:2], config).run()
+        assert result.n_trajectories > 0
+        assert calls == []
 
 
 class TestRecordSchema:
