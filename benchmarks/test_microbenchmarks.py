@@ -2,8 +2,10 @@
 
 These use pytest-benchmark's normal statistics (many rounds) to track the
 performance of the hot paths the campaign simulation relies on: the event
-loop, the placement scheduler, the surrogate models and a small end-to-end
-pipeline.  They guard against performance regressions that would make the
+loop, the placement scheduler, the surrogate models, the keyed RNG streams
+and the sampler they draw MPNN's rows with, and a small end-to-end pipeline.
+Each RNG primitive is checked against its NumPy reference outside the timed
+call.  They guard against performance regressions that would make the
 paper-scale experiments (Fig 3: 70 targets, hundreds of trajectories)
 impractically slow.
 """
@@ -25,6 +27,7 @@ from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.runtime.task import Task
+from repro.utils.rng import KeyedStreams, sample_without_replacement, spawn_rng
 
 
 class _Queued(NamedTuple):
@@ -151,6 +154,30 @@ def test_scoring_memo_hit_speed(benchmark, micro_target):
     scoring.score(micro_target.complex)
     breakdown = benchmark(lambda: scoring.score(micro_target.complex))
     assert np.isfinite(breakdown.total)
+
+
+def test_keyed_stream_speed(benchmark):
+    """Reset a model's reused generator to one task's jitter stream."""
+    streams = KeyedStreams(2025, "duration")
+    name = "p.0001.c0.mpnn_generate"
+    reference = spawn_rng(2025, "duration", name).bit_generator.state
+    assert streams.stream(name).bit_generator.state == reference
+
+    rng = benchmark(lambda: streams.stream(name))
+    assert rng.bit_generator.state == reference
+
+
+def test_sample_without_replacement_speed(benchmark):
+    """One MPNN design's pick: 2 of 12 designable rows."""
+    rng = np.random.default_rng(7)
+    reference = np.random.default_rng(7)
+    for _ in range(3):
+        picked = sample_without_replacement(rng, 12, 2)
+        assert picked == reference.choice(12, size=2, replace=False).tolist()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+    picked = benchmark(lambda: sample_without_replacement(rng, 12, 2))
+    assert len(set(picked)) == 2 and all(0 <= row < 12 for row in picked)
 
 
 def test_single_pipeline_inline_execution(benchmark, micro_target):

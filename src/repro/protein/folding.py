@@ -27,7 +27,7 @@ from repro.protein.landscape import FitnessLandscape
 from repro.protein.metrics import QualityMetrics
 from repro.protein.sequence import ProteinSequence
 from repro.protein.structure import ComplexStructure
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import KeyedStreams
 
 __all__ = ["MSA_MODES", "FoldingResult", "SurrogateAlphaFold"]
 
@@ -60,6 +60,10 @@ class SurrogateAlphaFold:
     ``msa_mode`` is ``"full_msa"`` (default, low-noise) or
     ``"single_sequence"`` (EvoPro-style: 2.5 times the metric noise, in the
     same simulated time).
+
+    One instance per campaign, not shared across threads: every prediction
+    draws its noise from the one reused generator of
+    :class:`~repro.utils.rng.KeyedStreams`.
     """
 
     def __init__(self, msa_mode: str = "full_msa", seed: int = 0) -> None:
@@ -71,7 +75,7 @@ class SurrogateAlphaFold:
         self._noise_factor = (
             _SINGLE_SEQUENCE_NOISE_FACTOR if msa_mode == "single_sequence" else 1.0
         )
-        self._seed = seed
+        self._streams = KeyedStreams(seed, "folding")
 
     @property
     def msa_mode(self) -> str:
@@ -208,12 +212,8 @@ class SurrogateAlphaFold:
         stream: Sequence[object],
     ) -> FoldingResult:
         """Convert a latent fitness into noisy metrics and a refined complex."""
-        rng = spawn_rng(
-            self._seed,
-            "folding",
-            complex_structure.name,
-            target_sequence.residues,
-            *stream,
+        rng = self._streams.stream(
+            complex_structure.name, target_sequence.residues, *stream
         )
         factor = self._noise_factor
 

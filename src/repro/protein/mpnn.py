@@ -19,15 +19,21 @@ the IMPRESS protocol relies on:
 
 Generation is batched.  The softmax sampling profile (and its CDF) over all
 designable positions is built once per call.  The per-design loop makes only
-its four RNG calls, in the order of the historical per-design
-implementation: ``binomial`` (how many mutations), ``choice`` (which profile
-rows), ``random`` (one uniform per mutation) and ``normal`` (score noise).
-Everything else happens once per call, on one encoded ``(n_sequences, L)``
-matrix: one CDF comparison yields every mutated residue, one fancy-index
-assignment writes them into copies of the current receptor's encoding, one
-batched partial-score evaluation scores all designs, and
+its four draws, in the order of the historical per-design implementation:
+``binomial`` (how many mutations),
+:func:`~repro.utils.rng.sample_without_replacement` (which profile rows: the
+draws ``Generator.choice(n, size=k, replace=False)`` makes, so at most 10,000
+designable positions), ``random`` (one uniform per mutation) and ``normal``
+(score noise).  Everything else happens once per call, on one encoded
+``(n_sequences, L)`` matrix: one CDF comparison yields every mutated residue,
+one fancy-index assignment writes them into copies of the current receptor's
+encoding, one batched partial-score evaluation scores all designs, and
 :func:`~repro.protein.sequence.decode_batch` turns the rows into sequences.
 Seeded outputs are bit-identical to the per-design loop.
+
+A model's generator serves one call's draws: each call resets the model's
+one :class:`~repro.utils.rng.KeyedStreams` generator to the stream
+``spawn_rng(seed, "mpnn", complex name, *stream)`` would start.
 """
 
 from __future__ import annotations
@@ -42,7 +48,11 @@ from repro.exceptions import ConfigurationError, ProteinError
 from repro.protein.landscape import FitnessLandscape
 from repro.protein.sequence import ScoredSequence, decode_batch
 from repro.protein.structure import ComplexStructure
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import (
+    MAX_SAMPLE_POPULATION,
+    KeyedStreams,
+    sample_without_replacement,
+)
 
 __all__ = ["MPNNConfig", "SurrogateProteinMPNN"]
 
@@ -93,11 +103,16 @@ class MPNNConfig:
 
 
 class SurrogateProteinMPNN:
-    """Generates candidate receptor sequences for a complex."""
+    """Generates candidate receptor sequences for a complex.
+
+    One instance per campaign, not shared across threads: every
+    :meth:`generate` call draws from the one reused generator of
+    :class:`~repro.utils.rng.KeyedStreams`.
+    """
 
     def __init__(self, config: Optional[MPNNConfig] = None, seed: int = 0) -> None:
         self._config = config or MPNNConfig()
-        self._seed = seed
+        self._streams = KeyedStreams(seed, "mpnn")
 
     @property
     def config(self) -> MPNNConfig:
@@ -156,8 +171,13 @@ class SurrogateProteinMPNN:
             raise ProteinError(
                 "no designable positions remain after applying fixed_positions"
             )
+        if designable_rows.size > MAX_SAMPLE_POPULATION:
+            raise ProteinError(
+                f"{designable_rows.size} designable positions; the sampler "
+                f"reproduces Generator.choice only up to {MAX_SAMPLE_POPULATION}"
+            )
 
-        rng = spawn_rng(self._seed, "mpnn", complex_structure.name, *stream)
+        rng = self._streams.stream(complex_structure.name, *stream)
 
         # A good backbone sharpens sampling toward the additive optimum; a
         # poor backbone samples closer to uniform.  Effective inverse
@@ -178,26 +198,26 @@ class SurrogateProteinMPNN:
         cdf = probabilities.cumsum(axis=1)
         cdf /= cdf[:, -1:]
 
-        # Only the RNG draws are per design, in the historical order.
-        # ``choice`` picks designable rows instead of receptor positions: its
+        # Only the RNG draws are per design, in the historical order.  The
+        # sampler picks designable rows instead of receptor positions: its
         # draws depend only on the population and sample sizes.
         n_designable = len(designable_rows)
         mutation_rate = self._config.mutation_rate
         score_noise = self._config.score_noise
         mutation_counts: List[int] = []
-        picks: List[np.ndarray] = []
+        picks: List[int] = []
         draws: List[np.ndarray] = []
         noises: List[float] = []
         for _ in range(count):
             n_mutations = min(
                 max(1, int(rng.binomial(n_designable, mutation_rate))), n_designable
             )
-            picks.append(rng.choice(n_designable, size=n_mutations, replace=False))
+            picks += sample_without_replacement(rng, n_designable, n_mutations)
             draws.append(rng.random(n_mutations))
             noises.append(float(rng.normal(scale=score_noise)))
             mutation_counts.append(n_mutations)
 
-        rows = designable_rows[np.concatenate(picks)]
+        rows = designable_rows[picks]
         residue_indices = (cdf[rows] <= np.concatenate(draws)[:, None]).sum(axis=1)
         encoded = np.repeat(current.encode()[None, :], count, axis=0)
         encoded[

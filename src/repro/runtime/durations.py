@@ -34,7 +34,7 @@ from repro.exceptions import ConfigurationError
 from repro.hpc.filesystem import read_time
 from repro.hpc.resources import ResourceRequest
 from repro.runtime.task import TaskDescription
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import KeyedStreams
 
 __all__ = ["TaskKind", "KindProfile", "DurationModel", "profile_for", "request_for"]
 
@@ -187,12 +187,16 @@ class DurationModel:
         Global divisor applied to all durations.  Benchmarks use large
         speedups so that simulating a multi-hour campaign costs milliseconds
         of real time without changing any relative quantity.
+
+    One instance per campaign, not shared across threads: every duration
+    draws its jitter from the one reused generator of
+    :class:`~repro.utils.rng.KeyedStreams`.
     """
 
     def __init__(self, seed: int = 0, speedup: float = 1.0) -> None:
         if not (math.isfinite(speedup) and speedup > 0):
             raise ConfigurationError(f"speedup must be finite and positive, got {speedup!r}")
-        self._seed = seed
+        self._jitter = KeyedStreams(seed, "duration")
         self._speedup = float(speedup)
 
     @property
@@ -223,7 +227,7 @@ class DurationModel:
             # Jitter is keyed by the task name (unique and stable within a
             # campaign), so a campaign's timing does not depend on what else
             # ran in the same process.
-            rng = spawn_rng(self._seed, "duration", description.name)
+            rng = self._jitter.stream(description.name)
             seconds *= float(
                 np.exp(rng.normal(loc=0.0, scale=profile.jitter_sigma))
             )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from repro.protein.alphabet import AMINO_ACIDS
 from repro.protein.datasets import make_pdz_target
 from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.landscape import FitnessLandscape
+from repro.protein.metrics import QualityMetrics
 from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
 from repro.protein.mutation import point_mutations
 from repro.protein.sequence import ProteinSequence
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import MAX_SAMPLE_POPULATION, spawn_rng
 
 
 def _random_sequence(length, rng):
@@ -25,6 +27,20 @@ def _random_sequence(length, rng):
     return ProteinSequence(
         residues="".join(AMINO_ACIDS[int(i)] for i in indices), chain_id="A"
     )
+
+
+def _reference_fold(seed, msa_mode, complex_structure, landscape, sequence, stream):
+    """``predict``'s metrics, the noise drawn from ``spawn_rng``: the reference."""
+    factor = 2.5 if msa_mode == "single_sequence" else 1.0
+    fitness = landscape.fitness(sequence)
+    rng = spawn_rng(seed, "folding", complex_structure.name, sequence.residues, *stream)
+    ptm_draws = np.clip(
+        0.35 + 0.60 * fitness + rng.normal(scale=0.035 * factor, size=5), 0.01, 0.99
+    )
+    ptm = float(ptm_draws[int(np.argmax(ptm_draws))])
+    plddt = min(max(55.0 + 42.0 * fitness + float(rng.normal(scale=3.0 * factor)), 30.0), 98.5)
+    pae = min(max(22.0 - 16.0 * fitness + float(rng.normal(scale=1.4 * factor)), 1.5), 31.5)
+    return QualityMetrics(plddt=plddt, ptm=ptm, interchain_pae=pae), fitness
 
 
 def _differing_positions(a, b):
@@ -264,6 +280,18 @@ class TestSurrogateProteinMPNN:
         with pytest.raises(ProteinError):
             mpnn.generate(pdz_target.complex, pdz_target.landscape)
 
+    def test_refuses_more_designable_positions_than_the_sampler_reproduces(self):
+        # Above 10,000 positions Generator.choice may change algorithm.  The
+        # check comes before anything but the lengths is read, so stand-ins
+        # for the complex and the landscape do.
+        n = MAX_SAMPLE_POPULATION + 1
+        complex_structure = SimpleNamespace(
+            name="wide", receptor=SimpleNamespace(sequence="A" * n)
+        )
+        landscape = SimpleNamespace(receptor_length=n, designable_positions=range(n))
+        with pytest.raises(ProteinError, match="10001 designable positions"):
+            SurrogateProteinMPNN(seed=1).generate(complex_structure, landscape)
+
 
 class TestSurrogateAlphaFold:
     def test_metric_ranges(self, pdz_target):
@@ -333,6 +361,27 @@ class TestSurrogateAlphaFold:
             receptor=pdz_target.complex.receptor.with_sequence(installed),
             backbone_quality=result.structure.backbone_quality,
         )
+
+    @pytest.mark.parametrize("msa_mode", ["full_msa", "single_sequence"])
+    def test_noise_comes_from_the_spawn_rng_stream(self, pdz_target, msa_mode):
+        # Bit for bit, over several calls on one model, so each call starts
+        # its own stream whatever the previous call drew.
+        folding = SurrogateAlphaFold(msa_mode=msa_mode, seed=13)
+        landscape = pdz_target.landscape
+        designs = SurrogateProteinMPNN(seed=2).generate(
+            pdz_target.complex, landscape, n_sequences=4, stream=("ref",)
+        )
+        sequences = [landscape.native_sequence] + [d.sequence for d in designs]
+        for stream in [(), ("p.0001", 2), (7, "retry", 1)]:
+            for sequence in sequences:
+                result = folding.predict(
+                    pdz_target.complex, landscape, sequence, stream=stream
+                )
+                metrics, fitness = _reference_fold(
+                    13, msa_mode, pdz_target.complex, landscape, sequence, stream
+                )
+                assert result.metrics == metrics
+                assert result.fitness == fitness
 
     def test_deterministic_per_stream(self, pdz_target):
         folding = SurrogateAlphaFold(seed=11)
