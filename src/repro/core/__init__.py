@@ -40,7 +40,6 @@ _EXPORTS = {
     "ControlProtocol": "control",
     "ExecutionProtocol": "protocols",
     "ProtocolContext": "protocols",
-    "ProtocolOutcome": "protocols",
     "available_protocols": "protocols",
     "get_protocol": "protocols",
     "CampaignConfig": "campaign",

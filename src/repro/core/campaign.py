@@ -32,7 +32,6 @@ from repro.core.protocols import (
     CampaignState,
     ExecutionProtocol,
     ProtocolContext,
-    ProtocolOutcome,
     available_protocols,
     get_protocol,
 )
@@ -222,21 +221,19 @@ class DesignCampaign:
         resume_from: Optional[CampaignState] = None,
         on_state: Optional[Callable[[CampaignState], None]] = None,
     ) -> CampaignResult:
-        """Execute as an explicit state machine: init → step\\* → finalize.
+        """Execute as an explicit state machine: init → step\\* → result.
 
-        Every step is one design cycle, under every protocol.
-        ``resume_from`` continues a campaign from a restorable
-        :class:`CampaignState` (typically reloaded from a checkpoint written
-        by another process or worker): completed cycles are *not* re-executed
-        and the finalized result is byte-identical to an uninterrupted run.
-        ``on_state`` observes every post-step state — the hook the
-        orchestration worker uses to checkpoint each restorable state and to
-        hand every state's cycle to its heartbeat lease.  A sequential step
-        carries a restorable payload only when ``on_state`` is set, so an
-        unobserved :meth:`run` pays no per-cycle encoding; a pilot step
-        carries none yet.
-        Each observed state's ``runtime`` is the live execution, which keeps
-        stepping after the call; its payload is never changed later.  A step
+        Every step is one design cycle, under every protocol, and encodes
+        nothing.  ``resume_from`` continues a campaign from a saved
+        :class:`CampaignState` (read back from a checkpoint written by
+        another process or worker; a live state is refused): completed
+        cycles are *not* re-executed and the finalized result is
+        byte-identical to an uninterrupted run.  ``on_state`` observes every
+        post-step state — the hook the orchestration worker uses to
+        checkpoint restorable states and to hand every state's cycle to its
+        heartbeat lease.  Each observed state's ``runtime`` is the live
+        execution, which keeps stepping after the call, so a state is saved
+        (its ``as_dict()`` encodes the snapshot) inside the call.  A step
         loop that ends by an exception drops the live execution's pending
         events before the exception propagates, so an abandoned run is freed
         by reference counting.
@@ -244,7 +241,7 @@ class DesignCampaign:
         if self._result is not None:
             return self._result
         protocol = get_protocol(self._config.protocol)
-        context = self._protocol_context(observed=on_state is not None)
+        context = self._protocol_context()
         if resume_from is not None:
             state = self._validated_resume(resume_from)
         else:
@@ -262,9 +259,9 @@ class DesignCampaign:
                 state.runtime.platform.loop.clear()
             raise
         baseline = self._baseline_metrics()
-        outcome = protocol.finalize(context, state)
-        self._platform = outcome.platform
-        self._result = self._build_result(protocol, outcome, baseline)
+        engine = protocol.engine(context, state)
+        self._platform = engine.platform
+        self._result = self._build_result(protocol, engine.records(), baseline)
         return self._result
 
     def _validated_resume(self, state: CampaignState) -> CampaignState:
@@ -274,21 +271,19 @@ class DesignCampaign:
                 f"{state.seed}, this campaign runs {self._config.protocol!r} "
                 f"seed {self._config.seed}"
             )
-        # Finalizing a done state can also use the live execution.
-        if not (state.restorable or (state.done and state.runtime is not None)):
+        if state.payload is None:
             raise CampaignError(
-                "campaign state is a progress report, not a restorable "
-                "checkpoint; re-run from the start instead"
+                "campaign state is not a restorable checkpoint read back from "
+                "a save; re-run from the start instead"
             )
         return state
 
-    def _protocol_context(self, observed: bool = False) -> ProtocolContext:
+    def _protocol_context(self) -> ProtocolContext:
         return ProtocolContext(
             config=self._config,
             targets=self._targets,
             models=self._models,
             durations=self._durations,
-            observed=observed,
         )
 
     def _baseline_metrics(self) -> Dict[str, QualityMetrics]:
@@ -315,10 +310,9 @@ class DesignCampaign:
     def _build_result(
         self,
         protocol: ExecutionProtocol,
-        outcome: ProtocolOutcome,
+        records: List[PipelineRecord],
         baseline: Dict[str, QualityMetrics],
     ) -> CampaignResult:
-        records: List[PipelineRecord] = outcome.records
         profiler = self.platform.profiler
         makespan_seconds = profiler.makespan()
         total_task_seconds = sum(

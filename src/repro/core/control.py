@@ -179,15 +179,16 @@ class ControlProtocol:
         :meth:`restore` rebuilds an execution that continues bit-identically
         to one that was never suspended.
 
-        The cost is the work since the previous snapshot: a finished
-        pipeline never changes again, so it is encoded once and its encoding
-        reused, and the profiler's rows are immutable and are their own
-        encoding; only the unfinished pipeline is encoded afresh.  Each
-        payload owns its top-level dicts and row list, so a later step never
-        grows or edits an earlier payload.  Finished pipelines' encodings are
-        shared between payloads, which is safe only while nothing mutates a
-        returned payload — callers (checkpoint saves, state observers) only
-        read and serialise it.
+        It is called when a state is saved (``CampaignState.as_dict``), not
+        at every step.  The cost is the work since the previous snapshot: a
+        finished pipeline never changes again, so it is encoded once and its
+        encoding reused, and the profiler's rows are immutable and are their
+        own encoding; only the unfinished pipeline, and any finished since
+        the previous snapshot, is encoded afresh.  Each payload owns its
+        top-level dicts and row list, so a later step never grows or edits
+        an earlier payload.  Finished pipelines' encodings are shared
+        between payloads, which is safe only while nothing mutates a
+        returned payload — its one caller only serialises it.
         """
         profiler = self._platform.profiler
         pipelines = {}

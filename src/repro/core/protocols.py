@@ -30,33 +30,34 @@ The protocols
 Cycle-granular execution
 ------------------------
 Execution is an explicit state machine: a campaign runs as ``init_state`` →
-``step``\\* → ``finalize`` over a :class:`CampaignState`, and
+``step``\\* over a :class:`CampaignState`, and
 :meth:`~repro.core.campaign.DesignCampaign.run_stepwise` is its one driver.
-Every protocol steps one design cycle at a time.  A family supplies only its
-stepping engine, the control or the pipelines coordinator: ``step`` calls
-the engine's ``step_cycle()`` and carries the live engine to the next step
-in the state's ``runtime``, and ``finalize`` takes the engine's
-``records()`` and ``platform``.
+Every protocol steps one design cycle at a time, the same way: a family
+supplies only its stepping engine, the control or the pipelines coordinator;
+``step`` calls the engine's ``step_cycle()`` and carries the live engine in
+the state's ``runtime``, and the campaign reads its result from the finished
+engine.  A step encodes nothing: a state is encoded when it is saved
+(:meth:`CampaignState.as_dict`).
 
 The two families differ in what a cycle boundary can be restored from:
 
 * **sequential protocols** (``cont-v`` family) stop at a quiescent point —
   no task in flight, the pipeline's next generation task rebuilt by
-  ``Pipeline.pending_task()`` — so, when the campaign is observed, every
-  post-step state carries a JSON-able payload from which a different
-  process (or a different worker machine) resumes the run at that cycle,
-  finishing byte-identical to an uninterrupted run;
+  ``Pipeline.pending_task()`` — so every post-step state can be saved as a
+  JSON-able payload from which a different process (or a different worker
+  machine) resumes the run at that cycle, finishing byte-identical to an
+  uninterrupted run;
 * **pilot protocols** (``im-rp`` family) interleave pipelines inside one
   asynchronous discrete-event simulation, and a step returns right after
   the event that completes a cycle, with other pipelines' tasks in flight.
   Each pipeline can rebuild its own outstanding task, so those tasks are
   not what blocks a checkpoint; the simulation's own state is: the event
   heap, the live allocations, the scheduler queue and the coordinator's
-  state, none of which has a codec yet.  So a pilot state carries no
-  payload: the orchestration worker hands its cycle to the heartbeat lease
-  and never checkpoints it, and an interrupted run resumes by
-  deterministic re-execution from the start — the determinism contract
-  makes that re-execution exact, just not free.
+  state, none of which has a codec yet.  So a pilot state cannot be saved:
+  the orchestration worker hands its cycle to the heartbeat lease and never
+  checkpoints it, and an interrupted run resumes by deterministic
+  re-execution from the start — the determinism contract makes that
+  re-execution exact, just not free.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple, Ty
 from repro.core.control import ControlProtocol
 from repro.core.coordinator import PipelinesCoordinator
 from repro.core.pipeline import PipelineConfig, StageModels
-from repro.core.results import PipelineRecord
 from repro.exceptions import CampaignError, ReproError, StoreError
 from repro.hpc.platform import ComputePlatform
 from repro.hpc.resources import PlatformSpec, amarel_platform
@@ -85,7 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = [
     "CampaignState",
     "ProtocolContext",
-    "ProtocolOutcome",
     "ExecutionProtocol",
     "PilotRuntimeProtocol",
     "SequentialRuntimeProtocol",
@@ -110,12 +109,11 @@ class CampaignState:
         protocols: ``n_targets * n_cycles``); ``None`` for protocols whose
         adaptive spawning makes the total emergent.
     done:
-        Whether execution finished and :meth:`ExecutionProtocol.finalize`
-        may run.
+        Whether execution finished and the campaign may build its result.
     payload:
-        JSON-able protocol snapshot from which a fresh process rebuilds
-        execution at this boundary; ``None`` for a progress report (see
-        :attr:`restorable`).
+        The JSON-able snapshot read back from a checkpoint, from which a
+        fresh process rebuilds execution at this boundary; ``None`` for a
+        live state, which :meth:`as_dict` encodes when it is saved.
     runtime:
         The live stepping engine carried between consecutive steps (never
         serialised; absent after a cross-process resume, in which case the
@@ -132,23 +130,37 @@ class CampaignState:
 
     @property
     def restorable(self) -> bool:
-        """Whether the state is a restore point: it carries a payload.
-
-        A state without one is a progress report only — resuming from it
-        means re-executing from the start (exactly, by the determinism
-        contract).
+        """Whether the state can be saved as a restore point: it holds a
+        payload, or its live engine has a codec (the control; the pilot
+        coordinator has none yet).  A state that cannot is a progress report.
         """
-        return self.payload is not None
+        return self.payload is not None or isinstance(self.runtime, ControlProtocol)
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-able rendering (drops the live ``runtime`` objects)."""
+        """JSON-able rendering (drops the live ``runtime`` objects).
+
+        The payload is the one read back from a checkpoint, or else the live
+        control's snapshot, encoded now.  A live state whose control has
+        stepped past its cycle raises :class:`CampaignError`: its snapshot
+        would be a later boundary than the cycle the state names.
+        """
+        payload = self.payload
+        if payload is None and isinstance(self.runtime, ControlProtocol):
+            completed = self.runtime.n_cycles_completed
+            if completed != self.cycle:
+                raise CampaignError(
+                    f"{self.protocol} state at cycle {self.cycle} can no longer "
+                    f"be encoded: its control has stepped on to cycle "
+                    f"{completed}; save a state while its observer holds it"
+                )
+            payload = self.runtime.snapshot()
         return {
             "protocol": self.protocol,
             "seed": self.seed,
             "cycle": self.cycle,
             "cycles_total": self.cycles_total,
             "done": self.done,
-            "payload": self.payload,
+            "payload": payload,
         }
 
     @classmethod
@@ -181,10 +193,6 @@ class ProtocolContext:
     targets: List["DesignTarget"]
     models: StageModels
     durations: "DurationModel"
-    #: Whether the campaign's states are observed.  An observed sequential
-    #: step carries a restorable payload (what checkpointing consumes); an
-    #: unobserved run encodes nothing.
-    observed: bool = False
 
     @property
     def platform_spec(self) -> PlatformSpec:
@@ -197,21 +205,13 @@ class ProtocolContext:
         return derive_seed(self.config.seed, "selection")
 
 
-@dataclass
-class ProtocolOutcome:
-    """What a protocol hands back to the campaign."""
-
-    records: List[PipelineRecord]
-    platform: ComputePlatform
-
-
 class ExecutionProtocol(abc.ABC):
     """One way of executing a design campaign's pipelines.
 
     Subclasses set :attr:`name` (the protocol key) and :attr:`approach` (the
-    label reported in Table-I-style outputs) and implement :meth:`_engine`;
-    :meth:`step` advances that engine one design cycle, and :meth:`finalize`
-    turns the finished engine into the :class:`ProtocolOutcome`.
+    label reported in Table-I-style outputs) and implement :meth:`engine`;
+    :meth:`step` advances that engine one design cycle, and the campaign
+    reads its result from the finished engine.
     """
 
     #: Protocol key, e.g. ``"im-rp"``.
@@ -226,40 +226,22 @@ class ExecutionProtocol(abc.ABC):
         return CampaignState(protocol=self.name, seed=context.config.seed)
 
     @abc.abstractmethod
-    def _engine(
+    def engine(
         self, context: ProtocolContext, state: CampaignState
     ) -> ControlProtocol | PipelinesCoordinator:
         """The live engine: ``state.runtime``, or one built for ``state``."""
 
     def step(self, context: ProtocolContext, state: CampaignState) -> CampaignState:
         """Advance one design cycle and return the successor state."""
-        engine = self._engine(context, state)
+        engine = self.engine(context, state)
         finished = engine.step_cycle()
         return dataclasses.replace(
             state,
             cycle=engine.n_cycles_completed,
             done=finished,
-            # Only the control has a codec; it encodes a payload only when
-            # an observer is there to keep it.
-            payload=(
-                engine.snapshot()
-                if context.observed and isinstance(engine, ControlProtocol)
-                else None
-            ),
+            payload=None,
             runtime=engine,
         )
-
-    def finalize(
-        self, context: ProtocolContext, state: CampaignState
-    ) -> ProtocolOutcome:
-        """Turn the terminal state into the campaign outcome."""
-        if not state.done:
-            raise CampaignError(
-                f"protocol {self.name!r} cannot finalize an unfinished state "
-                f"(cycle {state.cycle})"
-            )
-        engine = self._engine(context, state)
-        return ProtocolOutcome(engine.records(), engine.platform)
 
     def pipeline_config(
         self,
@@ -297,9 +279,9 @@ class PilotRuntimeProtocol(ExecutionProtocol):
     of the simulation — other pipelines' tasks are in flight.  Each pipeline
     can rebuild its own outstanding task (``Pipeline.pending_task()``), but
     the event heap, the live allocations, the scheduler queue and the
-    coordinator's state have no codec yet, so a state carries no payload
-    and an interrupted run resumes by exact deterministic re-execution from
-    the start.
+    coordinator's state have no codec yet, so a state cannot be saved and
+    an interrupted run resumes by exact deterministic re-execution from the
+    start.
     """
 
     #: Whether Stage 6 gates cycle acceptance.
@@ -307,7 +289,7 @@ class PilotRuntimeProtocol(ExecutionProtocol):
     #: Whether the evaluated sequence is drawn at random instead of top-ranked.
     random_selection: ClassVar[bool] = False
 
-    def _engine(
+    def engine(
         self, context: ProtocolContext, state: CampaignState
     ) -> PipelinesCoordinator:
         """The live coordinator, carried between steps and built on the first."""
@@ -341,16 +323,16 @@ class SequentialRuntimeProtocol(ExecutionProtocol):
     """Shared machinery for middleware-free sequential protocols (the control).
 
     Sequential execution has a quiescent point after every design cycle, so
-    each observed :meth:`step` snapshots the whole execution (pipeline
-    state, captured RNG streams, simulated clock and profiler traces) into
-    the state's JSON-able payload — a restorable checkpoint from which any
-    process resumes bit-identically.
+    every post-step state can be saved: :meth:`CampaignState.as_dict`
+    snapshots the whole execution (pipeline state, captured RNG streams,
+    simulated clock and profiler traces) into a JSON-able payload — a
+    restorable checkpoint from which any process resumes bit-identically.
     """
 
     #: Whether the evaluated sequence is drawn at random (the paper's control).
     random_selection: ClassVar[bool] = True
 
-    def _engine(self, context: ProtocolContext, state: CampaignState) -> ControlProtocol:
+    def engine(self, context: ProtocolContext, state: CampaignState) -> ControlProtocol:
         """The live control: carried between steps, rebuilt on resume."""
         if isinstance(state.runtime, ControlProtocol):
             return state.runtime

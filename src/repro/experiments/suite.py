@@ -60,7 +60,7 @@ def execute_run(
     :func:`~repro.experiments.spec.shared_target_builds` scope (a serial
     suite run, a worker drain) already built them; campaigns only read them.
 
-    ``resume_state`` continues an interrupted campaign from a restorable
+    ``resume_state`` continues an interrupted campaign from a saved
     :class:`~repro.core.campaign.CampaignState` (the result is byte-identical
     to an uninterrupted run; ``wall_seconds`` honestly covers only the
     resumed portion — the one field ``--strip-timing`` zeroes).  ``on_cycle``

@@ -47,6 +47,13 @@ __all__ = [
 #: Environment variable carrying a JSON-encoded plan into subprocesses.
 FAULTS_ENV = "REPRO_FAULTS"
 
+#: Upper bound of the deterministic ``slow_io`` stall (seconds).
+_MAX_DELAY = 0.05
+
+#: Magnitude bound of the deterministic ``clock_skew`` offset (seconds; the
+#: sign is part of the draw).
+_MAX_SKEW = 60.0
+
 #: Every injectable fault kind, in the canonical rate-ladder order.
 FAULT_KINDS = (
     "io_error",          # transient EIO raised before the seam touches disk
@@ -146,11 +153,6 @@ class FaultPlan:
     force:
         Deterministic one-shot faults (:class:`ForcedFault`); they win over
         the rate draw at their crossing and fire even at rate 0.
-    max_delay:
-        Upper bound of the deterministic ``slow_io`` stall.
-    max_skew:
-        Magnitude bound of the deterministic ``clock_skew`` offset (the sign
-        is part of the draw).
     log_dir:
         When set, every fired event is appended (JSONL, one file per pid) for
         post-hoc chaos reports — observability, not coordination.
@@ -162,8 +164,6 @@ class FaultPlan:
         *,
         rates: Optional[Mapping[str, float]] = None,
         force: Sequence[ForcedFault] = (),
-        max_delay: float = 0.05,
-        max_skew: float = 60.0,
         log_dir: Optional[str] = None,
     ) -> None:
         rates = dict(rates or {})
@@ -188,8 +188,6 @@ class FaultPlan:
             entry if isinstance(entry, ForcedFault) else ForcedFault(*entry)
             for entry in force
         )
-        self.max_delay = float(max_delay)
-        self.max_skew = float(max_skew)
         self.log_dir = log_dir
         #: Per-site crossing counters (this process only).
         self.invocations: Dict[str, int] = {}
@@ -219,13 +217,12 @@ class FaultPlan:
             kind=kind,
             index=index,
             delay=(
-                _uniform(self.seed, site, index, "delay") * self.max_delay
+                _uniform(self.seed, site, index, "delay") * _MAX_DELAY
                 if kind == "slow_io"
                 else 0.0
             ),
             skew=(
-                (2.0 * _uniform(self.seed, site, index, "skew") - 1.0)
-                * self.max_skew
+                (2.0 * _uniform(self.seed, site, index, "skew") - 1.0) * _MAX_SKEW
                 if kind == "clock_skew"
                 else 0.0
             ),
@@ -252,8 +249,6 @@ class FaultPlan:
                 {"site": entry.site, "at": entry.at, "kind": entry.kind}
                 for entry in self.force
             ],
-            "max_delay": self.max_delay,
-            "max_skew": self.max_skew,
             "log_dir": self.log_dir,
         }
 
@@ -271,8 +266,6 @@ class FaultPlan:
                     )
                     for entry in payload.get("force") or []
                 ],
-                max_delay=float(payload.get("max_delay", 0.05)),
-                max_skew=float(payload.get("max_skew", 60.0)),
                 log_dir=payload.get("log_dir"),
             )
         except (KeyError, TypeError, ValueError) as error:

@@ -15,9 +15,10 @@ sharing the queue directory).  Each pass over the manifest the worker:
    a stolen half-finished campaign re-executes at most one cycle, not the
    whole run;
 4. hands each state's cycle progress to its heartbeat, which writes it into
-   the claim, and streams a checkpoint per completed cycle for states that
-   carry a restorable payload (pilot-protocol runs, whose per-cycle states
-   carry no payload yet, write none); then appends the finished record to its
+   the claim, and streams a checkpoint per completed cycle for restorable
+   states (pilot-protocol runs, whose per-cycle states cannot be saved yet,
+   write none; a state is encoded only when saved, so a state the
+   throttle skips costs nothing); then appends the finished record to its
    per-worker :class:`~repro.store.RunStore`, publishes the done marker, and
    discards the run's checkpoints.
 
@@ -502,6 +503,7 @@ def _execute_with_budget(
         if now - last_save < checkpoint_seconds:
             return
         try:
+            # The save encodes the state, so the span times the encoding too.
             with telemetry.span(
                 "worker.checkpoint", run=entry.spec.run_id, cycle=state.cycle,
                 worker=worker,

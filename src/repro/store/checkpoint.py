@@ -10,10 +10,11 @@ schema-version-stamped line per saved cycle boundary::
        "state": {…CampaignState…}}
 
 Every line is a restore point: :meth:`CheckpointStore.save` refuses a state
-without a payload, so a progress report (a pilot-protocol run's per-cycle
-state, which has no payload yet) is never written here.  A running run's progress rides its
-heartbeat lease instead (:mod:`repro.orchestrate.lease`), which is where
-``status`` reads it.
+that is not restorable, so a progress report (a pilot-protocol run's
+per-cycle state, which cannot be saved yet) is never written here.  A save
+is what encodes a live state (``CampaignState.as_dict``).  A running run's
+progress rides its heartbeat lease instead (:mod:`repro.orchestrate.lease`),
+which is where ``status`` reads it.
 
 A line holds only evolving state (see :mod:`repro.core.snapshot`): target
 structures are rebuilt from the run spec, so no coordinates are written,
@@ -112,10 +113,12 @@ class CheckpointStore:
         are carried forward so the previous-cycle fallback always has
         something to fall back to, without the file growing quadratically.
 
+        ``state`` is encoded here, by :meth:`CampaignState.as_dict`.
+
         Raises
         ------
         StoreError
-            If ``state`` has no payload: a progress report restores nothing.
+            If ``state`` is not restorable: a progress report restores nothing.
         """
         if not state.restorable:
             raise StoreError(

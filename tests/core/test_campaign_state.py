@@ -1,12 +1,13 @@
 """The cycle-granular campaign state machine: observation and resume.
 
-The contract: an observed ``run_stepwise`` (``init_state → step* →
-finalize`` with an ``on_state`` hook) finishes byte-identical to an
-unobserved ``run()``, and a campaign suspended at any cycle boundary — its
-state round-tripped through JSON, as a cross-process resume would —
-finishes byte-identical to an uninterrupted run.  An observed state's
-``runtime`` is the live execution, which keeps stepping after the state is
-handed out, so a resume always starts from the JSON round-trip.
+The contract: an observed ``run_stepwise`` (``init_state → step*`` with an
+``on_state`` hook) finishes byte-identical to an unobserved ``run()``, and a
+campaign suspended at any cycle boundary — its state round-tripped through
+JSON, as a cross-process resume would — finishes byte-identical to an
+uninterrupted run.  An observed state's ``runtime`` is the live execution,
+which keeps stepping after the state is handed out, so a state is encoded
+(saved) inside the observer, and a resume always starts from the JSON
+round-trip.
 """
 
 from __future__ import annotations
@@ -47,6 +48,29 @@ def _observed_states(config=CONFIG):
 def _revived(state):
     """``state`` as a fresh process reads it back from a checkpoint."""
     return CampaignState.from_dict(json.loads(json.dumps(state.as_dict())))
+
+
+def _saved_states(config=CONFIG):
+    """Every state an observed run hands its hook, each saved (encoded and
+    read back) inside the hook, as a checkpointing worker saves it."""
+    states = []
+    _campaign(config).run_stepwise(
+        on_state=lambda state: states.append(_revived(state))
+    )
+    return states
+
+
+def _counted_snapshots(monkeypatch):
+    """Every ``ControlProtocol.snapshot`` call made from now on."""
+    snapshots = []
+    snapshot = control_module.ControlProtocol.snapshot
+
+    def counting(self):
+        snapshots.append(self)
+        return snapshot(self)
+
+    monkeypatch.setattr(control_module.ControlProtocol, "snapshot", counting)
+    return snapshots
 
 
 @pytest.fixture(scope="module")
@@ -123,22 +147,28 @@ class TestStepLoopEquivalence:
         assert all(state.payload is None for state in states)
 
     def test_sequential_states_are_restorable_checkpoints(self):
-        state = _observed_states()[0]
+        state = _saved_states()[0]
         assert state.restorable and state.payload is not None
         json.dumps(state.as_dict())  # JSON-able by construction
 
-    def test_unobserved_sequential_steps_encode_nothing(self, monkeypatch):
-        snapshots = []
-        snapshot = control_module.ControlProtocol.snapshot
-
-        def counting(self):
-            snapshots.append(self)
-            return snapshot(self)
-
-        monkeypatch.setattr(control_module.ControlProtocol, "snapshot", counting)
+    def test_steps_encode_nothing_observed_or_not(self, monkeypatch):
+        snapshots = _counted_snapshots(monkeypatch)
         _campaign().run()
+        states = _observed_states()
         assert snapshots == []
-        assert len(_observed_states()) == len(snapshots) == 12
+        assert len(states) == 12
+        assert all(state.restorable and state.payload is None for state in states)
+        # Saving is what encodes: one snapshot per state saved.
+        assert len(_saved_states()) == len(snapshots) == 12
+
+    def test_a_state_whose_control_stepped_on_refuses_to_encode(self):
+        states = _observed_states()
+        # The last state still stands where its control stands.
+        assert states[-1].as_dict()["cycle"] == 12
+        stale = states[4]
+        assert stale.runtime.n_cycles_completed == 12
+        with pytest.raises(CampaignError, match="stepped on to cycle 12"):
+            stale.as_dict()
 
     def test_pilot_terminal_state_is_not_restorable(self):
         config = CampaignConfig(protocol="im-rp", seed=7, n_cycles=2, n_sequences=4)
@@ -165,14 +195,14 @@ class TestResumeDeterminism:
         self, protocol, interrupt_after, reference
     ):
         config = dataclasses.replace(CONFIG, protocol=protocol)
-        state = _observed_states(config)[interrupt_after - 1]
+        state = _saved_states(config)[interrupt_after - 1]
         assert not state.done
         # Cross-process simulation: the state travels as JSON text.
         resumed = _campaign(config).run_stepwise(resume_from=_revived(state))
         assert _result_bytes(resumed) == reference(config)
 
     def test_resume_skips_completed_cycles(self):
-        revived = _revived(_observed_states()[4])
+        revived = _saved_states()[4]
         observed = []
         _campaign().run_stepwise(resume_from=revived, on_state=observed.append)
         # 12 total (target, cycle) steps, 5 already done: only 7 execute.
@@ -184,12 +214,12 @@ class TestResumeDeterminism:
             protocol="cont-v-ranked", seed=3, n_cycles=2, n_sequences=4
         )
         expected = _result_bytes(_campaign(config).run())
-        revived = _revived(_observed_states(config)[2])
+        revived = _saved_states(config)[2]
         resumed = _campaign(config).run_stepwise(resume_from=revived)
         assert _result_bytes(resumed) == expected
 
     def test_resume_rejects_mismatched_identity(self):
-        state = _revived(_observed_states()[0])
+        state = _saved_states()[0]
         other = CampaignConfig(protocol="cont-v", seed=8, n_cycles=3, n_sequences=5)
         with pytest.raises(CampaignError, match="seed"):
             _campaign(other).run_stepwise(resume_from=state)
@@ -198,6 +228,14 @@ class TestResumeDeterminism:
         progress = CampaignState(protocol="cont-v", seed=7, cycle=2, payload=None)
         with pytest.raises(CampaignError, match="not a restorable"):
             _campaign().run_stepwise(resume_from=progress)
+
+    def test_resume_rejects_a_live_state(self):
+        # A live state's control keeps stepping after the state is handed
+        # out; only a saved state names the boundary it restores.
+        live = _observed_states()[4]
+        assert live.restorable and live.payload is None
+        with pytest.raises(CampaignError, match="not a restorable"):
+            _campaign().run_stepwise(resume_from=live)
 
     @pytest.mark.parametrize("protocol", ["cont-v", "im-rp"])
     def test_resume_rejects_done_state_with_nothing_to_finalize(self, protocol):
@@ -222,9 +260,11 @@ class TestTaskIdentity:
     def test_resumed_run_records_the_uninterrupted_trace(self, interrupt_after):
         uninterrupted = _campaign()
         states = []
-        uninterrupted.run_stepwise(on_state=states.append)
+        uninterrupted.run_stepwise(
+            on_state=lambda state: states.append(_revived(state))
+        )
         resumed = _campaign()
-        resumed.run_stepwise(resume_from=_revived(states[interrupt_after - 1]))
+        resumed.run_stepwise(resume_from=states[interrupt_after - 1])
         assert _trace(resumed) == _trace(uninterrupted)
 
     def test_rerun_in_one_process_records_the_same_trace(self):
@@ -298,11 +338,13 @@ class TestPhaseTotals:
         log = _phase_log(monkeypatch)
         uninterrupted = _campaign()
         states = []
-        uninterrupted.run_stepwise(on_state=states.append)
+        uninterrupted.run_stepwise(
+            on_state=lambda state: states.append(_revived(state))
+        )
         reference = _summed(log)
         assert uninterrupted.platform.profiler.phase_totals() == reference
         resumed = _campaign()
-        resumed.run_stepwise(resume_from=_revived(states[interrupt_after - 1]))
+        resumed.run_stepwise(resume_from=states[interrupt_after - 1])
         assert resumed.platform.profiler.phase_totals() == reference
 
 
@@ -334,13 +376,14 @@ class TestIncrementalSnapshots:
         config = CampaignConfig(protocol=protocol, seed=7, n_cycles=3, n_sequences=5)
         resume_from = None
         if resume_after is not None:
-            resume_from = _revived(_observed_states(config)[resume_after - 1])
+            resume_from = _saved_states(config)[resume_after - 1]
         observed = []
 
         def check(state):
-            text = json.dumps(state.payload)
+            payload = state.as_dict()["payload"]
+            text = json.dumps(payload)
             assert text == json.dumps(_full_snapshot(state.runtime))
-            observed.append((state.payload, text))
+            observed.append((payload, text))
 
         result = _campaign(config).run_stepwise(
             resume_from=resume_from, on_state=check
@@ -351,16 +394,16 @@ class TestIncrementalSnapshots:
             assert json.dumps(payload) == text
 
     def test_payload_holds_no_finished_flag(self):
-        states = _observed_states()
+        states = _saved_states()
         assert all("finished" not in state.payload for state in states)
         # The control derives the flag from its pipelines: restored at the
         # last boundary it is done without running a cycle; restored one
         # boundary earlier it runs that cycle first.
         protocol = get_protocol("cont-v")
         context = _campaign()._protocol_context()
-        last = protocol._engine(context, _revived(states[-1]))
+        last = protocol.engine(context, states[-1])
         assert last.step_cycle() is True and last.n_cycles_completed == 12
-        earlier = protocol._engine(context, _revived(states[-2]))
+        earlier = protocol.engine(context, states[-2])
         assert earlier.n_cycles_completed == 11
         assert earlier.step_cycle() is True and earlier.n_cycles_completed == 12
 
@@ -382,7 +425,9 @@ class TestSnapshotCost:
         targets = expanded_pdz_set(n_targets=n_targets, seed=2025)
         config = CampaignConfig(protocol="cont-v", seed=7, n_cycles=4)
         states = []
-        DesignCampaign(targets, config).run_stepwise(on_state=states.append)
+        DesignCampaign(targets, config).run_stepwise(
+            on_state=lambda state: states.append((state, state.as_dict()["payload"]))
+        )
 
         steps = len(states)
         assert steps == 4 * n_targets
@@ -392,10 +437,10 @@ class TestSnapshotCost:
         # Seven stage tasks per cycle (cont-v never retries), each recording
         # one resource row.  A payload holds the profiler's own rows, encoding
         # none of them.
-        rows = states[-1].runtime.platform.profiler.resource_intervals
+        rows = states[-1][0].runtime.platform.profiler.resource_intervals
         assert len(rows) == 7 * steps
-        for step, state in enumerate(states, start=1):
-            payload_rows = state.payload["profiler"]["resource_intervals"]
+        for step, (_, payload) in enumerate(states, start=1):
+            payload_rows = payload["profiler"]["resource_intervals"]
             assert len(payload_rows) == 7 * step
             assert all(row is rows[index] for index, row in enumerate(payload_rows))
 
@@ -429,19 +474,12 @@ class TestCampaignStateCodec:
 
 
 class TestProtocolSteppingContract:
-    def test_finalize_refuses_unfinished_state(self):
-        protocol = get_protocol("cont-v")
-        campaign = _campaign()
-        state = _observed_states()[0]
-        with pytest.raises(CampaignError, match="unfinished"):
-            protocol.finalize(campaign._protocol_context(), state)
-
     @pytest.mark.parametrize("done", [False, True])
     def test_pilot_refuses_to_rebuild_its_execution_past_cycle_zero(self, done):
         config = CampaignConfig(protocol="im-rp", seed=7, n_cycles=2, n_sequences=4)
         protocol = get_protocol("im-rp")
         context = _campaign(config)._protocol_context()
         state = CampaignState(protocol="im-rp", seed=7, cycle=3, done=done)
-        advance = protocol.finalize if done else protocol.step
+        advance = protocol.engine if done else protocol.step
         with pytest.raises(CampaignError, match="cannot rebuild"):
             advance(context, state)

@@ -510,16 +510,18 @@ class TestControlProtocol:
         def observed(**overrides):
             names.clear()
             states = []
+            # Each state is encoded while the observer holds it, as a save
+            # would encode it.
             result = _control_campaign(
                 four_targets, protocol=protocol, **overrides
-            ).run_stepwise(on_state=states.append)
+            ).run_stepwise(on_state=lambda state: states.append(state.as_dict()))
             # Profiler task ids come from a process-global counter, so they
             # differ between two runs in one process; they are labels only.
             return (
                 json.dumps(result.as_dict(), sort_keys=True),
                 list(names),
                 [
-                    re.sub(r'"task\.\d+"', '"task"', json.dumps(state.as_dict()))
+                    re.sub(r'"task\.\d+"', '"task"', json.dumps(state))
                     for state in states
                 ],
             )

@@ -213,12 +213,14 @@ class TestPayloadShape:
         self, four_targets
     ):
         config = CampaignConfig(protocol="cont-v", seed=7, n_cycles=2, n_sequences=4)
-        states = []
-        DesignCampaign(four_targets, config).run_stepwise(on_state=states.append)
+        payloads = []
+        DesignCampaign(four_targets, config).run_stepwise(
+            on_state=lambda state: payloads.append(state.as_dict()["payload"])
+        )
         finished = 0
-        for state in states:
-            assert '"coordinates"' not in json.dumps(state.payload)
-            for pipeline in state.payload["pipelines"].values():
+        for payload in payloads:
+            assert '"coordinates"' not in json.dumps(payload)
+            for pipeline in payload["pipelines"].values():
                 assert set(pipeline["complex"]) == {"receptor", "backbone_quality"}
                 if pipeline["status"] != "RUNNING":
                     finished += 1

@@ -18,6 +18,7 @@ import pytest
 from repro import faults
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
 from repro.faults import FaultPlan, ForcedFault
+from repro.faults import plan as plan_module
 from repro.orchestrate import WorkQueue, read_lease, try_claim
 from repro.orchestrate.lease import refresh_lease
 from repro.store import RunStore
@@ -93,8 +94,11 @@ class TestStoreAppendFaults:
             )
         assert len(RunStore(store.path)) == 1
 
-    def test_slow_io_stalls_but_the_append_succeeds(self, tmp_path, record):
-        plan = FaultPlan(0, rates={"slow_io": 1.0}, max_delay=0.01)
+    def test_slow_io_stalls_but_the_append_succeeds(
+        self, tmp_path, record, monkeypatch
+    ):
+        monkeypatch.setattr(plan_module, "_MAX_DELAY", 0.01)
+        plan = FaultPlan(0, rates={"slow_io": 1.0})
         store = RunStore(tmp_path / "runs.jsonl")
         with faults.injected_plan(plan):
             store.append(record)
@@ -161,14 +165,13 @@ class TestLeaseFaults:
         assert lease is not None and lease.torn
         assert not lease.expired(lease_seconds=60.0)
 
-    def test_clock_skew_offsets_the_heartbeat(self, tmp_path):
+    def test_clock_skew_offsets_the_heartbeat(self, tmp_path, monkeypatch):
         claim = tmp_path / "claim.json"
-        plan = FaultPlan(0, rates={"clock_skew": 1.0}, max_skew=3600.0)
+        monkeypatch.setattr(plan_module, "_MAX_SKEW", 3600.0)
+        plan = FaultPlan(0, rates={"clock_skew": 1.0})
         with faults.injected_plan(plan):
             skew = plan.decide("lease.clock").skew  # crossing 1: pin the draw
-        with faults.injected_plan(
-            FaultPlan(0, rates={"clock_skew": 1.0}, max_skew=3600.0)
-        ):
+        with faults.injected_plan(FaultPlan(0, rates={"clock_skew": 1.0})):
             refresh_lease(claim, "w0", claimed_at=time.time())
         lease = read_lease(claim)
         assert lease.heartbeat_at == pytest.approx(time.time() + skew, abs=5.0)

@@ -14,6 +14,7 @@ from repro.faults import (
     ForcedFault,
     SITE_KINDS,
 )
+from repro.faults import plan as plan_module
 
 
 def schedule(plan, site, crossings, kinds=FAULT_KINDS):
@@ -107,7 +108,7 @@ class TestKindMasking:
         plan = FaultPlan(1, rates={"clock_skew": 1.0})
         event = plan.decide("lease.clock", SITE_KINDS["lease.clock"])
         assert event is not None and event.kind == "clock_skew"
-        assert -plan.max_skew <= event.skew <= plan.max_skew
+        assert -plan_module._MAX_SKEW <= event.skew <= plan_module._MAX_SKEW
         assert event.skew != 0.0
 
     def test_slow_io_delay_is_bounded_and_deterministic(self):
@@ -117,7 +118,17 @@ class TestKindMasking:
             a = first.decide("store.append")
             b = second.decide("store.append")
             assert a is not None and a == b
-            assert 0.0 <= a.delay <= first.max_delay
+            assert 0.0 <= a.delay <= plan_module._MAX_DELAY
+
+    def test_bounds_scale_the_drawn_delay_and_skew(self, monkeypatch):
+        default = FaultPlan(9, rates={"slow_io": 1.0}).decide("store.append")
+        skewed = FaultPlan(9, rates={"clock_skew": 1.0}).decide("lease.clock")
+        monkeypatch.setattr(plan_module, "_MAX_DELAY", 0.01)
+        monkeypatch.setattr(plan_module, "_MAX_SKEW", 30.0)
+        delay = FaultPlan(9, rates={"slow_io": 1.0}).decide("store.append").delay
+        skew = FaultPlan(9, rates={"clock_skew": 1.0}).decide("lease.clock").skew
+        assert delay == pytest.approx(default.delay * 0.01 / 0.05)
+        assert skew == pytest.approx(skewed.skew * 30.0 / 60.0)
 
 
 class TestValidation:
@@ -144,12 +155,12 @@ class TestEnvRoundTrip:
             13,
             rates={"io_error": 0.1, "slow_io": 0.2},
             force=[ForcedFault("store.append", 5, "enospc")],
-            max_delay=0.01,
-            max_skew=30.0,
             log_dir="/tmp/nowhere",
         )
         clone = FaultPlan.from_env(plan.to_env())
         assert clone.as_dict() == plan.as_dict()
+        # The delay and skew bounds are module constants, not plan fields.
+        assert set(plan.as_dict()) == {"seed", "rates", "force", "log_dir"}
         assert schedule(clone, "store.append", 50) == schedule(
             plan, "store.append", 50
         )
@@ -172,9 +183,8 @@ class TestEnvRoundTrip:
             {"rates": {"io_error": 0.1}},
             {"seed": "not-a-seed"},
             {"seed": 1, "force": [{"site": "store.append", "kind": "enospc"}]},
-            {"seed": 1, "max_delay": "slow"},
         ],
-        ids=["no-seed", "bad-seed", "forced-fault-without-index", "bad-delay"],
+        ids=["no-seed", "bad-seed", "forced-fault-without-index"],
     )
     def test_incomplete_payload_is_a_loud_error(self, payload):
         with pytest.raises(ConfigurationError, match="unreadable fault plan payload"):

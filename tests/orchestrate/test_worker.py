@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.analysis.progress import format_queue_progress
+from repro.core.control import ControlProtocol
 from repro.core.protocols import CampaignState
 from repro.exceptions import OrchestrationError
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
@@ -436,6 +437,14 @@ class TestPreemptiveStealing:
         checkpoints = CheckpointStore(long_queue.checkpoints_dir)
         [fingerprint] = checkpoints.fingerprints()
         assert checkpoints.latest_restorable(fingerprint).cycle == 3
+        # Each line encodes the boundary it names: the victim saved every
+        # state while its control stood at that state's cycle.
+        lines = checkpoints.path(fingerprint).read_text().splitlines()
+        states = [json.loads(line)["state"] for line in lines]
+        assert [state["cycle"] for state in states] == [1, 2, 3]
+        for state in states:
+            pipelines = state["payload"]["pipelines"].values()
+            assert sum(len(p["cycle_results"]) for p in pipelines) == state["cycle"]
         # The victim's claim is stale (heartbeat died with the process):
         # a survivor steals it and resumes from the cycle-3 checkpoint.
         survivor = run_worker(
@@ -582,6 +591,40 @@ class TestPreemptiveStealing:
         [running] = progress.running
         assert running.cycle == 9 and running.cycles_total == 12
         assert progress.cycles_in_flight_credit == pytest.approx(0.75)
+
+
+class TestEncodeOnSave:
+    """A state is encoded when the worker saves it, not at every step."""
+
+    def test_throttled_drain_encodes_one_snapshot_per_run(
+        self, tmp_path, monkeypatch
+    ):
+        snapshots = []
+        snapshot = ControlProtocol.snapshot
+
+        def counting(control):
+            snapshots.append(control)
+            return snapshot(control)
+
+        monkeypatch.setattr(ControlProtocol, "snapshot", counting)
+        saved = []
+        save = CheckpointStore.save
+
+        def recording(store, fingerprint, state, **kwargs):
+            saved.append(state.cycle)
+            return save(store, fingerprint, state, **kwargs)
+
+        monkeypatch.setattr(CheckpointStore, "save", recording)
+        queue = WorkQueue.create(tmp_path / "queue", LONG_SWEEP)
+        outcome = run_worker(
+            queue, worker_id="w0", execute=execute_run,
+            checkpoint_seconds=float("inf"),
+        )
+        # Two runs of 12 cycles each; the throttle saves each run's first
+        # state only, and only a save encodes.
+        assert outcome.n_executed == 2
+        assert saved == [1, 1]
+        assert len(snapshots) == 2 and snapshots[0] is not snapshots[1]
 
 
 class TestLeaseProgress:
