@@ -196,6 +196,8 @@ class Pipeline:
         self._config = config or PipelineConfig()
         self._status = PipelineStatus.PENDING
 
+        #: Every stage task's ``n_residues``, fixed by the target.
+        self._n_residues = target.complex.total_residues
         self._complex = starting_complex or target.complex
         self._previous_metrics = starting_metrics
         self._cycle = 0
@@ -323,16 +325,13 @@ class Pipeline:
         # its pipeline uid, and the duration model scales its time by the
         # residue count (and the sequence count, where one is given).  The
         # pipeline routes it to a stage handler by its kind.
+        kind_value, request = _KIND_FIELDS[kind]
         return TaskDescription(
             name=f"{self.uid}.c{self._cycle}.{name}",
-            kind=kind.value,
-            request=request_for(kind),
+            kind=kind_value,
+            request=request,
             payload=payload,
-            metadata={
-                "pipeline_uid": self.uid,
-                "n_residues": self.target.complex.total_residues,
-                **sizes,
-            },
+            metadata={"pipeline_uid": self.uid, "n_residues": self._n_residues, **sizes},
         )
 
     def _generation_task(self) -> TaskDescription:
@@ -637,6 +636,10 @@ class Pipeline:
         decode_rng_state(pipeline._rng, payload["rng_state"])
         return pipeline
 
+
+#: Each stage task's kind value and resource request, which depend on its
+#: kind alone (``Pipeline._task``).
+_KIND_FIELDS = {kind: (kind.value, request_for(kind)) for kind in TaskKind}
 
 #: Each stage's task builder (``Pipeline.pending_task``) and its handler
 #: (``Pipeline.advance``), by the kind of its task.

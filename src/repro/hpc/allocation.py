@@ -5,6 +5,11 @@ tracks which cores, GPUs and how much memory are in use on each node and
 enforces that the platform is never oversubscribed.  Individual core and GPU
 indices are tracked (not just counts) so the profiler can attribute busy time
 to concrete devices, which is what Figs 4 and 5 plot.
+
+A placement is one scan of the nodes in name order
+(:meth:`NodeAllocator.try_allocate`), each node tested against its free
+device sets and a free-memory figure that is recomputed only when an
+allocation is added or released.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import AllocationError, InsufficientResourcesError
 from repro.hpc.resources import NodeSpec, PlatformSpec, ResourceRequest
@@ -20,8 +25,7 @@ from repro.hpc.resources import NodeSpec, PlatformSpec, ResourceRequest
 __all__ = ["Allocation", "NodeAllocator"]
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """A concrete placement of a request on a node.
 
     Attributes
@@ -60,6 +64,13 @@ class _NodeState:
     #: rather than kept as a running difference, so an empty node reports
     #: exactly ``spec.memory_gb`` again (no float-accumulation drift).
     allocated_memory_gb: Dict[int, float] = field(default_factory=dict)
+    #: ``spec.memory_gb`` minus the ``math.fsum`` of ``allocated_memory_gb``,
+    #: recomputed by :meth:`recount_memory` whenever that dict changes.
+    #: ``fsum`` rounds correctly, so this is the value a fresh sum would give.
+    free_memory_gb: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.recount_memory()
 
     @classmethod
     def fresh(cls, spec: NodeSpec) -> "_NodeState":
@@ -69,9 +80,10 @@ class _NodeState:
             free_gpus=set(range(spec.gpus)),
         )
 
-    @property
-    def free_memory_gb(self) -> float:
-        return self.spec.memory_gb - math.fsum(self.allocated_memory_gb.values())
+    def recount_memory(self) -> None:
+        self.free_memory_gb = self.spec.memory_gb - math.fsum(
+            self.allocated_memory_gb.values()
+        )
 
     def fits(self, request: ResourceRequest) -> bool:
         # The float tolerance never admits more memory than the node holds,
@@ -125,22 +137,12 @@ class NodeAllocator:
         """Whether ``request`` could fit on some node of an *empty* platform."""
         return self._platform.can_ever_fit(request)
 
-    def fits_now(self, request: ResourceRequest) -> bool:
-        """Whether ``request`` fits on some node right now."""
-        return any(state.fits(request) for state in self._nodes.values())
-
-    def allocate(self, request: ResourceRequest) -> Allocation:
-        """Place ``request`` on the first node with capacity.
+    def try_allocate(self, request: ResourceRequest) -> Optional[Allocation]:
+        """Place ``request`` on the first node, in name order, that fits it now.
 
         Devices are assigned lowest-index-first which keeps placements
         deterministic and makes per-device utilization plots stable.
-
-        Raises
-        ------
-        InsufficientResourcesError
-            If no node could ever satisfy the request (even when idle).
-        AllocationError
-            If the request fits the platform in principle but not right now.
+        Returns ``None``, and changes nothing, when no node fits.
         """
         for name, state in self._by_name:
             if not state.fits(request):
@@ -149,15 +151,28 @@ class NodeAllocator:
             gpu_ids = tuple(sorted(state.free_gpus)[: request.gpus])
             state.free_cores.difference_update(core_ids)
             state.free_gpus.difference_update(gpu_ids)
+            allocation_id = next(self._ids)
             allocation = Allocation(
-                allocation_id=next(self._ids),
-                node=name,
-                cpu_core_ids=core_ids,
-                gpu_ids=gpu_ids,
-                memory_gb=request.memory_gb,
+                allocation_id, name, core_ids, gpu_ids, request.memory_gb
             )
-            state.allocated_memory_gb[allocation.allocation_id] = request.memory_gb
-            self._live[allocation.allocation_id] = allocation
+            state.allocated_memory_gb[allocation_id] = request.memory_gb
+            state.recount_memory()
+            self._live[allocation_id] = allocation
+            return allocation
+        return None
+
+    def allocate(self, request: ResourceRequest) -> Allocation:
+        """Place ``request`` as :meth:`try_allocate` does, or raise.
+
+        Raises
+        ------
+        InsufficientResourcesError
+            If no node could ever satisfy the request (even when idle).
+        AllocationError
+            If the request fits the platform in principle but not right now.
+        """
+        allocation = self.try_allocate(request)
+        if allocation is not None:
             return allocation
         if not self.can_ever_fit(request):
             raise InsufficientResourcesError(
@@ -183,9 +198,12 @@ class NodeAllocator:
                 f"allocation {allocation.allocation_id} is not live (double release?)"
             )
         state = self._nodes[stored.node]
-        overlap_cores = state.free_cores.intersection(stored.cpu_core_ids)
-        overlap_gpus = state.free_gpus.intersection(stored.gpu_ids)
-        if overlap_cores or overlap_gpus:
+        if not (
+            state.free_cores.isdisjoint(stored.cpu_core_ids)
+            and state.free_gpus.isdisjoint(stored.gpu_ids)
+        ):
+            overlap_cores = state.free_cores.intersection(stored.cpu_core_ids)
+            overlap_gpus = state.free_gpus.intersection(stored.gpu_ids)
             raise AllocationError(
                 f"allocation {allocation.allocation_id} devices already free: "
                 f"cores={sorted(overlap_cores)}, gpus={sorted(overlap_gpus)}"
@@ -197,3 +215,4 @@ class NodeAllocator:
                 f"memory accounting error on node {stored.node!r}: "
                 f"allocation {stored.allocation_id} held no memory record"
             )
+        state.recount_memory()

@@ -9,6 +9,11 @@ The design deliberately mirrors the structure of SimPy-like engines while
 staying dependency-free and fully deterministic: ties in time are broken by
 priority and then by insertion order, so replays are bitwise identical.  The
 sequence number is unique, so tuple comparison never reaches the callback.
+
+:attr:`EventLoop.next_time` tells a callback whether another event is due at
+its own instant: the pilot agent runs its placement pass inside a completion
+event when none is, since a pass scheduled at that instant would be the very
+next event popped.
 """
 
 from __future__ import annotations
@@ -53,6 +58,11 @@ class EventLoop:
     def pending(self) -> int:
         """Number of scheduled, not-yet-fired events."""
         return len(self._queue)
+
+    @property
+    def next_time(self) -> float:
+        """Time of the earliest pending event; ``inf`` when nothing is pending."""
+        return self._queue[0][0] if self._queue else math.inf
 
     @property
     def processed(self) -> int:

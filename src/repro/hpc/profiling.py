@@ -7,11 +7,19 @@ phases RADICAL-Pilot reports (bootstrap, exec setup, running) are kept as
 per-phase totals, the Bootstrap / Exec setup / Running breakdown of Fig 5:
 each recorded phase adds ``end - start`` to its total at once, in recording
 order, because float summation order is part of the byte-identity contract.
+
+Rows are recorded when their tasks end, at the simulation clock, so their
+ends never decrease; the profiler refuses a row that would break that order.
+A utilization window therefore starts its scan at the first row ending at or
+after the window's start (a bisection): every row before it ends before the
+window and adds nothing, so reading the trailing window of the adaptive
+in-flight cap costs the rows that reach into the window, not the whole trace.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -49,6 +57,9 @@ class ResourceInterval(NamedTuple):
         return self.duration * len(self.gpu_ids)
 
 
+_END = attrgetter("end")
+
+
 class ExecutionProfiler:
     """Collects resource intervals and phase totals during a simulated run."""
 
@@ -62,13 +73,26 @@ class ExecutionProfiler:
         return list(self._resource_intervals)
 
     def record_resource_interval(self, interval: ResourceInterval) -> None:
-        """Record that a task occupied devices over an interval."""
+        """Record that a task occupied devices over an interval.
+
+        Raises
+        ------
+        SimulationError
+            If the interval ends before it starts, or before the previously
+            recorded one ends.
+        """
         if interval.end < interval.start:
             raise SimulationError(
                 f"interval for task {interval.task_id!r} ends before it starts "
                 f"({interval.start} > {interval.end})"
             )
-        self._resource_intervals.append(interval)
+        rows = self._resource_intervals
+        if rows and interval.end < rows[-1].end:
+            raise SimulationError(
+                f"interval for task {interval.task_id!r} ends at {interval.end}, "
+                f"before the previously recorded one ({rows[-1].end})"
+            )
+        rows.append(interval)
 
     def record_phase(self, phase: str, start: float, end: float) -> None:
         """Add the phase interval ``[start, end)`` to ``phase``'s total."""
@@ -122,8 +146,9 @@ class ExecutionProfiler:
         duration = end - start
         if duration <= 0:
             return 0.0
+        rows = self._resource_intervals
         busy = 0.0
-        for interval in self._resource_intervals:
+        for interval in rows[bisect_left(rows, start, key=_END):]:
             overlap = min(interval.end, end) - max(interval.start, start)
             if overlap <= 0:
                 continue

@@ -101,7 +101,10 @@ class PlatformSpec:
 
     def can_ever_fit(self, request: ResourceRequest) -> bool:
         """Whether any single node could satisfy ``request`` when idle."""
-        return any(node.can_ever_fit(request) for node in self.nodes)
+        for node in self.nodes:
+            if node.can_ever_fit(request):
+                return True
+        return False
 
 
 #: The Amarel node used in the paper's evaluation (Section III).

@@ -18,13 +18,17 @@ are two windows:
   from the protocol (concurrent pipelines) versus the placement policy.
 
 The scheduler only *chooses*; device bookkeeping stays in
-:class:`repro.hpc.allocation.NodeAllocator`.
+:class:`repro.hpc.allocation.NodeAllocator`.  A pass offers each item within
+the window to :meth:`~repro.hpc.allocation.NodeAllocator.try_allocate` once,
+in queue order: a placement only takes devices away, so an item that did not
+fit earlier in the pass still does not, and the item behind a placed one
+moves up into its place.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Tuple
 
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.hpc.allocation import Allocation, NodeAllocator
@@ -98,20 +102,15 @@ class PlacementScheduler:
         execution and for eventually releasing the allocations.
         """
         placed: List[Tuple[Any, Allocation]] = []
-        while True:
-            index = self._first_fit()
-            if index is None:
-                return placed
-            item = self._queue[index]
-            del self._queue[index]
-            placed.append((item, self._allocator.allocate(item.request)))
-
-    def _first_fit(self) -> Optional[int]:
-        """Queue index of the first item within the window that fits now."""
-        fits_now = self._allocator.fits_now
-        for index, item in enumerate(self._queue):
-            if index > self._window:
-                return None
-            if fits_now(item.request):
-                return index
-        return None
+        queue = self._queue
+        try_allocate = self._allocator.try_allocate
+        index = 0
+        while index <= self._window and index < len(queue):
+            item = queue[index]
+            allocation = try_allocate(item.request)
+            if allocation is None:
+                index += 1
+                continue
+            del queue[index]
+            placed.append((item, allocation))
+        return placed

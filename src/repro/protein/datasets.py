@@ -26,7 +26,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.exceptions import DatasetError
 from repro.protein.landscape import FitnessLandscape
 from repro.protein.sequence import ProteinSequence
-from repro.protein.structure import Chain, ComplexStructure, synthetic_backbones
+from repro.protein.structure import (
+    Chain,
+    ComplexStructure,
+    _row_norms,
+    synthetic_backbones,
+)
 from repro.utils.rng import derive_seed, spawn_rng
 
 __all__ = [
@@ -67,6 +72,12 @@ _NATURAL_FREQUENCIES = {
     "M": 0.024, "N": 0.040, "P": 0.047, "Q": 0.039, "R": 0.055,
     "S": 0.066, "T": 0.053, "V": 0.068, "W": 0.011, "Y": 0.032,
 }
+#: The same letters as ASCII codes, and their frequencies normalised to sum
+#: to one: :func:`_natural_sequence`'s draw and lookup tables.
+_NATURAL_CODES = np.frombuffer("".join(_NATURAL_FREQUENCIES).encode("ascii"), dtype=np.uint8)
+_NATURAL_WEIGHTS = np.array(list(_NATURAL_FREQUENCIES.values()), dtype=float)
+_NATURAL_WEIGHTS /= _NATURAL_WEIGHTS.sum()
+_NATURAL_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -88,12 +99,10 @@ class DesignTarget:
 
 
 def _natural_sequence(length: int, rng: np.random.Generator, chain_id: str, name: str) -> ProteinSequence:
-    letters = list(_NATURAL_FREQUENCIES.keys())
-    weights = np.array([_NATURAL_FREQUENCIES[aa] for aa in letters], dtype=float)
-    weights /= weights.sum()
-    indices = rng.choice(len(letters), size=length, p=weights)
-    residues = "".join(letters[int(i)] for i in indices)
-    return ProteinSequence(residues=residues, chain_id=chain_id, name=name)
+    indices = rng.choice(len(_NATURAL_CODES), size=length, p=_NATURAL_WEIGHTS)
+    residues = _NATURAL_CODES[indices].tobytes().decode("ascii")
+    # Every letter is canonical, so the residues need no validation.
+    return ProteinSequence._trusted(residues, chain_id, name)
 
 
 def _upper_quartile(values: np.ndarray) -> float:
@@ -144,16 +153,16 @@ def _dock_peptide(
     exposed = candidate_starts[stretch_distance >= threshold]
     start = int(rng.choice(exposed))
 
-    peptide_coords = np.zeros((peptide_length, 3), dtype=float)
-    for offset in range(peptide_length):
-        anchor = receptor_coords[start + offset]
-        outward = anchor - centroid
-        norm = np.linalg.norm(outward)
-        if norm < 1e-9:
-            outward = np.array([1.0, 0.0, 0.0])
-            norm = 1.0
-        peptide_coords[offset] = anchor + _STANDOFF * outward / norm
-    return peptide_coords
+    # One step for all residues, rounding as a per-residue loop would: each
+    # norm is the BLAS ``ddot`` that ``np.linalg.norm`` takes (see
+    # ``_row_norms``), and an anchor at the centroid points along x.
+    anchors = receptor_coords[start:start + peptide_length]
+    outward = anchors - centroid
+    norms = _row_norms(outward)
+    at_centroid = norms < 1e-9
+    outward[at_centroid] = (1.0, 0.0, 0.0)
+    norms[at_centroid] = 1.0
+    return anchors + _STANDOFF * outward / norms[:, None]
 
 
 def _build_targets(

@@ -57,6 +57,10 @@ _N_AA = len(AMINO_ACIDS)
 _COUPLING_DENSITY = 0.30
 _EPISTASIS_STRENGTH = 1.6
 
+#: The z-scored residue properties, shared read-only by every landscape.
+_PROPERTIES = property_matrix()
+_PROPERTIES.flags.writeable = False
+
 #: Types accepted by the batch entry points: a pre-encoded ``(B, L)`` integer
 #: matrix or a sequence of :class:`ProteinSequence` objects.
 BatchInput = Union[np.ndarray, Sequence[ProteinSequence]]
@@ -113,7 +117,7 @@ class FitnessLandscape:
         self.seed = seed
 
         rng = spawn_rng(seed, "landscape", target_name)
-        properties = property_matrix()  # (20, 3)
+        properties = _PROPERTIES  # (20, 3)
         n_pos = len(positions)
 
         # Additive term: a per-position preference vector over residue

@@ -67,9 +67,22 @@ def _normalise(value: float, bounds: tuple[float, float], invert: bool = False) 
     return 1.0 - scaled if invert else scaled
 
 
+def _normalised_weights(weights: tuple[float, float, float]) -> tuple[float, ...]:
+    if len(weights) != 3:
+        raise ProteinError("weights must have exactly three entries")
+    if any(weight < 0 for weight in weights) or sum(weights) <= 0:
+        raise ProteinError("weights must be non-negative and sum to a positive value")
+    return tuple(weight / sum(weights) for weight in weights)
+
+
+#: The composite's default weights, normalised once.
+_DEFAULT_WEIGHTS = (0.4, 0.35, 0.25)
+_DEFAULT_NORMALISED = _normalised_weights(_DEFAULT_WEIGHTS)
+
+
 def composite_score(
     metrics: QualityMetrics,
-    weights: tuple[float, float, float] = (0.4, 0.35, 0.25),
+    weights: tuple[float, float, float] = _DEFAULT_WEIGHTS,
 ) -> float:
     """Weighted composite of the three metrics, in ``[0, 1]`` (higher better).
 
@@ -77,11 +90,9 @@ def composite_score(
     then the inverted inter-chain pAE, mirroring the relative prominence the
     paper gives them.
     """
-    if len(weights) != 3:
-        raise ProteinError("weights must have exactly three entries")
-    if any(weight < 0 for weight in weights) or sum(weights) <= 0:
-        raise ProteinError("weights must be non-negative and sum to a positive value")
-    w_plddt, w_ptm, w_pae = (weight / sum(weights) for weight in weights)
+    w_plddt, w_ptm, w_pae = (
+        _DEFAULT_NORMALISED if weights is _DEFAULT_WEIGHTS else _normalised_weights(weights)
+    )
     return (
         w_plddt * _normalise(metrics.plddt, _PLDDT_RANGE)
         + w_ptm * _normalise(metrics.ptm, _PTM_RANGE)

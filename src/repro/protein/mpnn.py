@@ -159,14 +159,19 @@ class SurrogateProteinMPNN:
             )
 
         fixed = self._config.fixed_positions
-        designable_rows = np.array(
-            [
-                row
-                for row, position in enumerate(landscape.designable_positions)
-                if position not in fixed
-            ],
-            dtype=np.int64,
-        )
+        if fixed:
+            designable_rows = np.array(
+                [
+                    row
+                    for row, position in enumerate(landscape.designable_positions)
+                    if position not in fixed
+                ],
+                dtype=np.int64,
+            )
+        else:
+            designable_rows = np.arange(
+                len(landscape.designable_positions), dtype=np.int64
+            )
         if not designable_rows.size:
             raise ProteinError(
                 "no designable positions remain after applying fixed_positions"

@@ -8,6 +8,14 @@ i.e. "Exec setup" in Fig 5), runs the surrogate payload, and releases the
 devices when the task completes.  Everything happens inside the platform's
 discrete-event loop, so any number of tasks execute concurrently in simulated
 time.
+
+A task costs the loop one event, its completion.  Placement runs in passes
+that coalesce every submit and release of one instant: a pass runs at the end
+of the completion event that freed the devices, after its callbacks have
+submitted what follows, unless another event is due at that same instant;
+then, as for a submit outside any completion (the launch), the pass is
+scheduled at that instant behind every completion due there.  Either way it
+places the same tasks as a pass scheduled after every completion.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ class Agent:
         self, platform: ComputePlatform, durations: DurationModel, window: int = 0
     ) -> None:
         self._platform = platform
+        self._loop = platform.loop
+        self._profiler = platform.profiler
         self._durations = durations
         # "Exec setup" (Fig 5): the sandbox's few small files on the shared
         # FS.  The speedup does not change during a run.
@@ -90,9 +100,7 @@ class Agent:
         if self._placement_scheduled:
             return
         self._placement_scheduled = True
-        self._platform.loop.schedule(
-            0.0, self._placement_pass, priority=_PRIORITY_PLACE
-        )
+        self._loop.schedule(0.0, self._placement_pass, priority=_PRIORITY_PLACE)
 
     def _placement_pass(self) -> None:
         self._placement_scheduled = False
@@ -100,18 +108,21 @@ class Agent:
             self._start_task(task, allocation)
 
     def _start_task(self, task: Task, allocation: Allocation) -> None:
-        now = self._platform.now
+        loop = self._loop
+        now = loop.now
         setup_seconds = self._setup_seconds
         run_seconds = self._durations.duration(task.description)
 
         task.allocation = allocation
         task.start_time = now
 
-        profiler = self._platform.profiler
+        profiler = self._profiler
         profiler.record_phase("exec_setup", now, now + setup_seconds)
         profiler.record_phase("running", now + setup_seconds, now + setup_seconds + run_seconds)
-        self._platform.loop.schedule(
-            setup_seconds + run_seconds,
+        # Due at ``now + (setup + run)``: seeded outputs pin this rounding,
+        # which may differ in the last bit from the phase's end above.
+        loop.schedule_at(
+            now + (setup_seconds + run_seconds),
             self._complete_task,
             task,
             priority=_PRIORITY_COMPLETE,
@@ -119,6 +130,19 @@ class Agent:
 
     def _complete_task(self, task: Task) -> None:
         task.finish(self._platform)
-        for callback in list(self._completion_callbacks):
-            callback(task)
-        self._request_placement()
+        # What the callbacks submit joins the pass that follows them: one
+        # already due at this instant, or the one this event ends with.
+        scheduled = self._placement_scheduled
+        self._placement_scheduled = True
+        try:
+            for callback in list(self._completion_callbacks):
+                callback(task)
+        finally:
+            self._placement_scheduled = scheduled
+        loop = self._loop
+        if loop.next_time > loop.now:
+            # Nothing else is due at this instant, so a pass scheduled now
+            # would be the next event popped: run it here instead.
+            self._placement_pass()
+        else:
+            self._request_placement()

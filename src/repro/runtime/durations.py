@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -149,6 +149,21 @@ _PROFILES: Dict[TaskKind, KindProfile] = {
 }
 
 
+#: Each kind's duration terms, by kind value: base seconds, seconds per
+#: sequence and per residue past the reference, shared-filesystem read
+#: seconds, and jitter sigma.  Built once from :data:`_PROFILES`.
+_DURATION_ROWS: Dict[str, Tuple[float, float, float, float, float]] = {
+    kind.value: (
+        profile.base_seconds,
+        profile.per_sequence_seconds,
+        profile.per_residue_seconds,
+        read_time(profile.io_gigabytes, files=24) if profile.io_gigabytes > 0 else 0.0,
+        profile.jitter_sigma,
+    )
+    for kind, profile in _PROFILES.items()
+}
+
+
 def profile_for(kind: TaskKind | str) -> KindProfile:
     """Return the cost profile of ``kind``.
 
@@ -211,25 +226,31 @@ class DurationModel:
         (``metadata["n_residues"]``), shared-filesystem read time for
         I/O-heavy kinds, and deterministic per-task jitter.
         """
-        profile = profile_for(description.kind)
+        try:
+            base, per_sequence, per_residue, io_seconds, sigma = _DURATION_ROWS[
+                description.kind
+            ]
+        except KeyError:
+            raise ConfigurationError(f"unknown task kind {description.kind!r}") from None
+        metadata = description.metadata
 
-        n_sequences = int(description.metadata.get("n_sequences", _REFERENCE_SEQUENCES))
-        n_residues = int(description.metadata.get("n_residues", _REFERENCE_RESIDUES))
+        # The terms are added in this order; a zero term is skipped, since
+        # adding 0.0 to the positive running total leaves it unchanged.
+        seconds = base
+        if per_sequence:
+            n_sequences = int(metadata.get("n_sequences", _REFERENCE_SEQUENCES))
+            seconds += per_sequence * max(0, n_sequences - 1)
+        if per_residue:
+            n_residues = int(metadata.get("n_residues", _REFERENCE_RESIDUES))
+            seconds += per_residue * max(0, n_residues - _REFERENCE_RESIDUES)
+        if io_seconds:
+            seconds += io_seconds
 
-        seconds = profile.base_seconds
-        seconds += profile.per_sequence_seconds * max(0, n_sequences - 1)
-        seconds += profile.per_residue_seconds * max(0, n_residues - _REFERENCE_RESIDUES)
-
-        if profile.io_gigabytes > 0:
-            seconds += read_time(profile.io_gigabytes, files=24)
-
-        if profile.jitter_sigma > 0:
+        if sigma:
             # Jitter is keyed by the task name (unique and stable within a
             # campaign), so a campaign's timing does not depend on what else
             # ran in the same process.
             rng = self._jitter.stream(description.name)
-            seconds *= float(
-                np.exp(rng.normal(loc=0.0, scale=profile.jitter_sigma))
-            )
+            seconds *= float(np.exp(rng.normal(0.0, sigma)))
 
         return max(1e-3, seconds / self._speedup)

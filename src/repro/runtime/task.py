@@ -71,6 +71,16 @@ class Task:
     is FAILED when ``failed`` (its payload raised) and DONE otherwise.
     """
 
+    __slots__ = (
+        "_description",
+        "start_time",
+        "end_time",
+        "allocation",
+        "result",
+        "exception",
+        "__weakref__",
+    )
+
     def __init__(self, description: TaskDescription) -> None:
         self._description = description
         self.start_time: Optional[float] = None
@@ -123,12 +133,12 @@ class Task:
         now = platform.now
         platform.profiler.record_resource_interval(
             ResourceInterval(
-                task_id=self.name,
-                node=allocation.node,
-                cpu_core_ids=allocation.cpu_core_ids,
-                gpu_ids=allocation.gpu_ids,
-                start=self.start_time,
-                end=now,
+                self.name,
+                allocation.node,
+                allocation.cpu_core_ids,
+                allocation.gpu_ids,
+                self.start_time,
+                now,
             )
         )
         self.end_time = now

@@ -267,6 +267,17 @@ class TestTaskIdentity:
         resumed.run_stepwise(resume_from=states[interrupt_after - 1])
         assert _trace(resumed) == _trace(uninterrupted)
 
+    @pytest.mark.parametrize("interrupt_after", [1, 5, 11])
+    def test_resumed_run_records_its_rows_in_end_order(self, interrupt_after):
+        # The profiler refuses a row that ends before the previous one; the
+        # restored rows replay in order and the resumed run's follow them.
+        states = _saved_states()
+        resumed = _campaign()
+        resumed.run_stepwise(resume_from=states[interrupt_after - 1])
+        ends = [row.end for row in resumed.platform.profiler.resource_intervals]
+        assert len(ends) > interrupt_after
+        assert ends == sorted(ends)
+
     def test_rerun_in_one_process_records_the_same_trace(self):
         config = CampaignConfig(protocol="im-rp", seed=13, n_cycles=2, n_sequences=6)
         first, second = _campaign(config), _campaign(config)

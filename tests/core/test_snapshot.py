@@ -142,11 +142,12 @@ class TestRoundTrips:
 
     def test_profiler_rows_and_totals_replay_in_order(self):
         profiler = ExecutionProfiler(amarel_platform(1))
+        # Rows are recorded in end order, as tasks end.
         profiler.record_resource_interval(
-            ResourceInterval("t.2", "node0", (3, 1), (0,), 0.1, 2.5)
+            ResourceInterval("t.2", "node0", (3, 1), (0,), 0.1, 1.0 / 3.0)
         )
         profiler.record_resource_interval(
-            ResourceInterval("t.1", "node0", (0,), (), 0.0, 1.0 / 3.0)
+            ResourceInterval("t.1", "node0", (0,), (), 0.0, 2.5)
         )
         profiler.record_phase("running", 0.1, 2.5)
         profiler.record_phase("bootstrap", 0.0, 0.1)

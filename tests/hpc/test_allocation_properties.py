@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,3 +83,38 @@ def test_allocated_device_ids_always_disjoint(requests):
         assert not gpus & seen_gpus
         seen_cores |= cores
         seen_gpus |= gpus
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["allocate", "try", "release"]),
+            _request_strategy,
+            st.integers(0, 10),
+        ),
+        min_size=1,
+        max_size=80,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_cached_free_memory_equals_a_fresh_sum(ops):
+    """Each node's free memory is the figure a fresh ``fsum`` over its live
+    allocations gives, after every allocate, refused request and release."""
+    allocator = NodeAllocator(amarel_platform(2))
+    live = []
+    for action, request, index in ops:
+        if action == "release":
+            if live:
+                allocator.release(live.pop(index % len(live)))
+        elif action == "try":
+            allocation = allocator.try_allocate(request)
+            if allocation is not None:
+                live.append(allocation)
+        else:
+            try:
+                live.append(allocator.allocate(request))
+            except (AllocationError, InsufficientResourcesError):
+                pass
+        for name, node in allocator._nodes.items():
+            held = [a.memory_gb for a in live if a.node == name]
+            assert node.free_memory_gb == node.spec.memory_gb - math.fsum(held)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.hpc.filesystem import SANDBOX_SETUP_SECONDS, read_time
@@ -44,6 +46,35 @@ def _interval(task: str, start: float, end: float, cores=(0,), gpus=()):
         task_id=task, node="amarel-gpu-node-000",
         cpu_core_ids=tuple(cores), gpu_ids=tuple(gpus), start=start, end=end,
     )
+
+
+def _full_scan(rows, kind, window, total):
+    """Utilization over ``window`` from every row: the scan the cursor shortens."""
+    start, end = window
+    duration = end - start
+    if duration <= 0:
+        return 0.0
+    busy = 0.0
+    for row in rows:
+        overlap = min(row.end, end) - max(row.start, start)
+        if overlap <= 0:
+            continue
+        busy += overlap * len(row.cpu_core_ids if kind == "cpu" else row.gpu_ids)
+    return busy / (duration * total)
+
+
+#: Rows in end order: each ``(gap, length, cores, gpus)`` ends ``gap`` after
+#: the previous row (0 gives ties) and starts ``length`` before its end.
+_rows_strategy = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0 / 3.0, 7.25, 600.0]),
+        st.floats(min_value=0.0, max_value=2000.0),
+        st.integers(min_value=0, max_value=28),
+        st.integers(min_value=0, max_value=4),
+    ),
+    min_size=1,
+    max_size=40,
+)
 
 
 class TestExecutionProfiler:
@@ -109,6 +140,43 @@ class TestExecutionProfiler:
     def test_utilization_over_an_empty_window_is_zero(self):
         self.profiler.record_resource_interval(_interval("a", 0.0, 10.0))
         assert self.profiler.cpu_utilization(window=(3.0, 3.0)) == 0.0
+
+    def test_a_row_ending_before_the_previous_one_is_refused(self):
+        self.profiler.record_resource_interval(_interval("a", 0.0, 10.0))
+        # An equal end is in order.
+        self.profiler.record_resource_interval(_interval("b", 2.0, 10.0))
+        with pytest.raises(
+            SimulationError, match="'c' ends at 9.5, before the previously recorded one"
+        ):
+            self.profiler.record_resource_interval(_interval("c", 1.0, 9.5))
+        assert [row.task_id for row in self.profiler.resource_intervals] == ["a", "b"]
+
+    @given(_rows_strategy, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_windowed_utilization_equals_a_full_scan(self, shapes, data):
+        profiler = ExecutionProfiler(amarel_platform(1))
+        rows, end = [], 0.0
+        for index, (gap, length, cores, gpus) in enumerate(shapes):
+            end += gap
+            rows.append(
+                _interval(
+                    f"t{index}", max(0.0, end - length), end,
+                    cores=range(cores), gpus=range(gpus),
+                )
+            )
+            profiler.record_resource_interval(rows[-1])
+        points = sorted({0.0, end} | {row.start for row in rows} | {row.end for row in rows})
+        for _ in range(5):
+            # Window edges on row edges (ties) or anywhere up to past the last end.
+            start = data.draw(
+                st.sampled_from(points) | st.floats(min_value=0.0, max_value=end + 10.0)
+            )
+            stop = data.draw(
+                st.sampled_from(points) | st.floats(min_value=0.0, max_value=end + 10.0)
+            )
+            window = (start, stop)
+            assert profiler.cpu_utilization(window=window) == _full_scan(rows, "cpu", window, 28)
+            assert profiler.gpu_utilization(window=window) == _full_scan(rows, "gpu", window, 4)
 
     def test_phase_totals(self):
         self.profiler.record_phase("exec_setup", 0.0, 2.0)

@@ -140,7 +140,7 @@ class TestNodeAllocator:
         # Free memory may sit a rounding error below a request, but a node
         # never takes more memory than it has.
         request = ResourceRequest(cpu_cores=1, memory_gb=AMAREL_NODE.memory_gb + 5e-10)
-        assert not self.allocator.fits_now(request)
+        assert self.allocator.try_allocate(request) is None
         with pytest.raises(InsufficientResourcesError):
             self.allocator.allocate(request)
 
@@ -150,11 +150,43 @@ class TestNodeAllocator:
         with pytest.raises(AllocationError):
             self.allocator.release(allocation)
 
-    def test_fits_now_tracks_state(self):
+    def test_try_allocate_tracks_state(self):
         request = ResourceRequest(cpu_cores=28)
-        assert self.allocator.fits_now(request)
-        self.allocator.allocate(request)
-        assert not self.allocator.fits_now(request)
+        first = self.allocator.try_allocate(request)
+        assert first is not None and first.cpu_cores == 28
+        assert self.allocator.try_allocate(request) is None
+        self.allocator.release(first)
+        assert self.allocator.try_allocate(request) is not None
+
+    def test_try_allocate_that_fits_nowhere_changes_nothing(self):
+        allocator = NodeAllocator(amarel_platform(2))
+        held = [
+            allocator.allocate(ResourceRequest(cpu_cores=20, gpus=3, memory_gb=100.0)),
+            allocator.allocate(ResourceRequest(cpu_cores=10, gpus=1, memory_gb=0.3)),
+        ]
+
+        def state():
+            return {
+                name: (
+                    set(node.free_cores),
+                    set(node.free_gpus),
+                    node.free_memory_gb,
+                    dict(node.allocated_memory_gb),
+                )
+                for name, node in allocator._nodes.items()
+            }
+
+        before = state()
+        for request in (
+            ResourceRequest(cpu_cores=19),
+            ResourceRequest(cpu_cores=1, gpus=4),
+            ResourceRequest(cpu_cores=1, memory_gb=127.8),
+        ):
+            assert allocator.try_allocate(request) is None
+            assert state() == before
+        # No allocation id was spent on the refused requests.
+        following = allocator.try_allocate(ResourceRequest(cpu_cores=1))
+        assert following.allocation_id == held[-1].allocation_id + 1
 
     def test_multi_node_spillover(self):
         allocator = NodeAllocator(amarel_platform(2))

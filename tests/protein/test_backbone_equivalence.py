@@ -1,10 +1,11 @@
 """Batched ≡ scalar construction of receptor backbones and target sets.
 
 :func:`~repro.protein.structure.synthetic_backbones` walks a whole target
-set in lockstep.  These tests pin it bit for bit to the per-residue loop it
-replaced (kept here as the reference), pin the two NumPy primitives whose
-rounding that equality rests on, and check that a target is the same
-whichever set builds it.
+set in lockstep, and ``_dock_peptide`` places a whole peptide in one step.
+These tests pin both bit for bit to the per-residue loops they replaced
+(kept here as the references), pin the two NumPy primitives whose rounding
+that equality rests on, and check that a target is the same whichever set
+builds it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import StructureError
 from repro.protein.datasets import (
+    _NATURAL_FREQUENCIES,
+    _STANDOFF,
     ALPHA_SYNUCLEIN_C4,
     PDZ_TARGET_NAMES,
+    _dock_peptide,
+    _natural_sequence,
+    _upper_quartile,
     expanded_pdz_set,
     make_pdz_target,
     named_pdz_targets,
@@ -46,6 +52,42 @@ def _reference_backbone(length: int, seed: int, compactness: float) -> np.ndarra
         direction /= np.linalg.norm(direction)
         coords[index] = coords[index - 1] + CA_CA_DISTANCE * direction
     return coords
+
+
+def _reference_dock(
+    receptor_coords: np.ndarray, peptide_length: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``_dock_peptide`` as it was: one peptide residue at a time."""
+    length = receptor_coords.shape[0]
+    centroid = receptor_coords.mean(axis=0)
+    distances = np.linalg.norm(receptor_coords - centroid, axis=1)
+    candidate_starts = np.arange(0, length - peptide_length)
+    stretch_distance = sliding_window_view(distances, peptide_length)[
+        : length - peptide_length
+    ].mean(axis=1)
+    threshold = _upper_quartile(stretch_distance)
+    exposed = candidate_starts[stretch_distance >= threshold]
+    start = int(rng.choice(exposed))
+
+    peptide_coords = np.zeros((peptide_length, 3), dtype=float)
+    for offset in range(peptide_length):
+        anchor = receptor_coords[start + offset]
+        outward = anchor - centroid
+        norm = np.linalg.norm(outward)
+        if norm < 1e-9:
+            outward = np.array([1.0, 0.0, 0.0])
+            norm = 1.0
+        peptide_coords[offset] = anchor + _STANDOFF * outward / norm
+    return peptide_coords
+
+
+def _reference_natural_sequence(length: int, rng: np.random.Generator) -> str:
+    """``_natural_sequence``'s residues as it drew them: letter by letter."""
+    letters = list(_NATURAL_FREQUENCIES.keys())
+    weights = np.array([_NATURAL_FREQUENCIES[aa] for aa in letters], dtype=float)
+    weights /= weights.sum()
+    indices = rng.choice(len(letters), size=length, p=weights)
+    return "".join(letters[int(i)] for i in indices)
 
 
 def _assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
@@ -110,6 +152,38 @@ class TestBatchedWalkMatchesScalarLoop:
             synthetic_backbones([10, 0], [1, 2])
         with pytest.raises(StructureError, match="compactness"):
             synthetic_backbones([10], [1], compactness=1.0)
+
+
+class TestTargetAssemblyMatchesScalarLoops:
+    @pytest.mark.parametrize("peptide_length", [1, 4, 10])
+    def test_docking_bitwise_equal_to_reference(self, peptide_length):
+        draw = np.random.default_rng(peptide_length)
+        lengths = [int(n) for n in draw.integers(peptide_length + 1, 110, size=30)]
+        seeds = [int(s) for s in draw.integers(0, 2**62, size=len(lengths))]
+        for receptor, seed in zip(synthetic_backbones(lengths, seeds), seeds):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _dock_peptide(receptor, peptide_length, got_rng)
+            _assert_bitwise_equal(got, _reference_dock(receptor, peptide_length, want_rng))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_an_anchor_at_the_centroid_points_along_x(self):
+        receptor = np.zeros((20, 3))
+        receptor[5] = (1.0, 2.0, 2.0)
+        receptor[14] = (-1.0, -2.0, -2.0)
+        fallbacks = 0
+        for seed in range(8):
+            got = _dock_peptide(receptor, 4, np.random.default_rng(seed))
+            _assert_bitwise_equal(got, _reference_dock(receptor, 4, np.random.default_rng(seed)))
+            fallbacks += int(np.all(got == (_STANDOFF, 0.0, 0.0), axis=1).sum())
+        assert fallbacks > 0
+
+    def test_native_sequence_equals_the_letter_by_letter_draw(self):
+        for length in (1, 20, 90, 104):
+            got = _natural_sequence(length, np.random.default_rng(length), "A", "n")
+            assert got.residues == _reference_natural_sequence(
+                length, np.random.default_rng(length)
+            )
+            assert (got.chain_id, got.name) == ("A", "n")
 
 
 class TestRoundingPrimitives:

@@ -91,6 +91,12 @@ class TestQualityMetrics:
     def test_composite_in_unit_interval(self, metrics):
         assert 0.0 <= composite_score(metrics) <= 1.0
 
+    @given(_metrics_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_default_weights_equal_the_same_weights_passed(self, metrics):
+        # The default weights are normalised once; passed in, on every call.
+        assert composite_score(metrics) == composite_score(metrics, weights=(0.4, 0.35, 0.25))
+
     def test_composite_monotone_in_each_metric(self):
         base = QualityMetrics(plddt=70.0, ptm=0.6, interchain_pae=12.0)
         assert composite_score(QualityMetrics(80.0, 0.6, 12.0)) > composite_score(base)
