@@ -2,16 +2,17 @@
 
 These use pytest-benchmark's normal statistics (many rounds) to track the
 performance of the hot paths the campaign simulation relies on: the event
-loop, the placement scheduler, the surrogate models, the keyed RNG streams
-and the sampler they draw MPNN's rows with, and a small end-to-end pipeline.
-Each RNG primitive is checked against its NumPy reference outside the timed
-call.  They guard against performance regressions that would make the
+loop, the placement scheduler, the surrogate models and the ranking stage,
+the keyed RNG streams and the sampler they draw MPNN's rows with, and a
+small end-to-end pipeline.  Each RNG primitive, the ranking and one scalar
+fold are checked against their references outside the timed call.  They guard against performance regressions that would make the
 paper-scale experiments (Fig 3: 70 targets, hundreds of trajectories)
 impractically slow.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +25,10 @@ from repro.hpc.resources import ResourceRequest, amarel_platform
 from repro.hpc.scheduler import PlacementScheduler
 from repro.protein.datasets import make_pdz_target
 from repro.protein.folding import SurrogateAlphaFold
+from repro.protein.metrics import QualityMetrics
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
+from repro.protein.sequence import ScoredSequence
 from repro.runtime.task import Task
 from repro.utils.rng import KeyedStreams, sample_without_replacement, spawn_rng
 
@@ -95,6 +98,54 @@ def test_folding_prediction_speed(benchmark, micro_target):
         lambda: folding.predict(micro_target.complex, micro_target.landscape)
     )
     assert 0.0 <= result.fitness <= 1.0
+
+
+def test_folding_predict_design_speed(benchmark, micro_target):
+    """One inference task's fold: an MPNN design on its own stream."""
+    landscape = micro_target.landscape
+    target_complex = micro_target.complex
+    (design,) = SurrogateProteinMPNN(seed=5).generate(
+        target_complex, landscape, n_sequences=1, stream=("bench",)
+    )
+    sequence = design.sequence
+    stream = ("p.0001", 2, 0)
+    folding = SurrogateAlphaFold(seed=5)
+
+    # The reference: pTM through np.clip and argmax, the refined complex
+    # through dataclasses.replace.
+    fitness = landscape.fitness(sequence)
+    rng = spawn_rng(5, "folding", target_complex.name, sequence.residues, *stream)
+    ptm_draws = np.clip(0.35 + 0.60 * fitness + rng.normal(scale=0.035, size=5), 0.01, 0.99)
+    plddt = min(max(55.0 + 42.0 * fitness + float(rng.normal(scale=3.0)), 30.0), 98.5)
+    pae = min(max(22.0 - 16.0 * fitness + float(rng.normal(scale=1.4)), 1.5), 31.5)
+    metrics = QualityMetrics(
+        plddt=plddt, ptm=float(ptm_draws[int(np.argmax(ptm_draws))]), interchain_pae=pae
+    )
+    refined = replace(
+        target_complex,
+        receptor=target_complex.receptor.with_sequence(sequence),
+        backbone_quality=min(max(fitness, 0.0), 1.0),
+    )
+    result = folding.predict(target_complex, landscape, sequence, stream=stream)
+    assert (result.metrics, result.structure, result.fitness) == (metrics, refined, fitness)
+
+    result = benchmark(
+        lambda: folding.predict(target_complex, landscape, sequence, stream=stream)
+    )
+    assert result.metrics == metrics
+
+
+def test_rank_speed(benchmark, micro_target):
+    """One ranking task: ten designs by decreasing log-likelihood."""
+    designs = SurrogateProteinMPNN(seed=6).generate(
+        micro_target.complex, micro_target.landscape, n_sequences=10, stream=("bench",)
+    )
+    order = np.argsort(-np.array([d.log_likelihood for d in designs]), kind="stable")
+    reference = [designs[int(index)] for index in order]
+    assert ScoredSequence.rank(designs) == reference
+
+    ranked = benchmark(lambda: ScoredSequence.rank(designs))
+    assert ranked == reference
 
 
 def test_landscape_fitness_speed(benchmark, micro_target):

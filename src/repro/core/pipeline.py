@@ -26,9 +26,11 @@ returns exactly what the pipeline's handler for that stage reads.  Stage map
 * Stage 6 — comparison with the previous cycle (accept/reject), ``compare``.
 
 The payloads ride on the vectorized evaluation core: Stage 1 generation
-batches its partial scores, Stage 2 ranking is a stable vectorized argsort,
+batches its partial scores, Stage 4b folding builds each refined complex once,
 and Stage 5 scoring gathers a precomputed pair-energy matrix over the contact
-mask — no per-residue Python on any hot path.  Stages 3 and 4a have no
+mask — no per-residue Python on any hot path.  Stage 2 ranking is one stable
+``sorted`` call on the candidates' log-likelihoods: NumPy's set-up costs more
+than sorting ten floats.  Stages 3 and 4a have no
 payload: their tasks model the time those phases take on the real system,
 and the surrogate folds the selected sequence directly.
 

@@ -31,7 +31,6 @@ fallback — is :mod:`repro.store.checkpoint`'s concern.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -127,18 +126,21 @@ def encode_complex(
 def decode_complex(
     payload: Dict[str, Any], target_complex: ComplexStructure
 ) -> ComplexStructure:
-    """Rebuild a complex on ``target_complex``: its chains keep the target's arrays."""
+    """Rebuild a complex on ``target_complex``: its chains keep the target's arrays.
+
+    The payload was read from disk, so its receptor sequence is validated
+    as any new :class:`ProteinSequence` is, and
+    :meth:`ComplexStructure.with_design` checks its length and chain id and
+    the backbone quality.
+    """
     receptor = payload["receptor"]
-    return replace(
-        target_complex,
-        receptor=target_complex.receptor.with_sequence(
-            ProteinSequence(
-                residues=receptor["residues"],
-                chain_id=receptor["chain_id"],
-                name=receptor["name"],
-            )
+    return target_complex.with_design(
+        ProteinSequence(
+            residues=receptor["residues"],
+            chain_id=receptor["chain_id"],
+            name=receptor["name"],
         ),
-        backbone_quality=payload["backbone_quality"],
+        payload["backbone_quality"],
     )
 
 

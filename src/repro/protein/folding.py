@@ -13,11 +13,17 @@ default ``"full_msa"`` mode (IMPRESS) has low metric noise; the
 ``"single_sequence"`` mode (EvoPro-style) scales every metric's noise by 2.5,
 degrading the classifier quality of the metrics.  The duration model does
 not see the mode: both take the same simulated time.
+
+Each prediction builds its result once.  pTM is the largest of five noisy
+draws, clamped to ``[0.01, 0.99]`` in Python floats, and the refined complex
+comes from :meth:`~repro.protein.structure.ComplexStructure.with_design`,
+which checks only the receptor sequence and backbone quality it installs and
+keeps both chains' coordinate arrays, the key of the scoring memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -219,13 +225,11 @@ class SurrogateAlphaFold:
 
         # Predict several models and keep the best by pTM: the max of a few
         # noisy draws, matching AlphaFold's "rank by pTM, return best" step.
+        # Clamping is monotone, so the clamped max is the max of the clamped
+        # draws.
         ptm_means = 0.35 + 0.60 * fitness
-        ptm_draws = np.clip(
-            ptm_means + rng.normal(scale=_PTM_NOISE * factor, size=_N_MODELS),
-            0.01,
-            0.99,
-        )
-        ptm = float(ptm_draws[int(np.argmax(ptm_draws))])
+        ptm_draws = ptm_means + rng.normal(scale=_PTM_NOISE * factor, size=_N_MODELS)
+        ptm = min(max(max(ptm_draws.tolist()), 0.01), 0.99)
 
         plddt = min(
             max(
@@ -247,16 +251,13 @@ class SurrogateAlphaFold:
         if target_sequence.chain_id == receptor_chain_id:
             refined_sequence = target_sequence
         else:
-            refined_sequence = ProteinSequence(
-                residues=target_sequence.residues,
-                chain_id=receptor_chain_id,
-                name=target_sequence.name,
+            # Same residues, already validated: only the chain id changes.
+            refined_sequence = ProteinSequence._trusted(
+                target_sequence.residues, receptor_chain_id, target_sequence.name
             )
         # The refined complex keeps the input's coordinate arrays (the scoring
-        # memo is keyed by them) and is validated once.
-        refined = replace(
-            complex_structure,
-            receptor=complex_structure.receptor.with_sequence(refined_sequence),
-            backbone_quality=min(max(float(fitness), 0.0), 1.0),
+        # memo is keyed by them).  The clamp keeps the quality in [0, 1].
+        refined = complex_structure.with_design(
+            refined_sequence, min(max(float(fitness), 0.0), 1.0)
         )
         return FoldingResult(metrics=metrics, structure=refined, fitness=fitness)

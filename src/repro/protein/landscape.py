@@ -33,6 +33,13 @@ Python.  The scalar entry points are thin wrappers over the same tensors;
 scalar and batch results agree to float rounding (NumPy's reduction blocking
 varies with batch shape, so agreement is ~1e-14, far inside the 1e-9
 equivalence bound the tests pin).
+
+What the ProteinMPNN surrogate reads on every call is built once, at
+construction: :meth:`FitnessLandscape.additive_logits`, the additive matrix
+less each row's maximum, which it scales by its inverse temperature.  It
+scores the designs it has just built through ``_partial_scores``, the core
+:meth:`~FitnessLandscape.partial_score_batch` calls after validating its
+input.
 """
 
 from __future__ import annotations
@@ -126,6 +133,8 @@ class FitnessLandscape:
         additive = weights @ properties.T  # (n_pos, 20)
         additive += rng.normal(scale=0.35, size=additive.shape)
         self._additive = additive
+        self._additive_logits = additive - additive.max(axis=1, keepdims=True)
+        self._additive_logits.flags.writeable = False
 
         # Epistatic couplings between a random subset of position pairs,
         # packed into one (n_pairs, 20, 20) tensor plus local index arrays so
@@ -279,17 +288,15 @@ class FitnessLandscape:
             ) from None
         return self._additive[local].copy()
 
-    def additive_matrix(self) -> np.ndarray:
-        """Additive preference matrix over all designable positions.
+    def additive_logits(self) -> np.ndarray:
+        """Additive matrix less each row's maximum, shape ``(n_designable, 20)``.
 
-        Returns a read-only view of shape ``(n_designable, 20)``, row order
-        following :attr:`designable_positions`.  The ProteinMPNN surrogate
-        uses this to build its whole sampling profile in one shot instead of
-        calling :meth:`additive_profile` per position per design.
+        Row order follows :attr:`designable_positions`; every entry is at
+        most 0.0, and each row holds a 0.0.  Times an inverse temperature,
+        these are the logits of the ProteinMPNN surrogate's sampling
+        softmax.  Built once at construction and read-only.
         """
-        view = self._additive.view()
-        view.flags.writeable = False
-        return view
+        return self._additive_logits
 
     def partial_score(self, sequence: ProteinSequence) -> float:
         """Additive-only score — what the ProteinMPNN surrogate 'sees'.
@@ -305,7 +312,14 @@ class FitnessLandscape:
 
     def partial_score_batch(self, sequences: BatchInput) -> np.ndarray:
         """Additive-only scores of a whole batch, shape ``(B,)``."""
-        encoded = self._encode_batch(sequences)
+        return self._partial_scores(self._encode_batch(sequences))
+
+    def _partial_scores(self, encoded: np.ndarray) -> np.ndarray:
+        """:meth:`partial_score_batch` of an encoded matrix it would accept.
+
+        The caller guarantees what ``_encode_batch`` checks: an integer
+        ``(B, receptor_length)`` matrix of indices in ``[0, 20)``.
+        """
         idx = encoded[:, self._designable_index]
         raw = self._additive[self._local_range, idx].sum(axis=1)
         return (raw - self._calibration.offset) / self._calibration.scale

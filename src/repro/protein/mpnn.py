@@ -18,8 +18,10 @@ the IMPRESS protocol relies on:
    catalytic residues) and which chain to design.
 
 Generation is batched.  The softmax sampling profile (and its CDF) over all
-designable positions is built once per call.  The per-design loop makes only
-its four draws, in the order of the historical per-design implementation:
+designable positions is built once per call, from the landscape's
+:meth:`~repro.protein.landscape.FitnessLandscape.additive_logits` scaled by
+the call's inverse temperature.  The per-design loop makes only its four
+draws, in the order of the historical per-design implementation:
 ``binomial`` (how many mutations),
 :func:`~repro.utils.rng.sample_without_replacement` (which profile rows: the
 draws ``Generator.choice(n, size=k, replace=False)`` makes, so at most 10,000
@@ -27,9 +29,18 @@ designable positions), ``random`` (one uniform per mutation) and ``normal``
 (score noise).  Everything else happens once per call, on one encoded
 ``(n_sequences, L)`` matrix: one CDF comparison yields every mutated residue,
 one fancy-index assignment writes them into copies of the current receptor's
-encoding, one batched partial-score evaluation scores all designs, and
-:func:`~repro.protein.sequence.decode_batch` turns the rows into sequences.
-Seeded outputs are bit-identical to the per-design loop.
+encoding, one batched partial-score evaluation scores all designs, and the
+rows become sequences.  Seeded outputs are bit-identical to the per-design
+loop.
+
+The call builds each design once.  The matrix is valid by construction (see
+the comments in :meth:`SurrogateProteinMPNN.generate`), so it is scored and
+decoded through the trusted cores behind
+:meth:`~repro.protein.landscape.FitnessLandscape.partial_score_batch` and
+:func:`~repro.protein.sequence.decode_batch`.  The log-likelihoods are
+checked finite once, as a list, and each
+:class:`~repro.protein.sequence.ScoredSequence` is then built without its
+own check.
 
 A model's generator serves one call's draws: each call resets the model's
 one :class:`~repro.utils.rng.KeyedStreams` generator to the stream
@@ -44,9 +55,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ProteinError
+from repro.exceptions import ConfigurationError, ProteinError, SequenceError
 from repro.protein.landscape import FitnessLandscape
-from repro.protein.sequence import ScoredSequence, decode_batch
+from repro.protein.sequence import ScoredSequence, _decode_rows
 from repro.protein.structure import ComplexStructure
 from repro.utils.rng import (
     MAX_SAMPLE_POPULATION,
@@ -195,10 +206,10 @@ class SurrogateProteinMPNN:
         # per call: softmax of the additive term at inverse temperature beta,
         # stored as a CDF matrix so per-position categorical draws reduce to
         # one vectorized comparison.  Row order follows the landscape's
-        # designable positions.
-        profiles = landscape.additive_matrix()  # (n_designable, 20)
-        logits = beta * (profiles - profiles.max(axis=1, keepdims=True))
-        probabilities = np.exp(logits)
+        # designable positions.  A CDF row ends at x / x for the row's sum x:
+        # exactly 1.0, since each row holds a logit of 0.0, so x >= 1.0 (NaN
+        # only if beta overflows to inf).
+        probabilities = np.exp(beta * landscape.additive_logits())
         probabilities /= probabilities.sum(axis=1, keepdims=True)
         cdf = probabilities.cumsum(axis=1)
         cdf /= cdf[:, -1:]
@@ -222,6 +233,11 @@ class SurrogateProteinMPNN:
             noises.append(float(rng.normal(scale=score_noise)))
             mutation_counts.append(n_mutations)
 
+        # ``random()`` draws lie in [0, 1), so a CDF row's last entry (1.0, or
+        # NaN) is never <= a draw and at most 19 of a row's 20 entries are:
+        # every residue index is in [0, 19].  The rest of the matrix is the
+        # receptor's own valid encoding, so the matrix is scored and decoded
+        # without a re-check.
         rows = designable_rows[picks]
         residue_indices = (cdf[rows] <= np.concatenate(draws)[:, None]).sum(axis=1)
         encoded = np.repeat(current.encode()[None, :], count, axis=0)
@@ -230,13 +246,17 @@ class SurrogateProteinMPNN:
             np.asarray(landscape.designable_positions)[rows],
         ] = residue_indices
 
-        log_likelihoods = (landscape.partial_score_batch(encoded) + noises).tolist()
-        sequences = decode_batch(
+        # Every partial score is finite, but a caller's score_noise near the
+        # float maximum can draw an infinite noise term.
+        log_likelihoods = (landscape._partial_scores(encoded) + noises).tolist()
+        if not all(map(math.isfinite, log_likelihoods)):
+            raise SequenceError("log_likelihood must be finite")
+        sequences = _decode_rows(
             encoded,
             current.chain_id,
             [f"{complex_structure.name}_design_{index:03d}" for index in range(count)],
         )
         return [
-            ScoredSequence(sequence=sequence, log_likelihood=log_likelihood)
+            ScoredSequence._trusted(sequence, log_likelihood)
             for sequence, log_likelihood in zip(sequences, log_likelihoods)
         ]

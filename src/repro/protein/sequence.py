@@ -6,12 +6,18 @@ point substitution, Hamming distance and identity.  :func:`decode_batch`
 builds a whole batch of sequences from an encoded index matrix.
 :class:`ScoredSequence` pairs a sequence with the surrogate ProteinMPNN
 log-likelihood used by the ranking stage.
+
+The public constructors validate what they are given.  The surrogate
+ProteinMPNN builds every design from values it has just made valid, so it
+calls the trusted cores (:func:`_decode_rows`, ``ScoredSequence._trusted``)
+that the public entry points call after their checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Sequence
 
 import numpy as np
@@ -23,6 +29,9 @@ __all__ = ["ProteinSequence", "ScoredSequence", "check_encoded", "decode_batch"]
 
 #: ASCII code of each residue letter, indexed by residue index.
 _LETTER_CODES = np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)
+
+#: The key :meth:`ScoredSequence.rank` sorts by.
+_LOG_LIKELIHOOD = attrgetter("log_likelihood")
 
 
 @dataclass(frozen=True)
@@ -160,6 +169,18 @@ def decode_batch(
     check_encoded(encoded)
     if not chain_id:
         raise SequenceError("chain_id must be non-empty")
+    return _decode_rows(encoded, chain_id, names)
+
+
+def _decode_rows(
+    encoded: np.ndarray, chain_id: str, names: Sequence[str]
+) -> List[ProteinSequence]:
+    """:func:`decode_batch` for a matrix and chain id it would accept.
+
+    The caller guarantees what :func:`decode_batch` checks: a ``(B, L)``
+    integer matrix with ``L >= 1``, one row per name, every index in
+    ``[0, 20)``, and a non-empty ``chain_id``.
+    """
     width = encoded.shape[1]
     letters = _LETTER_CODES[encoded].tobytes().decode("ascii")
     sequences = []
@@ -190,15 +211,24 @@ class ScoredSequence:
             raise SequenceError("log_likelihood must be finite")
 
     @staticmethod
-    def rank(candidates: Sequence["ScoredSequence"]) -> List["ScoredSequence"]:
-        """Return candidates sorted by decreasing log-likelihood (stable).
+    def _trusted(sequence: ProteinSequence, log_likelihood: float) -> "ScoredSequence":
+        """Build a scored sequence without the finiteness check.
 
-        Ranks via a vectorized stable argsort over the score array; ties keep
-        their original order, matching ``sorted(..., reverse=True)``.
+        Only for a ``log_likelihood`` already checked finite, so skipping
+        the check preserves the class invariant.
         """
-        candidates = list(candidates)
-        if len(candidates) < 2:
-            return candidates
-        scores = np.array([scored.log_likelihood for scored in candidates])
-        order = np.argsort(-scores, kind="stable")
-        return [candidates[int(index)] for index in order]
+        scored = object.__new__(ScoredSequence)
+        object.__setattr__(scored, "sequence", sequence)
+        object.__setattr__(scored, "log_likelihood", log_likelihood)
+        return scored
+
+    @staticmethod
+    def rank(candidates: Sequence["ScoredSequence"]) -> List["ScoredSequence"]:
+        """Return candidates sorted by decreasing log-likelihood, as a new list.
+
+        ``sorted(..., reverse=True)`` is stable: candidates with equal
+        scores, ``0.0`` and ``-0.0`` included, keep their input order, the
+        order a stable ``argsort`` of the negated scores gives.  Every score
+        is finite, so the order is total.
+        """
+        return sorted(candidates, key=_LOG_LIKELIHOOD, reverse=True)

@@ -231,6 +231,45 @@ class ComplexStructure:
             )
         object.__setattr__(self, "designable_positions", positions)
 
+    def with_design(
+        self, sequence: ProteinSequence, backbone_quality: float
+    ) -> "ComplexStructure":
+        """Copy of the complex carrying a designed receptor sequence.
+
+        Equal, field for field, to ``dataclasses.replace(self,
+        receptor=self.receptor.with_sequence(sequence),
+        backbone_quality=backbone_quality)``, but only the two fields that
+        change are checked: every other field is this complex's own, which
+        its construction checked.  Both chains keep their coordinate arrays
+        by identity, so a design shares its target's scoring-memo entry.
+
+        Raises
+        ------
+        StructureError
+            If ``sequence`` differs in length from the receptor or has the
+            peptide's chain id, or ``backbone_quality`` is outside
+            ``[0, 1]``.
+        """
+        receptor = self.receptor
+        if len(sequence) != len(receptor.sequence):
+            raise StructureError(
+                "replacement sequence must have the same length as the chain"
+            )
+        if sequence.chain_id == self.peptide.chain_id:
+            raise StructureError("receptor and peptide must use distinct chain ids")
+        if not 0.0 <= backbone_quality <= 1.0:
+            raise StructureError("backbone_quality must lie in [0, 1]")
+        chain = object.__new__(Chain)
+        object.__setattr__(chain, "sequence", sequence)
+        object.__setattr__(chain, "coordinates", receptor.coordinates)
+        design = object.__new__(ComplexStructure)
+        object.__setattr__(design, "name", self.name)
+        object.__setattr__(design, "receptor", chain)
+        object.__setattr__(design, "peptide", self.peptide)
+        object.__setattr__(design, "backbone_quality", backbone_quality)
+        object.__setattr__(design, "designable_positions", self.designable_positions)
+        return design
+
     # -- geometry -------------------------------------------------------------- #
 
     @property

@@ -17,6 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.genetic import GeneticConfig, GeneticOptimizer
@@ -311,7 +313,36 @@ class TestScoringGeometryMemo:
         assert len(campaign.models.scoring._geometries) == 4
 
 
+def _reference_rank(candidates):
+    """``ScoredSequence.rank`` as it was: a stable argsort of the negated scores."""
+    candidates = list(candidates)
+    if len(candidates) < 2:
+        return candidates
+    scores = np.array([scored.log_likelihood for scored in candidates])
+    order = np.argsort(-scores, kind="stable")
+    return [candidates[int(index)] for index in order]
+
+
 class TestRankVectorization:
+    @given(
+        scores=st.lists(
+            st.sampled_from([0.0, -0.0, 0.3, -0.3, 1.5, -2.0, 1e-300, -1e300]),
+            min_size=0,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_equals_the_stable_argsort_reference(self, design_sequences, scores):
+        scored = [
+            ScoredSequence(sequence=design_sequences[index], log_likelihood=value)
+            for index, value in enumerate(scores)
+        ]
+        before = list(scored)
+        ranked = ScoredSequence.rank(scored)
+        assert [id(s) for s in ranked] == [id(s) for s in _reference_rank(scored)]
+        assert ranked is not scored
+        assert [id(s) for s in scored] == [id(s) for s in before]
+
     def test_rank_matches_stable_sorted(self, design_sequences):
         scored = [
             ScoredSequence(sequence=sequence, log_likelihood=value)

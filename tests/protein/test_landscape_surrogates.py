@@ -43,6 +43,29 @@ def _reference_fold(seed, msa_mode, complex_structure, landscape, sequence, stre
     return QualityMetrics(plddt=plddt, ptm=ptm, interchain_pae=pae), fitness
 
 
+def _reference_result_from_fitness(model, complex_structure, sequence, fitness, stream):
+    """``SurrogateAlphaFold._result_from_fitness`` as it was: ``np.clip`` and
+    ``argmax`` over the pTM draws, and the refined complex through
+    ``dataclasses.replace`` and ``Chain.with_sequence``."""
+    rng = model._streams.stream(complex_structure.name, sequence.residues, *stream)
+    factor = model._noise_factor
+    ptm_draws = np.clip(
+        0.35 + 0.60 * fitness + rng.normal(scale=0.035 * factor, size=5), 0.01, 0.99
+    )
+    ptm = float(ptm_draws[int(np.argmax(ptm_draws))])
+    plddt = min(max(55.0 + 42.0 * fitness + float(rng.normal(scale=3.0 * factor)), 30.0), 98.5)
+    pae = min(max(22.0 - 16.0 * fitness + float(rng.normal(scale=1.4 * factor)), 1.5), 31.5)
+    receptor_chain_id = complex_structure.receptor.chain_id
+    if sequence.chain_id != receptor_chain_id:
+        sequence = ProteinSequence(sequence.residues, receptor_chain_id, sequence.name)
+    refined = replace(
+        complex_structure,
+        receptor=complex_structure.receptor.with_sequence(sequence),
+        backbone_quality=min(max(float(fitness), 0.0), 1.0),
+    )
+    return QualityMetrics(plddt=plddt, ptm=ptm, interchain_pae=pae), refined
+
+
 def _differing_positions(a, b):
     return [
         index
@@ -150,6 +173,19 @@ class TestFitnessLandscape:
         )
         with pytest.raises(ProteinError):
             landscape.additive_profile(outside)
+
+    def test_additive_logits_are_the_rows_less_their_maximum(self, pdz_target):
+        landscape = pdz_target.landscape
+        profiles = np.stack(
+            [landscape.additive_profile(p) for p in landscape.designable_positions]
+        )
+        logits = landscape.additive_logits()
+        assert logits is landscape.additive_logits()
+        assert not logits.flags.writeable
+        np.testing.assert_array_equal(
+            logits, profiles - profiles.max(axis=1, keepdims=True), strict=True
+        )
+        assert np.all(logits.max(axis=1) == 0.0)
 
     def test_couplings_make_fitness_epistatic(self, pdz_target):
         # Fitness is the logistic of the additive partial score plus the
@@ -382,6 +418,41 @@ class TestSurrogateAlphaFold:
                 )
                 assert result.metrics == metrics
                 assert result.fitness == fitness
+
+    @pytest.mark.parametrize("msa_mode", ["full_msa", "single_sequence"])
+    def test_result_equals_the_replace_reference(self, pdz_target, msa_mode):
+        folding = SurrogateAlphaFold(msa_mode=msa_mode, seed=17)
+        target_complex = pdz_target.complex
+        landscape = pdz_target.landscape
+        designs = SurrogateProteinMPNN(seed=4).generate(
+            target_complex, landscape, n_sequences=6, stream=("fold-ref",)
+        )
+        native = landscape.native_sequence
+        sequences = [native] + [design.sequence for design in designs] + [
+            ProteinSequence(designs[0].sequence.residues, chain_id="Z", name="other")
+        ]
+        cases = [(sequence, landscape.fitness(sequence)) for sequence in sequences]
+        # Fitness outside [0, 1] never comes from a landscape; the clamp still
+        # keeps the refined complex's quality in [0, 1].
+        cases += [(native, -0.25), (native, 1.25), (native, 0.0), (native, 1.0)]
+        for stream in [(), ("p.0003", 1, 2)]:
+            for sequence, fitness in cases:
+                got = folding._result_from_fitness(target_complex, sequence, fitness, stream)
+                metrics, refined = _reference_result_from_fitness(
+                    folding, target_complex, sequence, fitness, stream
+                )
+                assert got.metrics == metrics
+                assert got.fitness == fitness
+                structure = got.structure
+                assert structure == refined
+                assert structure.receptor.coordinates is target_complex.receptor.coordinates
+                assert structure.peptide.coordinates is target_complex.peptide.coordinates
+                assert structure.name == target_complex.name
+                assert structure.peptide == target_complex.peptide
+                assert structure.designable_positions == target_complex.designable_positions
+                assert structure.receptor.chain_id == target_complex.receptor.chain_id
+                assert structure.receptor.sequence.residues == sequence.residues
+                assert 0.0 <= structure.backbone_quality <= 1.0
 
     def test_deterministic_per_stream(self, pdz_target):
         folding = SurrogateAlphaFold(seed=11)

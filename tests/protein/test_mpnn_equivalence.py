@@ -9,6 +9,7 @@ residues, names, chain ids, encodings and log-likelihood bits.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import replace
 
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import SequenceError
 from repro.protein.alphabet import AMINO_ACIDS
 from repro.protein.datasets import make_pdz_target
 from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
-from repro.protein.sequence import ProteinSequence, ScoredSequence
+from repro.protein.sequence import ProteinSequence, ScoredSequence, check_encoded, decode_batch
 from repro.utils.rng import spawn_rng
 
 
@@ -38,7 +40,9 @@ def _reference_generate(config, seed, complex_structure, landscape, *,
     beta = (
         1.0 + config.backbone_sharpening * complex_structure.backbone_quality
     ) / config.temperature
-    profiles = landscape.additive_matrix()
+    profiles = np.stack(
+        [landscape.additive_profile(position) for position in landscape.designable_positions]
+    )
     logits = beta * (profiles - profiles.max(axis=1, keepdims=True))
     probabilities = np.exp(logits)
     probabilities /= probabilities.sum(axis=1, keepdims=True)
@@ -163,6 +167,61 @@ class TestBatchedGenerateMatchesPerDesignLoop:
             fixed_positions=tuple(target.landscape.designable_positions[:n_fixed]),
         )
         _check(target, config, seed=seed, n_sequences=n_sequences, stream=("h", cycle))
+
+
+class TestTrustedBuild:
+    """The invariants that let generate skip re-checking what it built."""
+
+    @pytest.mark.parametrize("beta", [1e-300, 0.2, 1.0, 3.0, 40.0, 1e300])
+    def test_cdf_rows_end_at_exactly_one(self, target, beta):
+        probabilities = np.exp(beta * target.landscape.additive_logits())
+        probabilities /= probabilities.sum(axis=1, keepdims=True)
+        cdf = probabilities.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        assert np.all(cdf[:, -1] == 1.0)
+        # The largest draw random() returns still picks an index below 20.
+        top = np.nextafter(1.0, 0.0)
+        assert (cdf <= top).sum(axis=1).max() <= 19
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MPNNConfig(temperature=5e-324),  # beta overflows to inf
+            MPNNConfig(temperature=1e-300),
+            MPNNConfig(temperature=1e300, backbone_sharpening=0.0),
+            MPNNConfig(mutation_rate=1.0, score_noise=1e300),
+        ],
+    )
+    @pytest.mark.parametrize("quality", [0.0, 1.0])
+    def test_extreme_configurations_build_valid_designs(self, target, config, quality):
+        complex_structure = replace(target.complex, backbone_quality=quality)
+        with np.errstate(invalid="ignore"):  # inf * 0.0 where beta overflows
+            designs = SurrogateProteinMPNN(config, seed=8).generate(
+                complex_structure, target.landscape, n_sequences=16, stream=("x",)
+            )
+            want = _reference_generate(
+                config, 8, complex_structure, target.landscape, n_sequences=16,
+                stream=("x",),
+            )
+        _assert_identical(designs, want)
+        encoded = np.stack([design.sequence.encode() for design in designs])
+        check_encoded(encoded)
+        rebuilt = decode_batch(
+            encoded, designs[0].sequence.chain_id, [d.sequence.name for d in designs]
+        )
+        assert [s.residues for s in rebuilt] == [d.sequence.residues for d in designs]
+        assert all(math.isfinite(design.log_likelihood) for design in designs)
+
+    def test_an_infinite_noise_draw_is_still_refused(self, target):
+        # score_noise is the caller's: near the float maximum a normal draw
+        # overflows, and the design is refused as ScoredSequence refuses it.
+        config = MPNNConfig(score_noise=1e308)
+        with pytest.raises(SequenceError, match="finite"):
+            SurrogateProteinMPNN(config, seed=1).generate(
+                target.complex, target.landscape, stream=(0,)
+            )
+        with pytest.raises(SequenceError, match="finite"):
+            _reference_generate(config, 1, target.complex, target.landscape, stream=(0,))
 
 
 def test_designs_do_not_share_encoding_memory(target):

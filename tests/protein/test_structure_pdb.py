@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,45 @@ class TestComplexStructure:
                 peptide=complex_structure.peptide,
                 designable_positions=(10_000,),
             )
+
+
+class TestWithDesign:
+    """``with_design`` ≡ ``replace`` + ``Chain.with_sequence``, field for field."""
+
+    @pytest.mark.parametrize("quality", [0.0, 0.42, 1.0])
+    @pytest.mark.parametrize("chain_id", ["A", "Z"])
+    def test_equals_replace_with_sequence(self, quality, chain_id):
+        base = replace(_complex(), designable_positions=(9, 2, 5, 2))
+        design = ProteinSequence("W" * len(base.receptor), chain_id=chain_id, name="d.7")
+        got = base.with_design(design, quality)
+        want = replace(
+            base, receptor=base.receptor.with_sequence(design), backbone_quality=quality
+        )
+        assert type(got) is ComplexStructure and type(got.receptor) is Chain
+        for field in fields(ComplexStructure):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert got == want
+        assert got.receptor.sequence is design
+        assert got.receptor.coordinates is base.receptor.coordinates
+        assert got.peptide is base.peptide
+        assert got.designable_positions == (2, 5, 9)
+        assert got.backbone_quality is quality
+
+    def test_refuses_a_sequence_of_another_length(self):
+        base = _complex()
+        with pytest.raises(StructureError, match="same length"):
+            base.with_design(ProteinSequence("ACD", chain_id="A"), 0.5)
+
+    @pytest.mark.parametrize("quality", [-0.01, 1.01, float("nan"), float("inf")])
+    def test_refuses_a_quality_outside_the_unit_interval(self, quality):
+        base = _complex()
+        with pytest.raises(StructureError, match=r"\[0, 1\]"):
+            base.with_design(base.receptor.sequence, quality)
+
+    def test_refuses_the_peptide_chain_id(self):
+        base = _complex()
+        design = ProteinSequence(base.receptor.sequence.residues, chain_id="B")
+        with pytest.raises(StructureError, match="distinct chain ids"):
+            base.with_design(design, 0.5)
+        with pytest.raises(StructureError, match="distinct chain ids"):
+            replace(base, receptor=base.receptor.with_sequence(design))
