@@ -25,6 +25,11 @@ the profiler traces — exactly.  The campaign's stepping loop
 cycle per step, as it drives the IM-RP coordinator's
 :meth:`~repro.core.coordinator.PipelinesCoordinator.step_cycle`; only the
 control's boundary has a snapshot codec.
+
+Targets start in sweep order, each once the previous target's pipeline has
+finished.  A step therefore finds its target from the last-started pipeline
+and keeps the completed-cycle count as a counter, so its bookkeeping does not
+grow with the number of targets.
 """
 
 from __future__ import annotations
@@ -75,12 +80,15 @@ class ControlProtocol:
             )
         if not targets:
             raise CampaignError("control run needs at least one target")
+        if len({target.name for target in targets}) != len(targets):
+            raise CampaignError("design target names must be unique")
         self._platform = platform
         self._models = models
         self._config = config
         self._runner = SequentialRunner(platform, durations)
         self._targets = list(targets)
         self._per_target_pipelines: Dict[str, Pipeline] = {}
+        self._cycles_completed = 0
         # Snapshot encodings of finished pipelines (by target name), which can
         # never change again, encoded once.
         self._finished_snapshots: Dict[str, dict] = {}
@@ -91,11 +99,12 @@ class ControlProtocol:
 
     @property
     def n_cycles_completed(self) -> int:
-        """Completed design cycles across every target processed so far."""
-        return sum(
-            len(pipeline.cycle_results)
-            for pipeline in self._per_target_pipelines.values()
-        )
+        """Completed design cycles across every target processed so far.
+
+        A counter: :meth:`step_cycle` adds each cycle it completes, and
+        :meth:`restore` sets it from the restored pipelines.
+        """
+        return self._cycles_completed
 
     # -- cycle-granular stepping ----------------------------------------------- #
 
@@ -108,12 +117,18 @@ class ControlProtocol:
         )
 
     def _current_target(self) -> Optional[DesignTarget]:
-        """The first target whose pipeline has not finished, in sweep order."""
-        for target in self._targets:
-            pipeline = self._per_target_pipelines.get(target.name)
-            if pipeline is None or not pipeline.is_finished:
+        """The first target whose pipeline has not finished, in sweep order.
+
+        Every started pipeline but the last-started one has finished, so
+        that is the last-started target while its pipeline runs, and
+        otherwise the next target not yet started.
+        """
+        started = len(self._per_target_pipelines)
+        if started:
+            target = self._targets[started - 1]
+            if not self._per_target_pipelines[target.name].is_finished:
                 return target
-        return None
+        return self._targets[started] if started < len(self._targets) else None
 
     def step_cycle(self) -> bool:
         """Advance the campaign by exactly one design cycle.
@@ -154,6 +169,7 @@ class ControlProtocol:
                 break
             description = step.task
         if completed_result is not None:
+            self._cycles_completed += 1
             # Out-of-band per-cycle metrics at the quiescent boundary: no-op
             # unless a telemetry writer is active in this process.
             record_cycle_metrics(
@@ -225,18 +241,30 @@ class ControlProtocol:
         state.  The simulated clock is advanced to the captured time (no
         events are pending at a boundary) and the profiler's rows and phase
         totals are replayed.
+
+        The payload's pipelines must be those of the first targets in sweep
+        order, each but the last finished, as a stepped control holds them:
+        one that skips a target raises ``KeyError``, and one that starts a
+        target before the previous one finished raises
+        :class:`CampaignError`.
         """
         platform = ComputePlatform(platform_spec)
         platform.loop.run_until(payload["now"])
         restore_profiler(platform.profiler, payload["profiler"])
         control = cls(platform, models, durations, config, targets)
-        for target in targets:  # preserve sweep order in the pipelines dict
-            snapshot = payload["pipelines"].get(target.name)
-            if snapshot is None:
-                continue
-            control._per_target_pipelines[target.name] = Pipeline.restore_snapshot(
-                snapshot, target, models, config
+        snapshots = payload["pipelines"]
+        previous: Optional[Pipeline] = None
+        for target in targets[:len(snapshots)]:  # sweep order, as started
+            if previous is not None and not previous.is_finished:
+                raise CampaignError(
+                    f"control payload starts {target.name} before the previous "
+                    "target's pipeline finished"
+                )
+            previous = Pipeline.restore_snapshot(
+                snapshots[target.name], target, models, config
             )
+            control._per_target_pipelines[target.name] = previous
+            control._cycles_completed += len(previous.cycle_results)
         return control
 
     # -- results ----------------------------------------------------------------- #

@@ -140,8 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--checkpoint-interval", type=_nonnegative_float,
         default=DEFAULT_CHECKPOINT_SECONDS, metavar="S",
-        help="minimum seconds between checkpoint saves of one run; 0 saves "
-        f"at every cycle boundary (default: {DEFAULT_CHECKPOINT_SECONDS:g})",
+        help="minimum seconds between checkpoint saves of one run, counted "
+        "from its latest restore point (the previous save, or the checkpoint "
+        "a resume read); 0 saves at every cycle boundary (default: "
+        f"{DEFAULT_CHECKPOINT_SECONDS:g})",
     )
     worker.add_argument(
         "--max-attempts", type=positive_int, default=1, metavar="N",

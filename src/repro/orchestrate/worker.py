@@ -179,9 +179,12 @@ def run_worker(
         claim file so it survives steals.
     checkpoint_seconds:
         Minimum wall-clock spacing between checkpoint saves of one run
-        (``0`` = every cycle boundary).  The default keeps per-cycle
-        checkpointing for realistic cycle times while bounding the
-        serialisation overhead of very fast simulated runs.
+        (``0`` = every cycle boundary).  The spacing counts from the run's
+        latest restore point: the previous save, or the checkpoint the
+        attempt resumed from, so a resumed attempt does not rewrite the line
+        it just read.  The default keeps per-cycle checkpointing for
+        realistic cycle times while bounding the serialisation overhead of
+        very fast simulated runs.
     run_timeout:
         Per-run wall-clock watchdog (seconds).  An attempt still executing
         after this long is *abandoned*: its claim is released so a peer can
@@ -541,6 +544,9 @@ def _execute_with_budget(
             notify("resume", entry)
             # A stolen run shows its position from the first beat on.
             heartbeat.report_progress(resume.cycle, resume.cycles_total)
+            # The line just read is the run's latest restore point: the
+            # spacing counts from it, as from a save.
+            last_save = time.monotonic()
         executed = False
         try:
             with telemetry.span(

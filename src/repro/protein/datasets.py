@@ -25,7 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import DatasetError
 from repro.protein.landscape import FitnessLandscape
-from repro.protein.sequence import ProteinSequence
+from repro.protein.alphabet import AMINO_ACIDS
+from repro.protein.sequence import _LETTER_CODES, ProteinSequence
 from repro.protein.structure import (
     Chain,
     ComplexStructure,
@@ -72,12 +73,16 @@ _NATURAL_FREQUENCIES = {
     "M": 0.024, "N": 0.040, "P": 0.047, "Q": 0.039, "R": 0.055,
     "S": 0.066, "T": 0.053, "V": 0.068, "W": 0.011, "Y": 0.032,
 }
-#: The same letters as ASCII codes, and their frequencies normalised to sum
-#: to one: :func:`_natural_sequence`'s draw and lookup tables.
-_NATURAL_CODES = np.frombuffer("".join(_NATURAL_FREQUENCIES).encode("ascii"), dtype=np.uint8)
-_NATURAL_WEIGHTS = np.array(list(_NATURAL_FREQUENCIES.values()), dtype=float)
+#: The frequencies in :data:`AMINO_ACIDS` order (the table's own order),
+#: normalised to sum to one, and their CDF as ``Generator.choice(20, p=...)``
+#: builds it: :func:`_natural_sequence`'s draw table, whose drawn index is
+#: the residue's encoding.
+_NATURAL_WEIGHTS = np.array([_NATURAL_FREQUENCIES[aa] for aa in AMINO_ACIDS], dtype=float)
 _NATURAL_WEIGHTS /= _NATURAL_WEIGHTS.sum()
 _NATURAL_WEIGHTS.flags.writeable = False
+_NATURAL_CDF = _NATURAL_WEIGHTS.cumsum()
+_NATURAL_CDF /= _NATURAL_CDF[-1]
+_NATURAL_CDF.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,21 @@ class DesignTarget:
 
 
 def _natural_sequence(length: int, rng: np.random.Generator, chain_id: str, name: str) -> ProteinSequence:
-    indices = rng.choice(len(_NATURAL_CODES), size=length, p=_NATURAL_WEIGHTS)
-    residues = _NATURAL_CODES[indices].tobytes().decode("ascii")
-    # Every letter is canonical, so the residues need no validation.
-    return ProteinSequence._trusted(residues, chain_id, name)
+    """A native receptor sequence drawn from the natural residue frequencies.
+
+    The draw is the one ``rng.choice(20, size=length, p=weights)`` makes
+    (one ``random`` call, then a right-sided search of its CDF), without the
+    set-up that validates ``p``.  A uniform draw lies in [0, 1) and the CDF
+    ends at exactly 1.0, so every index is in [0, 19]: the letters need no
+    validation, and the indices become the sequence's read-only encoding.
+    """
+    indices = _NATURAL_CDF.searchsorted(rng.random(length), side="right")
+    sequence = ProteinSequence._trusted(
+        _LETTER_CODES[indices].tobytes().decode("ascii"), chain_id, name
+    )
+    indices.setflags(write=False)
+    object.__setattr__(sequence, "_encoded", indices)
+    return sequence
 
 
 def _upper_quartile(values: np.ndarray) -> float:
@@ -151,7 +167,8 @@ def _dock_peptide(
     # Sample among the top-quartile most exposed stretches.
     threshold = _upper_quartile(stretch_distance)
     exposed = candidate_starts[stretch_distance >= threshold]
-    start = int(rng.choice(exposed))
+    # The bounded draw ``rng.choice(exposed)`` makes, without its set-up.
+    start = int(exposed[rng.integers(0, len(exposed))])
 
     # One step for all residues, rounding as a per-residue loop would: each
     # norm is the BLAS ``ddot`` that ``np.linalg.norm`` takes (see
@@ -182,6 +199,8 @@ def _build_targets(
     if not peptide_residues:
         raise DatasetError("peptide must have at least one residue")
 
+    # Validated once here; each target's peptide is built trusted below.
+    ProteinSequence(residues=peptide_residues, chain_id="B", name=f"{names[0]}_peptide")
     target_seeds = [derive_seed(seed, "target", name) for name in names]
     backbones = synthetic_backbones(
         receptor_lengths,
@@ -196,8 +215,8 @@ def _build_targets(
         receptor_sequence = _natural_sequence(
             receptor_length, rng, chain_id="A", name=name
         )
-        peptide_sequence = ProteinSequence(
-            residues=peptide_residues, chain_id="B", name=f"{name}_peptide"
+        peptide_sequence = ProteinSequence._trusted(
+            peptide_residues, "B", f"{name}_peptide"
         )
         peptide_coords = _dock_peptide(receptor_coords, peptide_length, rng)
 

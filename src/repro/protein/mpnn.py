@@ -77,14 +77,17 @@ class MPNNConfig:
     n_sequences:
         Number of sequences generated per call (the paper uses 10).
     temperature:
-        Sampling temperature; higher values explore more aggressively.
+        Sampling temperature; higher values explore more aggressively.  It
+        must keep the inverse temperature ``(1 + backbone_sharpening) /
+        temperature`` finite.
     mutation_rate:
         Expected fraction of designable positions redesigned per sequence.
     fixed_positions:
         Receptor positions that must keep their current identity (e.g.
         catalytic residues in the protease scenario of the paper's §V).
     score_noise:
-        Standard deviation of the log-likelihood noise.
+        Standard deviation of the log-likelihood noise, at most a sixteenth
+        of the float maximum.
     backbone_sharpening:
         How strongly a good backbone sharpens the sampling distribution.
     """
@@ -111,6 +114,22 @@ class MPNNConfig:
                 raise ConfigurationError(
                     f"{name} must be finite and non-negative, got {value!r}"
                 )
+        # The largest inverse temperature generate uses is at backbone
+        # quality 1; an infinite one makes NaN sampling probabilities.
+        if not math.isfinite((1.0 + self.backbone_sharpening) / self.temperature):
+            raise ConfigurationError(
+                f"temperature {self.temperature!r} is too small for "
+                f"backbone_sharpening {self.backbone_sharpening!r}: the inverse "
+                "sampling temperature overflows"
+            )
+        # A normal draw is below 13.71 in magnitude (NumPy's ziggurat tail is
+        # r - log1p(-u) / r with r < 3.66 and u <= 1 - 2**-53), so with this
+        # bound no noise term overflows.
+        if not math.isfinite(16.0 * self.score_noise):
+            raise ConfigurationError(
+                f"score_noise {self.score_noise!r} is too large: a noise draw "
+                "could overflow"
+            )
 
 
 class SurrogateProteinMPNN:
@@ -207,8 +226,8 @@ class SurrogateProteinMPNN:
         # stored as a CDF matrix so per-position categorical draws reduce to
         # one vectorized comparison.  Row order follows the landscape's
         # designable positions.  A CDF row ends at x / x for the row's sum x:
-        # exactly 1.0, since each row holds a logit of 0.0, so x >= 1.0 (NaN
-        # only if beta overflows to inf).
+        # exactly 1.0, since each row holds a logit of 0.0, so x >= 1.0 (beta
+        # is finite: MPNNConfig refuses a temperature at which it overflows).
         probabilities = np.exp(beta * landscape.additive_logits())
         probabilities /= probabilities.sum(axis=1, keepdims=True)
         cdf = probabilities.cumsum(axis=1)
@@ -233,8 +252,8 @@ class SurrogateProteinMPNN:
             noises.append(float(rng.normal(scale=score_noise)))
             mutation_counts.append(n_mutations)
 
-        # ``random()`` draws lie in [0, 1), so a CDF row's last entry (1.0, or
-        # NaN) is never <= a draw and at most 19 of a row's 20 entries are:
+        # ``random()`` draws lie in [0, 1), so a CDF row's last entry (1.0) is
+        # never <= a draw and at most 19 of a row's 20 entries are:
         # every residue index is in [0, 19].  The rest of the matrix is the
         # receptor's own valid encoding, so the matrix is scored and decoded
         # without a re-check.
@@ -246,15 +265,17 @@ class SurrogateProteinMPNN:
             np.asarray(landscape.designable_positions)[rows],
         ] = residue_indices
 
-        # Every partial score is finite, but a caller's score_noise near the
-        # float maximum can draw an infinite noise term.
+        # Every partial score is finite, and MPNNConfig bounds score_noise so
+        # that no noise draw overflows; the check stays as the last guard on
+        # what a design reports.
         log_likelihoods = (landscape._partial_scores(encoded) + noises).tolist()
         if not all(map(math.isfinite, log_likelihoods)):
             raise SequenceError("log_likelihood must be finite")
+        prefix = f"{complex_structure.name}_design_"
         sequences = _decode_rows(
             encoded,
             current.chain_id,
-            [f"{complex_structure.name}_design_{index:03d}" for index in range(count)],
+            [f"{prefix}{index:03d}" for index in range(count)],
         )
         return [
             ScoredSequence._trusted(sequence, log_likelihood)

@@ -189,7 +189,7 @@ def _decode_rows(
             letters[index * width:(index + 1) * width], chain_id, name
         )
         row = encoded[index].astype(np.int64)
-        row.flags.writeable = False
+        row.setflags(write=False)
         object.__setattr__(sequence, "_encoded", row)
         sequences.append(sequence)
     return sequences

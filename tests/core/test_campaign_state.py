@@ -22,7 +22,7 @@ from repro.core import pipeline as pipeline_module
 from repro.core.campaign import CampaignConfig, CampaignState, DesignCampaign
 from repro.core.coordinator import AUTO_IN_FLIGHT, PipelinesCoordinator
 from repro.core.protocols import get_protocol
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, StoreError
 from repro.hpc.profiling import ExecutionProfiler
 from repro.protein.datasets import expanded_pdz_set, named_pdz_targets
 from repro.runtime.task import Task
@@ -454,6 +454,79 @@ class TestSnapshotCost:
             payload_rows = payload["profiler"]["resource_intervals"]
             assert len(payload_rows) == 7 * step
             assert all(row is rows[index] for index, row in enumerate(payload_rows))
+
+
+def _summed_cycles(control):
+    """``n_cycles_completed`` as it was: a sum over every started pipeline."""
+    return sum(
+        len(pipeline.cycle_results)
+        for pipeline in control._per_target_pipelines.values()
+    )
+
+
+def _scanned_target(control):
+    """``_current_target()`` as it was: the first target, in sweep order,
+    whose pipeline is not started or not finished."""
+    for target in control._targets:
+        pipeline = control._per_target_pipelines.get(target.name)
+        if pipeline is None or not pipeline.is_finished:
+            return target
+    return None
+
+
+class TestControlProgress:
+    """The control's cycle counter and current-target cursor equal the scans
+    they replaced, on fresh and restored runs."""
+
+    @pytest.mark.parametrize("resume_after", [None, 1, 5, 11])
+    @pytest.mark.parametrize("protocol", ["cont-v", "cont-v-ranked"])
+    def test_counter_and_cursor_equal_the_old_scans(
+        self, protocol, resume_after, reference
+    ):
+        config = dataclasses.replace(CONFIG, protocol=protocol)
+
+        def check(control):
+            assert control.n_cycles_completed == _summed_cycles(control)
+            assert control._current_target() is _scanned_target(control)
+
+        resume_from = None
+        if resume_after is not None:
+            resume_from = _saved_states(config)[resume_after - 1]
+            # The restored engine, before its first step.
+            restored = get_protocol(protocol).engine(
+                _campaign(config)._protocol_context(), resume_from
+            )
+            assert restored.n_cycles_completed == resume_after
+            check(restored)
+        states = []
+
+        def observe(state):
+            states.append(state)
+            check(state.runtime)
+
+        result = _campaign(config).run_stepwise(
+            resume_from=resume_from, on_state=observe
+        )
+        assert _result_bytes(result) == reference(config)
+        assert [state.cycle for state in states] == list(
+            range((resume_after or 0) + 1, 13)
+        )
+        assert states[-1].runtime._current_target() is None
+
+    def test_restore_refuses_pipelines_out_of_sweep_order(self):
+        states = _saved_states()
+        # Boundary 5 holds NHERF3's finished pipeline and HTRA1's running one.
+        payload = json.loads(json.dumps(states[4].as_dict()))
+        first, second = list(payload["payload"]["pipelines"])
+        skipped = json.loads(json.dumps(payload))
+        del skipped["payload"]["pipelines"][first]
+        unfinished = json.loads(json.dumps(payload))
+        unfinished["payload"]["pipelines"][first] = (
+            states[0].as_dict()["payload"]["pipelines"][first]
+        )
+        for edited in (skipped, unfinished):
+            with pytest.raises(StoreError, match="does not restore"):
+                _campaign().run_stepwise(resume_from=CampaignState.from_dict(edited))
 
 
 class TestCampaignStateCodec:

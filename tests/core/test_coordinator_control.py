@@ -482,10 +482,16 @@ class TestControlProtocol:
         for earlier, later in zip(intervals, intervals[1:]):
             assert later.start >= earlier.end - 1e-9
 
-    def test_needs_targets(self, platform, models, durations):
+    def test_needs_targets(self, platform, models, durations, four_targets):
         with pytest.raises(CampaignError, match="at least one target"):
             ControlProtocol(
                 platform, models, durations, PipelineConfig(adaptive=False), []
+            )
+        # Pipelines are keyed by target name, one per started target.
+        with pytest.raises(CampaignError, match="unique"):
+            ControlProtocol(
+                platform, models, durations, PipelineConfig(adaptive=False),
+                [four_targets[0], four_targets[0]],
             )
 
     def test_rejects_an_adaptive_config(self, platform, models, durations, four_targets):

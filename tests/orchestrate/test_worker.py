@@ -627,6 +627,114 @@ class TestEncodeOnSave:
         assert len(snapshots) == 2 and snapshots[0] is not snapshots[1]
 
 
+class _Died(BaseException):
+    """A worker's death mid-run: nothing in the worker catches it, so the
+    claim stays held, as a SIGKILL leaves it."""
+
+
+class TestResumedSpacing:
+    """A resumed attempt counts the checkpoint spacing from the line it read:
+    that line is the run's latest restore point, so it is not rewritten."""
+
+    PLANTED = 5
+
+    @pytest.fixture()
+    def planted(self, tmp_path, monkeypatch):
+        """A LONG_SWEEP queue whose first run died at a real cont-v boundary
+        (saved inside the observer, as a worker saves it) with a stale claim,
+        and the ``(run_id, cycle)`` of every save made from then on."""
+        queue = WorkQueue.create(tmp_path / "queue", LONG_SWEEP)
+        entry = queue.entries()[0]
+        checkpoints = CheckpointStore(queue.checkpoints_dir)
+
+        def victim(state):
+            if state.cycle == self.PLANTED:
+                checkpoints.save(
+                    entry.fingerprint, state, run_id=entry.spec.run_id,
+                    worker="victim",
+                )
+                raise _Died()
+
+        with pytest.raises(_Died):
+            execute_run(entry.spec, on_cycle=victim)
+        _dead_claim(queue, entry.fingerprint, worker="victim")
+        saved = []
+        save = CheckpointStore.save
+
+        def recording(store, fingerprint, state, *, run_id, worker):
+            saved.append((run_id, state.cycle))
+            return save(store, fingerprint, state, run_id=run_id, worker=worker)
+
+        monkeypatch.setattr(CheckpointStore, "save", recording)
+        return queue, entry, checkpoints, saved
+
+    def test_throttled_thief_saves_no_line(self, planted):
+        queue, entry, _, saved = planted
+        outcome = run_worker(
+            queue, worker_id="thief", execute=execute_run, lease_seconds=0.5,
+            checkpoint_seconds=float("inf"),
+        )
+        assert outcome.resumed == [(entry.spec.run_id, self.PLANTED)]
+        assert outcome.stolen == [entry.spec.run_id]
+        # The resumed run saves nothing; the fresh run still saves its first
+        # boundary.
+        other = queue.entries()[1].spec.run_id
+        assert saved == [(other, 1)]
+
+    def test_unthrottled_thief_saves_every_boundary_after_the_resume(self, planted):
+        queue, entry, _, saved = planted
+        outcome = run_worker(
+            queue, worker_id="thief", execute=execute_run, lease_seconds=0.5,
+            checkpoint_seconds=0.0,
+        )
+        assert outcome.resumed == [(entry.spec.run_id, self.PLANTED)]
+        other = queue.entries()[1].spec.run_id
+        assert saved == (
+            [(entry.spec.run_id, cycle) for cycle in range(self.PLANTED + 1, 13)]
+            + [(other, cycle) for cycle in range(1, 13)]
+        )
+
+    def test_thief_dying_before_its_first_save_leaves_the_line_it_read(
+        self, planted, tmp_path
+    ):
+        queue, entry, checkpoints, saved = planted
+        planted_line = checkpoints.path(entry.fingerprint).read_bytes()
+
+        def dying(spec, *, resume_state=None, on_cycle=None):
+            def hook(state):
+                on_cycle(state)
+                if state.cycle == self.PLANTED + 3:
+                    raise _Died()
+
+            return execute_run(spec, resume_state=resume_state, on_cycle=hook)
+
+        with pytest.raises(_Died):
+            run_worker(
+                queue, worker_id="thief", execute=dying, lease_seconds=0.3,
+                checkpoint_seconds=float("inf"),
+            )
+        assert saved == []
+        assert checkpoints.path(entry.fingerprint).read_bytes() == planted_line
+        assert read_lease(queue.claim_path(entry.fingerprint)).worker == "thief"
+        # Once the dead thief's lease goes stale, a third worker resumes from
+        # the same line and the sweep finalizes as a serial run stores it.
+        third = run_worker(
+            queue, worker_id="third", execute=execute_run, lease_seconds=0.3,
+            poll_seconds=0.05, checkpoint_seconds=float("inf"),
+        )
+        assert third.resumed == [(entry.spec.run_id, self.PLANTED)]
+        assert third.stolen == [entry.spec.run_id]
+        finalized = finalize_queue(
+            queue, tmp_path / "finalized.jsonl", strip_timing=True
+        )
+        serial = RunStore(tmp_path / "serial.jsonl")
+        CampaignSuite(LONG_SWEEP, executor="serial").run(store=serial)
+        reference = prune_store(
+            serial.path, tmp_path / "serial-canonical.jsonl", strip_timing=True
+        )
+        assert finalized.path.read_bytes() == reference.path.read_bytes()
+
+
 class TestLeaseProgress:
     """A running run's progress rides its heartbeat lease, not a checkpoint."""
 

@@ -15,6 +15,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import StructureError
+from repro.protein.alphabet import AA_TO_INDEX
 from repro.protein.datasets import (
     _NATURAL_FREQUENCIES,
     _STANDOFF,
@@ -179,11 +180,23 @@ class TestTargetAssemblyMatchesScalarLoops:
 
     def test_native_sequence_equals_the_letter_by_letter_draw(self):
         for length in (1, 20, 90, 104):
-            got = _natural_sequence(length, np.random.default_rng(length), "A", "n")
-            assert got.residues == _reference_natural_sequence(
-                length, np.random.default_rng(length)
-            )
+            got_rng, want_rng = np.random.default_rng(length), np.random.default_rng(length)
+            got = _natural_sequence(length, got_rng, "A", "n")
+            assert got.residues == _reference_natural_sequence(length, want_rng)
             assert (got.chain_id, got.name) == ("A", "n")
+            # The same draws as choice's: the generators stand alike after.
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            # The drawn indices are attached at build as the encoding: equal
+            # to a fresh encode of the residues, read-only, and sharing no
+            # memory (a view would keep a larger buffer alive).
+            encoding = vars(got)["_encoded"]
+            assert got.encode() is encoding
+            fresh = np.fromiter(
+                (AA_TO_INDEX[residue] for residue in got.residues), dtype=np.int64
+            )
+            assert encoding.dtype == fresh.dtype
+            np.testing.assert_array_equal(encoding, fresh)
+            assert not encoding.flags.writeable and encoding.base is None
 
 
 class TestRoundingPrimitives:

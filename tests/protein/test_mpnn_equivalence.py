@@ -18,12 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SequenceError
+from repro.exceptions import ConfigurationError
 from repro.protein.alphabet import AMINO_ACIDS
 from repro.protein.datasets import make_pdz_target
 from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
 from repro.protein.sequence import ProteinSequence, ScoredSequence, check_encoded, decode_batch
 from repro.utils.rng import spawn_rng
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+#: The smallest temperature MPNNConfig accepts at the default sharpening,
+#: 2.0: (1 + 2.0) / t is finite here and overflows one step below.
+_SMALLEST_TEMPERATURE = float(np.nextafter(3.0 / _FLOAT_MAX, 1.0))
 
 
 def _reference_generate(config, seed, complex_structure, landscape, *,
@@ -186,16 +192,18 @@ class TestTrustedBuild:
     @pytest.mark.parametrize(
         "config",
         [
-            MPNNConfig(temperature=5e-324),  # beta overflows to inf
             MPNNConfig(temperature=1e-300),
+            MPNNConfig(temperature=_SMALLEST_TEMPERATURE),
             MPNNConfig(temperature=1e300, backbone_sharpening=0.0),
             MPNNConfig(mutation_rate=1.0, score_noise=1e300),
+            # The largest noise scale accepted.
+            MPNNConfig(mutation_rate=1.0, score_noise=_FLOAT_MAX / 16),
         ],
     )
     @pytest.mark.parametrize("quality", [0.0, 1.0])
     def test_extreme_configurations_build_valid_designs(self, target, config, quality):
         complex_structure = replace(target.complex, backbone_quality=quality)
-        with np.errstate(invalid="ignore"):  # inf * 0.0 where beta overflows
+        with np.errstate(over="ignore"):  # beta * logit overflows to -inf
             designs = SurrogateProteinMPNN(config, seed=8).generate(
                 complex_structure, target.landscape, n_sequences=16, stream=("x",)
             )
@@ -212,16 +220,30 @@ class TestTrustedBuild:
         assert [s.residues for s in rebuilt] == [d.sequence.residues for d in designs]
         assert all(math.isfinite(design.log_likelihood) for design in designs)
 
-    def test_an_infinite_noise_draw_is_still_refused(self, target):
-        # score_noise is the caller's: near the float maximum a normal draw
-        # overflows, and the design is refused as ScoredSequence refuses it.
-        config = MPNNConfig(score_noise=1e308)
-        with pytest.raises(SequenceError, match="finite"):
-            SurrogateProteinMPNN(config, seed=1).generate(
-                target.complex, target.landscape, stream=(0,)
-            )
-        with pytest.raises(SequenceError, match="finite"):
-            _reference_generate(config, 1, target.complex, target.landscape, stream=(0,))
+    @pytest.mark.parametrize(
+        "temperature, sharpening",
+        [
+            (5e-324, 2.0),
+            (float(np.nextafter(_SMALLEST_TEMPERATURE, 0.0)), 2.0),
+            (1e-309, 0.0),
+        ],
+    )
+    def test_an_overflowing_inverse_temperature_is_refused(self, temperature, sharpening):
+        # beta reaches (1 + sharpening) / temperature at backbone quality 1;
+        # at inf the sampling probabilities were NaN and every mutated
+        # residue came out as index 0.
+        assert not math.isfinite((1.0 + sharpening) / temperature)
+        with pytest.raises(ConfigurationError, match="temperature"):
+            MPNNConfig(temperature=temperature, backbone_sharpening=sharpening)
+
+    @pytest.mark.parametrize(
+        "score_noise", [1e308, float(np.nextafter(_FLOAT_MAX / 16, np.inf))]
+    )
+    def test_a_noise_scale_whose_draw_could_overflow_is_refused(self, score_noise):
+        # score_noise is the caller's: at 1e308 a normal draw overflowed on
+        # some streams, and generate refused the design there only.
+        with pytest.raises(ConfigurationError, match="score_noise"):
+            MPNNConfig(score_noise=score_noise)
 
 
 def test_designs_do_not_share_encoding_memory(target):
