@@ -13,10 +13,12 @@ This package is the paper's primary contribution re-implemented:
   submission, monitoring, global quality view, adaptive sub-pipeline
   generation (IM-RP).
 * :mod:`repro.core.control` — the non-adaptive sequential control (CONT-V).
-* :mod:`repro.core.protocols` — the execution-protocol abstraction and its
-  fixed table of four ("im-rp", "cont-v" and two ablations).
+* :mod:`repro.core.protocols` — the fixed table of four execution
+  protocols ("im-rp", "cont-v" and two ablations), one row each, and the
+  :class:`~repro.core.protocols.CampaignState` a campaign steps through.
 * :mod:`repro.core.campaign` — :class:`DesignCampaign`, the top-level public
-  API running any of those protocols end-to-end on a simulated platform.
+  API: it builds, restores and steps the engine its protocol's row calls for
+  (the coordinator or the control) end-to-end on a simulated platform.
 * :mod:`repro.core.results` — campaign results and Table-I-style summaries.
 * :mod:`repro.core.genetic` — the genetic-algorithm framing exposed for
   extension (population, selection, recombination).
@@ -39,7 +41,6 @@ _EXPORTS = {
     "PipelinesCoordinator": "coordinator",
     "ControlProtocol": "control",
     "ExecutionProtocol": "protocols",
-    "ProtocolContext": "protocols",
     "available_protocols": "protocols",
     "get_protocol": "protocols",
     "CampaignConfig": "campaign",

@@ -4,11 +4,11 @@ A design campaign runs one execution protocol over a set of design targets on
 a simulated HPC platform and returns a
 :class:`~repro.core.results.CampaignResult` with both the scientific and the
 computational outcomes.  The protocol (``"im-rp"``, ``"cont-v"`` or one of
-their two ablations) is looked up by name in
-:mod:`repro.core.protocols`, so the campaign itself only builds the shared
-models and duration model, delegates execution, and aggregates the result.
-This is the entry point used by the examples, the experiments suite engine
-and the benchmark harness:
+their two ablations) is a row of the fixed table in
+:mod:`repro.core.protocols`, looked up by name; the campaign builds the shared
+models and duration model, builds, restores and steps the engine the row
+calls for, and aggregates the result.  This is the entry point used by the
+examples, the experiments suite engine and the benchmark harness:
 
 >>> from repro.core.campaign import CampaignConfig, DesignCampaign
 >>> from repro.protein.datasets import named_pdz_targets
@@ -21,31 +21,28 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.coordinator import AUTO_IN_FLIGHT
+from repro.core.control import ControlProtocol
+from repro.core.coordinator import AUTO_IN_FLIGHT, PipelinesCoordinator
 from repro.core.decision import AcceptancePolicy, SubPipelinePolicy
-from repro.core.pipeline import StageModels
-from repro.core.protocols import (
-    CampaignState,
-    ExecutionProtocol,
-    ProtocolContext,
-    available_protocols,
-    get_protocol,
-)
+from repro.core.pipeline import PipelineConfig, StageModels
+from repro.core.protocols import CampaignState, available_protocols, get_protocol
 from repro.core.results import CampaignResult, PipelineRecord
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, ReproError, StoreError
 from repro.hpc.platform import ComputePlatform
-from repro.hpc.resources import PlatformSpec
-from repro.hpc.scheduler import SCHEDULER_POLICIES
+from repro.hpc.resources import PlatformSpec, amarel_platform
+from repro.hpc.scheduler import SCHEDULER_POLICIES, placement_window
 from repro.protein.datasets import DesignTarget
 from repro.protein.folding import MSA_MODES, SurrogateAlphaFold
 from repro.protein.metrics import QualityMetrics
 from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
 from repro.runtime.durations import DurationModel
+from repro.runtime.task_manager import TaskManager
 from repro.utils.rng import derive_seed
 
 __all__ = ["CampaignConfig", "CampaignState", "DesignCampaign"]
@@ -149,8 +146,13 @@ class DesignCampaign:
     """Runs one execution protocol over a set of design targets.
 
     The campaign owns the shared *science* of a run — surrogate models and
-    duration model, both seeded from the root seed — and delegates
-    *execution* to the protocol named by ``config.protocol``.
+    duration model, both seeded from the root seed — and its *execution*:
+    the row of ``config.protocol`` says which engine runs the pipelines, and
+    the campaign builds it (:meth:`engine`), steps it one design cycle at a
+    time (:meth:`run_stepwise`) and reads the result from the finished
+    engine.  A ``sequential`` row runs on the control, which a resume
+    restores from a saved boundary; any other row runs on the pipelines
+    coordinator over the pilot runtime, which is built at cycle 0 only.
     """
 
     def __init__(
@@ -163,6 +165,7 @@ class DesignCampaign:
             raise CampaignError("design target names must be unique")
         self._targets = list(targets)
         self._config = config or CampaignConfig()
+        self._protocol = get_protocol(self._config.protocol)
         self._platform: Optional[ComputePlatform] = None
         self._result: Optional[CampaignResult] = None
 
@@ -240,15 +243,21 @@ class DesignCampaign:
         """
         if self._result is not None:
             return self._result
-        protocol = get_protocol(self._config.protocol)
-        context = self._protocol_context()
         if resume_from is not None:
             state = self._validated_resume(resume_from)
         else:
-            state = protocol.init_state(context)
+            state = self._initial_state()
         try:
             while not state.done:
-                state = protocol.step(context, state)
+                engine = self.engine(state)
+                finished = engine.step_cycle()
+                state = dataclasses.replace(
+                    state,
+                    cycle=engine.n_cycles_completed,
+                    done=finished,
+                    payload=None,
+                    runtime=engine,
+                )
                 if on_state is not None:
                     on_state(state)
         except BaseException:
@@ -259,10 +268,84 @@ class DesignCampaign:
                 state.runtime.platform.loop.clear()
             raise
         baseline = self._baseline_metrics()
-        engine = protocol.engine(context, state)
+        engine = self.engine(state)
         self._platform = engine.platform
-        self._result = self._build_result(protocol, engine.records(), baseline)
+        self._result = self._build_result(engine.records(), baseline)
         return self._result
+
+    def engine(self, state: CampaignState) -> Union[ControlProtocol, PipelinesCoordinator]:
+        """The live engine that steps ``state``: its ``runtime``, or one built for it.
+
+        A ``sequential`` row builds a control, restored from the state's
+        payload when it holds one; a payload that does not restore is a
+        :class:`StoreError`, since the checkpoint, not the run, is at fault
+        and a retry would fail the same way.  Any other row builds its
+        pipelines coordinator at cycle 0 and refuses a later state with
+        :class:`CampaignError`: the coordinator has no codec yet.
+        """
+        if state.runtime is not None:
+            return state.runtime
+        protocol, config = self._protocol, self._config
+        if not protocol.sequential and (state.cycle or state.done):
+            raise CampaignError(
+                f"{protocol.name} cannot rebuild its execution at cycle "
+                f"{state.cycle}; re-run from the start instead"
+            )
+        platform = ComputePlatform(config.platform_spec or amarel_platform(1))
+        if protocol.sequential:
+            control = ControlProtocol(
+                platform, self._models, self._durations, self._pipeline_config(),
+                self._targets,
+            )
+            if state.payload is not None:
+                try:
+                    control.restore(state.payload)
+                except (LookupError, TypeError, ValueError, AttributeError, ReproError) as error:
+                    raise StoreError(
+                        f"{protocol.name} checkpoint payload at cycle {state.cycle} does "
+                        f"not restore: {type(error).__name__}: {error}"
+                    ) from error
+            return control
+        coordinator = PipelinesCoordinator(
+            TaskManager(
+                platform,
+                self._durations,
+                placement_window(config.scheduler_policy, config.backfill_window),
+            ),
+            self._models,
+            self._pipeline_config(),
+            config.spawn_policy,
+            config.max_in_flight_pipelines,
+        )
+        coordinator.add_targets(self._targets)
+        return coordinator
+
+    def _initial_state(self) -> CampaignState:
+        """The pre-execution state: cycle 0, nothing in flight.  A sequential
+        row knows its total, one cycle per target and design cycle."""
+        cycles_total = None
+        if self._protocol.sequential:
+            cycles_total = len(self._targets) * self._config.n_cycles
+        return CampaignState(
+            protocol=self._protocol.name,
+            seed=self._config.seed,
+            cycles_total=cycles_total,
+        )
+
+    def _pipeline_config(self) -> PipelineConfig:
+        """Every pipeline's configuration: the campaign's protocol
+        parameters, with adaptivity off for a sequential row."""
+        config = self._config
+        return PipelineConfig(
+            n_cycles=config.n_cycles,
+            n_sequences=config.n_sequences,
+            max_retries=config.max_retries,
+            adaptive=not self._protocol.sequential,
+            random_selection=self._protocol.random_selection,
+            acceptance=config.acceptance,
+            adaptivity_schedule=config.adaptivity_schedule,
+            selection_seed=derive_seed(config.seed, "selection"),
+        )
 
     def _validated_resume(self, state: CampaignState) -> CampaignState:
         if state.protocol != self._config.protocol or state.seed != self._config.seed:
@@ -277,14 +360,6 @@ class DesignCampaign:
                 "a save; re-run from the start instead"
             )
         return state
-
-    def _protocol_context(self) -> ProtocolContext:
-        return ProtocolContext(
-            config=self._config,
-            targets=self._targets,
-            models=self._models,
-            durations=self._durations,
-        )
 
     def _baseline_metrics(self) -> Dict[str, QualityMetrics]:
         """Iteration-0 metrics: the folding surrogate applied to each native complex.
@@ -308,10 +383,7 @@ class DesignCampaign:
         }
 
     def _build_result(
-        self,
-        protocol: ExecutionProtocol,
-        records: List[PipelineRecord],
-        baseline: Dict[str, QualityMetrics],
+        self, records: List[PipelineRecord], baseline: Dict[str, QualityMetrics]
     ) -> CampaignResult:
         profiler = self.platform.profiler
         makespan_seconds = profiler.makespan()
@@ -320,7 +392,7 @@ class DesignCampaign:
         )
         scale = self._config.duration_speedup  # report modelled (uncompressed) hours
         return CampaignResult(
-            approach=protocol.approach,
+            approach=self._protocol.approach,
             targets=[target.name for target in self._targets],
             pipelines=records,
             baseline_metrics=baseline,
@@ -336,5 +408,5 @@ class DesignCampaign:
             },
             n_cycles=self._config.n_cycles,
             seed=self._config.seed,
-            protocol=protocol.name,
+            protocol=self._protocol.name,
         )

@@ -18,9 +18,10 @@ engine**: :meth:`ControlProtocol.step_cycle` advances exactly one design
 cycle of the current target and stops at the quiescent boundary (no task in
 flight; the pipeline's outstanding generation task is rebuilt by
 :meth:`~repro.core.pipeline.Pipeline.pending_task`), where
-:meth:`snapshot` / :meth:`restore` serialise and rebuild the whole execution
-— per-target pipeline state, captured RNG streams, the simulated clock and
-the profiler traces — exactly.  The campaign's stepping loop
+:meth:`snapshot` serialises the whole execution — per-target pipeline
+state, captured RNG streams, the simulated clock and the profiler traces —
+and :meth:`restore` rebuilds it exactly, in a control that has not stepped.
+The campaign's stepping loop
 (:meth:`~repro.core.campaign.DesignCampaign.run_stepwise`) drives it one
 cycle per step, as it drives the IM-RP coordinator's
 :meth:`~repro.core.coordinator.PipelinesCoordinator.step_cycle`; only the
@@ -44,7 +45,6 @@ from repro.core.snapshot import restore_profiler
 from repro.core.trajectory import CycleResult, Trajectory
 from repro.exceptions import CampaignError, ConfigurationError
 from repro.hpc.platform import ComputePlatform
-from repro.hpc.resources import PlatformSpec
 from repro.protein.datasets import DesignTarget
 from repro.runtime.durations import DurationModel
 from repro.runtime.sequential import SequentialRunner
@@ -53,7 +53,13 @@ __all__ = ["ControlProtocol"]
 
 
 class ControlProtocol:
-    """Runs the CONT-V baseline over a set of targets, one cycle at a time."""
+    """Runs the CONT-V baseline over a set of targets, one cycle at a time.
+
+    :class:`~repro.core.campaign.DesignCampaign` builds it for a
+    ``sequential`` protocol row, in one place: a fresh control starts the
+    run, and a resume builds the same fresh control and restores a saved
+    boundary into it (:meth:`restore`) before its first step.
+    """
 
     #: Logical pipeline uid used in reports — CONT-V is a single pipeline
     #: processing every structure sequentially, which is how Table I counts it.
@@ -224,48 +230,42 @@ class ControlProtocol:
             "pipelines": pipelines,
         }
 
-    @classmethod
-    def restore(
-        cls,
-        platform_spec: Optional[PlatformSpec],
-        models: StageModels,
-        durations: DurationModel,
-        config: PipelineConfig,
-        targets: List[DesignTarget],
-        payload: dict,
-    ) -> "ControlProtocol":
-        """Rebuild a suspended control execution from :meth:`snapshot` output.
+    def restore(self, payload: dict) -> None:
+        """Restore a suspended execution from :meth:`snapshot` output.
 
-        ``targets``, ``models`` and ``durations`` are rebuilt by the caller
-        from the declarative run spec; the payload carries only the evolving
-        state.  The simulated clock is advanced to the captured time (no
-        events are pending at a boundary) and the profiler's rows and phase
-        totals are replayed.
+        The control is built as a fresh one is, from the declarative run
+        spec, and must not have stepped; the payload carries only the
+        evolving state.  The simulated clock is advanced to the captured
+        time (no events are pending at a boundary) and the profiler's rows
+        and phase totals are replayed.
 
         The payload's pipelines must be those of the first targets in sweep
         order, each but the last finished, as a stepped control holds them:
         one that skips a target raises ``KeyError``, and one that starts a
         target before the previous one finished raises
-        :class:`CampaignError`.
+        :class:`CampaignError`.  A control that has stepped or was restored
+        already raises :class:`CampaignError`.
         """
-        platform = ComputePlatform(platform_spec)
-        platform.loop.run_until(payload["now"])
-        restore_profiler(platform.profiler, payload["profiler"])
-        control = cls(platform, models, durations, config, targets)
+        if self._per_target_pipelines:
+            raise CampaignError(
+                "a control restores only before its first step; this one "
+                f"has started {len(self._per_target_pipelines)} pipeline(s)"
+            )
+        self._platform.loop.run_until(payload["now"])
+        restore_profiler(self._platform.profiler, payload["profiler"])
         snapshots = payload["pipelines"]
         previous: Optional[Pipeline] = None
-        for target in targets[:len(snapshots)]:  # sweep order, as started
+        for target in self._targets[:len(snapshots)]:  # sweep order, as started
             if previous is not None and not previous.is_finished:
                 raise CampaignError(
                     f"control payload starts {target.name} before the previous "
                     "target's pipeline finished"
                 )
             previous = Pipeline.restore_snapshot(
-                snapshots[target.name], target, models, config
+                snapshots[target.name], target, self._models, self._config
             )
-            control._per_target_pipelines[target.name] = previous
-            control._cycles_completed += len(previous.cycle_results)
-        return control
+            self._per_target_pipelines[target.name] = previous
+            self._cycles_completed += len(previous.cycle_results)
 
     # -- results ----------------------------------------------------------------- #
 

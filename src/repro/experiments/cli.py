@@ -171,8 +171,7 @@ def _list_protocols() -> str:
     lines = ["Execution protocols:"]
     for name in available_protocols():
         protocol = get_protocol(name)
-        summary = f" — {protocol.summary}" if protocol.summary else ""
-        lines.append(f"  {name:<14} [{protocol.approach}]{summary}")
+        lines.append(f"  {name:<14} [{protocol.approach}] — {protocol.summary}")
     return "\n".join(lines)
 
 

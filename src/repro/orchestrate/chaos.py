@@ -96,15 +96,12 @@ class ChaosReport:
     #: Run ids the clean drain worker had to execute (the storm's survivors
     #: finished the rest).
     drained: List[str] = field(default_factory=list)
-    #: Whether the finalized bytes matched the clean serial reference.
-    identical: bool = False
     finalized_path: Optional[Path] = None
     reference_path: Optional[Path] = None
     wall_seconds: float = 0.0
 
     def summary(self) -> str:
         """A one-paragraph human rendering (the CLI's output)."""
-        verdict = "byte-identical" if self.identical else "DIVERGED"
         faults = (
             ", ".join(
                 f"{kind}×{count}"
@@ -119,7 +116,7 @@ class ChaosReport:
             f"faults fired: {faults}; "
             f"{len(self.failed_in_storm)} failed marker(s) cleared, "
             f"{len(self.drained)} run(s) finished by the clean drain; "
-            f"finalized store {verdict} to the serial reference "
+            f"finalized store byte-identical to the serial reference "
             f"in {self.wall_seconds:.1f}s"
         )
 
@@ -219,7 +216,6 @@ def run_chaos(
     run_timeout: Optional[float] = None,
     storm_timeout: float = 120.0,
     output: Optional[Union[str, Path]] = None,
-    check: bool = True,
     trace: bool = False,
     log: Optional[Callable[[str], None]] = None,
 ) -> ChaosReport:
@@ -260,10 +256,6 @@ def run_chaos(
         left to the clean drain (the soak still verifies byte-identity).
     output:
         Finalized store path (default ``<queue_dir>/chaos-finalized.jsonl``).
-    check:
-        Raise :class:`OrchestrationError` when the finalized bytes diverge
-        from the reference (default).  ``False`` returns the report with
-        ``identical=False`` instead.
     trace:
         Run the soak with telemetry on: storm workers stream spans/events
         (and their fired faults) to ``<queue_dir>/telemetry/``, and the
@@ -272,6 +264,12 @@ def run_chaos(
         out-of-band contract this flag exists to soak.
     log:
         Optional line sink for progress (the CLI passes ``print``).
+
+    Raises
+    ------
+    OrchestrationError
+        When the finalized bytes diverge from the reference, so a returned
+        report is always of a byte-identical soak.
     """
     if workers < 1:
         raise OrchestrationError("chaos needs at least one worker")
@@ -418,15 +416,12 @@ def run_chaos(
         if tracer is not None:
             tracer.__exit__(None, None, None)
     report.finalized_path = finalized.path
-    report.identical = (
-        finalized.path.read_bytes() == reference.path.read_bytes()
-    )
     for event in _collect_fault_events(events_dir, telemetry_dir):
         kind, site = str(event.get("kind")), str(event.get("site"))
         report.injected_by_kind[kind] = report.injected_by_kind.get(kind, 0) + 1
         report.injected_by_site[site] = report.injected_by_site.get(site, 0) + 1
     report.wall_seconds = time.perf_counter() - start
-    if check and not report.identical:
+    if finalized.path.read_bytes() != reference.path.read_bytes():
         raise OrchestrationError(
             f"chaos soak diverged: {finalized.path} is not byte-identical to "
             f"the serial reference {reference.path} (seed {seed}; rerun with "

@@ -170,14 +170,13 @@ def read_lease(path: Path) -> Optional[ClaimLease]:
         )
 
 
-def try_claim(
-    path: Path, worker: str, attempt: int = 1, crashes: int = 0
-) -> bool:
+def try_claim(path: Path, worker: str) -> bool:
     """Attempt the first claim of ``path``; True iff this worker won it.
 
-    The ``O_CREAT | O_EXCL`` open is the atomic winner-takes-all step; the
-    content write that follows is best-effort (a crash inside it leaves a
-    torn claim, which :func:`read_lease` degrades to an mtime lease).
+    A first claim is attempt 1 with no crashes.  The ``O_CREAT | O_EXCL``
+    open is the atomic winner-takes-all step; the content write that follows
+    is best-effort (a crash inside it leaves a torn claim, which
+    :func:`read_lease` degrades to an mtime lease).
     """
     event = faults.failpoint("lease.try_claim")
     if event is not None and event.kind == "io_error":
@@ -188,9 +187,7 @@ def try_claim(
     except FileExistsError:
         return False
     try:
-        payload = _lease_payload(
-            worker, claimed_at=time.time(), attempt=attempt, crashes=crashes
-        )
+        payload = _lease_payload(worker, claimed_at=time.time())
         content = (json.dumps(payload, sort_keys=True) + "\n").encode()
         if event is not None and event.kind == "torn_write":
             # Crash window between O_EXCL create and the content write: a

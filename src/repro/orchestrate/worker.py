@@ -395,19 +395,27 @@ def _load_resume_state(
 ) -> Optional[CampaignState]:
     """The newest restorable checkpoint for ``entry``, or ``None``.
 
-    An unusable checkpoint (an unknown schema version, or a state that does
-    not decode) must not be silently ignored — that would quietly restart a
-    run a newer build could have resumed — so it surfaces as a hard error
-    after releasing the claim (only while the claim still names ``worker``:
-    a peer's is left alone).
+    An unusable checkpoint (an unknown schema version, a state that does not
+    decode, or a state of another protocol or seed than the run's) must not
+    be silently ignored — that would quietly restart a run a newer build
+    could have resumed — so it surfaces as a hard error after releasing the
+    claim (only while the claim still names ``worker``: a peer's is left
+    alone).  A retry would read the same line, so no attempt is spent on it.
     """
+    spec = entry.spec
     try:
-        return checkpoints.latest_restorable(entry.fingerprint)
+        state = checkpoints.latest_restorable(entry.fingerprint)
+        if state is not None and (state.protocol, state.seed) != (spec.protocol, spec.seed):
+            raise StoreError(
+                f"its state is for protocol {state.protocol!r} seed "
+                f"{state.seed}, the run is {spec.protocol!r} seed {spec.seed}"
+            )
     except StoreError as error:
         release_claim(claim, worker)
         raise OrchestrationError(
-            f"run {entry.spec.run_id!r} has an unusable checkpoint: {error}"
+            f"run {spec.run_id!r} has an unusable checkpoint: {error}"
         ) from error
+    return state
 
 
 def _run_attempt(

@@ -26,11 +26,11 @@ from typing import Optional
 from repro.telemetry import api as _api
 from repro.telemetry import metrics
 
-__all__ = ["DEFAULT_SAMPLE_SECONDS", "ResourceSampler", "start_resource_sampler"]
+__all__ = ["ResourceSampler", "start_resource_sampler"]
 
-#: Default sampling period; coarse on purpose — resource curves matter at the
+#: Sampling period; coarse on purpose — resource curves matter at the
 #: cycle/run scale, not per-millisecond, and the sampler must stay invisible.
-DEFAULT_SAMPLE_SECONDS = 0.25
+_SAMPLE_SECONDS = 0.25
 
 #: ``ru_maxrss`` is bytes on macOS, kilobytes on Linux.
 _RU_MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
@@ -66,11 +66,8 @@ def _cpu_seconds() -> Optional[float]:
 class ResourceSampler:
     """Daemon thread emitting RSS/CPU gauges for one worker label."""
 
-    def __init__(
-        self, worker: str, interval_seconds: float = DEFAULT_SAMPLE_SECONDS
-    ) -> None:
+    def __init__(self, worker: str) -> None:
         self._worker = worker
-        self._interval = max(0.01, float(interval_seconds))
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -104,7 +101,7 @@ class ResourceSampler:
         # One sample immediately, so even a worker that drains in less than
         # one interval leaves a resource footprint in the stream.
         self.sample_once()
-        while not self._stop.wait(self._interval):
+        while not self._stop.wait(_SAMPLE_SECONDS):
             self.sample_once()
 
     def stop(self) -> None:
@@ -117,9 +114,7 @@ class ResourceSampler:
         self.sample_once()
 
 
-def start_resource_sampler(
-    worker: str, interval_seconds: float = DEFAULT_SAMPLE_SECONDS
-) -> Optional[ResourceSampler]:
+def start_resource_sampler(worker: str) -> Optional[ResourceSampler]:
     """Start a sampler for ``worker`` — or return ``None`` when untraced.
 
     The guard keeps the disabled path truly free: no thread is spawned
@@ -127,4 +122,4 @@ def start_resource_sampler(
     """
     if _api.active_writer() is None:
         return None
-    return ResourceSampler(worker, interval_seconds).start()
+    return ResourceSampler(worker).start()

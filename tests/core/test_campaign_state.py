@@ -1,13 +1,13 @@
 """The cycle-granular campaign state machine: observation and resume.
 
-The contract: an observed ``run_stepwise`` (``init_state → step*`` with an
-``on_state`` hook) finishes byte-identical to an unobserved ``run()``, and a
-campaign suspended at any cycle boundary — its state round-tripped through
-JSON, as a cross-process resume would — finishes byte-identical to an
-uninterrupted run.  An observed state's ``runtime`` is the live execution,
-which keeps stepping after the state is handed out, so a state is encoded
-(saved) inside the observer, and a resume always starts from the JSON
-round-trip.
+The contract: an observed ``run_stepwise`` (the initial state, then one step
+per design cycle, with an ``on_state`` hook) finishes byte-identical to an
+unobserved ``run()``, and a campaign suspended at any cycle boundary — its
+state round-tripped through JSON, as a cross-process resume would — finishes
+byte-identical to an uninterrupted run.  An observed state's ``runtime`` is
+the live execution, which keeps stepping after the state is handed out, so a
+state is encoded (saved) inside the observer, and a resume always starts from
+the JSON round-trip.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core import control as control_module
 from repro.core import pipeline as pipeline_module
 from repro.core.campaign import CampaignConfig, CampaignState, DesignCampaign
 from repro.core.coordinator import AUTO_IN_FLIGHT, PipelinesCoordinator
-from repro.core.protocols import get_protocol
 from repro.exceptions import CampaignError, StoreError
 from repro.hpc.profiling import ExecutionProfiler
 from repro.protein.datasets import expanded_pdz_set, named_pdz_targets
@@ -410,11 +409,10 @@ class TestIncrementalSnapshots:
         # The control derives the flag from its pipelines: restored at the
         # last boundary it is done without running a cycle; restored one
         # boundary earlier it runs that cycle first.
-        protocol = get_protocol("cont-v")
-        context = _campaign()._protocol_context()
-        last = protocol.engine(context, states[-1])
+        campaign = _campaign()
+        last = campaign.engine(states[-1])
         assert last.step_cycle() is True and last.n_cycles_completed == 12
-        earlier = protocol.engine(context, states[-2])
+        earlier = campaign.engine(states[-2])
         assert earlier.n_cycles_completed == 11
         assert earlier.step_cycle() is True and earlier.n_cycles_completed == 12
 
@@ -493,9 +491,7 @@ class TestControlProgress:
         if resume_after is not None:
             resume_from = _saved_states(config)[resume_after - 1]
             # The restored engine, before its first step.
-            restored = get_protocol(protocol).engine(
-                _campaign(config)._protocol_context(), resume_from
-            )
+            restored = _campaign(config).engine(resume_from)
             assert restored.n_cycles_completed == resume_after
             check(restored)
         states = []
@@ -528,6 +524,19 @@ class TestControlProgress:
             with pytest.raises(StoreError, match="does not restore"):
                 _campaign().run_stepwise(resume_from=CampaignState.from_dict(edited))
 
+    def test_restore_refuses_a_control_that_has_stepped(self):
+        payload = _saved_states()[4].payload
+        campaign = _campaign()
+        stepped = campaign.engine(campaign._initial_state())
+        stepped.step_cycle()
+        restored = campaign.engine(CampaignState(
+            protocol="cont-v", seed=7, cycle=5, payload=payload
+        ))
+        assert restored.n_cycles_completed == 5
+        for control in (stepped, restored):
+            with pytest.raises(CampaignError, match="before its first step"):
+                control.restore(payload)
+
 
 class TestCampaignStateCodec:
     def test_round_trip(self):
@@ -545,7 +554,7 @@ class TestCampaignStateCodec:
         state = CampaignState(protocol="cont-v", seed=4, payload={"k": 1})
         assert state.restorable
         assert "restorable" not in state.as_dict()
-        init = get_protocol("cont-v").init_state(_campaign()._protocol_context())
+        init = _campaign()._initial_state()
         assert init.payload is None and not init.restorable
 
     def test_runtime_never_serialised(self):
@@ -561,9 +570,13 @@ class TestProtocolSteppingContract:
     @pytest.mark.parametrize("done", [False, True])
     def test_pilot_refuses_to_rebuild_its_execution_past_cycle_zero(self, done):
         config = CampaignConfig(protocol="im-rp", seed=7, n_cycles=2, n_sequences=4)
-        protocol = get_protocol("im-rp")
-        context = _campaign(config)._protocol_context()
-        state = CampaignState(protocol="im-rp", seed=7, cycle=3, done=done)
-        advance = protocol.engine if done else protocol.step
-        with pytest.raises(CampaignError, match="cannot rebuild"):
-            advance(context, state)
+        campaign = _campaign(config)
+        with pytest.raises(CampaignError, match="im-rp cannot rebuild its execution at cycle 3"):
+            if done:
+                campaign.engine(CampaignState(protocol="im-rp", seed=7, cycle=3, done=True))
+            else:
+                campaign.run_stepwise(
+                    resume_from=CampaignState(
+                        protocol="im-rp", seed=7, cycle=3, payload={}
+                    )
+                )

@@ -7,12 +7,15 @@ dispatch by protocol name is provably behaviour-preserving.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.core.campaign import CampaignConfig, DesignCampaign
+from repro.core.decision import AcceptancePolicy
+from repro.core.pipeline import PipelineConfig
 from repro.core.protocols import available_protocols, get_protocol
 from repro.exceptions import CampaignError, ConfigurationError
 
@@ -99,11 +102,59 @@ _PLACEMENT_OPTIONS = {
 }
 
 
+#: ``PipelineConfig`` fields the campaign derives from its protocol's row; the
+#: rest come from the campaign config.  Captured from the per-family
+#: ``ExecutionProtocol.pipeline_config`` these rows replaced (commit 008578f).
+_DERIVED = {
+    "im-rp": {"adaptive": True, "random_selection": False},
+    "im-rp-random": {"adaptive": True, "random_selection": True},
+    "cont-v": {"adaptive": False, "random_selection": True},
+    "cont-v-ranked": {"adaptive": False, "random_selection": False},
+}
+
+
 class TestProtocolTable:
     def test_the_table_holds_exactly_the_four_protocols(self):
         names = ("cont-v", "cont-v-ranked", "im-rp", "im-rp-random")
         assert available_protocols() == names
         assert [get_protocol(name).name for name in names] == list(names)
+
+    @pytest.mark.parametrize(
+        "name,approach,sequential,random_selection",
+        [
+            ("im-rp", "IM-RP", False, False),
+            ("im-rp-random", "IM-RP-RAND", False, True),
+            ("cont-v", "CONT-V", True, True),
+            ("cont-v-ranked", "CONT-V-RANK", True, False),
+        ],
+    )
+    def test_each_row_names_its_engine_and_selection(
+        self, name, approach, sequential, random_selection
+    ):
+        row = get_protocol(name)
+        assert row.approach == approach
+        assert row.sequential is sequential
+        assert row.random_selection is random_selection
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.sequential = not sequential
+
+    @pytest.mark.parametrize("name", sorted(_DERIVED))
+    def test_the_derived_pipeline_config_is_the_per_family_one(self, four_targets, name):
+        config = CampaignConfig(
+            protocol=name, seed=7, n_cycles=3, n_sequences=5, max_retries=6,
+            adaptivity_schedule=(True, True, False),
+            acceptance=AcceptancePolicy(min_delta=0.5, strict=True),
+        )
+        campaign = DesignCampaign(four_targets, config)
+        assert campaign._pipeline_config() == PipelineConfig(
+            n_cycles=3,
+            n_sequences=5,
+            max_retries=6,
+            acceptance=AcceptancePolicy(min_delta=0.5, strict=True, metric="composite"),
+            adaptivity_schedule=(True, True, False),
+            selection_seed=3322606427570500947,
+            **_DERIVED[name],
+        )
 
     def test_unknown_protocol_raises(self):
         with pytest.raises(CampaignError, match="unknown protocol"):

@@ -284,9 +284,9 @@ class TestGarbageClaimFiles:
 
     def test_crash_counter_rides_the_claim_and_steals_increment_it(self, queue):
         path = queue.claim_path(queue.entries()[0].fingerprint)
-        assert try_claim(path, "w0", attempt=2, crashes=1) is True
+        assert try_claim(path, "w0") is True
         lease = read_lease(path)
-        assert lease.attempt == 2 and lease.crashes == 1
+        assert lease.attempt == 1 and lease.crashes == 0
         stale = time.time() - 3600.0
         atomic_write_json(
             path,

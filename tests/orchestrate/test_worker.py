@@ -563,6 +563,53 @@ class TestPreemptiveStealing:
         outcome = run_worker(queue, worker_id="w1", execute=execute_run)
         assert outcome.executed == [entry.spec.run_id]
 
+    def test_checkpoint_of_another_run_is_refused_on_the_first_attempt(
+        self, tmp_path
+    ):
+        """A real ``cont-v`` boundary of seed 8, saved under the seed-7 run's
+        fingerprint, is refused at load like a payload that does not
+        restore: the resume would fail the campaign's identity guard on
+        every attempt."""
+        sweep = SweepSpec(
+            protocols=("cont-v",),
+            seeds=(7, 8),
+            targets=TargetSpec(kind="named-pdz", seed=11),
+            base={"n_cycles": 2, "n_sequences": 4},
+        )
+        queue = WorkQueue.create(tmp_path / "queue", sweep)
+        seven, eight = queue.entries()
+        checkpoints = CheckpointStore(queue.checkpoints_dir)
+
+        def save_first(state):
+            if state.cycle == 1:
+                checkpoints.save(
+                    seven.fingerprint, state, run_id=seven.spec.run_id,
+                    worker="old",
+                )
+
+        execute_run(eight.spec, on_cycle=save_first)
+        attempts = []
+
+        def counting_execute(spec, *, resume_state=None, on_cycle=None):
+            attempts.append(spec.run_id)
+            return execute_run(spec, resume_state=resume_state, on_cycle=on_cycle)
+
+        with pytest.raises(OrchestrationError, match="unusable checkpoint") as caught:
+            run_worker(
+                queue, worker_id="w0", execute=counting_execute, max_attempts=2
+            )
+        assert repr(seven.spec.run_id) in str(caught.value)
+        assert "protocol 'cont-v' seed 8" in str(caught.value)
+        assert attempts == []
+        assert not any(queue.failed_dir.iterdir())
+        assert not queue.claim_path(seven.fingerprint).exists()
+        assert checkpoints.fingerprints() == [seven.fingerprint]
+        # Discarding the line lets both runs succeed from their start.
+        checkpoints.discard(seven.fingerprint)
+        outcome = run_worker(queue, worker_id="w1", execute=execute_run)
+        assert outcome.executed == [seven.spec.run_id, eight.spec.run_id]
+        assert outcome.resumed == []
+
     def test_unusable_checkpoint_leaves_a_peers_claim_alone(self, queue, monkeypatch):
         """The claim is released only while it still names this worker."""
         entry = queue.entries()[0]

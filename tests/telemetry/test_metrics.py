@@ -202,7 +202,7 @@ class TestResourceSampler:
 
     def test_start_stop_lifecycle_emits_samples(self, tmp_path):
         with telemetry.scoped(tmp_path / "telemetry", "w0"):
-            sampler = start_resource_sampler("w0", interval_seconds=30.0)
+            sampler = start_resource_sampler("w0")
             assert sampler is not None
             sampler.stop()
         series = read_metrics(tmp_path / "telemetry")
